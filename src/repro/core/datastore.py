@@ -25,6 +25,7 @@ after which restrictions on it can skip chunks like any other field.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -42,13 +43,13 @@ from repro.compress.registry import get_codec
 from repro.core.engine import (
     ChunkData,
     PresenceAggregator,
+    aggregator_states,
     build_aggregator,
 )
 from repro.core.executor import (
     ExecutionStrategy,
     SupervisionConfig,
     make_executor,
-    supervision_knob_problem,
 )
 from repro.core.expr_eval import evaluate
 from repro.core.plan import is_aggregation_query, plan_group_query, resolve_group_aliases
@@ -144,19 +145,12 @@ class DataStoreOptions:
     advisor_mode: str = "stats"
 
     def __post_init__(self) -> None:
-        problem = supervision_knob_problem(
-            self.task_deadline_seconds,
-            self.task_max_retries,
-            self.task_backoff_base_seconds,
-            self.task_backoff_multiplier,
-            self.watchdog_interval_seconds,
-        )
-        if problem is not None:
-            raise ExecutionError(problem)
+        # Build the supervision and advisor views eagerly: each
+        # validates its own knobs, so bad values fail at option
+        # construction.
+        self.supervision()
         if self.codec is not None and self.codec != "auto":
             get_codec(self.codec)  # unknown names raise CompressionError
-        # Build the advisor view eagerly so bad advisor knobs fail at
-        # option construction, like the supervision knobs above.
         self.advisor_config()
 
     def advisor_config(self) -> AdvisorConfig:
@@ -398,6 +392,17 @@ class ImportStats:
 class DataStore:
     """The column-store: holds encoded fields, answers SQL queries."""
 
+    #: Per-process runtime state: built by :meth:`_build_runtime`,
+    #: dropped by ``__getstate__``, never copied or pickled.
+    _RUNTIME_ATTRS = (
+        "executor",
+        "_chunk_cache",
+        "_cache_lock",
+        "_field_lock",
+        "_arena",
+        "_arena_handle",
+    )
+
     def __init__(
         self,
         options: DataStoreOptions,
@@ -416,35 +421,50 @@ class DataStore:
         # (virtual names like __v0 depend on materialization order, so
         # cross-process tasks ship these specs, never the names).
         self._virtual_specs: dict[str, tuple] = {}
-        # Shared-memory/mmap arena backing (see repro.storage.arena):
-        # set lazily when a process strategy needs picklable tasks, or
-        # by an arena attach. The handle is what pickles.
-        self._arena: Any = None
-        self._arena_handle: Any = None
-        self.executor: ExecutionStrategy = make_executor(
-            options.executor,
-            options.workers,
-            options.max_workers,
-            options.supervision(),
-        )
-        # Bounded, byte-weighted per-chunk result cache (Section 6).
-        # get/put happen only on the merge thread (or under the lock
-        # when callers run concurrent queries); executor workers never
-        # touch it.
-        self._chunk_cache: Cache = make_cache(
-            options.cache_policy, options.cache_capacity_bytes
-        )
-        self._cache_lock = threading.Lock()
-        # Serializes field materialization (ensure_field /
-        # ensure_composite_field mutate the field namespace). Reentrant
-        # because composite materialization resolves member specs while
-        # holding it. Concurrent queries from the serving layer hit
-        # this on their ensure() path; steady-state lookups only touch
-        # already-materialized names, so contention is first-query-only.
-        self._field_lock = threading.RLock()
         self._original_fields = [
             name for name, store in fields.items() if not store.virtual
         ]
+        self._build_runtime()
+
+    def _build_runtime(self, only: str | None = None) -> None:
+        """Build the runtime state of ``_RUNTIME_ATTRS`` from the options.
+
+        Called bare for a store new to this process (construction,
+        unpickle, deep copy): everything is fresh and the cache empty.
+        ``configure_runtime`` passes ``only="executor"`` or
+        ``only="cache"`` to swap one object on a live store, whose
+        locks and arena backing must survive.
+        """
+        if only is None:
+            self._cache_lock = threading.Lock()
+            # Serializes field materialization (ensure_field /
+            # ensure_composite_field mutate the field namespace).
+            # Reentrant because composite materialization resolves
+            # member specs while holding it. Concurrent queries from
+            # the serving layer hit this on their ensure() path;
+            # steady-state lookups only touch already-materialized
+            # names, so contention is first-query-only.
+            self._field_lock = threading.RLock()
+            # Shared-memory/mmap arena backing (see
+            # repro.storage.arena): set lazily when a process strategy
+            # needs picklable tasks, or by an arena attach. The handle
+            # is what pickles.
+            self._arena: Any = None
+            self._arena_handle: Any = None
+        if only in (None, "executor"):
+            self.executor: ExecutionStrategy = make_executor(
+                self.options.executor,
+                self.options.workers,
+                self.options.max_workers,
+                self.options.supervision(),
+            )
+        if only in (None, "cache"):
+            # Bounded, byte-weighted per-chunk result cache (Section
+            # 6). get/put happen only on the merge thread, under
+            # ``_cache_lock``; executor workers never touch it.
+            self._chunk_cache: Cache = make_cache(
+                self.options.cache_policy, self.options.cache_capacity_bytes
+            )
 
     # -- construction ------------------------------------------------------------
     @classmethod
@@ -612,18 +632,10 @@ class DataStore:
                 # query builds a fresh one.
                 self._arena = None
                 self._arena_handle = None
-            self.executor = make_executor(
-                self.options.executor,
-                self.options.workers,
-                self.options.max_workers,
-                self.options.supervision(),
-            )
+            self._build_runtime(only="executor")
         if cache_updates:
             with self._cache_lock:
-                self._chunk_cache = make_cache(
-                    self.options.cache_policy,
-                    self.options.cache_capacity_bytes,
-                )
+                self._build_runtime(only="cache")
 
     @property
     def chunk_cache(self) -> Cache:
@@ -642,84 +654,34 @@ class DataStore:
                 self._chunk_cache.clear()
 
     def __deepcopy__(self, memo: dict) -> "DataStore":
-        """Deep-copy the encoded data; rebuild the runtime objects.
+        """Deep-copy the encoded data; the clone gets fresh runtime state.
 
-        The executor (thread pool), the cache lock and the chunk-result
-        cache are per-process runtime state, not data — copying a lock
-        is impossible and sharing a pool would couple the copies. The
-        clone starts with a fresh, empty cache (cached partials are
-        derived data and rebuild on demand).
+        Spelled out instead of left to ``__reduce_ex__`` because an
+        arena-backed store reduces to an *attach*: a deep copy must own
+        its columns, not share a segment it could outlive.
         """
-        import copy
-
         clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        runtime = {
-            "executor",
-            "_cache_lock",
-            "_field_lock",
-            "_chunk_cache",
-            "_arena",
-            "_arena_handle",
-        }
-        for key, value in self.__dict__.items():
-            if key not in runtime:
-                setattr(clone, key, copy.deepcopy(value, memo))
-        clone.executor = make_executor(
-            clone.options.executor,
-            clone.options.workers,
-            clone.options.max_workers,
-            clone.options.supervision(),
-        )
-        clone._cache_lock = threading.Lock()
-        clone._field_lock = threading.RLock()
-        clone._chunk_cache = make_cache(
-            clone.options.cache_policy, clone.options.cache_capacity_bytes
-        )
-        # Arena backing stays with the original: the clone's columns
-        # are fresh copies, so sharing the segment would let a clone
-        # outlive-or-unlink state it does not own.
-        clone._arena = None
-        clone._arena_handle = None
+        clone.__setstate__(copy.deepcopy(self.__getstate__(), memo))
         return clone
 
     def __getstate__(self) -> dict:
         """Pickle the encoded data, not the per-process runtime.
 
-        The executor (thread pool), the cache lock and the chunk-result
-        cache cannot cross a process boundary — exactly the state
-        ``__deepcopy__`` rebuilds. Dropping them here is what makes a
+        The executor (thread pool), the locks, the chunk-result cache
+        (derived data, rebuilt on demand) and the arena mapping cannot
+        cross a process boundary. Dropping them here is what makes a
         store (and closures over ``self``, reprolint REP015) safe to
-        ship to a ProcessPool worker; ``__setstate__`` rebuilds fresh
+        ship to a ProcessPool worker; ``__setstate__`` builds fresh
         runtime objects on the other side.
         """
         state = dict(self.__dict__)
-        for key in (
-            "executor",
-            "_cache_lock",
-            "_field_lock",
-            "_chunk_cache",
-            "_arena",
-            "_arena_handle",
-        ):
+        for key in self._RUNTIME_ATTRS:
             state.pop(key, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.executor = make_executor(
-            self.options.executor,
-            self.options.workers,
-            self.options.max_workers,
-            self.options.supervision(),
-        )
-        self._cache_lock = threading.Lock()
-        self._field_lock = threading.RLock()
-        self._chunk_cache = make_cache(
-            self.options.cache_policy, self.options.cache_capacity_bytes
-        )
-        self._arena = None
-        self._arena_handle = None
+        self._build_runtime()
 
     def __reduce_ex__(self, protocol: int) -> Any:
         """Arena-backed stores pickle as an attach, not as data.
@@ -1031,50 +993,11 @@ class DataStore:
         unpruned execution.
         """
         started = time.perf_counter()
-        parsed = parse_query(query) if isinstance(query, str) else query
-        if parsed.table != self.options.table_name:
-            raise ExecutionError(
-                f"query targets table {parsed.table!r}, store holds "
-                f"{self.options.table_name!r}"
-            )
-        parsed = resolve_group_aliases(parsed)
-
-        accessed: set[str] = set()
-
-        def ensure(expr: Expr) -> str:
-            name = self.ensure_field(expr)
-            accessed.add(name)
-            return name
-
-        stats = ScanStats(
-            rows_total=self.n_rows, chunks_total=self.n_chunks
+        parsed, stats, kernel = self._run_pipeline(
+            query,
+            None if candidate_chunks is None else frozenset(candidate_chunks),
         )
-        restriction = compile_restriction(
-            parsed.where,
-            ensure,
-            lambda name: self.field(name).dictionary,
-            lambda name: self.field(name).chunks,
-            lambda name, index: self.field(name).element_array(index),
-        )
-
-        candidates = (
-            None if candidate_chunks is None else frozenset(candidate_chunks)
-        )
-        if is_aggregation_query(parsed):
-            rows = self._execute_grouped(
-                parsed, restriction, ensure, stats, candidates
-            )
-        else:
-            rows = self._execute_projection(
-                parsed, restriction, ensure, stats, candidates
-            )
-
-        table = finalize(rows, parsed)
-        stats.fields_accessed = tuple(sorted(accessed))
-        stats.cells_scanned = stats.rows_scanned * max(len(accessed), 1)
-        stats.memory_bytes = sum(
-            self.field(name).size_bytes() for name in accessed
-        )
+        table = finalize(kernel.rows(parsed), parsed)
         elapsed = time.perf_counter() - started
         # Exact coverage accounting for degraded results: every row the
         # supervisor lost is counted, nothing else is estimated.
@@ -1092,75 +1015,85 @@ class DataStore:
             row_coverage=coverage,
         )
 
-    # -- grouped path ----------------------------------------------------------------
-    def _aggregate_query(
-        self, parsed, restriction, ensure, stats, candidates=None
-    ):
-        """Run the chunk loop; returns everything needed to finalize.
+    def execute_partials(self, query: Query | str) -> tuple[ScanStats, Any]:
+        """Execute the shard-local part of a distributed query.
 
-        Shared by local execution (:meth:`_execute_grouped`) and the
-        distributed layer's partial execution
-        (:meth:`execute_partials`). ``candidates`` prunes the chunk
-        loop to a proven-sound footprint (see :meth:`execute`).
+        Returns ``(stats, groups)`` where ``groups`` maps a NULL-safe
+        group key to ``(group_values, [AggState, ...])``. The states
+        are mergeable across shards (Section 4's multi-level
+        aggregation); the computation tree merges them level by level
+        and the root finalizes. Plain projection queries return
+        ``(stats, rows)`` with ``rows`` a list of output dicts instead.
         """
-        plan = plan_group_query(parsed)
-        group_exprs = list(plan.group_exprs)
-        group_names = [ensure(expr) for expr in group_exprs]
-        if len(group_names) > 1:
-            group_field_name = self.ensure_composite_field(group_names)
-            ensure(FieldRef(group_field_name))
-        elif group_names:
-            group_field_name = group_names[0]
-        else:
-            group_field_name = None
-        group_field = (
-            self.field(group_field_name) if group_field_name else None
+        __, stats, kernel = self._run_pipeline(query)
+        return stats, kernel.shard_partials()
+
+    def _run_pipeline(
+        self, query: Query | str, candidates: "frozenset[int] | None" = None
+    ) -> "tuple[Query, ScanStats, _ChunkKernel]":
+        """The one query path (Section 2.4); every door runs through it.
+
+        prepare → classify chunks → supervised fan-out → fold in chunk
+        order → stats tail. Returns the resolved query, its scan
+        statistics and the folded kernel; the callers differ only in
+        what they read off the kernel (finalized rows, or mergeable
+        shard partials). ``candidates`` prunes the chunk loop to a
+        proven-sound footprint (see :meth:`execute`).
+        """
+        # Prepare: parse, bind, compile the restriction, pick the kernel.
+        parsed = parse_query(query) if isinstance(query, str) else query
+        if parsed.table != self.options.table_name:
+            raise ExecutionError(
+                f"query targets table {parsed.table!r}, store holds "
+                f"{self.options.table_name!r}"
+            )
+        parsed = resolve_group_aliases(parsed)
+        accessed: set[str] = set()
+
+        def ensure(expr: Expr) -> str:
+            name = self.ensure_field(expr)
+            accessed.add(name)
+            return name
+
+        stats = ScanStats(rows_total=self.n_rows, chunks_total=self.n_chunks)
+        restriction = compile_restriction(
+            parsed.where,
+            ensure,
+            lambda name: self.field(name).dictionary,
+            lambda name: self.field(name).chunks,
+            lambda name, index: self.field(name).element_array(index),
         )
-        n_groups = len(group_field.dictionary) if group_field else 1
-
-        agg_order = list(plan.aggregates)
-        plan_items = list(plan.items)
-
-        # Build aggregators; resolve argument fields.
-        presence = PresenceAggregator(n_groups)
-        aggregators = []
-        arg_fields: list[FieldStore | None] = []
-        for agg in agg_order:
-            if isinstance(agg.arg, Star):
-                arg_field = None
-            else:
-                arg_field = self.field(ensure(agg.arg))
-            arg_fields.append(arg_field)
-            aggregators.append(build_aggregator(agg, n_groups, arg_field))
-
-        signature = (
-            group_field_name,
-            tuple(agg.sql() for agg in agg_order),
+        kernel_class = (
+            _GroupedKernel if is_aggregation_query(parsed) else _ProjectionKernel
         )
-        use_cache = self.options.cache_chunk_results
+        kernel = kernel_class(self, parsed, ensure)
+        use_cache = (
+            self.options.cache_chunk_results and kernel.signature is not None
+        )
 
-        # Phase 1 (merge thread): restriction decisions + cache probes.
+        # Classify (merge thread): restriction decisions + cache probes.
         # Chunks split three ways: skipped, served from cache, to scan.
         phase_started = time.perf_counter()
         ready: list[tuple[int, Any]] = []  # (chunk_index, partials)
         to_scan: list[tuple[int, np.ndarray | None, bool]] = []
         active: list[int] = []
-        for chunk_index in range(self.n_chunks):
-            chunk_rows = self.chunk_row_counts[chunk_index]
+        for chunk_index, chunk_rows in enumerate(self.chunk_row_counts):
             if candidates is not None and chunk_index not in candidates:
-                stats.chunks_skipped += 1
-                stats.rows_skipped += chunk_rows
-                continue
-            decision = restriction.decide(chunk_index)
-            if decision.status is ChunkStatus.SKIP:
+                status = ChunkStatus.SKIP
+            else:
+                decision = restriction.decide(chunk_index)
+                status = decision.status
+            if status is ChunkStatus.SKIP:
                 stats.chunks_skipped += 1
                 stats.rows_skipped += chunk_rows
                 continue
             active.append(chunk_index)
-            if decision.status is ChunkStatus.FULL:
+            if status is ChunkStatus.FULL:
                 if use_cache:
                     with self._cache_lock:
-                        cached = self._chunk_cache.get((signature, chunk_index))
+                        cached = self._chunk_cache.get(
+                            (kernel.signature, chunk_index)
+                        )
                     if cached is not None:
                         stats.chunks_cached += 1
                         stats.rows_cached += chunk_rows
@@ -1177,24 +1110,21 @@ class DataStore:
         stats.active_chunks = tuple(active)
         stats.restriction_seconds += time.perf_counter() - phase_started
 
-        # Phase 2: fan the pure per-chunk partial computation out over
-        # the execution strategy. Workers only read store state (see
-        # the chunk_partial contract in repro.core.engine). Process
-        # strategies pickle the task, so the store must be arena-backed
-        # first — the pickle then carries an arena handle, not columns.
+        # Fan-out: the pure per-chunk kernel runs over the execution
+        # strategy. Workers only read store state (see the
+        # chunk_partial contract in repro.core.engine). Process
+        # strategies pickle the kernel, so the store must be
+        # arena-backed first — the pickle then carries an arena handle,
+        # not columns.
         phase_started = time.perf_counter()
         if self.executor.wants_picklable_tasks and len(to_scan) > 1:
             self.ensure_arena()
-        scan_one = _ChunkScanTask(
-            self, group_field, aggregators, arg_fields, presence
-        )
-        outcome = self.executor.map_supervised(scan_one, to_scan)
-        computed = outcome.results
-        stats.scan_seconds += time.perf_counter() - phase_started
+        outcome = self.executor.map_supervised(kernel, to_scan)
+        _charge(stats, kernel.scan_timer, phase_started)
 
         # Graceful degradation (the paper's partial-result contract,
         # applied to real worker death): chunks the supervisor could
-        # not serve after its retry budget are excluded from the merge
+        # not serve after its retry budget are excluded from the fold
         # and accounted exactly — or, in strict mode, fail the query.
         unserved = set(outcome.unserved)
         if unserved:
@@ -1218,214 +1148,44 @@ class DataStore:
                 "datastore.scan.chunks_unserved", len(unserved)
             )
 
-        # Phase 3 (merge thread): admit fresh partials to the cache and
+        # Fold (merge thread): admit fresh partials to the cache and
         # fold everything in ascending chunk order — the deterministic
         # merge order that makes parallel bit-identical to serial.
         phase_started = time.perf_counter()
-        evictions_before = self._chunk_cache.stats.evictions
+        admitted = []
         for position, ((chunk_index, __, cacheable), partials) in enumerate(
-            zip(to_scan, computed)
+            zip(to_scan, outcome.results)
         ):
             if position in unserved:
                 continue
             if cacheable:
-                with self._cache_lock:
+                admitted.append((chunk_index, partials))
+            ready.append((chunk_index, partials))
+        if admitted:
+            # One locked section, so the eviction delta is this
+            # query's own even when queries run concurrently.
+            with self._cache_lock:
+                evictions_before = self._chunk_cache.stats.evictions
+                for chunk_index, partials in admitted:
                     self._chunk_cache.put(
-                        (signature, chunk_index),
+                        (kernel.signature, chunk_index),
                         partials,
                         weight=_partials_weight(partials),
                     )
-            ready.append((chunk_index, partials))
-        evicted = self._chunk_cache.stats.evictions - evictions_before
-        if evicted:
-            counters.increment("datastore.chunk_cache.evictions", evicted)
+                evicted = self._chunk_cache.stats.evictions - evictions_before
+            if evicted:
+                counters.increment("datastore.chunk_cache.evictions", evicted)
         ready.sort(key=lambda item: item[0])
         for __, partials in ready:
-            presence.apply(partials[0])
-            for aggregator, partial in zip(aggregators, partials[1:]):
-                aggregator.apply(partial)
-        stats.merge_seconds += time.perf_counter() - phase_started
+            kernel.fold(partials)
+        _charge(stats, kernel.fold_timer, phase_started)
 
-        if group_field is None:
-            present = np.array([True])
-        else:
-            present = presence.counts > 0
-        return plan, group_exprs, group_field, presence, aggregators, present
-
-    def _execute_grouped(
-        self, parsed, restriction, ensure, stats, candidates=None
-    ):
-        plan, group_exprs, group_field, presence, aggregators, present = (
-            self._aggregate_query(
-                parsed, restriction, ensure, stats, candidates
-            )
-        )
-        agg_order = list(plan.aggregates)
-        plan_items = list(plan.items)
-        agg_results = [agg.results(present) for agg in aggregators]
-        count_results = presence.results(present)
-
-        present_gids = np.flatnonzero(present)
-        positions = _topk_positions(
-            parsed, plan, present_gids, agg_results
-        )
-        if positions is None:
-            positions = range(len(present_gids))
-
-        rows: list[dict[str, Any]] = []
-        for position in positions:
-            gid = present_gids[position]
-            env: dict[str, Any] = {}
-            if group_field is not None:
-                group_value = group_field.dictionary.value(int(gid))
-                if len(group_exprs) > 1:
-                    for i, member in enumerate(group_value):
-                        env[f"__group_{i}"] = member
-                else:
-                    env["__group_0"] = group_value
-            for j in range(len(agg_order)):
-                env[f"__agg_{j}"] = agg_results[j][position]
-            env["__count_star"] = count_results[position]
-            row = {
-                name: evaluate(expr, env.__getitem__)
-                for name, expr in plan_items
-            }
-            rows.append(row)
-        return rows
-
-    def execute_partials(self, query: Query | str) -> tuple[ScanStats, Any]:
-        """Execute the shard-local part of a distributed query.
-
-        Returns ``(stats, groups)`` where ``groups`` maps a NULL-safe
-        group key to ``(group_values, [AggState, ...])``. The states
-        are mergeable across shards (Section 4's multi-level
-        aggregation); the computation tree merges them level by level
-        and the root finalizes. Plain projection queries return
-        ``(stats, rows)`` with ``rows`` a list of output dicts instead.
-        """
-        from repro.core.engine import aggregator_states
-
-        parsed = parse_query(query) if isinstance(query, str) else query
-        if parsed.table != self.options.table_name:
-            raise ExecutionError(
-                f"query targets table {parsed.table!r}, store holds "
-                f"{self.options.table_name!r}"
-            )
-        parsed = resolve_group_aliases(parsed)
-        accessed: set[str] = set()
-
-        def ensure(expr: Expr) -> str:
-            name = self.ensure_field(expr)
-            accessed.add(name)
-            return name
-
-        stats = ScanStats(rows_total=self.n_rows, chunks_total=self.n_chunks)
-        restriction = compile_restriction(
-            parsed.where,
-            ensure,
-            lambda name: self.field(name).dictionary,
-            lambda name: self.field(name).chunks,
-            lambda name, index: self.field(name).element_array(index),
-        )
-        if not is_aggregation_query(parsed):
-            rows = self._execute_projection(parsed, restriction, ensure, stats)
-            stats.fields_accessed = tuple(sorted(accessed))
-            stats.cells_scanned = stats.rows_scanned * max(len(accessed), 1)
-            stats.memory_bytes = sum(
-                self.field(name).size_bytes() for name in accessed
-            )
-            return stats, rows
-
-        plan, group_exprs, group_field, presence, aggregators, present = (
-            self._aggregate_query(parsed, restriction, ensure, stats)
-        )
-        state_lists = [
-            aggregator_states(aggregator, present) for aggregator in aggregators
-        ]
-        groups: dict[tuple, tuple[tuple, list]] = {}
-        for position, gid in enumerate(np.flatnonzero(present)):
-            if group_field is None:
-                values: tuple = ()
-            else:
-                value = group_field.dictionary.value(int(gid))
-                values = value if len(group_exprs) > 1 else (value,)
-            key = tuple((v is not None, v) for v in values)
-            groups[key] = (
-                values,
-                [states[position] for states in state_lists],
-            )
-        if group_field is None and not groups:
-            groups[()] = ((), [])
         stats.fields_accessed = tuple(sorted(accessed))
         stats.cells_scanned = stats.rows_scanned * max(len(accessed), 1)
         stats.memory_bytes = sum(
             self.field(name).size_bytes() for name in accessed
         )
-        return stats, groups
-
-    def _compute_partials(
-        self, chunk_index, group_field, aggregators, arg_fields, presence, mask
-    ):
-        # row_global_ids is already int64 (cached once per chunk), so no
-        # per-aggregator-per-chunk astype copies happen here.
-        if group_field is not None:
-            group_ids = group_field.row_global_ids(chunk_index)
-        else:
-            group_ids = np.zeros(
-                self.chunk_row_counts[chunk_index], dtype=np.int64
-            )
-        data = ChunkData(group_ids=group_ids, mask=mask)
-        partials = [presence.chunk_partial(data, None)]
-        for aggregator, arg_field in zip(aggregators, arg_fields):
-            arg_ids = (
-                arg_field.row_global_ids(chunk_index)
-                if arg_field is not None
-                else None
-            )
-            partials.append(aggregator.chunk_partial(data, arg_ids))
-        return partials
-
-    # -- projection path -----------------------------------------------------------
-    def _execute_projection(
-        self, parsed, restriction, ensure, stats, candidates=None
-    ):
-        phase_started = time.perf_counter()
-        item_fields = [
-            (item.output_name(), ensure(item.expr)) for item in parsed.select
-        ]
-        names = [name for name, __ in item_fields]
-        rows: list[dict[str, Any]] = []
-        active: list[int] = []
-        for chunk_index in range(self.n_chunks):
-            chunk_rows = self.chunk_row_counts[chunk_index]
-            if candidates is not None and chunk_index not in candidates:
-                stats.chunks_skipped += 1
-                stats.rows_skipped += chunk_rows
-                continue
-            decision = restriction.decide(chunk_index)
-            if decision.status is ChunkStatus.SKIP:
-                stats.chunks_skipped += 1
-                stats.rows_skipped += chunk_rows
-                continue
-            active.append(chunk_index)
-            stats.chunks_scanned += 1
-            stats.rows_scanned += chunk_rows
-            # Materialize each output column once for the whole chunk
-            # (vectorized gid -> value gather), then zip the columns
-            # into row dicts — no per-cell array indexing.
-            column_values: list[list[Any]] = []
-            for __, field_name in item_fields:
-                store = self.field(field_name)
-                gids = store.row_global_ids(chunk_index)
-                if decision.row_mask is not None:
-                    gids = gids[decision.row_mask]
-                column_values.append(store.value_array()[gids].tolist())
-            rows.extend(
-                dict(zip(names, values)) for values in zip(*column_values)
-            )
-        stats.active_chunks = tuple(active)
-        stats.projection_seconds += time.perf_counter() - phase_started
-        return rows
+        return parsed, stats, kernel
 
 
 def _resolve_field_spec(store: DataStore, spec: tuple) -> str:
@@ -1447,76 +1207,228 @@ def _resolve_field_spec(store: DataStore, spec: tuple) -> str:
     raise ExecutionError(f"unknown field spec kind {kind!r}")
 
 
-class _ChunkScanTask:
-    """The per-chunk scan callable the execution strategies fan out.
+class _ChunkKernel:
+    """The per-chunk seam of the query pipeline: a picklable task + a fold.
 
-    A picklable replacement for the old ``scan_one`` closure (nested
-    functions cannot cross a process boundary). Thread/serial
-    strategies just call it; process strategies pickle it, and the
-    pickle swaps live :class:`FieldStore` references for
-    name-independent field *specs* while the store itself reduces to
-    its arena handle. On unpickle — inside a worker — the specs
-    re-resolve against that worker's attached store. Aggregators and
-    the presence tracker travel by value: they are sized by the
-    caller's group count, and deterministic virtual-field
+    :meth:`DataStore._run_pipeline` hands an instance to the execution
+    strategy as the task callable — one call per ``(chunk_index, mask,
+    cacheable)`` item, returning that chunk's partials via
+    :meth:`scan` — and afterwards feeds the partials of every served
+    chunk to :meth:`fold` on the merge thread, in ascending chunk
+    order. :meth:`rows` and :meth:`shard_partials` then read the folded
+    state out for ``execute`` and ``execute_partials``.
+
+    Thread/serial strategies just call it; process strategies pickle
+    it (nested functions cannot cross a process boundary), and the
+    pickle swaps the live :class:`FieldStore` references in ``fields``
+    for name-independent field *specs* while the store itself reduces
+    to its arena handle. On unpickle — inside a worker — the specs
+    re-resolve against that worker's attached store. Everything else
+    (aggregators, output names) travels by value: it is sized by the
+    caller's dictionaries, and deterministic virtual-field
     materialization guarantees the worker's global-id space matches.
 
-    ``__call__`` only reads store state (the ``chunk_partial``
-    contract, reprolint REP011/REP012); all mutation happens at
-    unpickle time, before any chunk is scanned.
+    ``scan`` only reads store state (the ``chunk_partial`` contract,
+    reprolint REP011/REP012); all mutation happens at unpickle time,
+    before any chunk is scanned, or in ``fold``, after the fan-out.
     """
 
-    def __init__(self, store, group_field, aggregators, arg_fields, presence):
+    #: Chunk-cache key prefix for FULL chunks; None = never cached.
+    signature: tuple | None = None
+    #: The ScanStats timers the fan-out and the fold are charged to.
+    scan_timer = "scan_seconds"
+    fold_timer = "merge_seconds"
+
+    def __init__(self, store: DataStore, fields: list[FieldStore | None]):
         self.store = store
-        self.group_field = group_field
-        self.aggregators = aggregators
-        self.arg_fields = arg_fields
-        self.presence = presence
+        self.fields = fields
 
     def __call__(self, task: tuple[int, np.ndarray | None, bool]) -> Any:
         chunk_index, mask, __ = task
-        return self.store._compute_partials(
-            chunk_index,
-            self.group_field,
-            self.aggregators,
-            self.arg_fields,
-            self.presence,
-            mask=mask,
-        )
+        return self.scan(chunk_index, mask)
 
     def __getstate__(self) -> dict:
-        return {
-            "store": self.store,
-            "group_spec": (
-                self.store.field_spec(self.group_field.name)
-                if self.group_field is not None
-                else None
-            ),
-            "arg_specs": [
-                self.store.field_spec(field.name) if field is not None else None
-                for field in self.arg_fields
-            ],
-            "aggregators": self.aggregators,
-            "presence": self.presence,
-        }
+        state = dict(self.__dict__)
+        state["fields"] = [
+            self.store.field_spec(field.name) if field is not None else None
+            for field in self.fields
+        ]
+        return state
 
     def __setstate__(self, state: dict) -> None:
-        store = state["store"]
-        self.store = store
-        group_spec = state["group_spec"]
-        self.group_field = (
-            store.field(_resolve_field_spec(store, group_spec))
-            if group_spec is not None
-            else None
-        )
-        self.arg_fields = [
-            store.field(_resolve_field_spec(store, spec))
+        self.__dict__.update(state)
+        self.fields = [
+            self.store.field(_resolve_field_spec(self.store, spec))
             if spec is not None
             else None
-            for spec in state["arg_specs"]
+            for spec in state["fields"]
         ]
-        self.aggregators = state["aggregators"]
-        self.presence = state["presence"]
+
+
+class _GroupedKernel(_ChunkKernel):
+    """GROUP BY / aggregate queries: the ``counts[elements[row]]++`` loop.
+
+    ``fields`` is the group field followed by one field per aggregate
+    argument (None where there is no GROUP BY, and for ``COUNT(*)``).
+    A chunk's partial is ``[presence, *one per aggregate]``; FULL
+    chunks' partials are cacheable under ``signature``.
+    """
+
+    def __init__(self, store: DataStore, parsed: Query, ensure) -> None:
+        self.plan = plan_group_query(parsed)
+        group_names = [ensure(expr) for expr in self.plan.group_exprs]
+        if len(group_names) > 1:
+            group_field_name = store.ensure_composite_field(group_names)
+            ensure(FieldRef(group_field_name))
+        elif group_names:
+            group_field_name = group_names[0]
+        else:
+            group_field_name = None
+        group_field = store.field(group_field_name) if group_field_name else None
+        n_groups = len(group_field.dictionary) if group_field else 1
+        self.presence = PresenceAggregator(n_groups)
+        self.aggregators = []
+        fields = [group_field]
+        for agg in self.plan.aggregates:
+            arg_field = (
+                None if isinstance(agg.arg, Star) else store.field(ensure(agg.arg))
+            )
+            fields.append(arg_field)
+            self.aggregators.append(build_aggregator(agg, n_groups, arg_field))
+        self.signature = (
+            group_field_name,
+            tuple(agg.sql() for agg in self.plan.aggregates),
+        )
+        super().__init__(store, fields)
+
+    def scan(self, chunk_index: int, mask: np.ndarray | None) -> list:
+        group_field, *arg_fields = self.fields
+        # row_global_ids is already int64 (cached once per chunk), so no
+        # per-aggregator-per-chunk astype copies happen here.
+        if group_field is not None:
+            group_ids = group_field.row_global_ids(chunk_index)
+        else:
+            group_ids = np.zeros(
+                self.store.chunk_row_counts[chunk_index], dtype=np.int64
+            )
+        data = ChunkData(group_ids=group_ids, mask=mask)
+        partials = [self.presence.chunk_partial(data, None)]
+        for aggregator, arg_field in zip(self.aggregators, arg_fields):
+            arg_ids = (
+                arg_field.row_global_ids(chunk_index)
+                if arg_field is not None
+                else None
+            )
+            partials.append(aggregator.chunk_partial(data, arg_ids))
+        return partials
+
+    def fold(self, partials: list) -> None:
+        self.presence.apply(partials[0])
+        for aggregator, partial in zip(self.aggregators, partials[1:]):
+            aggregator.apply(partial)
+
+    def _present(self) -> np.ndarray:
+        if self.fields[0] is None:
+            return np.array([True])
+        return self.presence.counts > 0
+
+    def rows(self, parsed: Query) -> list[dict[str, Any]]:
+        """One output dict per present group (pre ORDER BY / LIMIT)."""
+        plan, group_field, present = self.plan, self.fields[0], self._present()
+        agg_results = [agg.results(present) for agg in self.aggregators]
+        count_results = self.presence.results(present)
+
+        present_gids = np.flatnonzero(present)
+        positions = _topk_positions(parsed, plan, present_gids, agg_results)
+        if positions is None:
+            positions = range(len(present_gids))
+
+        rows: list[dict[str, Any]] = []
+        for position in positions:
+            gid = present_gids[position]
+            env: dict[str, Any] = {}
+            if group_field is not None:
+                group_value = group_field.dictionary.value(int(gid))
+                if len(plan.group_exprs) > 1:
+                    for i, member in enumerate(group_value):
+                        env[f"__group_{i}"] = member
+                else:
+                    env["__group_0"] = group_value
+            for j, results in enumerate(agg_results):
+                env[f"__agg_{j}"] = results[position]
+            env["__count_star"] = count_results[position]
+            row = {
+                name: evaluate(expr, env.__getitem__)
+                for name, expr in plan.items
+            }
+            rows.append(row)
+        return rows
+
+    def shard_partials(self) -> dict[tuple, tuple[tuple, list]]:
+        """NULL-safe group key -> (group values, mergeable AggStates)."""
+        group_field, present = self.fields[0], self._present()
+        state_lists = [
+            aggregator_states(aggregator, present)
+            for aggregator in self.aggregators
+        ]
+        groups: dict[tuple, tuple[tuple, list]] = {}
+        for position, gid in enumerate(np.flatnonzero(present)):
+            if group_field is None:
+                values: tuple = ()
+            else:
+                value = group_field.dictionary.value(int(gid))
+                values = value if len(self.plan.group_exprs) > 1 else (value,)
+            key = tuple((v is not None, v) for v in values)
+            groups[key] = (
+                values,
+                [states[position] for states in state_lists],
+            )
+        if group_field is None and not groups:
+            groups[()] = ((), [])
+        return groups
+
+
+class _ProjectionKernel(_ChunkKernel):
+    """Plain SELECT (no aggregates): ``fields`` = one per output column.
+
+    A chunk's partial is its output columns, each materialized once
+    for the whole chunk (vectorized gid -> value gather); the fold
+    zips the columns into row dicts — no per-cell array indexing.
+    """
+
+    scan_timer = fold_timer = "projection_seconds"
+
+    def __init__(self, store: DataStore, parsed: Query, ensure) -> None:
+        self.names = [item.output_name() for item in parsed.select]
+        self._rows: list[dict[str, Any]] = []
+        super().__init__(
+            store, [store.field(ensure(item.expr)) for item in parsed.select]
+        )
+
+    def scan(self, chunk_index: int, mask: np.ndarray | None) -> list[list]:
+        column_values: list[list[Any]] = []
+        for field in self.fields:
+            gids = field.row_global_ids(chunk_index)
+            if mask is not None:
+                gids = gids[mask]
+            column_values.append(field.value_array()[gids].tolist())
+        return column_values
+
+    def fold(self, column_values: list[list]) -> None:
+        self._rows.extend(
+            dict(zip(self.names, values)) for values in zip(*column_values)
+        )
+
+    def rows(self, parsed: Query) -> list[dict[str, Any]]:
+        return self._rows
+
+    def shard_partials(self) -> list[dict[str, Any]]:
+        return self._rows
+
+
+def _charge(stats: ScanStats, timer: str, started: float) -> None:
+    """Add the wall-clock since ``started`` to the named ScanStats timer."""
+    setattr(stats, timer, getattr(stats, timer) + time.perf_counter() - started)
 
 
 def _partials_weight(partials: Any) -> float:

@@ -68,50 +68,6 @@ _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
 
-def supervision_knob_problem(
-    task_deadline_seconds: float,
-    max_retries: int,
-    backoff_base_seconds: float,
-    backoff_multiplier: float,
-    watchdog_interval_seconds: float,
-) -> str | None:
-    """Validate supervision knobs; return a description or ``None``.
-
-    Shared by :class:`SupervisionConfig`, ``DataStoreOptions`` and
-    ``ClusterConfig`` so the three surfaces agree on what "coherent"
-    means while raising their own error classes (``ExecutionError``
-    locally, ``DistributedError`` in the cluster — PR 3's style).
-    """
-    if not 0 < task_deadline_seconds <= 3600:
-        return (
-            "task_deadline_seconds must be in (0, 3600], got "
-            f"{task_deadline_seconds}"
-        )
-    if not 0 <= max_retries <= 16:
-        return f"max_retries must be in [0, 16], got {max_retries}"
-    if not 0 <= backoff_base_seconds <= 60:
-        return (
-            "backoff_base_seconds must be in [0, 60], got "
-            f"{backoff_base_seconds}"
-        )
-    if backoff_multiplier < 1:
-        return (
-            f"backoff_multiplier must be >= 1, got {backoff_multiplier}"
-        )
-    if not 0 < watchdog_interval_seconds <= 60:
-        return (
-            "watchdog_interval_seconds must be in (0, 60], got "
-            f"{watchdog_interval_seconds}"
-        )
-    if watchdog_interval_seconds > task_deadline_seconds:
-        return (
-            "watchdog_interval_seconds must not exceed "
-            f"task_deadline_seconds ({watchdog_interval_seconds} > "
-            f"{task_deadline_seconds})"
-        )
-    return None
-
-
 @dataclass(frozen=True)
 class SupervisionConfig:
     """Fault-handling knobs for the supervised process fan-out.
@@ -134,15 +90,38 @@ class SupervisionConfig:
     watchdog_interval_seconds: float = 0.1
 
     def __post_init__(self) -> None:
-        problem = supervision_knob_problem(
-            self.task_deadline_seconds,
-            self.max_retries,
-            self.backoff_base_seconds,
-            self.backoff_multiplier,
-            self.watchdog_interval_seconds,
-        )
-        if problem is not None:
-            raise ExecutionError(problem)
+        # The one validator of these knobs: DataStoreOptions and
+        # ClusterConfig validate by building this view of theirs.
+        if not 0 < self.task_deadline_seconds <= 3600:
+            raise ExecutionError(
+                "task_deadline_seconds must be in (0, 3600], got "
+                f"{self.task_deadline_seconds}"
+            )
+        if not 0 <= self.max_retries <= 16:
+            raise ExecutionError(
+                f"max_retries must be in [0, 16], got {self.max_retries}"
+            )
+        if not 0 <= self.backoff_base_seconds <= 60:
+            raise ExecutionError(
+                "backoff_base_seconds must be in [0, 60], got "
+                f"{self.backoff_base_seconds}"
+            )
+        if self.backoff_multiplier < 1:
+            raise ExecutionError(
+                "backoff_multiplier must be >= 1, got "
+                f"{self.backoff_multiplier}"
+            )
+        if not 0 < self.watchdog_interval_seconds <= 60:
+            raise ExecutionError(
+                "watchdog_interval_seconds must be in (0, 60], got "
+                f"{self.watchdog_interval_seconds}"
+            )
+        if self.watchdog_interval_seconds > self.task_deadline_seconds:
+            raise ExecutionError(
+                "watchdog_interval_seconds must not exceed "
+                f"task_deadline_seconds ({self.watchdog_interval_seconds} > "
+                f"{self.task_deadline_seconds})"
+            )
 
 
 @dataclass
@@ -169,6 +148,33 @@ class MapOutcome:
     @property
     def complete(self) -> bool:
         return not self.unserved
+
+
+def _record_loss(
+    outcome: MapOutcome, kind: str, ordinal: int, index: int, attempt: int
+) -> None:
+    """Account one task attempt lost to a ``crash`` or a ``timeout``.
+
+    The one place a loss becomes an event, an outcome tally and a
+    monitoring counter, so no detection site can record only some.
+    """
+    from repro.distributed.faults import FaultEvent
+
+    if kind == "crash":
+        outcome.crashes += 1
+        counters.increment("executor.process.worker_crashes")
+    else:
+        outcome.timeouts += 1
+        counters.increment("executor.process.task_timeouts")
+    outcome.events.append(
+        FaultEvent(
+            kind=kind,
+            query_index=ordinal,
+            shard_id=index,
+            machine=-1,
+            attempt=attempt,
+        )
+    )
 
 
 def default_worker_count(max_workers: int | None = None) -> int:
@@ -514,24 +520,28 @@ class ProcessExecutor(ExecutionStrategy):
         wave = 0
         while True:
             pool = self._ensure_pool()
-            try:
-                futures = [
-                    (
-                        index,
-                        pool.submit(
-                            _invoke_submission, token, payload, tasks[index]
-                        ),
+            futures: list[tuple[int, Future]] = []
+            unsubmitted: list[int] = []
+            for position, index in enumerate(pending):
+                try:
+                    future = pool.submit(
+                        _invoke_submission, token, payload, tasks[index]
                     )
-                    for index in pending
-                ]
-            except BrokenProcessPool:
-                # The pool died between waves (or between batches);
-                # every pending task failed before running.
-                failed, pool_dead = list(pending), True
-            else:
-                failed, pool_dead = self._collect_wave(
-                    futures, outcome, ordinal, wave
-                )
+                except BrokenProcessPool:
+                    # A worker died while the wave was still being
+                    # submitted (or between waves): that is a crash
+                    # like any other, and the futures already out are
+                    # still collected — finished ones keep their
+                    # results, the rest fail individually.
+                    unsubmitted = pending[position:]
+                    _record_loss(outcome, "crash", ordinal, index, wave)
+                    break
+                futures.append((index, future))
+            failed, pool_dead = self._collect_wave(
+                futures, outcome, ordinal, wave
+            )
+            if unsubmitted:
+                failed, pool_dead = failed + unsubmitted, True
             if pool_dead:
                 self._terminate_pool()
                 outcome.respawns += 1
@@ -601,8 +611,6 @@ class ProcessExecutor(ExecutionStrategy):
         that completed on healthy workers are all harvested before the
         pool is recycled — a wave loses only what actually failed.
         """
-        from repro.distributed.faults import FaultEvent
-
         failed: list[int] = []
         pool_dead = False
         for index, future in futures:
@@ -612,31 +620,11 @@ class ProcessExecutor(ExecutionStrategy):
                 future.cancel()
                 failed.append(index)
                 pool_dead = True  # the hung worker holds a slot; kill it
-                outcome.timeouts += 1
-                outcome.events.append(
-                    FaultEvent(
-                        kind="timeout",
-                        query_index=ordinal,
-                        shard_id=index,
-                        machine=-1,
-                        attempt=wave,
-                    )
-                )
-                counters.increment("executor.process.task_timeouts")
+                _record_loss(outcome, "timeout", ordinal, index, wave)
             except BrokenProcessPool:
                 failed.append(index)
                 pool_dead = True
-                outcome.crashes += 1
-                outcome.events.append(
-                    FaultEvent(
-                        kind="crash",
-                        query_index=ordinal,
-                        shard_id=index,
-                        machine=-1,
-                        attempt=wave,
-                    )
-                )
-                counters.increment("executor.process.worker_crashes")
+                _record_loss(outcome, "crash", ordinal, index, wave)
         return failed, pool_dead
 
     def _isolation_pass(
@@ -661,7 +649,7 @@ class ProcessExecutor(ExecutionStrategy):
         so any *transient* fault still recovers here and only a task
         that keeps failing alone earns its unserved verdict.
         """
-        from repro.distributed.faults import FaultEvent, real_backoff_sleep
+        from repro.distributed.faults import real_backoff_sleep
 
         config = self.supervision
         unserved: list[int] = []
@@ -686,24 +674,14 @@ class ProcessExecutor(ExecutionStrategy):
                 except TimeoutError:
                     future.cancel()
                     lost_kind = "timeout"
-                    outcome.timeouts += 1
-                    counters.increment("executor.process.task_timeouts")
                 except BrokenProcessPool:
                     lost_kind = "crash"
-                    outcome.crashes += 1
-                    counters.increment("executor.process.worker_crashes")
                 else:
                     outcome.results[index] = result
                     served = True
                 if lost_kind is not None:
-                    outcome.events.append(
-                        FaultEvent(
-                            kind=lost_kind,
-                            query_index=ordinal,
-                            shard_id=index,
-                            machine=-1,
-                            attempt=wave + 1 + attempt,
-                        )
+                    _record_loss(
+                        outcome, lost_kind, ordinal, index, wave + 1 + attempt
                     )
                     self._terminate_pool()
                     outcome.respawns += 1

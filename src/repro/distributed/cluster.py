@@ -47,7 +47,6 @@ from repro.core.executor import (
     SupervisionConfig,
     executor_names,
     make_executor,
-    supervision_knob_problem,
 )
 from repro.core.result import QueryResult, ScanStats
 from repro.core.table import Table
@@ -65,7 +64,7 @@ from repro.distributed.tree import (
     merge_group_partials,
 )
 from repro.core.result import finalize as finalize_rows
-from repro.errors import DistributedError, ShardUnavailableError
+from repro.errors import DistributedError, ExecutionError, ShardUnavailableError
 from repro.monitoring import counters
 from repro.sql.ast_nodes import Query
 from repro.sql.parser import parse_query
@@ -159,15 +158,10 @@ class ClusterConfig:
                 f"straggler_slowdown must be >= 1, got "
                 f"{self.straggler_slowdown}"
             )
-        problem = supervision_knob_problem(
-            self.task_deadline_seconds,
-            self.task_max_retries,
-            self.task_backoff_base_seconds,
-            self.task_backoff_multiplier,
-            self.watchdog_interval_seconds,
-        )
-        if problem is not None:
-            raise DistributedError(problem)
+        try:
+            self.supervision()  # validates the five supervision knobs
+        except ExecutionError as error:
+            raise DistributedError(str(error)) from None
 
 
 @dataclass

@@ -25,6 +25,7 @@ import multiprocessing
 import os
 import tempfile
 import uuid
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from multiprocessing import resource_tracker, shared_memory
 
@@ -40,6 +41,7 @@ from repro.errors import (
     ExecutionError,
     StorageError,
 )
+from repro.monitoring import counters
 from repro.storage.arena import (
     MANIFEST_DIR_ENV,
     SEGMENT_PREFIX,
@@ -226,6 +228,79 @@ class TestSupervisedRecovery:
         assert "crash" in kinds
 
 
+def _square(value: int) -> int:
+    return value * value
+
+
+class _PoolBreakingAtSubmit:
+    """A live pool whose ``break_at``-th ``submit`` (0-based) raises.
+
+    What ``ProcessPoolExecutor.submit`` does when a worker died while
+    a wave was still being submitted — forced, instead of waiting for
+    a SIGKILL to land inside that window. Everything else (the
+    submits before the break, shutdown, worker handles) is the real
+    pool's.
+    """
+
+    def __init__(self, inner, break_at: int) -> None:
+        self._inner = inner
+        self._break_at = break_at
+        self._submits = 0
+
+    def submit(self, *args):
+        ordinal = self._submits
+        self._submits += 1
+        if ordinal == self._break_at:
+            raise BrokenProcessPool("forced: a worker died during submit")
+        return self._inner.submit(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestSubmitTimePoolBreak:
+    """The pool breaking *while wave 0 is submitted* is a counted crash."""
+
+    @pytest.mark.parametrize("break_at", [0, 2, 5])
+    def test_break_is_a_crash_and_submitted_futures_are_harvested(
+        self, break_at
+    ):
+        executor = ProcessExecutor(
+            workers=2,
+            supervision=SupervisionConfig(backoff_base_seconds=0.0),
+        )
+        real_ensure_pool = executor._ensure_pool
+        wrapped = []
+
+        def ensure_pool():
+            pool = real_ensure_pool()
+            if not wrapped:  # only the first pool breaks
+                wrapped.append(_PoolBreakingAtSubmit(pool, break_at))
+                executor._pool = wrapped[0]
+            return executor._pool
+
+        executor._ensure_pool = ensure_pool
+        items = list(range(6))
+        crashes_before = counters.get("executor.process.worker_crashes")
+        try:
+            outcome = executor.map_supervised(_square, items)
+        finally:
+            executor.close()
+        assert outcome.results == [value * value for value in items]
+        assert outcome.complete
+        assert outcome.crashes == 1
+        assert outcome.respawns == 1
+        assert [event.kind for event in outcome.events] == ["crash", "retry"]
+        assert outcome.events[0].shard_id == break_at
+        assert (
+            counters.get("executor.process.worker_crashes")
+            == crashes_before + 1
+        )
+        # The tasks submitted before the break finished on the (really
+        # healthy) pool and kept their results: only the rest retried.
+        assert outcome.retries == len(items) - break_at
+
+
 class TestGracefulDegradation:
     def test_persistent_kill_degrades_with_exact_coverage(self):
         target = 3
@@ -260,8 +335,6 @@ class TestGracefulDegradation:
         assert set(live_segment_names()) == before
 
     def test_degraded_query_counters_tick(self):
-        from repro.monitoring import counters
-
         before = counters.snapshot().get("datastore.scan.degraded_queries", 0)
         plan = ChaosPlan(faults=((3, "kill"),), persistent=(3,))
         with _chaos(_PROCESS, plan):

@@ -1,0 +1,245 @@
+"""The four doors into the store run one pipeline.
+
+``DataStore.execute``, ``execute(candidate_chunks=…)`` (the service's
+subsumption reuse), ``execute_partials`` (the cluster's shard task) and
+projection queries all go through ``DataStore._run_pipeline``: same
+preparation, same chunk classification, same supervised fan-out, same
+fold. So the doors must agree on the answer *and* on the work they
+report, and a projection query must degrade exactly like a grouped one.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+import threading
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.datastore import DataStore
+from repro.core.result import QueryResult, ScanStats, finalize
+from repro.distributed.tree import finalize_partials
+from repro.errors import ChunkUnavailableError
+from repro.monitoring import counters
+from repro.sql.parser import parse_query
+from repro.testing.process_chaos import ChaosPlan
+from repro.workload.queries import (
+    QUERY_1,
+    QUERY_2,
+    QUERY_3,
+    DrillDownConfig,
+    generate_drilldown_session_groups,
+)
+
+from tests.conftest import make_store
+from tests.test_process_supervision import _chaos, _process_store
+
+#: The nine query classes of the benchmark's ``full_scan`` workload.
+FULL_SCAN_SHAPES = {
+    "q1": QUERY_1,
+    "q2": QUERY_2,
+    "q3": QUERY_3,
+    "multi_agg": (
+        "SELECT country, COUNT(*) AS c, SUM(latency) AS s, MIN(latency) AS lo, "
+        "MAX(latency) AS hi FROM data GROUP BY country ORDER BY c DESC LIMIT 10"
+    ),
+    "distinct": (
+        "SELECT table_name, COUNT(*) AS c, COUNT(DISTINCT user_name) AS u "
+        "FROM data GROUP BY table_name ORDER BY c DESC LIMIT 10"
+    ),
+    "user_avg": (
+        "SELECT user_name, AVG(latency) AS a, COUNT(DISTINCT table_name) AS t "
+        "FROM data GROUP BY user_name ORDER BY a DESC LIMIT 10"
+    ),
+    "filter": (
+        "SELECT country, COUNT(*) AS c, AVG(latency) AS a FROM data "
+        "WHERE latency > 500 GROUP BY country ORDER BY c DESC LIMIT 10"
+    ),
+    "approx": (
+        "SELECT country, APPROX_COUNT_DISTINCT(table_name, 1024) AS t "
+        "FROM data GROUP BY country ORDER BY t DESC LIMIT 10"
+    ),
+    "project": (
+        "SELECT table_name, country, latency FROM data "
+        "WHERE latency > 5000 ORDER BY latency DESC LIMIT 20"
+    ),
+}
+
+_PROJECTION = "SELECT country, latency FROM data WHERE latency > 100"
+
+#: Every ScanStats field that counts work (the ``*_seconds`` timers are
+#: measurement, not semantics).
+WORK_COUNTERS = tuple(
+    field.name
+    for field in dataclasses.fields(ScanStats)
+    if not field.name.endswith("_seconds")
+)
+
+
+def _work(stats) -> dict:
+    return {name: getattr(stats, name) for name in WORK_COUNTERS}
+
+
+def _through_partials(store: DataStore, query: str):
+    """What a one-shard cluster answers: shard partials, root finalize."""
+    parsed = parse_query(query)
+    stats, partials = store.execute_partials(parsed)
+    if isinstance(partials, list):  # projection: already output rows
+        table = finalize(partials, parsed)
+    else:
+        table = finalize_partials(parsed, partials)
+    return QueryResult(table=table, stats=stats, elapsed_seconds=0.0)
+
+
+def _assert_doors_agree(store: DataStore, query: str, footprint=None) -> None:
+    """``footprint``: a parent's active chunks (default: the query's own)."""
+    # Each door runs on an emptied chunk cache, so all three see the
+    # same cold store (twin stores would triple the build cost).
+    store.chunk_cache.clear()
+    direct = store.execute(query)
+    if footprint is None:
+        footprint = direct.stats.active_chunks
+    assert set(direct.stats.active_chunks) <= set(footprint)
+    store.chunk_cache.clear()
+    pruned = store.execute(query, candidate_chunks=footprint)
+    store.chunk_cache.clear()
+    partial = _through_partials(store, query)
+    assert direct.content_equal(pruned)
+    assert direct.content_equal(partial)
+    assert _work(direct.stats) == _work(pruned.stats) == _work(partial.stats)
+    assert direct.complete and pruned.complete
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SCAN_SHAPES))
+def test_full_scan_shapes_agree_through_every_door(log_store, name):
+    _assert_doors_agree(log_store, FULL_SCAN_SHAPES[name])
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_drilldown_session_agrees_through_every_door(
+    log_table, log_store, seed
+):
+    """Each click refines the previous one: its queries run inside the
+    parent click's footprint exactly as the service's subsumption does."""
+    [session] = generate_drilldown_session_groups(
+        log_table,
+        DrillDownConfig(
+            n_sessions=1, clicks_per_session=3, queries_per_click=3, seed=seed
+        ),
+    )
+    footprint = None
+    for click in session:
+        for query in click:
+            _assert_doors_agree(log_store, query, footprint)
+        footprint = log_store.execute(click[0]).stats.active_chunks
+
+
+def test_warm_chunk_cache_is_counted_the_same_by_both_doors(log_table):
+    """FULL chunks admitted by ``execute`` are hits for ``execute_partials``."""
+    store = make_store(log_table)
+    cold = store.execute(QUERY_1)
+    warm_stats, __ = store.execute_partials(QUERY_1)
+    warm = store.execute(QUERY_1)
+    assert cold.stats.chunks_cached == 0
+    assert warm.stats.chunks_cached == cold.stats.chunks_scanned > 0
+    assert _work(warm_stats) == _work(warm.stats)
+
+
+def test_concurrent_queries_publish_their_own_evictions(log_table):
+    """Thread clients against a bare store: the published eviction
+    counter equals what the cache evicted, no delta counted twice."""
+    store = make_store(log_table, cache_capacity_bytes=4096)
+    queries = [
+        f"SELECT {group}, {metric} FROM data GROUP BY {group}"
+        for group in ("country", "table_name", "user_name")
+        for metric in ("COUNT(*)", "SUM(latency)", "MAX(latency)")
+    ]
+    for query in queries:  # materialize nothing while threads run
+        store.execute(query)
+    published_before = counters.get("datastore.chunk_cache.evictions")
+    evicted_before = store.chunk_cache_stats().evictions
+    errors: list[Exception] = []
+
+    def client(offset: int) -> None:
+        try:
+            for step in range(len(queries)):
+                store.execute(queries[(offset + step) % len(queries)])
+        except Exception as error:  # surfaced by the assert below
+            errors.append(error)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=client, args=(offset,))
+            for offset in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not errors
+    assert not any(thread.is_alive() for thread in threads)
+    evicted = store.chunk_cache_stats().evictions - evicted_before
+    assert evicted > 0
+    assert (
+        counters.get("datastore.chunk_cache.evictions") - published_before
+        == evicted
+    )
+
+
+# -- projection fans out, so it degrades like a grouped query ------------------
+
+
+@contextmanager
+def _killing_one_chunk(**overrides):
+    """A process store plus a run-it function whose executor SIGKILLs
+    the worker on every attempt at one active chunk of the query."""
+    store = _process_store(task_max_retries=0, **overrides)
+
+    def run(target: int):
+        plan = ChaosPlan(faults=((target, "kill"),), persistent=(target,))
+        with _chaos(store, plan):
+            return store.execute(_PROJECTION)
+
+    try:
+        yield store, run
+    finally:
+        store.executor.close()  # unlinks the shared-memory arena
+
+
+def test_projection_degrades_with_exact_coverage():
+    with _killing_one_chunk() as (store, run):
+        expected = store.execute(_PROJECTION)
+        target = expected.stats.active_chunks[1]
+        result = run(target)
+        # The oracle for "everything but the lost chunk's rows, and
+        # nothing else" prunes that chunk away by hand.
+        survivors = store.execute(
+            _PROJECTION,
+            candidate_chunks=set(expected.stats.active_chunks) - {target},
+        )
+    lost = store.chunk_row_counts[target]
+    assert not result.complete
+    assert result.stats.chunks_unserved == 1
+    assert result.stats.rows_unserved == lost
+    assert result.row_coverage == (store.n_rows - lost) / store.n_rows
+    assert result.stats.chunks_scanned == expected.stats.chunks_scanned - 1
+    assert result.content_equal(survivors)
+    assert result.table.n_rows < expected.table.n_rows
+
+
+def test_projection_strict_mode_raises_chunk_unavailable():
+    with _killing_one_chunk(degrade=False) as (store, run):
+        target = store.execute(_PROJECTION).stats.active_chunks[1]
+        with pytest.raises(ChunkUnavailableError):
+            run(target)

@@ -84,7 +84,7 @@ from repro.sql.ast_nodes import (
 from repro.monitoring import counters
 from repro.sql.parser import parse_query
 from repro.storage.cache import Cache, CacheStats, make_cache
-from repro.storage.chunk import ColumnChunk
+from repro.storage.chunk import ChunkDictIndex, ColumnChunk
 from repro.storage.dictionary import (
     Dictionary,
     NumericDictionary,
@@ -175,7 +175,25 @@ class DataStoreOptions:
 
 
 class FieldStore:
-    """One column's storage: global dictionary + per-chunk data."""
+    """One column's storage: global dictionary + per-chunk data.
+
+    ``dictionary`` and ``chunks`` are assigned once and never mutated;
+    everything in ``_MEMO_ATTRS`` is derived from them on first use.
+    Each memo fill is idempotent and published by a single attribute
+    (or list-slot) assignment, so concurrent readers need no lock.
+    """
+
+    #: Lazily derived state: reset on construction / unpickle, dropped
+    #: from pickles and deep copies, ignored by the sanitizer
+    #: (``repro.testing.LAZY_MEMO_ATTRS``), never part of size_bytes().
+    _MEMO_ATTRS = (
+        "_row_gids",
+        "_value_array",
+        "_numeric_values",
+        "_hash_units",
+        "_chunk_dict_index",
+        "_size_bytes",
+    )
 
     def __init__(
         self,
@@ -193,10 +211,26 @@ class FieldStore:
         # the full CodecChoice record for describe/fsck surfacing.
         self.codec: str | None = None
         self.codec_choice: dict[str, Any] | None = None
-        self._row_gids: list[np.ndarray | None] = [None] * len(chunks)
+        self._reset_memos()
+
+    def _reset_memos(self) -> None:
+        self._row_gids: list[np.ndarray | None] = [None] * len(self.chunks)
         self._value_array: np.ndarray | None = None
         self._numeric_values: np.ndarray | None = None
         self._hash_units: np.ndarray | None = None
+        self._chunk_dict_index: ChunkDictIndex | None = None
+        self._size_bytes: tuple[int, int, int] | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle / deep-copy the encoded data, never the derived memos."""
+        state = dict(self.__dict__)
+        for key in self._MEMO_ATTRS:
+            state.pop(key, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_memos()
 
     # -- per-chunk row data -------------------------------------------------
     def row_global_ids(self, chunk_index: int) -> np.ndarray:
@@ -218,6 +252,18 @@ class FieldStore:
     def element_array(self, chunk_index: int) -> np.ndarray:
         """Per-row chunk-ids of one chunk (the raw elements)."""
         return self.chunks[chunk_index].elements.as_array()
+
+    def chunk_dict_index(self) -> ChunkDictIndex:
+        """Every chunk-dictionary of this field as one CSR column (cached).
+
+        What restriction analysis classifies all chunks of a query
+        through; built the first time a WHERE touches the field.
+        """
+        index = self._chunk_dict_index
+        if index is None:
+            index = ChunkDictIndex([chunk.chunk_dict for chunk in self.chunks])
+            self._chunk_dict_index = index
+        return index
 
     # -- dictionary-derived caches -------------------------------------------
     def value_array(self) -> np.ndarray:
@@ -258,22 +304,29 @@ class FieldStore:
         return self._hash_units
 
     # -- size accounting --------------------------------------------------------
+    def _sizes(self) -> tuple[int, int, int]:
+        """(dictionary, chunk-dictionaries, elements) encoded bytes (cached)."""
+        sizes = self._size_bytes
+        if sizes is None:
+            sizes = self._size_bytes = (
+                self.dictionary.size_bytes(),
+                sum(chunk.dict_size_bytes() for chunk in self.chunks),
+                sum(chunk.elements_size_bytes() for chunk in self.chunks),
+            )
+        return sizes
+
     def dictionary_size_bytes(self) -> int:
-        return self.dictionary.size_bytes()
+        return self._sizes()[0]
 
     def chunk_dicts_size_bytes(self) -> int:
-        return sum(chunk.dict_size_bytes() for chunk in self.chunks)
+        return self._sizes()[1]
 
     def elements_size_bytes(self) -> int:
-        return sum(chunk.elements_size_bytes() for chunk in self.chunks)
+        return self._sizes()[2]
 
     def size_bytes(self) -> int:
         """Total encoded footprint of this field."""
-        return (
-            self.dictionary_size_bytes()
-            + self.chunk_dicts_size_bytes()
-            + self.elements_size_bytes()
-        )
+        return sum(self._sizes())
 
 
 def _coerce(value: Any) -> Any:
@@ -1060,7 +1113,7 @@ class DataStore:
             parsed.where,
             ensure,
             lambda name: self.field(name).dictionary,
-            lambda name: self.field(name).chunks,
+            lambda name: self.field(name).chunk_dict_index(),
             lambda name, index: self.field(name).element_array(index),
         )
         kernel_class = (

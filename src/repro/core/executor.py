@@ -771,10 +771,12 @@ class ProcessExecutor(ExecutionStrategy):
 
     def _shutdown_pool(self, pool: _ProcessPool) -> None:
         """Bounded pool teardown: graceful drain, then SIGKILL stragglers."""
+        # shutdown() clears the pool's process table, so take the
+        # workers to reap before calling it.
+        workers = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
         deadline = self.supervision.task_deadline_seconds
-        workers = getattr(pool, "_processes", None) or {}
-        for process in list(workers.values()):
+        for process in workers:
             process.join(timeout=deadline)
             if process.is_alive():
                 try:

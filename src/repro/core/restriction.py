@@ -14,14 +14,18 @@ special support when deciding which chunks and rows are active:
    (predicate is NULL for this value) — a Kleene truth table indexed by
    global-id. Restricted to a chunk's chunk-dictionary these are
    *exact* per-distinct-value outcomes.
-3. Per chunk, each node reports a conservative outcome summary
-   (may-be-true / may-be-false / may-be-null, definitely-all-true /
-   definitely-all-false), composed bottom-up. "No row may be true"
-   -> the chunk is **skipped** without touching its elements; "every
-   row definitely true" -> the chunk is **fully active** (its result is
-   cacheable). Otherwise an exact per-row mask is computed by gathering
-   the leaf vectors through the elements arrays and composing Kleene
-   logic at row level.
+3. Each node reports a conservative outcome summary — five boolean
+   vectors with one entry per chunk (may-be-true / may-be-false /
+   may-be-null, definitely-all-true / definitely-all-false) — composed
+   bottom-up. A field's chunk-dictionaries are one (gid, chunk) column
+   in CSR form (:class:`ChunkDictIndex`), so a leaf answers *all*
+   chunks with one gather of ``t`` / ``n`` through the flat gid array
+   and one segmented reduction per vector, once per query. "No row may
+   be true" -> the chunk is **skipped** without touching its elements;
+   "every row definitely true" -> the chunk is **fully active** (its
+   result is cacheable). Otherwise an exact per-row mask is computed by
+   gathering the chunk's slice of the leaf vectors through the elements
+   arrays and composing Kleene logic at row level.
 
 Skipping is sound: the summary algebra only ever over-approximates the
 set of possible row outcomes, so a skipped chunk provably contains no
@@ -34,7 +38,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from repro.sql.ast_nodes import (
     Literal,
     UnaryOp,
 )
-from repro.storage.chunk import ColumnChunk
+from repro.storage.chunk import ChunkDictIndex
 from repro.storage.dictionary import Dictionary
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -61,32 +65,37 @@ class ChunkStatus(enum.Enum):
     PARTIAL = "partial"  # some rows match; a row mask is needed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChunkDecision:
     status: ChunkStatus
     row_mask: np.ndarray | None = None  # bool per row, PARTIAL only
 
 
-@dataclass(frozen=True)
-class _Summary:
-    """Conservative per-chunk outcome summary of a predicate node.
+# SKIP and FULL carry no per-chunk data: every such decision is one of these.
+_SKIP = ChunkDecision(ChunkStatus.SKIP)
+_FULL = ChunkDecision(ChunkStatus.FULL)
+
+
+class _Outcomes(NamedTuple):
+    """Conservative outcome summary of a predicate node, one entry per chunk.
 
     ``may_*`` are supersets of the possible row outcomes; ``all_true``
     / ``all_false`` are underapproximations of "every row has this
     outcome". The invariants keep SKIP and FULL decisions sound.
     """
 
-    may_true: bool
-    may_false: bool
-    may_null: bool
-    all_true: bool
-    all_false: bool
+    may_true: np.ndarray
+    may_false: np.ndarray
+    may_null: np.ndarray
+    all_true: np.ndarray
+    all_false: np.ndarray
 
 
 class _Node:
     """A compiled predicate node."""
 
-    def summary(self, chunk_index: int) -> _Summary:
+    def outcomes(self) -> _Outcomes:
+        """The summary vectors over every chunk of the store."""
         raise NotImplementedError
 
     def row_vectors(
@@ -104,48 +113,53 @@ class _Leaf(_Node):
         field: str,
         t_mask: np.ndarray,
         n_mask: np.ndarray,
-        column_chunks: list[ColumnChunk],
+        index: ChunkDictIndex,
     ) -> None:
         self.field = field
         self._t = t_mask
         self._n = n_mask
-        self._column_chunks = column_chunks
+        self._index = index
+        self._dict_t = self._dict_n = None  # filled by outcomes()
 
-    def _dict_vectors(self, chunk_index: int) -> tuple[np.ndarray, np.ndarray]:
-        chunk_dict = self._column_chunks[chunk_index].chunk_dict
-        return self._t[chunk_dict], self._n[chunk_dict]
-
-    def summary(self, chunk_index: int) -> _Summary:
-        t, n = self._dict_vectors(chunk_index)
-        false = ~t & ~n
-        return _Summary(
-            may_true=bool(t.any()),
-            may_false=bool(false.any()),
-            may_null=bool(n.any()),
-            all_true=bool(t.all()),
-            all_false=bool(false.all()),
+    def outcomes(self) -> _Outcomes:
+        # The one gather of a query: (t, n) per chunk-dictionary entry of
+        # every chunk, kept so row_vectors slices instead of re-gathering.
+        index = self._index
+        t = self._dict_t = self._t.take(index.gids)
+        n = self._dict_n = self._n.take(index.gids)
+        false = ~(t | n)
+        return _Outcomes(
+            may_true=index.reduce(np.logical_or, t),
+            may_false=index.reduce(np.logical_or, false),
+            may_null=index.reduce(np.logical_or, n),
+            all_true=index.reduce(np.logical_and, t),
+            all_false=index.reduce(np.logical_and, false),
         )
 
     def row_vectors(self, chunk_index, element_arrays):
-        t, n = self._dict_vectors(chunk_index)
+        offsets = self._index.offsets
+        chunk = slice(offsets[chunk_index], offsets[chunk_index + 1])
         elements = element_arrays(self.field, chunk_index)
-        return t[elements], n[elements]
+        t, n = self._dict_t[chunk], self._dict_n[chunk]
+        return t.take(elements), n.take(elements)
 
 
-class _And(_Node):
+class _Binary(_Node):
     def __init__(self, left: _Node, right: _Node) -> None:
         self.left = left
         self.right = right
 
-    def summary(self, chunk_index: int) -> _Summary:
-        a = self.left.summary(chunk_index)
-        b = self.right.summary(chunk_index)
-        return _Summary(
-            may_true=a.may_true and b.may_true,
-            may_false=a.may_false or b.may_false,
-            may_null=a.may_null or b.may_null,
-            all_true=a.all_true and b.all_true,
-            all_false=a.all_false or b.all_false,
+
+class _And(_Binary):
+    def outcomes(self) -> _Outcomes:
+        a = self.left.outcomes()
+        b = self.right.outcomes()
+        return _Outcomes(
+            may_true=a.may_true & b.may_true,
+            may_false=a.may_false | b.may_false,
+            may_null=a.may_null | b.may_null,
+            all_true=a.all_true & b.all_true,
+            all_false=a.all_false | b.all_false,
         )
 
     def row_vectors(self, chunk_index, element_arrays):
@@ -156,20 +170,16 @@ class _And(_Node):
         return true, ~false & ~true
 
 
-class _Or(_Node):
-    def __init__(self, left: _Node, right: _Node) -> None:
-        self.left = left
-        self.right = right
-
-    def summary(self, chunk_index: int) -> _Summary:
-        a = self.left.summary(chunk_index)
-        b = self.right.summary(chunk_index)
-        return _Summary(
-            may_true=a.may_true or b.may_true,
-            may_false=a.may_false and b.may_false,
-            may_null=a.may_null or b.may_null,
-            all_true=a.all_true or b.all_true,
-            all_false=a.all_false and b.all_false,
+class _Or(_Binary):
+    def outcomes(self) -> _Outcomes:
+        a = self.left.outcomes()
+        b = self.right.outcomes()
+        return _Outcomes(
+            may_true=a.may_true | b.may_true,
+            may_false=a.may_false & b.may_false,
+            may_null=a.may_null | b.may_null,
+            all_true=a.all_true | b.all_true,
+            all_false=a.all_false & b.all_false,
         )
 
     def row_vectors(self, chunk_index, element_arrays):
@@ -183,9 +193,9 @@ class _Not(_Node):
     def __init__(self, operand: _Node) -> None:
         self.operand = operand
 
-    def summary(self, chunk_index: int) -> _Summary:
-        s = self.operand.summary(chunk_index)
-        return _Summary(
+    def outcomes(self) -> _Outcomes:
+        s = self.operand.outcomes()
+        return _Outcomes(
             may_true=s.may_false,
             may_false=s.may_true,
             may_null=s.may_null,
@@ -208,6 +218,10 @@ class Restriction:
     ) -> None:
         self._root = root
         self._element_arrays = element_arrays
+        # The root's may_true / all_true per chunk, filled by the first
+        # decide() of the query: the vector pass is classification time.
+        self._may_true: list[bool] | None = None
+        self._all_true: list[bool] = []
 
     @property
     def unrestricted(self) -> bool:
@@ -216,17 +230,20 @@ class Restriction:
     def decide(self, chunk_index: int) -> ChunkDecision:
         """Skip / full / partial decision (with row mask) for one chunk."""
         if self._root is None:
-            return ChunkDecision(ChunkStatus.FULL)
-        summary = self._root.summary(chunk_index)
-        if not summary.may_true:
-            return ChunkDecision(ChunkStatus.SKIP)
-        if summary.all_true:
-            return ChunkDecision(ChunkStatus.FULL)
+            return _FULL
+        if self._may_true is None:
+            outcomes = self._root.outcomes()
+            self._all_true = outcomes.all_true.tolist()
+            self._may_true = outcomes.may_true.tolist()
+        if not self._may_true[chunk_index]:
+            return _SKIP
+        if self._all_true[chunk_index]:
+            return _FULL
         row_mask, __ = self._root.row_vectors(chunk_index, self._element_arrays)
         if not row_mask.any():
-            return ChunkDecision(ChunkStatus.SKIP)
+            return _SKIP
         if row_mask.all():
-            return ChunkDecision(ChunkStatus.FULL)
+            return _FULL
         return ChunkDecision(ChunkStatus.PARTIAL, row_mask)
 
 
@@ -323,65 +340,45 @@ def compile_restriction(
     where: Expr | None,
     ensure_field: Callable[[Expr], str],
     dictionary_of: Callable[[str], Dictionary],
-    column_chunks_of: Callable[[str], list[ColumnChunk]],
+    chunk_dict_index_of: Callable[[str], ChunkDictIndex],
     element_arrays: Callable[[str, int], np.ndarray],
 ) -> Restriction:
     """Compile a WHERE expression into a :class:`Restriction`.
 
     ``ensure_field`` materializes an arbitrary scalar expression as a
     (virtual) field and returns its name — the hook into the
-    datastore's virtual-field machinery. ``element_arrays`` returns the
+    datastore's virtual-field machinery. ``chunk_dict_index_of`` returns
+    a field's (memoised) chunk-dictionary index, ``element_arrays`` the
     dense chunk-id array of (field, chunk).
     """
-    if where is None:
-        return Restriction(None, element_arrays)
-    root = _compile(where, ensure_field, dictionary_of, column_chunks_of)
-    return Restriction(root, element_arrays)
 
-
-def _compile(
-    expr: Expr,
-    ensure_field: Callable[[Expr], str],
-    dictionary_of: Callable[[str], Dictionary],
-    column_chunks_of: Callable[[str], list[ColumnChunk]],
-) -> _Node:
-    def recurse(node: Expr) -> _Node:
-        return _compile(node, ensure_field, dictionary_of, column_chunks_of)
-
-    def leaf_for(field: str, masks: tuple[np.ndarray, np.ndarray]) -> _Leaf:
-        return _Leaf(field, masks[0], masks[1], column_chunks_of(field))
-
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _And(recurse(expr.left), recurse(expr.right))
-    if isinstance(expr, BinaryOp) and expr.op == "OR":
-        return _Or(recurse(expr.left), recurse(expr.right))
-    if isinstance(expr, UnaryOp) and expr.op == "NOT":
-        return _Not(recurse(expr.operand))
-
-    if isinstance(expr, InList):
-        field = ensure_field(expr.operand)
-        return leaf_for(
-            field, _leaf_masks_in(dictionary_of(field), expr.values, expr.negated)
-        )
-
-    if isinstance(expr, BinaryOp) and expr.op in _CMP_OPS:
-        left_lit = isinstance(expr.left, Literal)
-        right_lit = isinstance(expr.right, Literal)
-        if right_lit and not left_lit:
-            operand, op, literal = expr.left, expr.op, expr.right.value
-        elif left_lit and not right_lit:
-            operand, op, literal = expr.right, _FLIP[expr.op], expr.left.value
-        else:
-            # constant=constant or field-vs-field comparison:
-            # materialize the whole predicate and test truthiness.
-            field = ensure_field(expr)
-            return leaf_for(field, _leaf_masks_truthy(dictionary_of(field)))
+    def leaf(operand: Expr, masks_of: Callable[..., Any], *args: Any) -> _Leaf:
         field = ensure_field(operand)
-        return leaf_for(
-            field, _leaf_masks_cmp(dictionary_of(field), op, literal)
-        )
+        t_mask, n_mask = masks_of(dictionary_of(field), *args)
+        return _Leaf(field, t_mask, n_mask, chunk_dict_index_of(field))
 
-    # Anything else used as a condition (bare function call, bare
-    # field, arithmetic): materialize it and test truthiness.
-    field = ensure_field(expr)
-    return leaf_for(field, _leaf_masks_truthy(dictionary_of(field)))
+    def compile_node(expr: Expr) -> _Node:
+        if isinstance(expr, BinaryOp) and expr.op == "AND":
+            return _And(compile_node(expr.left), compile_node(expr.right))
+        if isinstance(expr, BinaryOp) and expr.op == "OR":
+            return _Or(compile_node(expr.left), compile_node(expr.right))
+        if isinstance(expr, UnaryOp) and expr.op == "NOT":
+            return _Not(compile_node(expr.operand))
+        if isinstance(expr, InList):
+            return leaf(expr.operand, _leaf_masks_in, expr.values, expr.negated)
+        if isinstance(expr, BinaryOp) and expr.op in _CMP_OPS:
+            left_lit = isinstance(expr.left, Literal)
+            right_lit = isinstance(expr.right, Literal)
+            if right_lit and not left_lit:
+                return leaf(expr.left, _leaf_masks_cmp, expr.op, expr.right.value)
+            if left_lit and not right_lit:
+                return leaf(
+                    expr.right, _leaf_masks_cmp, _FLIP[expr.op], expr.left.value
+                )
+        # Anything else used as a condition (constant=constant or
+        # field-vs-field comparison, bare function call, bare field,
+        # arithmetic): materialize the whole predicate and test truthiness.
+        return leaf(expr, _leaf_masks_truthy)
+
+    root = None if where is None else compile_node(where)
+    return Restriction(root, element_arrays)

@@ -13,7 +13,7 @@ global-id), which the engine uses for range-restriction skipping.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -146,6 +146,39 @@ class ColumnChunk:
             previous = int(gid)
         out += self.elements.to_bytes()
         return bytes(out)
+
+
+class ChunkDictIndex:
+    """One field's chunk-dictionaries as a single (gid, chunk) column.
+
+    CSR form: ``gids`` concatenates the chunk-dictionaries and chunk
+    ``i`` owns ``gids[offsets[i]:offsets[i + 1]]``, so a per-gid boolean
+    vector gathered through ``gids`` answers "any / all of the chunk's
+    values" for every chunk with one segmented reduction. Derived from
+    the chunks on demand; never serialized or counted as store bytes.
+    """
+
+    __slots__ = ("gids", "offsets", "_starts", "_nonempty")
+
+    def __init__(self, chunk_dicts: Sequence[np.ndarray]) -> None:
+        sizes = np.array([chunk_dict.size for chunk_dict in chunk_dicts], np.intp)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        self.offsets: list[int] = bounds.tolist()
+        self.gids = np.concatenate([*chunk_dicts, np.empty(0, dtype=np.uint32)])
+        # ``reduceat`` reads one element for an empty segment instead of
+        # the reduction identity, so only non-empty segments (all of
+        # them, unless the store has a zero-row chunk) are reduced.
+        nonempty = np.flatnonzero(sizes)
+        self._starts = bounds[nonempty]
+        self._nonempty = None if nonempty.size == sizes.size else nonempty
+
+    def reduce(self, ufunc: np.ufunc, flat: np.ndarray) -> np.ndarray:
+        """``ufunc``-reduce ``flat`` (one entry per gid) within each chunk."""
+        if self._nonempty is None:
+            return ufunc.reduceat(flat, self._starts)
+        out = np.full(len(self.offsets) - 1, ufunc.identity, dtype=flat.dtype)
+        out[self._nonempty] = ufunc.reduceat(flat, self._starts)
+        return out
 
 
 class Chunk:

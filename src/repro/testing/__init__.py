@@ -31,6 +31,7 @@ import types
 from collections.abc import Callable, Sequence
 from typing import Any
 
+from repro.core.datastore import FieldStore
 from repro.core.executor import ExecutionStrategy
 
 _DEFAULT_REL_TOL = 1e-9
@@ -121,9 +122,7 @@ def assert_results_equal(
 #: mutable state, and fingerprinting them would fail every parallel
 #: scan for behaviour that is correct by construction.
 LAZY_MEMO_ATTRS: dict[str, frozenset[str]] = {
-    "FieldStore": frozenset(
-        {"_row_gids", "_value_array", "_numeric_values", "_hash_units"}
-    ),
+    "FieldStore": frozenset(FieldStore._MEMO_ATTRS),
     "Elements": frozenset({"_dense"}),
 }
 

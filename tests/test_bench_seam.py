@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import ast
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,3 +110,109 @@ def test_the_query_path_has_not_forked_again():
     assert _call_sites(tree, "compile_restriction") == ["_run_pipeline"]
     assert _call_sites(tree, "map_supervised") == ["_run_pipeline"]
     assert _call_sites(tree, "make_executor") == ["_build_runtime"]
+
+
+# -- the work gate: classification is O(leaves) numpy passes, not O(chunks) ----
+
+
+def _restricted_queries(store) -> list[str]:
+    """Ten queries, three WHERE leaves each, over the same three fields."""
+    countries = [v for v in store.field("country").dictionary.values() if v]
+    tables = [v for v in store.field("table_name").dictionary.values() if v]
+    return [
+        "SELECT country, COUNT(*) AS c FROM data WHERE "
+        f"country IN ('{countries[i % len(countries)]}', '{countries[-1 - i]}') "
+        f"AND latency > {100 * i} AND NOT table_name IN ('{tables[i]}') "
+        "GROUP BY country"
+        for i in range(10)
+    ]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts every leaf's vector pass and every chunk-dictionary index built."""
+    from repro.core.restriction import _Leaf
+    from repro.storage.chunk import ChunkDictIndex
+
+    # The objects themselves are kept, so no two of them share an id().
+    seen = SimpleNamespace(leaves=[], indexes=[])
+    leaf_outcomes = _Leaf.outcomes
+
+    def counted_outcomes(leaf):
+        seen.leaves.append(leaf)
+        return leaf_outcomes(leaf)
+
+    def counted_index(chunk_dicts):
+        seen.indexes.append(ChunkDictIndex(chunk_dicts))
+        return seen.indexes[-1]
+
+    monkeypatch.setattr(_Leaf, "outcomes", counted_outcomes)
+    monkeypatch.setattr(datastore_module, "ChunkDictIndex", counted_index)
+    return seen
+
+
+def test_one_vector_pass_per_leaf_one_index_per_field(log_table, tracer, passes):
+    store = make_store(log_table)
+    queries = _restricted_queries(store)
+    decide = tracer.tallies["restriction.decide"]
+    store.execute(queries[0])
+    assert decide.calls == store.n_chunks  # still the per-chunk door …
+    assert len(passes.leaves) == 3  # … behind one pass per WHERE leaf
+    candidates = range(1, store.n_chunks, 2)
+    store.execute(queries[1], candidate_chunks=candidates)
+    assert decide.calls == store.n_chunks + len(candidates)
+    for query in queries[2:]:
+        store.execute(query)
+    assert decide.calls == 9 * store.n_chunks + len(candidates)
+    assert len(passes.leaves) == len({id(leaf) for leaf in passes.leaves}) == 30
+    restricted = [store.field(n) for n in ("country", "latency", "table_name")]
+    assert sorted(map(id, passes.indexes)) == sorted(
+        id(field._chunk_dict_index) for field in restricted
+    )
+
+
+def test_concurrent_first_touch_classifies_identically(log_table, passes):
+    reference_store = make_store(log_table, cache_chunk_results=False)
+    queries = _restricted_queries(reference_store)[:4]
+    expected = [reference_store.execute(query) for query in queries]
+    store = make_store(log_table, cache_chunk_results=False)
+    results: dict[int, list] = {}
+    barrier = threading.Barrier(4)
+
+    def client(worker: int) -> None:
+        barrier.wait(timeout=60)
+        rotated = queries[worker:] + queries[:worker]
+        results[worker] = [(q, store.execute(q)) for q in rotated]
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for answered in results.values():
+        for query, result in answered:
+            reference = expected[queries.index(query)]
+            assert result.content_equal(reference)
+            assert result.stats.active_chunks == reference.stats.active_chunks
+            assert result.stats.rows_scanned == reference.stats.rows_scanned
+    # Racing builders may each have built an index; one was published per
+    # field, and it is the one every later query classifies through.
+    built = len(passes.indexes)
+    survivors = {
+        name: store.field(name)._chunk_dict_index
+        for name in ("country", "latency", "table_name")
+    }
+    assert all(any(s is i for i in passes.indexes) for s in survivors.values())
+    store.execute(queries[0])
+    assert len(passes.indexes) == built
+    assert all(
+        store.field(name)._chunk_dict_index is index
+        for name, index in survivors.items()
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.chunk import Chunk, ColumnChunk
+from repro.storage.chunk import Chunk, ChunkDictIndex, ColumnChunk
 
 
 class TestColumnChunk:
@@ -90,3 +90,31 @@ class TestChunk:
         b = ColumnChunk.from_global_ids(np.array([0, 0], dtype=np.uint32))
         chunk.add_column("b", b)
         assert chunk.size_bytes(["b"]) == b.size_bytes()
+
+
+class TestChunkDictIndex:
+    def _dicts(self) -> list[np.ndarray]:
+        # Empty chunk-dictionaries first, in the middle, doubled and last.
+        return [
+            np.array(values, dtype=np.uint32)
+            for values in ([], [0, 3], [], [], [1], [2, 3, 4], [])
+        ]
+
+    def test_csr_layout(self):
+        index = ChunkDictIndex(self._dicts())
+        assert index.gids.tolist() == [0, 3, 1, 2, 3, 4]
+        assert index.gids.dtype == np.uint32
+        assert index.offsets == [0, 0, 2, 2, 2, 3, 6, 6]
+
+    @pytest.mark.parametrize("keep", [slice(None), slice(1, 6, 2), slice(0, 0)])
+    def test_segmented_reductions_match_a_per_chunk_loop(self, keep):
+        dicts = self._dicts()[keep]  # all, only non-empty ones, no chunks
+        index = ChunkDictIndex(dicts)
+        per_gid = np.array([True, False, False, True, False])
+        flat = per_gid.take(index.gids)
+        assert index.reduce(np.logical_or, flat).tolist() == [
+            bool(per_gid[d].any()) for d in dicts
+        ]
+        assert index.reduce(np.logical_and, flat).tolist() == [
+            bool(per_gid[d].all()) for d in dicts
+        ]

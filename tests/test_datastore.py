@@ -1,9 +1,17 @@
 """DataStore tests: import invariants, queries, caching, statistics."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.datastore import DataStore, DataStoreOptions, factorize_values
+from repro.core.datastore import (
+    DataStore,
+    DataStoreOptions,
+    FieldStore,
+    factorize_values,
+)
 from repro.core.table import Table
 from repro.errors import BindError, ExecutionError, UnsupportedQueryError
 from tests.conftest import make_store
@@ -354,3 +362,53 @@ class TestCandidateChunkPruning:
         assert result.stats.rows_scanned == 0
         assert result.stats.rows_skipped == result.stats.rows_total
         assert result.stats.active_chunks == ()
+
+
+class TestFieldStoreMemos:
+    """Derived state stays out of copies, pickles and the byte counts."""
+
+    _WARMING_QUERY = (
+        "SELECT country, SUM(latency) AS s, APPROX_COUNT_DISTINCT(user_name, 64) AS u "
+        "FROM data WHERE country IN ('US', 'DE') AND latency > 10 GROUP BY country"
+    )
+
+    def _filled(self, field) -> set[str]:
+        filled = {
+            name for name in FieldStore._MEMO_ATTRS if getattr(field, name) is not None
+        }
+        if all(slot is None for slot in field._row_gids):
+            filled.discard("_row_gids")
+        return filled
+
+    def test_copies_and_pickles_drop_every_memo(self, log_table):
+        store = make_store(log_table)
+        expected = store.execute(self._WARMING_QUERY)
+        store.field("country").value_array()
+        warmed = {name: self._filled(field) for name, field in store.fields.items()}
+        assert set().union(*warmed.values()) == set(FieldStore._MEMO_ATTRS)
+        clone = copy.deepcopy(store)
+        for name, field in store.fields.items():
+            assert self._filled(field) == warmed[name]  # the source keeps them
+            assert self._filled(clone.field(name)) == set()
+            revived = pickle.loads(pickle.dumps(field))
+            assert self._filled(revived) == set()
+            assert len(revived._row_gids) == len(field.chunks)
+            assert revived.size_bytes() == field.size_bytes()
+        assert clone.execute(self._WARMING_QUERY).content_equal(expected)
+
+    def test_sanitizer_ignores_exactly_the_memos(self):
+        from repro.testing import LAZY_MEMO_ATTRS
+
+        assert LAZY_MEMO_ATTRS["FieldStore"] == frozenset(FieldStore._MEMO_ATTRS)
+
+    def test_memoised_sizes_equal_a_fresh_sum(self, log_store):
+        for field in log_store.fields.values():
+            chunk_dicts = sum(chunk.dict_size_bytes() for chunk in field.chunks)
+            elements = sum(chunk.elements_size_bytes() for chunk in field.chunks)
+            for __ in range(2):  # the first call fills the memo
+                assert field.dictionary_size_bytes() == field.dictionary.size_bytes()
+                assert field.chunk_dicts_size_bytes() == chunk_dicts
+                assert field.elements_size_bytes() == elements
+                assert field.size_bytes() == (
+                    field.dictionary.size_bytes() + chunk_dicts + elements
+                )

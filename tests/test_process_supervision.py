@@ -24,6 +24,7 @@ import json
 import multiprocessing
 import os
 import tempfile
+import time
 import uuid
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -393,6 +394,61 @@ class TestCloseRobustness:
         store.executor.close()
         assert set(live_segment_names()) == before_live
         assert _shm_repro_segments() == before_shm
+
+
+    def test_close_reaps_every_worker_before_returning(self):
+        store = _process_store()
+        store.execute(_QUERY)
+        executor = store.executor
+        workers = list(executor._pool._processes.values())
+        assert workers, "process scan should have started workers"
+        executor.close()
+        assert all(_is_reaped(worker.pid) for worker in workers)
+
+    def test_close_kills_a_hung_worker_within_the_deadline(self, tmp_path):
+        deadline = 0.5
+        executor = ProcessExecutor(
+            workers=2,
+            supervision=SupervisionConfig(
+                task_deadline_seconds=deadline, watchdog_interval_seconds=0.1
+            ),
+        )
+        flag = tmp_path / "hung"
+        pool = executor._ensure_pool()
+        pool.submit(_touch_then_hang, str(flag))
+        patience = time.monotonic() + 30.0
+        while not flag.exists() and time.monotonic() < patience:
+            time.sleep(0.01)
+        assert flag.exists(), "the worker never picked the task up"
+        workers = list(pool._processes.values())
+        started = time.monotonic()
+        executor.close()
+        elapsed = time.monotonic() - started
+        # One deadline to drain plus one second for the kill to land, per
+        # straggler — nowhere near the 120 s the hung task would take, so
+        # a reaped worker here is a killed one.
+        assert elapsed < len(workers) * (deadline + 1.0) + 5.0
+        assert all(_is_reaped(worker.pid) for worker in workers)
+
+
+def _is_reaped(pid: int) -> bool:
+    """Whether child ``pid`` has exited *and* been waited for.
+
+    Asked of the OS, not of ``Process.exitcode``: the pool's own
+    management thread joins the workers too, and whichever thread loses
+    that ``waitpid`` sees no exit status until the winner has stored it.
+    """
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False  # still running, or a zombie nobody had collected
+
+
+def _touch_then_hang(flag_path: str) -> None:
+    with open(flag_path, "w", encoding="utf-8"):
+        pass
+    time.sleep(120.0)
 
 
 def _shm_repro_segments() -> set[str]:

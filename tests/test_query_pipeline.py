@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.datastore import DataStore
 from repro.core.result import QueryResult, ScanStats, finalize
+from repro.core.table import Table
 from repro.distributed.tree import finalize_partials
 from repro.errors import ChunkUnavailableError
 from repro.monitoring import counters
@@ -141,6 +142,63 @@ def test_drilldown_session_agrees_through_every_door(
         footprint = log_store.execute(click[0]).stats.active_chunks
 
 
+# -- … and on the work the parent commit did -----------------------------------
+# Restriction analysis classifies every chunk of a query in one vector
+# pass (PR 15); which chunks it skips, serves from the cache or scans may
+# not move, so the counters below are literals recorded at the commit
+# before it (PARENT_* at the end of this file), not a second run.
+
+
+def _work_row(stats: ScanStats) -> tuple:
+    """Every work counter, in ``WORK_COUNTERS`` order."""
+    return tuple(_work(stats).values())
+
+
+def _drilldown_work(log_table, seed: int) -> list[tuple]:
+    """A fresh store's work over one session: three clicks, each inside
+    the previous click's footprint, then the first click again, warm."""
+    store = make_store(log_table)
+    [session] = generate_drilldown_session_groups(
+        log_table,
+        DrillDownConfig(
+            n_sessions=1, clicks_per_session=3, queries_per_click=3, seed=seed
+        ),
+    )
+    rows: list[tuple] = []
+    footprint = None
+    for click in [*session, session[0]]:
+        if click is session[0]:
+            footprint = None
+        results = [store.execute(q, candidate_chunks=footprint) for q in click]
+        rows.extend(_work_row(result.stats) for result in results)
+        footprint = results[0].stats.active_chunks
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SCAN_SHAPES))
+def test_full_scan_shapes_do_the_work_the_parent_did(log_table, name):
+    # A fresh store: virtual-field names and the chunk cache start empty.
+    result = make_store(log_table).execute(FULL_SCAN_SHAPES[name])
+    assert _work_row(result.stats) == PARENT_FULL_SCAN_WORK[name]
+
+
+@pytest.mark.parametrize("seed", [1, 23, 37])
+def test_drilldown_sessions_do_the_work_the_parent_did(log_table, seed):
+    assert _drilldown_work(log_table, seed) == PARENT_DRILLDOWN_WORK[seed]
+
+
+def test_zero_row_store_with_a_where():
+    """One chunk, no rows: classified (as skipped) through the same path."""
+    store = DataStore.from_table(Table.from_columns({"v": [], "w": []}))
+    grouped = store.execute(
+        "SELECT v, COUNT(*) AS c FROM data WHERE w > 1 AND NOT v IN ('a') GROUP BY v"
+    )
+    projected = store.execute("SELECT v, w FROM data WHERE w IS NULL OR v = 'a'")
+    for result in (grouped, projected):
+        assert result.table.n_rows == 0 and result.complete
+        assert _work_row(result.stats) == (*[0] * 4, 1, 1, *[0] * 5, (), ("v", "w"), 32)
+
+
 def test_warm_chunk_cache_is_counted_the_same_by_both_doors(log_table):
     """FULL chunks admitted by ``execute`` are hits for ``execute_partials``."""
     store = make_store(log_table)
@@ -243,3 +301,70 @@ def test_projection_strict_mode_raises_chunk_unavailable():
         target = store.execute(_PROJECTION).stats.active_chunks[1]
         with pytest.raises(ChunkUnavailableError):
             run(target)
+
+
+# -- the work counters of the parent commit (cf0d273) --------------------------
+# One row per query, in WORK_COUNTERS order: rows total / skipped / cached /
+# scanned, chunks total / skipped / cached / scanned, cells scanned, chunks /
+# rows unserved, active chunks, fields accessed, memory bytes.
+
+# fmt: off
+_ALL_CHUNKS = tuple(range(57))
+
+PARENT_FULL_SCAN_WORK: dict[str, tuple] = {
+    "approx": (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("country", "table_name"), 30228),
+    "distinct": (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("table_name", "user_name"), 43830),
+    "filter": (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("country", "latency"), 22565),
+    "multi_agg": (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("country", "latency"), 22565),
+    "project": (4000, 3268, 0, 732, 57, 47, 0, 10, 2196, 0, 0, (10, 12, 27, 38, 39, 43, 47, 53, 55, 56), ("country", "latency", "table_name"), 51874),
+    "q1": (4000, 0, 0, 4000, 57, 0, 0, 57, 4000, 0, 0, _ALL_CHUNKS, ("country",), 919),
+    "q2": (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("__v0", "latency"), 31486),
+    "q3": (4000, 0, 0, 4000, 57, 0, 0, 57, 4000, 0, 0, _ALL_CHUNKS, ("table_name",), 29309),
+    "user_avg": (4000, 0, 0, 4000, 57, 0, 0, 57, 12000, 0, 0, _ALL_CHUNKS, ("latency", "table_name", "user_name"), 65476),
+}
+
+PARENT_DRILLDOWN_WORK: dict[int, list[tuple]] = {
+    1: [
+        (4000, 2629, 0, 1371, 57, 40, 0, 17, 4113, 0, 0, (29, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56), ("__v0", "country", "latency"), 32405),
+        (4000, 2629, 0, 1371, 57, 40, 0, 17, 2742, 0, 0, (29, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56), ("country", "table_name"), 30228),
+        (4000, 2629, 0, 1371, 57, 40, 0, 17, 2742, 0, 0, (29, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56), ("__v0", "country"), 10759),
+        (4000, 3916, 0, 84, 57, 56, 0, 1, 252, 0, 0, (43,), ("country", "latency", "table_name"), 51874),
+        (4000, 3916, 0, 84, 57, 56, 0, 1, 252, 0, 0, (43,), ("country", "latency", "table_name"), 51874),
+        (4000, 3916, 0, 84, 57, 56, 0, 1, 168, 0, 0, (43,), ("country", "table_name"), 30228),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("country", "latency", "table_name"), 51874),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("country", "latency", "table_name"), 51874),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("__v0", "country", "latency", "table_name"), 61714),
+        (4000, 2629, 1371, 0, 57, 40, 17, 0, 0, 0, 0, (29, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56), ("__v0", "country", "latency"), 32405),
+        (4000, 2629, 1371, 0, 57, 40, 17, 0, 0, 0, 0, (29, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56), ("country", "table_name"), 30228),
+        (4000, 2629, 1371, 0, 57, 40, 17, 0, 0, 0, 0, (29, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56), ("__v0", "country"), 10759),
+    ],
+    23: [
+        (4000, 0, 0, 4000, 57, 0, 0, 57, 4000, 0, 0, _ALL_CHUNKS, ("user_name",), 14521),
+        (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("country", "latency"), 22565),
+        (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("latency", "user_name"), 36167),
+        (4000, 2988, 0, 1012, 57, 44, 0, 13, 2024, 0, 0, (1, 3, 4, 8, 18, 24, 27, 30, 32, 34, 41, 52, 56), ("__v0", "table_name"), 39149),
+        (4000, 2988, 0, 1012, 57, 44, 0, 13, 2024, 0, 0, (1, 3, 4, 8, 18, 24, 27, 30, 32, 34, 41, 52, 56), ("country", "table_name"), 30228),
+        (4000, 2988, 0, 1012, 57, 44, 0, 13, 3036, 0, 0, (1, 3, 4, 8, 18, 24, 27, 30, 32, 34, 41, 52, 56), ("__v0", "latency", "table_name"), 60795),
+        (4000, 3591, 0, 409, 57, 52, 0, 5, 1227, 0, 0, (1, 8, 41, 52, 56), ("country", "latency", "table_name"), 51874),
+        (4000, 3591, 0, 409, 57, 52, 0, 5, 1636, 0, 0, (1, 8, 41, 52, 56), ("country", "latency", "table_name", "user_name"), 66395),
+        (4000, 3591, 0, 409, 57, 52, 0, 5, 1227, 0, 0, (1, 8, 41, 52, 56), ("country", "latency", "table_name"), 51874),
+        (4000, 0, 0, 4000, 57, 0, 0, 57, 4000, 0, 0, _ALL_CHUNKS, ("user_name",), 14521),
+        (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("country", "latency"), 22565),
+        (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("latency", "user_name"), 36167),
+    ],
+    37: [
+        (4000, 3702, 0, 298, 57, 53, 0, 4, 894, 0, 0, (3, 4, 29, 34), ("__v0", "country", "latency"), 32405),
+        (4000, 3702, 0, 298, 57, 53, 0, 4, 894, 0, 0, (3, 4, 29, 34), ("country", "latency", "user_name"), 37086),
+        (4000, 3702, 0, 298, 57, 53, 0, 4, 894, 0, 0, (3, 4, 29, 34), ("__v0", "country", "latency"), 32405),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("country", "latency", "user_name"), 37086),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("__v0", "country", "latency"), 32405),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("country", "latency", "user_name"), 37086),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("country", "user_name"), 15440),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("country", "table_name"), 30228),
+        (4000, 4000, 0, 0, 57, 57, 0, 0, 0, 0, 0, (), ("country", "latency", "user_name"), 37086),
+        (4000, 3702, 221, 77, 57, 53, 3, 1, 231, 0, 0, (3, 4, 29, 34), ("__v0", "country", "latency"), 32405),
+        (4000, 3702, 221, 77, 57, 53, 3, 1, 231, 0, 0, (3, 4, 29, 34), ("country", "latency", "user_name"), 37086),
+        (4000, 3702, 221, 77, 57, 53, 3, 1, 231, 0, 0, (3, 4, 29, 34), ("__v0", "country", "latency"), 32405),
+    ],
+}
+# fmt: on

@@ -1,12 +1,15 @@
 """Restriction analysis tests: skipping soundness and Kleene masks."""
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.datastore import DataStore, DataStoreOptions
+from repro.core.datastore import DataStore, DataStoreOptions, FieldStore
 from repro.core.restriction import ChunkStatus, compile_restriction
 from repro.core.table import Table
+from repro.sql.ast_nodes import BinaryOp, FieldRef, InList, Literal, UnaryOp
 from repro.sql.parser import parse_query
+
+from tests import restriction_oracle
 
 
 def _store(values, extra=None, max_chunk_rows=4):
@@ -25,12 +28,17 @@ def _store(values, extra=None, max_chunk_rows=4):
 
 
 def _compile(store, where_sql: str):
-    where = parse_query(f"SELECT v FROM data WHERE {where_sql}").where
+    return _compile_expr(
+        store, parse_query(f"SELECT v FROM data WHERE {where_sql}").where
+    )
+
+
+def _compile_expr(store, where):
     return compile_restriction(
         where,
         store.ensure_field,
         lambda name: store.field(name).dictionary,
-        lambda name: store.field(name).chunks,
+        lambda name: store.field(name).chunk_dict_index(),
         lambda name, index: store.field(name).element_array(index),
     )
 
@@ -173,3 +181,123 @@ class TestNullSemantics:
         store = _store(["a", None] * 4, max_chunk_rows=100)
         decision = _compile(store, "v IS NULL").decide(0)
         assert decision.row_mask.sum() == 4
+
+
+# -- the whole-store vector pass against the per-chunk scalar algebra ----------
+
+_V_VALUES = ["a", "b", "c", "d", None]
+_V_LITERALS = ["a", "b", "c", "d", "zz", None]  # "zz" matches nothing
+_W_LITERALS = [0, 1, 2, 3, 5, 9, -1, 2.5, None]
+_FIELD_LITERALS = {"v": _V_LITERALS, "w": _W_LITERALS}
+
+
+@st.composite
+def _leaves(draw):
+    name = draw(st.sampled_from(["v", "w"]))
+    literals = st.sampled_from(_FIELD_LITERALS[name])
+    operand = FieldRef(name)
+    kind = draw(st.sampled_from(["in", "cmp", "flipped", "truthy", "virtual"]))
+    if kind == "in":
+        values = tuple(draw(st.lists(literals, min_size=1, max_size=3)))
+        return InList(operand, values, negated=draw(st.booleans()))
+    op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]))
+    if kind == "cmp":
+        return BinaryOp(op, operand, Literal(draw(literals)))
+    if kind == "flipped":
+        return BinaryOp(op, Literal(draw(literals)), operand)
+    if kind == "truthy":
+        return FieldRef("w")  # a bare numeric field used as a condition
+    shifted = BinaryOp("+", FieldRef("w"), Literal(1))  # a virtual field
+    return BinaryOp(op, shifted, Literal(draw(st.sampled_from([0, 2, 4, None]))))
+
+
+def _contradictions():
+    """The drill-down generator's ``v IN (…) AND v IN (…)`` refinements."""
+    lists = st.lists(st.sampled_from(_V_LITERALS), min_size=1, max_size=2)
+    return st.builds(
+        lambda xs, ys: BinaryOp(
+            "AND", InList(FieldRef("v"), tuple(xs)), InList(FieldRef("v"), tuple(ys))
+        ),
+        lists,
+        lists,
+    )
+
+
+_PREDICATES = st.recursive(
+    _leaves() | _contradictions(),
+    lambda children: st.one_of(
+        st.builds(lambda a, b: BinaryOp("AND", a, b), children, children),
+        st.builds(lambda a, b: BinaryOp("OR", a, b), children, children),
+        st.builds(lambda a: UnaryOp("NOT", a), children),
+    ),
+    max_leaves=6,
+)
+
+#: (partition fields, max_chunk_rows): one-row chunks, small chunks on
+#: one and on two fields, and a single-chunk store.
+_LAYOUTS = [(("v",), 1), (("v",), 3), (("v", "w"), 2), (("w",), 5), (None, 1000)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(_V_VALUES), st.sampled_from([0, 1, 2, 3, 5, None])
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    layout=st.sampled_from(_LAYOUTS),
+    reorder=st.booleans(),
+    where=_PREDICATES,
+)
+def test_vector_pass_equals_the_per_chunk_algebra(rows, layout, reorder, where):
+    # An all-NULL column gets a numeric dictionary, which (rightly)
+    # refuses to order-compare against the string literals drawn for v.
+    assume(any(v is not None for v, __ in rows))
+    partition_fields, max_chunk_rows = layout
+    store = DataStore.from_table(
+        Table.from_columns({"v": [v for v, __ in rows], "w": [w for __, w in rows]}),
+        DataStoreOptions(
+            partition_fields=partition_fields,
+            max_chunk_rows=max_chunk_rows,
+            reorder_rows=reorder and partition_fields is not None,
+        ),
+    )
+    restriction = _compile_expr(store, where)
+    root = restriction._root
+    outcomes = root.outcomes()
+    assert all(vector.shape == (store.n_chunks,) for vector in outcomes)
+    for chunk_index in range(store.n_chunks):
+        expected = restriction_oracle.summary(root, store, chunk_index)
+        assert tuple(bool(v[chunk_index]) for v in outcomes) == expected
+        status, row_mask = restriction_oracle.decide(root, store, chunk_index)
+        decision = restriction.decide(chunk_index)
+        assert decision.status is status
+        if row_mask is None:
+            assert decision.row_mask is None
+        else:
+            assert decision.row_mask.tolist() == row_mask.tolist()
+
+
+def test_zero_row_chunks_take_the_reduction_identity():
+    # reduceat would read a neighbour's element for an empty segment.
+    store = DataStore.from_table(Table.from_columns({"v": [], "w": []}))
+    assert store.chunk_row_counts == [0]
+    for where in ("v = 'a'", "NOT v = 'a'", "v IS NULL OR w > 1"):
+        restriction = _compile(store, where)
+        outcomes = restriction._root.outcomes()
+        expected = restriction_oracle.summary(restriction._root, store, 0)
+        assert tuple(bool(v[0]) for v in outcomes) == expected
+        assert restriction.decide(0).status is ChunkStatus.SKIP
+
+
+def test_zero_chunk_store_classifies_without_error():
+    store = _store(["a", "b"] * 4)
+    empty = DataStore(store.options, 0, [], {
+        name: FieldStore(name, field.dictionary, [])
+        for name, field in store.fields.items()
+    })
+    outcomes = _compile(empty, "v = 'a' AND NOT v IN ('b')")._root.outcomes()
+    assert all(vector.shape == (0,) for vector in outcomes)
+    assert empty.execute("SELECT v FROM data WHERE v = 'a'").table.n_rows == 0

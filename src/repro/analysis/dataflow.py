@@ -606,6 +606,7 @@ class Mutation:
 def mutations_through(
     fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
     names: Iterable[str] | None = None,
+    imported: Iterable[str] = (),
 ) -> list[Mutation]:
     """Writes the function performs *through* each root name.
 
@@ -613,8 +614,12 @@ def mutations_through(
     (``x[k] = ...``), augmented assigns on the name or through it,
     deletes, rebinding via ``global``/``nonlocal``, and calls to
     known mutating container methods rooted at the name. Reads are
-    never mutations; so ``x.a`` on the RHS is fine.
+    never mutations; so ``x.a`` on the RHS is fine. A call rooted at
+    one of the ``imported`` names (bound by ``import`` / ``from ...
+    import``) is a function call — ``np.sort(x)`` — not a container
+    method; stores through such a name still count.
     """
+    imported = frozenset(imported)
     wanted = set(names) if names is not None else None
     found: list[Mutation] = []
     declared_nonlocal: set[str] = set()
@@ -670,7 +675,7 @@ def mutations_through(
                 and node.func.attr in MUTATING_CONTAINER_METHODS
             ):
                 root = attribute_root(node.func.value)
-                if isinstance(root, ast.Name):
+                if isinstance(root, ast.Name) and root.id not in imported:
                     note(root.id, node, "method", node.func.attr)
     # Late-pass fixup: `global`/`nonlocal` declarations may appear
     # after the first assignment textually; re-scan plain rebinds.

@@ -834,10 +834,13 @@ def _module_global_names(
     model: "_df.ModuleModel", fn: "_df.FunctionInfo"
 ) -> set[str]:
     """Module-level bindings visible (and writable-through) in ``fn``."""
-    names = set(model.globals)
-    names |= set(model.import_names)
-    names |= set(model.import_modules)
+    names = set(model.globals) | _imported_names(model)
     return names - _df.bound_names(fn.node)
+
+
+def _imported_names(model: "_df.ModuleModel") -> set[str]:
+    """Module-level names bound by ``import`` / ``from ... import``."""
+    return set(model.import_names) | set(model.import_modules)
 
 
 @lint_rule
@@ -895,7 +898,10 @@ class ExecutorCaptureMutationRule(ProjectRule):
         free = _df.free_names(node)
         if not free:
             return
-        for mutation in _df.mutations_through(node, free):
+        model = project.model_for(rel_path)
+        if model is None:
+            return
+        for mutation in _df.mutations_through(node, free, _imported_names(model)):
             detail = f".{mutation.detail}()" if mutation.kind == "method" else ""
             yield rel_path, RawFinding(
                 mutation.line,
@@ -906,9 +912,6 @@ class ExecutorCaptureMutationRule(ProjectRule):
                 "shared state — return the value and fold it in on the "
                 "merge thread (REP011)",
             )
-        model = project.model_for(rel_path)
-        if model is None:
-            return
         for name in sorted(free):
             values = model.globals.get(name, [])
             if any(_df.mutable_value_expr(v) for v in values):
@@ -990,7 +993,9 @@ class TransitivePurityRule(ProjectRule):
         via = (
             " (reached via " + " -> ".join(chain) + ")" if chain else ""
         )
-        for mutation in _df.mutations_through(fn.node, watched):
+        for mutation in _df.mutations_through(
+            fn.node, watched, _imported_names(model)
+        ):
             if mutation.name in ("self", "cls"):
                 what = f"writes to {mutation.name}"
             else:

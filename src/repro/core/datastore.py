@@ -41,6 +41,7 @@ from repro.compress.advisor import (
 )
 from repro.compress.registry import get_codec
 from repro.core.engine import (
+    ChunkColumn,
     ChunkData,
     PresenceAggregator,
     aggregator_states,
@@ -187,7 +188,6 @@ class FieldStore:
     #: from pickles and deep copies, ignored by the sanitizer
     #: (``repro.testing.LAZY_MEMO_ATTRS``), never part of size_bytes().
     _MEMO_ATTRS = (
-        "_row_gids",
         "_value_array",
         "_numeric_values",
         "_hash_units",
@@ -214,7 +214,6 @@ class FieldStore:
         self._reset_memos()
 
     def _reset_memos(self) -> None:
-        self._row_gids: list[np.ndarray | None] = [None] * len(self.chunks)
         self._value_array: np.ndarray | None = None
         self._numeric_values: np.ndarray | None = None
         self._hash_units: np.ndarray | None = None
@@ -234,24 +233,18 @@ class FieldStore:
 
     # -- per-chunk row data -------------------------------------------------
     def row_global_ids(self, chunk_index: int) -> np.ndarray:
-        """Per-row global-ids of one chunk, as int64 (cached).
-
-        int64 is the dtype every aggregation kernel indexes with, so
-        the widening happens once here instead of once per aggregator
-        per scanned chunk. Chunk scans never share a chunk index across
-        executor workers, so the per-slot lazy fill needs no lock.
-        """
-        cached = self._row_gids[chunk_index]
-        if cached is None:
-            cached = self.chunks[chunk_index].row_global_ids().astype(
-                np.int64, copy=False
-            )
-            self._row_gids[chunk_index] = cached
-        return cached
+        """Per-row global-ids of one chunk, derived on every call."""
+        return self.chunks[chunk_index].row_global_ids()
 
     def element_array(self, chunk_index: int) -> np.ndarray:
         """Per-row chunk-ids of one chunk (the raw elements)."""
         return self.chunks[chunk_index].elements.as_array()
+
+    def chunk_column(self, chunk_index: int) -> ChunkColumn:
+        """One chunk's (chunk-dictionary, elements) pair, for the kernels."""
+        return ChunkColumn(
+            self.chunks[chunk_index].chunk_dict, self.element_array(chunk_index)
+        )
 
     def chunk_dict_index(self) -> ChunkDictIndex:
         """Every chunk-dictionary of this field as one CSR column (cached).
@@ -1355,24 +1348,19 @@ class _GroupedKernel(_ChunkKernel):
         super().__init__(store, fields)
 
     def scan(self, chunk_index: int, mask: np.ndarray | None) -> list:
-        group_field, *arg_fields = self.fields
-        # row_global_ids is already int64 (cached once per chunk), so no
-        # per-aggregator-per-chunk astype copies happen here.
-        if group_field is not None:
-            group_ids = group_field.row_global_ids(chunk_index)
-        else:
-            group_ids = np.zeros(
-                self.store.chunk_row_counts[chunk_index], dtype=np.int64
-            )
-        data = ChunkData(group_ids=group_ids, mask=mask)
+        # No GROUP BY is one group: global-id 0, every row chunk-id 0.
+        columns = [
+            field.chunk_column(chunk_index) if field is not None else None
+            for field in self.fields
+        ]
+        group = columns[0] or ChunkColumn(
+            np.zeros(1, dtype=np.uint32),
+            np.zeros(self.store.chunk_row_counts[chunk_index], dtype=np.uint32),
+        )
+        data = ChunkData(group=group, mask=mask)
         partials = [self.presence.chunk_partial(data, None)]
-        for aggregator, arg_field in zip(self.aggregators, arg_fields):
-            arg_ids = (
-                arg_field.row_global_ids(chunk_index)
-                if arg_field is not None
-                else None
-            )
-            partials.append(aggregator.chunk_partial(data, arg_ids))
+        for aggregator, arg in zip(self.aggregators, columns[1:]):
+            partials.append(aggregator.chunk_partial(data, arg))
         return partials
 
     def fold(self, partials: list) -> None:
@@ -1386,22 +1374,25 @@ class _GroupedKernel(_ChunkKernel):
         return self.presence.counts > 0
 
     def rows(self, parsed: Query) -> list[dict[str, Any]]:
-        """One output dict per present group (pre ORDER BY / LIMIT)."""
-        plan, group_field, present = self.plan, self.fields[0], self._present()
-        agg_results = [agg.results(present) for agg in self.aggregators]
-        count_results = self.presence.results(present)
-
-        present_gids = np.flatnonzero(present)
-        positions = _topk_positions(parsed, plan, present_gids, agg_results)
-        if positions is None:
-            positions = range(len(present_gids))
+        """One output dict per present group, or per top-k survivor."""
+        plan, group_field = self.plan, self.fields[0]
+        gids = np.flatnonzero(self._present())
+        columns = [agg.result_columns(gids) for agg in self.aggregators]
+        # Late materialization: values are decoded (and group values
+        # looked up) for the ORDER BY ... LIMIT survivors only.
+        positions = _topk_positions(parsed, plan, gids, self.aggregators, columns)
+        if positions is not None:
+            gids = gids[positions]
+            columns = [(values[positions], null[positions]) for values, null in columns]
+        agg_results = [
+            agg.decode(*column) for agg, column in zip(self.aggregators, columns)
+        ]
 
         rows: list[dict[str, Any]] = []
-        for position in positions:
-            gid = present_gids[position]
+        for position, gid in enumerate(gids.tolist()):
             env: dict[str, Any] = {}
             if group_field is not None:
-                group_value = group_field.dictionary.value(int(gid))
+                group_value = group_field.dictionary.value(gid)
                 if len(plan.group_exprs) > 1:
                     for i, member in enumerate(group_value):
                         env[f"__group_{i}"] = member
@@ -1409,7 +1400,6 @@ class _GroupedKernel(_ChunkKernel):
                     env["__group_0"] = group_value
             for j, results in enumerate(agg_results):
                 env[f"__agg_{j}"] = results[position]
-            env["__count_star"] = count_results[position]
             row = {
                 name: evaluate(expr, env.__getitem__)
                 for name, expr in plan.items
@@ -1461,10 +1451,10 @@ class _ProjectionKernel(_ChunkKernel):
     def scan(self, chunk_index: int, mask: np.ndarray | None) -> list[list]:
         column_values: list[list[Any]] = []
         for field in self.fields:
-            gids = field.row_global_ids(chunk_index)
+            chunk_dict, elements = field.chunk_column(chunk_index)
             if mask is not None:
-                gids = gids[mask]
-            column_values.append(field.value_array()[gids].tolist())
+                elements = elements[mask]
+            column_values.append(field.value_array()[chunk_dict[elements]].tolist())
         return column_values
 
     def fold(self, column_values: list[list]) -> None:
@@ -1509,8 +1499,7 @@ def factorize_values(values: list[Any]) -> tuple[np.ndarray, list[Any]]:
     return factorize_list(values)
 
 
-
-def _topk_positions(parsed, plan, present_gids, agg_results):
+def _topk_positions(parsed, plan, gids, aggregators, columns):
     """The paper's top-k shortcut: pick LIMIT groups before value lookup.
 
     "After identifying the top 10 chunk-ids for table_name integers (by
@@ -1519,21 +1508,20 @@ def _topk_positions(parsed, plan, present_gids, agg_results):
     dictionary" — i.e. dictionary lookups happen only for the groups
     that survive ORDER BY ... LIMIT k.
 
-    Applicable when the final ordering is computable from aggregate
-    values and group *global-ids* alone (global-ids are ranks, so
-    ordering by gid equals ordering by group value). Returns the
-    selected positions into ``present_gids`` or None to take the
-    general path. The composite key replicates the deterministic order
-    of :func:`repro.core.result.finalize` exactly: explicit ORDER BY
-    keys first, then the implicit tie-break (output columns ascending),
-    with the unique gid last — so the selected set and order match the
-    general path, which re-sorts the survivors identically.
+    Applicable when the final ordering is computable from the
+    aggregators' result ``columns`` and group *global-ids* alone
+    (global-ids are ranks, so ordering by gid equals ordering by group
+    value). Returns the selected positions into ``gids`` or None to
+    take the general path. The key columns replicate the deterministic
+    order of :func:`repro.core.result.finalize` exactly: explicit ORDER
+    BY keys first, then the implicit tie-break (output columns
+    ascending), with the unique gid last — so the selected set and
+    order match the general path, which re-sorts the survivors
+    identically.
     """
-    import heapq
-
     if parsed.limit is None or parsed.having is not None:
         return None
-    if len(plan.group_exprs) != 1 or parsed.limit >= present_gids.size:
+    if len(plan.group_exprs) != 1 or parsed.limit >= gids.size:
         return None
 
     out_expr = {name: expr for name, expr in plan.items}
@@ -1541,17 +1529,6 @@ def _topk_positions(parsed, plan, present_gids, agg_results):
         item.expr.sql(): expr
         for item, (__, expr) in zip(parsed.select, plan.items)
     }
-
-    def classify(expr):
-        """'gid' | 'agg' | None (None = needs group values, bail out)."""
-        refs = {
-            node.name for node in walk(expr) if isinstance(node, FieldRef)
-        }
-        if isinstance(expr, FieldRef) and refs == {"__group_0"}:
-            return "gid"
-        if any(name.startswith("__group") for name in refs):
-            return None
-        return "agg"
 
     def resolve_order_expr(expr):
         rendered = expr.sql()
@@ -1561,47 +1538,71 @@ def _topk_positions(parsed, plan, present_gids, agg_results):
             return out_expr[expr.name]
         return None
 
-    # (kind, expr, descending): explicit keys then implicit tie-break.
-    key_specs = []
-    for item in parsed.order_by:
-        resolved = resolve_order_expr(item.expr)
-        if resolved is None:
-            return None
-        kind = classify(resolved)
-        if kind is None:
-            return None
-        key_specs.append((kind, resolved, item.descending))
-    for __, expr in plan.items:
-        kind = classify(expr)
-        if kind is None:
-            return None
-        key_specs.append((kind, expr, False))
-    key_specs.append(("gid", None, False))
+    # (expr, descending): explicit keys, then the implicit tie-break.
+    group_key = FieldRef("__group_0")
+    key_specs = [
+        (resolve_order_expr(item.expr), item.descending)
+        for item in parsed.order_by
+    ]
+    key_specs += [(expr, False) for __, expr in plan.items]
+    key_specs.append((group_key, False))
 
-    n = present_gids.size
-    keys = []
-    for position in range(n):
-        env = {
-            f"__agg_{j}": agg_results[j][position]
-            for j in range(len(plan.aggregates))
-        }
-        parts = []
-        for kind, expr, descending in key_specs:
-            if kind == "gid":
-                value = int(present_gids[position])
-            else:
-                value = evaluate(expr, env.__getitem__)
-            if descending:
-                if not isinstance(value, (int, float)) or isinstance(
-                    value, bool
-                ):
-                    return None  # cannot invert non-numeric keys
-                value = -value
-            elif value is None:
-                return None  # NULL ordering: take the general path
-            parts.append(value)
-        keys.append(tuple(parts))
-    order = heapq.nsmallest(
-        parsed.limit, range(n), key=keys.__getitem__
-    )
-    return order
+    decoded: dict[str, list] = {}  # __agg_j -> Python values, on demand
+
+    def key_column(expr):
+        """``expr`` over every group as one sortable array, or None."""
+        if expr == group_key:
+            return gids
+        if isinstance(expr, FieldRef):  # __agg_j: the aggregate's own array
+            values, null = columns[int(expr.name.removeprefix("__agg_"))]
+            if null.any() or (values.dtype.kind == "f" and np.isnan(values).any()):
+                return None  # NULL / NaN ordering: take the general path
+            return values
+        refs = [node.name for node in walk(expr) if isinstance(node, FieldRef)]
+        if any(name.startswith("__group") for name in refs):
+            return None  # needs group values
+        for name in refs:
+            if name not in decoded:
+                j = int(name.removeprefix("__agg_"))
+                decoded[name] = aggregators[j].decode(*columns[j])
+        envs = zip(*(decoded[name] for name in refs)) if refs else [()] * gids.size
+        return _sortable(
+            [evaluate(expr, dict(zip(refs, env)).__getitem__) for env in envs]
+        )
+
+    keys: dict[Expr, np.ndarray] = {}  # a repeated key cannot reorder anything
+    for expr, descending in key_specs:
+        if expr is None:
+            return None
+        if expr in keys:
+            continue
+        column = key_column(expr)
+        if column is None:
+            return None
+        if descending:  # ~x = -x - 1 reverses ints and cannot overflow
+            column = ~column if column.dtype.kind == "i" else -column
+        keys[expr] = column
+        if expr == group_key:
+            break  # unique: later keys never get to decide
+    return np.lexsort(list(keys.values())[::-1])[: parsed.limit]
+
+
+def _sortable(values: list[Any]) -> np.ndarray | None:
+    """Evaluated key values as one array that sorts like them, or None.
+
+    None for whatever an int64 / float64 column cannot order exactly as
+    Python does: NULL, NaN, bool, ints beyond the dtype. Strings sort
+    through their ranks.
+    """
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        ranks = {value: rank for rank, value in enumerate(sorted(set(values)))}
+        return np.array([ranks[value] for value in values], dtype=np.int64)
+    if not kinds <= {int, float}:
+        return None
+    try:
+        column = np.array(values, dtype=np.int64 if kinds == {int} else np.float64)
+    except OverflowError:
+        return None
+    # Exact round trip: fails on NaN and on ints a float64 cannot hold.
+    return column if column.tolist() == values else None

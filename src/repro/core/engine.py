@@ -5,13 +5,15 @@ with the same size as the chunk-dictionary is created. We then add up
 the counts in a loop over the elements, i.e.,
 ``counts[elements[row]]++``."
 
-Each aggregator here computes a compact per-chunk *partial* (the
-numpy equivalent of that loop — ``np.bincount`` over chunk-ids /
-global-ids) and then folds partials into global per-group accumulators
-keyed by the group field's global-ids. Partials are self-contained and
-reusable, which is what the chunk-result cache of Section 6 stores:
-a fully-active chunk's partial does not depend on the WHERE clause, so
-later queries that fully cover the chunk reuse it without rescanning.
+Each aggregator here computes a compact per-chunk *partial* in
+chunk-id space (the numpy equivalent of that loop — ``np.bincount``
+over the elements, sized by the chunk-dictionary, which then supplies
+the partial's global-ids) and then folds partials into global per-group
+accumulators keyed by the group field's global-ids. Partials are
+self-contained and reusable, which is what the chunk-result cache of
+Section 6 stores: a fully-active chunk's partial does not depend on the
+WHERE clause, so later queries that fully cover the chunk reuse it
+without rescanning.
 
 Group keys are global-ids of the group field, so merging across chunks
 (and across shards, in the distributed layer) is plain integer-indexed
@@ -22,7 +24,7 @@ advantage the paper measures in its Query 1/3 experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -35,22 +37,24 @@ if TYPE_CHECKING:  # imported only for annotations: datastore imports us
     from repro.core.datastore import FieldStore
 
 
+class ChunkColumn(NamedTuple):
+    """One field of one chunk, in chunk-id space (read-only views)."""
+
+    chunk_dict: np.ndarray  # the ascending global-ids present in the chunk
+    elements: np.ndarray  # one chunk-id (an index into chunk_dict) per row
+
+
 @dataclass
 class ChunkData:
     """Per-chunk inputs handed to the aggregators.
 
-    ``group_ids``: the group field's global-id per row (all zeros when
-    the query has no GROUP BY). ``mask``: boolean row filter, or None
-    when the chunk is fully active.
+    ``group``: the group field's column (one entry, global-id 0, and
+    all-zero elements when the query has no GROUP BY). ``mask``:
+    boolean row filter, or None when the chunk is fully active.
     """
 
-    group_ids: np.ndarray
+    group: ChunkColumn
     mask: np.ndarray | None
-
-    def masked_group_ids(self) -> np.ndarray:
-        if self.mask is None:
-            return self.group_ids
-        return self.group_ids[self.mask]
 
 
 class ColumnarAggregator:
@@ -77,14 +81,15 @@ class ColumnarAggregator:
       position does.
     """
 
-    def __init__(self, n_groups: int) -> None:
+    def __init__(self, n_groups: int, arg_has_null: bool = False) -> None:
         self.n_groups = n_groups
+        self.arg_has_null = arg_has_null  # global-id 0 of the argument is NULL
 
-    def chunk_partial(self, data: ChunkData, arg_ids: np.ndarray | None) -> Any:
+    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
         """Compute this aggregate's partial for one chunk.
 
-        ``arg_ids`` is the argument field's global-id per row (None for
-        COUNT(*)). Must not mutate ``self`` — see the class docstring.
+        ``arg`` is the argument field's column (None for COUNT(*)).
+        Must not mutate ``self`` — see the class docstring.
         """
         raise NotImplementedError
 
@@ -92,73 +97,115 @@ class ColumnarAggregator:
         """Fold a partial into the global accumulators (merge thread)."""
         raise NotImplementedError
 
-    def results(self, present: np.ndarray) -> list[Any]:
-        """Final value for each present group (ascending gid order)."""
+    def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, is-NULL) arrays over ``groups``, any index into the gids.
+
+        The values order as the results do, so ORDER BY ... LIMIT k can
+        pick its k groups before :meth:`decode` runs.
+        """
         raise NotImplementedError
 
+    def decode(self, values: np.ndarray, null: np.ndarray) -> list[Any]:
+        """Result columns as final Python values (None where NULL)."""
+        out = values.tolist()
+        for position in np.flatnonzero(null).tolist():
+            out[position] = None
+        return out
 
-def _sparse_bincount(
-    ids: np.ndarray, weights: np.ndarray | None = None
+    def results(self, groups: np.ndarray) -> list[Any]:
+        """Final value for each of ``groups`` (ascending gid order)."""
+        return self.decode(*self.result_columns(groups))
+
+    def _row_elements(
+        self, data: ChunkData, arg: ChunkColumn | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(group, argument) chunk-ids of the rows this aggregate reads.
+
+        Rows are selected by the mask, by a non-NULL argument, or both;
+        with neither, the element arrays are handed on as they are.
+        """
+        select = data.mask
+        # NULL is global-id 0: chunk-id 0 of a chunk-dictionary that
+        # starts at 0.
+        if self.arg_has_null and arg.chunk_dict.size and arg.chunk_dict[0] == 0:
+            valid = arg.elements != 0
+            select = valid if select is None else valid & select
+        if select is None:
+            return data.group.elements, None if arg is None else arg.elements
+        return (
+            data.group.elements[select],
+            None if arg is None else arg.elements[select],
+        )
+
+
+def _group_counts(
+    data: ChunkData, group_elements: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``counts[elements[row]]++``: (chunk-ids seen, their gids, row counts)."""
+    if not group_elements.size:
+        # float64 counts: the dtype an empty partial has always had.
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, np.zeros(0, dtype=np.float64)
+    counts = np.bincount(group_elements, minlength=data.group.chunk_dict.size)
+    seen = counts.nonzero()[0]
+    return seen, data.group.chunk_dict[seen].astype(np.int64), counts[seen]
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """Sort ``keys`` in place and drop the repeats (adjacent difference)."""
+    keys.sort()
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def _pair_keys(
+    arg: ChunkColumn, group_elements: np.ndarray, arg_elements: np.ndarray
+) -> np.ndarray:
+    """One compact key per row: group chunk-id * n_arg + argument chunk-id.
+
+    Chunk-ids are ranks, so key order is (group gid, argument gid)
+    order. Neither chunk-dictionary is longer than the chunk has rows,
+    so the key fits int64 and no n_group x n_arg matrix is ever built.
+    """
+    return group_elements.astype(np.int64) * arg.chunk_dict.size + arg_elements
+
+
+def _pair_gids(
+    data: ChunkData, arg: ChunkColumn, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(unique ids, per-id totals) — a compact bincount."""
-    if not ids.size:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    unique, inverse = np.unique(ids, return_inverse=True)
-    if weights is None:
-        totals = np.bincount(inverse, minlength=unique.size)
-    else:
-        totals = np.bincount(inverse, weights=weights, minlength=unique.size)
-    return unique.astype(np.int64), totals
+    """The (group gid, argument gid) int64 columns behind pair ``keys``."""
+    group_ids, arg_ids = np.divmod(keys, arg.chunk_dict.size)
+    return (
+        data.group.chunk_dict[group_ids].astype(np.int64),
+        arg.chunk_dict[arg_ids].astype(np.int64),
+    )
+
+
+def _never_null(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return values, np.zeros(values.size, dtype=bool)
 
 
 class PresenceAggregator(ColumnarAggregator):
     """Row count per group: powers COUNT(*) and group presence."""
 
-    def __init__(self, n_groups: int) -> None:
-        super().__init__(n_groups)
+    def __init__(self, n_groups: int, arg_has_null: bool = False) -> None:
+        super().__init__(n_groups, arg_has_null)
         self.counts = np.zeros(n_groups, dtype=np.int64)
 
-    def chunk_partial(
-        self, data: ChunkData, arg_ids: np.ndarray | None
-    ) -> Any:
-        return _sparse_bincount(data.masked_group_ids())
+    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
+        return _group_counts(data, self._row_elements(data, arg)[0])[1:]
 
     def apply(self, partial: Any) -> None:
         gids, totals = partial
         self.counts[gids] += totals.astype(np.int64)
 
-    def results(self, present: np.ndarray) -> list[int]:
-        return [int(c) for c in self.counts[present]]
+    def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _never_null(self.counts[groups])
 
 
-class CountValueAggregator(ColumnarAggregator):
+class CountValueAggregator(PresenceAggregator):
     """COUNT(x): non-NULL rows per group."""
-
-    def __init__(self, n_groups: int, arg_has_null: bool) -> None:
-        super().__init__(n_groups)
-        self.arg_has_null = arg_has_null
-        self.counts = np.zeros(n_groups, dtype=np.int64)
-
-    def _valid(self, data: ChunkData, arg_ids: np.ndarray) -> np.ndarray:
-        valid = arg_ids != 0 if self.arg_has_null else np.ones(
-            arg_ids.shape, dtype=bool
-        )
-        if data.mask is not None:
-            valid = valid & data.mask
-        return valid
-
-    def chunk_partial(
-        self, data: ChunkData, arg_ids: np.ndarray | None
-    ) -> Any:
-        valid = self._valid(data, arg_ids)
-        return _sparse_bincount(data.group_ids[valid])
-
-    def apply(self, partial: Any) -> None:
-        gids, totals = partial
-        self.counts[gids] += totals.astype(np.int64)
-
-    def results(self, present: np.ndarray) -> list[int]:
-        return [int(c) for c in self.counts[present]]
 
 
 class SumAggregator(ColumnarAggregator):
@@ -167,46 +214,40 @@ class SumAggregator(ColumnarAggregator):
     def __init__(
         self, n_groups: int, numeric_values: np.ndarray, arg_has_null: bool
     ) -> None:
-        super().__init__(n_groups)
+        super().__init__(n_groups, arg_has_null)
         self.numeric_values = numeric_values  # per-gid float64
-        self.arg_has_null = arg_has_null
         self.totals = np.zeros(n_groups, dtype=np.float64)
         self.counts = np.zeros(n_groups, dtype=np.int64)
 
-    def chunk_partial(
-        self, data: ChunkData, arg_ids: np.ndarray | None
-    ) -> Any:
-        valid = arg_ids != 0 if self.arg_has_null else np.ones(
-            arg_ids.shape, dtype=bool
+    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
+        group_elements, arg_elements = self._row_elements(data, arg)
+        seen, gids, counts = _group_counts(data, group_elements)
+        if not seen.size:  # bincount of nothing is int64 even with weights
+            return gids, np.zeros(0, dtype=np.float64), counts
+        # Values are looked up once per chunk-dictionary entry and
+        # gathered per row; bincount adds them up in row order.
+        totals = np.bincount(
+            group_elements,
+            weights=self.numeric_values[arg.chunk_dict][arg_elements],
+            minlength=data.group.chunk_dict.size,
         )
-        if data.mask is not None:
-            valid = valid & data.mask
-        group_ids = data.group_ids[valid]
-        values = self.numeric_values[arg_ids[valid]]
-        gids, totals = _sparse_bincount(group_ids, weights=values)
-        __, counts = _sparse_bincount(group_ids)
-        return gids, totals, counts
+        return gids, totals[seen], counts
 
     def apply(self, partial: Any) -> None:
         gids, totals, counts = partial
         self.totals[gids] += totals
         self.counts[gids] += counts.astype(np.int64)
 
-    def results(self, present: np.ndarray) -> list[float | None]:
-        out: list[float | None] = []
-        for total, count in zip(self.totals[present], self.counts[present]):
-            out.append(float(total) if count else None)
-        return out
+    def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.totals[groups], self.counts[groups] == 0
 
 
 class AvgAggregator(SumAggregator):
     """AVG(x) = SUM(x) / COUNT(x)."""
 
-    def results(self, present: np.ndarray) -> list[float | None]:
-        out: list[float | None] = []
-        for total, count in zip(self.totals[present], self.counts[present]):
-            out.append(float(total) / int(count) if count else None)
-        return out
+    def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        totals, null = super().result_columns(groups)
+        return totals / np.where(null, 1, self.counts[groups]), null
 
 
 class _ExtremeAggregator(ColumnarAggregator):
@@ -222,36 +263,23 @@ class _ExtremeAggregator(ColumnarAggregator):
     def __init__(
         self, n_groups: int, dictionary: Dictionary, arg_has_null: bool
     ) -> None:
-        super().__init__(n_groups)
+        super().__init__(n_groups, arg_has_null)
         self.dictionary = dictionary
-        self.arg_has_null = arg_has_null
-        sentinel = np.iinfo(np.int64).max if self._is_min else -1
-        self.best = np.full(n_groups, sentinel, dtype=np.int64)
+        self.sentinel = np.iinfo(np.int64).max if self._is_min else -1
+        self.best = np.full(n_groups, self.sentinel, dtype=np.int64)
 
-    def chunk_partial(
-        self, data: ChunkData, arg_ids: np.ndarray | None
-    ) -> Any:
-        valid = arg_ids != 0 if self.arg_has_null else np.ones(
-            arg_ids.shape, dtype=bool
-        )
-        if data.mask is not None:
-            valid = valid & data.mask
-        group_ids = data.group_ids[valid]
-        values = arg_ids[valid].astype(np.int64, copy=False)
-        if not group_ids.size:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        # Sort by (group, value); the first row per group is its min,
-        # the last its max — one vectorized pass, no scatter loop.
-        order = np.lexsort((values, group_ids))
-        sorted_groups = group_ids[order]
-        sorted_values = values[order]
+    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
+        # Sorted pair keys fall into one run per group: a run's first
+        # key holds the group's minimum argument, its last the maximum.
+        keys = _pair_keys(arg, *self._row_elements(data, arg))
+        keys.sort()
+        groups = keys // arg.chunk_dict.size
+        edge = np.ones(keys.size, dtype=bool)
         if self._is_min:
-            firsts = np.ones(sorted_groups.size, dtype=bool)
-            firsts[1:] = sorted_groups[1:] != sorted_groups[:-1]
-            return sorted_groups[firsts], sorted_values[firsts]
-        lasts = np.ones(sorted_groups.size, dtype=bool)
-        lasts[:-1] = sorted_groups[1:] != sorted_groups[:-1]
-        return sorted_groups[lasts], sorted_values[lasts]
+            edge[1:] = groups[1:] != groups[:-1]
+        else:
+            edge[:-1] = groups[1:] != groups[:-1]
+        return _pair_gids(data, arg, keys[edge])
 
     def apply(self, partial: Any) -> None:
         gids, values = partial
@@ -262,12 +290,16 @@ class _ExtremeAggregator(ColumnarAggregator):
         else:
             np.maximum.at(self.best, gids, values)
 
-    def results(self, present: np.ndarray) -> list[Any]:
-        sentinel = np.iinfo(np.int64).max if self._is_min else -1
-        out: list[Any] = []
-        for best in self.best[present]:
-            out.append(None if best == sentinel else self.dictionary.value(int(best)))
-        return out
+    def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The best *global-ids*: ranks, so they order as the values do."""
+        best = self.best[groups]
+        return best, best == self.sentinel
+
+    def decode(self, values: np.ndarray, null: np.ndarray) -> list[Any]:
+        return [
+            None if is_null else self.dictionary.value(best)
+            for best, is_null in zip(values.tolist(), null.tolist())
+        ]
 
 
 class MinAggregator(_ExtremeAggregator):
@@ -278,44 +310,40 @@ class MaxAggregator(_ExtremeAggregator):
     _is_min = False
 
 
-class CountDistinctAggregator(ColumnarAggregator):
+class _PairAggregator(ColumnarAggregator):
+    """COUNT DISTINCT, exact or sketched: a chunk's distinct pairs."""
+
+    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
+        """Sorted distinct ``group gid << 32 | argument gid`` of the chunk."""
+        keys = _pair_keys(arg, *self._row_elements(data, arg))
+        group_ids, arg_ids = _pair_gids(data, arg, _sorted_distinct(keys))
+        return (group_ids << 32) | arg_ids
+
+
+class CountDistinctAggregator(_PairAggregator):
     """Exact COUNT(DISTINCT x) via global (group, value) pair dedup."""
 
     def __init__(
         self, n_groups: int, dictionary: Dictionary, arg_has_null: bool
     ) -> None:
-        super().__init__(n_groups)
+        super().__init__(n_groups, arg_has_null)
         self.dictionary = dictionary
-        self.arg_has_null = arg_has_null
-        self._pair_chunks: list[np.ndarray] = []
-
-    def chunk_partial(
-        self, data: ChunkData, arg_ids: np.ndarray | None
-    ) -> Any:
-        valid = arg_ids != 0 if self.arg_has_null else np.ones(
-            arg_ids.shape, dtype=bool
-        )
-        if data.mask is not None:
-            valid = valid & data.mask
-        pairs = (
-            data.group_ids[valid].astype(np.int64, copy=False) << 32
-        ) | arg_ids[valid].astype(np.int64, copy=False)
-        return np.unique(pairs)
+        self._pair_chunks: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
 
     def apply(self, partial: Any) -> None:
         self._pair_chunks.append(partial)
 
-    def results(self, present: np.ndarray) -> list[int]:
-        if self._pair_chunks:
-            pairs = np.unique(np.concatenate(self._pair_chunks))
-            groups = (pairs >> 32).astype(np.int64)
-            counts = np.bincount(groups, minlength=self.n_groups)
-        else:
-            counts = np.zeros(self.n_groups, dtype=np.int64)
-        return [int(c) for c in counts[present]]
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every distinct (group gid, value gid) folded so far, in order."""
+        pairs = _sorted_distinct(np.concatenate(self._pair_chunks))
+        return pairs >> 32, pairs & 0xFFFFFFFF
+
+    def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.bincount(self.pairs()[0], minlength=self.n_groups)
+        return _never_null(counts[groups])
 
 
-class ApproxCountDistinctAggregator(ColumnarAggregator):
+class ApproxCountDistinctAggregator(_PairAggregator):
     """KMV-sketched COUNT DISTINCT (Section 5).
 
     Per chunk, the distinct (group, value) pairs are known from the
@@ -326,24 +354,10 @@ class ApproxCountDistinctAggregator(ColumnarAggregator):
     def __init__(
         self, n_groups: int, hash_units: np.ndarray, arg_has_null: bool, m: int
     ) -> None:
-        super().__init__(n_groups)
+        super().__init__(n_groups, arg_has_null)
         self.hash_units = hash_units  # per-gid hash in [0, 1)
-        self.arg_has_null = arg_has_null
         self.m = m
         self._sketches: dict[int, KmvSketch] = {}
-
-    def chunk_partial(
-        self, data: ChunkData, arg_ids: np.ndarray | None
-    ) -> Any:
-        valid = arg_ids != 0 if self.arg_has_null else np.ones(
-            arg_ids.shape, dtype=bool
-        )
-        if data.mask is not None:
-            valid = valid & data.mask
-        pairs = (
-            data.group_ids[valid].astype(np.int64, copy=False) << 32
-        ) | arg_ids[valid].astype(np.int64, copy=False)
-        return np.unique(pairs)
 
     def apply(self, partial: Any) -> None:
         if not partial.size:
@@ -362,12 +376,11 @@ class ApproxCountDistinctAggregator(ColumnarAggregator):
                 self._sketches[gid] = sketch
             sketch.add_hash_array(self.hash_units[value_ids[start:end]])
 
-    def results(self, present: np.ndarray) -> list[int]:
-        out: list[int] = []
-        for gid in np.flatnonzero(present):
-            sketch = self._sketches.get(int(gid))
-            out.append(sketch.estimate() if sketch is not None else 0)
-        return out
+    def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        estimates = np.zeros(self.n_groups, dtype=np.int64)
+        for gid, sketch in self._sketches.items():
+            estimates[gid] = sketch.estimate()
+        return _never_null(estimates[groups])
 
 
 def build_aggregator(
@@ -421,24 +434,14 @@ def build_aggregator(
 # "we cannot support count distinct by [associative rewrites]".
 
 
-def _presence_states(aggregator: PresenceAggregator, present: np.ndarray):
-    from repro.core.aggregation import CountStarState
+def _count_states(aggregator: PresenceAggregator, present: np.ndarray):
+    from repro.core.aggregation import CountStarState, CountValueState
 
+    of_values = isinstance(aggregator, CountValueAggregator)
     out = []
-    for count in aggregator.counts[present]:
-        state = CountStarState()
-        state.count = int(count)
-        out.append(state)
-    return out
-
-
-def _count_value_states(aggregator: CountValueAggregator, present: np.ndarray):
-    from repro.core.aggregation import CountValueState
-
-    out = []
-    for count in aggregator.counts[present]:
-        state = CountValueState()
-        state.count = int(count)
+    for count in aggregator.counts[present].tolist():
+        state = CountValueState() if of_values else CountStarState()
+        state.count = count
         out.append(state)
     return out
 
@@ -466,11 +469,10 @@ def _sum_states(aggregator: SumAggregator, present: np.ndarray):
 def _extreme_states(aggregator: _ExtremeAggregator, present: np.ndarray):
     from repro.core.aggregation import MaxState, MinState
 
-    sentinel = np.iinfo(np.int64).max if aggregator._is_min else -1
     out = []
     for best in aggregator.best[present]:
         state = MinState() if aggregator._is_min else MaxState()
-        if best != sentinel:
+        if best != aggregator.sentinel:
             state.best = aggregator.dictionary.value(int(best))
         out.append(state)
     return out
@@ -482,15 +484,10 @@ def _count_distinct_states(
     from repro.core.aggregation import CountDistinctState
 
     per_group: dict[int, set] = {}
-    if aggregator._pair_chunks:
-        pairs = np.unique(np.concatenate(aggregator._pair_chunks))
-        groups = (pairs >> 32).astype(np.int64)
-        value_ids = (pairs & 0xFFFFFFFF).astype(np.int64)
-        dictionary = aggregator.dictionary
-        for group, value_id in zip(groups, value_ids):
-            per_group.setdefault(int(group), set()).add(
-                dictionary.value(int(value_id))
-            )
+    dictionary = aggregator.dictionary
+    groups, value_ids = aggregator.pairs()
+    for group, value_id in zip(groups.tolist(), value_ids.tolist()):
+        per_group.setdefault(group, set()).add(dictionary.value(value_id))
     out = []
     for gid in np.flatnonzero(present):
         state = CountDistinctState()
@@ -518,10 +515,8 @@ def aggregator_states(
     aggregator: ColumnarAggregator, present: np.ndarray
 ) -> list[Any]:
     """Per-present-group mergeable AggStates for any aggregator."""
-    if isinstance(aggregator, CountValueAggregator):
-        return _count_value_states(aggregator, present)
-    if isinstance(aggregator, PresenceAggregator):
-        return _presence_states(aggregator, present)
+    if isinstance(aggregator, PresenceAggregator):  # covers CountValueAggregator
+        return _count_states(aggregator, present)
     if isinstance(aggregator, SumAggregator):  # covers AvgAggregator
         return _sum_states(aggregator, present)
     if isinstance(aggregator, _ExtremeAggregator):

@@ -15,14 +15,14 @@ The paper notes it profits "from a very useful property of both the
 global- as well as the chunk-dictionaries: the underlying values are
 sorted ascendingly", which enabled "a highly optimized data-structure
 for collecting and storing the smallest m hash values".
-:meth:`KmvSketch.add_hash_array` is that path: dictionary-resident
-hashes arrive as one vector and are folded in with a single partition
-instead of item-by-item comparisons.
+:meth:`KmvSketch.add_hash_array` is that path: the sketch *is* one
+sorted array of distinct hashes, and dictionary-resident hashes arrive
+as one vector that is folded in with a single concatenate, sort,
+adjacent-difference dedup and cut to ``m``.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Any
 
 import numpy as np
@@ -34,24 +34,25 @@ from repro.sketches.hashing import hash_to_unit
 class KmvSketch:
     """Keep the ``m`` smallest distinct hashes in [0, 1)."""
 
-    __slots__ = ("m", "_hashes", "_members")
+    __slots__ = ("m", "_hashes")
 
     def __init__(self, m: int = 4096) -> None:
         if m < 1:
             raise ExecutionError(f"KMV sketch size must be >= 1, got {m}")
         self.m = m
-        self._hashes: list[float] = []  # sorted ascending
-        self._members: set[float] = set()
+        # Sorted ascending, distinct, at most m long; replaced by every
+        # fold and never written in place, so copies may share it.
+        self._hashes = np.empty(0, dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self._hashes)
+        return int(self._hashes.size)
 
     @property
     def threshold(self) -> float:
         """Largest retained hash (1.0 while the sketch is not full)."""
-        if len(self._hashes) < self.m:
+        if self._hashes.size < self.m:
             return 1.0
-        return self._hashes[-1]
+        return float(self._hashes[-1])
 
     def add(self, value: Any) -> None:
         """Add a raw value (hashed internally)."""
@@ -59,36 +60,25 @@ class KmvSketch:
 
     def add_hash(self, hashed: float) -> None:
         """Add one pre-computed hash in [0, 1)."""
-        if hashed >= self.threshold or hashed in self._members:
-            return
-        bisect.insort(self._hashes, hashed)
-        self._members.add(hashed)
-        if len(self._hashes) > self.m:
-            evicted = self._hashes.pop()
-            self._members.discard(evicted)
+        if hashed < self.threshold:
+            self.add_hash_array(np.array([hashed], dtype=np.float64))
 
     def add_hash_array(self, hashes: np.ndarray) -> None:
         """Fold in a whole vector of hashes (the sorted-dictionary path).
 
         Used when a chunk's distinct values are known from its
-        (sorted) chunk-dictionary: their hashes arrive as one array and
-        only the candidate survivors are inserted.
+        (sorted) chunk-dictionary: their hashes arrive as one array.
         """
-        if not hashes.size:
-            return
-        candidates = hashes[hashes < self.threshold]
-        if not candidates.size:
-            return
-        if candidates.size > self.m:
-            candidates = np.partition(candidates, self.m - 1)[: self.m]
-        for hashed in np.unique(candidates):
-            self.add_hash(float(hashed))
+        merged = np.concatenate((self._hashes, hashes))
+        merged.sort()
+        keep = np.ones(merged.size, dtype=bool)
+        keep[1:] = merged[1:] != merged[:-1]
+        self._hashes = merged[np.flatnonzero(keep)[: self.m]]
 
     def copy(self) -> "KmvSketch":
-        """A detached clone (cheap: one list + one set copy)."""
+        """A detached clone (cheap: the hash array is shared, see above)."""
         out = KmvSketch(self.m)
-        out._hashes = list(self._hashes)
-        out._members = set(self._members)
+        out._hashes = self._hashes
         return out
 
     def merge(self, other: "KmvSketch") -> None:
@@ -97,12 +87,11 @@ class KmvSketch:
             raise ExecutionError(
                 f"cannot merge KMV sketches of sizes {self.m} and {other.m}"
             )
-        for hashed in other._hashes:
-            self.add_hash(hashed)
+        self.add_hash_array(other._hashes)
 
     def estimate(self) -> int:
         """Estimated number of distinct values added."""
-        if len(self._hashes) < self.m:
+        if self._hashes.size < self.m:
             # Not yet full: the sketch has seen every distinct hash.
-            return len(self._hashes)
-        return int(round(self.m / self._hashes[-1]))
+            return len(self)
+        return int(round(self.m / self.threshold))

@@ -841,9 +841,12 @@ def load_arena_store(path: str) -> DataStore:
     into file-backed pages, so a store larger than memory answers
     queries with only the touched pages resident (the paper's "load
     dynamically on first access", at page rather than file granularity).
+    The caller owns the store: every call maps the file anew, and the
+    mapping goes when the store does (:func:`attach_store` keeps its
+    per-process cache for executor workers only).
     """
     handle = ArenaHandle("mmap", os.path.abspath(path))
-    return attach_store(handle)
+    return ChunkArena.attach(handle).attached_store()
 
 
 # -- verification (FSCK011) -------------------------------------------------

@@ -117,7 +117,7 @@ def assert_results_equal(
 #: These slots fill *during* worker execution by design: chunk scans
 #: never share a chunk index across executor workers, so each memo has
 #: exactly one writer, and every fill is an idempotent decode of
-#: immutable encoded state (``FieldStore.row_global_ids``,
+#: immutable encoded state (``FieldStore.value_array``,
 #: ``Elements.as_array``). They are caches of derived data, not shared
 #: mutable state, and fingerprinting them would fail every parallel
 #: scan for behaviour that is correct by construction.

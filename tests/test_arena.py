@@ -12,7 +12,9 @@ path, and a no-leak lifecycle.
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -115,6 +117,27 @@ class TestMmapColdStore:
         )
         assert _rows(attached, sql) == _rows(store, sql)
         attached.arena.release()
+
+    def test_every_load_is_a_store_of_its_own(self, log_table, tmp_path):
+        path = str(tmp_path / "logs.arena")
+        save_arena(make_store(log_table), path)
+        first, second = load_arena_store(path), load_arena_store(path)
+        assert first is not second
+        assert first.arena is not second.arena
+        first.execute(_QUERIES[3])  # materializes date(timestamp) in `first` only
+        assert not any(field.virtual for field in second.fields.values())
+        for sql in _QUERIES:
+            assert _rows(first, sql) == _rows(second, sql), sql
+
+    def test_a_loaded_store_dies_with_its_last_reference(self, log_table, tmp_path):
+        path = str(tmp_path / "logs.arena")
+        save_arena(make_store(log_table), path)
+        loaded = load_arena_store(path)
+        loaded.execute(_QUERIES[0])
+        store_ref, arena_ref = weakref.ref(loaded), weakref.ref(loaded.arena)
+        del loaded
+        gc.collect()
+        assert store_ref() is None and arena_ref() is None
 
     def test_corrupt_file_raises_storage_error(self, tmp_path):
         path = str(tmp_path / "junk.arena")

@@ -216,3 +216,57 @@ def test_concurrent_first_touch_classifies_identically(log_table, passes):
         store.field(name)._chunk_dict_index is index
         for name, index in survivors.items()
     )
+
+
+# -- the work gate of the §2.4 loop: counts on the nine full_scan shapes -------
+
+
+def test_full_scan_shapes_sort_nothing_and_decode_only_survivors(
+    log_table, monkeypatch
+):
+    import numpy as np
+
+    from bench.workloads import CLASSES
+    from repro.core.datastore import FieldStore
+    from repro.storage.dictionary import Dictionary
+
+    store = make_store(log_table, cache_chunk_results=False)
+    # The warm-up pass materialises date(timestamp) and fills the memos.
+    expected = {query.name: store.execute(query.sql) for query in CLASSES}
+    calls = SimpleNamespace(unique=0, row_gids=0, decoded={})
+    unique, row_global_ids, value = np.unique, FieldStore.row_global_ids, Dictionary.value
+
+    def counted_unique(*args, **kwargs):
+        calls.unique += 1
+        return unique(*args, **kwargs)
+
+    def counted_row_gids(field, chunk_index):
+        calls.row_gids += 1
+        return row_global_ids(field, chunk_index)
+
+    def counted_value(dictionary, global_id):
+        calls.decoded[id(dictionary)] = calls.decoded.get(id(dictionary), 0) + 1
+        return value(dictionary, global_id)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(FieldStore, "row_global_ids", counted_row_gids)
+    monkeypatch.setattr(Dictionary, "value", counted_value)
+    for query in CLASSES:
+        calls.decoded.clear()
+        result = store.execute(query.sql)
+        assert result.content_equal(expected[query.name]), query.name
+        if not query.grouped:
+            continue
+        parsed = datastore_module.resolve_group_aliases(
+            datastore_module.parse_query(query.sql)
+        )
+        groups = store.field(store.ensure_field(parsed.group_by[0])).dictionary
+        assert len(groups) > query.limit, query.name
+        # k group values, not one per group; beyond them only multi_agg
+        # decodes anything: MIN and MAX of latency, k survivors each.
+        decoded = dict(calls.decoded)
+        assert decoded.pop(id(groups)) == query.limit, query.name
+        others = 2 * query.limit if query.name == "multi_agg" else 0
+        assert sum(decoded.values()) == others, query.name
+    assert calls.unique == 0
+    assert calls.row_gids == 0

@@ -492,6 +492,34 @@ class TestSeededFixtures:
         )
         assert report.ok
 
+    def test_rep012_imported_function_call_is_not_a_container_mutation(
+        self, tmp_path
+    ):
+        """``np.sort(x)`` calls a function of an imported module; only
+        ``.sort()`` on a module-level container writes shared state."""
+        source = """
+            import numpy as np
+            from bisect import insort as insert
+
+            shared_list = []
+
+            class Agg:
+                def chunk_partial(self, data):
+                    keys = np.sort(data)
+                    insert.update(keys)
+                    return np.add(keys, 1)
+            """
+        assert lint_snippet(tmp_path, source, select=["REP012"]).ok
+        dirty = lint_snippet(
+            tmp_path,
+            source.replace("keys = np.sort(data)", "shared_list.sort(); np.cache = 1"),
+            select=["REP012"],
+        )
+        assert sorted(f.message.split(" on a ")[0] for f in dirty.findings) == [
+            "Agg.chunk_partial writes to module-level 'np' (attr-store)",
+            "Agg.chunk_partial writes to module-level 'shared_list' via .sort()",
+        ]
+
     def test_rep013_set_iteration_in_merge(self, tmp_path):
         report = lint_snippet(
             tmp_path,

@@ -373,12 +373,9 @@ class TestFieldStoreMemos:
     )
 
     def _filled(self, field) -> set[str]:
-        filled = {
+        return {
             name for name in FieldStore._MEMO_ATTRS if getattr(field, name) is not None
         }
-        if all(slot is None for slot in field._row_gids):
-            filled.discard("_row_gids")
-        return filled
 
     def test_copies_and_pickles_drop_every_memo(self, log_table):
         store = make_store(log_table)
@@ -392,7 +389,6 @@ class TestFieldStoreMemos:
             assert self._filled(clone.field(name)) == set()
             revived = pickle.loads(pickle.dumps(field))
             assert self._filled(revived) == set()
-            assert len(revived._row_gids) == len(field.chunks)
             assert revived.size_bytes() == field.size_bytes()
         assert clone.execute(self._WARMING_QUERY).content_equal(expected)
 

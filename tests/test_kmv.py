@@ -1,5 +1,7 @@
 """KMV sketch tests — Section 5 "Count Distinct"."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,3 +104,65 @@ class TestKmvSketch:
         for value in values:
             sketch.add(value)
         assert sketch.estimate() == len(values)
+
+
+class _ScalarKmv:
+    """Insert-one-hash reference: the sorted list + member set the sketch was."""
+
+    def __init__(self, m):
+        self.m, self.hashes, self.members = m, [], set()
+
+    def add_hash(self, hashed):
+        threshold = self.hashes[-1] if len(self.hashes) >= self.m else 1.0
+        if hashed >= threshold or hashed in self.members:
+            return
+        bisect.insort(self.hashes, hashed)
+        self.members.add(hashed)
+        if len(self.hashes) > self.m:
+            self.members.discard(self.hashes.pop())
+
+    def estimate(self):
+        if len(self.hashes) < self.m:
+            return len(self.hashes)
+        return int(round(self.m / self.hashes[-1]))
+
+
+# Few distinct hashes, so streams repeat them within and across batches.
+_HASH_POOL = np.random.default_rng(2012).random(64)
+_batches = st.lists(
+    st.lists(st.integers(0, _HASH_POOL.size - 1), max_size=40), max_size=6
+)
+
+
+class TestArraySketchMatchesScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 8, 1024]), _batches, _batches, st.booleans())
+    def test_streams_and_merges(self, m, left, right, vectors):
+        def fill(batches):
+            sketch, reference = KmvSketch(m), _ScalarKmv(m)
+            for batch in batches:
+                hashes = _HASH_POOL[batch]
+                if vectors:
+                    sketch.add_hash_array(hashes)
+                else:
+                    for hashed in hashes.tolist():
+                        sketch.add_hash(hashed)
+                for hashed in hashes.tolist():
+                    reference.add_hash(hashed)
+            return sketch, reference
+
+        def same(sketch, reference):
+            assert sketch._hashes.dtype == np.float64
+            assert sketch._hashes.tolist() == reference.hashes
+            assert len(sketch) == len(reference.hashes)
+            assert sketch.estimate() == reference.estimate()
+
+        (sketch, reference), (other, other_reference) = fill(left), fill(right)
+        same(sketch, reference)
+        clone = sketch.copy()
+        sketch.merge(other)
+        for hashed in other_reference.hashes:
+            reference.add_hash(hashed)
+        same(sketch, reference)
+        same(other, other_reference)  # merging reads the other side only
+        assert clone._hashes.tolist() == fill(left)[1].hashes  # a copy is detached

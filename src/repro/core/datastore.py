@@ -699,6 +699,20 @@ class DataStore:
                 counters.increment("datastore.chunk_cache.invalidations")
                 self._chunk_cache.clear()
 
+    def _admit(self, entries: list[tuple[Any, Any, float]]) -> None:
+        """Put ``(key, value, weight)`` entries into the chunk cache."""
+        if not entries:
+            return
+        # One locked section, so the eviction delta is this query's own
+        # even when queries run concurrently.
+        with self._cache_lock:
+            evictions_before = self._chunk_cache.stats.evictions
+            for key, value, weight in entries:
+                self._chunk_cache.put(key, value, weight=weight)
+            evicted = self._chunk_cache.stats.evictions - evictions_before
+        if evicted:
+            counters.increment("datastore.chunk_cache.evictions", evicted)
+
     def __deepcopy__(self, memo: dict) -> "DataStore":
         """Deep-copy the encoded data; the clone gets fresh runtime state.
 
@@ -1086,7 +1100,8 @@ class DataStore:
         shard partials). ``candidates`` prunes the chunk loop to a
         proven-sound footprint (see :meth:`execute`).
         """
-        # Prepare: parse, bind, compile the restriction, pick the kernel.
+        # Prepare: parse, bind, find or compile the restriction, pick the
+        # kernel.
         parsed = parse_query(query) if isinstance(query, str) else query
         if parsed.table != self.options.table_name:
             raise ExecutionError(
@@ -1102,13 +1117,29 @@ class DataStore:
             return name
 
         stats = ScanStats(rows_total=self.n_rows, chunks_total=self.n_chunks)
-        restriction = compile_restriction(
-            parsed.where,
-            ensure,
-            lambda name: self.field(name).dictionary,
-            lambda name: self.field(name).chunk_dict_index(),
-            lambda name, index: self.field(name).element_array(index),
-        )
+        # One WHERE per click: the classification of the whole store is
+        # keyed on the WHERE's rendered text (which keeps 1 and 1.0
+        # apart, as the dictionary probes do) and lives in the chunk
+        # cache beside the partials it selects.
+        where_key = restriction = None
+        if self.options.cache_chunk_results and parsed.where is not None:
+            where_key = ("where", parsed.where.sql())
+            with self._cache_lock:
+                restriction = self._chunk_cache.get(where_key)
+        if restriction is None:
+            restriction = compile_restriction(
+                parsed.where,
+                self.ensure_field,
+                lambda name: self.field(name).dictionary,
+                lambda name: self.field(name).chunk_dict_index(),
+                lambda name, index: self.field(name).element_array(index),
+            )
+            counters.increment("datastore.restriction.compiled")
+            if where_key is not None:
+                self._admit([(where_key, restriction, restriction.size_bytes())])
+        else:
+            counters.increment("datastore.restriction.reused")
+        accessed.update(restriction.fields)
         kernel_class = (
             _GroupedKernel if is_aggregation_query(parsed) else _ProjectionKernel
         )
@@ -1205,22 +1236,15 @@ class DataStore:
             if position in unserved:
                 continue
             if cacheable:
-                admitted.append((chunk_index, partials))
-            ready.append((chunk_index, partials))
-        if admitted:
-            # One locked section, so the eviction delta is this
-            # query's own even when queries run concurrently.
-            with self._cache_lock:
-                evictions_before = self._chunk_cache.stats.evictions
-                for chunk_index, partials in admitted:
-                    self._chunk_cache.put(
+                admitted.append(
+                    (
                         (kernel.signature, chunk_index),
                         partials,
-                        weight=_partials_weight(partials),
+                        _partials_weight(partials),
                     )
-                evicted = self._chunk_cache.stats.evictions - evictions_before
-            if evicted:
-                counters.increment("datastore.chunk_cache.evictions", evicted)
+                )
+            ready.append((chunk_index, partials))
+        self._admit(admitted)
         ready.sort(key=lambda item: item[0])
         for __, partials in ready:
             kernel.fold(partials)
@@ -1358,9 +1382,13 @@ class _GroupedKernel(_ChunkKernel):
             np.zeros(self.store.chunk_row_counts[chunk_index], dtype=np.uint32),
         )
         data = ChunkData(group=group, mask=mask)
-        partials = [self.presence.chunk_partial(data, None)]
+        presence = self.presence.chunk_partial(data, None)
+        partials = [presence]
         for aggregator, arg in zip(self.aggregators, columns[1:]):
-            partials.append(aggregator.chunk_partial(data, arg))
+            # COUNT(*) has no argument: its partial is the presence one.
+            partials.append(
+                presence if arg is None else aggregator.chunk_partial(data, arg)
+            )
         return partials
 
     def fold(self, partials: list) -> None:

@@ -23,7 +23,7 @@ advantage the paper measures in its Query 1/3 experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
@@ -51,10 +51,17 @@ class ChunkData:
     ``group``: the group field's column (one entry, global-id 0, and
     all-zero elements when the query has no GROUP BY). ``mask``:
     boolean row filter, or None when the chunk is fully active.
+    ``group_rows``: the group chunk-ids of the rows the mask keeps,
+    gathered here once for every aggregator of the query.
     """
 
     group: ChunkColumn
     mask: np.ndarray | None
+    group_rows: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        elements = self.group.elements
+        self.group_rows = elements if self.mask is None else elements[self.mask]
 
 
 class ColumnarAggregator:
@@ -124,18 +131,17 @@ class ColumnarAggregator:
         Rows are selected by the mask, by a non-NULL argument, or both;
         with neither, the element arrays are handed on as they are.
         """
-        select = data.mask
+        mask = data.mask
         # NULL is global-id 0: chunk-id 0 of a chunk-dictionary that
         # starts at 0.
         if self.arg_has_null and arg.chunk_dict.size and arg.chunk_dict[0] == 0:
             valid = arg.elements != 0
-            select = valid if select is None else valid & select
-        if select is None:
-            return data.group.elements, None if arg is None else arg.elements
-        return (
-            data.group.elements[select],
-            None if arg is None else arg.elements[select],
-        )
+            if mask is not None:
+                valid &= mask
+            return data.group.elements[valid], arg.elements[valid]
+        if arg is None or mask is None:
+            return data.group_rows, None if arg is None else arg.elements
+        return data.group_rows, arg.elements[mask]
 
 
 def _group_counts(

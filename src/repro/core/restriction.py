@@ -20,12 +20,15 @@ special support when deciding which chunks and rows are active:
    bottom-up. A field's chunk-dictionaries are one (gid, chunk) column
    in CSR form (:class:`ChunkDictIndex`), so a leaf answers *all*
    chunks with one gather of ``t`` / ``n`` through the flat gid array
-   and one segmented reduction per vector, once per query. "No row may
-   be true" -> the chunk is **skipped** without touching its elements;
-   "every row definitely true" -> the chunk is **fully active** (its
-   result is cacheable). Otherwise an exact per-row mask is computed by
-   gathering the chunk's slice of the leaf vectors through the elements
-   arrays and composing Kleene logic at row level.
+   and one segmented reduction per vector. "No row may be true" -> the
+   chunk is **skipped** without touching its elements; "every row
+   definitely true" -> the chunk is **fully active** (its result is
+   cacheable). Otherwise an exact per-row mask is computed by gathering
+   the chunk's slice of the leaf vectors through the elements arrays
+   and composing Kleene logic at row level.
+4. All of that happens once, when the WHERE is compiled: the product is
+   a :class:`Restriction`, one immutable decision per chunk of the
+   store, which every query carrying the same WHERE can read.
 
 Skipping is sound: the summary algebra only ever over-approximates the
 set of possible row outcomes, so a skipped chunk provably contains no
@@ -119,14 +122,13 @@ class _Leaf(_Node):
         self._t = t_mask
         self._n = n_mask
         self._index = index
-        self._dict_t = self._dict_n = None  # filled by outcomes()
 
     def outcomes(self) -> _Outcomes:
-        # The one gather of a query: (t, n) per chunk-dictionary entry of
-        # every chunk, kept so row_vectors slices instead of re-gathering.
+        # One gather for the whole store: (t, n) per chunk-dictionary
+        # entry of every chunk.
         index = self._index
-        t = self._dict_t = self._t.take(index.gids)
-        n = self._dict_n = self._n.take(index.gids)
+        t = self._t.take(index.gids)
+        n = self._n.take(index.gids)
         false = ~(t | n)
         return _Outcomes(
             may_true=index.reduce(np.logical_or, t),
@@ -137,11 +139,15 @@ class _Leaf(_Node):
         )
 
     def row_vectors(self, chunk_index, element_arrays):
-        offsets = self._index.offsets
-        chunk = slice(offsets[chunk_index], offsets[chunk_index + 1])
+        index = self._index
+        chunk_dict = index.gids[
+            index.offsets[chunk_index] : index.offsets[chunk_index + 1]
+        ]
         elements = element_arrays(self.field, chunk_index)
-        t, n = self._dict_t[chunk], self._dict_n[chunk]
-        return t.take(elements), n.take(elements)
+        return (
+            self._t.take(chunk_dict).take(elements),
+            self._n.take(chunk_dict).take(elements),
+        )
 
 
 class _Binary(_Node):
@@ -209,42 +215,61 @@ class _Not(_Node):
 
 
 class Restriction:
-    """A compiled WHERE clause, ready for per-chunk decisions."""
+    """A classified WHERE clause: one immutable decision per chunk.
+
+    Nothing is filled in after construction, so one instance may serve
+    any number of queries (and threads) that carry the same WHERE.
+    ``fields`` names what the WHERE read, for the queries' accounting.
+    """
 
     def __init__(
         self,
-        root: _Node | None,
-        element_arrays: Callable[[str, int], np.ndarray],
+        decisions: list[ChunkDecision] | None,
+        fields: tuple[str, ...] = (),
     ) -> None:
-        self._root = root
-        self._element_arrays = element_arrays
-        # The root's may_true / all_true per chunk, filled by the first
-        # decide() of the query: the vector pass is classification time.
-        self._may_true: list[bool] | None = None
-        self._all_true: list[bool] = []
+        self._decisions = decisions  # None: no WHERE, every chunk is FULL
+        self.fields = fields
 
     @property
     def unrestricted(self) -> bool:
-        return self._root is None
+        return self._decisions is None
 
     def decide(self, chunk_index: int) -> ChunkDecision:
         """Skip / full / partial decision (with row mask) for one chunk."""
-        if self._root is None:
+        if self._decisions is None:
             return _FULL
-        if self._may_true is None:
-            outcomes = self._root.outcomes()
-            self._all_true = outcomes.all_true.tolist()
-            self._may_true = outcomes.may_true.tolist()
-        if not self._may_true[chunk_index]:
-            return _SKIP
-        if self._all_true[chunk_index]:
-            return _FULL
-        row_mask, __ = self._root.row_vectors(chunk_index, self._element_arrays)
+        return self._decisions[chunk_index]
+
+    def size_bytes(self) -> int:
+        """Resident bytes: one reference per chunk plus the PARTIAL masks."""
+        decisions = self._decisions or ()
+        return 64 + 8 * len(decisions) + sum(
+            64 + decision.row_mask.nbytes
+            for decision in decisions
+            if decision.row_mask is not None
+        )
+
+
+def _classify(
+    root: _Node, element_arrays: Callable[[str, int], np.ndarray]
+) -> list[ChunkDecision]:
+    """Decide every chunk of the store: the vector pass, then row masks."""
+    outcomes = root.outcomes()
+    all_true = outcomes.all_true.tolist()
+    decisions = [_SKIP] * len(all_true)
+    for chunk_index in np.flatnonzero(outcomes.may_true).tolist():
+        if all_true[chunk_index]:
+            decisions[chunk_index] = _FULL
+            continue
+        row_mask, __ = root.row_vectors(chunk_index, element_arrays)
         if not row_mask.any():
-            return _SKIP
+            continue
         if row_mask.all():
-            return _FULL
-        return ChunkDecision(ChunkStatus.PARTIAL, row_mask)
+            decisions[chunk_index] = _FULL
+        else:
+            row_mask.setflags(write=False)
+            decisions[chunk_index] = ChunkDecision(ChunkStatus.PARTIAL, row_mask)
+    return decisions
 
 
 # -- leaf mask construction ---------------------------------------------------
@@ -336,21 +361,13 @@ def _leaf_masks_truthy(dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
 # -- compilation ---------------------------------------------------------------
 
 
-def compile_restriction(
-    where: Expr | None,
+def _compile_tree(
+    where: Expr,
     ensure_field: Callable[[Expr], str],
     dictionary_of: Callable[[str], Dictionary],
     chunk_dict_index_of: Callable[[str], ChunkDictIndex],
-    element_arrays: Callable[[str, int], np.ndarray],
-) -> Restriction:
-    """Compile a WHERE expression into a :class:`Restriction`.
-
-    ``ensure_field`` materializes an arbitrary scalar expression as a
-    (virtual) field and returns its name — the hook into the
-    datastore's virtual-field machinery. ``chunk_dict_index_of`` returns
-    a field's (memoised) chunk-dictionary index, ``element_arrays`` the
-    dense chunk-id array of (field, chunk).
-    """
+) -> _Node:
+    """Normalize a WHERE expression into a tree of leaf predicates."""
 
     def leaf(operand: Expr, masks_of: Callable[..., Any], *args: Any) -> _Leaf:
         field = ensure_field(operand)
@@ -380,5 +397,32 @@ def compile_restriction(
         # arithmetic): materialize the whole predicate and test truthiness.
         return leaf(expr, _leaf_masks_truthy)
 
-    root = None if where is None else compile_node(where)
-    return Restriction(root, element_arrays)
+    return compile_node(where)
+
+
+def compile_restriction(
+    where: Expr | None,
+    ensure_field: Callable[[Expr], str],
+    dictionary_of: Callable[[str], Dictionary],
+    chunk_dict_index_of: Callable[[str], ChunkDictIndex],
+    element_arrays: Callable[[str, int], np.ndarray],
+) -> Restriction:
+    """Compile a WHERE expression and classify the whole store with it.
+
+    ``ensure_field`` materializes an arbitrary scalar expression as a
+    (virtual) field and returns its name — the hook into the
+    datastore's virtual-field machinery. ``chunk_dict_index_of`` returns
+    a field's (memoised) chunk-dictionary index, ``element_arrays`` the
+    dense chunk-id array of (field, chunk).
+    """
+    if where is None:
+        return Restriction(None)
+    fields: set[str] = set()
+
+    def ensure(expr: Expr) -> str:
+        name = ensure_field(expr)
+        fields.add(name)
+        return name
+
+    root = _compile_tree(where, ensure, dictionary_of, chunk_dict_index_of)
+    return Restriction(_classify(root, element_arrays), tuple(sorted(fields)))

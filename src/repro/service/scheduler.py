@@ -19,6 +19,10 @@ the tentpole's contract:
 
 All waits are bounded (condition waits with timeouts); the scheduler
 never sleeps and never blocks forever.
+
+Fairness is stated on a logical clock, not in seconds: the scheduler
+counts its picks, and every pick reports how many *turns* the item
+waited — picks of other tenants between its offer and its own pick.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.errors import ServiceError
 class _TenantState:
     """One tenant's queue and scheduling credit (guarded by the lock)."""
 
-    __slots__ = ("name", "weight", "queue", "inflight", "credit")
+    __slots__ = ("name", "weight", "queue", "inflight", "credit", "picks")
 
     def __init__(self, name: str, weight: int, queue_depth: int) -> None:
         self.name = name
@@ -43,6 +47,7 @@ class _TenantState:
         self.queue: deque = deque(maxlen=queue_depth)
         self.inflight = 0
         self.credit = 0
+        self.picks = 0
 
 
 class FairScheduler:
@@ -66,6 +71,7 @@ class FairScheduler:
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._tenants: dict[str, _TenantState] = {}
+        self._picks = 0  # the logical clock: every pick made, any tenant
         self._closed = False
 
     # -- tenant management (lock held in callers below) ------------------------
@@ -94,7 +100,9 @@ class FairScheduler:
             state = self._state(tenant)
             if len(state.queue) >= self._queue_depth:
                 return False
-            state.queue.append(item)
+            # Queued with the other tenants' picks so far; _pick reads
+            # the same difference again and reports what was added.
+            state.queue.append((item, self._picks - state.picks))
             self._ready.notify()
             return True
 
@@ -106,7 +114,7 @@ class FairScheduler:
             if state.queue and state.inflight < self._max_inflight
         ]
 
-    def _pick(self) -> tuple[str, Any] | None:
+    def _pick(self) -> tuple[str, Any, int] | None:
         eligible = self._eligible()
         if not eligible:
             return None
@@ -118,13 +126,18 @@ class FairScheduler:
         best = max(eligible, key=lambda state: (state.credit, state.name))
         best.credit -= total
         best.inflight += 1
-        return best.name, best.queue.popleft()
+        item, others_at_offer = best.queue.popleft()
+        turns_waited = self._picks - best.picks - others_at_offer
+        self._picks += 1
+        best.picks += 1
+        return best.name, item, turns_waited
 
-    def take(self, timeout: float) -> tuple[str, Any] | None:
-        """The next ``(tenant, item)`` to serve, or None after ``timeout``.
+    def take(self, timeout: float) -> tuple[str, Any, int] | None:
+        """The next ``(tenant, item, turns_waited)``, or None after ``timeout``.
 
-        The wait is bounded: workers poll this in their loop, checking
-        their own stop signal between calls.
+        ``turns_waited`` counts the picks of *other* tenants made since
+        the item was offered. The wait is bounded: workers poll this in
+        their loop, checking their own stop signal between calls.
         """
         with self._ready:
             picked = self._pick()
@@ -170,5 +183,5 @@ class FairScheduler:
             leftovers: list[tuple[str, Any]] = []
             for name, state in sorted(self._tenants.items()):
                 while state.queue:
-                    leftovers.append((name, state.queue.popleft()))
+                    leftovers.append((name, state.queue.popleft()[0]))
         return iter(leftovers)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.core.datastore import DataStore
@@ -86,6 +86,9 @@ class QueryOutcome:
     sql: str
     queue_seconds: float
     total_seconds: float
+    #: Picks of other tenants between this query's admission and its
+    #: own dispatch (the scheduler's logical clock); 0 if never queued.
+    turns_waited: int = field(default=0, kw_only=True)
 
 
 @dataclass
@@ -267,13 +270,16 @@ class QueryService:
             picked = self._scheduler.take(self.config.dispatch_poll_seconds)
             if picked is None:
                 continue
-            tenant, request = picked
+            tenant, request, turns_waited = picked
             try:
-                self._serve(request)
+                outcome = self._serve(request, turns_waited)
             finally:
                 self._scheduler.complete(tenant)
+            # The slot is free before the caller learns the outcome: a
+            # closed-loop client's next query is eligible when offered.
+            request.ticket._resolve(outcome)
 
-    def _serve(self, request: _Request) -> None:
+    def _serve(self, request: _Request, turns_waited: int) -> QueryOutcome:
         started = time.perf_counter()
         queue_seconds = started - request.submitted
         fingerprint = query_fingerprint(request.query)
@@ -297,17 +303,15 @@ class QueryService:
             except ReproError as error:
                 self._count("failed")
                 counters.increment("service.failed")
-                request.ticket._resolve(
-                    QueryFailed(
-                        tenant=request.tenant,
-                        session=request.session,
-                        sql=request.sql,
-                        queue_seconds=queue_seconds,
-                        total_seconds=time.perf_counter() - request.submitted,
-                        error=str(error),
-                    )
+                return QueryFailed(
+                    tenant=request.tenant,
+                    session=request.session,
+                    sql=request.sql,
+                    queue_seconds=queue_seconds,
+                    total_seconds=time.perf_counter() - request.submitted,
+                    turns_waited=turns_waited,
+                    error=str(error),
                 )
-                return
             if self._cache is not None:
                 self._cache.admit(
                     fingerprint, conjuncts, result, request.session
@@ -321,16 +325,15 @@ class QueryService:
         total_seconds = time.perf_counter() - request.submitted
         with self._collector_lock:
             self._collector.record(result, latency_seconds=total_seconds)
-        request.ticket._resolve(
-            QueryCompleted(
-                tenant=request.tenant,
-                session=request.session,
-                sql=request.sql,
-                queue_seconds=queue_seconds,
-                total_seconds=total_seconds,
-                result=result,
-                cache_path=cache_path,
-            )
+        return QueryCompleted(
+            tenant=request.tenant,
+            session=request.session,
+            sql=request.sql,
+            queue_seconds=queue_seconds,
+            total_seconds=total_seconds,
+            turns_waited=turns_waited,
+            result=result,
+            cache_path=cache_path,
         )
 
     def _execute(

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+import re
+from typing import Any, NamedTuple, NoReturn
 
 from repro.errors import SqlSyntaxError
 
@@ -24,106 +24,101 @@ class TokenKind(enum.Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class Token:
+# Bound once: member access on an Enum class is a slow path before 3.12.
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_NUMBER_KIND = TokenKind.NUMBER
+_STRING = TokenKind.STRING
+_SYMBOL = TokenKind.SYMBOL
+_END = TokenKind.END
+
+
+class Token(NamedTuple):
     kind: TokenKind
     value: Any
-    position: int
+    position: int  # the end of a STRING / NUMBER, the start of anything else
 
     def is_keyword(self, word: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.value == word
+        return self.kind is _KEYWORD and self.value == word
 
     def is_symbol(self, symbol: str) -> bool:
-        return self.kind is TokenKind.SYMBOL and self.value == symbol
+        return self.kind is _SYMBOL and self.value == symbol
 
 
-_SYMBOLS = ("!=", "<=", ">=", "=", "<", ">", "(", ")", ",", "*", "+", "-", "/", ";")
+# Digits, at most one dot, at most one exponent after it. ``\d`` is a
+# decimal digit, which is what int() and float() read.
+_FLOAT = r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d*)?|\d+[eE][+-]?\d*"
+_NUMBER = re.compile(rf"{_FLOAT}|\d+")
+
+# One token per match. The alternatives are tried in this order and one
+# of the last two always matches, so the leading ``\s*`` never gives
+# anything back. A string's closing quote is optional for the same
+# reason: an unterminated literal is one match to report, not a shorter
+# literal found by backtracking out of a ``''``. ``name`` is a word that
+# starts outside ASCII; whether with a letter is checked on the match.
+_TOKEN = re.compile(
+    rf"""\s*(?:
+      (?P<symbol> !=|<=|>=|[=<>(),*+\-/;] )
+    | (?P<string> '[^']*(?:''[^']*)*(?P<closed>')? )
+    | (?P<word>   [A-Za-z_]\w* )
+    | (?P<float>  {_FLOAT} )
+    | (?P<int>    \d+ )
+    | (?P<name>   \w+ )
+    | (?P<end>    \Z )
+    | (?P<other>  . )
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; always ends with an END token."""
     tokens: list[Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        char = text[pos]
-        if char.isspace():
-            pos += 1
-            continue
-        if char == "'":
-            value, pos = _read_string(text, pos)
-            tokens.append(Token(TokenKind.STRING, value, pos))
-            continue
-        if char.isdigit() or (
-            char == "." and pos + 1 < n and text[pos + 1].isdigit()
-        ):
-            value, pos = _read_number(text, pos)
-            tokens.append(Token(TokenKind.NUMBER, value, pos))
-            continue
-        if char.isalpha() or char == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            word = text[start:pos]
-            upper = word.upper()
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        start = match.start(kind)
+        if kind == "symbol":
+            append(Token(_SYMBOL, value, start))
+        elif kind == "word" or (kind == "name" and value[0].isalpha()):
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, start))
+                append(Token(_KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, start))
-            continue
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, pos):
-                tokens.append(Token(TokenKind.SYMBOL, symbol, pos))
-                pos += len(symbol)
-                break
+                append(Token(_IDENT, value, start))
+        elif kind == "string":
+            if match["closed"] is None:
+                raise SqlSyntaxError("unterminated string literal", start)
+            append(Token(_STRING, value[1:-1].replace("''", "'"), match.end()))
+        elif kind in ("float", "int"):
+            end = match.end()
+            if text[end : end + 1].isdigit():
+                _reject(text, start)
+            try:
+                number = float(value) if kind == "float" else int(value)
+            except ValueError:
+                raise SqlSyntaxError(f"malformed number {value!r}", start) from None
+            append(Token(_NUMBER_KIND, number, end))
+        elif kind == "end":
+            append(Token(_END, None, start))
+            break  # the end matches again, after trailing white space
         else:
-            raise SqlSyntaxError(f"unexpected character {char!r}", pos)
-    tokens.append(Token(TokenKind.END, None, n))
+            _reject(text, start)
     return tokens
 
 
-def _read_string(text: str, pos: int) -> tuple[str, int]:
-    """Read a single-quoted string with '' as the escape for a quote."""
-    start = pos
-    pos += 1
-    pieces: list[str] = []
-    n = len(text)
-    while pos < n:
-        char = text[pos]
-        if char == "'":
-            if pos + 1 < n and text[pos + 1] == "'":
-                pieces.append("'")
-                pos += 2
-                continue
-            return "".join(pieces), pos + 1
-        pieces.append(char)
-        pos += 1
-    raise SqlSyntaxError("unterminated string literal", start)
+def _reject(text: str, start: int) -> NoReturn:
+    """Raise for the token at ``start``, which ``_TOKEN`` could not read.
 
-
-def _read_number(text: str, pos: int) -> tuple[int | float, int]:
-    start = pos
-    n = len(text)
-    seen_dot = False
-    seen_exp = False
-    while pos < n:
-        char = text[pos]
-        if char.isdigit():
-            pos += 1
-        elif char == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            pos += 1
-        elif char in "eE" and not seen_exp and pos > start:
-            seen_exp = True
-            pos += 1
-            if pos < n and text[pos] in "+-":
-                pos += 1
-        else:
-            break
-    raw = text[start:pos]
-    try:
-        if seen_dot or seen_exp:
-            return float(raw), pos
-        return int(raw), pos
-    except ValueError:
-        raise SqlSyntaxError(f"malformed number {raw!r}", start) from None
+    Either no token starts with that character, or it is a number with
+    a digit in it that is not a decimal one (``²``): str.isdigit() knows
+    more digits than ``\\d``, int() and float() do. Such a number is
+    malformed as far as it runs with every digit counted as one.
+    """
+    rest = text[start:]
+    if not (rest[0].isdigit() or (rest[0] == "." and rest[1:2].isdigit())):
+        raise SqlSyntaxError(f"unexpected character {rest[0]!r}", start)
+    levelled = "".join("0" if char.isdigit() else char for char in rest)
+    raw = rest[: _NUMBER.match(levelled).end()]
+    raise SqlSyntaxError(f"malformed number {raw!r}", start)

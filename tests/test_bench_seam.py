@@ -21,9 +21,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import datastore as datastore_module
+from repro.monitoring import counters
+from repro.sql.parser import parse_query
 from repro.workload.queries import QUERY_1
 
+from tests import restriction_oracle
 from tests.conftest import make_store
+from tests.test_restriction import _tree
 
 _ROOT = Path(__file__).resolve().parents[1]
 if str(_ROOT) not in sys.path:  # ``bench`` is a top-level package there
@@ -130,23 +134,29 @@ def _restricted_queries(store) -> list[str]:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts every leaf's vector pass and every chunk-dictionary index built."""
+    """Counts every leaf's vector pass, every row mask a leaf contributes
+    to and every chunk-dictionary index built."""
     from repro.core.restriction import _Leaf
     from repro.storage.chunk import ChunkDictIndex
 
     # The objects themselves are kept, so no two of them share an id().
-    seen = SimpleNamespace(leaves=[], indexes=[])
-    leaf_outcomes = _Leaf.outcomes
+    seen = SimpleNamespace(leaves=[], row_vectors=[], indexes=[])
+    leaf_outcomes, leaf_row_vectors = _Leaf.outcomes, _Leaf.row_vectors
 
     def counted_outcomes(leaf):
         seen.leaves.append(leaf)
         return leaf_outcomes(leaf)
+
+    def counted_row_vectors(leaf, chunk_index, element_arrays):
+        seen.row_vectors.append((leaf, chunk_index))
+        return leaf_row_vectors(leaf, chunk_index, element_arrays)
 
     def counted_index(chunk_dicts):
         seen.indexes.append(ChunkDictIndex(chunk_dicts))
         return seen.indexes[-1]
 
     monkeypatch.setattr(_Leaf, "outcomes", counted_outcomes)
+    monkeypatch.setattr(_Leaf, "row_vectors", counted_row_vectors)
     monkeypatch.setattr(datastore_module, "ChunkDictIndex", counted_index)
     return seen
 
@@ -216,6 +226,102 @@ def test_concurrent_first_touch_classifies_identically(log_table, passes):
         store.field(name)._chunk_dict_index is index
         for name, index in survivors.items()
     )
+
+
+# -- the work gate of a click: one classification for its twenty queries -------
+
+
+def _click(store) -> list[str]:
+    """Twenty queries around the WHERE of one of ``_restricted_queries``."""
+    where = parse_query(_restricted_queries(store)[3]).where.sql()
+    metrics = ["COUNT(*)", "COUNT(latency)", "COUNT(DISTINCT user_name)"]
+    metrics += [f"{name}(latency)" for name in ("SUM", "AVG", "MIN", "MAX")]
+    return [
+        f"SELECT {group}, {metric} AS m FROM data WHERE {where} GROUP BY {group}"
+        for group in ("country", "table_name", "user_name")
+        for metric in metrics
+    ][:20]
+
+
+def _undecided_chunks(store, query: str) -> list[int]:
+    """The chunks the vector pass leaves to a row mask (per-chunk oracle)."""
+    root = _tree(store, parse_query(query).where)
+    summaries = [
+        restriction_oracle.summary(root, store, chunk_index)
+        for chunk_index in range(store.n_chunks)
+    ]
+    return [i for i, s in enumerate(summaries) if s.may_true and not s.all_true]
+
+
+def test_a_click_classifies_its_where_once(log_table, tracer, passes):
+    store = make_store(log_table)
+    click = _click(store)
+    for query in click:
+        store.execute(query)
+    assert tracer.aggregate()["restriction.compile"].calls == 1
+    assert len(passes.leaves) == 3
+    undecided = _undecided_chunks(store, click[0])
+    assert len(undecided) > 1
+    assert sorted((id(leaf), i) for leaf, i in passes.row_vectors) == sorted(
+        (id(leaf), i) for leaf in passes.leaves for i in undecided
+    )
+    # Still the per-chunk door, once per candidate chunk and query.
+    assert tracer.tallies["restriction.decide"].calls == 20 * store.n_chunks
+    # A store that remembers nothing runs, every time, what a hit skips.
+    forgetful = make_store(log_table, cache_chunk_results=False)
+    for query in click:
+        forgetful.execute(query)
+    assert tracer.aggregate()["restriction.compile"].calls == 1 + 20
+    assert len(passes.leaves) == 3 + 20 * 3
+    assert len(passes.row_vectors) == (1 + 20) * 3 * len(undecided)
+    assert tracer.tallies["restriction.decide"].calls == 2 * 20 * store.n_chunks
+
+
+def test_concurrent_first_touch_of_a_where_leaves_one_classification(log_table):
+    reference_store = make_store(log_table, cache_chunk_results=False)
+    click = _click(reference_store)
+    expected = {query: reference_store.execute(query) for query in click}
+    store = make_store(log_table)
+    for query in click:  # fill the partials' cache under another WHERE
+        store.execute(query.replace("latency > 300", "latency > 200"))
+    key = ("where", parse_query(click[0]).where.sql())
+    assert key not in store.chunk_cache
+    results: dict[int, list] = {}
+    barrier = threading.Barrier(4)
+
+    def client(worker: int) -> None:
+        barrier.wait(timeout=60)
+        rotated = click[5 * worker :] + click[: 5 * worker]
+        results[worker] = [(q, store.execute(q)) for q in rotated]
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for answered in results.values():
+        for query, result in answered:
+            assert result.content_equal(expected[query])
+            assert result.stats.active_chunks == expected[query].stats.active_chunks
+            assert result.stats.fields_accessed == expected[query].stats.fields_accessed
+    # Racing threads may each have classified; the last put is what
+    # stayed, and every later query of the click reads that one.
+    published = store.chunk_cache.get(key)
+    assert published is not None
+    reused_before = counters.get("datastore.restriction.reused")
+    compiled_before = counters.get("datastore.restriction.compiled")
+    for query in click:
+        assert store.execute(query).content_equal(expected[query])
+    assert counters.get("datastore.restriction.reused") == reused_before + 20
+    assert counters.get("datastore.restriction.compiled") == compiled_before
+    assert store.chunk_cache.get(key) is published
 
 
 # -- the work gate of the §2.4 loop: counts on the nine full_scan shapes -------

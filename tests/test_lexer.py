@@ -1,9 +1,13 @@
 """Tokenizer tests."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SqlSyntaxError
 from repro.sql.lexer import TokenKind, tokenize
+
+from tests import lexer_oracle
+from tests.test_prop_sql import _queries
 
 
 class TestTokenize:
@@ -56,3 +60,41 @@ class TestTokenize:
         assert token.is_keyword("SELECT")
         assert not token.is_keyword("FROM")
         assert not token.is_symbol("(")
+
+
+# -- the pattern-driven tokenizer against the character loop it replaced -------
+
+
+def _outcome(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except SqlSyntaxError as error:
+        return str(error), error.position
+
+
+@settings(max_examples=200, deadline=None)
+@given(_queries())
+def test_generated_queries_tokenize_as_the_character_loop_did(query):
+    text = query.sql()
+    assert tokenize(text) == lexer_oracle.tokenize(text)
+
+
+# Quotes, dots, exponents and signs next to digits of three kinds: ASCII,
+# decimal elsewhere (``٣``, which int() reads) and not decimal (``²``,
+# ``½``, which it does not), among letters, white space and stray symbols.
+_FRAGMENTS = st.sampled_from(
+    ["'", "''", ".", "e", "E", "+", "-", "1", "0", "42", "٣", "²", "½", "é", "_"]
+    + [" ", "\n", "\x1c", "\u3000", "a", "Z9", "!=", "<=", "!", "@", "#", ";", "("]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_FRAGMENTS | st.text(max_size=3), max_size=12).map("".join))
+@example("'it''s' 'oops")
+@example("'a''")
+@example("1e")
+@example("1e+ .5 1.2.3 1..2 1.e5")
+@example("1² .² 1e² ½ 1½ a² é1 ٣")
+@example("a @ b")
+def test_any_text_tokenizes_or_fails_as_the_character_loop_did(text):
+    assert _outcome(tokenize, text) == _outcome(lexer_oracle.tokenize, text)

@@ -142,6 +142,173 @@ def test_drilldown_session_agrees_through_every_door(
         footprint = log_store.execute(click[0]).stats.active_chunks
 
 
+# -- one WHERE per click: a click's queries share one classification -----------
+
+#: SELECT shapes a click puts around its one WHERE.
+_CLICK_SHAPES = (
+    "SELECT country, COUNT(*) AS c FROM data WHERE {where} GROUP BY country",
+    "SELECT table_name, SUM(latency) AS s, COUNT(*) AS c FROM data "
+    "WHERE {where} GROUP BY table_name ORDER BY c DESC LIMIT 5",
+    "SELECT user_name, latency FROM data WHERE {where}",
+    "SELECT COUNT(DISTINCT user_name) AS u, MAX(latency) AS hi FROM data WHERE {where}",
+    "SELECT date(timestamp) AS d, COUNT(*) AS c FROM data WHERE {where} GROUP BY d",
+)
+
+
+def _where_key(query: str) -> tuple:
+    return ("where", parse_query(query).where.sql())
+
+
+def _assert_same_answer_and_footprint(result, reference, query) -> None:
+    assert result.content_equal(reference), query
+    ours, theirs = result.stats, reference.stats
+    assert ours.active_chunks == theirs.active_chunks, query
+    assert ours.chunks_skipped == theirs.chunks_skipped, query
+    assert ours.rows_skipped == theirs.rows_skipped, query
+    assert ours.fields_accessed == theirs.fields_accessed, query
+    # The reference scans what the caching store may serve from its cache.
+    assert ours.rows_cached + ours.rows_scanned == theirs.rows_scanned, query
+    assert theirs.rows_cached == 0
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    thresholds=st.lists(st.sampled_from([0, 50, 500, 5000]), min_size=3, max_size=3),
+    doors=st.lists(st.sampled_from(["execute", "pruned", "partials"]), min_size=5, max_size=5),
+)
+def test_a_clicks_queries_share_one_classification(log_table, seed, thresholds, doors):
+    """Every query of a click agrees with a store that remembers nothing."""
+    store = make_store(log_table)
+    reference_store = make_store(log_table, cache_chunk_results=False)
+    [session] = generate_drilldown_session_groups(
+        log_table,
+        DrillDownConfig(n_sessions=1, clicks_per_session=3, queries_per_click=1, seed=seed),
+    )
+    footprint = None
+    # Ascending thresholds: each click refines the one before it, so its
+    # footprint is a sound candidate set for the next.
+    for [click_query], threshold in zip(session, sorted(thresholds)):
+        conjuncts = [f"latency > {threshold}"]
+        if (generated := parse_query(click_query).where) is not None:
+            conjuncts.append(generated.sql())
+        where = " AND ".join(conjuncts)
+        reused_before = counters.get("datastore.restriction.reused")
+        for shape, door in zip(_CLICK_SHAPES, doors):
+            query = shape.format(where=where)
+            reference = reference_store.execute(query)
+            if door == "execute":
+                result = store.execute(query)
+            elif door == "pruned":
+                result = store.execute(query, candidate_chunks=footprint)
+            else:
+                result = _through_partials(store, query)
+            _assert_same_answer_and_footprint(result, reference, query)
+        # The first query classified (unless the click before left the
+        # same WHERE behind), the others found its entry. The first
+        # click's last one then drops it, materialising date(timestamp).
+        reused = counters.get("datastore.restriction.reused") - reused_before
+        assert reused >= len(_CLICK_SHAPES) - 1
+        assert len(reference_store.chunk_cache) == 0
+        footprint = reference.stats.active_chunks
+
+
+def test_int_and_float_literals_classify_apart(log_table):
+    """``1`` and ``1.0`` compare and hash equal as AST literals; the
+    dictionary probes tell them apart, and so do the entries' keys."""
+    store = make_store(log_table)
+    reference_store = make_store(log_table, cache_chunk_results=False)
+    latency = next(
+        v for v in store.field("latency").dictionary.values() if v is not None
+    )
+    queries = [
+        f"SELECT country, COUNT(*) AS c FROM data WHERE latency IN ({literal!r}) "
+        "GROUP BY country"
+        for literal in (int(latency), float(latency))
+    ]
+    as_int, as_float = (parse_query(query).where for query in queries)
+    assert as_int == as_float and hash(as_int) == hash(as_float)
+    for query in queries * 2:
+        _assert_same_answer_and_footprint(
+            store.execute(query), reference_store.execute(query), query
+        )
+    assert _where_key(queries[0]) != _where_key(queries[1])
+    assert all(_where_key(query) in store.chunk_cache for query in queries)
+
+
+def test_materialising_a_field_mid_click_drops_the_classification(log_table):
+    store = make_store(log_table)
+    reference_store = make_store(log_table, cache_chunk_results=False)
+    first, second, third = (
+        shape.format(where="latency > 500 AND NOT country IN ('US')")
+        for shape in _CLICK_SHAPES[:3]
+    )
+    store.execute(first)
+    assert _where_key(first) in store.chunk_cache
+    store.ensure_field(parse_query("SELECT date(timestamp) FROM data").select[0].expr)
+    assert len(store.chunk_cache) == 0
+    reused_before = counters.get("datastore.restriction.reused")
+    for query in (second, third):
+        _assert_same_answer_and_footprint(
+            store.execute(query), reference_store.execute(query), query
+        )
+    # The second query classified again; the third found what it left.
+    assert counters.get("datastore.restriction.reused") == reused_before + 1
+    assert _where_key(third) in store.chunk_cache
+
+
+def test_a_cache_too_small_for_the_classification_still_answers(log_table):
+    store = make_store(log_table, cache_capacity_bytes=256)
+    reference_store = make_store(log_table, cache_chunk_results=False)
+    for shape in _CLICK_SHAPES[:4] * 2:
+        query = shape.format(where="latency > 500 AND table_name IN ('no_such_table')")
+        other = shape.format(where="latency > 50")
+        for sql in (query, other):
+            _assert_same_answer_and_footprint(
+                store.execute(sql), reference_store.execute(sql), sql
+            )
+    assert store.chunk_cache_stats().evictions > 0
+
+
+def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table):
+    """COUNT(*) is the presence partial (the same arrays, not a second
+    bincount), and what each slot holds is what its aggregator computes
+    on its own, so the cached weights have not moved."""
+    import numpy as np
+
+    from repro.core.datastore import _GroupedKernel, _partials_weight
+    from repro.core.engine import ChunkData
+    from repro.core.plan import resolve_group_aliases
+
+    store = make_store(log_table)
+    parsed = resolve_group_aliases(
+        parse_query(
+            "SELECT country, COUNT(latency) AS n, COUNT(*) AS c, SUM(latency) AS s "
+            "FROM data GROUP BY country"
+        )
+    )
+    kernel = _GroupedKernel(store, parsed, store.ensure_field)
+    rng = np.random.default_rng(3)
+    for chunk_index, rows in enumerate(store.chunk_row_counts):
+        mask = None if chunk_index % 3 == 0 else rng.random(rows) < 0.4
+        partials = kernel.scan(chunk_index, mask)
+        assert partials[2] is partials[0] and partials[1] is not partials[0]
+        columns = [field and field.chunk_column(chunk_index) for field in kernel.fields]
+        data = ChunkData(group=columns[0], mask=mask)
+        alone = [kernel.presence.chunk_partial(data, None)] + [
+            aggregator.chunk_partial(data, arg)
+            for aggregator, arg in zip(kernel.aggregators, columns[1:])
+        ]
+        assert _partials_weight(partials) == _partials_weight(alone)
+        for shared, own in zip(partials, alone):
+            assert [a.tobytes() for a in shared] == [a.tobytes() for a in own]
+            assert [a.dtype for a in shared] == [a.dtype for a in own]
+
+
 # -- … and on the work the parent commit did -----------------------------------
 # Restriction analysis classifies every chunk of a query in one vector
 # pass (PR 15); which chunks it skips, serves from the cache or scans may

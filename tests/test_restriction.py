@@ -4,7 +4,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.datastore import DataStore, DataStoreOptions, FieldStore
-from repro.core.restriction import ChunkStatus, compile_restriction
+from repro.core.restriction import (
+    ChunkStatus,
+    _compile_tree,
+    compile_restriction,
+)
 from repro.core.table import Table
 from repro.sql.ast_nodes import BinaryOp, FieldRef, InList, Literal, UnaryOp
 from repro.sql.parser import parse_query
@@ -33,14 +37,26 @@ def _compile(store, where_sql: str):
     )
 
 
-def _compile_expr(store, where):
-    return compile_restriction(
-        where,
+def _hooks(store):
+    return (
         store.ensure_field,
         lambda name: store.field(name).dictionary,
         lambda name: store.field(name).chunk_dict_index(),
         lambda name, index: store.field(name).element_array(index),
     )
+
+
+def _compile_expr(store, where):
+    return compile_restriction(where, *_hooks(store))
+
+
+def _tree(store, where):
+    """The predicate tree ``compile_restriction`` classifies the store with."""
+    return _compile_tree(where, *_hooks(store)[:3])
+
+
+def _root(store, where_sql: str):
+    return _tree(store, parse_query(f"SELECT v FROM data WHERE {where_sql}").where)
 
 
 def _decide_all(store, where_sql: str):
@@ -265,7 +281,7 @@ def test_vector_pass_equals_the_per_chunk_algebra(rows, layout, reorder, where):
         ),
     )
     restriction = _compile_expr(store, where)
-    root = restriction._root
+    root = _tree(store, where)
     outcomes = root.outcomes()
     assert all(vector.shape == (store.n_chunks,) for vector in outcomes)
     for chunk_index in range(store.n_chunks):
@@ -285,11 +301,10 @@ def test_zero_row_chunks_take_the_reduction_identity():
     store = DataStore.from_table(Table.from_columns({"v": [], "w": []}))
     assert store.chunk_row_counts == [0]
     for where in ("v = 'a'", "NOT v = 'a'", "v IS NULL OR w > 1"):
-        restriction = _compile(store, where)
-        outcomes = restriction._root.outcomes()
-        expected = restriction_oracle.summary(restriction._root, store, 0)
-        assert tuple(bool(v[0]) for v in outcomes) == expected
-        assert restriction.decide(0).status is ChunkStatus.SKIP
+        root = _root(store, where)
+        expected = restriction_oracle.summary(root, store, 0)
+        assert tuple(bool(v[0]) for v in root.outcomes()) == expected
+        assert _compile(store, where).decide(0).status is ChunkStatus.SKIP
 
 
 def test_zero_chunk_store_classifies_without_error():
@@ -298,6 +313,6 @@ def test_zero_chunk_store_classifies_without_error():
         name: FieldStore(name, field.dictionary, [])
         for name, field in store.fields.items()
     })
-    outcomes = _compile(empty, "v = 'a' AND NOT v IN ('b')")._root.outcomes()
+    outcomes = _root(empty, "v = 'a' AND NOT v IN ('b')").outcomes()
     assert all(vector.shape == (0,) for vector in outcomes)
     assert empty.execute("SELECT v FROM data WHERE v = 'a'").table.n_rows == 0

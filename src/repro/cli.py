@@ -340,30 +340,6 @@ def cmd_bench_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_import(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workload.benchimport import (
-        ImportBenchConfig,
-        render_import_report,
-        run_import_bench,
-    )
-
-    config = ImportBenchConfig(
-        rows=args.rows,
-        chunk_rows=args.chunk_rows,
-        repeats=args.repeats,
-    )
-    report = run_import_bench(config)
-    print("\n".join(render_import_report(report)))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
-    return 0
-
-
 def cmd_bench_compress(args: argparse.Namespace) -> int:
     import json
 
@@ -675,20 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="write the JSON report here"
     )
     p_scan.set_defaults(func=cmd_bench_scan)
-
-    p_import_bench = bench_sub.add_parser(
-        "import",
-        help="scalar-vs-vectorized import pipeline with per-phase stats",
-    )
-    p_import_bench.add_argument("--rows", type=int, default=60_000)
-    p_import_bench.add_argument(
-        "--chunk-rows", type=int, default=None, help="max rows per chunk"
-    )
-    p_import_bench.add_argument("--repeats", type=int, default=2)
-    p_import_bench.add_argument(
-        "--output", default=None, help="write the JSON report here"
-    )
-    p_import_bench.set_defaults(func=cmd_bench_import)
 
     p_compress_bench = bench_sub.add_parser(
         "compress",

@@ -56,7 +56,7 @@ from repro.core.expr_eval import evaluate
 from repro.core.plan import is_aggregation_query, plan_group_query, resolve_group_aliases
 from repro.core.restriction import ChunkStatus, compile_restriction
 from repro.core.result import QueryResult, ScanStats, finalize
-from repro.core.table import Table
+from repro.core.table import Column, Table
 from repro.errors import (
     BindError,
     ChunkUnavailableError,
@@ -334,9 +334,11 @@ def _coerce(value: Any) -> Any:
 
 
 def _dictionary_from_ordered(
-    ordered: list[Any], optimized: bool
+    ordered: list[Any] | np.ndarray, optimized: bool
 ) -> Dictionary:
     """Build a dictionary from sorted-distinct values (None first)."""
+    if isinstance(ordered, np.ndarray):  # typed, hence without NULL
+        return NumericDictionary(ordered, has_null=False, optimized=optimized)
     has_null = bool(ordered) and ordered[0] is None
     non_null = ordered[1:] if has_null else list(ordered)
     if non_null and isinstance(non_null[0], str):
@@ -519,11 +521,12 @@ class DataStore:
     ) -> "DataStore":
         """Run the import phase over ``table``.
 
-        Partition fields are factorized exactly once: their codes drive
-        the lexicographic reorder (codes are permutation-invariant
-        ranks, so permuting them by the sort order matches refactorizing
-        the reordered table), then the composite partitioner, then the
-        per-chunk encode. Per-phase wall-clock lands in the attached
+        Every column is coded first — ``factorize``, once per field; a
+        dictionary-coded column only drops the values no row uses — and
+        from there on the pipeline sees codes alone: the lexicographic
+        reorder permutes code arrays (codes are permutation-invariant
+        ranks), the composite partitioner and the per-chunk encode read
+        them. Per-phase wall-clock lands in the attached
         :class:`ImportStats`.
         """
         options = options or DataStoreOptions()
@@ -538,20 +541,23 @@ class DataStore:
                 raise PartitionError(f"{label} field {name!r} not in table")
 
         phase_started = time.perf_counter()
-        codes_by_field: dict[str, tuple[np.ndarray, list[Any]]] = {}
-        for name in partition_fields:
-            if name not in codes_by_field:
-                codes_by_field[name] = factorize(table.column(name))
+        columns = []
+        for name in table.field_names:
+            column = table.column(name)
+            columns.append(
+                Column.from_codes(
+                    name, *factorize(column), column.dtype, validate=False
+                )
+            )
+        table = Table(columns)
         stats.factorize_seconds += time.perf_counter() - phase_started
 
         phase_started = time.perf_counter()
         if partition_fields and options.reorder_rows:
             order = order_from_codes(
-                [codes_by_field[name][0] for name in partition_fields]
+                [table.column(name).codes for name in partition_fields]
             )
             table = reorder_table(table, order)
-            for name, (codes, ordered) in codes_by_field.items():
-                codes_by_field[name] = (codes[order], ordered)
         stats.reorder_seconds += time.perf_counter() - phase_started
 
         phase_started = time.perf_counter()
@@ -562,7 +568,7 @@ class DataStore:
             chunk_rows = partition_table(
                 table,
                 spec,
-                field_codes=[codes_by_field[name][0] for name in spec.fields],
+                field_codes=[table.column(name).codes for name in spec.fields],
             )
         else:
             chunk_rows = [np.arange(table.n_rows, dtype=np.int64)]
@@ -570,22 +576,16 @@ class DataStore:
 
         fields: dict[str, FieldStore] = {}
         for name in table.field_names:
-            cached = codes_by_field.get(name)
-            if cached is not None:
-                codes, ordered = cached
-            else:
-                phase_started = time.perf_counter()
-                codes, ordered = factorize(table.column(name))
-                stats.factorize_seconds += time.perf_counter() - phase_started
+            column = table.column(name)
             phase_started = time.perf_counter()
             dictionary = _dictionary_from_ordered(
-                ordered, options.optimized_dicts
+                column.distinct, options.optimized_dicts
             )
             stats.dictionary_seconds += time.perf_counter() - phase_started
             phase_started = time.perf_counter()
             chunks = [
                 ColumnChunk.from_global_ids(
-                    codes[rows], optimized=options.optimized_columns
+                    column.codes[rows], optimized=options.optimized_columns
                 )
                 for rows in chunk_rows
             ]

@@ -6,7 +6,9 @@ column's values mapped to their ranks among the sorted distinct values
 range split on values — and codes are exactly the global-ids the
 datastore will assign later.
 
-The public :func:`factorize` scans the value types once and dispatches
+A dictionary-coded column already holds its codes: :func:`factorize`
+only drops the distinct values no row uses. For a list-backed column it
+scans the value types once and dispatches
 to the fastest kernel per column type: ``np.unique`` over typed numpy
 arrays for int and float columns (NULLs handled by masking), and the
 hashed set+dict path for strings — numpy's fixed-width 'U'/'S' sorts
@@ -28,7 +30,7 @@ invariant rejects at import time.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -39,13 +41,31 @@ from repro.core.table import Column
 _FLOAT64_EXACT_INT_BOUND = 2**53
 
 
-def factorize(column: Column) -> tuple[np.ndarray, list[Any]]:
+def factorize(column: Column) -> tuple[np.ndarray, list[Any] | np.ndarray]:
     """Map a column to (codes, sorted_distinct_values).
 
     ``codes[i]`` is the rank of row i's value among the sorted distinct
-    values; NULL sorts first. Returned codes are int64.
+    values; NULL sorts first. Returned codes are int64. A dictionary-
+    coded column already is that pair up to the distinct values no row
+    uses: a presence scatter finds those and a remap renumbers the
+    rest — no cell is touched, and a typed ``distinct`` array comes
+    back as a typed array.
     """
-    return factorize_list(column.values)
+    codes, distinct = column.codes, column.distinct
+    if codes is None or (
+        isinstance(distinct, list) and _mixes_floats_with_inexact_ints(distinct)
+    ):
+        return factorize_list(column.values)
+    present = column.presence()
+    if present.all():
+        return codes.astype(np.int64), distinct
+    kept = np.flatnonzero(present)
+    if isinstance(distinct, list):
+        distinct = [distinct[index] for index in kept.tolist()]
+    else:
+        distinct = distinct[kept]
+    # Narrow index arrays gather slowly: widen the codes first.
+    return (np.cumsum(present) - 1)[codes.astype(np.intp, copy=False)], distinct
 
 
 def factorize_scalar(column: Column) -> tuple[np.ndarray, list[Any]]:
@@ -209,14 +229,20 @@ def _factorize_quotient_by_float64(
     return codes, ordered
 
 
+def _mixes_floats_with_inexact_ints(distinct: Iterable[Any]) -> bool:
+    """Whether exact dedup and dedup by float64 image can disagree."""
+    kinds = {type(v) for v in distinct}
+    kinds.discard(type(None))
+    return kinds == {int, float} and any(
+        type(v) is int and abs(v) >= _FLOAT64_EXACT_INT_BOUND for v in distinct
+    )
+
+
 def _factorize_scalar_list(values: Sequence[Any]) -> tuple[np.ndarray, list[Any]]:
     distinct = set(values)
     has_null = None in distinct
     distinct.discard(None)
-    kinds = {type(v) for v in distinct}
-    if kinds == {int, float} and any(
-        type(v) is int and abs(v) >= _FLOAT64_EXACT_INT_BOUND for v in distinct
-    ):
+    if _mixes_floats_with_inexact_ints(distinct):
         result = _factorize_quotient_by_float64(values)
         if result is not None:
             return result

@@ -23,6 +23,8 @@ not the codec.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from repro.compress.registry import (
 )
 from repro.compress.varint import decode_zigzag_stream, encode_zigzag_array
 from repro.core.datastore import DataStore, DataStoreOptions
-from repro.workload.benchimport import serialized_store_bytes
+from repro.storage.serde import save_store
 from repro.workload.generator import LogsConfig, generate_query_logs
 
 
@@ -112,7 +114,11 @@ def _store_corpus(config: CompressBenchConfig) -> bytes:
             reorder_rows=True,
         ),
     )
-    return serialized_store_bytes(store)[: config.lz_bytes]
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
+        path = os.path.join(tmp, "store.pds")
+        save_store(store, path)
+        with open(path, "rb") as handle:
+            return handle.read(config.lz_bytes)
 
 
 def _text_corpus(config: CompressBenchConfig) -> bytes:

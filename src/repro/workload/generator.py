@@ -29,12 +29,14 @@ correlate with the ``country`` ranges the partitioner cuts.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.table import Column, DataType, Table
 from repro.errors import ReproError
+from repro.partition.codes import factorize_list
 
 #: 2011-10-01 00:00:00 UTC — start of the paper's measurement window.
 _WINDOW_START = 1317427200
@@ -95,7 +97,12 @@ def _date_string(day_index: int) -> str:
 
 
 def generate_query_logs(config: LogsConfig | None = None) -> Table:
-    """Generate the synthetic log table (deterministic in the seed)."""
+    """Generate the synthetic log table (deterministic in the seed).
+
+    Columns are dictionary-coded: every draw stays a numpy index array,
+    each distinct string is formatted once, and an index array is let go
+    as soon as its column is built — no Python object per cell.
+    """
     config = config or LogsConfig()
     rng = np.random.default_rng(config.seed)
     n = config.n_rows
@@ -122,6 +129,8 @@ def generate_query_logs(config: LogsConfig | None = None) -> Table:
             team_idx[mask] = rng.choice(
                 config.n_teams, size=count, p=teams_by_country[country]
             )
+    countries = _coded_column("country", country_idx, _COUNTRIES.__getitem__)
+    del country_idx
 
     dataset_weights = _zipf_weights(
         config.datasets_per_team, config.zipf_exponent
@@ -131,44 +140,83 @@ def generate_query_logs(config: LogsConfig | None = None) -> Table:
     # Timestamps: uniform over the window, slight weekly rhythm.
     day_idx = rng.integers(0, config.n_days, size=n)
     intraday = rng.integers(0, _SECONDS_PER_DAY, size=n)
-    timestamps = _WINDOW_START + day_idx * _SECONDS_PER_DAY + intraday
 
     # Table names: long shared prefixes + the queried date, so distinct
     # count ~ teams x datasets x days and tries compress heavily.
     date_strings = [_date_string(d) for d in range(config.n_days)]
-    table_names = [
-        (
+
+    def table_name(key: int) -> str:
+        group, day = divmod(key, config.n_days)
+        team, dataset = divmod(group, config.datasets_per_team)
+        return (
             f"/cns/analytics/logs/team{team:03d}/"
             f"dataset{dataset:02d}/daily_queries/{date_strings[day]}"
         )
-        for team, dataset, day in zip(team_idx, dataset_idx, day_idx)
-    ]
+
+    team_idx *= config.datasets_per_team
+    team_idx += dataset_idx
+    team_idx *= config.n_days
+    team_idx += day_idx
+    table_names = _coded_column("table_name", team_idx, table_name)
+    del team_idx, dataset_idx
+
+    day_idx *= _SECONDS_PER_DAY
+    day_idx += intraday
+    timestamps = _coded_column("timestamp", day_idx, base=_WINDOW_START)
+    del day_idx, intraday
 
     # Latency: log-normal milliseconds, heavy tail, many distinct ints.
     latency = np.round(np.exp(rng.normal(5.5, 1.1, size=n))).astype(np.int64)
     latency = np.clip(latency, 1, 3_600_000)
-    latency_values: list[int | None] = [int(v) for v in latency]
+    null_mask = None
     if config.null_latency_fraction:
         null_mask = rng.random(n) < config.null_latency_fraction
-        latency_values = [
-            None if is_null else value
-            for value, is_null in zip(latency_values, null_mask)
-        ]
+    latencies = _coded_column("latency", latency, null_mask=null_mask)
+    del latency, null_mask
 
     user_weights = _zipf_weights(config.n_users, 1.1)
     user_idx = rng.choice(config.n_users, size=n, p=user_weights)
-    users = [f"user{u:04d}" for u in user_idx]
+    users = _coded_column("user_name", user_idx, "user{:04d}".format)
+    return Table([timestamps, table_names, latencies, countries, users])
 
-    countries = [_COUNTRIES[c] for c in country_idx]
-    return Table(
-        [
-            Column("timestamp", [int(t) for t in timestamps], DataType.INT),
-            Column("table_name", table_names, DataType.STRING),
-            Column("latency", latency_values, DataType.INT),
-            Column("country", countries, DataType.STRING),
-            Column("user_name", users, DataType.STRING),
-        ]
+
+def _coded_column(
+    name: str,
+    keys: np.ndarray,
+    label: Callable[[int], str] | None = None,
+    base: int = 0,
+    null_mask: np.ndarray | None = None,
+) -> Column:
+    """A dictionary-coded column from one small non-negative key per row.
+
+    With ``label``, a STRING column of ``label(key)``, formatted once per
+    key in use; without, an INT column of ``key + base``, NULL where
+    ``null_mask`` is set. Codes get the narrowest dtype that holds them.
+    """
+    used, ranks = _rank_keys(keys)
+    if label is None:
+        distinct: list | np.ndarray = used + base
+        if null_mask is not None:
+            ranks = np.where(null_mask, 0, ranks + 1)
+            distinct = [None, *distinct.tolist()]
+    else:
+        position, distinct = factorize_list([label(key) for key in used.tolist()])
+        ranks = position[ranks]
+    return Column.from_codes(
+        name,
+        ranks.astype(np.min_scalar_type(len(distinct))),
+        distinct,
+        DataType.INT if label is None else DataType.STRING,
     )
+
+
+def _rank_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys in use, ascending, and each row's rank among them."""
+    if int(keys.max()) >= 4 * keys.size:
+        # Sparse: sorting the rows beats a table over the key range.
+        return np.unique(keys, return_inverse=True)
+    present = np.bincount(keys) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
 def default_partition_fields() -> tuple[str, ...]:

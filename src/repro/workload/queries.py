@@ -61,7 +61,7 @@ _METRICS = [
 
 
 def _sample_values(table: Table, field: str, k: int, rng: random.Random) -> list:
-    values = [v for v in set(table.column(field).values) if v is not None]
+    values = [v for v in table.column(field).distinct_values() if v is not None]
     k = min(k, len(values))
     return rng.sample(sorted(values), k)
 

@@ -104,34 +104,6 @@ class TestInfoAndDemo:
         assert text.count("--") >= 3  # three query banners
 
 
-class TestBenchImport:
-    def test_bench_import_writes_report(self, tmp_path, capsys):
-        out = str(tmp_path / "import.json")
-        code = main(
-            [
-                "bench", "import",
-                "--rows", "2000",
-                "--repeats", "1",
-                "--output", out,
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "import bench" in text
-        assert "serialization identical to reference: yes" in text
-
-        import json
-
-        report = json.loads(open(out, encoding="utf-8").read())
-        assert report["rows"] == 2000
-        assert report["serialization_identical"] is True
-        assert report["fsck_ok"] is True
-        assert set(report["import_stats"]["phase_seconds"]) == {
-            "factorize", "reorder", "partition", "dictionary", "encode",
-            "advisor",
-        }
-
-
 class TestBenchCompress:
     def test_bench_compress_writes_report(self, tmp_path, capsys):
         out = str(tmp_path / "compress.json")

@@ -3,28 +3,31 @@
 The vectorized kernels (typed factorize, bulk trie build, dtype-inferred
 numeric dictionaries) must serialize to exactly the same PDS2 stream as
 ``build_reference_store`` — the frozen replica of the pre-vectorization
-scalar pipeline. Hypothesis drives the corpora that historically break
-encoders: NULL-heavy, duplicate-heavy, empty, single-value and
-non-ASCII columns, mixed int/float, NUL bytes inside strings.
+scalar pipeline, in ``tests/import_oracle.py`` — whether a table's
+columns are list-backed or dictionary-coded. Hypothesis drives the
+corpora that historically break encoders: NULL-heavy, duplicate-heavy,
+empty, single-value and non-ASCII columns, mixed int/float, NUL bytes
+inside strings.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Column, DataType, Table
-from repro.partition.codes import factorize_list, _factorize_scalar_list
+from repro.errors import CompressionError
+from repro.partition.codes import factorize, factorize_list, _factorize_scalar_list
+from repro.storage.serde import encode_chunk_dict, encode_chunk_dicts
 from repro.storage.dictionary import build_dictionary
 from repro.storage.subdict import SubDictionarySet
 from repro.storage.trie import (
     _bulk_trie_bytes,
     reference_trie_bytes,
 )
-from repro.workload.benchimport import (
-    build_reference_store,
-    serialized_store_bytes,
-)
+from repro.workload.generator import LogsConfig, generate_query_logs
 from repro.analysis.fsck import fsck_store
+from tests.import_oracle import build_reference_store, serialized_store_bytes
 
 # Alphabet mixes ASCII, a NUL byte, multi-byte UTF-8 and an astral
 # plane character so trie nibble packing sees every phase.
@@ -100,6 +103,164 @@ def test_store_bytes_match_reference(table, optimized, partition_fields):
     assert fsck_store(store).ok
     assert store.import_stats is not None
     assert store.import_stats.rows == table.n_rows
+
+
+def _coded_tight(table: Table) -> Table:
+    """Every column rebuilt through ``from_codes``, no distinct value unused."""
+    return Table(
+        [
+            Column.from_codes(
+                name,
+                *factorize_list(table.column(name).values),
+                table.column(name).dtype,
+            )
+            for name in table.field_names
+        ]
+    )
+
+
+def _coded_loose(table: Table, extra: Table) -> Table:
+    """The rows of ``table`` taken, back to front, out of a larger coded table.
+
+    The larger table holds ``extra``'s rows first, so the distinct values
+    only they use stay behind, unused, in every column ``take`` returns.
+    """
+    padded = Table(
+        [
+            Column(
+                name,
+                extra.column(name).values + table.column(name).values[::-1],
+                table.column(name).dtype,
+            )
+            for name in table.field_names
+        ]
+    )
+    last = padded.n_rows - 1
+    return _coded_tight(padded).take(np.arange(last, last - table.n_rows, -1))
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    _import_tables(),
+    _import_tables(),
+    st.booleans(),
+    st.sampled_from([None, ("s",), ("s", "n")]),
+    st.booleans(),
+    st.sampled_from([None, "auto"]),
+)
+def test_coded_import_matches_list_import(
+    table, extra, optimized, partition_fields, reorder, codec
+):
+    options = DataStoreOptions(
+        partition_fields=partition_fields,
+        max_chunk_rows=7,
+        reorder_rows=reorder and partition_fields is not None,
+        optimized_columns=optimized,
+        optimized_dicts=optimized,
+        codec=codec,
+    )
+    for coded in (_coded_tight(table), _coded_loose(table, extra)):
+        for name in ("s", "n", "c"):  # "f" may hold float64-equal stand-ins
+            assert coded.column(name).values == table.column(name).values
+        # The same cells, one Python object each: the list-backed twin.
+        listed = Table(
+            [
+                Column(name, coded.column(name).values, coded.column(name).dtype)
+                for name in coded.field_names
+            ]
+        )
+        for name in coded.field_names:
+            column = coded.column(name)
+            codes, ordered = factorize(column)
+            ref_codes, ref_ordered = factorize_list(column.values)
+            np.testing.assert_array_equal(codes, ref_codes)
+            assert codes.dtype == ref_codes.dtype
+            assert ordered == ref_ordered
+            assert [type(v) for v in ordered] == [type(v) for v in ref_ordered]
+        coded_bytes = serialized_store_bytes(DataStore.from_table(coded, options))
+        assert coded_bytes == serialized_store_bytes(
+            DataStore.from_table(listed, options)
+        )
+        if codec is None:
+            assert coded_bytes == serialized_store_bytes(
+                build_reference_store(listed, options)
+            )
+
+
+def test_factorize_keeps_a_typed_distinct_array_typed():
+    column = Column.from_codes(
+        "n", np.array([3, 1, 3], dtype=np.int32), np.array([5, 7, 8, 9]), DataType.INT
+    )
+    codes, ordered = factorize(column)
+    assert codes.tolist() == [1, 0, 1] and codes.dtype == np.int64
+    assert isinstance(ordered, np.ndarray) and ordered.tolist() == [7, 9]
+    assert factorize_list(column.values)[1] == [7, 9]
+    table = Table([column])
+    assert serialized_store_bytes(
+        DataStore.from_table(table)
+    ) == serialized_store_bytes(build_reference_store(table))
+
+
+def test_factorize_of_float64_colliding_distincts_matches_the_list_kernel():
+    """Exactly-ascending values whose float64 images collide are one value."""
+    column = Column.from_codes(
+        "f", [1, 2, 0, 1], [0.5, 2**61, 2**61 + 1], DataType.FLOAT
+    )
+    codes, ordered = factorize(column)
+    ref_codes, ref_ordered = factorize_list(column.values)
+    assert codes.tolist() == ref_codes.tolist() == [1, 1, 0, 1]
+    assert ordered == ref_ordered == [0.5, 2**61]
+    assert fsck_store(DataStore.from_table(Table([column]))).ok
+
+
+def test_import_leaves_generated_columns_unmaterialised():
+    """No Python object per cell: a deterministic stand-in for the clock."""
+    table = generate_query_logs(
+        LogsConfig(n_rows=3_000, null_latency_fraction=0.1, seed=4)
+    )
+    picked = table.take(np.arange(0, 3_000, 2))
+    options = DataStoreOptions(
+        partition_fields=("country", "table_name"),
+        max_chunk_rows=200,
+        reorder_rows=True,
+        codec="auto",
+    )
+    store = DataStore.from_table(picked, options)
+    assert store.n_rows == 1_500
+    for source in (table, picked):
+        for name in source.field_names:
+            assert source.column(name)._values is None
+
+
+_chunk_dicts = st.lists(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.sampled_from([0, 127, 128, 2**14, 2**32 - 1]),
+        ),
+        max_size=12,
+        unique=True,
+    ).map(lambda gids: np.array(sorted(gids), dtype=np.uint32)),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunk_dicts)
+def test_whole_field_chunk_dict_encoder_matches_per_chunk(chunk_dicts):
+    assert encode_chunk_dicts(chunk_dicts) == [
+        encode_chunk_dict(chunk_dict) for chunk_dict in chunk_dicts
+    ]
+
+
+def test_whole_field_chunk_dict_encoder_rejects_descending():
+    good = np.array([1, 2], dtype=np.uint32)
+    with pytest.raises(CompressionError):
+        encode_chunk_dicts([good, np.array([5, 3], dtype=np.uint32), good])
 
 
 @settings(max_examples=60, deadline=None)

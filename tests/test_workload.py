@@ -1,5 +1,7 @@
 """Workload generator tests: dataset shape and drill-down sessions."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ReproError
@@ -20,6 +22,33 @@ class TestGenerator:
     def test_deterministic(self):
         config = LogsConfig(n_rows=500, seed=5)
         assert generate_query_logs(config) == generate_query_logs(config)
+
+    @pytest.mark.parametrize(
+        "config, sha256",
+        [
+            (
+                LogsConfig(n_rows=30_000),
+                "39d03b9e73c39ee2aaa6248709ff738ad9b08e0a8b410b50580aaf2194525146",
+            ),
+            (
+                LogsConfig(n_rows=30_000, null_latency_fraction=0.1, seed=7),
+                "ba49dc9e66334adceb8d4b546a34d48ed815ded50df0ba2044c50c4842cd70b1",
+            ),
+            (  # bench.workloads.structure_pool(200_000)
+                LogsConfig(
+                    n_rows=225_000, n_days=50, n_teams=40, datasets_per_team=8,
+                    seed=2012,
+                ),
+                "614bcb231e6ef90677764a3b3477865991b78d078547dbf52a99d4012789b1d5",
+            ),
+        ],
+    )
+    def test_rows_of_a_seed_are_pinned(self, config, sha256):
+        """Taken at 95a58b1, when every cell was a Python object."""
+        digest = hashlib.sha256()
+        for row in generate_query_logs(config).iter_rows():
+            digest.update(repr(row).encode("utf-8"))
+        assert digest.hexdigest() == sha256
 
     def test_different_seeds_differ(self):
         a = generate_query_logs(LogsConfig(n_rows=500, seed=1))
@@ -132,6 +161,14 @@ class TestDrillDownSessions:
         assert generate_drilldown_sessions(
             log_table, config
         ) == generate_drilldown_sessions(log_table, config)
+
+    def test_sessions_of_a_seed_are_pinned(self):
+        """Taken at 95a58b1: the value pools come from ``distinct_values``."""
+        table = generate_query_logs(LogsConfig(n_rows=4000, seed=2012))
+        sessions = generate_drilldown_sessions(table, DrillDownConfig())
+        assert hashlib.sha256(repr(sessions).encode()).hexdigest() == (
+            "fb7b63d8676227e2a43fd8763d966403a2ebe373b667e2cf102d5ca0e5aa34dc"
+        )
 
     def test_invalid_config(self, log_table):
         with pytest.raises(ReproError):

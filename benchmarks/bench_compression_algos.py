@@ -11,8 +11,10 @@ Zippy] and was up to twice as fast when decompressing."
 
 Shape asserted on the store's own chunk payloads:
 
-- adding Huffman on top of the LZ stage improves the ratio further but
-  costs several times the compression time;
+- adding Huffman on top of the LZ stage improves the ratio by a
+  further 10+% and costs several times the CPU. Here the cost shows on
+  the decode side: the Huffman encoder is one table gather plus
+  ``np.packbits``, while decoding walks sequential symbol boundaries;
 - the LZO-like codec compresses at least as well as Zippy.
 """
 
@@ -75,11 +77,11 @@ def test_codec_comparison(benchmark, chunks_store):
         )
     emit_report("compression_algos", lines)
 
-    zippy_size, zippy_cs, __ = measured["zippy"]
+    zippy_size, __, zippy_ds = measured["zippy"]
     lzo_size, __, __ = measured["lzo"]
-    huff_size, huff_cs, __ = measured["zippy+huffman"]
-    # Huffman on top gains extra ratio but is several times slower.
-    assert huff_size < zippy_size
-    assert huff_cs > zippy_cs * 2
+    huff_size, __, huff_ds = measured["zippy+huffman"]
+    # Huffman on top gains extra ratio but decodes several times slower.
+    assert huff_size < zippy_size * 0.9
+    assert huff_ds > zippy_ds * 2
     # The LZO-like variant compresses at least as well as zippy.
     assert lzo_size <= zippy_size * 1.01

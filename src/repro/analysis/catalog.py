@@ -104,10 +104,9 @@ LINT_CATALOG: tuple[CatalogEntry, ...] = (
         "per-byte-codec-loop",
         "no per-index buffer walks (cursor-advancing while loops or "
         "for-range loops subscripting with the loop variable) in "
-        "repro/compress/* outside reference.py",
+        "repro/compress/*",
         "codec throughput rests on the numpy bulk kernels; a per-byte "
-        "Python loop silently reintroduces the scalar path the frozen "
-        "oracle in compress/reference.py exists to check against, and "
+        "Python loop silently reintroduces the scalar path, and "
         "deliberate scalar loops must carry a justified suppression",
     ),
     CatalogEntry(

@@ -31,8 +31,7 @@ invariants enforceable:
 - REP010 — the codec modules stay vectorized: no per-byte index
   walks (``while`` cursor loops or ``for i in range(...)`` loops
   subscripting buffers element-by-element) in ``repro/compress/*``;
-  the numpy bulk kernels are the sanctioned replacements, the frozen
-  scalar oracles live in ``compress/reference.py`` (exempt), and the
+  the numpy bulk kernels are the sanctioned replacements, and the
   few deliberate scalar loops (greedy LZ parses, the Huffman heap
   merge) carry justified suppressions.
 
@@ -750,22 +749,19 @@ class PerByteCodecLoopRule(LintRule):
       variable (``out[i] = ...``).
 
     Slices (``data[a:b]``) are always fine: slice-based loops advance
-    by whole matches/runs, not bytes. ``compress/reference.py`` — the
-    frozen scalar oracle — is exempt, and the deliberate scalar loops
-    that remain (greedy LZ parses, the Huffman heap merge) carry
-    same-line suppressions with reasons.
+    by whole matches/runs, not bytes. The deliberate scalar loops that
+    remain (greedy LZ parses, the Huffman heap merge) carry same-line
+    suppressions with reasons.
     """
 
     code = "REP010"
     name = "per-byte-codec-loop"
     description = (
         "per-index while/for walk over a buffer in repro/compress/*; "
-        "use the numpy bulk kernels (reference.py, the scalar oracle, "
-        "is exempt)"
+        "use the numpy bulk kernels"
     )
     default_severity = Severity.ERROR
     only_dirs = ("compress",)
-    exempt_files = ("compress/reference.py", "reference.py")
 
     def _scalar_subscripts(
         self, loop: ast.While | ast.For | ast.AsyncFor

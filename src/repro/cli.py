@@ -10,8 +10,6 @@ Usage (also via ``python -m repro``):
     python -m repro repl store.pds
     python -m repro info store.pds
     python -m repro demo --rows 50000
-    python -m repro chaos --crash-rate 0,0.05,0.2,0.5 --fault-seed 7
-    python -m repro chaos --local --rows 4000 --queries 3
     python -m repro lint src/repro
     python -m repro fsck store.pds
 
@@ -313,233 +311,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_scan(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workload.benchscan import (
-        ScanBenchConfig,
-        render_scan_report,
-        run_scan_bench,
-    )
-
-    config = ScanBenchConfig(
-        rows=args.rows,
-        workers=tuple(int(w) for w in args.workers.split(",")),
-        policies=tuple(args.policies.split(",")),
-        executors=tuple(args.executors.split(",")),
-        repeats=args.repeats,
-        cache_trace_steps=args.trace_steps,
-    )
-    report = run_scan_bench(config)
-    print("\n".join(render_scan_report(report)))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
-    return 0
-
-
-def cmd_bench_compress(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workload.benchcompress import (
-        CompressBenchConfig,
-        render_compress_report,
-        run_compress_bench,
-    )
-
-    config = CompressBenchConfig(
-        rows=args.rows,
-        repeats=args.repeats,
-        huffman_bytes=args.huffman_bytes,
-        store_rows=args.store_rows,
-    )
-    report = run_compress_bench(config)
-    print("\n".join(render_compress_report(report)))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
-    return 0
-
-
-def cmd_bench_advisor(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workload.benchadvisor import (
-        AdvisorBenchConfig,
-        render_advisor_report,
-        run_advisor_bench,
-    )
-
-    config = AdvisorBenchConfig(rows=args.rows, repeats=args.repeats)
-    report = run_advisor_bench(config)
-    print("\n".join(render_advisor_report(report)))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the multi-tenant serving demo: replay drill-down sessions."""
-    from repro.service import QueryService, ServiceConfig
-    from repro.workload.benchserve import (
-        ServeBenchConfig,
-        build_serve_trace,
-        run_closed_loop,
-        summarize_outcomes,
-        _bench_store,
-        _bench_table,
-    )
-
-    config = ServeBenchConfig(
-        rows=args.rows,
-        n_sessions=args.sessions,
-        clicks_per_session=args.clicks,
-        queries_per_click=args.queries_per_click,
-        n_tenants=args.tenants,
-        executor=args.executor,
-        service_workers=args.workers,
-        queue_depth=args.queue_depth,
-    )
-    table = _bench_table(config)
-    store = _bench_store(table, config)
-    trace = build_serve_trace(table, config.drill(), config.mix())
-    service = QueryService(
-        store,
-        ServiceConfig(
-            workers=config.service_workers,
-            queue_depth=config.queue_depth,
-            max_inflight_per_tenant=config.max_inflight_per_tenant,
-        ),
-    )
-    print(
-        f"serving {len(trace)} drill-down queries from "
-        f"{config.n_sessions} sessions over {config.n_tenants} tenants "
-        f"({args.concurrency} concurrent clients, "
-        f"{config.service_workers} dispatch workers)"
-    )
-    try:
-        for pass_index in range(max(1, args.passes)):
-            outcomes, wall = run_closed_loop(service, trace, args.concurrency)
-            summary = summarize_outcomes(outcomes, wall)
-            label = "cold" if pass_index == 0 else f"pass {pass_index + 1}"
-            print(
-                f"{label:>7}: {summary['qps']:8.1f} q/s, "
-                f"p50 {1000 * summary['p50_seconds']:7.2f} ms, "
-                f"p95 {1000 * summary['p95_seconds']:7.2f} ms, "
-                f"p99 {1000 * summary['p99_seconds']:7.2f} ms | "
-                f"hits {summary['cache_hit_fraction']:4.0%}, "
-                f"subsumed {summary['subsumption_fraction']:4.0%}, "
-                f"rejected {summary['rejected']:.0f}"
-            )
-        snapshot = service.stats()
-    finally:
-        service.close()
-        store.executor.close()
-    cache = snapshot.get("cache", {})
-    if cache:
-        print(
-            f"semantic cache: {cache['entries']:.0f} entries, "
-            f"{cache['used_bytes'] / (1 << 10):.0f} KiB resident, "
-            f"{cache['evictions']:.0f} evictions, "
-            f"{cache['footprints']:.0f} footprints"
-        )
-    counts = snapshot["counts"]
-    print(
-        f"outcomes: {counts['completed']} completed, "
-        f"{counts['rejected']} rejected, {counts['failed']} failed, "
-        f"{counts['degraded']} degraded"
-    )
-    return 0
-
-
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workload.benchserve import (
-        ServeBenchConfig,
-        render_serve_report,
-        run_serve_bench,
-    )
-
-    config = ServeBenchConfig(
-        rows=args.rows,
-        concurrencies=tuple(int(c) for c in args.concurrencies.split(",")),
-        n_sessions=args.sessions,
-        clicks_per_session=args.clicks,
-        queries_per_click=args.queries_per_click,
-        n_tenants=args.tenants,
-        executor=args.executor,
-        service_workers=args.workers,
-    )
-    report = run_serve_bench(config)
-    print("\n".join(render_serve_report(report)))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
-    return 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workload.chaosbench import (
-        ChaosBenchConfig,
-        ProcessChaosBenchConfig,
-        render_chaos_report,
-        render_process_chaos_report,
-        run_chaos_bench,
-        run_process_chaos_bench,
-    )
-
-    if args.local:
-        local_config = ProcessChaosBenchConfig(
-            rows=args.rows,
-            workers=args.local_workers,
-            queries_per_scenario=args.queries,
-            deadline_seconds=args.sub_query_deadline_ms / 1000.0,
-            max_retries=args.max_retries,
-            fault_seed=args.fault_seed,
-        )
-        report = run_process_chaos_bench(local_config)
-        print("\n".join(render_process_chaos_report(report)))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-            print(f"\nwrote {args.output}")
-        return 0
-
-    config = ChaosBenchConfig(
-        rows=args.rows,
-        n_shards=args.shards,
-        n_machines=args.machines,
-        queries_per_rate=args.queries,
-        crash_rates=tuple(float(r) for r in args.crash_rate.split(",")),
-        timeout_rate=args.timeout_rate,
-        corruption_rate=args.corruption_rate,
-        deadline_seconds=args.sub_query_deadline_ms / 1000.0,
-        max_retries=args.max_retries,
-        fault_seed=args.fault_seed,
-    )
-    report = run_chaos_bench(config)
-    print("\n".join(render_chaos_report(report)))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -593,175 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--rows", type=int, default=50_000)
     _add_runtime_flags(p_demo)
     p_demo.set_defaults(func=cmd_demo)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="multi-tenant serving demo: replay drill-down sessions "
-        "through the query service (admission, fair scheduling, "
-        "semantic result cache)",
-    )
-    p_serve.add_argument("--rows", type=int, default=60_000)
-    p_serve.add_argument("--sessions", type=int, default=12)
-    p_serve.add_argument("--clicks", type=int, default=3)
-    p_serve.add_argument("--queries-per-click", type=int, default=6)
-    p_serve.add_argument("--tenants", type=int, default=6)
-    p_serve.add_argument(
-        "--concurrency", type=int, default=4, help="closed-loop client threads"
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=2, help="service dispatch workers"
-    )
-    p_serve.add_argument(
-        "--queue-depth", type=int, default=64, help="per-tenant queue bound"
-    )
-    p_serve.add_argument(
-        "--executor",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="engine execution strategy under the service",
-    )
-    p_serve.add_argument(
-        "--passes",
-        type=int,
-        default=2,
-        help="trace replays (pass 2+ exercises the warm cache)",
-    )
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_bench = sub.add_parser("bench", help="run a built-in benchmark")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_scan = bench_sub.add_parser(
-        "scan", help="worker-count and cache-policy sweep over the scan path"
-    )
-    p_scan.add_argument("--rows", type=int, default=60_000)
-    p_scan.add_argument(
-        "--workers", default="1,2,4", help="comma-separated worker counts"
-    )
-    p_scan.add_argument(
-        "--policies", default="lru,2q,arc", help="comma-separated cache policies"
-    )
-    p_scan.add_argument(
-        "--executors",
-        default="serial,thread,process",
-        help="comma-separated execution strategies to sweep",
-    )
-    p_scan.add_argument("--repeats", type=int, default=3)
-    p_scan.add_argument("--trace-steps", type=int, default=120)
-    p_scan.add_argument(
-        "--output", default=None, help="write the JSON report here"
-    )
-    p_scan.set_defaults(func=cmd_bench_scan)
-
-    p_compress_bench = bench_sub.add_parser(
-        "compress",
-        help="scalar-oracle vs numpy-kernel codec throughput and ratios",
-    )
-    p_compress_bench.add_argument("--rows", type=int, default=60_000)
-    p_compress_bench.add_argument("--repeats", type=int, default=2)
-    p_compress_bench.add_argument(
-        "--huffman-bytes",
-        type=int,
-        default=1 << 16,
-        help="Huffman corpus cap (the scalar oracle encoder is quadratic)",
-    )
-    p_compress_bench.add_argument(
-        "--store-rows",
-        type=int,
-        default=12_000,
-        help="rows in the store whose serialization feeds the LZ codecs",
-    )
-    p_compress_bench.add_argument(
-        "--output", default=None, help="write the JSON report here"
-    )
-    p_compress_bench.set_defaults(func=cmd_bench_compress)
-
-    p_advisor_bench = bench_sub.add_parser(
-        "advisor",
-        help="static-codec baseline vs advisor-chosen per-field codecs "
-        "(size x decode-throughput)",
-    )
-    p_advisor_bench.add_argument("--rows", type=int, default=60_000)
-    p_advisor_bench.add_argument("--repeats", type=int, default=3)
-    p_advisor_bench.add_argument(
-        "--output", default=None, help="write the JSON report here"
-    )
-    p_advisor_bench.set_defaults(func=cmd_bench_advisor)
-
-    p_serve_bench = bench_sub.add_parser(
-        "serve",
-        help="QPS and tail-latency sweep over the multi-tenant query "
-        "service (cold/warm cache, open-loop shedding point)",
-    )
-    p_serve_bench.add_argument("--rows", type=int, default=60_000)
-    p_serve_bench.add_argument(
-        "--concurrencies",
-        default="1,2,4",
-        help="comma-separated closed-loop client counts",
-    )
-    p_serve_bench.add_argument("--sessions", type=int, default=12)
-    p_serve_bench.add_argument("--clicks", type=int, default=3)
-    p_serve_bench.add_argument("--queries-per-click", type=int, default=6)
-    p_serve_bench.add_argument("--tenants", type=int, default=6)
-    p_serve_bench.add_argument(
-        "--executor",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="engine execution strategy under the service",
-    )
-    p_serve_bench.add_argument(
-        "--workers", type=int, default=2, help="service dispatch workers"
-    )
-    p_serve_bench.add_argument(
-        "--output", default=None, help="write the JSON report here"
-    )
-    p_serve_bench.set_defaults(func=cmd_bench_serve)
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="sweep injected fault rates over the simulated cluster",
-    )
-    p_chaos.add_argument("--rows", type=int, default=24_000)
-    p_chaos.add_argument("--shards", type=int, default=6)
-    p_chaos.add_argument("--machines", type=int, default=8)
-    p_chaos.add_argument(
-        "--queries", type=int, default=12, help="queries per crash rate"
-    )
-    p_chaos.add_argument(
-        "--fault-seed", type=int, default=0, help="fault-plan RNG seed"
-    )
-    p_chaos.add_argument(
-        "--crash-rate",
-        default="0,0.05,0.2,0.5",
-        help="comma-separated per-machine crash probabilities to sweep",
-    )
-    p_chaos.add_argument("--timeout-rate", type=float, default=0.02)
-    p_chaos.add_argument("--corruption-rate", type=float, default=0.02)
-    p_chaos.add_argument(
-        "--sub-query-deadline-ms",
-        type=float,
-        default=500.0,
-        help="per-attempt deadline in milliseconds",
-    )
-    p_chaos.add_argument("--max-retries", type=int, default=2)
-    p_chaos.add_argument(
-        "--local",
-        action="store_true",
-        help="run the local process-chaos bench instead: REAL worker "
-        "faults (SIGKILL, os._exit, hangs) against the process "
-        "executor on this machine (--rows, --queries, "
-        "--sub-query-deadline-ms, --max-retries and --fault-seed "
-        "apply; the cluster flags are ignored)",
-    )
-    p_chaos.add_argument(
-        "--local-workers",
-        type=int,
-        default=2,
-        help="process-pool workers for --local",
-    )
-    p_chaos.add_argument(
-        "--output", default=None, help="write the JSON report here"
-    )
-    p_chaos.set_defaults(func=cmd_chaos)
 
     from repro.analysis.cli import configure_fsck_parser, configure_lint_parser
 

@@ -17,7 +17,7 @@ provides from-scratch, pure-Python equivalents:
 All codecs round-trip arbitrary ``bytes`` and are registered in
 :mod:`repro.compress.registry` under stable names. Hot paths are numpy
 bulk kernels, byte-identical to the scalar implementations frozen in
-:mod:`repro.compress.reference`; registry-level calls accumulate
+``tests/compress_oracle.py``; registry-level calls accumulate
 per-codec :class:`~repro.compress.registry.CompressionStats` mirrored
 into :data:`repro.monitoring.counters`.
 """

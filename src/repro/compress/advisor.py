@@ -167,7 +167,7 @@ class CodecChoice:
     sample_bytes: int
     mode: str
     #: ``(candidate, ratio, score)`` per scored candidate, sorted by
-    #: descending score — kept for ``repro describe`` and the bench.
+    #: descending score — kept for ``repro describe``.
     scores: tuple[tuple[str, float, float], ...] = field(default=())
 
     def as_dict(self) -> dict[str, object]:

@@ -8,7 +8,7 @@ bitstream. Stack it on an LZ codec (see ``zippy+huffman`` in
 :mod:`repro.compress.registry`) to reproduce the ZLIB-like variant.
 
 PR 5 vectorized both directions, byte-identical to the scalar codec
-frozen in :mod:`repro.compress.reference`. Encoding gathers every
+frozen in ``tests/compress_oracle.py``. Encoding gathers every
 symbol's code and length with one fancy index, lays the bits out with a
 chunked 2-D scatter, and packs them with ``np.packbits`` (whose
 right-padding of the final byte matches the scalar accumulator).

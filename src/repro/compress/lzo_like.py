@@ -17,7 +17,7 @@ can reference further back. Decompression is a single linear pass.
 
 Like :mod:`repro.compress.zippy` (PR 5), the hot paths are bulk
 operations byte-identical to the scalar encoder frozen in
-:mod:`repro.compress.reference`: window keys come from one vectorized
+``tests/compress_oracle.py``: window keys come from one vectorized
 pass, candidate matches extend via doubling slice compares, and
 overlapping copies tile instead of appending per byte.
 """

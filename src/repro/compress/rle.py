@@ -12,7 +12,7 @@ Three related encoders live here:
   size, which equals 1 + number of bit flips in the column.
 
 Both byte-level directions are numpy bulk kernels (PR 5), byte-identical
-to the scalar loops frozen in :mod:`repro.compress.reference`. Run
+to the scalar loops frozen in ``tests/compress_oracle.py``. Run
 detection is a boundary mask — ``np.flatnonzero(a[1:] != a[:-1])``
 yields every run edge at once. Decoding a (varint, byte) pair stream is
 the harder direction because pair boundaries are sequential; the kernel

@@ -11,7 +11,7 @@ Two API tiers live here:
   :func:`decode_varint_stream` and the zigzag variants) that encode or
   decode a whole integer column in a handful of numpy passes. They are
   byte-identical to the scalar loops frozen in
-  :mod:`repro.compress.reference` — the columnio block codec, the
+  ``tests/compress_oracle.py`` — the columnio block codec, the
   record-io writer, and the chunk-dictionary serde are built on them.
 
 The bulk decoder exploits that in a varint stream the byte's top bit

@@ -17,7 +17,7 @@ in :mod:`repro.compress.lzo_like` trades encode time for ~10% better
 ratio, matching the Section 5 comparison.
 
 PR 5 vectorized the hot paths while keeping the output byte-identical
-to the scalar encoder frozen in :mod:`repro.compress.reference`: the
+to the scalar encoder frozen in ``tests/compress_oracle.py``: the
 compressor computes every 4-byte window key in one vectorized pass and
 extends matches with doubling slice compares instead of a per-byte
 loop; the decompressor copies literals and back-references as slices,

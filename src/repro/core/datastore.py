@@ -139,10 +139,6 @@ class DataStoreOptions:
     # stores; "auto" lets the advisor pick per field; any registered
     # codec name forces that codec for every field.
     codec: str | None = None
-    advisor_sample_rows: int = 4096
-    advisor_seed: int = 2012
-    advisor_size_weight: float = 1.0
-    advisor_speed_weight: float = 0.15
     advisor_mode: str = "stats"
 
     def __post_init__(self) -> None:
@@ -156,13 +152,7 @@ class DataStoreOptions:
 
     def advisor_config(self) -> AdvisorConfig:
         """The advisor-facing view of the encoding knobs."""
-        return AdvisorConfig(
-            sample_rows=self.advisor_sample_rows,
-            seed=self.advisor_seed,
-            size_weight=self.advisor_size_weight,
-            speed_weight=self.advisor_speed_weight,
-            mode=self.advisor_mode,
-        )
+        return AdvisorConfig(mode=self.advisor_mode)
 
     def supervision(self) -> SupervisionConfig:
         """The executor-facing view of the supervision knobs."""

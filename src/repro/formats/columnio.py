@@ -20,12 +20,13 @@ only the referenced columns — ``memory_bytes`` reports exactly those
 columns' compressed bytes, which is how the paper accounts Dremel's
 memory in Table 1.
 
-Header versions: version-1 files record one file-wide ``codec``;
-version-2 files (written by this module since PR 9) record a codec
-*per column*, so ``codec="auto"`` can let the encoding advisor
+The header (version 2) records a codec *per column*, so
+``codec="auto"`` can let the encoding advisor
 (:mod:`repro.compress.advisor`) pick a different pipeline for each
 column — the chosen name plus the advisor's ``codec_choice`` record
-land in that column's header entry. Version-1 files still load.
+land in that column's header entry. Any other header version —
+including the file-wide-codec layout no writer here produces — is
+rejected with :class:`~repro.errors.TableError`.
 
 INT and FLOAT block bodies are encoded and decoded with the bulk
 varint/zigzag kernels of :mod:`repro.compress.varint` (PR 5) — one
@@ -229,12 +230,7 @@ class ColumnIoBackend(Backend):
             self._data_start = 4 + header_start + header_len
         self._n_rows = header["n_rows"]
         version = header.get("version", 1)
-        if version == 1:
-            # Legacy layout: one file-wide codec for every column.
-            shared_codec = header["codec"]
-            for column_meta in header["columns"]:
-                column_meta.setdefault("codec", shared_codec)
-        elif version != 2:
+        if version != 2:
             raise TableError(
                 f"unsupported column-io header version {version} in {path}"
             )

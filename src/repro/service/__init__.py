@@ -1,4 +1,4 @@
-"""The multi-tenant query serving layer (``repro serve``).
+"""The multi-tenant query serving layer (``QueryService``).
 
 - :mod:`repro.service.service` -- :class:`QueryService`, the long-lived
   server: admission, dispatch, cache probes, explicit outcomes.

@@ -36,11 +36,10 @@ byte-identical to files written before the advisor existed.
 The checksum makes corruption detection exact: any bit flip or
 truncation after the magic word fails the CRC before parsing begins,
 so :func:`load_store` raises :class:`~repro.errors.StorageError`
-instead of returning silently wrong data. Format-1 files (magic
-``PDS1``, no checksum) still load. Every parse failure — bad magic,
-checksum mismatch, truncated payloads, malformed headers — surfaces as
-``StorageError`` so callers (and ``repro fsck``) can rely on one
-exception family.
+instead of returning silently wrong data. Every parse failure — bad
+magic, checksum mismatch, truncated payloads, malformed headers —
+surfaces as ``StorageError`` so callers (and ``repro fsck``) can rely
+on one exception family.
 
 The per-piece codecs (:func:`encode_chunk_dict`,
 :func:`encode_elements`, :func:`encode_dictionary` and their decode
@@ -82,7 +81,6 @@ from repro.storage.elements import (
 from repro.storage.trie import TrieDictionary
 
 _MAGIC = b"PDS2"
-_MAGIC_V1 = b"PDS1"
 
 _ELEMENT_TAGS = {"constant": 0, "bitset": 1, "packed": 2}
 _TAG_TO_NAME = {tag: name for name, tag in _ELEMENT_TAGS.items()}
@@ -316,10 +314,6 @@ def options_to_dict(options: DataStoreOptions) -> dict:
         "watchdog_interval_seconds": options.watchdog_interval_seconds,
         "degrade": options.degrade,
         "codec": options.codec,
-        "advisor_sample_rows": options.advisor_sample_rows,
-        "advisor_seed": options.advisor_seed,
-        "advisor_size_weight": options.advisor_size_weight,
-        "advisor_speed_weight": options.advisor_speed_weight,
         "advisor_mode": options.advisor_mode,
     }
 
@@ -357,10 +351,6 @@ def options_from_dict(raw_options: dict) -> DataStoreOptions:
         degrade=raw_options.get("degrade", True),
         # Advisor knobs: absent in files written before PR 9.
         codec=raw_options.get("codec"),
-        advisor_sample_rows=raw_options.get("advisor_sample_rows", 4096),
-        advisor_seed=raw_options.get("advisor_seed", 2012),
-        advisor_size_weight=raw_options.get("advisor_size_weight", 1.0),
-        advisor_speed_weight=raw_options.get("advisor_speed_weight", 0.15),
         advisor_mode=raw_options.get("advisor_mode", "stats"),
     )
 
@@ -440,24 +430,20 @@ def load_store(path: str) -> DataStore:
     with open(path, "rb") as handle:
         data = handle.read()
     magic = data[:4]
-    if magic == _MAGIC:
-        if len(data) < 8:
-            raise StorageError("store file truncated before checksum")
-        if not verify_crc32_tag(data[4:8], data[8:]):
-            expected_crc = int.from_bytes(data[4:8], "little")
-            actual_crc = zlib.crc32(data[8:])
-            raise StorageError(
-                f"store file checksum mismatch: header says "
-                f"{expected_crc:#010x}, contents hash to {actual_crc:#010x} "
-                "— the file is corrupt or truncated"
-            )
-        pos = 8
-    elif magic == _MAGIC_V1:
-        pos = 4  # legacy format: no checksum to verify
-    else:
+    if magic != _MAGIC:
         raise StorageError(f"not a datastore file: magic {magic!r}")
+    if len(data) < 8:
+        raise StorageError("store file truncated before checksum")
+    if not verify_crc32_tag(data[4:8], data[8:]):
+        expected_crc = int.from_bytes(data[4:8], "little")
+        actual_crc = zlib.crc32(data[8:])
+        raise StorageError(
+            f"store file checksum mismatch: header says "
+            f"{expected_crc:#010x}, contents hash to {actual_crc:#010x} "
+            "— the file is corrupt or truncated"
+        )
     try:
-        return _parse_store_body(data, pos)
+        return _parse_store_body(data, 8)
     except (
         IndexError,
         ValueError,

@@ -3,21 +3,19 @@
 PR 5 rewrote the hot paths of every codec in :mod:`repro.compress` as
 numpy bulk kernels. This module keeps the original per-byte scalar
 implementations **verbatim and frozen** so that the vectorized kernels
-can be differentially tested against them forever — the same oracle
-pattern PR 4 established with ``factorize_scalar`` and
-``reference_trie_bytes``.
+can be differentially tested against them forever
+(``tests/test_compress_kernels.py``) — the same oracle pattern as
+``tests/import_oracle.py`` and ``tests/engine_oracle.py``.
 
 Rules for this module:
 
 - never "optimize" it: its only job is to define the correct bytes;
-- it is exempt from the REP010 per-byte-loop lint rule (it *is* the
-  per-byte implementation);
 - it has no dependencies beyond the error types, so a bug in the live
   kernels can never leak into the oracle.
 
 Functions mirror the live API names; import the module qualified
-(``from repro.compress import reference``) so call sites read as
-``reference.zippy_compress(...)``.
+(``from tests import compress_oracle as reference``) so call sites read
+as ``reference.zippy_compress(...)``.
 """
 
 from __future__ import annotations

@@ -353,7 +353,7 @@ def test_columnio_codec_stats_are_per_instance(tmp_path):
     assert sum(s.decode_calls for s in stats.values()) > 0
 
 
-def test_columnio_v1_header_still_loads(tmp_path):
+def test_columnio_v1_header_is_rejected(tmp_path):
     from repro.core.table import DataType
     from repro.formats.columnio import _MAGIC, _encode_block
 
@@ -381,10 +381,8 @@ def test_columnio_v1_header_still_loads(tmp_path):
         handle.write(encode_varint(len(header)))
         handle.write(header)
         handle.write(block)
-    backend = ColumnIoBackend(path)
-    assert backend.column_codec("word") == "zippy"
-    assert backend.column_codec_choice("word") is None
-    assert backend.read_column("word") == ["alpha", "beta", None]
+    with pytest.raises(TableError, match="unsupported column-io header version 1"):
+        ColumnIoBackend(path)
 
 
 def test_columnio_unknown_header_version_rejected(tmp_path):
@@ -400,24 +398,3 @@ def test_columnio_unknown_header_version_rejected(tmp_path):
         handle.write(header)
     with pytest.raises(TableError):
         ColumnIoBackend(path)
-
-
-# -- the bench harness -------------------------------------------------------
-
-
-def test_advisor_bench_smoke():
-    from repro.workload.benchadvisor import (
-        AdvisorBenchConfig,
-        render_advisor_report,
-        run_advisor_bench,
-    )
-
-    report = run_advisor_bench(AdvisorBenchConfig(rows=1200, repeats=1))
-    assert report["fields"]
-    assert report["fsck_clean"], report["fsck_findings"]
-    assert report["save_load"]["sections_match"]
-    for entry in report["fields"].values():
-        assert entry["sections_identical"]
-        assert entry["size_decode_metric"] > 0
-    assert report["size_decode_geomean"] > 0
-    assert any("geomean" in line for line in render_advisor_report(report))

@@ -1,8 +1,10 @@
 """CLI tests: import / query / info / demo paths."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.formats import write_csv
 from repro.storage.serde import load_store
 
@@ -104,68 +106,28 @@ class TestInfoAndDemo:
         assert text.count("--") >= 3  # three query banners
 
 
-class TestBenchCompress:
-    def test_bench_compress_writes_report(self, tmp_path, capsys):
-        out = str(tmp_path / "compress.json")
-        code = main(
-            [
-                "bench", "compress",
-                "--rows", "4000",
-                "--repeats", "1",
-                "--store-rows", "2000",
-                "--huffman-bytes", "8192",
-                "--output", out,
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "compress bench" in text
-        assert "varint-stream" in text
-        assert "BUG" not in text  # byte-identity / round-trip columns
-
-        import json
-
-        report = json.loads(open(out, encoding="utf-8").read())
-        assert report["rows"] == 4000
-        for name in ("varint-stream", "rle", "zippy", "lzo", "huffman"):
-            entry = report["codecs"][name]
-            assert entry["byte_identical"] is True
-            assert entry["round_trip"] is True
-        assert report["codec_stats"]["zippy"]["encode_calls"] >= 1
+def registered_subcommands() -> set[str]:
+    """The subcommand names ``repro`` accepts, read off the parser."""
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return set(subparsers.choices)
 
 
-class TestChaos:
-    def test_chaos_sweep_writes_report(self, tmp_path, capsys):
-        out = str(tmp_path / "chaos.json")
-        code = main(
-            [
-                "chaos",
-                "--rows", "3000",
-                "--queries", "3",
-                "--crash-rate", "0,0.4",
-                "--fault-seed", "7",
-                "--output", out,
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "fault-tolerance bench" in text
-        assert "avail" in text
+class TestSubcommandSet:
+    def test_exactly_the_system_subcommands(self):
+        assert registered_subcommands() == {
+            "import", "query", "repl", "info", "describe", "demo", "lint", "fsck",
+        }
 
-        import json
-
-        report = json.loads(open(out, encoding="utf-8").read())
-        assert report["fault_seed"] == 7
-        assert [p["crash_rate"] for p in report["sweep"]] == [0.0, 0.4]
-        assert report["sweep"][0]["availability"] == 1.0
-        assert all(
-            p["complete_results_match_reference"] for p in report["sweep"]
-        )
-
-    def test_chaos_rejects_bad_rate(self, capsys):
-        code = main(["chaos", "--rows", "2000", "--crash-rate", "1.5"])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("retired", ["bench", "chaos", "serve"])
+    def test_retired_subcommands_are_usage_errors(self, retired, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([retired])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestLintJson:
@@ -207,48 +169,3 @@ class TestLintJson:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["findings"] == []
-
-
-class TestServe:
-    def test_serve_demo_replays_and_reports(self, capsys):
-        code = main(
-            [
-                "serve",
-                "--rows", "2000",
-                "--sessions", "2",
-                "--clicks", "2",
-                "--queries-per-click", "2",
-                "--tenants", "2",
-                "--concurrency", "2",
-                "--passes", "2",
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "cold" in text
-        assert "pass 2" in text
-        assert "semantic cache" in text
-        assert "0 failed" in text
-
-    def test_bench_serve_writes_report(self, tmp_path, capsys):
-        out = str(tmp_path / "serve.json")
-        code = main(
-            [
-                "bench", "serve",
-                "--rows", "2000",
-                "--concurrencies", "1",
-                "--sessions", "2",
-                "--clicks", "2",
-                "--queries-per-click", "2",
-                "--output", out,
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "serving bench" in text
-        assert "open loop" in text
-        import json
-
-        report = json.loads((tmp_path / "serve.json").read_text())
-        assert report["bench"] == "serving"
-        assert report["correctness"]["mismatches"] == 0

@@ -1,7 +1,7 @@
 """Differential fuzzing: numpy codec kernels vs the frozen scalar oracles.
 
 Every vectorized codec in :mod:`repro.compress` has a scalar twin
-frozen in :mod:`repro.compress.reference` (the pre-vectorization
+frozen in ``tests/compress_oracle.py`` (the pre-vectorization
 implementations). These tests hold the kernels to three contracts:
 
 - **byte identity** — the kernel encoder produces *exactly* the oracle's
@@ -27,7 +27,6 @@ from repro.compress import (
     get_codec,
     reset_compression_stats,
 )
-from repro.compress import reference
 from repro.compress.varint import (
     decode_varint_stream,
     decode_zigzag_stream,
@@ -36,6 +35,7 @@ from repro.compress.varint import (
 )
 from repro.errors import CompressionError
 from repro.monitoring import counters
+from tests import compress_oracle as reference
 
 _INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 _UINT64 = st.integers(min_value=0, max_value=2**64 - 1)

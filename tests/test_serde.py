@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.errors import StorageError
-from repro.storage.serde import load_store, save_store
+from repro.storage.serde import (
+    load_store,
+    options_from_dict,
+    options_to_dict,
+    save_store,
+)
 from repro.testing import assert_results_equal
 from repro.workload.queries import paper_queries
 from tests.conftest import make_store
@@ -92,6 +97,28 @@ class TestSaveLoad:
         open(path, "wb").write(b"NOPE" + b"\x00" * 16)
         with pytest.raises(StorageError):
             load_store(path)
+
+    def test_unchecksummed_pds1_file_rejected(self, log_table, tmp_path):
+        # The pre-checksum layout (magic + the same body) has no writer.
+        path = str(tmp_path / "s.pds")
+        save_store(make_store(log_table), path)
+        body = open(path, "rb").read()[8:]
+        open(path, "wb").write(b"PDS1" + body)
+        with pytest.raises(StorageError, match="not a datastore file"):
+            load_store(path)
+
+    def test_retired_advisor_header_keys_are_ignored(self):
+        options = DataStoreOptions(codec="auto", advisor_mode="trial")
+        header = options_to_dict(options)
+        assert not {"advisor_sample_rows", "advisor_seed"} & set(header)
+        older = dict(
+            header,
+            advisor_sample_rows=512,
+            advisor_seed=7,
+            advisor_size_weight=2.0,
+            advisor_speed_weight=0.5,
+        )
+        assert options_from_dict(older) == options
 
     def test_file_smaller_than_csv(self, log_table, tmp_path):
         from repro.formats import write_csv

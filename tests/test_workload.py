@@ -252,41 +252,3 @@ class TestDrillDownSessionGroups:
                     for sql in click
                 }
                 assert len(wheres) == 1
-
-
-class TestTenantMix:
-    def test_zipf_weights_shape(self):
-        from repro.workload.benchserve import zipf_tenant_weights
-
-        weights = zipf_tenant_weights(6, 1.2)
-        assert len(weights) == 6
-        assert weights == sorted(weights, reverse=True)
-        assert sum(weights) == pytest.approx(1.0)
-        # s controls the skew; s=0 is uniform.
-        assert zipf_tenant_weights(4, 0.0) == pytest.approx([0.25] * 4)
-
-    def test_assignment_deterministic_and_zipfian(self):
-        from collections import Counter
-
-        from repro.workload.benchserve import (
-            TenantMixConfig,
-            assign_sessions_to_tenants,
-        )
-
-        mix = TenantMixConfig(n_tenants=5, zipf_s=1.2, seed=3)
-        labels = assign_sessions_to_tenants(400, mix)
-        assert labels == assign_sessions_to_tenants(400, mix)
-        assert set(labels) <= {f"tenant-{r:02d}" for r in range(5)}
-        counts = Counter(labels)
-        # Rank 0 dominates and the head outweighs the tail — the
-        # Zipfian shape, asserted loosely (it is a random draw).
-        assert counts["tenant-00"] == max(counts.values())
-        assert counts["tenant-00"] > len(labels) * 0.3
-
-    def test_invalid_mix(self):
-        from repro.workload.benchserve import TenantMixConfig
-
-        with pytest.raises(ReproError):
-            TenantMixConfig(n_tenants=0)
-        with pytest.raises(ReproError):
-            TenantMixConfig(zipf_s=-1.0)

@@ -110,55 +110,6 @@ LINT_CATALOG: tuple[CatalogEntry, ...] = (
         "deliberate scalar loops must carry a justified suppression",
     ),
     CatalogEntry(
-        "REP011",
-        "executor-capture-mutation",
-        "callables submitted to map_ordered / dispatch_sub_query never "
-        "write through closed-over state and never capture module-level "
-        "mutable bindings",
-        "worker-side writes to shared objects are racy under threads "
-        "and silently lost under processes; results must flow back as "
-        "return values folded in on the merge thread",
-    ),
-    CatalogEntry(
-        "REP012",
-        "chunk-partial-transitive-impurity",
-        "every project function reachable from a chunk_partial "
-        "implementation is free of writes to self, module globals and "
-        "module-level registries (interprocedural REP007)",
-        "chunk_partial fans out across workers; one impure helper three "
-        "calls down reintroduces the shared-state race REP007 bans at "
-        "the surface",
-    ),
-    CatalogEntry(
-        "REP013",
-        "unordered-merge-iteration",
-        "no set iteration without sorted() in merge/serialization "
-        "functions or anything they call (dict iteration is "
-        "insertion-ordered and exempt)",
-        "parallel execution is only bit-identical to serial if merge "
-        "order and encoded bytes never depend on PYTHONHASHSEED",
-    ),
-    CatalogEntry(
-        "REP014",
-        "buffer-view-mutation",
-        "no in-place numpy mutation (subscript store, augmented assign, "
-        "out=, in-place methods) on arrays derived from np.frombuffer "
-        "views, traced through aliases and project-function returns",
-        "the shared-memory chunk arena hands every worker the same "
-        "decoded bytes; an in-place store on a view corrupts other "
-        "workers' reads",
-    ),
-    CatalogEntry(
-        "REP015",
-        "unpicklable-capture",
-        "executor submissions capture only picklable values: no locks, "
-        "pools, open files or sockets, directly or via a captured self "
-        "whose class lacks __getstate__/__reduce__",
-        "swapping the ThreadPool for a ProcessPool requires every "
-        "capture to cross a pickle boundary; one stray lock fails the "
-        "whole scan",
-    ),
-    CatalogEntry(
         "REP016",
         "unused-suppression",
         "every # reprolint: disable comment still suppresses at least "
@@ -186,17 +137,6 @@ LINT_CATALOG: tuple[CatalogEntry, ...] = (
         "the encoding advisor owns codec choice; a codec name inlined "
         "at a call site silently pins a layout decision the advisor "
         "can no longer revisit, and renaming a codec breaks it",
-    ),
-    CatalogEntry(
-        "REP019",
-        "unbounded-service-queue",
-        "no unbounded Queue/LifoQueue/PriorityQueue (missing or "
-        "non-positive maxsize), deque without maxlen, or SimpleQueue "
-        "anywhere under repro/service/",
-        "the serving layer's contract is admission control: overload "
-        "must surface as an explicit QueryRejected at offer() time, "
-        "never as silent queue growth, memory pressure and unbounded "
-        "tail latency",
     ),
 )
 

@@ -161,26 +161,6 @@ class LintRule:
         raise NotImplementedError
 
 
-class ProjectRule(LintRule):
-    """A rule that needs the whole-project dataflow model.
-
-    Project rules run after every module is parsed, against the
-    :class:`repro.analysis.dataflow.Project` built from all of them
-    (call graph, taint summaries). They yield ``(rel_path, finding)``
-    pairs instead of per-module findings; path scoping via
-    ``applies_to`` is still honoured on the module each finding lands
-    in, and suppressions work exactly as for per-module rules.
-    """
-
-    def check(self, module: ModuleInfo) -> Iterable[RawFinding]:
-        return ()
-
-    def check_project(
-        self, project, modules: dict[str, ModuleInfo]
-    ) -> Iterable[tuple[str, RawFinding]]:
-        raise NotImplementedError
-
-
 _REGISTRY: dict[str, type[LintRule]] = {}
 
 
@@ -323,11 +303,10 @@ def run_lint(
     ``severity_overrides`` maps rule codes to severities replacing each
     rule's default. Suppressed findings are counted but not reported.
 
-    Per-module rules run first, file by file; :class:`ProjectRule`
-    subclasses then run once against the whole-project dataflow model.
-    On full runs (no ``select``), suppression comments that silenced
-    nothing are reported as REP016 — a selective run leaves most rules
-    un-run, so unused-ness cannot be judged there.
+    Rules run file by file, each on one parsed module. On full runs (no
+    ``select``), suppression comments that silenced nothing are reported
+    as REP016 — a selective run leaves most rules un-run, so unused-ness
+    cannot be judged there.
     """
     if isinstance(paths, str):
         paths = [paths]
@@ -374,26 +353,11 @@ def run_lint(
         )
         counters.increment("analysis.lint.findings")
 
-    module_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     for module in modules.values():
-        for rule in module_rules:
+        for rule in rules:
             if not rule.applies_to(module):
                 continue
             for raw in rule.check(module):
-                record(rule, module, raw)
-
-    if project_rules:
-        from repro.analysis.dataflow import Project
-
-        project = Project(
-            (m.rel_path, m.tree) for m in modules.values()
-        )
-        for rule in project_rules:
-            for rel_path, raw in rule.check_project(project, modules):
-                module = modules.get(rel_path)
-                if module is None or not rule.applies_to(module):
-                    continue
                 record(rule, module, raw)
 
     if select is None:

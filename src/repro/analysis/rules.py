@@ -1,4 +1,4 @@
-"""The built-in reprolint rules (REP001 — REP019).
+"""The built-in reprolint rules (REP001 — REP010, REP016 — REP018).
 
 Each rule encodes one repo convention that keeps the storage layer's
 invariants enforceable:
@@ -35,35 +35,6 @@ invariants enforceable:
   few deliberate scalar loops (greedy LZ parses, the Huffman heap
   merge) carry justified suppressions.
 
-REP011 — REP015 are the *dataflow* rules certifying the engine
-process-parallel-ready (ROADMAP item 2). They run on the whole-project
-model from :mod:`repro.analysis.dataflow` — call graph, reaching
-definitions, buffer taint — instead of per-node patterns:
-
-- REP011 — callables submitted to an executor seam (``map_ordered``,
-  ``dispatch_sub_query``'s ``attempt_cost``) never *write* through
-  closed-over state, and never capture a module-level mutable binding:
-  worker-side writes to shared objects are lost or racy the moment the
-  pool is processes, not threads.
-- REP012 — transitive purity: every project function reachable from a
-  ``chunk_partial`` implementation is free of writes to ``self``,
-  module globals and module-level registries (the interprocedural
-  generalization of REP007).
-- REP013 — merge determinism: functions on merge/serialization paths
-  never iterate a ``set`` without an explicit ``sorted(...)`` — set
-  order varies with PYTHONHASHSEED, so it must never feed merge order
-  or serialized bytes. (Dict iteration is insertion-ordered and
-  deterministic; it is deliberately not flagged.)
-- REP014 — shared-buffer safety: no in-place numpy mutation (subscript
-  stores, augmented assigns, ``out=``, in-place methods) on arrays
-  derived from ``np.frombuffer`` views, traced through aliases, views
-  and project-function returns — the invariant the mmap/shared-memory
-  arena will require.
-- REP015 — executor-submission captures restricted to known-picklable
-  values: no captured locks, pools, open files or sockets (directly or
-  as attributes of a captured ``self`` whose class lacks
-  ``__getstate__``/``__reduce__``) — the ProcessPool precondition.
-
 - REP016 — suppression hygiene: a ``# reprolint: disable=...`` comment
   that silences nothing is itself flagged (full runs only), so dead
   opt-outs cannot accumulate. The detection lives in the engine
@@ -84,13 +55,11 @@ definitions, buffer taint — instead of per-node patterns:
   defaults* — function parameter defaults and module-level ALL_CAPS
   constants, which are the sanctioned way to name a static fallback.
 
-- REP019 — the serving layer admits by policy, not by memory: every
-  queue or deque constructed under ``repro/service/`` must carry an
-  explicit bound (``Queue(maxsize=n)`` with ``n > 0``,
-  ``deque(maxlen=n)``), and ``SimpleQueue`` — unboundable by
-  construction — is banned there outright. An unbounded buffer turns
-  overload into memory growth and tail latency; the service's contract
-  is an explicit ``QueryRejected`` at admission instead.
+Every rule is a per-module AST check. The gaps in the numbering are
+retired codes (five interprocedural concurrency rules and a service
+queue rule, whose invariants runtime checks hold — see DESIGN.md);
+they are never reused, so a code in an old suppression or CI log cannot
+alias a newer rule.
 """
 
 from __future__ import annotations
@@ -99,12 +68,10 @@ import ast
 from collections.abc import Iterable, Iterator
 
 import repro.errors as _errors
-from repro.analysis import dataflow as _df
 from repro.analysis.findings import Severity
 from repro.analysis.lint import (
     LintRule,
     ModuleInfo,
-    ProjectRule,
     RawFinding,
     lint_rule,
 )
@@ -823,509 +790,6 @@ class PerByteCodecLoopRule(LintRule):
                 yield from self._check_for(node)
 
 
-# -- the dataflow rules (REP011 — REP015) -----------------------------------
-
-
-def _module_global_names(
-    model: "_df.ModuleModel", fn: "_df.FunctionInfo"
-) -> set[str]:
-    """Module-level bindings visible (and writable-through) in ``fn``."""
-    names = set(model.globals) | _imported_names(model)
-    return names - _df.bound_names(fn.node)
-
-
-def _imported_names(model: "_df.ModuleModel") -> set[str]:
-    """Module-level names bound by ``import`` / ``from ... import``."""
-    return set(model.import_names) | set(model.import_modules)
-
-
-@lint_rule
-class ExecutorCaptureMutationRule(ProjectRule):
-    """REP011: submitted callables never write through captured state.
-
-    For every executor submission (``*.map_ordered(fn, ...)`` and the
-    ``attempt_cost`` callback of ``dispatch_sub_query``) whose callable
-    resolves to a lambda, nested ``def`` or module function, two shapes
-    are flagged:
-
-    - a write *through* any closed-over name inside the callable —
-      attribute/subscript stores, augmented assigns, mutating container
-      method calls, ``nonlocal``/``global`` rebinds. Worker-side writes
-      to shared objects are racy under threads and silently lost under
-      processes;
-    - capture of a module-level binding whose value is a known-mutable
-      container (a module registry) — shared-registry reads diverge
-      across processes once any worker writes.
-
-    Read-only capture of mutable objects is legal here (the runtime
-    sanitizer in :mod:`repro.testing` cross-checks it dynamically);
-    unresolvable callables (``self.method`` references, callables
-    received as parameters) are skipped — a documented false-negative
-    boundary of the call resolver.
-    """
-
-    code = "REP011"
-    name = "executor-capture-mutation"
-    description = (
-        "callable submitted to map_ordered/dispatch_sub_query writes "
-        "through closed-over state or captures a module-level mutable "
-        "binding; workers must not mutate shared objects"
-    )
-    default_severity = Severity.ERROR
-
-    def check_project(
-        self, project: "_df.Project", modules: dict[str, ModuleInfo]
-    ) -> Iterable[tuple[str, RawFinding]]:
-        for rel_path in sorted(modules):
-            if project.model_for(rel_path) is None:
-                continue
-            for site in _df.submission_sites(project, rel_path):
-                yield from self._check_site(project, rel_path, site)
-
-    def _check_site(
-        self,
-        project: "_df.Project",
-        rel_path: str,
-        site: "_df.SubmissionSite",
-    ) -> Iterator[tuple[str, RawFinding]]:
-        node, label = _df.resolve_callable(site, project)
-        if node is None:
-            return
-        free = _df.free_names(node)
-        if not free:
-            return
-        model = project.model_for(rel_path)
-        if model is None:
-            return
-        for mutation in _df.mutations_through(node, free, _imported_names(model)):
-            detail = f".{mutation.detail}()" if mutation.kind == "method" else ""
-            yield rel_path, RawFinding(
-                mutation.line,
-                mutation.col,
-                f"callable {label!r} submitted to {site.seam} writes "
-                f"through captured {mutation.name!r} "
-                f"({mutation.kind}{detail}); workers must not mutate "
-                "shared state — return the value and fold it in on the "
-                "merge thread (REP011)",
-            )
-        for name in sorted(free):
-            values = model.globals.get(name, [])
-            if any(_df.mutable_value_expr(v) for v in values):
-                yield rel_path, RawFinding(
-                    site.call.lineno,
-                    site.call.col_offset,
-                    f"callable {label!r} submitted to {site.seam} "
-                    f"captures module-level mutable binding {name!r}; "
-                    "pass an immutable snapshot instead (REP011)",
-                )
-
-
-@lint_rule
-class TransitivePurityRule(ProjectRule):
-    """REP012: everything reachable from ``chunk_partial`` stays pure.
-
-    The interprocedural generalization of REP007: for each class
-    defining ``chunk_partial``, the call-graph closure of that method
-    (scoped to ``src/repro``; unresolvable receivers are skipped) must
-    be free of writes to ``self``/``cls``, to module globals and to
-    module-level registries. ``__init__``/``__post_init__`` are exempt
-    from the self-write check — constructing a fresh local object
-    writes its *own* ``self``, which shares nothing.
-    """
-
-    code = "REP012"
-    name = "chunk-partial-transitive-impurity"
-    description = (
-        "a function reachable from a chunk_partial implementation "
-        "writes to self, a module global or a module-level registry; "
-        "worker-side code must be pure — fold state in apply() on the "
-        "merge thread"
-    )
-    default_severity = Severity.ERROR
-
-    def check_project(
-        self, project: "_df.Project", modules: dict[str, ModuleInfo]
-    ) -> Iterable[tuple[str, RawFinding]]:
-        roots = [
-            fn
-            for fn in project.function_infos()
-            if fn.name == "chunk_partial" and fn.class_name is not None
-        ]
-        reported: set[tuple[str, int, int, str]] = set()
-        for root in sorted(roots, key=lambda f: (f.rel_path, f.qualname)):
-            targets: list[tuple["_df.FunctionInfo", list[str] | None]] = [
-                (root, None)
-            ]
-            for key, chain in sorted(project.reachable_from(root).items()):
-                info = project.info_by_key(key)
-                if info is not None:
-                    targets.append((info, chain))
-            for fn, chain in targets:
-                for finding in self._impure_writes(project, fn, chain):
-                    dedup = (
-                        fn.rel_path,
-                        finding.line,
-                        finding.col,
-                        finding.message.split(" (reached", 1)[0],
-                    )
-                    if dedup in reported:
-                        continue
-                    reported.add(dedup)
-                    yield fn.rel_path, finding
-
-    def _impure_writes(
-        self,
-        project: "_df.Project",
-        fn: "_df.FunctionInfo",
-        chain: list[str] | None,
-    ) -> Iterator[RawFinding]:
-        model = project.model_for(fn.rel_path)
-        if model is None:
-            return
-        watched = _module_global_names(model, fn)
-        allow_self = fn.name in ("__init__", "__post_init__", "__new__")
-        if not allow_self:
-            watched |= {"self", "cls"}
-        via = (
-            " (reached via " + " -> ".join(chain) + ")" if chain else ""
-        )
-        for mutation in _df.mutations_through(
-            fn.node, watched, _imported_names(model)
-        ):
-            if mutation.name in ("self", "cls"):
-                what = f"writes to {mutation.name}"
-            else:
-                what = f"writes to module-level {mutation.name!r}"
-            detail = (
-                f" via .{mutation.detail}()"
-                if mutation.kind == "method"
-                else f" ({mutation.kind})"
-            )
-            yield RawFinding(
-                mutation.line,
-                mutation.col,
-                f"{fn.qualname} {what}{detail} on a chunk_partial "
-                f"path{via}; worker-side code must be pure (REP012)",
-            )
-
-
-#: Name fragments marking a function as merge-order / byte-stream
-#: sensitive: its iteration order reaches merged results or encoded
-#: bytes. Matched against the bare method/function name.
-_ORDER_SENSITIVE_FRAGMENTS = (
-    "merge", "finalize", "apply", "serialize", "to_bytes", "encode",
-    "write", "dump", "fingerprint",
-)
-
-
-@lint_rule
-class MergeDeterminismRule(ProjectRule):
-    """REP013: no hash-ordered ``set`` iteration on merge/serde paths.
-
-    Roots are functions whose names mark them order-sensitive (merge*,
-    finalize*, apply, serialize*, to_bytes, encode*, write*, dump*,
-    fingerprint*) plus everything they transitively call. Inside those,
-    iterating a set — ``for``-loops, comprehensions, ``list``/
-    ``tuple``/``join``/``enumerate`` arguments — is flagged unless the
-    expression is wrapped in ``sorted(...)``. Set-ness is judged from
-    the expression shape, the reaching definitions of a plain name, and
-    ``self.attr`` assignments on the enclosing class. Feeding a set
-    into ``set()``/``frozenset()`` or membership tests stays legal
-    (order cannot leak), and dict iteration is deliberately exempt:
-    Python dicts are insertion-ordered, hence deterministic.
-    """
-
-    code = "REP013"
-    name = "unordered-merge-iteration"
-    description = (
-        "iteration over a set without sorted() in a merge/serialization "
-        "function; set order varies with PYTHONHASHSEED and must never "
-        "feed merge order or encoded bytes"
-    )
-    default_severity = Severity.ERROR
-
-    def check_project(
-        self, project: "_df.Project", modules: dict[str, ModuleInfo]
-    ) -> Iterable[tuple[str, RawFinding]]:
-        sensitive: dict[tuple[str, str], "_df.FunctionInfo"] = {}
-        for fn in project.function_infos():
-            if any(f in fn.name for f in _ORDER_SENSITIVE_FRAGMENTS):
-                sensitive.setdefault((fn.rel_path, fn.qualname), fn)
-                for key in project.reachable_from(fn):
-                    info = project.info_by_key(key)
-                    if info is not None:
-                        sensitive.setdefault(key, info)
-        for key in sorted(sensitive):
-            fn = sensitive[key]
-            yield from self._check_function(project, fn)
-
-    def _iteration_exprs(
-        self, fn: "_df.FunctionInfo"
-    ) -> Iterator[tuple[ast.expr, int, int, str]]:
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                yield node.iter, node.lineno, node.col_offset, "for-loop"
-            elif isinstance(
-                node,
-                (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
-            ):
-                for gen in node.generators:
-                    yield (
-                        gen.iter, node.lineno, node.col_offset,
-                        "comprehension",
-                    )
-            elif isinstance(node, ast.Call):
-                name = _df.call_name(node)
-                if name in ("list", "tuple", "enumerate") and node.args:
-                    yield (
-                        node.args[0], node.lineno, node.col_offset,
-                        f"{name}()",
-                    )
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "join"
-                    and node.args
-                ):
-                    yield (
-                        node.args[0], node.lineno, node.col_offset,
-                        "join()",
-                    )
-
-    def _check_function(
-        self, project: "_df.Project", fn: "_df.FunctionInfo"
-    ) -> Iterator[tuple[str, RawFinding]]:
-        rdefs: "_df.ReachingDefs | None" = None
-        cls = (
-            project.class_named(fn.class_name)
-            if fn.class_name is not None
-            else None
-        )
-        for expr, line, col, context in self._iteration_exprs(fn):
-            if _df.sorted_wrapped(expr):
-                continue
-            is_set = _df.set_typed_expr(expr)
-            if not is_set and isinstance(expr, ast.Name):
-                if rdefs is None:
-                    rdefs = _df.reaching_definitions(fn.node)
-                is_set = any(
-                    _df.set_typed_expr(d.value)
-                    for d in rdefs.definitions_of(expr.id)
-                )
-            if (
-                not is_set
-                and isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id in ("self", "cls")
-                and cls is not None
-            ):
-                is_set = any(
-                    _df.set_typed_expr(v)
-                    for v in cls.attr_assigns.get(expr.attr, [])
-                )
-            if is_set:
-                yield fn.rel_path, RawFinding(
-                    line,
-                    col,
-                    f"{fn.qualname} iterates a set in a {context} on a "
-                    "merge/serialization path; wrap the iterable in "
-                    "sorted(...) so order never depends on "
-                    "PYTHONHASHSEED (REP013)",
-                )
-
-
-@lint_rule
-class BufferMutationRule(ProjectRule):
-    """REP014: no in-place writes on ``np.frombuffer``-derived arrays.
-
-    The shared-memory arena planned for ROADMAP item 2 hands every
-    worker the *same* decoded bytes; an in-place store on a view of
-    them corrupts other workers' reads. The taint analysis
-    (:class:`repro.analysis.dataflow.TaintAnalysis`) seeds at
-    ``frombuffer`` calls and at calls to project functions whose
-    returns are (transitively) tainted, follows aliases and
-    view-preserving operations, and reports subscript stores,
-    augmented assigns, ``out=`` keywords and in-place ndarray methods
-    on tainted names. Copying operations (arithmetic, ``astype()``
-    without ``copy=False``, fancy indexing) launder the taint — they
-    allocate fresh memory.
-    """
-
-    code = "REP014"
-    name = "buffer-view-mutation"
-    description = (
-        "in-place numpy mutation (subscript store, augmented assign, "
-        "out=, in-place method) on an array derived from an "
-        "np.frombuffer view; decoded chunk buffers are shared and "
-        "must stay immutable"
-    )
-    default_severity = Severity.ERROR
-
-    _SINK_LABEL = {
-        "subscript-store": "subscript store into",
-        "aug": "augmented assign on",
-        "out-kwarg": "out= targeting",
-        "inplace-method": "in-place method call on",
-    }
-
-    def check_project(
-        self, project: "_df.Project", modules: dict[str, ModuleInfo]
-    ) -> Iterable[tuple[str, RawFinding]]:
-        for fn in sorted(
-            project.function_infos(), key=lambda f: (f.rel_path, f.qualname)
-        ):
-            analysis = _df.TaintAnalysis(fn, project)
-            for sink in analysis.sinks():
-                label = self._SINK_LABEL.get(sink.kind, sink.kind)
-                origin = (
-                    f" (buffer view from line {sink.source_line})"
-                    if sink.source_line
-                    else ""
-                )
-                yield fn.rel_path, RawFinding(
-                    sink.line,
-                    sink.col,
-                    f"{fn.qualname}: {label} {sink.name!r}, a "
-                    f"frombuffer-derived array{origin}; copy before "
-                    "writing — decoded chunk buffers are shared "
-                    "(REP014)",
-                )
-
-
-@lint_rule
-class UnpicklableCaptureRule(ProjectRule):
-    """REP015: executor submissions capture only picklable values.
-
-    Swapping the ThreadPool for a ProcessPool requires every submitted
-    callable's captures to cross a pickle boundary. Flagged captures:
-
-    - a name whose reaching definition constructs a known-unpicklable
-      value (locks, conditions, pools, threads, open files, sockets,
-      generators);
-    - ``self``, when the enclosing class (or a project base) assigns a
-      known-unpicklable value to an attribute and defines no
-      ``__getstate__``/``__reduce__`` to drop it;
-    - a name bound to a constructor call of such a class.
-
-    The submitted callable *itself* being a closure (unpicklable as
-    such) is out of scope here — the ProcessPool migration will ship
-    its own submission shim — and unresolvable callables are skipped;
-    both are documented false-negative boundaries.
-    """
-
-    code = "REP015"
-    name = "unpicklable-capture"
-    description = (
-        "executor submission captures a value that cannot cross a "
-        "process boundary (lock, pool, open file, socket, or an object "
-        "of a class holding one without __getstate__)"
-    )
-    default_severity = Severity.ERROR
-
-    def check_project(
-        self, project: "_df.Project", modules: dict[str, ModuleInfo]
-    ) -> Iterable[tuple[str, RawFinding]]:
-        for rel_path in sorted(modules):
-            if project.model_for(rel_path) is None:
-                continue
-            for site in _df.submission_sites(project, rel_path):
-                yield from self._check_site(project, rel_path, site)
-
-    def _check_site(
-        self,
-        project: "_df.Project",
-        rel_path: str,
-        site: "_df.SubmissionSite",
-    ) -> Iterator[tuple[str, RawFinding]]:
-        node, label = _df.resolve_callable(site, project)
-        if node is None:
-            return
-        free = _df.free_names(node)
-        if not free:
-            return
-        enclosing = site.enclosing
-        rdefs = _df.reaching_definitions(enclosing.node)
-        model = project.model_for(rel_path)
-        for name in sorted(free):
-            for reason in self._unpicklable_reasons(
-                project, model, enclosing, rdefs, name
-            ):
-                yield rel_path, RawFinding(
-                    site.call.lineno,
-                    site.call.col_offset,
-                    f"callable {label!r} submitted to {site.seam} "
-                    f"captures {name!r}, which {reason}; a ProcessPool "
-                    "cannot pickle it — drop it in __getstate__ or "
-                    "pass picklable data instead (REP015)",
-                )
-
-    def _unpicklable_reasons(
-        self,
-        project: "_df.Project",
-        model: "_df.ModuleModel",
-        enclosing: "_df.FunctionInfo",
-        rdefs: "_df.ReachingDefs",
-        name: str,
-    ) -> Iterator[str]:
-        if name in ("self", "cls"):
-            if enclosing.class_name is not None:
-                yield from self._class_reasons(
-                    project, enclosing.class_name, f"is the enclosing"
-                )
-            return
-        definitions = rdefs.definitions_of(name)
-        seen: set[str] = set()
-        for definition in definitions:
-            ctor = _df.unpicklable_value_expr(definition.value)
-            if ctor is not None and ctor not in seen:
-                seen.add(ctor)
-                yield f"is bound to {ctor}() — unpicklable by construction"
-                continue
-            if isinstance(definition.value, ast.Call):
-                cls_name = _df.call_name(definition.value)
-                if cls_name is not None and project.class_named(cls_name):
-                    yield from self._class_reasons(
-                        project, cls_name, "is an instance of"
-                    )
-        if not definitions:
-            for value in model.globals.get(name, []):
-                ctor = _df.unpicklable_value_expr(value)
-                if ctor is not None and ctor not in seen:
-                    seen.add(ctor)
-                    yield (
-                        f"is a module-level binding of {ctor}() — "
-                        "unpicklable by construction"
-                    )
-
-    def _class_reasons(
-        self, project: "_df.Project", class_name: str, prefix: str
-    ) -> Iterator[str]:
-        queue = [class_name]
-        visited: set[str] = set()
-        while queue:
-            current = queue.pop(0)
-            if current in visited:
-                continue
-            visited.add(current)
-            cls = project.class_named(current)
-            if cls is None:
-                continue
-            if cls.has_pickle_protocol():
-                continue  # the class curates its own pickled state
-            for attr in sorted(cls.attr_assigns):
-                for value in cls.attr_assigns[attr]:
-                    ctor = _df.unpicklable_value_expr(value)
-                    if ctor is not None:
-                        yield (
-                            f"{prefix} {current}, whose .{attr} holds "
-                            f"{ctor}() and which defines no __getstate__"
-                        )
-                        break
-                else:
-                    continue
-                break
-            queue.extend(cls.bases)
-
-
 @lint_rule
 class UnusedSuppressionRule(LintRule):
     """REP016: suppression comments must still suppress something.
@@ -1562,109 +1026,3 @@ class HardcodedCodecNameRule(LintRule):
                             side, "compared against a codec binding"
                         )
                         break
-
-
-@lint_rule
-class UnboundedServiceQueueRule(LintRule):
-    """REP019: the serving layer admits by policy, not by memory.
-
-    Every queue the service layer buffers work in must carry an
-    explicit capacity, because admission control is the layer's whole
-    contract: overload surfaces as an explicit ``QueryRejected`` at
-    ``offer()`` time, never as silent queue growth. The rule flags,
-    inside ``repro/service/`` only:
-
-    - ``Queue()``/``LifoQueue()``/``PriorityQueue()`` constructed with
-      no ``maxsize``, or with a literal ``maxsize <= 0`` (the stdlib's
-      spelling of *infinite*);
-    - ``deque()`` constructed without a ``maxlen`` (positional second
-      argument or keyword), or with a literal ``maxlen`` of ``None``
-      or ``<= 0``;
-    - ``SimpleQueue()`` anywhere — it is unboundable by construction.
-
-    A non-literal bound (``Queue(maxsize=config.queue_depth)``) is
-    accepted: the rule enforces that a bound is *plumbed*, validation
-    of its value belongs to the config's ``__post_init__``.
-    """
-
-    code = "REP019"
-    name = "unbounded-service-queue"
-    description = (
-        "unbounded Queue/deque/SimpleQueue in repro/service/*; pass an "
-        "explicit maxsize/maxlen so overload sheds at admission "
-        "instead of growing memory"
-    )
-    default_severity = Severity.ERROR
-    only_dirs = ("service",)
-
-    _BOUNDED_QUEUES = {"Queue", "LifoQueue", "PriorityQueue"}
-
-    @staticmethod
-    def _terminal_name(node: ast.expr) -> str | None:
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        return None
-
-    @staticmethod
-    def _is_unbounded_literal(node: ast.expr | None) -> bool:
-        """True when the bound expression is literally no bound."""
-        if node is None:
-            return True
-        if isinstance(node, ast.Constant):
-            if node.value is None:
-                return True
-            if isinstance(node.value, (int, float)) and node.value <= 0:
-                return True
-        return False
-
-    def check(self, module: ModuleInfo) -> Iterable[RawFinding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = self._terminal_name(node.func)
-            keywords = {
-                kw.arg: kw.value
-                for kw in node.keywords
-                if kw.arg is not None
-            }
-            if name == "SimpleQueue":
-                yield RawFinding(
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        "SimpleQueue cannot be bounded; use "
-                        "Queue(maxsize=...) so the service sheds at "
-                        "admission"
-                    ),
-                )
-            elif name in self._BOUNDED_QUEUES:
-                bound = keywords.get("maxsize")
-                if bound is None and node.args:
-                    bound = node.args[0]
-                if self._is_unbounded_literal(bound):
-                    yield RawFinding(
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=(
-                            f"{name}() without a positive maxsize is "
-                            "an unbounded buffer; the serving layer "
-                            "must bound every queue and reject at "
-                            "admission"
-                        ),
-                    )
-            elif name == "deque":
-                bound = keywords.get("maxlen")
-                if bound is None and len(node.args) >= 2:
-                    bound = node.args[1]
-                if self._is_unbounded_literal(bound):
-                    yield RawFinding(
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=(
-                            "deque() without a positive maxlen is an "
-                            "unbounded buffer; the serving layer must "
-                            "bound every queue and reject at admission"
-                        ),
-                    )

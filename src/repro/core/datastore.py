@@ -720,9 +720,9 @@ class DataStore:
         The executor (thread pool), the locks, the chunk-result cache
         (derived data, rebuilt on demand) and the arena mapping cannot
         cross a process boundary. Dropping them here is what makes a
-        store (and closures over ``self``, reprolint REP015) safe to
-        ship to a ProcessPool worker; ``__setstate__`` builds fresh
-        runtime objects on the other side.
+        store safe to ship to a ProcessPool worker (every
+        ``executor="process"`` test pickles one for real);
+        ``__setstate__`` builds fresh runtime objects on the other side.
         """
         state = dict(self.__dict__)
         for key in self._RUNTIME_ATTRS:
@@ -764,23 +764,20 @@ class DataStore:
         """The backing chunk arena, or None (read-only observability)."""
         return self._arena
 
-    def ensure_arena(self, tracker: ExecutionStrategy | None = None) -> None:
+    def ensure_arena(self) -> None:
         """Materialize this store into a shared-memory arena (idempotent).
 
-        ``tracker`` is the execution strategy whose :meth:`close` should
-        unlink the segment — by default this store's own executor. The
-        engine calls this before fanning tasks out to a strategy that
-        ``wants_picklable_tasks``; the distributed layer calls it per
-        shard store, tracking on the cluster's executor instead.
+        The engine calls this before fanning tasks out to a strategy that
+        ``wants_picklable_tasks``; this store's executor unlinks the
+        segment at :meth:`~ExecutionStrategy.close`.
         """
-        owner = tracker if tracker is not None else self.executor
         if self._arena is None or self._arena_handle is None:
             from repro.storage.arena import ChunkArena
 
             arena = ChunkArena.build(self)
             self.adopt_arena(arena, arena.handle())
         if self._arena.is_owner:
-            owner.track_arena(self._arena)
+            self.executor.track_arena(self._arena)
 
     def field(self, name: str) -> FieldStore:
         try:
@@ -1289,8 +1286,9 @@ class _ChunkKernel:
     materialization guarantees the worker's global-id space matches.
 
     ``scan`` only reads store state (the ``chunk_partial`` contract,
-    reprolint REP011/REP012); all mutation happens at unpickle time,
-    before any chunk is scanned, or in ``fold``, after the fan-out.
+    observed by :class:`repro.testing.SanitizingExecutor`); all
+    mutation happens at unpickle time, before any chunk is scanned, or
+    in ``fold``, after the fan-out.
     """
 
     #: Chunk-cache key prefix for FULL chunks; None = never cached.

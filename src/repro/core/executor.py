@@ -90,8 +90,8 @@ class SupervisionConfig:
     watchdog_interval_seconds: float = 0.1
 
     def __post_init__(self) -> None:
-        # The one validator of these knobs: DataStoreOptions and
-        # ClusterConfig validate by building this view of theirs.
+        # The one validator of these knobs: DataStoreOptions
+        # validates by building this view of its own.
         if not 0 < self.task_deadline_seconds <= 3600:
             raise ExecutionError(
                 "task_deadline_seconds must be in (0, 3600], got "
@@ -225,9 +225,9 @@ class ExecutionStrategy:
         In-process strategies cannot lose a worker to the OS, so the
         base implementation is simply :meth:`map_ordered` with every
         task served. :class:`ProcessExecutor` overrides this with real
-        supervision (respawn, retry, degrade); callers that can merge a
-        partial answer — the engine, the cluster — should prefer this
-        over :meth:`map_ordered` and honour ``outcome.unserved``.
+        supervision (respawn, retry, degrade); a caller that can merge a
+        partial answer — the engine — should prefer this over
+        :meth:`map_ordered` and honour ``outcome.unserved``.
         """
         return MapOutcome(results=self.map_ordered(fn, items), unserved=[])
 
@@ -328,8 +328,7 @@ class ParallelExecutor(ExecutionStrategy):
 
         A pool cannot cross a process boundary; the unpickled executor
         starts pool-less and lazily recreates one on first use — the
-        same lifecycle as a freshly constructed instance. This is the
-        ProcessPool precondition reprolint REP015 certifies statically.
+        same lifecycle as a freshly constructed instance.
         """
         state = dict(self.__dict__)
         state["_pool"] = None

@@ -38,16 +38,12 @@ split (the Section 6 92.41% / 5.02% / 2.66% statistic).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.datastore import DataStoreOptions
-from repro.core.executor import (
-    SupervisionConfig,
-    executor_names,
-    make_executor,
-)
+from repro.core.executor import make_executor
 from repro.core.result import QueryResult, ScanStats
 from repro.core.table import Table
 from repro.distributed.faults import (
@@ -64,7 +60,7 @@ from repro.distributed.tree import (
     merge_group_partials,
 )
 from repro.core.result import finalize as finalize_rows
-from repro.errors import DistributedError, ExecutionError, ShardUnavailableError
+from repro.errors import DistributedError, ShardUnavailableError
 from repro.monitoring import counters
 from repro.sql.ast_nodes import Query
 from repro.sql.parser import parse_query
@@ -81,6 +77,10 @@ class MachineConfig:
     base_overhead_seconds: float = 0.005
 
 
+#: Strategies the shard fan-out accepts: in-process only.
+_SHARD_EXECUTORS = ("serial", "parallel", "thread")
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Cluster topology and variability knobs."""
@@ -93,11 +93,13 @@ class ClusterConfig:
     load_sigma: float = 0.35
     straggler_probability: float = 0.05
     straggler_slowdown: float = 12.0
-    # How shard sub-queries evaluate in *this* process: 'parallel' fans
-    # execute_partials out over worker threads (one task per shard, the
-    # real concurrency behind the simulated machines), 'serial' runs
-    # them inline. Results are identical either way — the cost model's
-    # RNG draws happen on the merge thread in shard order regardless.
+    # How shard sub-queries evaluate in *this* process: 'parallel' (or
+    # 'thread') fans execute_partials out over worker threads (one task
+    # per shard, the real concurrency behind the simulated machines),
+    # 'serial' runs them inline. Results are identical either way — the
+    # cost model's RNG draws happen on the merge thread in shard order
+    # regardless. The machines are simulated, so there is no process
+    # strategy here.
     executor: str = "serial"
     workers: int | None = None
     # Fault model (None = the inert plan: nothing ever fails) and the
@@ -105,24 +107,6 @@ class ClusterConfig:
     # incomplete result (True) or raise ShardUnavailableError (False).
     faults: FaultConfig | None = None
     degrade: bool = True
-    # Supervision knobs for the *local* shard fan-out (real faults, not
-    # simulated ones): used when executor='process' loses a worker to
-    # the OS mid-sub-query. Same semantics as DataStoreOptions.
-    task_deadline_seconds: float = 30.0
-    task_max_retries: int = 2
-    task_backoff_base_seconds: float = 0.05
-    task_backoff_multiplier: float = 2.0
-    watchdog_interval_seconds: float = 0.1
-
-    def supervision(self) -> SupervisionConfig:
-        """The executor-facing view of the supervision knobs."""
-        return SupervisionConfig(
-            task_deadline_seconds=self.task_deadline_seconds,
-            max_retries=self.task_max_retries,
-            backoff_base_seconds=self.task_backoff_base_seconds,
-            backoff_multiplier=self.task_backoff_multiplier,
-            watchdog_interval_seconds=self.watchdog_interval_seconds,
-        )
 
     def __post_init__(self) -> None:
         if self.n_machines < 1:
@@ -131,10 +115,10 @@ class ClusterConfig:
             raise DistributedError(
                 "replication must be between 1 and n_machines"
             )
-        if self.executor not in executor_names():
+        if self.executor not in _SHARD_EXECUTORS:
             raise DistributedError(
                 f"unknown executor {self.executor!r}; choose from "
-                f"{executor_names()}"
+                f"{list(_SHARD_EXECUTORS)}"
             )
         if self.workers is not None and self.workers < 1:
             raise DistributedError(
@@ -158,10 +142,6 @@ class ClusterConfig:
                 f"straggler_slowdown must be >= 1, got "
                 f"{self.straggler_slowdown}"
             )
-        try:
-            self.supervision()  # validates the five supervision knobs
-        except ExecutionError as error:
-            raise DistributedError(str(error)) from None
 
 
 @dataclass
@@ -220,22 +200,6 @@ class _MachineMemory:
         return size
 
 
-class _ShardPartialTask:
-    """The shard fan-out callable (a lambda would not pickle).
-
-    Captures only the parsed query (frozen AST dataclasses, picklable);
-    the shard arrives as the mapped item, so under the process strategy
-    the worker unpickles a Shard whose arena-backed store attaches by
-    handle rather than shipping column data.
-    """
-
-    def __init__(self, parsed: Query) -> None:
-        self.parsed = parsed
-
-    def __call__(self, shard: Shard) -> tuple[ScanStats, object]:
-        return shard.store.execute_partials(self.parsed)
-
-
 class SimulatedCluster:
     """Shards + machines + replication + a deterministic cost model."""
 
@@ -246,9 +210,7 @@ class SimulatedCluster:
     ) -> None:
         self.shards = shards
         self.config = config
-        self._executor = make_executor(
-            config.executor, config.workers, supervision=config.supervision()
-        )
+        self._executor = make_executor(config.executor, config.workers)
         self._fault_plan = FaultPlan(
             config.faults if config.faults is not None else NO_FAULTS,
             config.n_machines,
@@ -288,7 +250,7 @@ class SimulatedCluster:
         return cls(shards, config)
 
     def close(self) -> None:
-        """Release the in-process executor (and any shard arenas it owns)."""
+        """Release the in-process executor's worker threads."""
         self._executor.close()
 
     # -- cost model ------------------------------------------------------------
@@ -363,56 +325,18 @@ class SimulatedCluster:
         # fan them out over the executor. The deterministic cost model
         # and every fault draw stay on the merge thread, consuming
         # results in shard order, so simulated timings, fault events
-        # and counters are identical under any executor. Under the
-        # process strategy each shard store is materialized into a
-        # shared-memory arena first, so the pickled Shard carries only
-        # an attach handle (segments unlink when this cluster closes).
-        if self._executor.wants_picklable_tasks and len(reachable) > 1:
-            for shard in reachable:
-                shard.store.ensure_arena(self._executor)
-        # Supervised fan-out: a worker the OS kills mid-sub-query is a
-        # *real* fault folded into the same degradation machinery as
-        # the simulated ones — shards whose partial stayed unserved
-        # after the local retry budget count as unavailable.
-        fanout = self._executor.map_supervised(
-            _ShardPartialTask(parsed), reachable
+        # and counters are identical under any executor.
+        partials = self._executor.map_ordered(
+            lambda shard: shard.store.execute_partials(parsed), reachable
         )
-        lost_positions = set(fanout.unserved)
-        lost_shard_ids = {
-            reachable[position].shard_id for position in lost_positions
-        }
         shard_results = {
             shard.shard_id: result
-            for position, (shard, result) in enumerate(
-                zip(reachable, fanout.results)
-            )
-            if position not in lost_positions
+            for shard, result in zip(reachable, partials)
         }
-        metrics.retries += fanout.retries
-        metrics.timeouts += fanout.timeouts
-        metrics.crashes += fanout.crashes
-        metrics.backoff_seconds += fanout.backoff_seconds
-        for event in fanout.events:
-            # Local supervision events index tasks; remap to the shard
-            # ids and query index this dispatch was serving.
-            shard_id = (
-                reachable[event.shard_id].shard_id
-                if 0 <= event.shard_id < len(reachable)
-                else -1
-            )
-            metrics.fault_events.append(
-                replace(event, query_index=query_index, shard_id=shard_id)
-            )
         unavailable: list[int] = []
         covered_rows = 0
         for shard in self.shards:
             metrics.sub_queries += 1
-            if shard.shard_id in lost_shard_ids:
-                # The local supervisor exhausted its retries for this
-                # shard's partial; no replica simulation can serve what
-                # was never computed.
-                unavailable.append(shard.shard_id)
-                continue
             stats_partial = shard_results.get(shard.shard_id)
             if stats_partial is None:
                 stats, partial = None, None
@@ -420,7 +344,7 @@ class SimulatedCluster:
                 stats, partial = stats_partial
 
             def attempt_cost(machine_index: int) -> tuple[float, int]:
-                # Pure cost callback (REP011): disk bytes travel back in
+                # Pure cost callback: disk bytes travel back in
                 # DispatchOutcome.disk_bytes, not via captured metrics.
                 return self._machine_time(machine_index, shard, stats)
 

@@ -368,9 +368,9 @@ def dispatch_sub_query(
     order, on the calling thread — which is what keeps the simulation
     deterministic under any executor. The callback must be *pure*: it
     reports costs through its return value, never by mutating captured
-    state (reprolint REP011) — the dispatcher accumulates the bytes of
-    every attempt into ``DispatchOutcome.disk_bytes`` for the caller to
-    fold into its metrics.
+    state — the dispatcher accumulates the bytes of every attempt into
+    ``DispatchOutcome.disk_bytes`` for the caller to fold into its
+    metrics.
 
     Wave semantics: wave 0 is the hedged dispatch to every live
     replica at simulated time 0. If no attempt of a wave succeeds, the

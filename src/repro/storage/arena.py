@@ -37,9 +37,8 @@ Three backings share the format:
   (``repro fsck`` FSCK011) and tests; it creates no kernel object.
 
 Read-only contract: every array handed out by an attach is a
-``np.frombuffer`` view with ``writeable`` cleared. reprolint REP014
-statically bans in-place mutation of frombuffer-derived views and the
-cleared flag makes any slip a runtime ``ValueError``;
+``np.frombuffer`` view with ``writeable`` cleared, so an in-place
+write is a runtime ``ValueError`` at the offending line;
 :class:`repro.testing.SanitizingExecutor` additionally fingerprints the
 arena bytes around every fan-out, so a cross-process write fails tests
 by attribute path.

@@ -11,15 +11,13 @@ Two families of helpers live here:
   tolerance, everything else exactly.
 
 - **The shared-state sanitizer** (:class:`SanitizingExecutor`): the
-  dynamic half of the process-parallel certification the reprolint
-  dataflow rules (REP011 — REP015) make statically. Wrapping any
-  :class:`~repro.core.executor.ExecutionStrategy`, it fingerprints
-  every object the submitted callable closes over *before* the fan-out
-  and re-fingerprints *after*; any observed mutation of captured state
-  fails the test with an attribute-level diff. What the static rules
-  claim ("submitted callables never write through captured state"),
-  the sanitizer observes — running both over the same suites keeps the
-  two from diverging.
+  runtime holder of "a submitted callable, and everything
+  ``chunk_partial`` reaches, never writes captured or shared state".
+  Wrapping any :class:`~repro.core.executor.ExecutionStrategy`, it
+  fingerprints every object the submitted callable closes over
+  *before* the fan-out and re-fingerprints *after*; any observed
+  mutation of captured state fails the test with an attribute-level
+  diff.
 """
 
 from __future__ import annotations
@@ -115,15 +113,17 @@ def assert_results_equal(
 #: keyed by class name (any class in the object's MRO matches).
 #:
 #: These slots fill *during* worker execution by design: chunk scans
-#: never share a chunk index across executor workers, so each memo has
-#: exactly one writer, and every fill is an idempotent decode of
-#: immutable encoded state (``FieldStore.value_array``,
+#: never share a chunk index across executor workers, so a per-chunk
+#: memo has exactly one writer, and every fill is an idempotent decode
+#: of immutable encoded state published by one assignment
+#: (``FieldStore.value_array`` and the trie decode under it,
 #: ``Elements.as_array``). They are caches of derived data, not shared
 #: mutable state, and fingerprinting them would fail every parallel
 #: scan for behaviour that is correct by construction.
 LAZY_MEMO_ATTRS: dict[str, frozenset[str]] = {
     "FieldStore": frozenset(FieldStore._MEMO_ATTRS),
     "Elements": frozenset({"_dense"}),
+    "TrieDictionary": frozenset({"_all_values"}),
 }
 
 _MAX_FINGERPRINT_DEPTH = 10
@@ -358,8 +358,7 @@ class SanitizingExecutor(ExecutionStrategy):
     fingerprints the submitted callable's captured objects before the
     fan-out and re-fingerprints them after the last result is
     collected. A difference means a worker (or the callable itself)
-    mutated shared state — precisely what reprolint REP011/REP012
-    certify never happens — and raises
+    mutated shared state, and raises
     :class:`CapturedStateMutation` with the diverging attribute paths.
 
     ``checked_submissions`` / ``checked_captures`` count what was

@@ -5,7 +5,7 @@ every original field's global dictionary, chunk-dictionaries and
 elements are materialized once into one page-aligned segment, and
 attached stores answer queries from read-only numpy views over it.
 These tests pin the contracts DESIGN.md states: bit-exact round-trip
-(the FSCK011 invariant), read-only views (the runtime face of REP014),
+(the FSCK011 invariant), read-only views (a write is a ``ValueError``),
 shareable handles that rebuild a working store, the mmap cold-store
 path, and a no-leak lifecycle.
 """

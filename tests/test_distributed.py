@@ -217,8 +217,7 @@ class TestSimulatedCluster:
     def test_sanitizer_clean_over_cluster(self, log_table):
         """Both fan-out seams run under the shared-state sanitizer:
         the cluster's shard dispatch and every shard store's chunk
-        scans. A sub-query that mutated its captures (the statically
-        certified REP011 contract) would raise here."""
+        scans. A sub-query that mutated its captures would raise here."""
         cluster = SimulatedCluster.build(
             log_table,
             n_shards=5,
@@ -332,6 +331,10 @@ class TestClusterConfigValidation:
     def test_unknown_executor(self):
         with pytest.raises(DistributedError):
             ClusterConfig(executor="gpu")
+        # The machines are simulated in this process; a process pool is
+        # not a strategy the shard fan-out offers.
+        with pytest.raises(DistributedError):
+            ClusterConfig(executor="process")
 
     def test_workers_below_one(self):
         with pytest.raises(DistributedError):

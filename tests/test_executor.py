@@ -35,6 +35,8 @@ from repro.sql.parser import parse_query
 from repro.testing import CapturedStateMutation, SanitizingExecutor
 from repro.workload.generator import LogsConfig, generate_query_logs
 
+from tests.test_query_pipeline import FULL_SCAN_SHAPES
+
 _TABLE = generate_query_logs(
     LogsConfig(n_rows=700, n_days=10, n_teams=5, seed=47, null_latency_fraction=0.05)
 )
@@ -189,26 +191,17 @@ class TestExecutorPrimitives:
 
 
 class TestSanitizingExecutor:
-    """The runtime half of the process-parallel certification: every
-    object ``scan_one`` closes over is fingerprinted before and after
-    each fan-out, so an engine regression that mutates shared store
-    state from a worker fails here even if the static rules miss it."""
+    """Every object the submitted scan task captures is fingerprinted
+    before and after each fan-out, so an engine regression that mutates
+    shared store state from a worker fails here — on all nine query
+    classes of the ``full_scan`` workload."""
 
     def test_store_scans_pass_sanitizer(self):
         store = _build(executor="parallel", workers=4)
         store.executor = SanitizingExecutor(store.executor)
-        for sql in (
-            "SELECT country, COUNT(*) AS c FROM data GROUP BY country "
-            "ORDER BY c DESC LIMIT 8",
-            "SELECT table_name, SUM(latency) AS s, MIN(latency) AS lo "
-            "FROM data GROUP BY table_name ORDER BY s DESC LIMIT 10",
-            "SELECT user_name, COUNT(DISTINCT table_name) AS t FROM data "
-            "GROUP BY user_name ORDER BY t DESC LIMIT 5",
-            "SELECT month(timestamp) AS m, MAX(latency) AS hi FROM data "
-            "GROUP BY m ORDER BY hi DESC LIMIT 4",
-        ):
-            assert store.execute(sql).rows() == _SERIAL.execute(sql).rows(), sql
-        assert store.executor.checked_submissions >= 4
+        for name, sql in FULL_SCAN_SHAPES.items():
+            assert store.execute(sql).rows() == _SERIAL.execute(sql).rows(), name
+        assert store.executor.checked_submissions >= len(FULL_SCAN_SHAPES)
         # scan_one closes over the store itself plus per-query scan
         # state; zero captures would mean the sanitizer checked nothing.
         assert store.executor.checked_captures > 0

@@ -2,13 +2,10 @@
 
 This is a tier-1 test. Any new finding — a foreign exception type, a
 broad except, a direct codec import, a cross-module private mutation,
-a missing annotation in storage/core/formats, a stray print(), or a
-violation of the process-parallel contract (REP011 — REP015: captured
-writes in executor submissions, impure ``chunk_partial`` closures,
-hash-ordered merge iteration, frombuffer-view mutation, unpicklable
-captures) — fails the suite until it is fixed or explicitly suppressed
-with a ``# reprolint: disable=REP00x -- reason`` comment. Stale
-suppressions fail the gate too (REP016 runs on full passes).
+a missing annotation in storage/core/formats, a stray print() — fails
+the suite until it is fixed or explicitly suppressed with a
+``# reprolint: disable=REP00x -- reason`` comment. Stale suppressions
+fail the gate too (REP016 runs on full passes).
 """
 
 import os
@@ -18,8 +15,6 @@ from repro.analysis import all_rules, run_lint
 _SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
 )
-
-_CONCURRENCY_RULES = ["REP011", "REP012", "REP013", "REP014", "REP015"]
 
 
 def test_source_tree_exists():
@@ -32,36 +27,12 @@ def test_reprolint_clean():
     assert report.ok, "\n" + report.to_text()
 
 
-def test_gate_includes_concurrency_rules():
-    # The full run above only certifies REP011-REP015 if they are
-    # actually registered; pin that so dropping a rule fails loudly.
-    registered = {rule.code for rule in all_rules()}
-    assert set(_CONCURRENCY_RULES) <= registered
-
-
 def test_gate_includes_bounded_wait_rule():
     # REP017 keeps core/executor.py free of unbounded .result()/.join()
     # waits — the supervision deadline is only real while this rule is
-    # registered, so pin it like the concurrency rules above.
+    # registered, so dropping it must fail loudly.
     registered = {rule.code for rule in all_rules()}
     assert "REP017" in registered
-
-
-def test_gate_includes_service_queue_rule():
-    # REP019 keeps repro/service/* free of unbounded queues — the
-    # admission-control contract (explicit QueryRejected, never silent
-    # queue growth) is only real while this rule is registered.
-    registered = {rule.code for rule in all_rules()}
-    assert "REP019" in registered
-
-
-def test_concurrency_rules_clean_standalone():
-    # Also run the process-parallel certification on its own: a
-    # selective run exercises the ProjectRule path (call-graph build,
-    # submission-site discovery) without the module rules' findings
-    # masking an interprocedural regression.
-    report = run_lint([_SRC], select=_CONCURRENCY_RULES)
-    assert report.ok, "\n" + report.to_text()
 
 
 def test_cli_gate_exit_code():

@@ -29,6 +29,8 @@ from repro.storage.arena import SEGMENT_PREFIX, live_segment_names
 from repro.testing import CapturedStateMutation, SanitizingExecutor
 from repro.workload.generator import LogsConfig, generate_query_logs
 
+from tests.test_query_pipeline import FULL_SCAN_SHAPES
+
 _TABLE = generate_query_logs(
     LogsConfig(n_rows=800, n_days=10, n_teams=5, seed=31, null_latency_fraction=0.06)
 )
@@ -209,14 +211,9 @@ class TestSanitizedProcessExecution:
         store = _build(executor="process", workers=2)
         store.executor = SanitizingExecutor(store.executor)
         try:
-            for sql in (
-                "SELECT country, COUNT(*) AS c FROM data GROUP BY country "
-                "ORDER BY c DESC LIMIT 8",
-                "SELECT table_name, SUM(latency) AS s FROM data "
-                "GROUP BY table_name ORDER BY s DESC LIMIT 10",
-            ):
-                assert store.execute(sql).rows() == _SERIAL.execute(sql).rows()
-            assert store.executor.checked_submissions >= 1
+            for name, sql in FULL_SCAN_SHAPES.items():
+                assert store.execute(sql).rows() == _SERIAL.execute(sql).rows(), name
+            assert store.executor.checked_submissions >= len(FULL_SCAN_SHAPES)
             assert store.executor.checked_captures > 0
         finally:
             store.executor.close()

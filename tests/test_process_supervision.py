@@ -35,10 +35,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.executor import ProcessExecutor, SupervisionConfig
-from repro.distributed.cluster import ClusterConfig
 from repro.errors import (
     ChunkUnavailableError,
-    DistributedError,
     ExecutionError,
     StorageError,
 )
@@ -142,19 +140,6 @@ class TestSupervisionKnobValidation:
     def test_datastore_options_bounds(self, knobs):
         with pytest.raises(ExecutionError):
             DataStoreOptions(**knobs)
-
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {"task_deadline_seconds": 0.0},
-            {"task_max_retries": -2},
-            {"task_backoff_base_seconds": -0.5},
-            {"watchdog_interval_seconds": 90.0},
-        ],
-    )
-    def test_cluster_config_bounds(self, knobs):
-        with pytest.raises(DistributedError):
-            ClusterConfig(**knobs)
 
     def test_options_supervision_round_trip(self):
         options = _options(

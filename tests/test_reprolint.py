@@ -1235,6 +1235,20 @@ class TestCatalogConsistency:
         last = max(rule.code for rule in all_rules())
         assert last in rules_module.__doc__
 
+    def test_retired_codes_are_unknown_not_reused(self, tmp_path, capsys):
+        # Retired with their rules; never renumbered, so a code in an
+        # old suppression or CI log cannot alias a newer rule.
+        from repro.cli import main
+
+        registered = [rule.code for rule in all_rules()]
+        assert len(registered) == 13
+        for code in ("REP011", "REP012", "REP013", "REP014", "REP015", "REP019"):
+            assert main(["lint", "--select", code, str(tmp_path)]) == 1
+            error = capsys.readouterr().err
+            assert f"unknown rule {code!r}" in error
+            assert error.count("REP0") == 1 + len(registered)
+            assert all(known in error for known in registered)
+
 
 class TestEngine:
     def test_registry_is_complete_and_ordered(self):
@@ -1315,118 +1329,3 @@ class TestEngine:
     def test_syntax_error_raises_analysis_error(self, tmp_path):
         with pytest.raises(AnalysisError):
             lint_snippet(tmp_path, "def broken(:\n")
-
-
-class TestUnboundedServiceQueue:
-    # REP019 is scoped to repro/service/* — the snippets must carry a
-    # service/ path for the only_dirs match to apply.
-
-    def test_unbounded_queue_flagged(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            """
-            import queue
-
-            def build():
-                return queue.Queue()
-            """,
-            rel_path="service/scheduler.py",
-            select=["REP019"],
-        )
-        assert report.codes() == {"REP019"}
-        assert "maxsize" in report.findings[0].message
-
-    def test_zero_maxsize_is_unbounded(self, tmp_path):
-        # The stdlib spells "infinite" as maxsize<=0; that spelling is
-        # exactly what the rule exists to reject.
-        report = lint_snippet(
-            tmp_path,
-            """
-            import queue
-
-            def build():
-                return queue.Queue(maxsize=0)
-            """,
-            rel_path="service/scheduler.py",
-            select=["REP019"],
-        )
-        assert report.codes() == {"REP019"}
-
-    def test_unbounded_deque_flagged(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            """
-            from collections import deque
-
-            def build():
-                return deque()
-            """,
-            rel_path="service/cache.py",
-            select=["REP019"],
-        )
-        assert report.codes() == {"REP019"}
-        assert "maxlen" in report.findings[0].message
-
-    def test_simple_queue_always_flagged(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            """
-            import queue
-
-            def build():
-                return queue.SimpleQueue()
-            """,
-            rel_path="service/service.py",
-            select=["REP019"],
-        )
-        assert report.codes() == {"REP019"}
-        assert "SimpleQueue" in report.findings[0].message
-
-    def test_bounded_constructions_allowed(self, tmp_path):
-        # Literal bounds, plumbed (non-literal) bounds, and the
-        # positional deque(iterable, maxlen) spelling all pass.
-        report = lint_snippet(
-            tmp_path,
-            """
-            import queue
-            from collections import deque
-
-            def build(depth):
-                a = queue.Queue(maxsize=depth)
-                b = queue.Queue(8)
-                c = deque(maxlen=depth)
-                d = deque([], 16)
-                return a, b, c, d
-            """,
-            rel_path="service/scheduler.py",
-            select=["REP019"],
-        )
-        assert report.ok
-
-    def test_other_modules_exempt(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            """
-            from collections import deque
-
-            def build():
-                return deque()
-            """,
-            rel_path="core/executor.py",
-            select=["REP019"],
-        )
-        assert report.ok
-
-    def test_suppression_with_reason_honoured(self, tmp_path):
-        report = lint_snippet(
-            tmp_path,
-            """
-            from collections import deque
-
-            def build():
-                return deque()  # reprolint: disable=REP019 -- drained synchronously before return
-            """,
-            rel_path="service/scheduler.py",
-            select=["REP019"],
-        )
-        assert report.ok

@@ -1,9 +1,14 @@
 """Workload generator tests: dataset shape and drill-down sessions."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.sql.parser import parse_query
 from repro.workload.generator import (
@@ -16,6 +21,61 @@ from repro.workload.queries import (
     generate_drilldown_sessions,
     paper_queries,
 )
+
+from tests.test_query_pipeline import FULL_SCAN_SHAPES
+
+#: Run under two PYTHONHASHSEEDs: everything the system writes or
+#: answers, folded into one digest. The query list arrives on stdin.
+_HASH_SEED_CHILD = """
+import hashlib, json, os, sys, tempfile
+
+from repro.core.datastore import DataStore, DataStoreOptions
+from repro.distributed.cluster import ClusterConfig, SimulatedCluster
+from repro.storage.arena import save_arena
+from repro.storage.serde import save_store
+from repro.workload.generator import LogsConfig, generate_query_logs
+from repro.workload.queries import (
+    DrillDownConfig, generate_drilldown_session_groups, paper_queries,
+)
+
+digest = hashlib.sha256()
+table = generate_query_logs(LogsConfig(n_rows=5_000, seed=3))
+options = DataStoreOptions(
+    partition_fields=("country", "table_name"), max_chunk_rows=500,
+    reorder_rows=True, codec="auto",
+)
+store = DataStore.from_table(table, options)
+with tempfile.TemporaryDirectory() as tmp:
+    for save, name in ((save_store, "s.pds"), (save_arena, "s.arena")):
+        path = os.path.join(tmp, name)
+        save(store, path)
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+[clicks] = generate_drilldown_session_groups(
+    table, DrillDownConfig(n_sessions=1, clicks_per_session=2, seed=5)
+)
+for sql in [*json.load(sys.stdin), *clicks[0], *clicks[1]]:
+    digest.update(repr(store.execute(sql).rows()).encode())
+cluster = SimulatedCluster.build(table, 4, options, ClusterConfig(seed=1))
+for sql in paper_queries():
+    result, _metrics = cluster.execute(sql)
+    digest.update(repr(result.rows()).encode())
+print(digest.hexdigest())
+"""
+
+
+def _digest_under_hash_seed(seed: int) -> str:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_CHILD],
+        input=json.dumps(list(FULL_SCAN_SHAPES.values())),
+        env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip()
 
 
 class TestGenerator:
@@ -49,6 +109,14 @@ class TestGenerator:
         for row in generate_query_logs(config).iter_rows():
             digest.update(repr(row).encode("utf-8"))
         assert digest.hexdigest() == sha256
+
+    def test_bytes_and_answers_do_not_depend_on_the_hash_seed(self):
+        """Store file, arena file, the nine full-scan shapes, two
+        drill-down clicks and Queries 1-3 over a 4-shard cluster: a set
+        iterated on an encode or merge path would change the digest."""
+        first, second = _digest_under_hash_seed(1), _digest_under_hash_seed(2)
+        assert len(first) == 64
+        assert first == second
 
     def test_different_seeds_differ(self):
         a = generate_query_logs(LogsConfig(n_rows=500, seed=1))

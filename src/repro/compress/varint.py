@@ -31,7 +31,7 @@ from repro.errors import CompressionError
 _VARINT_THRESHOLDS = tuple(1 << (7 * k) for k in range(1, 10))
 
 #: A canonical uint64 varint never exceeds ten bytes.
-_MAX_VARINT_LEN = 10
+MAX_VARINT_LEN = 10
 
 #: Values per scatter pass of the bulk encoder: its temporaries stay in
 #: cache, which at millions of values is worth 2.5x over one pass.
@@ -172,19 +172,18 @@ def gather_varints(
 ) -> np.ndarray:
     """Decode the varints starting at ``starts`` in a uint8 array.
 
-    ``lengths`` must already span each varint including its terminator;
-    values accumulate modulo 2**64. Shared by the stream decoder and
-    the RLE pair decoder. One clipped gather per byte position — most
-    streams need one or two passes because most varints are short.
+    ``lengths`` must already span each varint including its terminator,
+    inside ``arr``; values accumulate modulo 2**64. Shared by the stream
+    decoder, the RLE pair decoder and the store's chunk-dictionary
+    decoder. One gather for the first byte of every value, then one per
+    further byte position over the values that reach it — most varints
+    are short, so the later passes are small.
     """
-    maxlen = int(lengths.max())
-    top = arr.size - 1
-    values = np.zeros(starts.size, dtype=np.uint64)
-    for offset in range(maxlen):
-        septets = arr[np.minimum(starts + offset, top)].astype(np.uint64)
-        septets &= np.uint64(0x7F)
-        septets <<= np.uint64(7 * offset)
-        values |= np.where(offset < lengths, septets, np.uint64(0))
+    values = (arr[starts] & np.uint8(0x7F)).astype(np.uint64)
+    for offset in range(1, int(lengths.max())):
+        longer = np.flatnonzero(lengths > offset)
+        septets = (arr[starts[longer] + offset] & np.uint8(0x7F)).astype(np.uint64)
+        values[longer] |= septets << np.uint64(7 * offset)
     return values
 
 
@@ -216,7 +215,7 @@ def decode_varint_stream(
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts + 1
     longest = int(lengths.max())
-    if longest > _MAX_VARINT_LEN:
+    if longest > MAX_VARINT_LEN:
         offender = int(starts[int(np.argmax(lengths))])
         raise CompressionError(f"varint too long at offset {pos + offender}")
     values = gather_varints(arr, starts, lengths)

@@ -85,7 +85,7 @@ from repro.sql.ast_nodes import (
 from repro.monitoring import counters
 from repro.sql.parser import parse_query
 from repro.storage.cache import Cache, CacheStats, make_cache
-from repro.storage.chunk import ChunkDictIndex, ColumnChunk
+from repro.storage.chunk import ChunkDictIndex, ColumnChunk, encode_column_chunks
 from repro.storage.dictionary import (
     Dictionary,
     NumericDictionary,
@@ -191,6 +191,7 @@ class FieldStore:
         dictionary: Dictionary,
         chunks: list[ColumnChunk],
         virtual: bool = False,
+        chunk_dict_index: ChunkDictIndex | None = None,
     ) -> None:
         self.name = name
         self.dictionary = dictionary
@@ -202,6 +203,9 @@ class FieldStore:
         self.codec: str | None = None
         self.codec_choice: dict[str, Any] | None = None
         self._reset_memos()
+        # A loader that decoded the chunk-dictionaries as one array has
+        # the index already; anyone else leaves it to the first WHERE.
+        self._chunk_dict_index = chunk_dict_index
 
     def _reset_memos(self) -> None:
         self._value_array: np.ndarray | None = None
@@ -562,6 +566,9 @@ class DataStore:
             )
         else:
             chunk_rows = [np.arange(table.n_rows, dtype=np.int64)]
+        # Rows in chunk order: every chunk is then a slice of a column.
+        chunk_order = np.concatenate(chunk_rows)
+        chunk_row_counts = [int(rows.size) for rows in chunk_rows]
         stats.partition_seconds += time.perf_counter() - phase_started
 
         fields: dict[str, FieldStore] = {}
@@ -573,12 +580,12 @@ class DataStore:
             )
             stats.dictionary_seconds += time.perf_counter() - phase_started
             phase_started = time.perf_counter()
-            chunks = [
-                ColumnChunk.from_global_ids(
-                    column.codes[rows], optimized=options.optimized_columns
-                )
-                for rows in chunk_rows
-            ]
+            chunks = encode_column_chunks(
+                column.codes[chunk_order],
+                chunk_row_counts,
+                len(column.distinct),
+                optimized=options.optimized_columns,
+            )
             stats.encode_seconds += time.perf_counter() - phase_started
             stats.dictionary_bytes += dictionary.size_bytes()
             stats.chunk_bytes += sum(chunk.size_bytes() for chunk in chunks)
@@ -609,15 +616,11 @@ class DataStore:
                 stats.field_codecs[name] = record
             stats.advisor_seconds += time.perf_counter() - phase_started
 
-        stats.chunks = len(chunk_rows)
+        stats.chunks = len(chunk_row_counts)
         stats.total_seconds = time.perf_counter() - total_started
         stats.publish()
         return cls(
-            options,
-            table.n_rows,
-            [int(rows.size) for rows in chunk_rows],
-            fields,
-            import_stats=stats,
+            options, table.n_rows, chunk_row_counts, fields, import_stats=stats
         )
 
     @property

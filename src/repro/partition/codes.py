@@ -41,31 +41,41 @@ from repro.core.table import Column
 _FLOAT64_EXACT_INT_BOUND = 2**53
 
 
+def code_dtype(n_distinct: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every code of ``n_distinct`` values."""
+    return np.min_scalar_type(max(n_distinct - 1, 0))
+
+
 def factorize(column: Column) -> tuple[np.ndarray, list[Any] | np.ndarray]:
     """Map a column to (codes, sorted_distinct_values).
 
     ``codes[i]`` is the rank of row i's value among the sorted distinct
-    values; NULL sorts first. Returned codes are int64. A dictionary-
-    coded column already is that pair up to the distinct values no row
-    uses: a presence scatter finds those and a remap renumbers the
-    rest — no cell is touched, and a typed ``distinct`` array comes
-    back as a typed array.
+    values; NULL sorts first. Codes come back in :func:`code_dtype` of
+    the distinct count — one or two bytes a row for most columns, which
+    is what lets the reorder radix-sort them and every later pass read
+    an eighth of an int64 array. A dictionary-coded column already is
+    that pair up to the distinct values no row uses: a presence scatter
+    finds those and a remap renumbers the rest — no cell is touched, a
+    typed ``distinct`` array comes back as a typed array, and codes
+    that need neither remap nor narrowing are returned as they are.
     """
     codes, distinct = column.codes, column.distinct
     if codes is None or (
         isinstance(distinct, list) and _mixes_floats_with_inexact_ints(distinct)
     ):
-        return factorize_list(column.values)
+        codes, distinct = factorize_list(column.values)
+        return codes.astype(code_dtype(len(distinct))), distinct
     present = column.presence()
     if present.all():
-        return codes.astype(np.int64), distinct
+        return codes.astype(code_dtype(len(distinct)), copy=False), distinct
     kept = np.flatnonzero(present)
     if isinstance(distinct, list):
         distinct = [distinct[index] for index in kept.tolist()]
     else:
         distinct = distinct[kept]
+    remap = (np.cumsum(present) - 1).astype(code_dtype(kept.size))
     # Narrow index arrays gather slowly: widen the codes first.
-    return (np.cumsum(present) - 1)[codes.astype(np.intp, copy=False)], distinct
+    return remap[codes.astype(np.intp, copy=False)], distinct
 
 
 def factorize_scalar(column: Column) -> tuple[np.ndarray, list[Any]]:

@@ -17,13 +17,13 @@ the partitioning these fields are not treated specially in any way."
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.table import Table
 from repro.errors import PartitionError
-from repro.partition.codes import factorize
+from repro.partition.codes import code_dtype, factorize
 
 
 @dataclass(frozen=True)
@@ -47,37 +47,46 @@ class PartitionSpec:
             )
 
 
-@dataclass(order=True)
-class _HeapChunk:
-    """Heap entry: heaviest chunk first (negated size), FIFO tie-break."""
-
-    neg_size: int
-    tick: int
-    rows: np.ndarray = field(compare=False)
+#: A composite key space of at most this many keys per row is counted in
+#: one ``bincount`` table; a sparser one is sorted (``np.unique``).
+_DENSE_KEYS_PER_ROW = 4
 
 
-def _range_split(
-    codes: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Split ``rows`` on the value ranges of one field's codes.
+def _occupied_cells(
+    field_codes: list[np.ndarray], n_rows: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct tuples of partition-field codes that rows hold.
 
-    Picks the cut between distinct values that best balances the two
-    sides. Returns None when the field has fewer than two distinct
-    values among these rows.
+    Cells are numbered in the lexicographic order of their tuples.
+    Returns each row's cell, each cell's row count, and each cell's
+    *level*: the first field in which it differs from the cell before
+    it. Fields fold in one at a time — key = cell so far * field width +
+    code, compacted back to dense cell numbers — so a key never exceeds
+    rows * width and no field-by-field matrix is ever built.
     """
-    chunk_codes = codes[rows]
-    distinct, counts = np.unique(chunk_codes, return_counts=True)
-    if distinct.size < 2:
-        return None
-    cumulative = np.cumsum(counts)
-    total = cumulative[-1]
-    # Cut after distinct[k]: left gets cumulative[k] rows. Choose the k
-    # (excluding the last, which would be a no-op) closest to half.
-    imbalance = np.abs(cumulative[:-1] - total / 2.0)
-    k = int(np.argmin(imbalance))
-    boundary = distinct[k]
-    left_mask = chunk_codes <= boundary
-    return rows[left_mask], rows[~left_mask]
+    cells = np.zeros(n_rows, dtype=np.int64)
+    level = np.zeros(1, dtype=np.int64)
+    for depth, codes in enumerate(field_codes):
+        width = int(codes.max()) + 1
+        keys = cells * width
+        keys += codes
+        space = level.size * width
+        if space <= _DENSE_KEYS_PER_ROW * n_rows:
+            counts = np.bincount(keys, minlength=space)
+            occupied = np.flatnonzero(counts > 0)
+            counts = counts[occupied]
+            rank = np.empty(space, dtype=np.int64)
+            rank[occupied] = np.arange(occupied.size)
+            cells = rank[keys]
+        else:
+            occupied, cells, counts = np.unique(
+                keys, return_inverse=True, return_counts=True
+            )
+        parent = occupied // width
+        inherits = np.ones(parent.size, dtype=bool)
+        inherits[1:] = parent[1:] != parent[:-1]
+        level = np.where(inherits, level[parent], depth)
+    return cells, counts, level
 
 
 def partition_table(
@@ -88,14 +97,25 @@ def partition_table(
     """Partition ``table`` into chunks of at most ``max_chunk_rows`` rows.
 
     Returns a list of row-index arrays (each sorted ascending so chunk-
-    internal row order follows table order). Chunks that cannot be
-    split further (all partition fields constant within them) may
-    exceed the threshold, mirroring the paper's stopping rule.
+    internal row order follows table order), ordered by first row.
+    Chunks that cannot be split further (all partition fields constant
+    within them) may exceed the threshold, mirroring the paper's
+    stopping rule.
+
+    Every split decision depends only on how many rows hold each
+    distinct tuple of partition-field codes, so the rows are counted
+    into cells once and the splitting runs on the histogram. A chunk is
+    split on its first field with two values, which the fields before
+    it do not have: every chunk is a *range* of the lexicographically
+    ordered cells, a field has two values in it exactly when some cell
+    of the range starts a new value of it, and the cut candidates are
+    those cells.
 
     ``field_codes`` optionally supplies pre-factorized codes for
-    ``spec.fields`` (one int64 array per field, in spec order) so
-    callers that already factorized the partition fields — the import
-    pipeline — don't pay for it twice.
+    ``spec.fields`` (one non-negative integer array per field, in spec
+    order, as narrow as ``factorize`` returns them) so callers that
+    already factorized the partition fields — the import pipeline —
+    don't pay for it twice.
     """
     for name in spec.fields:
         if name not in table:
@@ -106,33 +126,50 @@ def partition_table(
         raise PartitionError(
             f"got {len(field_codes)} code arrays for {len(spec.fields)} fields"
         )
+    n_rows = table.n_rows
+    for name, codes in zip(spec.fields, field_codes):
+        if codes.size != n_rows:
+            raise PartitionError(
+                f"partition field {name!r}: {codes.size} codes for "
+                f"{n_rows} rows"
+            )
+        if n_rows and int(codes.min()) < 0:
+            raise PartitionError(f"partition field {name!r}: negative code")
+    if n_rows <= spec.max_chunk_rows:
+        return [np.arange(n_rows, dtype=np.int64)]
 
-    all_rows = np.arange(table.n_rows, dtype=np.int64)
-    if table.n_rows <= spec.max_chunk_rows:
-        return [all_rows]
-
+    cells, counts, level = _occupied_cells(field_codes, n_rows)
+    rows_before = np.concatenate(([0], np.cumsum(counts)))
+    # Heap entries: heaviest chunk first (negated size), FIFO tie-break
+    # on the tick, then the chunk's cell range.
     tick = 0
-    heap = [_HeapChunk(-table.n_rows, tick, all_rows)]
-    done: list[np.ndarray] = []
+    heap = [(-n_rows, tick, 0, counts.size)]
+    starts: list[int] = []
     while heap:
-        entry = heapq.heappop(heap)
-        rows = entry.rows
-        if rows.size <= spec.max_chunk_rows:
-            done.append(rows)
+        neg_size, __, low, high = heapq.heappop(heap)
+        if -neg_size <= spec.max_chunk_rows or high - low < 2:
+            # Small enough, or no field can distinguish these rows.
+            starts.append(low)
             continue
-        split = None
-        for codes in field_codes:
-            split = _range_split(codes, rows)
-            if split is not None:
-                break
-        if split is None:
-            # No field can distinguish these rows; keep as one chunk.
-            done.append(rows)
-            continue
-        left, right = split
-        for part in (left, right):
+        inner = level[low + 1 : high]
+        cuts = np.flatnonzero(inner == inner.min()) + (low + 1)
+        # Cutting at cuts[k] leaves left[k] rows on the left. Choose the
+        # first k closest to half.
+        left = rows_before[cuts] - rows_before[low]
+        cut = int(cuts[np.argmin(np.abs(left - -neg_size / 2.0))])
+        for part_low, part_high in ((low, cut), (cut, high)):
             tick += 1
-            heapq.heappush(heap, _HeapChunk(-part.size, tick, part))
+            size = int(rows_before[part_high] - rows_before[part_low])
+            heapq.heappush(heap, (-size, tick, part_low, part_high))
+
+    # One gather hands each row its chunk; one stable sort of the narrow
+    # chunk numbers groups the rows, ascending inside each chunk.
+    starts.sort()
+    chunk_of_cell = np.zeros(counts.size, dtype=code_dtype(len(starts)))
+    chunk_of_cell[starts[1:]] = 1
+    chunk_of_row = np.cumsum(chunk_of_cell, dtype=chunk_of_cell.dtype)[cells]
+    order = np.argsort(chunk_of_row, kind="stable")
+    chunks = np.split(order, rows_before[starts[1:]])
     # Stable order: by first row index, so chunk order tracks table order.
-    done.sort(key=lambda chunk_rows: int(chunk_rows[0]) if chunk_rows.size else -1)
-    return done
+    chunks.sort(key=lambda chunk_rows: int(chunk_rows[0]))
+    return chunks

@@ -42,7 +42,9 @@ def order_from_codes(code_arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Lexicographic permutation from already-factorized code arrays.
 
     Lets the import pipeline factorize each partition field once and
-    reuse the codes for reordering, partitioning and encoding.
+    reuse the codes for reordering, partitioning and encoding. Pass the
+    codes as narrow as ``factorize`` returns them: numpy radix-sorts a
+    key of at most 16 bits and comparison-sorts anything wider.
     """
     if not code_arrays:
         raise PartitionError("lexicographic reorder needs at least one field")

@@ -148,6 +148,56 @@ class ColumnChunk:
         return bytes(out)
 
 
+#: A chunk is scatter-encoded when its field's dictionary has at most
+#: this many entries per chunk row; past it the scratch tables cost more
+#: to scan than the chunk's rows cost to sort. Measured: ids drawn
+#: uniformly break even near 10 (the tables fall out of cache), a field
+#: clustered by the partitioning near 70.
+_SCATTER_DICT_ENTRIES_PER_ROW = 16
+
+
+def encode_column_chunks(
+    global_ids: np.ndarray,
+    chunk_row_counts: Sequence[int],
+    n_distinct: int,
+    optimized: bool = True,
+) -> list[ColumnChunk]:
+    """One field's chunks from its per-row global-ids, rows in chunk order.
+
+    Two exact algorithms, picked per chunk from the data's shape. Where
+    the dictionary is small beside the chunk, global-ids are a dense
+    domain: scatter the chunk's ids into a presence table, read the
+    chunk-dictionary off it, and gather each row's chunk-id through a
+    rank table — no sort, one scratch pair reused by every chunk. A
+    high-cardinality field keeps :meth:`ColumnChunk.from_global_ids`.
+    """
+    # Narrow index arrays scatter and gather slowly: widen them once.
+    global_ids = global_ids.astype(np.intp, copy=False)
+    present = rank = None
+    chunks = []
+    start = 0
+    for n_rows in chunk_row_counts:
+        chunk_ids = global_ids[start : start + n_rows]
+        start += n_rows
+        if n_distinct > _SCATTER_DICT_ENTRIES_PER_ROW * n_rows:
+            chunks.append(ColumnChunk.from_global_ids(chunk_ids, optimized))
+            continue
+        if present is None:
+            present = np.zeros(n_distinct, dtype=bool)
+            rank = np.empty(n_distinct, dtype=np.uint32)
+        present[chunk_ids] = True
+        chunk_dict = np.flatnonzero(present)
+        present[chunk_dict] = False
+        rank[chunk_dict] = np.arange(chunk_dict.size, dtype=np.uint32)
+        elements = encode_elements(
+            rank[chunk_ids], int(chunk_dict.size), optimized=optimized
+        )
+        chunks.append(
+            ColumnChunk.from_trusted_parts(chunk_dict.astype(np.uint32), elements)
+        )
+    return chunks
+
+
 class ChunkDictIndex:
     """One field's chunk-dictionaries as a single (gid, chunk) column.
 
@@ -162,9 +212,19 @@ class ChunkDictIndex:
 
     def __init__(self, chunk_dicts: Sequence[np.ndarray]) -> None:
         sizes = np.array([chunk_dict.size for chunk_dict in chunk_dicts], np.intp)
+        self._set(np.concatenate([*chunk_dicts, np.empty(0, dtype=np.uint32)]), sizes)
+
+    @classmethod
+    def from_csr(cls, gids: np.ndarray, sizes: np.ndarray) -> "ChunkDictIndex":
+        """Adopt ``gids`` — the chunk-dictionaries, concatenated — as is."""
+        index = cls.__new__(cls)
+        index._set(gids, sizes)
+        return index
+
+    def _set(self, gids: np.ndarray, sizes: np.ndarray) -> None:
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         self.offsets: list[int] = bounds.tolist()
-        self.gids = np.concatenate([*chunk_dicts, np.empty(0, dtype=np.uint32)])
+        self.gids = gids
         # ``reduceat`` reads one element for an empty segment instead of
         # the reduction identity, so only non-empty segments (all of
         # them, unless the store has a zero-row chunk) are reduced.

@@ -57,16 +57,18 @@ import numpy as np
 
 from repro.compress.registry import compress, decompress
 from repro.compress.varint import (
+    MAX_VARINT_LEN,
     decode_varint,
     decode_varint_stream,
     encode_varint,
     encode_varint_array,
     encode_varint_spans,
+    gather_varints,
 )
 from repro.core.datastore import DataStore, DataStoreOptions, FieldStore
 from repro.errors import CompressionError, StorageError
 from repro.storage.bitset import BitSet
-from repro.storage.chunk import ColumnChunk
+from repro.storage.chunk import ChunkDictIndex, ColumnChunk
 from repro.storage.dictionary import (
     Dictionary,
     NumericDictionary,
@@ -407,18 +409,19 @@ def save_store(store: DataStore, path: str) -> int:
         "chunk_row_counts": store.chunk_row_counts,
         "fields": field_metas,
     }
-    body = bytearray()
     header_bytes = json.dumps(header).encode("utf-8")
-    body += encode_varint(len(header_bytes))
-    body += header_bytes
-    for section in sections:
-        body += section
-    blob = bytearray(_MAGIC)
-    blob += crc32_tag(bytes(body))
-    blob += body
+    pieces = [encode_varint(len(header_bytes)), header_bytes, *sections]
+    # The checksum is folded piece by piece and the pieces written in
+    # order behind it: the store's bytes are never joined in memory.
+    checksum = 0
+    for piece in pieces:
+        checksum = zlib.crc32(piece, checksum)
     with open(path, "wb") as handle:
-        handle.write(bytes(blob))
-    return len(blob)
+        handle.write(_MAGIC)
+        handle.write(checksum.to_bytes(4, "little"))
+        for piece in pieces:
+            handle.write(piece)
+    return 8 + sum(map(len, pieces))
 
 
 def load_store(path: str) -> DataStore:
@@ -434,9 +437,9 @@ def load_store(path: str) -> DataStore:
         raise StorageError(f"not a datastore file: magic {magic!r}")
     if len(data) < 8:
         raise StorageError("store file truncated before checksum")
-    if not verify_crc32_tag(data[4:8], data[8:]):
-        expected_crc = int.from_bytes(data[4:8], "little")
-        actual_crc = zlib.crc32(data[8:])
+    expected_crc = int.from_bytes(data[4:8], "little")
+    actual_crc = zlib.crc32(memoryview(data)[8:])
+    if actual_crc != expected_crc:
         raise StorageError(
             f"store file checksum mismatch: header says "
             f"{expected_crc:#010x}, contents hash to {actual_crc:#010x} "
@@ -497,10 +500,114 @@ def _parse_store_body(data: bytes, pos: int) -> DataStore:
     return DataStore(options, header["n_rows"], chunk_row_counts, fields)
 
 
+#: Bytes per terminator scan of the field decoder: enough to cover tens
+#: of small chunks in one numpy pass, and a bound on what a pass
+#: materialises however large the file is.
+_SCAN_BLOCK_BYTES = 1 << 16
+
+
+class _ChunkDictReader:
+    """Decodes a field's chunk-dictionaries a scanned block at a time.
+
+    In a varint stream the top bit alone marks where values end, so one
+    comparison over a block of the buffer locates the varints of every
+    dictionary that lies in it. :meth:`skip` only records where a
+    dictionary's varints are; the dictionaries of a block are decoded,
+    summed and validated together when the walk leaves the block — the
+    mirror of :func:`encode_chunk_dicts`, a handful of numpy passes per
+    block instead of per chunk, and never more than a block's worth of
+    index arrays alive.
+    """
+
+    def __init__(self, data: bytes, name: str) -> None:
+        self._name = name
+        self._bytes = np.frombuffer(data, dtype=np.uint8)
+        self._ends = np.empty(0, dtype=np.int64)  # of the scanned block
+        self._heads: list[int] = []  # first delta of each pending dictionary
+        self._spans: list[np.ndarray] = []  # where its varints end
+        self._decoded: list[np.ndarray] = []
+
+    def skip(self, pos: int, count: int) -> int:
+        """Note the dictionary of ``count`` deltas at ``pos``; where it ends."""
+        at = int(self._ends.searchsorted(pos))
+        if at + count > self._ends.size:
+            # Rescan from ``pos``: a block, or what ``count`` ten-byte
+            # varints span if that is more.
+            self._decode_pending()
+            stop = pos + max(_SCAN_BLOCK_BYTES, MAX_VARINT_LEN * count)
+            self._ends = np.flatnonzero(self._bytes[pos:stop] < 0x80) + pos
+            at = 0
+            if count > self._ends.size:
+                problem = (
+                    "a varint longer than ten bytes"
+                    if stop < self._bytes.size
+                    else "delta stream truncated"
+                )
+                raise StorageError(
+                    f"field {self._name!r}: chunk-dict of {count} entries "
+                    f"at offset {pos}: {problem}"
+                )
+        span = self._ends[at : at + count]
+        self._heads.append(pos)
+        self._spans.append(span)
+        return int(span[-1]) + 1
+
+    def _decode_pending(self) -> None:
+        if not self._heads:
+            return
+        name = self._name
+        sizes = np.fromiter(map(len, self._spans), np.int64, len(self._spans))
+        ends = np.concatenate(self._spans)
+        # A varint starts where the one before it ended; a dictionary's
+        # first starts where the walk found it.
+        first = np.cumsum(sizes) - sizes
+        starts = np.empty_like(ends)
+        starts[1:] = ends[:-1] + 1
+        starts[first] = self._heads
+        self._heads, self._spans = [], []
+        lengths = ends - starts + 1
+        if int(lengths.max()) > MAX_VARINT_LEN:
+            raise StorageError(
+                f"field {name!r}: chunk-dict varint longer than ten bytes"
+            )
+        deltas = gather_varints(self._bytes, starts, lengths)
+        if int(deltas.max()) > 0xFFFFFFFF:
+            raise StorageError(
+                f"field {name!r}: chunk-dict delta beyond uint32 range"
+            )
+        ascending = deltas > 0
+        ascending[first] = True
+        if not ascending.all():
+            raise StorageError(
+                f"field {name!r}: chunk dictionary must be strictly ascending"
+            )
+        # Deltas are <= 2**32 and fewer than the block has bytes, so the
+        # uint64 running sum is exact; each dictionary restarts from zero.
+        running = np.cumsum(deltas)
+        gids = running - np.repeat(running[first] - deltas[first], sizes)
+        if int(gids.max()) > 0xFFFFFFFF:
+            raise StorageError(
+                f"field {name!r}: chunk-dict global-id beyond uint32 range"
+            )
+        self._decoded.append(gids.astype(np.uint32))
+
+    def global_ids(self) -> np.ndarray:
+        """Every dictionary noted so far, decoded and concatenated."""
+        self._decode_pending()
+        return np.concatenate([*self._decoded, np.empty(0, dtype=np.uint32)])
+
+
 def _parse_field_section(
     data: bytes, pos: int, field_meta: dict, chunk_row_counts: list[int]
 ) -> tuple[FieldStore, int]:
-    """Parse one field's section starting at ``pos``."""
+    """Parse one field's section starting at ``pos``.
+
+    One walk with scalar header reads parses every elements array and
+    steps over every chunk-dictionary, which :class:`_ChunkDictReader`
+    decodes in bulk. The chunks are slices of one uint32 array, which
+    with the dictionary sizes is the field's :class:`ChunkDictIndex`
+    already.
+    """
     name = field_meta["name"]
     dict_len, pos = decode_varint(data, pos)
     if pos + dict_len > len(data):
@@ -509,14 +616,25 @@ def _parse_field_section(
         field_meta["dictionary"], bytes(data[pos : pos + dict_len])
     )
     pos += dict_len
-    chunks = []
+    reader = _ChunkDictReader(data, name)
+    bounds = [0]
+    all_elements = []
     for expected_rows in chunk_row_counts:
-        chunk_dict, pos = decode_chunk_dict(data, pos)
+        count, pos = decode_varint(data, pos)
+        bounds.append(bounds[-1] + count)
+        if count:
+            pos = reader.skip(pos, count)
         elements, pos = decode_elements(data, pos)
         if elements.n_rows != expected_rows:
             raise StorageError(
                 f"field {name!r}: chunk has {elements.n_rows} rows, "
                 f"store header says {expected_rows}"
             )
-        chunks.append(ColumnChunk(chunk_dict, elements))
-    return FieldStore(name, dictionary, chunks), pos
+        all_elements.append(elements)
+    gids = reader.global_ids()
+    chunks = [
+        ColumnChunk.from_trusted_parts(gids[low:high], elements)
+        for low, high, elements in zip(bounds, bounds[1:], all_elements)
+    ]
+    index = ChunkDictIndex.from_csr(gids, np.diff(bounds))
+    return FieldStore(name, dictionary, chunks, chunk_dict_index=index), pos

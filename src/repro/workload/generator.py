@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.table import Column, DataType, Table
 from repro.errors import ReproError
-from repro.partition.codes import factorize_list
+from repro.partition.codes import code_dtype, factorize_list
 
 #: 2011-10-01 00:00:00 UTC — start of the paper's measurement window.
 _WINDOW_START = 1317427200
@@ -204,7 +204,7 @@ def _coded_column(
         ranks = position[ranks]
     return Column.from_codes(
         name,
-        ranks.astype(np.min_scalar_type(len(distinct))),
+        ranks.astype(code_dtype(len(distinct))),
         distinct,
         DataType.INT if label is None else DataType.STRING,
     )

@@ -5,14 +5,21 @@ Kept, bodies unchanged, as the byte-identity oracle of
 mirrors the original ``DataStore.from_table`` step for step — scalar
 ``factorize`` per field over the cell lists (run again after the
 reorder, as the old code did), ``Table.take`` of the cells, the
-per-string-insert trie builder. ``DataStore.from_table`` must serialise
-to exactly the same PDS2 stream, whichever form its columns come in.
+per-string-insert trie builder, the partitioner that splits row-index
+arrays with one ``np.unique`` of the chunk's rows per field per split
+(:func:`reference_partition_table`) and the ``np.unique`` chunk encode
+(:func:`reference_column_chunk`), both as they stood in ``src/`` before
+the write path counted instead of sorting. ``DataStore.from_table``
+must serialise to exactly the same PDS2 stream, whichever form its
+columns come in.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import tempfile
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -21,7 +28,7 @@ from repro.core.datastore import DataStore, DataStoreOptions, FieldStore
 from repro.core.table import Table
 from repro.errors import PartitionError
 from repro.partition.codes import factorize_scalar
-from repro.partition.composite import PartitionSpec, partition_table
+from repro.partition.composite import PartitionSpec
 from repro.storage.chunk import ColumnChunk
 from repro.storage.dictionary import (
     Dictionary,
@@ -29,6 +36,7 @@ from repro.storage.dictionary import (
     SortedStringDictionary,
     SortedTupleDictionary,
 )
+from repro.storage.elements import encode_elements
 from repro.storage.serde import save_store
 from repro.storage.trie import TrieDictionary, reference_trie_bytes
 
@@ -50,6 +58,86 @@ def _reference_dictionary(ordered: list[Any], optimized: bool) -> Dictionary:
     else:
         array = np.asarray(non_null, dtype=np.int64)
     return NumericDictionary(array, has_null=has_null, optimized=optimized)
+
+
+@dataclass(order=True)
+class _HeapChunk:
+    """Heap entry: heaviest chunk first (negated size), FIFO tie-break."""
+
+    neg_size: int
+    tick: int
+    rows: np.ndarray = field(compare=False)
+
+
+def _range_split(
+    codes: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Split ``rows`` on the value ranges of one field's codes.
+
+    Picks the cut between distinct values that best balances the two
+    sides. Returns None when the field has fewer than two distinct
+    values among these rows.
+    """
+    chunk_codes = codes[rows]
+    distinct, counts = np.unique(chunk_codes, return_counts=True)
+    if distinct.size < 2:
+        return None
+    cumulative = np.cumsum(counts)
+    total = cumulative[-1]
+    # Cut after distinct[k]: left gets cumulative[k] rows. Choose the k
+    # (excluding the last, which would be a no-op) closest to half.
+    imbalance = np.abs(cumulative[:-1] - total / 2.0)
+    k = int(np.argmin(imbalance))
+    boundary = distinct[k]
+    left_mask = chunk_codes <= boundary
+    return rows[left_mask], rows[~left_mask]
+
+
+def reference_partition_table(
+    table: Table, spec: PartitionSpec, field_codes: list[np.ndarray]
+) -> list[np.ndarray]:
+    """``partition_table`` as it split rows, not a histogram."""
+    all_rows = np.arange(table.n_rows, dtype=np.int64)
+    if table.n_rows <= spec.max_chunk_rows:
+        return [all_rows]
+
+    tick = 0
+    heap = [_HeapChunk(-table.n_rows, tick, all_rows)]
+    done: list[np.ndarray] = []
+    while heap:
+        entry = heapq.heappop(heap)
+        rows = entry.rows
+        if rows.size <= spec.max_chunk_rows:
+            done.append(rows)
+            continue
+        split = None
+        for codes in field_codes:
+            split = _range_split(codes, rows)
+            if split is not None:
+                break
+        if split is None:
+            # No field can distinguish these rows; keep as one chunk.
+            done.append(rows)
+            continue
+        left, right = split
+        for part in (left, right):
+            tick += 1
+            heapq.heappush(heap, _HeapChunk(-part.size, tick, part))
+    # Stable order: by first row index, so chunk order tracks table order.
+    done.sort(key=lambda chunk_rows: int(chunk_rows[0]) if chunk_rows.size else -1)
+    return done
+
+
+def reference_column_chunk(
+    global_ids: np.ndarray, optimized: bool = True
+) -> ColumnChunk:
+    """``ColumnChunk.from_global_ids`` when ``np.unique`` was the only encode."""
+    array = np.asarray(global_ids, dtype=np.uint32)
+    chunk_dict, chunk_ids = np.unique(array, return_inverse=True)
+    elements = encode_elements(
+        chunk_ids.astype(np.uint32), int(chunk_dict.size), optimized=optimized
+    )
+    return ColumnChunk(chunk_dict, elements)
 
 
 def build_reference_store(
@@ -74,7 +162,7 @@ def build_reference_store(
         spec = PartitionSpec(
             tuple(options.partition_fields), options.max_chunk_rows
         )
-        chunk_rows = partition_table(
+        chunk_rows = reference_partition_table(
             table,
             spec,
             field_codes=[
@@ -88,7 +176,7 @@ def build_reference_store(
         codes, ordered = factorize_scalar(table.column(name))
         dictionary = _reference_dictionary(ordered, options.optimized_dicts)
         chunks = [
-            ColumnChunk.from_global_ids(
+            reference_column_chunk(
                 codes[rows], optimized=options.optimized_columns
             )
             for rows in chunk_rows

@@ -115,3 +115,80 @@ def test_corruption_never_yields_wrong_data(saved_store, tmp_path):
         except StorageError:
             continue
         assert loaded.execute(sql).rows() == expected
+
+
+# -- well-checksummed files whose chunk-dictionaries are wrong ----------------
+#
+# The CRC only says the bytes are the ones written. The one-pass field
+# decoder validates a whole field at once; each of its checks gets one
+# hand-built section here, and none may hand back a DataStore.
+
+
+def _one_field_file(tmp_path, chunk_dicts, element_rows=None, tail=True):
+    """A checksummed PDS2 file of one INT field, two rows a chunk, whose
+    chunk-dictionary bytes are ``chunk_dicts`` verbatim. ``tail=False``
+    ends the file right after the last dictionary."""
+    import json
+    import zlib
+
+    from repro.compress.varint import encode_varint
+    from repro.storage import serde
+    from repro.storage.dictionary import build_dictionary
+    from repro.storage.elements import ConstantElements
+
+    dictionary = build_dictionary(list(range(10)), optimized=False)
+    payload = serde.encode_dictionary(dictionary)
+    section = encode_varint(len(payload)) + payload
+    element_rows = element_rows or [2] * len(chunk_dicts)
+    for index, (chunk_dict, n_rows) in enumerate(zip(chunk_dicts, element_rows)):
+        section += chunk_dict
+        if tail or index < len(chunk_dicts) - 1:
+            section += serde.encode_elements(ConstantElements(n_rows, 0))
+    header = json.dumps(
+        {
+            "options": serde.options_to_dict(DataStoreOptions()),
+            "n_rows": 2 * len(chunk_dicts),
+            "chunk_row_counts": [2] * len(chunk_dicts),
+            "fields": [
+                {"name": "n", "dictionary": serde.dictionary_meta(dictionary)}
+            ],
+        }
+    ).encode("utf-8")
+    body = encode_varint(len(header)) + header + section
+    path = tmp_path / "built.pds"
+    path.write_bytes(b"PDS2" + zlib.crc32(body).to_bytes(4, "little") + body)
+    return str(path)
+
+
+_GOOD = bytes([2, 5, 3])  # two entries: gids 5 and 8
+
+
+def test_hand_built_file_loads_when_nothing_is_wrong(tmp_path):
+    loaded = load_store(_one_field_file(tmp_path, [_GOOD, bytes([0]), _GOOD]))
+    assert [c.chunk_dict.tolist() for c in loaded.field("n").chunks] == [
+        [5, 8], [], [5, 8],
+    ]
+
+
+@pytest.mark.parametrize(
+    "chunk_dicts, kwargs, message",
+    [
+        ([_GOOD, bytes([3, 1])], {"tail": False}, "truncated"),
+        ([_GOOD, bytes([2, 1, 0x80])], {"tail": False}, "truncated"),
+        ([_GOOD, bytes([2, 5, 0]), _GOOD], {}, "strictly ascending"),
+        # 2**32 - 1, then one more.
+        ([bytes([2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1])], {}, "global-id beyond uint32"),
+        ([bytes([1, 0x80, 0x80, 0x80, 0x80, 0x10])], {}, "delta beyond uint32"),
+        ([_GOOD, bytes([1] + [0x80] * 10 + [1])], {}, "longer than ten bytes"),
+        ([_GOOD, _GOOD], {"element_rows": [2, 3]}, "chunk has 3 rows"),
+        ([_GOOD, bytes([0xE8, 0x07, 1, 1])], {}, "truncated"),  # 1000 entries
+        ([_GOOD, bytes([0xFF] * 9 + [0x01, 1])], {}, "truncated"),  # 2**64 - 1
+    ],
+)
+def test_every_check_of_the_field_decoder_is_a_storage_error(
+    tmp_path, chunk_dicts, kwargs, message
+):
+    path = _one_field_file(tmp_path, chunk_dicts, **kwargs)
+    with pytest.raises(StorageError, match=message):
+        load_store(path)
+    assert fsck_file(path).codes() == {"FSCK010"}

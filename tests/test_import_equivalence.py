@@ -1,7 +1,8 @@
 """Property tests: the vectorized import pipeline is byte-identical.
 
 The vectorized kernels (typed factorize, bulk trie build, dtype-inferred
-numeric dictionaries) must serialize to exactly the same PDS2 stream as
+numeric dictionaries, the histogram partitioner, both chunk encodes)
+must serialize to exactly the same PDS2 stream as
 ``build_reference_store`` — the frozen replica of the pre-vectorization
 scalar pipeline, in ``tests/import_oracle.py`` — whether a table's
 columns are list-backed or dictionary-coded. Hypothesis drives the
@@ -10,6 +11,8 @@ empty, single-value and non-ASCII columns, mixed int/float, NUL bytes
 inside strings.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,7 +20,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Column, DataType, Table
 from repro.errors import CompressionError
-from repro.partition.codes import factorize, factorize_list, _factorize_scalar_list
+from repro.partition import composite
+from repro.partition.codes import (
+    _factorize_scalar_list,
+    code_dtype,
+    factorize,
+    factorize_list,
+)
+from repro.storage import chunk as chunk_module
 from repro.storage.serde import encode_chunk_dict, encode_chunk_dicts
 from repro.storage.dictionary import build_dictionary
 from repro.storage.subdict import SubDictionarySet
@@ -79,30 +89,103 @@ def _import_tables(draw):
     )
 
 
+#: Both exact algorithms of a data-shape choice: never, as shipped, always.
+_EITHER_ALGORITHM = st.sampled_from([0, None, 10**9])
+
+
+def _forcing(module, constant, value):
+    """``module.constant`` set to ``value`` (None: left as shipped)."""
+    if value is None:
+        value = getattr(module, constant)
+    return mock.patch.object(module, constant, value)
+
+
+def _assert_bytes_match_reference(table, options, scatter=None, dense=None):
+    with _forcing(chunk_module, "_SCATTER_DICT_ENTRIES_PER_ROW", scatter):
+        with _forcing(composite, "_DENSE_KEYS_PER_ROW", dense):
+            store = DataStore.from_table(table, options)
+    reference = build_reference_store(table, options)
+    assert store.chunk_row_counts == reference.chunk_row_counts
+    assert serialized_store_bytes(store) == serialized_store_bytes(reference)
+    assert fsck_store(store).ok
+    return store
+
+
 @settings(
-    max_examples=30,
+    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
     _import_tables(),
     st.booleans(),
-    st.sampled_from([None, ("s",), ("s", "n")]),
+    st.sampled_from(
+        [
+            None,
+            ("s",),
+            ("s", "n"),
+            ("n",),  # near-unique, with NULLs
+            ("c", "s"),  # the first field never has two values
+            ("s", "n", "f"),
+            ("c",),  # every row in one cell: the oversized chunk is kept
+        ]
+    ),
+    st.booleans(),
+    st.sampled_from([1, 2, 7, 1000]),
+    _EITHER_ALGORITHM,
+    _EITHER_ALGORITHM,
 )
-def test_store_bytes_match_reference(table, optimized, partition_fields):
+def test_store_bytes_match_reference(
+    table, optimized, partition_fields, reorder, max_chunk_rows, scatter, dense
+):
     options = DataStoreOptions(
         partition_fields=partition_fields,
-        max_chunk_rows=7,
-        reorder_rows=partition_fields is not None,
+        max_chunk_rows=max_chunk_rows,
+        reorder_rows=reorder and partition_fields is not None,
         optimized_columns=optimized,
         optimized_dicts=optimized,
     )
-    store = DataStore.from_table(table, options)
-    reference = build_reference_store(table, options)
-    assert serialized_store_bytes(store) == serialized_store_bytes(reference)
-    assert fsck_store(store).ok
+    store = _assert_bytes_match_reference(table, options, scatter, dense)
     assert store.import_stats is not None
     assert store.import_stats.rows == table.n_rows
+
+
+@pytest.mark.parametrize("scatter", [0, 10**9])
+@pytest.mark.parametrize("dense", [0, 10**9])
+@pytest.mark.parametrize("reorder", [False, True])
+@pytest.mark.parametrize(
+    "keys, other, max_chunk_rows",
+    [
+        ([], [], 1),  # zero rows
+        (["a"], [5], 1),  # one row
+        # Ties in the balance cut: |1 - 2| == |3 - 2|, the first cut wins;
+        # then again inside the right half, on the second field.
+        (["b", "a", "c", "b"], [2, 1, 1, 3], 1),
+        (["a", "b", "b", "c"] * 3, [1, 2, 2, 3] * 3, 3),
+        # Equal sizes pop in push order (the FIFO tick).
+        (["a", "b", "c", "d"] * 2, [7] * 8, 2),
+        # One cell holds every row; a second field splits it, a third cannot.
+        (["a"] * 9, [1, 1, 1, 2, 2, 2, 2, 2, 2], 2),
+        ([None, "a", None, "b", None], [None, 1, None, 2, 3], 2),
+    ],
+)
+def test_partition_edge_cases_match_reference(
+    keys, other, max_chunk_rows, reorder, dense, scatter
+):
+    table = Table(
+        [
+            Column("k", keys, DataType.STRING),
+            Column("v", other, DataType.INT),
+            Column("w", list(range(len(keys))), DataType.INT),
+        ]
+    )
+    options = DataStoreOptions(
+        partition_fields=("k", "v"),
+        max_chunk_rows=max_chunk_rows,
+        reorder_rows=reorder,
+    )
+    store = _assert_bytes_match_reference(table, options, scatter, dense)
+    assert sum(store.chunk_row_counts) == len(keys)
 
 
 def _coded_tight(table: Table) -> Table:
@@ -178,7 +261,7 @@ def test_coded_import_matches_list_import(
             codes, ordered = factorize(column)
             ref_codes, ref_ordered = factorize_list(column.values)
             np.testing.assert_array_equal(codes, ref_codes)
-            assert codes.dtype == ref_codes.dtype
+            assert codes.dtype == code_dtype(len(ordered))
             assert ordered == ref_ordered
             assert [type(v) for v in ordered] == [type(v) for v in ref_ordered]
         coded_bytes = serialized_store_bytes(DataStore.from_table(coded, options))
@@ -196,13 +279,49 @@ def test_factorize_keeps_a_typed_distinct_array_typed():
         "n", np.array([3, 1, 3], dtype=np.int32), np.array([5, 7, 8, 9]), DataType.INT
     )
     codes, ordered = factorize(column)
-    assert codes.tolist() == [1, 0, 1] and codes.dtype == np.int64
+    assert codes.tolist() == [1, 0, 1] and codes.dtype == np.uint8
     assert isinstance(ordered, np.ndarray) and ordered.tolist() == [7, 9]
     assert factorize_list(column.values)[1] == [7, 9]
     table = Table([column])
     assert serialized_store_bytes(
         DataStore.from_table(table)
     ) == serialized_store_bytes(build_reference_store(table))
+
+
+def test_factorize_returns_tight_narrow_codes_as_they_are():
+    codes = np.array([2, 0, 1, 2], dtype=np.uint8)
+    column = Column.from_codes("s", codes, ["a", "b", "c"], DataType.STRING)
+    assert factorize(column)[0] is codes  # neither remap nor narrowing: no copy
+    wide = Column.from_codes("s", codes.astype(np.int64), ["a", "b", "c"], DataType.STRING)
+    assert factorize(wide)[0].dtype == np.uint8
+    listed = Column("n", list(range(300)), DataType.INT)
+    assert factorize(listed)[0].dtype == np.uint16
+    assert code_dtype(0) == code_dtype(256) == np.uint8
+    assert code_dtype(257) == code_dtype(2**16) == np.uint16
+    assert code_dtype(2**16 + 1) == np.uint32
+
+
+def test_import_reorders_on_the_narrow_codes(monkeypatch):
+    from repro.core import datastore as datastore_module
+
+    seen = []
+
+    def spy(code_arrays):
+        seen.extend(codes.dtype for codes in code_arrays)
+        return order_from_codes(code_arrays)
+
+    order_from_codes = datastore_module.order_from_codes
+    monkeypatch.setattr(datastore_module, "order_from_codes", spy)
+    table = generate_query_logs(LogsConfig(n_rows=3_000, seed=4))
+    DataStore.from_table(
+        table,
+        DataStoreOptions(
+            partition_fields=("country", "table_name"),
+            max_chunk_rows=200,
+            reorder_rows=True,
+        ),
+    )
+    assert seen == [np.uint8, np.uint16]
 
 
 def test_factorize_of_float64_colliding_distincts_matches_the_list_kernel():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.table import Table
 from repro.errors import PartitionError
 from repro.partition.composite import PartitionSpec, partition_table
+from tests.import_oracle import reference_partition_table
 
 
 def _table(countries, names=None, extra=None):
@@ -90,6 +91,18 @@ class TestPartitionTable:
         with pytest.raises(PartitionError):
             partition_table(table, PartitionSpec(("missing",), 10))
 
+    @pytest.mark.parametrize("n_codes", [2, 4])
+    def test_field_codes_of_the_wrong_length_rejected(self, n_codes):
+        table = _table(["a", "b", "c"])
+        spec = PartitionSpec(("country",), 1)
+        codes = np.arange(n_codes, dtype=np.uint8) % 3
+        with pytest.raises(
+            PartitionError, match=f"'country': {n_codes} codes for 3 rows"
+        ):
+            partition_table(table, spec, field_codes=[codes])
+        with pytest.raises(PartitionError, match="negative code"):
+            partition_table(table, spec, field_codes=[np.array([0, -1, 1])])
+
     def test_heaviest_first_balances(self):
         # Skewed data: the heaviest-first strategy still yields chunks
         # within ~2x of each other when splits are available.
@@ -134,3 +147,36 @@ class TestPartitionTable:
         chunks = partition_table(table, PartitionSpec(("country",), threshold))
         combined = np.sort(np.concatenate(chunks))
         assert combined.tolist() == list(range(len(countries)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 40), st.integers(0, 2)
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=60),
+        st.booleans(),
+    )
+    def test_histogram_split_matches_the_row_wise_oracle(
+        self, rows, n_fields, threshold, in_order
+    ):
+        """Same chunks, same order, same dtype as splitting row arrays."""
+        if in_order:
+            rows = sorted(rows)
+        table = Table.from_columns(
+            {f"f{j}": [row[j] for row in rows] for j in range(n_fields)}
+        )
+        spec = PartitionSpec(tuple(table.field_names), threshold)
+        # Codes need not be tight: any non-negative integers partition.
+        field_codes = [
+            np.array([3 * row[j] + 1 for row in rows], dtype=dtype)
+            for j, dtype in zip(range(n_fields), (np.uint8, np.int64, np.uint16))
+        ]
+        chunks = partition_table(table, spec, field_codes=field_codes)
+        expected = reference_partition_table(table, spec, field_codes)
+        assert [c.tolist() for c in chunks] == [c.tolist() for c in expected]
+        assert {c.dtype for c in chunks} == {np.dtype(np.int64)}

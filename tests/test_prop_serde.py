@@ -4,7 +4,9 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.fsck import fsck_store
 from repro.core.datastore import DataStore, DataStoreOptions
+from repro.storage.chunk import ChunkDictIndex
 from repro.storage.serde import load_store, save_store
 
 _scalars = st.one_of(
@@ -71,9 +73,16 @@ def test_save_load_round_trip(table, optimized_cols, optimized_dicts):
         loaded = load_store(handle.name)
     assert loaded.n_rows == store.n_rows
     assert loaded.chunk_row_counts == store.chunk_row_counts
+    assert fsck_store(loaded).ok
     for name in ("s", "n", "f"):
         original = store.field(name)
         restored = loaded.field(name)
+        # The loader hands over the index its one-pass decode amounts to.
+        handed = restored._chunk_dict_index
+        assert handed is restored.chunk_dict_index()
+        rebuilt = ChunkDictIndex([chunk.chunk_dict for chunk in restored.chunks])
+        assert handed.gids.tolist() == rebuilt.gids.tolist()
+        assert handed.offsets == rebuilt.offsets
         assert restored.dictionary.values() == original.dictionary.values()
         for a, b in zip(original.chunks, restored.chunks):
             assert a.chunk_dict.tolist() == b.chunk_dict.tolist()

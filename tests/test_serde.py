@@ -1,10 +1,17 @@
 """Store persistence tests: save/load round trips."""
 
+import json
+
 import pytest
 
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.errors import StorageError
+from repro.compress.registry import compress
+from repro.compress.varint import encode_varint
 from repro.storage.serde import (
+    crc32_tag,
+    dictionary_meta,
+    encode_field_section,
     load_store,
     options_from_dict,
     options_to_dict,
@@ -15,7 +22,59 @@ from repro.workload.queries import paper_queries
 from tests.conftest import make_store
 
 
+def _joined_store_blob(store: DataStore) -> bytes:
+    """``save_store`` as it was when it joined the whole file in memory
+    before hashing and writing it (``bytearray`` body, ``bytes`` of it
+    for the CRC, the blob, ``bytes`` of the blob): the file it must
+    still write now that it folds the CRC over the pieces."""
+    field_metas = []
+    sections = []
+    for name, field in store.fields.items():
+        if field.virtual:
+            continue
+        meta = {"name": name, "dictionary": dictionary_meta(field.dictionary)}
+        section = encode_field_section(field)
+        if field.codec is not None:
+            compressed = compress(field.codec, section)
+            meta["codec"] = field.codec
+            choice = dict(field.codec_choice or {})
+            choice.pop("scores", None)
+            choice["actual_ratio"] = (
+                len(section) / len(compressed) if compressed else 0.0
+            )
+            meta["codec_choice"] = choice
+            section = encode_varint(len(compressed)) + compressed
+        field_metas.append(meta)
+        sections.append(section)
+    header = {
+        "options": options_to_dict(store.options),
+        "n_rows": store.n_rows,
+        "chunk_row_counts": store.chunk_row_counts,
+        "fields": field_metas,
+    }
+    body = bytearray()
+    header_bytes = json.dumps(header).encode("utf-8")
+    body += encode_varint(len(header_bytes))
+    body += header_bytes
+    for section in sections:
+        body += section
+    blob = bytearray(b"PDS2")
+    blob += crc32_tag(bytes(body))
+    blob += body
+    return bytes(blob)
+
+
 class TestSaveLoad:
+    @pytest.mark.parametrize("codec", [None, "auto"])
+    def test_streamed_file_equals_the_joined_one(self, log_table, tmp_path, codec):
+        store = make_store(log_table, codec=codec)
+        store.execute("SELECT date(timestamp) AS d, COUNT(*) FROM data GROUP BY d")
+        path = tmp_path / "logs.pds"
+        size = save_store(store, str(path))
+        written = path.read_bytes()
+        assert written == _joined_store_blob(store)
+        assert size == len(written)
+
     def test_round_trip_results(self, log_table, tmp_path):
         store = make_store(log_table)
         path = str(tmp_path / "logs.pds")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -64,6 +65,24 @@ print(digest.hexdigest())
 """
 
 
+def _store_stream_sha256() -> str:
+    """sha256 of the PDS2 file of one 5k-row generated, reordered table."""
+    from repro.core.datastore import DataStore, DataStoreOptions
+    from repro.storage.serde import save_store
+
+    table = generate_query_logs(LogsConfig(n_rows=5_000, seed=3))
+    options = DataStoreOptions(
+        partition_fields=("country", "table_name"),
+        max_chunk_rows=500,
+        reorder_rows=True,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.pds")
+        save_store(DataStore.from_table(table, options), path)
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+
+
 def _digest_under_hash_seed(seed: int) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     child = subprocess.run(
@@ -109,6 +128,14 @@ class TestGenerator:
         for row in generate_query_logs(config).iter_rows():
             digest.update(repr(row).encode("utf-8"))
         assert digest.hexdigest() == sha256
+
+    def test_store_bytes_of_a_seed_are_pinned(self):
+        """Taken at a9792b9, before the write path counted instead of
+        sorting: an import change that moves one byte of the stream fails
+        here, without the oracle of ``test_import_equivalence``."""
+        assert _store_stream_sha256() == (
+            "bfa6149ccbe723f3a54a3ee31274b67aefaffa712079f779027535fce38c0d3b"
+        )
 
     def test_bytes_and_answers_do_not_depend_on_the_hash_seed(self):
         """Store file, arena file, the nine full-scan shapes, two

@@ -26,10 +26,11 @@ after which restrictions on it can skip chunks like any other field.
 from __future__ import annotations
 
 import copy
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -64,21 +65,16 @@ from repro.errors import (
     PartitionError,
     UnsupportedQueryError,
 )
-from repro.partition.codes import factorize, factorize_list
+from repro.partition.codes import distinct_tuples, factorize, factorize_list
 from repro.partition.composite import PartitionSpec, partition_table
 from repro.partition.reorder import order_from_codes, reorder_table
 from repro.sketches.hashing import hash_to_unit
 from repro.sql.ast_nodes import (
     Aggregate,
-    BinaryOp,
     Expr,
     FieldRef,
-    FuncCall,
-    InList,
-    Literal,
     Query,
     Star,
-    UnaryOp,
     referenced_fields,
     walk,
 )
@@ -339,8 +335,6 @@ def _dictionary_from_ordered(
         if optimized:
             return TrieDictionary.from_sorted(non_null, has_null=has_null)
         return SortedStringDictionary(non_null, has_null=has_null)
-    if non_null and isinstance(non_null[0], tuple):
-        return SortedTupleDictionary(non_null, has_null=has_null)
     # Let numpy's single C pass infer int64 (all ints) vs float64 (any
     # float) instead of scanning isinstance per value; ints beyond
     # int64 come back as an object array and take the explicit-dtype
@@ -804,8 +798,6 @@ class DataStore:
             self.field(expr.name)
             return expr.name
         with self._field_lock:
-            if isinstance(expr, Literal):
-                return self._materialize_constant(expr)
             key = expr.sql()
             existing = self._virtual_by_sql.get(key)
             if existing is not None:
@@ -816,17 +808,19 @@ class DataStore:
                         f"cannot materialize aggregate expression {key}"
                     )
             refs = sorted(referenced_fields(expr))
-            for ref in refs:
-                self.field(ref)
-            if not refs:
-                return self._materialize_constant(expr)
-            if len(refs) == 1:
-                name = self._materialize_single(expr, refs[0])
-            else:
-                name = self._materialize_multi(expr, refs)
-            self._virtual_by_sql[key] = name
-            self._virtual_specs[name] = ("expr", expr)
-            return name
+            position = {ref: j for j, ref in enumerate(refs)}
+
+            def build(rows: Iterator[tuple]) -> tuple[np.ndarray, Dictionary]:
+                values = [
+                    _coerce(evaluate(expr, lambda ref, row=row: row[position[ref]]))
+                    for row in rows
+                ]
+                codes, ordered = factorize_list(values)
+                return codes, _dictionary_from_ordered(
+                    ordered, self.options.optimized_dicts
+                )
+
+            return self._materialize(key, ("expr", expr), refs, build)
 
     def field_spec(self, name: str) -> tuple:
         """A name-independent recipe for re-deriving field ``name``.
@@ -835,8 +829,9 @@ class DataStore:
         so they cannot cross a process boundary; specs can — original
         fields travel by name, virtuals by their defining expression
         (or composite member recipes). Materialization is deterministic
-        (``factorize`` and ``np.unique`` sort), so replaying a spec in
-        a worker yields a bit-identical field and global-id space.
+        (distinct tuples are numbered in sorted order, ``factorize``
+        sorts), so replaying a spec in a worker yields a bit-identical
+        field and global-id space.
         """
         field = self.field(name)
         if not field.virtual:
@@ -848,102 +843,6 @@ class DataStore:
                 f"virtual field {name!r} has no recorded spec"
             ) from None
 
-    def _register_virtual(
-        self, dictionary: Dictionary, chunks: list[ColumnChunk]
-    ) -> str:
-        name = f"__v{sum(1 for f in self.fields.values() if f.virtual)}"
-        self.fields[name] = FieldStore(name, dictionary, chunks, virtual=True)
-        # Materializing a field mutates the store's field namespace;
-        # cached partials are keyed on field names, so drop them rather
-        # than trust name-uniqueness forever (cheap: first query of a
-        # new shape only).
-        self._invalidate_chunk_cache()
-        return name
-
-    def _materialize_constant(self, expr: Expr) -> str:
-        key = expr.sql()
-        existing = self._virtual_by_sql.get(key)
-        if existing is not None:
-            return existing
-        value = _coerce(evaluate(expr, lambda n: None))
-        ordered = [value]
-        dictionary = _dictionary_from_ordered(
-            ordered, self.options.optimized_dicts
-        )
-        chunks = [
-            ColumnChunk.from_global_ids(
-                np.zeros(count, dtype=np.uint32),
-                optimized=self.options.optimized_columns,
-            )
-            for count in self.chunk_row_counts
-        ]
-        name = self._register_virtual(dictionary, chunks)
-        self._virtual_by_sql[key] = name
-        self._virtual_specs[name] = ("expr", expr)
-        return name
-
-    def _materialize_single(self, expr: Expr, ref: str) -> str:
-        """Materialize an expression over one field.
-
-        Computed once per *distinct value* of the input field — the
-        reason Query 2's ``date(timestamp)`` is nearly free here.
-        """
-        source = self.field(ref)
-        results = [
-            _coerce(evaluate(expr, lambda __, v=value: v))
-            for value in source.dictionary.values()
-        ]
-        codes, ordered = factorize_values(results)
-        dictionary = _dictionary_from_ordered(ordered, self.options.optimized_dicts)
-        chunks = [
-            ColumnChunk.from_global_ids(
-                codes[source.row_global_ids(i)].astype(np.uint32),
-                optimized=self.options.optimized_columns,
-            )
-            for i in range(self.n_chunks)
-        ]
-        return self._register_virtual(dictionary, chunks)
-
-    def _materialize_multi(self, expr: Expr, refs: list[str]) -> str:
-        """Materialize a multi-field expression (cached per gid tuple)."""
-        sources = [self.field(ref) for ref in refs]
-        value_arrays = [source.value_array() for source in sources]
-        cache: dict[tuple[int, ...], Any] = {}
-        per_chunk_results: list[list[Any]] = []
-        for chunk_index in range(self.n_chunks):
-            gid_arrays = [
-                source.row_global_ids(chunk_index) for source in sources
-            ]
-            n = self.chunk_row_counts[chunk_index]
-            out: list[Any] = [None] * n
-            for row in range(n):
-                key = tuple(int(g[row]) for g in gid_arrays)
-                if key in cache:
-                    out[row] = cache[key]
-                else:
-                    env = {
-                        ref: value_arrays[j][key[j]]
-                        for j, ref in enumerate(refs)
-                    }
-                    result = _coerce(evaluate(expr, env.__getitem__))
-                    cache[key] = result
-                    out[row] = result
-            per_chunk_results.append(out)
-        flat: list[Any] = [r for chunk in per_chunk_results for r in chunk]
-        codes, ordered = factorize_values(flat)
-        dictionary = _dictionary_from_ordered(ordered, self.options.optimized_dicts)
-        chunks = []
-        offset = 0
-        for count in self.chunk_row_counts:
-            chunk_codes = codes[offset : offset + count].astype(np.uint32)
-            offset += count
-            chunks.append(
-                ColumnChunk.from_global_ids(
-                    chunk_codes, optimized=self.options.optimized_columns
-                )
-            )
-        return self._register_virtual(dictionary, chunks)
-
     def ensure_composite_field(self, member_names: list[str]) -> str:
         """Combine several fields into one tuple-valued virtual field.
 
@@ -953,49 +852,64 @@ class DataStore:
         """
         key = "__tuple(" + ", ".join(member_names) + ")"
         with self._field_lock:
-            return self._ensure_composite_locked(key, member_names)
+            existing = self._virtual_by_sql.get(key)
+            if existing is not None:
+                return existing
+            spec = ("composite", tuple(map(self.field_spec, member_names)))
 
-    def _ensure_composite_locked(
-        self, key: str, member_names: list[str]
+            def build(rows: Iterator[tuple]) -> tuple[np.ndarray, Dictionary]:
+                values = list(rows)  # in global-id order, which is value order
+                return np.arange(len(values)), SortedTupleDictionary(values)
+
+            return self._materialize(key, spec, member_names, build)
+
+    def _materialize(
+        self,
+        key: str,
+        spec: tuple,
+        refs: list[str],
+        build: Callable[[Iterator[tuple]], tuple[np.ndarray, Dictionary]],
     ) -> str:
-        existing = self._virtual_by_sql.get(key)
-        if existing is not None:
-            return existing
-        members = [self.field(name) for name in member_names]
-        stacked = np.concatenate(
-            [
-                np.stack(
-                    [m.row_global_ids(i) for m in members],
-                    axis=1,
-                )
-                for i in range(self.n_chunks)
+        """Build a virtual field the way the import builds a column.
+
+        The rows of the fields ``refs`` hold few distinct tuples of
+        global-ids. ``build`` maps the tuples' values to a global-id per
+        tuple and the dictionary, so an expression runs once per
+        distinct input, never per row; the rows' global-ids then go
+        through :func:`encode_column_chunks`.
+        """
+        sources = [self.field(ref) for ref in refs]
+        numbers, __, tuples = distinct_tuples(
+            [np.concatenate([c.row_global_ids() for c in s.chunks]) for s in sources],
+            self.n_rows,
+        )
+        # Values from throwaway lists, let go of as ``build`` consumes the
+        # rows (a value_array() memo would pin them for the store's life).
+        rows = zip(
+            *[
+                list(map(source.dictionary.values().__getitem__, gids.tolist()))
+                for source, gids in zip(sources, tuples)
             ]
         )
-        unique_rows, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        values = [
-            tuple(
-                member.dictionary.value(int(gid))
-                for member, gid in zip(members, row)
-            )
-            for row in unique_rows
-        ]
-        dictionary = SortedTupleDictionary(values, has_null=False)
-        chunks = []
-        offset = 0
-        for count in self.chunk_row_counts:
-            chunk_codes = inverse[offset : offset + count].astype(np.uint32)
-            offset += count
-            chunks.append(
-                ColumnChunk.from_global_ids(
-                    chunk_codes, optimized=self.options.optimized_columns
-                )
-            )
-        name = self._register_virtual(dictionary, chunks)
-        self._virtual_by_sql[key] = name
-        self._virtual_specs[name] = (
-            "composite",
-            tuple(self.field_spec(member) for member in member_names),
+        gid_of_tuple, dictionary = build(rows if sources else iter([()]))
+        chunks = encode_column_chunks(
+            gid_of_tuple[numbers],
+            self.chunk_row_counts,
+            len(dictionary),
+            optimized=self.options.optimized_columns,
         )
+        # The first free __vN: an original column may carry such a name.
+        name = next(
+            f"__v{n}" for n in itertools.count() if f"__v{n}" not in self.fields
+        )
+        self.fields[name] = FieldStore(name, dictionary, chunks, virtual=True)
+        self._virtual_by_sql[key] = name
+        self._virtual_specs[name] = spec
+        # Materializing a field mutates the store's field namespace;
+        # cached partials are keyed on field names, so drop them rather
+        # than trust name-uniqueness forever (cheap: first query of a
+        # new shape only).
+        self._invalidate_chunk_cache()
         return name
 
     # -- size accounting -----------------------------------------------------------
@@ -1505,17 +1419,6 @@ def _partials_weight(partials: Any) -> float:
     if isinstance(partials, (tuple, list)):
         return 64.0 + sum(_partials_weight(item) for item in partials)
     return 64.0
-
-
-def factorize_values(values: list[Any]) -> tuple[np.ndarray, list[Any]]:
-    """Factorize a raw value list into (codes, sorted distinct values).
-
-    None sorts first; mixed int/float are ordered numerically. This is
-    the list-input twin of :func:`repro.partition.codes.factorize` and
-    shares its vectorized kernel (with the scalar fallback for inputs
-    the typed paths cannot reproduce bit-identically).
-    """
-    return factorize_list(values)
 
 
 def _topk_positions(parsed, plan, gids, aggregators, columns):

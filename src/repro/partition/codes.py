@@ -26,6 +26,10 @@ floats with integers beyond the float64-exact range is deduplicated by
 that is the space its dictionary stores — exact dedup used to emit
 dictionaries with equal adjacent floats, which the strictly-sorted
 invariant rejects at import time.
+
+:func:`distinct_tuples` is the one way rows are counted by the tuples
+of several code columns they hold: the partitioner's cell histogram,
+the generator's key ranks and the datastore's virtual fields use it.
 """
 
 from __future__ import annotations
@@ -41,9 +45,57 @@ from repro.core.table import Column
 _FLOAT64_EXACT_INT_BOUND = 2**53
 
 
+#: A composite key space of at most this many keys per row is counted in
+#: one ``bincount`` table; a sparser one is sorted (``np.unique``).
+_DENSE_KEYS_PER_ROW = 4
+
+
 def code_dtype(n_distinct: int) -> np.dtype:
     """The smallest unsigned dtype that holds every code of ``n_distinct`` values."""
     return np.min_scalar_type(max(n_distinct - 1, 0))
+
+
+def distinct_tuples(
+    field_codes: Sequence[np.ndarray], n_rows: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The distinct tuples of per-row non-negative codes that the rows hold.
+
+    Tuples are numbered in lexicographic order. Returns each row's
+    tuple number, each tuple's row count, and per field each tuple's
+    code. Fields fold in one at a time — key = tuple so far * field
+    width + code, compacted back to dense tuple numbers — so a key
+    never exceeds rows * width and no row-by-field matrix is built.
+    Zero fields hold one tuple, the empty one, whatever ``n_rows`` is.
+    """
+    counts = np.array([n_rows], dtype=np.int64)
+    if not field_codes:
+        return np.zeros(n_rows, dtype=np.int64), counts, []
+    tuples: list[np.ndarray] = []
+    for codes in field_codes:
+        width = int(codes.max(initial=0)) + 1
+        if tuples:
+            keys = numbers * width
+            keys += codes
+        else:  # one tuple so far: a key is a code
+            keys = codes.astype(np.int64, copy=False)
+        space = counts.size * width
+        if space <= _DENSE_KEYS_PER_ROW * n_rows:
+            counts = np.bincount(keys, minlength=space)
+            occupied = np.flatnonzero(counts > 0)
+            counts = counts[occupied]
+            rank = np.empty(space, dtype=np.int64)
+            rank[occupied] = np.arange(occupied.size)
+            numbers = rank[keys]
+        else:
+            occupied, numbers, counts = np.unique(
+                keys, return_inverse=True, return_counts=True
+            )
+        if tuples:
+            parent, code = np.divmod(occupied, width)
+            tuples = [column[parent] for column in tuples] + [code]
+        else:
+            tuples = [occupied]
+    return numbers, counts, tuples
 
 
 def factorize(column: Column) -> tuple[np.ndarray, list[Any] | np.ndarray]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.table import Table
 from repro.errors import PartitionError
-from repro.partition.codes import code_dtype, factorize
+from repro.partition.codes import code_dtype, distinct_tuples, factorize
 
 
 @dataclass(frozen=True)
@@ -47,46 +47,14 @@ class PartitionSpec:
             )
 
 
-#: A composite key space of at most this many keys per row is counted in
-#: one ``bincount`` table; a sparser one is sorted (``np.unique``).
-_DENSE_KEYS_PER_ROW = 4
-
-
-def _occupied_cells(
-    field_codes: list[np.ndarray], n_rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct tuples of partition-field codes that rows hold.
-
-    Cells are numbered in the lexicographic order of their tuples.
-    Returns each row's cell, each cell's row count, and each cell's
-    *level*: the first field in which it differs from the cell before
-    it. Fields fold in one at a time — key = cell so far * field width +
-    code, compacted back to dense cell numbers — so a key never exceeds
-    rows * width and no field-by-field matrix is ever built.
-    """
-    cells = np.zeros(n_rows, dtype=np.int64)
-    level = np.zeros(1, dtype=np.int64)
-    for depth, codes in enumerate(field_codes):
-        width = int(codes.max()) + 1
-        keys = cells * width
-        keys += codes
-        space = level.size * width
-        if space <= _DENSE_KEYS_PER_ROW * n_rows:
-            counts = np.bincount(keys, minlength=space)
-            occupied = np.flatnonzero(counts > 0)
-            counts = counts[occupied]
-            rank = np.empty(space, dtype=np.int64)
-            rank[occupied] = np.arange(occupied.size)
-            cells = rank[keys]
-        else:
-            occupied, cells, counts = np.unique(
-                keys, return_inverse=True, return_counts=True
-            )
-        parent = occupied // width
-        inherits = np.ones(parent.size, dtype=bool)
-        inherits[1:] = parent[1:] != parent[:-1]
-        level = np.where(inherits, level[parent], depth)
-    return cells, counts, level
+def _levels(tuples: list[np.ndarray]) -> np.ndarray:
+    """Each cell's *level*: the first field where it differs from the cell before."""
+    level = np.zeros(tuples[0].size, dtype=np.int64)
+    # Last field first, so the first field that differs is written last.
+    for depth in reversed(range(len(tuples))):
+        codes = tuples[depth]
+        level[1:][codes[1:] != codes[:-1]] = depth
+    return level
 
 
 def partition_table(
@@ -138,7 +106,8 @@ def partition_table(
     if n_rows <= spec.max_chunk_rows:
         return [np.arange(n_rows, dtype=np.int64)]
 
-    cells, counts, level = _occupied_cells(field_codes, n_rows)
+    cells, counts, tuples = distinct_tuples(field_codes, n_rows)
+    level = _levels(tuples)
     rows_before = np.concatenate(([0], np.cumsum(counts)))
     # Heap entries: heaviest chunk first (negated size), FIFO tie-break
     # on the tick, then the chunk's cell range.

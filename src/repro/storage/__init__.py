@@ -10,7 +10,7 @@ Section 3/5 optimizations:
 - :mod:`repro.storage.elements` -- element (chunk-id) encodings:
   constant, bitset, and 1/2/4-byte packed arrays.
 - :mod:`repro.storage.chunk` -- per-chunk column storage: the
-  chunk-dictionary plus elements, and whole-chunk assembly.
+  chunk-dictionary plus elements.
 - :mod:`repro.storage.bloom` -- Bloom filters guarding dictionary loads.
 - :mod:`repro.storage.subdict` -- sub-dictionaries (hot values + chunk
   groups) so only relevant dictionary parts need to be resident.
@@ -22,7 +22,7 @@ Section 3/5 optimizations:
 from repro.storage.bitset import BitSet
 from repro.storage.bloom import BloomFilter
 from repro.storage.cache import ArcCache, CacheStats, LruCache, TwoQCache
-from repro.storage.chunk import Chunk, ColumnChunk
+from repro.storage.chunk import ColumnChunk
 from repro.storage.dictionary import (
     Dictionary,
     NumericDictionary,
@@ -46,7 +46,6 @@ __all__ = [
     "BitsetElements",
     "BloomFilter",
     "CacheStats",
-    "Chunk",
     "ColumnChunk",
     "ConstantElements",
     "Dictionary",

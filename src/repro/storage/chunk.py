@@ -7,13 +7,13 @@ For each chunk and each column the store keeps (Section 2.3):
 - the *elements*: one chunk-id per row, in row order.
 
 Because global-ids are ranks in the sorted global dictionary, the
-chunk-dictionary also exposes the chunk's value range (min/max
-global-id), which the engine uses for range-restriction skipping.
+chunk-dictionary also is the chunk's value set; restriction analysis
+reads every chunk's at once through :class:`ChunkDictIndex`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -75,45 +75,6 @@ class ColumnChunk:
     def n_distinct(self) -> int:
         """Number of distinct values (chunk-dictionary entries)."""
         return int(self.chunk_dict.size)
-
-    def min_global_id(self) -> int:
-        """Smallest global-id present (value range lower bound)."""
-        if not self.chunk_dict.size:
-            raise StorageError("empty chunk dictionary has no min")
-        return int(self.chunk_dict[0])
-
-    def max_global_id(self) -> int:
-        """Largest global-id present (value range upper bound)."""
-        if not self.chunk_dict.size:
-            raise StorageError("empty chunk dictionary has no max")
-        return int(self.chunk_dict[-1])
-
-    def chunk_id_of(self, global_id: int) -> int | None:
-        """Chunk-id for ``global_id``, or None if absent from the chunk."""
-        index = int(np.searchsorted(self.chunk_dict, global_id))
-        if index < self.chunk_dict.size and self.chunk_dict[index] == global_id:
-            return index
-        return None
-
-    def contains_global_id(self, global_id: int) -> bool:
-        return self.chunk_id_of(global_id) is not None
-
-    def contains_any(self, global_ids: np.ndarray) -> bool:
-        """Whether any of ``global_ids`` occurs in this chunk."""
-        if not global_ids.size or not self.chunk_dict.size:
-            return False
-        positions = np.searchsorted(self.chunk_dict, global_ids)
-        positions = np.clip(positions, 0, self.chunk_dict.size - 1)
-        return bool(np.any(self.chunk_dict[positions] == global_ids))
-
-    def chunk_ids_of(self, global_ids: np.ndarray) -> np.ndarray:
-        """Chunk-ids of the given global-ids, dropping absent ones."""
-        if not global_ids.size or not self.chunk_dict.size:
-            return np.zeros(0, dtype=np.int64)
-        positions = np.searchsorted(self.chunk_dict, global_ids)
-        positions = np.clip(positions, 0, self.chunk_dict.size - 1)
-        present = self.chunk_dict[positions] == global_ids
-        return positions[present].astype(np.int64)
 
     def row_global_ids(self) -> np.ndarray:
         """Per-row global-ids (dereferencing elements via the dict)."""
@@ -239,38 +200,3 @@ class ChunkDictIndex:
         out = np.full(len(self.offsets) - 1, ufunc.identity, dtype=flat.dtype)
         out[self._nonempty] = ufunc.reduceat(flat, self._starts)
         return out
-
-
-class Chunk:
-    """A horizontal slice of the table: one ColumnChunk per field."""
-
-    def __init__(
-        self, chunk_index: int, n_rows: int, columns: Mapping[str, ColumnChunk]
-    ) -> None:
-        for name, column in columns.items():
-            if column.n_rows != n_rows:
-                raise StorageError(
-                    f"column {name!r} has {column.n_rows} rows, chunk has {n_rows}"
-                )
-        self.chunk_index = chunk_index
-        self.n_rows = n_rows
-        self.columns = dict(columns)
-
-    def column(self, field: str) -> ColumnChunk:
-        try:
-            return self.columns[field]
-        except KeyError:
-            raise StorageError(f"chunk has no column {field!r}") from None
-
-    def add_column(self, field: str, column: ColumnChunk) -> None:
-        """Attach a (possibly virtual) column to this chunk."""
-        if column.n_rows != self.n_rows:
-            raise StorageError(
-                f"column {field!r} has {column.n_rows} rows, chunk has {self.n_rows}"
-            )
-        self.columns[field] = column
-
-    def size_bytes(self, fields: list[str] | None = None) -> int:
-        """Total encoded size over ``fields`` (default: all columns)."""
-        names = fields if fields is not None else list(self.columns)
-        return sum(self.column(name).size_bytes() for name in names)

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.table import Column, DataType, Table
 from repro.errors import ReproError
-from repro.partition.codes import code_dtype, factorize_list
+from repro.partition.codes import code_dtype, distinct_tuples, factorize_list
 
 #: 2011-10-01 00:00:00 UTC — start of the paper's measurement window.
 _WINDOW_START = 1317427200
@@ -193,7 +193,7 @@ def _coded_column(
     key in use; without, an INT column of ``key + base``, NULL where
     ``null_mask`` is set. Codes get the narrowest dtype that holds them.
     """
-    used, ranks = _rank_keys(keys)
+    ranks, __, (used,) = distinct_tuples([keys], keys.size)
     if label is None:
         distinct: list | np.ndarray = used + base
         if null_mask is not None:
@@ -208,15 +208,6 @@ def _coded_column(
         distinct,
         DataType.INT if label is None else DataType.STRING,
     )
-
-
-def _rank_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The keys in use, ascending, and each row's rank among them."""
-    if int(keys.max()) >= 4 * keys.size:
-        # Sparse: sorting the rows beats a table over the key range.
-        return np.unique(keys, return_inverse=True)
-    present = np.bincount(keys) > 0
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
 def default_partition_fields() -> tuple[str, ...]:

@@ -1,4 +1,4 @@
-"""ColumnChunk / Chunk tests — the double dictionary layout."""
+"""ColumnChunk tests — the double dictionary layout."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import chunk as chunk_module
-from repro.storage.chunk import (
-    Chunk,
-    ChunkDictIndex,
-    ColumnChunk,
-    encode_column_chunks,
-)
+from repro.storage.chunk import ChunkDictIndex, ColumnChunk, encode_column_chunks
 from tests.import_oracle import reference_column_chunk
 
 
@@ -36,32 +31,7 @@ class TestColumnChunk:
         chunk = self._chunk()
         # chunk-ids are "assigned to the sorted global-ids in an
         # ascending manner" (Section 2.3).
-        assert chunk.chunk_id_of(0) == 0
-        assert chunk.chunk_id_of(9) == 4
-        assert chunk.chunk_id_of(3) is None
-
-    def test_membership(self):
-        chunk = self._chunk()
-        assert chunk.contains_global_id(5)
-        assert not chunk.contains_global_id(7)
-        assert chunk.contains_any(np.array([7, 9], dtype=np.uint32))
-        assert not chunk.contains_any(np.array([3, 4], dtype=np.uint32))
-        assert not chunk.contains_any(np.array([], dtype=np.uint32))
-
-    def test_chunk_ids_of_drops_missing(self):
-        chunk = self._chunk()
-        got = chunk.chunk_ids_of(np.array([0, 3, 9], dtype=np.uint32))
-        assert got.tolist() == [0, 4]
-
-    def test_min_max(self):
-        chunk = self._chunk()
-        assert chunk.min_global_id() == 0
-        assert chunk.max_global_id() == 9
-
-    def test_empty_min_max_raises(self):
-        chunk = ColumnChunk.from_global_ids(np.array([], dtype=np.uint32))
-        with pytest.raises(StorageError):
-            chunk.min_global_id()
+        assert chunk.elements.as_array().tolist() == [3, 2, 0, 4, 0, 0, 2, 1, 3, 2]
 
     def test_sizes(self):
         chunk = self._chunk()
@@ -77,27 +47,6 @@ class TestColumnChunk:
                 np.array([3, 1], dtype=np.uint32),
                 encode_elements(np.array([0, 1], dtype=np.uint32), 2),
             )
-
-
-class TestChunk:
-    def test_column_access(self):
-        a = ColumnChunk.from_global_ids(np.array([1, 2], dtype=np.uint32))
-        chunk = Chunk(0, 2, {"a": a})
-        assert chunk.column("a") is a
-        with pytest.raises(StorageError):
-            chunk.column("b")
-
-    def test_row_count_mismatch(self):
-        a = ColumnChunk.from_global_ids(np.array([1], dtype=np.uint32))
-        with pytest.raises(StorageError):
-            Chunk(0, 2, {"a": a})
-
-    def test_add_column(self):
-        a = ColumnChunk.from_global_ids(np.array([1, 2], dtype=np.uint32))
-        chunk = Chunk(0, 2, {"a": a})
-        b = ColumnChunk.from_global_ids(np.array([0, 0], dtype=np.uint32))
-        chunk.add_column("b", b)
-        assert chunk.size_bytes(["b"]) == b.size_bytes()
 
 
 class TestEncodeColumnChunks:

@@ -6,14 +6,10 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.datastore import (
-    DataStore,
-    DataStoreOptions,
-    FieldStore,
-    factorize_values,
-)
+from repro.core.datastore import DataStore, DataStoreOptions, FieldStore
 from repro.core.table import Table
 from repro.errors import BindError, ExecutionError, UnsupportedQueryError
+from repro.partition.codes import factorize_list
 from tests.conftest import make_store
 
 
@@ -262,12 +258,12 @@ class TestChunkResultCache:
 
 class TestFactorizeValues:
     def test_null_first(self):
-        codes, ordered = factorize_values(["b", None, "a", "b"])
+        codes, ordered = factorize_list(["b", None, "a", "b"])
         assert ordered == [None, "a", "b"]
         assert codes.tolist() == [2, 0, 1, 2]
 
     def test_numeric_mixed(self):
-        codes, ordered = factorize_values([2, 1.5, 2])
+        codes, ordered = factorize_list([2, 1.5, 2])
         assert ordered == [1.5, 2]
         assert codes.tolist() == [1, 0, 1]
 

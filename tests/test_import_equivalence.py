@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Column, DataType, Table
 from repro.errors import CompressionError
-from repro.partition import composite
+from repro.partition import codes as codes_module
 from repro.partition.codes import (
     _factorize_scalar_list,
     code_dtype,
@@ -102,7 +102,7 @@ def _forcing(module, constant, value):
 
 def _assert_bytes_match_reference(table, options, scatter=None, dense=None):
     with _forcing(chunk_module, "_SCATTER_DICT_ENTRIES_PER_ROW", scatter):
-        with _forcing(composite, "_DENSE_KEYS_PER_ROW", dense):
+        with _forcing(codes_module, "_DENSE_KEYS_PER_ROW", dense):
             store = DataStore.from_table(table, options)
     reference = build_reference_store(table, options)
     assert store.chunk_row_counts == reference.chunk_row_counts

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.table import Table
 from repro.errors import PartitionError
+from repro.partition import codes as codes_module
+from repro.partition.codes import distinct_tuples
 from repro.partition.composite import PartitionSpec, partition_table
 from tests.import_oracle import reference_partition_table
 
@@ -180,3 +182,33 @@ class TestPartitionTable:
         expected = reference_partition_table(table, spec, field_codes)
         assert [c.tolist() for c in chunks] == [c.tolist() for c in expected]
         assert {c.dtype for c in chunks} == {np.dtype(np.int64)}
+
+
+class TestDistinctTuples:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda n_fields: st.lists(
+                st.tuples(*[st.integers(0, 6)] * n_fields), max_size=30
+            ).map(lambda rows: (n_fields, rows))
+        ),
+        st.sampled_from([0, None, 10**9]),
+    )
+    def test_both_algorithms_number_tuples_as_np_unique_does(self, shape, dense):
+        n_fields, rows = shape
+        matrix = np.array(rows, dtype=np.uint8).reshape(len(rows), n_fields)
+        field_codes = [matrix[:, j] for j in range(n_fields)]
+        with pytest.MonkeyPatch.context() as patch:
+            if dense is not None:
+                patch.setattr(codes_module, "_DENSE_KEYS_PER_ROW", dense)
+            numbers, counts, tuples = distinct_tuples(field_codes, len(rows))
+        if not n_fields:  # one tuple, the empty one, even over no rows
+            assert numbers.tolist() == [0] * len(rows)
+            assert counts.tolist() == [len(rows)] and tuples == []
+            return
+        unique, inverse, expected_counts = np.unique(
+            matrix, axis=0, return_inverse=True, return_counts=True
+        )
+        assert numbers.tolist() == inverse.reshape(-1).tolist()
+        assert counts.tolist() == expected_counts.tolist()
+        assert np.stack(tuples, axis=1).reshape(-1, n_fields).tolist() == unique.tolist()

@@ -68,6 +68,13 @@ class TestEnsureField:
         with pytest.raises(UnsupportedQueryError):
             log_store.ensure_field(_expr("SUM(latency)"))
 
+    def test_a_column_named_like_a_virtual_field_is_not_replaced(self):
+        table = Table.from_columns({"__v0": [1, 2, 3], "a": [10, 20, 30]})
+        store = DataStore.from_table(table, DataStoreOptions())
+        store.execute("SELECT a * 2 AS y, COUNT(*) FROM data GROUP BY y")
+        assert store.execute("SELECT SUM(__v0) AS x FROM data").rows() == [(6.0,)]
+        assert store.ensure_field(_expr("a * 2")) == "__v1"
+
 
 class TestVirtualFieldSkipping:
     def test_restriction_on_expression_skips_chunks(self, log_table):

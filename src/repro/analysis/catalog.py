@@ -71,10 +71,10 @@ LINT_CATALOG: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         "REP007",
-        "chunk-partial-mutates-self",
-        "chunk_partial implementations never assign through self or "
+        "run-partial-mutates-self",
+        "run_partial implementations never assign through self or "
         "call mutating container methods on self attributes",
-        "the parallel executor runs chunk_partial concurrently across "
+        "the parallel executor runs run_partial concurrently across "
         "worker threads; mutable aggregator state is only safe in "
         "apply() on the merge thread",
     ),

@@ -16,7 +16,7 @@ invariants enforceable:
   annotations.
 - REP006 — library code reports through :mod:`repro.monitoring`, not
   ``print``.
-- REP007 — ``chunk_partial`` implementations never mutate ``self``:
+- REP007 — ``run_partial`` implementations never mutate ``self``:
   the parallel executor calls them concurrently; mutable state belongs
   in ``apply()`` on the merge thread.
 - REP008 — no ``time.sleep`` and no ad-hoc retry loops outside the
@@ -370,7 +370,7 @@ class AnnotationRule(LintRule):
 
 #: Method names that mutate the common containers aggregators hold
 #: (lists, sets, dicts) — calling one on a ``self`` attribute inside
-#: ``chunk_partial`` is a thread-safety violation.
+#: ``run_partial`` is a thread-safety violation.
 MUTATING_METHODS = {
     "add",
     "append",
@@ -395,22 +395,22 @@ def _attribute_root(node: ast.expr) -> ast.expr:
 
 
 @lint_rule
-class ChunkPartialMutationRule(LintRule):
-    """REP007: ``chunk_partial`` must not mutate ``self``.
+class RunPartialMutationRule(LintRule):
+    """REP007: ``run_partial`` must not mutate ``self``.
 
     The parallel executor (:mod:`repro.core.executor`) calls
-    ``chunk_partial`` concurrently from worker threads; the aggregator
+    ``run_partial`` concurrently from worker threads; the aggregator
     contract keeps all mutable state in ``apply()``, which runs on the
     merge thread in deterministic chunk order. Any class defining a
-    ``chunk_partial`` method is held to the contract: no assignment to
+    ``run_partial`` method is held to the contract: no assignment to
     (or through) a ``self`` attribute, and no calls to mutating
     container methods on ``self`` attributes, inside that method.
     """
 
     code = "REP007"
-    name = "chunk-partial-mutates-self"
+    name = "run-partial-mutates-self"
     description = (
-        "chunk_partial implementations must be read-only on self; "
+        "run_partial implementations must be read-only on self; "
         "mutable aggregator state belongs in apply() on the merge thread"
     )
     default_severity = Severity.ERROR
@@ -422,7 +422,7 @@ class ChunkPartialMutationRule(LintRule):
             for item in node.body:
                 if (
                     isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name == "chunk_partial"
+                    and item.name == "run_partial"
                 ):
                     yield from self._check_method(node.name, item)
 
@@ -438,7 +438,7 @@ class ChunkPartialMutationRule(LintRule):
                     yield RawFinding(
                         target.lineno,
                         target.col_offset,
-                        f"{class_name}.chunk_partial assigns through self; "
+                        f"{class_name}.run_partial assigns through self; "
                         "move mutable state into apply() (REP007 "
                         "executor thread-safety contract)",
                     )
@@ -452,7 +452,7 @@ class ChunkPartialMutationRule(LintRule):
                 yield RawFinding(
                     node.lineno,
                     node.col_offset,
-                    f"{class_name}.chunk_partial calls mutating "
+                    f"{class_name}.run_partial calls mutating "
                     f".{node.func.attr}() on a self attribute; move "
                     "mutable state into apply() (REP007 executor "
                     "thread-safety contract)",

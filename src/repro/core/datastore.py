@@ -30,7 +30,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,11 +42,12 @@ from repro.compress.advisor import (
 )
 from repro.compress.registry import get_codec
 from repro.core.engine import (
-    ChunkColumn,
-    ChunkData,
     PresenceAggregator,
+    RunGroups,
     aggregator_states,
+    as_run_partial,
     build_aggregator,
+    in_chunk_order,
 )
 from repro.core.executor import (
     ExecutionStrategy,
@@ -178,6 +179,7 @@ class FieldStore:
         "_numeric_values",
         "_hash_units",
         "_chunk_dict_index",
+        "_row_positions",
         "_size_bytes",
     )
 
@@ -200,7 +202,7 @@ class FieldStore:
         self.codec_choice: dict[str, Any] | None = None
         self._reset_memos()
         # A loader that decoded the chunk-dictionaries as one array has
-        # the index already; anyone else leaves it to the first WHERE.
+        # the index already; anyone else leaves it to the first query.
         self._chunk_dict_index = chunk_dict_index
 
     def _reset_memos(self) -> None:
@@ -208,6 +210,7 @@ class FieldStore:
         self._numeric_values: np.ndarray | None = None
         self._hash_units: np.ndarray | None = None
         self._chunk_dict_index: ChunkDictIndex | None = None
+        self._row_positions: np.ndarray | None = None
         self._size_bytes: tuple[int, int, int] | None = None
 
     def __getstate__(self) -> dict:
@@ -226,21 +229,34 @@ class FieldStore:
         """Per-row global-ids of one chunk, derived on every call."""
         return self.chunks[chunk_index].row_global_ids()
 
-    def element_array(self, chunk_index: int) -> np.ndarray:
-        """Per-row chunk-ids of one chunk (the raw elements)."""
-        return self.chunks[chunk_index].elements.as_array()
+    def row_positions(self) -> np.ndarray:
+        """Every row's CSR position, rows in chunk order (cached, read-only).
 
-    def chunk_column(self, chunk_index: int) -> ChunkColumn:
-        """One chunk's (chunk-dictionary, elements) pair, for the kernels."""
-        return ChunkColumn(
-            self.chunks[chunk_index].chunk_dict, self.element_array(chunk_index)
-        )
+        ``elements[row] + chunk_dict_index().offsets[chunk]``: an index
+        into the index's ``gids`` that names the row's chunk and chunk-id
+        at once, so ``gids[positions]`` are the rows' global-ids and a
+        run of chunks is a slice. What the kernels and the row masks read
+        instead of one dense elements array per chunk.
+        """
+        positions = self._row_positions
+        if positions is None:
+            offsets = self.chunk_dict_index().offsets
+            positions = np.empty(sum(c.n_rows for c in self.chunks), dtype=np.uint32)
+            start = 0
+            for chunk, offset in zip(self.chunks, offsets):
+                stop = start + chunk.n_rows
+                np.add(chunk.elements.as_array(), offset, out=positions[start:stop])
+                start = stop
+            positions.setflags(write=False)
+            self._row_positions = positions
+        return positions
 
     def chunk_dict_index(self) -> ChunkDictIndex:
         """Every chunk-dictionary of this field as one CSR column (cached).
 
         What restriction analysis classifies all chunks of a query
-        through; built the first time a WHERE touches the field.
+        through and the kernels key by; built the first time a query reads
+        the field.
         """
         index = self._chunk_dict_index
         if index is None:
@@ -450,6 +466,8 @@ class DataStore:
         self.options = options
         self.n_rows = n_rows
         self.chunk_row_counts = chunk_row_counts
+        # Where each chunk's rows start in chunk order, plus the end.
+        self.row_starts = list(itertools.accumulate(chunk_row_counts, initial=0))
         self.fields = fields
         self.import_stats = import_stats
         self._virtual_by_sql: dict[str, str] = {}
@@ -994,7 +1012,7 @@ class DataStore:
 
     def _run_pipeline(
         self, query: Query | str, candidates: "frozenset[int] | None" = None
-    ) -> "tuple[Query, ScanStats, _ChunkKernel]":
+    ) -> "tuple[Query, ScanStats, _RunKernel]":
         """The one query path (Section 2.4); every door runs through it.
 
         prepare → classify chunks → supervised fan-out → fold in chunk
@@ -1031,12 +1049,15 @@ class DataStore:
             with self._cache_lock:
                 restriction = self._chunk_cache.get(where_key)
         if restriction is None:
+            starts = self.row_starts
             restriction = compile_restriction(
                 parsed.where,
                 self.ensure_field,
                 lambda name: self.field(name).dictionary,
                 lambda name: self.field(name).chunk_dict_index(),
-                lambda name, index: self.field(name).element_array(index),
+                lambda name, index: self.field(name).row_positions()[
+                    starts[index] : starts[index + 1]
+                ],
             )
             counters.increment("datastore.restriction.compiled")
             if where_key is not None:
@@ -1055,7 +1076,7 @@ class DataStore:
         # Classify (merge thread): restriction decisions + cache probes.
         # Chunks split three ways: skipped, served from cache, to scan.
         phase_started = time.perf_counter()
-        ready: list[tuple[int, Any]] = []  # (chunk_index, partials)
+        ready: list[tuple[tuple[int, ...], Any]] = []  # (chunks, partials)
         to_scan: list[tuple[int, np.ndarray | None, bool]] = []
         active: list[int] = []
         for chunk_index, chunk_rows in enumerate(self.chunk_row_counts):
@@ -1079,7 +1100,9 @@ class DataStore:
                         stats.chunks_cached += 1
                         stats.rows_cached += chunk_rows
                         counters.increment("datastore.chunk_cache.hits")
-                        ready.append((chunk_index, cached))
+                        ready.append(
+                            ((chunk_index,), [as_run_partial(p) for p in cached])
+                        )
                         continue
                     counters.increment("datastore.chunk_cache.misses")
                 to_scan.append((chunk_index, None, use_cache))
@@ -1091,67 +1114,73 @@ class DataStore:
         stats.active_chunks = tuple(active)
         stats.restriction_seconds += time.perf_counter() - phase_started
 
-        # Fan-out: the pure per-chunk kernel runs over the execution
-        # strategy. Workers only read store state (see the
-        # chunk_partial contract in repro.core.engine). Process
-        # strategies pickle the kernel, so the store must be
-        # arena-backed first — the pickle then carries an arena handle,
-        # not columns.
+        # Fan-out: the pure run kernel runs over the execution strategy,
+        # one call per run. Workers only read store state (see the
+        # run_partial contract in repro.core.engine). Process strategies
+        # pickle the kernel, so the store must be arena-backed first —
+        # the pickle then carries an arena handle, not columns. A
+        # multi-chunk run the supervisor could not serve is dispatched
+        # once more, one chunk per run, so only a chunk that fails on
+        # its own is lost.
         phase_started = time.perf_counter()
-        if self.executor.wants_picklable_tasks and len(to_scan) > 1:
+        pending = self._runs(to_scan)
+        if self.executor.wants_picklable_tasks and len(pending) > 1:
             self.ensure_arena()
-        outcome = self.executor.map_supervised(kernel, to_scan)
+        served: list[tuple[Run, Any]] = []
+        lost: list[int] = []
+        while True:
+            outcome = self.executor.map_supervised(kernel, pending)
+            unserved = set(outcome.unserved)
+            retry: list[Run] = []
+            for position, (run, partials) in enumerate(
+                zip(pending, outcome.results)
+            ):
+                if position not in unserved:
+                    served.append((run, partials))
+                elif len(run.chunks) > 1:
+                    retry.extend(Run((c,), (m,), (k,)) for c, m, k in zip(*run))
+                else:
+                    lost.append(run.chunks[0])
+            if not retry:
+                break
+            pending = retry
         _charge(stats, kernel.scan_timer, phase_started)
 
         # Graceful degradation (the paper's partial-result contract,
         # applied to real worker death): chunks the supervisor could
         # not serve after its retry budget are excluded from the fold
         # and accounted exactly — or, in strict mode, fail the query.
-        unserved = set(outcome.unserved)
-        if unserved:
-            lost_rows = sum(
-                self.chunk_row_counts[to_scan[position][0]]
-                for position in unserved
-            )
+        if lost:
+            lost_rows = sum(self.chunk_row_counts[chunk] for chunk in lost)
             if not self.options.degrade:
                 raise ChunkUnavailableError(
-                    f"{len(unserved)} chunk task(s) unserved after "
+                    f"{len(lost)} chunk(s) unserved after "
                     f"{self.options.task_max_retries} retry wave(s); "
                     "re-run with degrade=True to accept an incomplete "
                     f"result missing {lost_rows} of {self.n_rows} rows"
                 )
-            stats.chunks_unserved += len(unserved)
+            stats.chunks_unserved += len(lost)
             stats.rows_unserved += lost_rows
-            stats.chunks_scanned -= len(unserved)
+            stats.chunks_scanned -= len(lost)
             stats.rows_scanned -= lost_rows
             counters.increment("datastore.scan.degraded_queries")
-            counters.increment(
-                "datastore.scan.chunks_unserved", len(unserved)
-            )
+            counters.increment("datastore.scan.chunks_unserved", len(lost))
 
-        # Fold (merge thread): admit fresh partials to the cache and
-        # fold everything in ascending chunk order — the deterministic
-        # merge order that makes parallel bit-identical to serial.
+        # Fold (merge thread): admit fresh FULL chunks to the cache, one
+        # per-chunk slice each, and fold everything in ascending chunk
+        # order — the deterministic merge order that makes parallel
+        # bit-identical to serial, cache on or off.
         phase_started = time.perf_counter()
         admitted = []
-        for position, ((chunk_index, __, cacheable), partials) in enumerate(
-            zip(to_scan, outcome.results)
-        ):
-            if position in unserved:
-                continue
-            if cacheable:
-                admitted.append(
-                    (
-                        (kernel.signature, chunk_index),
-                        partials,
-                        _partials_weight(partials),
-                    )
-                )
-            ready.append((chunk_index, partials))
+        for run, partials in served:
+            for k, chunk_index in enumerate(run.chunks):
+                if run.cacheable[k]:
+                    sliced = kernel.chunk_partials(partials, k)
+                    weight = _partials_weight(sliced)
+                    admitted.append(((kernel.signature, chunk_index), sliced, weight))
+            ready.append((run.chunks, partials))
         self._admit(admitted)
-        ready.sort(key=lambda item: item[0])
-        for __, partials in ready:
-            kernel.fold(partials)
+        kernel.fold(ready)
         _charge(stats, kernel.fold_timer, phase_started)
 
         stats.fields_accessed = tuple(sorted(accessed))
@@ -1160,6 +1189,18 @@ class DataStore:
             self.field(name).size_bytes() for name in accessed
         )
         return parsed, stats, kernel
+
+    def _runs(self, to_scan: list[tuple[int, np.ndarray | None, bool]]) -> list["Run"]:
+        """``to_scan`` cut into at most ``executor.workers`` runs of about
+        equal rows: one kernel call per query on the serial strategy."""
+        n_runs = min(self.executor.workers, len(to_scan))
+        if n_runs <= 1:
+            return [Run(*zip(*to_scan))] if to_scan else []
+        rows = np.cumsum([self.chunk_row_counts[chunk] for chunk, __, __ in to_scan])
+        targets = rows[-1] * np.arange(1, n_runs) / n_runs
+        cuts = np.clip(np.searchsorted(rows, targets) + 1, 1, len(to_scan) - 1)
+        bounds = sorted({0, len(to_scan), *cuts.tolist()})
+        return [Run(*zip(*to_scan[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def _resolve_field_spec(store: DataStore, spec: tuple) -> str:
@@ -1181,16 +1222,27 @@ def _resolve_field_spec(store: DataStore, spec: tuple) -> str:
     raise ExecutionError(f"unknown field spec kind {kind!r}")
 
 
-class _ChunkKernel:
-    """The per-chunk seam of the query pipeline: a picklable task + a fold.
+class Run(NamedTuple):
+    """One kernel call: ascending chunk indices to scan, each chunk's row
+    mask (None when the chunk is fully active) and whether its partial
+    may enter the chunk cache."""
+
+    chunks: tuple[int, ...]
+    masks: tuple[np.ndarray | None, ...]
+    cacheable: tuple[bool, ...]
+
+
+class _RunKernel:
+    """The run seam of the query pipeline: a picklable task + a fold.
 
     :meth:`DataStore._run_pipeline` hands an instance to the execution
-    strategy as the task callable — one call per ``(chunk_index, mask,
-    cacheable)`` item, returning that chunk's partials via
-    :meth:`scan` — and afterwards feeds the partials of every served
-    chunk to :meth:`fold` on the merge thread, in ascending chunk
-    order. :meth:`rows` and :meth:`shard_partials` then read the folded
-    state out for ``execute`` and ``execute_partials``.
+    strategy as the task callable — one call per :class:`Run`,
+    returning that run's partials via :meth:`scan` — and afterwards
+    feeds the partials of every served run (and of every cache hit, as
+    a one-chunk run) to :meth:`fold` on the merge thread, which folds
+    them in ascending chunk order. :meth:`rows` and
+    :meth:`shard_partials` then read the folded state out for
+    ``execute`` and ``execute_partials``.
 
     Thread/serial strategies just call it; process strategies pickle
     it (nested functions cannot cross a process boundary), and the
@@ -1202,9 +1254,9 @@ class _ChunkKernel:
     caller's dictionaries, and deterministic virtual-field
     materialization guarantees the worker's global-id space matches.
 
-    ``scan`` only reads store state (the ``chunk_partial`` contract,
+    ``scan`` only reads store state (the ``run_partial`` contract,
     observed by :class:`repro.testing.SanitizingExecutor`); all
-    mutation happens at unpickle time, before any chunk is scanned, or
+    mutation happens at unpickle time, before any run is scanned, or
     in ``fold``, after the fan-out.
     """
 
@@ -1218,9 +1270,29 @@ class _ChunkKernel:
         self.store = store
         self.fields = fields
 
-    def __call__(self, task: tuple[int, np.ndarray | None, bool]) -> Any:
-        chunk_index, mask, __ = task
-        return self.scan(chunk_index, mask)
+    def __call__(self, run: Run) -> Any:
+        return self.scan(run)
+
+    def _selector(self, run: Run) -> Callable[[np.ndarray], np.ndarray]:
+        """Picks the run's rows, masks applied, out of a per-row array."""
+        starts = self.store.row_starts
+        first, last = run.chunks[0], run.chunks[-1]
+        lo, hi = starts[first], starts[last + 1]
+        if last - first + 1 == len(run.chunks) and all(
+            mask is None for mask in run.masks
+        ):
+            return lambda values: values[lo:hi]
+        keep = np.zeros(hi - lo, dtype=bool)
+        for chunk, mask in zip(run.chunks, run.masks):
+            keep[starts[chunk] - lo : starts[chunk + 1] - lo] = (
+                True if mask is None else mask
+            )
+        return lambda values: values[lo:hi][keep]
+
+    @staticmethod
+    def _gids(field: FieldStore, select: Callable) -> np.ndarray:
+        """The global-id of every row ``select`` keeps: one gather."""
+        return field.chunk_dict_index().gids.take(select(field.row_positions()))
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -1240,13 +1312,14 @@ class _ChunkKernel:
         ]
 
 
-class _GroupedKernel(_ChunkKernel):
+class _GroupedKernel(_RunKernel):
     """GROUP BY / aggregate queries: the ``counts[elements[row]]++`` loop.
 
     ``fields`` is the group field followed by one field per aggregate
     argument (None where there is no GROUP BY, and for ``COUNT(*)``).
-    A chunk's partial is ``[presence, *one per aggregate]``; FULL
-    chunks' partials are cacheable under ``signature``.
+    A run's partials are ``[presence, *one per aggregate]`` run
+    partials; a FULL chunk's slice of them is cacheable under
+    ``signature``.
     """
 
     def __init__(self, store: DataStore, parsed: Query, ensure) -> None:
@@ -1276,30 +1349,69 @@ class _GroupedKernel(_ChunkKernel):
         )
         super().__init__(store, fields)
 
-    def scan(self, chunk_index: int, mask: np.ndarray | None) -> list:
-        # No GROUP BY is one group: global-id 0, every row chunk-id 0.
-        columns = [
-            field.chunk_column(chunk_index) if field is not None else None
-            for field in self.fields
-        ]
-        group = columns[0] or ChunkColumn(
-            np.zeros(1, dtype=np.uint32),
-            np.zeros(self.store.chunk_row_counts[chunk_index], dtype=np.uint32),
-        )
-        data = ChunkData(group=group, mask=mask)
-        presence = self.presence.chunk_partial(data, None)
-        partials = [presence]
-        for aggregator, arg in zip(self.aggregators, columns[1:]):
-            # COUNT(*) has no argument: its partial is the presence one.
-            partials.append(
-                presence if arg is None else aggregator.chunk_partial(data, arg)
+    def _groups(self, run: Run, select: Callable) -> RunGroups:
+        """The run's rows in the group field's CSR frame.
+
+        No GROUP BY is one group, global-id 0: a one-entry CSR segment
+        per chunk, every row on its chunk's entry.
+        """
+        chunks = np.array(run.chunks)
+        group = self.fields[0]
+        if group is None:
+            kept = [
+                self.store.chunk_row_counts[chunk]
+                if mask is None
+                else np.count_nonzero(mask)
+                for chunk, mask in zip(run.chunks, run.masks)
+            ]
+            starts = chunks - chunks[0]
+            return RunGroups(
+                np.repeat(starts, kept),
+                np.zeros(int(starts[-1]) + 1, dtype=np.uint32),
+                starts,
             )
+        index = group.chunk_dict_index()
+        offsets = np.array(index.offsets)
+        base, end = offsets[chunks[0]], offsets[chunks[-1] + 1]
+        return RunGroups(
+            np.subtract(select(group.row_positions()), base, dtype=np.intp),
+            index.gids[base:end],
+            offsets[chunks] - base,
+        )
+
+    def scan(self, run: Run) -> list:
+        select = self._selector(run)
+        groups = self._groups(run, select)
+        presence = self.presence.run_partial(groups, None)
+        partials = [presence]
+        gathered: dict[str, np.ndarray] = {}  # one gather per argument field
+        for aggregator, field in zip(self.aggregators, self.fields[1:]):
+            # COUNT(*) has no argument: its partial is the presence one.
+            if field is None:
+                partials.append(presence)
+                continue
+            if field.name not in gathered:
+                gathered[field.name] = self._gids(field, select)
+            partials.append(aggregator.run_partial(groups, gathered[field.name]))
         return partials
 
-    def fold(self, partials: list) -> None:
-        self.presence.apply(partials[0])
-        for aggregator, partial in zip(self.aggregators, partials[1:]):
-            aggregator.apply(partial)
+    def chunk_partials(self, partials: list, k: int) -> list:
+        """Chunk ``k`` of a run's partials, as the chunk cache holds them."""
+        presence = self.presence.chunk_slice(partials[0], k)
+        return [presence] + [
+            presence
+            if partial is partials[0]
+            else aggregator.chunk_slice(partial, k)
+            for aggregator, partial in zip(self.aggregators, partials[1:])
+        ]
+
+    def fold(self, ready: list[tuple[tuple[int, ...], list]]) -> None:
+        if not ready:
+            return
+        for slot, aggregator in enumerate([self.presence, *self.aggregators]):
+            aggregator.apply(
+                in_chunk_order([(chunks, partials[slot]) for chunks, partials in ready])
+            )
 
     def _present(self) -> np.ndarray:
         if self.fields[0] is None:
@@ -1364,12 +1476,12 @@ class _GroupedKernel(_ChunkKernel):
         return groups
 
 
-class _ProjectionKernel(_ChunkKernel):
+class _ProjectionKernel(_RunKernel):
     """Plain SELECT (no aggregates): ``fields`` = one per output column.
 
-    A chunk's partial is its output columns, each materialized once
-    for the whole chunk (vectorized gid -> value gather); the fold
-    zips the columns into row dicts — no per-cell array indexing.
+    A run's partial is its output columns, each materialized once for
+    the whole run (vectorized gid -> value gather); the fold zips the
+    columns into row dicts — no per-cell array indexing.
     """
 
     scan_timer = fold_timer = "projection_seconds"
@@ -1381,19 +1493,18 @@ class _ProjectionKernel(_ChunkKernel):
             store, [store.field(ensure(item.expr)) for item in parsed.select]
         )
 
-    def scan(self, chunk_index: int, mask: np.ndarray | None) -> list[list]:
-        column_values: list[list[Any]] = []
-        for field in self.fields:
-            chunk_dict, elements = field.chunk_column(chunk_index)
-            if mask is not None:
-                elements = elements[mask]
-            column_values.append(field.value_array()[chunk_dict[elements]].tolist())
-        return column_values
+    def scan(self, run: Run) -> list[list]:
+        select = self._selector(run)
+        return [
+            field.value_array()[self._gids(field, select)].tolist()
+            for field in self.fields
+        ]
 
-    def fold(self, column_values: list[list]) -> None:
-        self._rows.extend(
-            dict(zip(self.names, values)) for values in zip(*column_values)
-        )
+    def fold(self, ready: list[tuple[tuple[int, ...], list[list]]]) -> None:
+        for __, column_values in sorted(ready, key=lambda item: item[0][0]):
+            self._rows.extend(
+                dict(zip(self.names, values)) for values in zip(*column_values)
+            )
 
     def rows(self, parsed: Query) -> list[dict[str, Any]]:
         return self._rows
@@ -1410,9 +1521,9 @@ def _charge(stats: ScanStats, timer: str, started: float) -> None:
 def _partials_weight(partials: Any) -> float:
     """Approximate resident bytes of one chunk's cached partials.
 
-    Partials are nested tuples/lists of numpy arrays (see the
-    aggregator ``chunk_partial`` implementations); array payloads
-    dominate, with a small flat overhead per container/scalar.
+    Partials are nested tuples/lists of numpy arrays (see
+    ``ColumnarAggregator.chunk_slice``); array payloads dominate, with a
+    small flat overhead per container/scalar.
     """
     if isinstance(partials, np.ndarray):
         return float(partials.nbytes) + 64.0

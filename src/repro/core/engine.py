@@ -1,29 +1,34 @@
-"""Vectorized per-chunk aggregation — the Section 2.4 inner loop.
+"""Vectorized aggregation over runs of chunks — the Section 2.4 inner loop.
 
 "To evaluate the group-by statement per chunk, an integer array counts
 with the same size as the chunk-dictionary is created. We then add up
 the counts in a loop over the elements, i.e.,
 ``counts[elements[row]]++``."
 
-Each aggregator here computes a compact per-chunk *partial* in
-chunk-id space (the numpy equivalent of that loop — ``np.bincount``
-over the elements, sized by the chunk-dictionary, which then supplies
-the partial's global-ids) and then folds partials into global per-group
-accumulators keyed by the group field's global-ids. Partials are
-self-contained and reusable, which is what the chunk-result cache of
+A *run* is an ascending list of chunks the pipeline scans with one
+kernel call. Every chunk-dictionary of a field is one CSR column
+(:class:`~repro.storage.chunk.ChunkDictIndex`), and a row's element
+plus its chunk's offset is its *CSR position*: an index into that
+column that names both the chunk and the chunk-id. Keyed by CSR
+position, the paper's per-chunk counts arrays lie side by side, so one
+``np.bincount`` over a run's rows computes every chunk's counts at
+once, in a scratch array the size of the run's own CSR span. The
+column then supplies the global-ids of the entries that were hit.
+
+Each aggregator turns a run into a *run partial*: ``(bounds, *columns)``,
+where ``columns`` concatenate the run's per-chunk partials in chunk
+order and chunk ``k`` of the run owns ``columns[bounds[k]:bounds[k+1]]``.
+A chunk's slice is the self-contained partial the chunk-result cache of
 Section 6 stores: a fully-active chunk's partial does not depend on the
 WHERE clause, so later queries that fully cover the chunk reuse it
-without rescanning.
-
-Group keys are global-ids of the group field, so merging across chunks
-(and across shards, in the distributed layer) is plain integer-indexed
-accumulation — no hash tables in the hot path, which is exactly the
-advantage the paper measures in its Query 1/3 experiments.
+without rescanning. Folding is plain integer-indexed accumulation keyed
+by the group field's global-ids — no hash tables in the hot path, which
+is exactly the advantage the paper measures in its Query 1/3
+experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
@@ -37,72 +42,116 @@ if TYPE_CHECKING:  # imported only for annotations: datastore imports us
     from repro.core.datastore import FieldStore
 
 
-class ChunkColumn(NamedTuple):
-    """One field of one chunk, in chunk-id space (read-only views)."""
+class RunGroups(NamedTuple):
+    """The group side of one run, in the group field's CSR frame.
 
-    chunk_dict: np.ndarray  # the ascending global-ids present in the chunk
-    elements: np.ndarray  # one chunk-id (an index into chunk_dict) per row
-
-
-@dataclass
-class ChunkData:
-    """Per-chunk inputs handed to the aggregators.
-
-    ``group``: the group field's column (one entry, global-id 0, and
-    all-zero elements when the query has no GROUP BY). ``mask``:
-    boolean row filter, or None when the chunk is fully active.
-    ``group_rows``: the group chunk-ids of the rows the mask keeps,
-    gathered here once for every aggregator of the query.
+    ``rows``: per row the run keeps, its group CSR position minus the
+    position where the run's first chunk starts (intp). ``gids``: the
+    CSR column's global-ids from the run's first chunk to its last, the
+    run's *span*. ``starts``: where each of the run's chunks begins in
+    that span, ascending.
     """
 
-    group: ChunkColumn
-    mask: np.ndarray | None
-    group_rows: np.ndarray = field(init=False)
+    rows: np.ndarray
+    gids: np.ndarray
+    starts: np.ndarray
 
-    def __post_init__(self) -> None:
-        elements = self.group.elements
-        self.group_rows = elements if self.mask is None else elements[self.mask]
+    def entries(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(per-chunk bounds, int64 gids) of ascending span ``positions``."""
+        bounds = np.append(np.searchsorted(positions, self.starts), positions.size)
+        return bounds, self.gids[positions].astype(np.int64)
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """Sort ``keys`` in place and drop the repeats (adjacent difference)."""
+    keys.sort()
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def as_run_partial(chunk_partial: Any) -> tuple:
+    """A per-chunk partial (what the cache holds) as a one-chunk run partial."""
+    columns = chunk_partial if isinstance(chunk_partial, tuple) else (chunk_partial,)
+    return (np.array([0, columns[0].size]), *columns)
+
+
+def in_chunk_order(pieces: list[tuple[tuple[int, ...], tuple]]) -> tuple:
+    """The columns of several run partials as one, in ascending chunk order.
+
+    ``pieces`` pairs each run partial with its run's chunk indices. A
+    chunk belongs to one piece, so a stable sort on the chunk index of
+    every entry interleaves the pieces without reordering any chunk's
+    own entries.
+    """
+    if len(pieces) == 1:
+        return pieces[0][1][1:]
+    tags = np.concatenate(
+        [np.repeat(chunks, np.diff(partial[0])) for chunks, partial in pieces]
+    )
+    columns = [
+        np.concatenate(column)
+        for column in zip(*(partial[1:] for __, partial in pieces))
+    ]
+    if (tags[1:] < tags[:-1]).any():
+        order = np.argsort(tags, kind="stable")
+        columns = [column[order] for column in columns]
+    return tuple(columns)
 
 
 class ColumnarAggregator:
-    """Base: per-chunk partial computation + global accumulation.
+    """Base: run partial computation + global accumulation.
 
     Threading contract (enforced by lint rule REP007, relied on by the
     parallel executor in :mod:`repro.core.executor`):
 
-    - :meth:`chunk_partial` is **pure with respect to the aggregator**:
+    - :meth:`run_partial` is **pure with respect to the aggregator**:
       it may read ``self`` (dictionaries, per-gid value tables, flags)
       but must never mutate it. The executor calls it concurrently from
-      worker threads, one call per chunk.
+      worker threads, one call per run.
     - :meth:`apply` is where all mutable state lives. It runs only on
-      the merge thread, in ascending chunk order, which keeps parallel
-      execution bit-identical to serial.
+      the merge thread, over entries in ascending chunk order, which
+      keeps parallel execution bit-identical to serial.
     - A partial may be cached and re-applied by later queries, so
       ``apply`` must not mutate the partial either.
     - Execution is **at-least-once**: the process supervisor re-runs a
-      chunk task whose worker died or hung mid-flight, and may run the
-      same chunk twice when a retried attempt races a straggler. The
-      purity above is what makes that safe — a ``chunk_partial`` call
-      has no effect other than its return value, so re-dispatch cannot
-      double-count; only the merge thread's single ``apply`` per chunk
-      position does.
+      run whose worker died or hung mid-flight, and may run the same
+      run twice when a retried attempt races a straggler. The purity
+      above is what makes that safe — a ``run_partial`` call has no
+      effect other than its return value, so re-dispatch cannot
+      double-count; only the merge thread's single fold does.
     """
+
+    #: Column dtypes of an empty per-chunk partial (what the cache has
+    #: always held for a chunk where the aggregate saw no row).
+    empty_dtypes: tuple[type, ...] = (np.int64, np.float64)
 
     def __init__(self, n_groups: int, arg_has_null: bool = False) -> None:
         self.n_groups = n_groups
         self.arg_has_null = arg_has_null  # global-id 0 of the argument is NULL
 
-    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
-        """Compute this aggregate's partial for one chunk.
+    def run_partial(self, groups: RunGroups, arg: np.ndarray | None) -> tuple:
+        """This aggregate over one run: ``(bounds, *columns)``.
 
-        ``arg`` is the argument field's column (None for COUNT(*)).
-        Must not mutate ``self`` — see the class docstring.
+        ``arg`` holds the argument field's global-id of every row the
+        run keeps (None for COUNT(*)). Must not mutate ``self`` — see
+        the class docstring.
         """
         raise NotImplementedError
 
-    def apply(self, partial: Any) -> None:
-        """Fold a partial into the global accumulators (merge thread)."""
+    def apply(self, columns: tuple) -> None:
+        """Fold per-chunk partial columns, in chunk order (merge thread)."""
         raise NotImplementedError
+
+    def chunk_slice(self, partial: tuple, k: int) -> Any:
+        """Chunk ``k`` of a run partial, copied, as the cache holds it."""
+        bounds, *columns = partial
+        start, stop = bounds[k], bounds[k + 1]
+        if start == stop:
+            columns = [np.zeros(0, dtype=dtype) for dtype in self.empty_dtypes]
+        else:
+            columns = [column[start:stop].copy() for column in columns]
+        return tuple(columns) if len(columns) > 1 else columns[0]
 
     def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, is-NULL) arrays over ``groups``, any index into the gids.
@@ -123,69 +172,19 @@ class ColumnarAggregator:
         """Final value for each of ``groups`` (ascending gid order)."""
         return self.decode(*self.result_columns(groups))
 
-    def _row_elements(
-        self, data: ChunkData, arg: ChunkColumn | None
+    def _valid(
+        self, groups: RunGroups, arg: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(group, argument) chunk-ids of the rows this aggregate reads.
+        """(group rows, argument gids) of the rows this aggregate reads.
 
-        Rows are selected by the mask, by a non-NULL argument, or both;
-        with neither, the element arrays are handed on as they are.
+        NULL is global-id 0, and only when the dictionary ``has_null``;
+        rows with a NULL argument are dropped.
         """
-        mask = data.mask
-        # NULL is global-id 0: chunk-id 0 of a chunk-dictionary that
-        # starts at 0.
-        if self.arg_has_null and arg.chunk_dict.size and arg.chunk_dict[0] == 0:
-            valid = arg.elements != 0
-            if mask is not None:
-                valid &= mask
-            return data.group.elements[valid], arg.elements[valid]
-        if arg is None or mask is None:
-            return data.group_rows, None if arg is None else arg.elements
-        return data.group_rows, arg.elements[mask]
-
-
-def _group_counts(
-    data: ChunkData, group_elements: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``counts[elements[row]]++``: (chunk-ids seen, their gids, row counts)."""
-    if not group_elements.size:
-        # float64 counts: the dtype an empty partial has always had.
-        none = np.zeros(0, dtype=np.int64)
-        return none, none, np.zeros(0, dtype=np.float64)
-    counts = np.bincount(group_elements, minlength=data.group.chunk_dict.size)
-    seen = counts.nonzero()[0]
-    return seen, data.group.chunk_dict[seen].astype(np.int64), counts[seen]
-
-
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """Sort ``keys`` in place and drop the repeats (adjacent difference)."""
-    keys.sort()
-    keep = np.ones(keys.size, dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
-
-
-def _pair_keys(
-    arg: ChunkColumn, group_elements: np.ndarray, arg_elements: np.ndarray
-) -> np.ndarray:
-    """One compact key per row: group chunk-id * n_arg + argument chunk-id.
-
-    Chunk-ids are ranks, so key order is (group gid, argument gid)
-    order. Neither chunk-dictionary is longer than the chunk has rows,
-    so the key fits int64 and no n_group x n_arg matrix is ever built.
-    """
-    return group_elements.astype(np.int64) * arg.chunk_dict.size + arg_elements
-
-
-def _pair_gids(
-    data: ChunkData, arg: ChunkColumn, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (group gid, argument gid) int64 columns behind pair ``keys``."""
-    group_ids, arg_ids = np.divmod(keys, arg.chunk_dict.size)
-    return (
-        data.group.chunk_dict[group_ids].astype(np.int64),
-        arg.chunk_dict[arg_ids].astype(np.int64),
-    )
+        if self.arg_has_null:
+            valid = arg != 0
+            if not valid.all():
+                return groups.rows[valid], arg[valid]
+        return groups.rows, arg
 
 
 def _never_null(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,12 +198,14 @@ class PresenceAggregator(ColumnarAggregator):
         super().__init__(n_groups, arg_has_null)
         self.counts = np.zeros(n_groups, dtype=np.int64)
 
-    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
-        return _group_counts(data, self._row_elements(data, arg)[0])[1:]
+    def run_partial(self, groups: RunGroups, arg: np.ndarray | None) -> tuple:
+        counts = np.bincount(self._valid(groups, arg)[0], minlength=groups.gids.size)
+        seen = np.flatnonzero(counts)
+        return (*groups.entries(seen), counts[seen])
 
-    def apply(self, partial: Any) -> None:
-        gids, totals = partial
-        self.counts[gids] += totals.astype(np.int64)
+    def apply(self, columns: tuple) -> None:
+        gids, counts = columns
+        np.add.at(self.counts, gids, counts.astype(np.int64))
 
     def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _never_null(self.counts[groups])
@@ -217,6 +218,8 @@ class CountValueAggregator(PresenceAggregator):
 class SumAggregator(ColumnarAggregator):
     """SUM(x) (and the sum half of AVG)."""
 
+    empty_dtypes = (np.int64, np.float64, np.float64)
+
     def __init__(
         self, n_groups: int, numeric_values: np.ndarray, arg_has_null: bool
     ) -> None:
@@ -225,24 +228,24 @@ class SumAggregator(ColumnarAggregator):
         self.totals = np.zeros(n_groups, dtype=np.float64)
         self.counts = np.zeros(n_groups, dtype=np.int64)
 
-    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
-        group_elements, arg_elements = self._row_elements(data, arg)
-        seen, gids, counts = _group_counts(data, group_elements)
-        if not seen.size:  # bincount of nothing is int64 even with weights
-            return gids, np.zeros(0, dtype=np.float64), counts
-        # Values are looked up once per chunk-dictionary entry and
-        # gathered per row; bincount adds them up in row order.
+    def run_partial(self, groups: RunGroups, arg: np.ndarray | None) -> tuple:
+        rows, arg = self._valid(groups, arg)
+        span = groups.gids.size
+        counts = np.bincount(rows, minlength=span)
+        seen = np.flatnonzero(counts)
+        # bincount adds the weights in row order, and each CSR position
+        # holds one chunk's group: the per-chunk sums, to the bit.
         totals = np.bincount(
-            group_elements,
-            weights=self.numeric_values[arg.chunk_dict][arg_elements],
-            minlength=data.group.chunk_dict.size,
+            rows, weights=self.numeric_values.take(arg), minlength=span
         )
-        return gids, totals[seen], counts
+        return (*groups.entries(seen), totals[seen], counts[seen])
 
-    def apply(self, partial: Any) -> None:
-        gids, totals, counts = partial
-        self.totals[gids] += totals
-        self.counts[gids] += counts.astype(np.int64)
+    def apply(self, columns: tuple) -> None:
+        gids, totals, counts = columns
+        # Unbuffered and in entry order: each group's total adds its
+        # chunks' sums in ascending chunk order.
+        np.add.at(self.totals, gids, totals)
+        np.add.at(self.counts, gids, counts.astype(np.int64))
 
     def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.totals[groups], self.counts[groups] == 0
@@ -265,6 +268,8 @@ class _ExtremeAggregator(ColumnarAggregator):
     """
 
     _is_min = True
+    _ufunc = np.minimum
+    empty_dtypes = (np.int64, np.int64)
 
     def __init__(
         self, n_groups: int, dictionary: Dictionary, arg_has_null: bool
@@ -274,27 +279,17 @@ class _ExtremeAggregator(ColumnarAggregator):
         self.sentinel = np.iinfo(np.int64).max if self._is_min else -1
         self.best = np.full(n_groups, self.sentinel, dtype=np.int64)
 
-    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
-        # Sorted pair keys fall into one run per group: a run's first
-        # key holds the group's minimum argument, its last the maximum.
-        keys = _pair_keys(arg, *self._row_elements(data, arg))
-        keys.sort()
-        groups = keys // arg.chunk_dict.size
-        edge = np.ones(keys.size, dtype=bool)
-        if self._is_min:
-            edge[1:] = groups[1:] != groups[:-1]
-        else:
-            edge[:-1] = groups[1:] != groups[:-1]
-        return _pair_gids(data, arg, keys[edge])
+    def run_partial(self, groups: RunGroups, arg: np.ndarray | None) -> tuple:
+        rows, arg = self._valid(groups, arg)
+        best = np.full(groups.gids.size, self.sentinel, dtype=np.int64)
+        # int64 values keep ufunc.at on its fast, cast-free path.
+        self._ufunc.at(best, rows, arg.astype(np.int64))
+        seen = np.flatnonzero(best != self.sentinel)
+        return (*groups.entries(seen), best[seen])
 
-    def apply(self, partial: Any) -> None:
-        gids, values = partial
-        if not gids.size:
-            return
-        if self._is_min:
-            np.minimum.at(self.best, gids, values)
-        else:
-            np.maximum.at(self.best, gids, values)
+    def apply(self, columns: tuple) -> None:
+        gids, values = columns
+        self._ufunc.at(self.best, gids, values)
 
     def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The best *global-ids*: ranks, so they order as the values do."""
@@ -314,16 +309,24 @@ class MinAggregator(_ExtremeAggregator):
 
 class MaxAggregator(_ExtremeAggregator):
     _is_min = False
+    _ufunc = np.maximum
 
 
 class _PairAggregator(ColumnarAggregator):
-    """COUNT DISTINCT, exact or sketched: a chunk's distinct pairs."""
+    """COUNT DISTINCT, exact or sketched: a run's distinct pairs.
 
-    def chunk_partial(self, data: ChunkData, arg: ChunkColumn | None) -> Any:
-        """Sorted distinct ``group gid << 32 | argument gid`` of the chunk."""
-        keys = _pair_keys(arg, *self._row_elements(data, arg))
-        group_ids, arg_ids = _pair_gids(data, arg, _sorted_distinct(keys))
-        return (group_ids << 32) | arg_ids
+    One key per row, ``span position << 32 | argument gid``, sorts as
+    (chunk, group gid, argument gid); no n_group x n_arg matrix is built.
+    """
+
+    empty_dtypes = (np.int64,)
+
+    def run_partial(self, groups: RunGroups, arg: np.ndarray | None) -> tuple:
+        """Per chunk, sorted distinct ``group gid << 32 | argument gid``."""
+        rows, arg = self._valid(groups, arg)
+        keys = _sorted_distinct((rows.astype(np.int64, copy=False) << 32) | arg)
+        bounds, gids = groups.entries(keys >> 32)
+        return bounds, (gids << 32) | (keys & 0xFFFFFFFF)
 
 
 class CountDistinctAggregator(_PairAggregator):
@@ -336,8 +339,8 @@ class CountDistinctAggregator(_PairAggregator):
         self.dictionary = dictionary
         self._pair_chunks: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
 
-    def apply(self, partial: Any) -> None:
-        self._pair_chunks.append(partial)
+    def apply(self, columns: tuple) -> None:
+        self._pair_chunks.append(columns[0])
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every distinct (group gid, value gid) folded so far, in order."""
@@ -352,9 +355,11 @@ class CountDistinctAggregator(_PairAggregator):
 class ApproxCountDistinctAggregator(_PairAggregator):
     """KMV-sketched COUNT DISTINCT (Section 5).
 
-    Per chunk, the distinct (group, value) pairs are known from the
-    dictionaries; each group's sketch folds in the hashes of its
-    distinct values as one vector — the "sorted dictionary" fast path.
+    The distinct (group, value) pairs are known from the dictionaries;
+    each group's sketch folds in the hashes of its distinct values as
+    one vector — the "sorted dictionary" fast path. A sketch keeps the
+    m smallest distinct hashes of everything folded in, whatever the
+    order, so the fold takes each group's pairs of all chunks at once.
     """
 
     def __init__(
@@ -365,16 +370,17 @@ class ApproxCountDistinctAggregator(_PairAggregator):
         self.m = m
         self._sketches: dict[int, KmvSketch] = {}
 
-    def apply(self, partial: Any) -> None:
-        if not partial.size:
+    def apply(self, columns: tuple) -> None:
+        pairs = np.sort(columns[0])
+        if not pairs.size:
             return
-        groups = (partial >> 32).astype(np.int64)
-        value_ids = (partial & 0xFFFFFFFF).astype(np.int64)
+        groups = pairs >> 32
+        value_ids = pairs & 0xFFFFFFFF
         boundaries = np.ones(groups.size, dtype=bool)
         boundaries[1:] = groups[1:] != groups[:-1]
         starts = np.flatnonzero(boundaries)
         ends = np.append(starts[1:], groups.size)
-        for start, end in zip(starts, ends):
+        for start, end in zip(starts.tolist(), ends.tolist()):
             gid = int(groups[start])
             sketch = self._sketches.get(gid)
             if sketch is None:
@@ -429,6 +435,7 @@ def build_aggregator(
             n_groups, arg_field.dictionary, arg_field.dictionary.has_null
         )
     raise ExecutionError(f"unsupported aggregate {agg.name!r}")
+
 
 # -- mergeable state export (for the Section 4 computation tree) ------------
 #

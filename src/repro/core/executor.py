@@ -197,6 +197,10 @@ class ExecutionStrategy:
 
     name = "abstract"
 
+    #: How many tasks run at once: the engine cuts a query's scan into
+    #: at most this many runs.
+    workers = 1
+
     #: True when tasks cross a process boundary: callables and items
     #: must pickle, and the engine should arena-back the store so the
     #: pickle carries a handle instead of the column data.
@@ -210,7 +214,7 @@ class ExecutionStrategy:
         """Apply ``fn`` to every item; results in submission order.
 
         Tasks must be independent: ``fn`` may read shared state but
-        must not mutate it (the engine's ``chunk_partial`` contract).
+        must not mutate it (the engine's ``run_partial`` contract).
         Exceptions raised by any task propagate to the caller.
         """
         raise NotImplementedError
@@ -405,7 +409,7 @@ class ProcessExecutor(ExecutionStrategy):
     budget runs out are reported in the :class:`MapOutcome` instead of
     raising — the engine degrades with exact coverage, mirroring the
     cluster's unreachable-shard contract. Safe because chunk tasks are
-    pure and idempotent (the ``chunk_partial`` contract): a task that
+    pure and idempotent (the ``run_partial`` contract): a task that
     died mid-scan re-runs with no side effects, so execution is
     at-least-once with deterministic results.
 

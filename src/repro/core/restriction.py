@@ -24,8 +24,9 @@ special support when deciding which chunks and rows are active:
    chunk is **skipped** without touching its elements; "every row
    definitely true" -> the chunk is **fully active** (its result is
    cacheable). Otherwise an exact per-row mask is computed by gathering
-   the chunk's slice of the leaf vectors through the elements arrays
-   and composing Kleene logic at row level.
+   the leaf's per-entry outcomes through the chunk's row positions
+   (each row's index into the CSR column) and composing Kleene logic
+   at row level.
 4. All of that happens once, when the WHERE is compiled: the product is
    a :class:`Restriction`, one immutable decision per chunk of the
    store, which every query carrying the same WHERE can read.
@@ -102,7 +103,7 @@ class _Node:
         raise NotImplementedError
 
     def row_vectors(
-        self, chunk_index: int, element_arrays
+        self, chunk_index: int, row_positions
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact per-row (t, n) Kleene vectors for one chunk."""
         raise NotImplementedError
@@ -122,13 +123,19 @@ class _Leaf(_Node):
         self._t = t_mask
         self._n = n_mask
         self._index = index
+        # One gather for the whole store: (t, n) of every chunk-dictionary
+        # entry of every chunk, packed as bit 0 / bit 1 of one byte.
+        self._entries = (t_mask.view(np.uint8) | n_mask.view(np.uint8) << 1).take(
+            index.gids
+        )
+
+    @staticmethod
+    def _unpack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (entries & 1).view(bool), (entries >> 1).view(bool)
 
     def outcomes(self) -> _Outcomes:
-        # One gather for the whole store: (t, n) per chunk-dictionary
-        # entry of every chunk.
         index = self._index
-        t = self._t.take(index.gids)
-        n = self._n.take(index.gids)
+        t, n = self._unpack(self._entries)
         false = ~(t | n)
         return _Outcomes(
             may_true=index.reduce(np.logical_or, t),
@@ -138,16 +145,9 @@ class _Leaf(_Node):
             all_false=index.reduce(np.logical_and, false),
         )
 
-    def row_vectors(self, chunk_index, element_arrays):
-        index = self._index
-        chunk_dict = index.gids[
-            index.offsets[chunk_index] : index.offsets[chunk_index + 1]
-        ]
-        elements = element_arrays(self.field, chunk_index)
-        return (
-            self._t.take(chunk_dict).take(elements),
-            self._n.take(chunk_dict).take(elements),
-        )
+    def row_vectors(self, chunk_index, row_positions):
+        # A row's CSR position is its chunk-dictionary entry: one take.
+        return self._unpack(self._entries.take(row_positions(self.field, chunk_index)))
 
 
 class _Binary(_Node):
@@ -168,9 +168,9 @@ class _And(_Binary):
             all_false=a.all_false | b.all_false,
         )
 
-    def row_vectors(self, chunk_index, element_arrays):
-        t1, n1 = self.left.row_vectors(chunk_index, element_arrays)
-        t2, n2 = self.right.row_vectors(chunk_index, element_arrays)
+    def row_vectors(self, chunk_index, row_positions):
+        t1, n1 = self.left.row_vectors(chunk_index, row_positions)
+        t2, n2 = self.right.row_vectors(chunk_index, row_positions)
         false = (~t1 & ~n1) | (~t2 & ~n2)
         true = t1 & t2
         return true, ~false & ~true
@@ -188,9 +188,9 @@ class _Or(_Binary):
             all_false=a.all_false & b.all_false,
         )
 
-    def row_vectors(self, chunk_index, element_arrays):
-        t1, n1 = self.left.row_vectors(chunk_index, element_arrays)
-        t2, n2 = self.right.row_vectors(chunk_index, element_arrays)
+    def row_vectors(self, chunk_index, row_positions):
+        t1, n1 = self.left.row_vectors(chunk_index, row_positions)
+        t2, n2 = self.right.row_vectors(chunk_index, row_positions)
         true = t1 | t2
         return true, ~true & (n1 | n2)
 
@@ -209,8 +209,8 @@ class _Not(_Node):
             all_false=s.all_true,
         )
 
-    def row_vectors(self, chunk_index, element_arrays):
-        t, n = self.operand.row_vectors(chunk_index, element_arrays)
+    def row_vectors(self, chunk_index, row_positions):
+        t, n = self.operand.row_vectors(chunk_index, row_positions)
         return ~t & ~n, n
 
 
@@ -251,7 +251,7 @@ class Restriction:
 
 
 def _classify(
-    root: _Node, element_arrays: Callable[[str, int], np.ndarray]
+    root: _Node, row_positions: Callable[[str, int], np.ndarray]
 ) -> list[ChunkDecision]:
     """Decide every chunk of the store: the vector pass, then row masks."""
     outcomes = root.outcomes()
@@ -261,7 +261,7 @@ def _classify(
         if all_true[chunk_index]:
             decisions[chunk_index] = _FULL
             continue
-        row_mask, __ = root.row_vectors(chunk_index, element_arrays)
+        row_mask, __ = root.row_vectors(chunk_index, row_positions)
         if not row_mask.any():
             continue
         if row_mask.all():
@@ -405,15 +405,16 @@ def compile_restriction(
     ensure_field: Callable[[Expr], str],
     dictionary_of: Callable[[str], Dictionary],
     chunk_dict_index_of: Callable[[str], ChunkDictIndex],
-    element_arrays: Callable[[str, int], np.ndarray],
+    row_positions: Callable[[str, int], np.ndarray],
 ) -> Restriction:
     """Compile a WHERE expression and classify the whole store with it.
 
     ``ensure_field`` materializes an arbitrary scalar expression as a
     (virtual) field and returns its name — the hook into the
     datastore's virtual-field machinery. ``chunk_dict_index_of`` returns
-    a field's (memoised) chunk-dictionary index, ``element_arrays`` the
-    dense chunk-id array of (field, chunk).
+    a field's (memoised) chunk-dictionary index, ``row_positions`` the
+    CSR positions of one chunk's rows of a field (an index into that
+    index's ``gids``, see ``FieldStore.row_positions``).
     """
     if where is None:
         return Restriction(None)
@@ -425,4 +426,4 @@ def compile_restriction(
         return name
 
     root = _compile_tree(where, ensure, dictionary_of, chunk_dict_index_of)
-    return Restriction(_classify(root, element_arrays), tuple(sorted(fields)))
+    return Restriction(_classify(root, row_positions), tuple(sorted(fields)))

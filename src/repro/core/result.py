@@ -62,7 +62,7 @@ class ScanStats:
     fields_accessed: tuple[str, ...] = ()
     memory_bytes: int = 0
     # Per-phase wall-clock (seconds): restriction analysis + cache
-    # probes, the chunk-partial fan-out, the deterministic merge, and
+    # probes, the run-kernel fan-out, the deterministic merge, and
     # projection row materialization. Timings are measurement, not
     # semantics — result-equality tests compare the counters above.
     restriction_seconds: float = 0.0

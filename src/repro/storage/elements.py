@@ -14,15 +14,15 @@ n_distinct    encoding                 payload size
 <= 2**32      :class:`PackedElements`    4n bytes
 ============  =======================  =====================
 
-Every encoding exposes ``as_array()`` (dense uint32 chunk-ids, the form
-the group-by inner loop consumes), ``size_bytes()`` (the analytic
-payload size the memory experiments report) and ``to_bytes()`` (the
-serialized payload the compression experiments feed to the codecs).
-
-``as_array()`` caches the dense array after the first materialization
-and single-row ``[row]`` access never materializes it at all, so
-callers must treat the returned array as read-only (all in-tree
-callers only read it or derive new arrays from it).
+Every encoding exposes ``as_array()`` (dense uint32 chunk-ids, decoded
+on every call), ``size_bytes()`` (the analytic payload size the memory
+experiments report) and ``to_bytes()`` (the serialized payload the
+compression experiments feed to the codecs). Nothing keeps the dense
+form: the query kernels read a field's rows through
+``FieldStore.row_positions()``, which decodes each chunk once, and
+single-row ``[row]`` access reads the encoding itself. A four-byte
+packed chunk's ``as_array()`` is its payload, so callers must treat the
+returned array as read-only.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class ConstantElements(Elements):
             raise EncodingError(f"row count must be >= 0, got {n_rows}")
         self._n_rows = n_rows
         self._chunk_id = chunk_id
-        self._dense: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -88,9 +87,7 @@ class ConstantElements(Elements):
         return self._chunk_id
 
     def as_array(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = np.full(self._n_rows, self._chunk_id, dtype=np.uint32)
-        return self._dense
+        return np.full(self._n_rows, self._chunk_id, dtype=np.uint32)
 
     def size_bytes(self) -> int:
         # O(1): a row count and the single chunk-id.
@@ -114,7 +111,6 @@ class BitsetElements(Elements):
 
     def __init__(self, bits: BitSet) -> None:
         self._bits = bits
-        self._dense: np.ndarray | None = None
 
     @classmethod
     def from_ids(cls, ids: np.ndarray) -> "BitsetElements":
@@ -127,9 +123,7 @@ class BitsetElements(Elements):
         return len(self._bits)
 
     def as_array(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self._bits.to_numpy().astype(np.uint32)
-        return self._dense
+        return self._bits.to_numpy().astype(np.uint32)
 
     def size_bytes(self) -> int:
         return self._bits.size_bytes()
@@ -152,7 +146,6 @@ class PackedElements(Elements):
             raise EncodingError(f"unsupported packed width {width}")
         self._width = width
         self._ids = np.ascontiguousarray(ids, dtype=self._DTYPES[width])
-        self._dense: np.ndarray | None = None
 
     @property
     def width(self) -> int:
@@ -163,9 +156,7 @@ class PackedElements(Elements):
         return int(self._ids.size)
 
     def as_array(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self._ids.astype(np.uint32, copy=False)
-        return self._dense
+        return self._ids.astype(np.uint32, copy=False)
 
     def size_bytes(self) -> int:
         return self._ids.size * self._width

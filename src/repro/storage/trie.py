@@ -351,6 +351,18 @@ class TrieDictionary(Dictionary):
         self._count = n_values
         self._all_values: list[str] | None = None
         self._sorted_cache: np.ndarray | None = None
+        # Ranks walked one at a time (top-k decode): filled one item
+        # assignment at a time, never pickled nor written to an arena.
+        self._walked: dict[int, str] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_walked", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._walked = {}
 
     @classmethod
     def from_sorted(
@@ -484,6 +496,13 @@ class TrieDictionary(Dictionary):
             raise DictionaryError(f"trie rank {index} out of range")
         if self._all_values is not None:
             return self._all_values[index]
+        value = self._walked.get(index)
+        if value is None:
+            value = self._walked[index] = self._walk_to(index)
+        return value
+
+    def _walk_to(self, index: int) -> str:
+        """The string of rank ``index``, by one root-to-leaf walk."""
         nibbles: list[int] = []
         pos = 0
         remaining = index

@@ -12,7 +12,7 @@ Two families of helpers live here:
 
 - **The shared-state sanitizer** (:class:`SanitizingExecutor`): the
   runtime holder of "a submitted callable, and everything
-  ``chunk_partial`` reaches, never writes captured or shared state".
+  ``run_partial`` reaches, never writes captured or shared state".
   Wrapping any :class:`~repro.core.executor.ExecutionStrategy`, it
   fingerprints every object the submitted callable closes over
   *before* the fan-out and re-fingerprints *after*; any observed
@@ -112,18 +112,16 @@ def assert_results_equal(
 #: Lazily-memoized attributes the sanitizer deliberately ignores,
 #: keyed by class name (any class in the object's MRO matches).
 #:
-#: These slots fill *during* worker execution by design: chunk scans
-#: never share a chunk index across executor workers, so a per-chunk
-#: memo has exactly one writer, and every fill is an idempotent decode
-#: of immutable encoded state published by one assignment
-#: (``FieldStore.value_array`` and the trie decode under it,
-#: ``Elements.as_array``). They are caches of derived data, not shared
+#: These slots may fill *during* worker execution by design: every
+#: fill is an idempotent decode of immutable encoded state published by
+#: one assignment (``FieldStore.row_positions`` and ``value_array``,
+#: the trie decode under it, a trie rank walk), so two racing writers
+#: publish equal values. They are caches of derived data, not shared
 #: mutable state, and fingerprinting them would fail every parallel
 #: scan for behaviour that is correct by construction.
 LAZY_MEMO_ATTRS: dict[str, frozenset[str]] = {
     "FieldStore": frozenset(FieldStore._MEMO_ATTRS),
-    "Elements": frozenset({"_dense"}),
-    "TrieDictionary": frozenset({"_all_values"}),
+    "TrieDictionary": frozenset({"_all_values", "_walked"}),
 }
 
 _MAX_FINGERPRINT_DEPTH = 10
@@ -377,6 +375,11 @@ class SanitizingExecutor(ExecutionStrategy):
     def wants_picklable_tasks(self) -> bool:
         """Forwarded so a wrapped process pool still gets arena tasks."""
         return self.inner.wants_picklable_tasks
+
+    @property
+    def workers(self) -> int:
+        """Forwarded so a wrapped pool still gets one run per worker."""
+        return self.inner.workers
 
     def track_arena(self, arena: Any) -> None:
         """Adopt the arena for lifecycle *and* put it under watch."""

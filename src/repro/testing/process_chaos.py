@@ -49,14 +49,13 @@ CHAOS_KINDS = ("kill", "hang", "exit")
 def task_key(item: Any) -> Any:
     """The plan key for one mapped item.
 
-    Chunk-scan items are ``(chunk_index, mask, cacheable)`` tuples —
-    the chunk index is the key; cluster shard items key by
+    A scan run (``repro.core.datastore.Run``) keys by its chunk indices,
+    a tuple with one plan key per chunk; cluster shard items key by
     ``shard_id``; anything else keys by its string form.
     """
-    if isinstance(item, tuple) and item:
-        head = item[0]
-        if isinstance(head, (int, str)):
-            return head
+    chunks = getattr(item, "chunks", None)
+    if chunks is not None:
+        return tuple(chunks)
     shard_id = getattr(item, "shard_id", None)
     if shard_id is not None:
         return shard_id
@@ -180,12 +179,12 @@ class ChaosTask:
     """Picklable wrapper that injects planned faults, then delegates.
 
     Wraps the real task callable; each invocation looks its item's
-    :func:`task_key` up in the plan and, when the fault arms (first
-    attempt for transient faults, every attempt for persistent ones),
-    fires it inside the worker before the inner callable ever runs.
-    A hung worker therefore holds no partial state, and a killed one
-    re-runs the pure chunk task from scratch — the at-least-once
-    execution model the supervisor is built for.
+    :func:`task_key` up in the plan — every chunk of a run — and, when
+    a planned fault arms (first attempt for transient faults, every
+    attempt for persistent ones), fires it inside the worker before the
+    inner callable ever runs. A hung worker therefore holds no partial
+    state, and a killed one re-runs the pure task from scratch — the
+    at-least-once execution model the supervisor is built for.
     """
 
     def __init__(
@@ -210,9 +209,11 @@ class ChaosTask:
         return True
 
     def __call__(self, item: Any) -> Any:
-        kind = self.plan.fault_for(task_key(item))
-        if kind is not None and self._arm(task_key(item)):
-            _inject(kind, self.plan.hang_seconds)
+        key = task_key(item)
+        for planned_key in key if isinstance(key, tuple) else (key,):
+            kind = self.plan.fault_for(planned_key)
+            if kind is not None and self._arm(planned_key):
+                _inject(kind, self.plan.hang_seconds)
         return self.inner(item)
 
 
@@ -247,6 +248,10 @@ class ChaosExecutor(ExecutionStrategy):
     @property
     def wants_picklable_tasks(self) -> bool:  # type: ignore[override]
         return self.inner.wants_picklable_tasks
+
+    @property
+    def workers(self) -> int:  # type: ignore[override]
+        return self.inner.workers
 
     @property
     def last_outcome(self) -> MapOutcome | None:

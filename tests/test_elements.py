@@ -105,12 +105,19 @@ class TestDenseCache:
             PackedElements(np.array([0, 2, 1], dtype=np.uint32), 1),
         ]
 
-    def test_as_array_returns_cached_object(self):
+    def test_as_array_keeps_no_dense_copy(self):
         for elements in self._encodings():
             first = elements.as_array()
-            assert elements.as_array() is first
+            assert elements.as_array().tolist() == first.tolist()
+            assert not any(
+                isinstance(value, np.ndarray) and value.dtype == np.uint32
+                for value in vars(elements).values()
+            )
 
-    def test_getitem_never_materializes_dense(self):
+    def test_getitem_never_materializes_dense(self, monkeypatch):
+        def refuse(elements):
+            raise AssertionError("single-row access decoded the whole chunk")
+
         for elements, expected in zip(self._encodings(), (3, 1, 2)):
+            monkeypatch.setattr(type(elements), "as_array", refuse)
             assert elements[1] == expected
-            assert elements._dense is None

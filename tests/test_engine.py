@@ -11,21 +11,30 @@ from repro.core.aggregation import (
     MinState,
     SumState,
 )
+from repro.core.datastore import (
+    DataStore,
+    DataStoreOptions,
+    FieldStore,
+    Run,
+    _GroupedKernel,
+)
 from repro.core.engine import (
     ApproxCountDistinctAggregator,
     AvgAggregator,
-    ChunkColumn,
-    ChunkData,
     CountDistinctAggregator,
     CountValueAggregator,
     MaxAggregator,
     MinAggregator,
     PresenceAggregator,
+    RunGroups,
     SumAggregator,
     aggregator_states,
+    as_run_partial,
 )
+from repro.core.plan import resolve_group_aliases
+from repro.sql.parser import parse_query
 from repro.storage.chunk import ColumnChunk
-from repro.storage.dictionary import build_dictionary
+from repro.storage.dictionary import NumericDictionary, build_dictionary
 from repro.storage.elements import (
     BitsetElements,
     ConstantElements,
@@ -35,24 +44,24 @@ from repro.storage.elements import (
 from tests import engine_oracle
 
 
-def _column(global_ids, optimized=True):
-    """What the scan hands a kernel, from a real encoded column chunk."""
-    chunk = ColumnChunk.from_global_ids(
-        np.asarray(global_ids, dtype=np.uint32), optimized=optimized
-    )
-    return ChunkColumn(chunk.chunk_dict, chunk.elements.as_array())
-
-
 def _chunk(group_ids, mask=None):
-    return ChunkData(
-        group=_column(group_ids),
-        mask=None if mask is None else np.asarray(mask, dtype=bool),
-    )
+    """A one-chunk run's groups, from a real encoded column chunk."""
+    chunk = ColumnChunk.from_global_ids(np.asarray(group_ids, dtype=np.uint32))
+    rows = chunk.elements.as_array().astype(np.intp)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        rows = rows[mask]
+    return RunGroups(rows, chunk.chunk_dict, np.zeros(1, dtype=np.intp)), mask
 
 
-def _apply(aggregator, data, arg_ids=None):
-    arg = None if arg_ids is None else _column(arg_ids)
-    aggregator.apply(aggregator.chunk_partial(data, arg))
+def _apply(aggregator, chunk, arg_ids=None):
+    groups, mask = chunk
+    arg = None
+    if arg_ids is not None:
+        arg = np.asarray(arg_ids, dtype=np.uint32)
+        arg = arg if mask is None else arg[mask]
+    # A one-chunk run partial's columns are that chunk's partial.
+    aggregator.apply(aggregator.run_partial(groups, arg)[1:])
 
 
 class TestPresence:
@@ -226,18 +235,30 @@ class TestStateExport:
         assert a.result() == expected.result()
 
 
-# -- differential: chunk-id kernels == the gid-space oracle, array for array ---
+# -- differential: run partials == the gid-space oracle, chunk by chunk ---------
 
 _N_GIDS = 5000  # global dictionary size the random chunks draw from
 
+_AGGREGATES = (
+    "COUNT(*)",
+    "COUNT(a)",
+    "SUM(a)",
+    "AVG(a)",
+    "MIN(a)",
+    "MAX(a)",
+    "COUNT(DISTINCT a)",
+    "APPROX_COUNT_DISTINCT(a, 8)",
+)
+
 
 @st.composite
-def _chunks(draw):
-    """(group gids, arg gids, mask, arg_has_null, optimized) of one chunk."""
+def _stores(draw):
+    """Chunks of (group gids, arg gids, mask), the flags, and run cuts."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_rows = draw(st.sampled_from([0, 1, 2, 7, 300, 700]))
+    arg_has_null = draw(st.booleans())
+    group_kind = draw(st.sampled_from(["field", "same", "none"]))
 
-    def gids(with_null):
+    def gids(n_rows, with_null):
         # 1 / 2 / a few / >256 distinct values: constant, bitset, one-
         # and two-byte packed elements (four-byte when not optimized).
         distinct = min(draw(st.sampled_from([1, 2, 5, 400])), max(n_rows, 1))
@@ -246,23 +267,77 @@ def _chunks(draw):
             pool[0] = 0
         return pool[rng.integers(0, distinct, size=n_rows)].astype(np.int64)
 
-    arg_has_null = draw(st.booleans())
-    # gid 0 without has_null is a value like any other.
-    arg_ids = gids(with_null=draw(st.booleans()))
-    group_kind = draw(st.sampled_from(["field", "same", "none"]))
-    if group_kind == "same":  # GROUP BY x with an aggregate over x
-        group_ids = arg_ids
-    elif group_kind == "none":  # no GROUP BY: one group
-        group_ids = np.zeros(n_rows, dtype=np.int64)
-    else:
-        group_ids = gids(with_null=draw(st.booleans()))
-    mask_kind = draw(st.sampled_from(["full", "random", "none_pass"]))
-    mask = None
-    if mask_kind == "random":
-        mask = rng.random(n_rows) < 0.5
-    elif mask_kind == "none_pass":
-        mask = np.zeros(n_rows, dtype=bool)
-    return group_ids, arg_ids, mask, arg_has_null, draw(st.booleans())
+    chunks = []
+    for __ in range(draw(st.integers(1, 6))):
+        n_rows = draw(st.sampled_from([0, 1, 2, 7, 300, 700]))
+        # gid 0 without has_null is a value like any other.
+        arg_ids = gids(n_rows, with_null=draw(st.booleans()))
+        if group_kind == "same":  # GROUP BY x with an aggregate over x
+            group_ids = arg_ids
+        elif group_kind == "none":  # no GROUP BY: one group
+            group_ids = np.zeros(n_rows, dtype=np.int64)
+        else:
+            group_ids = gids(n_rows, with_null=draw(st.booleans()))
+        mask_kind = draw(st.sampled_from(["full", "random", "none_pass"]))
+        mask = None
+        if mask_kind == "random":
+            mask = rng.random(n_rows) < 0.5
+        elif mask_kind == "none_pass":
+            mask = np.zeros(n_rows, dtype=bool)
+        chunks.append((group_ids, arg_ids, mask))
+    cuts = draw(st.sets(st.integers(1, max(len(chunks) - 1, 1))))
+    cached = draw(st.sets(st.integers(0, len(chunks) - 1)))
+    return chunks, arg_has_null, group_kind, draw(st.booleans()), cuts, cached
+
+
+def _store(chunks, arg_has_null, optimized):
+    """Fields ``g`` (group) and ``a`` (argument) over the given chunks."""
+    values = np.sort(np.random.default_rng(7).normal(size=_N_GIDS - arg_has_null))
+
+    def field(name, dictionary, column):
+        return FieldStore(
+            name,
+            dictionary,
+            [
+                ColumnChunk.from_global_ids(ids.astype(np.uint32), optimized)
+                for ids in column
+            ],
+        )
+
+    fields = {
+        "g": field("g", NumericDictionary(np.arange(_N_GIDS)), [c[0] for c in chunks]),
+        "a": field(
+            "a", NumericDictionary(values, has_null=arg_has_null), [c[1] for c in chunks]
+        ),
+    }
+    return DataStore(
+        DataStoreOptions(), sum(c[0].size for c in chunks), [c[0].size for c in chunks], fields
+    )
+
+
+def _kernel(store, group_kind):
+    group_by = {"field": " GROUP BY g", "same": " GROUP BY a", "none": ""}[group_kind]
+    sql = f"SELECT {', '.join(_AGGREGATES)} FROM data{group_by}"
+    return _GroupedKernel(store, resolve_group_aliases(parse_query(sql)), store.ensure_field)
+
+
+def _oracle_partials(chunk, arg_has_null, numeric):
+    """The per-chunk partials of every kernel slot, by the gid-space oracle."""
+    group_ids, arg_ids, mask = chunk
+    presence = engine_oracle.presence(group_ids, mask)
+    pairs = engine_oracle.distinct_pairs(group_ids, mask, arg_ids, arg_has_null)
+    total = engine_oracle.total(group_ids, mask, arg_ids, arg_has_null, numeric)
+    return [
+        presence,
+        presence,
+        engine_oracle.count_value(group_ids, mask, arg_ids, arg_has_null),
+        total,
+        total,
+        engine_oracle.extreme(group_ids, mask, arg_ids, arg_has_null, True),
+        engine_oracle.extreme(group_ids, mask, arg_ids, arg_has_null, False),
+        pairs,
+        pairs,
+    ]
 
 
 def _assert_same_partial(actual, expected, label):
@@ -276,57 +351,66 @@ def _assert_same_partial(actual, expected, label):
         assert got.tobytes() == want.tobytes(), (label, got, want)
 
 
+def _folded(kernel):
+    """Every accumulator of a folded kernel, as bytes."""
+    groups = np.arange(kernel.presence.n_groups)
+    return [kernel.presence.counts.tobytes()] + [
+        [column.tobytes() for column in aggregator.result_columns(groups)]
+        for aggregator in kernel.aggregators
+    ]
+
+
 class TestPartialsMatchTheGidSpaceOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(_chunks())
-    def test_every_aggregator(self, chunk):
-        group_ids, arg_ids, mask, has_null, optimized = chunk
-        data = ChunkData(group=_column(group_ids, optimized), mask=mask)
-        arg = _column(arg_ids, optimized)
-        numeric = np.random.default_rng(7).normal(size=_N_GIDS)
-        numeric[0] = np.nan
-        dictionary = build_dictionary(list(range(3)))  # unused by the kernels
-        n = _N_GIDS
-        cases = {
-            "presence": (
-                PresenceAggregator(n).chunk_partial(data, None),
-                engine_oracle.presence(group_ids, mask),
-            ),
-            "count": (
-                CountValueAggregator(n, has_null).chunk_partial(data, arg),
-                engine_oracle.count_value(group_ids, mask, arg_ids, has_null),
-            ),
-            "sum": (
-                SumAggregator(n, numeric, has_null).chunk_partial(data, arg),
-                engine_oracle.total(group_ids, mask, arg_ids, has_null, numeric),
-            ),
-            "avg": (
-                AvgAggregator(n, numeric, has_null).chunk_partial(data, arg),
-                engine_oracle.total(group_ids, mask, arg_ids, has_null, numeric),
-            ),
-            "min": (
-                MinAggregator(n, dictionary, has_null).chunk_partial(data, arg),
-                engine_oracle.extreme(group_ids, mask, arg_ids, has_null, True),
-            ),
-            "max": (
-                MaxAggregator(n, dictionary, has_null).chunk_partial(data, arg),
-                engine_oracle.extreme(group_ids, mask, arg_ids, has_null, False),
-            ),
-            "distinct": (
-                CountDistinctAggregator(n, dictionary, has_null).chunk_partial(
-                    data, arg
-                ),
-                engine_oracle.distinct_pairs(group_ids, mask, arg_ids, has_null),
-            ),
-            "approx": (
-                ApproxCountDistinctAggregator(
-                    n, numeric, has_null, m=8
-                ).chunk_partial(data, arg),
-                engine_oracle.distinct_pairs(group_ids, mask, arg_ids, has_null),
-            ),
+    @settings(max_examples=150, deadline=None)
+    @given(_stores())
+    def test_every_aggregator(self, drawn):
+        """Each chunk's slice of a run partial is the oracle's partial, byte
+        for byte, for runs of one chunk, of every chunk and cut at random
+        points; folded with cached chunks interleaved, the accumulators
+        are the bits a chunk-by-chunk fold of the oracle gives."""
+        chunks, arg_has_null, group_kind, optimized, cuts, cached = drawn
+        store = _store(chunks, arg_has_null, optimized)
+        numeric = store.field("a").numeric_values()
+        expected = [_oracle_partials(c, arg_has_null, numeric) for c in chunks]
+        reference = _kernel(store, group_kind)
+        for chunk_index in range(len(chunks)):
+            reference.fold(
+                [((chunk_index,), [as_run_partial(p) for p in expected[chunk_index]])]
+            )
+        bounds = [0, *sorted(cuts), len(chunks)]
+        layouts = {
+            "single": [[c] for c in range(len(chunks))],
+            "whole": [list(range(len(chunks)))],
+            "cut": [list(range(a, b)) for a, b in zip(bounds, bounds[1:]) if a < b],
         }
-        for label, (actual, expected) in cases.items():
-            _assert_same_partial(actual, expected, label)
+        for label, layout in layouts.items():
+            kernel = _kernel(store, group_kind)
+            slots = [kernel.presence, *kernel.aggregators]
+            ready = []
+            for run_chunks in layout:
+                # Cached chunks are served apart, so a run skips over them.
+                scanned = [c for c in run_chunks if c not in cached] or run_chunks
+                run = Run(
+                    tuple(scanned),
+                    tuple(chunks[c][2] for c in scanned),
+                    (False,) * len(scanned),
+                )
+                partials = kernel.scan(run)
+                for k, chunk_index in enumerate(scanned):
+                    for slot, (aggregator, partial) in enumerate(zip(slots, partials)):
+                        _assert_same_partial(
+                            aggregator.chunk_slice(partial, k),
+                            expected[chunk_index][slot],
+                            (label, chunk_index, slot),
+                        )
+                ready.append((run.chunks, partials))
+            served = {c for run_chunks, __ in ready for c in run_chunks}
+            ready += [
+                ((c,), [as_run_partial(p) for p in expected[c]])
+                for c in sorted(cached - served)
+            ]
+            kernel.fold(ready[::-1])  # arrival order does not matter
+            assert _folded(kernel) == _folded(reference), label
 
     def test_the_random_chunks_cover_every_elements_encoding(self):
         def encoding(distinct, optimized=True):
@@ -342,13 +426,11 @@ class TestPartialsMatchTheGidSpaceOracle:
         assert encoding(400, optimized=False) == (PackedElements, 4)
 
     def test_kernels_leave_read_only_columns_alone(self):
-        """Arena-backed columns are read-only views: no kernel writes them."""
-        chunk = ColumnChunk.from_global_ids(np.arange(300, dtype=np.uint32) % 7)
-        chunk_dict, elements = chunk.chunk_dict.copy(), chunk.elements.as_array().copy()
-        chunk_dict.setflags(write=False)
-        elements.setflags(write=False)
-        column = ChunkColumn(chunk_dict, elements)
-        data = ChunkData(group=column, mask=None)
+        """Row positions are read-only views: no kernel writes its inputs."""
+        groups, __ = _chunk(np.arange(300) % 7)
+        arg = (np.arange(300) % 7).astype(np.uint32)
+        for array in (*groups, arg):
+            array.setflags(write=False)
         dictionary = build_dictionary(list(range(7)))
         for aggregator in (
             PresenceAggregator(7),
@@ -356,16 +438,15 @@ class TestPartialsMatchTheGidSpaceOracle:
             MinAggregator(7, dictionary, True),
             CountDistinctAggregator(7, dictionary, True),
         ):
-            aggregator.apply(aggregator.chunk_partial(data, column))
+            aggregator.apply(aggregator.run_partial(groups, arg)[1:])
 
     def test_wide_chunks_build_no_pair_matrix(self):
         """2 k groups x 2 k arguments is 4 M cells; the kernels stay O(rows)."""
         import tracemalloc
 
         rng = np.random.default_rng(5)
-        group_ids = rng.permutation(2000).astype(np.int64)
-        arg_ids = rng.permutation(2000).astype(np.int64) + 1
-        data, arg = ChunkData(group=_column(group_ids), mask=None), _column(arg_ids)
+        groups, __ = _chunk(rng.permutation(2000))
+        arg = (rng.permutation(2000) + 1).astype(np.uint32)
         dictionary = build_dictionary(list(range(2001)))
         tracemalloc.start()
         try:
@@ -373,7 +454,7 @@ class TestPartialsMatchTheGidSpaceOracle:
                 MinAggregator(2000, dictionary, False),
                 CountDistinctAggregator(2000, dictionary, False),
             ):
-                aggregator.chunk_partial(data, arg)
+                aggregator.run_partial(groups, arg)
             __, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -118,6 +118,23 @@ def test_full_scan_shapes_agree_through_every_door(log_store, name):
     _assert_doors_agree(log_store, FULL_SCAN_SHAPES[name])
 
 
+@pytest.mark.parametrize("name", sorted(FULL_SCAN_SHAPES))
+def test_a_serial_scan_is_one_kernel_call(log_table, name, monkeypatch):
+    """Cache off, serial strategy: the whole scan is one run, one item."""
+    store = make_store(log_table, cache_chunk_results=False)
+    handed = []
+    map_supervised = store.executor.map_supervised
+
+    def counted(fn, items):
+        handed.append(list(items))
+        return map_supervised(fn, items)
+
+    monkeypatch.setattr(store.executor, "map_supervised", counted)
+    result = store.execute(FULL_SCAN_SHAPES[name])
+    assert [len(items) for items in handed] == [1]
+    assert handed[0][0].chunks == result.stats.active_chunks
+
+
 @settings(
     max_examples=8,
     deadline=None,
@@ -274,14 +291,14 @@ def test_a_cache_too_small_for_the_classification_still_answers(log_table):
     assert store.chunk_cache_stats().evictions > 0
 
 
-def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table):
-    """COUNT(*) is the presence partial (the same arrays, not a second
-    bincount), and what each slot holds is what its aggregator computes
-    on its own, so the cached weights have not moved."""
+def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatch):
+    """One run reads each field's row positions once, COUNT(*) is the
+    presence partial (the same arrays, not a second bincount), and each
+    chunk's slice of a slot is what the slot computes for that chunk
+    alone, so the cached weights have not moved."""
     import numpy as np
 
-    from repro.core.datastore import _GroupedKernel, _partials_weight
-    from repro.core.engine import ChunkData
+    from repro.core.datastore import FieldStore, Run, _GroupedKernel, _partials_weight
     from repro.core.plan import resolve_group_aliases
 
     store = make_store(log_table)
@@ -293,18 +310,28 @@ def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table):
     )
     kernel = _GroupedKernel(store, parsed, store.ensure_field)
     rng = np.random.default_rng(3)
-    for chunk_index, rows in enumerate(store.chunk_row_counts):
-        mask = None if chunk_index % 3 == 0 else rng.random(rows) < 0.4
-        partials = kernel.scan(chunk_index, mask)
-        assert partials[2] is partials[0] and partials[1] is not partials[0]
-        columns = [field and field.chunk_column(chunk_index) for field in kernel.fields]
-        data = ChunkData(group=columns[0], mask=mask)
-        alone = [kernel.presence.chunk_partial(data, None)] + [
-            aggregator.chunk_partial(data, arg)
-            for aggregator, arg in zip(kernel.aggregators, columns[1:])
-        ]
-        assert _partials_weight(partials) == _partials_weight(alone)
-        for shared, own in zip(partials, alone):
+    masks = [
+        None if chunk_index % 3 == 0 else rng.random(rows) < 0.4
+        for chunk_index, rows in enumerate(store.chunk_row_counts)
+    ]
+    chunks = tuple(range(store.n_chunks))
+    positions, reads = FieldStore.row_positions, []
+
+    def counted_positions(field):
+        reads.append(field.name)
+        return positions(field)
+
+    monkeypatch.setattr(FieldStore, "row_positions", counted_positions)
+    partials = kernel.scan(Run(chunks, tuple(masks), (False,) * len(chunks)))
+    assert sorted(reads) == ["country", "latency"]
+    assert partials[2] is partials[0] and partials[1] is not partials[0]
+    for k, chunk_index in enumerate(chunks):
+        alone = kernel.scan(Run((chunk_index,), (masks[chunk_index],), (False,)))
+        ours = kernel.chunk_partials(partials, k)
+        theirs = kernel.chunk_partials(alone, 0)
+        assert ours[2] is ours[0]
+        assert _partials_weight(ours) == _partials_weight(theirs)
+        for shared, own in zip(ours, theirs):
             assert [a.tobytes() for a in shared] == [a.tobytes() for a in own]
             assert [a.dtype for a in shared] == [a.dtype for a in own]
 

@@ -327,7 +327,7 @@ class TestChunkPartialMutation:
             tmp_path,
             """
             class Agg:
-                def chunk_partial(self, data):
+                def run_partial(self, data):
                     self.total = self.total + 1
                     return data
             """,
@@ -340,7 +340,7 @@ class TestChunkPartialMutation:
             tmp_path,
             """
             class Agg:
-                def chunk_partial(self, data):
+                def run_partial(self, data):
                     self.total += 1
                     return data
             """,
@@ -353,7 +353,7 @@ class TestChunkPartialMutation:
             tmp_path,
             """
             class Agg:
-                def chunk_partial(self, data):
+                def run_partial(self, data):
                     self.partials[data.chunk_index] = 1
                     return data
             """,
@@ -366,7 +366,7 @@ class TestChunkPartialMutation:
             tmp_path,
             """
             class Agg:
-                def chunk_partial(self, data):
+                def run_partial(self, data):
                     self.seen.append(data)
                     return data
             """,
@@ -379,7 +379,7 @@ class TestChunkPartialMutation:
             tmp_path,
             """
             class Agg:
-                def chunk_partial(self, data):
+                def run_partial(self, data):
                     self.state.counts.update({1: 2})
                     return data
             """,
@@ -392,7 +392,7 @@ class TestChunkPartialMutation:
             tmp_path,
             """
             class Agg:
-                def chunk_partial(self, data):
+                def run_partial(self, data):
                     counts = []
                     counts.append(data)
                     total = self.offset + 1
@@ -407,7 +407,7 @@ class TestChunkPartialMutation:
             tmp_path,
             """
             class Agg:
-                def chunk_partial(self, data):
+                def run_partial(self, data):
                     return data
 
                 def apply(self, partials, chunk_index):
@@ -418,11 +418,11 @@ class TestChunkPartialMutation:
         )
         assert report.ok
 
-    def test_chunk_partial_outside_class_ignored(self, tmp_path):
+    def test_run_partial_outside_class_ignored(self, tmp_path):
         report = lint_snippet(
             tmp_path,
             """
-            def chunk_partial(state, data):
+            def run_partial(state, data):
                 state.total += 1
                 return data
             """,

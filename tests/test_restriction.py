@@ -42,7 +42,9 @@ def _hooks(store):
         store.ensure_field,
         lambda name: store.field(name).dictionary,
         lambda name: store.field(name).chunk_dict_index(),
-        lambda name, index: store.field(name).element_array(index),
+        lambda name, index: store.field(name).row_positions()[
+            store.row_starts[index] : store.row_starts[index + 1]
+        ],
     )
 
 

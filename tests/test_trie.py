@@ -70,6 +70,23 @@ class TestTrieDictionary:
             assert trie.value(index) == value
             assert trie.global_id(value) == index
 
+    def test_a_rank_is_walked_once_and_never_pickled(self, monkeypatch):
+        import pickle
+
+        trie = TrieDictionary.from_sorted(["apple", "banana", "cherry"])
+        walk, walks = TrieDictionary._walk_to, []
+
+        def counted(dictionary, index):
+            walks.append(index)
+            return walk(dictionary, index)
+
+        monkeypatch.setattr(TrieDictionary, "_walk_to", counted)
+        assert [trie.value(1), trie.value(1), trie.value(2)] == ["banana", "banana", "cherry"]
+        assert walks == [1, 2]
+        clone = pickle.loads(pickle.dumps(trie))
+        assert clone._walked == {} and clone.to_bytes() == trie.to_bytes()
+        assert clone.value(1) == "banana"
+
     def test_shared_prefixes_compress(self):
         # The table_name effect: date-suffixed names share everything
         # but the tail, and the trie stores shared prefixes once.

@@ -56,7 +56,7 @@ from repro.core.executor import (
 )
 from repro.core.expr_eval import evaluate
 from repro.core.plan import is_aggregation_query, plan_group_query, resolve_group_aliases
-from repro.core.restriction import ChunkStatus, compile_restriction
+from repro.core.restriction import FULL, Restriction, compile_restriction, pick
 from repro.core.result import QueryResult, ScanStats, finalize
 from repro.core.table import Column, Table
 from repro.errors import (
@@ -467,7 +467,7 @@ class DataStore:
         self.n_rows = n_rows
         self.chunk_row_counts = chunk_row_counts
         # Where each chunk's rows start in chunk order, plus the end.
-        self.row_starts = list(itertools.accumulate(chunk_row_counts, initial=0))
+        self.row_starts = np.cumsum([0, *chunk_row_counts], dtype=np.int64)
         self.fields = fields
         self.import_stats = import_stats
         self._virtual_by_sql: dict[str, str] = {}
@@ -1049,15 +1049,13 @@ class DataStore:
             with self._cache_lock:
                 restriction = self._chunk_cache.get(where_key)
         if restriction is None:
-            starts = self.row_starts
             restriction = compile_restriction(
                 parsed.where,
+                self.row_starts,
                 self.ensure_field,
                 lambda name: self.field(name).dictionary,
                 lambda name: self.field(name).chunk_dict_index(),
-                lambda name, index: self.field(name).row_positions()[
-                    starts[index] : starts[index + 1]
-                ],
+                lambda name, rows: pick(self.field(name).row_positions(), rows),
             )
             counters.increment("datastore.restriction.compiled")
             if where_key is not None:
@@ -1073,45 +1071,35 @@ class DataStore:
             self.options.cache_chunk_results and kernel.signature is not None
         )
 
-        # Classify (merge thread): restriction decisions + cache probes.
-        # Chunks split three ways: skipped, served from cache, to scan.
+        # Classify (merge thread): the restriction's active chunks, pruned
+        # to the candidates, split three ways as arrays: skipped, served
+        # from the cache, to scan. Only FULL chunks are probed.
         phase_started = time.perf_counter()
+        active = restriction.active
+        if candidates is not None:  # membership: a stray index never wraps
+            active = active[np.isin(active, tuple(candidates))]
+        full = restriction.verdicts[active] == FULL
+        rows = self.row_starts[active + 1] - self.row_starts[active]
+        hit = np.zeros(active.size, dtype=bool)
         ready: list[tuple[tuple[int, ...], Any]] = []  # (chunks, partials)
-        to_scan: list[tuple[int, np.ndarray | None, bool]] = []
-        active: list[int] = []
-        for chunk_index, chunk_rows in enumerate(self.chunk_row_counts):
-            if candidates is not None and chunk_index not in candidates:
-                status = ChunkStatus.SKIP
-            else:
-                decision = restriction.decide(chunk_index)
-                status = decision.status
-            if status is ChunkStatus.SKIP:
-                stats.chunks_skipped += 1
-                stats.rows_skipped += chunk_rows
-                continue
-            active.append(chunk_index)
-            if status is ChunkStatus.FULL:
-                if use_cache:
-                    with self._cache_lock:
-                        cached = self._chunk_cache.get(
-                            (kernel.signature, chunk_index)
-                        )
-                    if cached is not None:
-                        stats.chunks_cached += 1
-                        stats.rows_cached += chunk_rows
-                        counters.increment("datastore.chunk_cache.hits")
-                        ready.append(
-                            ((chunk_index,), [as_run_partial(p) for p in cached])
-                        )
-                        continue
-                    counters.increment("datastore.chunk_cache.misses")
-                to_scan.append((chunk_index, None, use_cache))
-            else:
-                # Partial chunks depend on the WHERE mask: not cacheable.
-                to_scan.append((chunk_index, decision.row_mask, False))
-            stats.chunks_scanned += 1
-            stats.rows_scanned += chunk_rows
-        stats.active_chunks = tuple(active)
+        if use_cache:
+            probed = np.flatnonzero(full)
+            keys = [(kernel.signature, chunk) for chunk in active[probed].tolist()]
+            with self._cache_lock:
+                found = [self._chunk_cache.get(key) for key in keys]
+            for position, (__, chunk), cached in zip(probed.tolist(), keys, found):
+                if cached is not None:
+                    hit[position] = True
+                    ready.append(((chunk,), [as_run_partial(p) for p in cached]))
+            counters.increment("datastore.chunk_cache.hits", len(ready))
+            counters.increment("datastore.chunk_cache.misses", len(keys) - len(ready))
+        stats.chunks_skipped = self.n_chunks - active.size
+        stats.chunks_cached = len(ready)
+        stats.chunks_scanned = active.size - len(ready)
+        stats.rows_skipped = self.n_rows - int(rows.sum())
+        stats.rows_cached = int(rows[hit].sum()) if ready else 0
+        stats.rows_scanned = self.n_rows - stats.rows_skipped - stats.rows_cached
+        stats.active_chunks = tuple(active.tolist())
         stats.restriction_seconds += time.perf_counter() - phase_started
 
         # Fan-out: the pure run kernel runs over the execution strategy,
@@ -1123,7 +1111,8 @@ class DataStore:
         # once more, one chunk per run, so only a chunk that fails on
         # its own is lost.
         phase_started = time.perf_counter()
-        pending = self._runs(to_scan)
+        scan = ~hit
+        pending = self._runs(restriction, active[scan], (full & use_cache)[scan])
         if self.executor.wants_picklable_tasks and len(pending) > 1:
             self.ensure_arena()
         served: list[tuple[Run, Any]] = []
@@ -1138,7 +1127,10 @@ class DataStore:
                 if position not in unserved:
                     served.append((run, partials))
                 elif len(run.chunks) > 1:
-                    retry.extend(Run((c,), (m,), (k,)) for c, m, k in zip(*run))
+                    retry.extend(
+                        Run.of(restriction, [c], [k])
+                        for c, k in zip(run.chunks, run.cacheable)
+                    )
                 else:
                     lost.append(run.chunks[0])
             if not retry:
@@ -1190,17 +1182,24 @@ class DataStore:
         )
         return parsed, stats, kernel
 
-    def _runs(self, to_scan: list[tuple[int, np.ndarray | None, bool]]) -> list["Run"]:
-        """``to_scan`` cut into at most ``executor.workers`` runs of about
+    def _runs(
+        self, restriction: Restriction, chunks: np.ndarray, cacheable: np.ndarray
+    ) -> list["Run"]:
+        """``chunks`` cut into at most ``executor.workers`` runs of about
         equal rows: one kernel call per query on the serial strategy."""
-        n_runs = min(self.executor.workers, len(to_scan))
-        if n_runs <= 1:
-            return [Run(*zip(*to_scan))] if to_scan else []
-        rows = np.cumsum([self.chunk_row_counts[chunk] for chunk, __, __ in to_scan])
-        targets = rows[-1] * np.arange(1, n_runs) / n_runs
-        cuts = np.clip(np.searchsorted(rows, targets) + 1, 1, len(to_scan) - 1)
-        bounds = sorted({0, len(to_scan), *cuts.tolist()})
-        return [Run(*zip(*to_scan[a:b])) for a, b in zip(bounds, bounds[1:])]
+        bounds = [0, chunks.size]
+        n_runs = min(self.executor.workers, chunks.size)
+        if n_runs > 1:
+            starts = self.row_starts
+            rows = np.cumsum(starts[chunks + 1] - starts[chunks])
+            targets = rows[-1] * np.arange(1, n_runs) / n_runs
+            cuts = np.clip(np.searchsorted(rows, targets) + 1, 1, chunks.size - 1)
+            bounds = sorted({*bounds, *cuts.tolist()})
+        return [
+            Run.of(restriction, chunks[a:b].tolist(), cacheable[a:b].tolist())
+            for a, b in zip(bounds, bounds[1:])
+            if a < b
+        ]
 
 
 def _resolve_field_spec(store: DataStore, spec: tuple) -> str:
@@ -1223,13 +1222,18 @@ def _resolve_field_spec(store: DataStore, spec: tuple) -> str:
 
 
 class Run(NamedTuple):
-    """One kernel call: ascending chunk indices to scan, each chunk's row
-    mask (None when the chunk is fully active) and whether its partial
-    may enter the chunk cache."""
+    """One kernel call: ascending chunk indices to scan, the rows it keeps
+    (see :meth:`Restriction.select`) and whether each chunk's partial may
+    enter the chunk cache."""
 
     chunks: tuple[int, ...]
-    masks: tuple[np.ndarray | None, ...]
+    rows: slice | np.ndarray
     cacheable: tuple[bool, ...]
+
+    @classmethod
+    def of(cls, restriction: Restriction, chunks: list, cacheable: list) -> "Run":
+        """The run over ``chunks``, its rows cut from ``restriction``."""
+        return cls(tuple(chunks), restriction.select(chunks), tuple(cacheable))
 
 
 class _RunKernel:
@@ -1273,21 +1277,10 @@ class _RunKernel:
     def __call__(self, run: Run) -> Any:
         return self.scan(run)
 
-    def _selector(self, run: Run) -> Callable[[np.ndarray], np.ndarray]:
-        """Picks the run's rows, masks applied, out of a per-row array."""
-        starts = self.store.row_starts
-        first, last = run.chunks[0], run.chunks[-1]
-        lo, hi = starts[first], starts[last + 1]
-        if last - first + 1 == len(run.chunks) and all(
-            mask is None for mask in run.masks
-        ):
-            return lambda values: values[lo:hi]
-        keep = np.zeros(hi - lo, dtype=bool)
-        for chunk, mask in zip(run.chunks, run.masks):
-            keep[starts[chunk] - lo : starts[chunk + 1] - lo] = (
-                True if mask is None else mask
-            )
-        return lambda values: values[lo:hi][keep]
+    @staticmethod
+    def _selector(run: Run) -> Callable[[np.ndarray], np.ndarray]:
+        """Picks the run's rows out of a per-row array (see :func:`pick`)."""
+        return lambda values: pick(values, run.rows)
 
     @staticmethod
     def _gids(field: FieldStore, select: Callable) -> np.ndarray:
@@ -1358,12 +1351,10 @@ class _GroupedKernel(_RunKernel):
         chunks = np.array(run.chunks)
         group = self.fields[0]
         if group is None:
-            kept = [
-                self.store.chunk_row_counts[chunk]
-                if mask is None
-                else np.count_nonzero(mask)
-                for chunk, mask in zip(run.chunks, run.masks)
-            ]
+            edges = self.store.row_starts[[*run.chunks, run.chunks[-1] + 1]]
+            if not isinstance(run.rows, slice):
+                edges = run.rows.searchsorted(edges)
+            kept = np.diff(edges)
             starts = chunks - chunks[0]
             return RunGroups(
                 np.repeat(starts, kept),

@@ -23,13 +23,17 @@ special support when deciding which chunks and rows are active:
    and one segmented reduction per vector. "No row may be true" -> the
    chunk is **skipped** without touching its elements; "every row
    definitely true" -> the chunk is **fully active** (its result is
-   cacheable). Otherwise an exact per-row mask is computed by gathering
-   the leaf's per-entry outcomes through the chunk's row positions
-   (each row's index into the CSR column) and composing Kleene logic
-   at row level.
+   cacheable). The chunks left undecided are decided by their rows:
+   one whole-store row selection holds every such chunk's rows (a slice
+   when the chunks are adjacent), each leaf gathers its per-entry
+   outcomes through it with one take (a row's CSR position is its
+   chunk-dictionary entry), Kleene logic is composed at row level, and
+   one segmented count per chunk turns the row mask into SKIP, FULL or
+   PARTIAL.
 4. All of that happens once, when the WHERE is compiled: the product is
-   a :class:`Restriction`, one immutable decision per chunk of the
-   store, which every query carrying the same WHERE can read.
+   a :class:`Restriction` of arrays (an int8 verdict per chunk, the
+   active chunks, the PARTIAL chunks' rows as one CSR), which every
+   query carrying the same WHERE reads in O(active chunks).
 
 Skipping is sound: the summary algebra only ever over-approximates the
 set of possible row outcomes, so a skipped chunk provably contains no
@@ -40,7 +44,7 @@ with it (a PARTIAL candidate whose mask turns out empty is skipped).
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -67,6 +71,10 @@ class ChunkStatus(enum.Enum):
     SKIP = "skip"  # no row matches
     FULL = "full"  # every row matches (result cacheable)
     PARTIAL = "partial"  # some rows match; a row mask is needed
+
+
+#: A chunk's verdict as :attr:`Restriction.verdicts` holds it (int8).
+SKIP, FULL, PARTIAL = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -102,10 +110,8 @@ class _Node:
         """The summary vectors over every chunk of the store."""
         raise NotImplementedError
 
-    def row_vectors(
-        self, chunk_index: int, row_positions
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-row (t, n) Kleene vectors for one chunk."""
+    def row_vectors(self, rows, positions_of) -> tuple[np.ndarray, np.ndarray]:
+        """Exact (t, n) Kleene vectors of a whole-store row selection."""
         raise NotImplementedError
 
 
@@ -145,9 +151,9 @@ class _Leaf(_Node):
             all_false=index.reduce(np.logical_and, false),
         )
 
-    def row_vectors(self, chunk_index, row_positions):
+    def row_vectors(self, rows, positions_of):
         # A row's CSR position is its chunk-dictionary entry: one take.
-        return self._unpack(self._entries.take(row_positions(self.field, chunk_index)))
+        return self._unpack(self._entries.take(positions_of(self.field, rows)))
 
 
 class _Binary(_Node):
@@ -168,9 +174,9 @@ class _And(_Binary):
             all_false=a.all_false | b.all_false,
         )
 
-    def row_vectors(self, chunk_index, row_positions):
-        t1, n1 = self.left.row_vectors(chunk_index, row_positions)
-        t2, n2 = self.right.row_vectors(chunk_index, row_positions)
+    def row_vectors(self, rows, positions_of):
+        t1, n1 = self.left.row_vectors(rows, positions_of)
+        t2, n2 = self.right.row_vectors(rows, positions_of)
         false = (~t1 & ~n1) | (~t2 & ~n2)
         true = t1 & t2
         return true, ~false & ~true
@@ -188,9 +194,9 @@ class _Or(_Binary):
             all_false=a.all_false & b.all_false,
         )
 
-    def row_vectors(self, chunk_index, row_positions):
-        t1, n1 = self.left.row_vectors(chunk_index, row_positions)
-        t2, n2 = self.right.row_vectors(chunk_index, row_positions)
+    def row_vectors(self, rows, positions_of):
+        t1, n1 = self.left.row_vectors(rows, positions_of)
+        t2, n2 = self.right.row_vectors(rows, positions_of)
         true = t1 | t2
         return true, ~true & (n1 | n2)
 
@@ -209,67 +215,135 @@ class _Not(_Node):
             all_false=s.all_true,
         )
 
-    def row_vectors(self, chunk_index, row_positions):
-        t, n = self.operand.row_vectors(chunk_index, row_positions)
+    def row_vectors(self, rows, positions_of):
+        t, n = self.operand.row_vectors(rows, positions_of)
         return ~t & ~n, n
 
 
 class Restriction:
-    """A classified WHERE clause: one immutable decision per chunk.
+    """A classified WHERE clause, as arrays over the chunks of the store.
 
-    Nothing is filled in after construction, so one instance may serve
-    any number of queries (and threads) that carry the same WHERE.
-    ``fields`` names what the WHERE read, for the queries' accounting.
+    ``verdicts``: an int8 per chunk (SKIP / FULL / PARTIAL); ``active``:
+    the chunks not skipped, ascending. The rows a PARTIAL chunk keeps are
+    one CSR: chunk ``c`` owns ``rows[offsets[c]:offsets[c + 1]]``,
+    ascending whole-store row indices (empty for any other chunk). All of
+    it is set here and never written again, so one instance serves every
+    query (and thread) that carries the same WHERE; ``fields`` names what
+    the WHERE read, for their accounting.
     """
 
     def __init__(
         self,
-        decisions: list[ChunkDecision] | None,
+        verdicts: np.ndarray,
+        rows: np.ndarray,
+        offsets: np.ndarray,
+        row_starts: np.ndarray,
         fields: tuple[str, ...] = (),
     ) -> None:
-        self._decisions = decisions  # None: no WHERE, every chunk is FULL
+        self.verdicts = verdicts
+        self.active = np.flatnonzero(verdicts)
+        self.rows = rows
+        self.offsets = offsets
+        for array in (verdicts, self.active, rows, offsets):
+            array.setflags(write=False)
+        self.row_starts = row_starts
         self.fields = fields
 
-    @property
-    def unrestricted(self) -> bool:
-        return self._decisions is None
-
     def decide(self, chunk_index: int) -> ChunkDecision:
-        """Skip / full / partial decision (with row mask) for one chunk."""
-        if self._decisions is None:
-            return _FULL
-        return self._decisions[chunk_index]
+        """One chunk's verdict and row mask: a view for tests and tracing."""
+        verdict = self.verdicts[chunk_index]
+        if verdict != PARTIAL:
+            return _FULL if verdict == FULL else _SKIP
+        start, stop = self.row_starts[chunk_index : chunk_index + 2]
+        row_mask = np.zeros(stop - start, dtype=bool)
+        lo, hi = self.offsets[chunk_index : chunk_index + 2]
+        row_mask[self.rows[lo:hi] - start] = True
+        row_mask.setflags(write=False)
+        return ChunkDecision(ChunkStatus.PARTIAL, row_mask)
+
+    def select(self, chunks: Sequence[int]) -> slice | np.ndarray:
+        """The rows this WHERE keeps in ``chunks`` (ascending, none SKIP).
+
+        A slice when they are every row of a contiguous range of chunks,
+        a view of the CSR when they are a contiguous stretch of its
+        PARTIAL chunks; else ascending row indices, FULL chunks as ranges
+        and PARTIAL ones cut from the CSR.
+        """
+        chunks = np.asarray(chunks)
+        first, last = chunks[0], chunks[-1]
+        starts, offsets = self.row_starts, self.offsets
+        partial = self.verdicts[chunks] == PARTIAL
+        if not partial.any():
+            if last - first + 1 == chunks.size:
+                return slice(int(starts[first]), int(starts[last + 1]))
+        elif partial.all():
+            between = self.verdicts[first : last + 1] == PARTIAL
+            if np.count_nonzero(between) == chunks.size:
+                return self.rows[offsets[first] : offsets[last + 1]]
+        # A chunk is a range of row indices (FULL) or of CSR slots (PARTIAL).
+        begin = np.where(partial, offsets[chunks], starts[chunks])
+        lengths = np.where(partial, offsets[chunks + 1], starts[chunks + 1]) - begin
+        selected = _ranges(begin, lengths)
+        slots = np.repeat(partial, lengths)
+        selected[slots] = self.rows[selected[slots]]
+        return selected
 
     def size_bytes(self) -> int:
-        """Resident bytes: one reference per chunk plus the PARTIAL masks."""
-        decisions = self._decisions or ()
-        return 64 + 8 * len(decisions) + sum(
-            64 + decision.row_mask.nbytes
-            for decision in decisions
-            if decision.row_mask is not None
-        )
+        """Resident bytes, its chunk-cache weight: the arrays it holds."""
+        arrays = (self.verdicts, self.active, self.rows, self.offsets)
+        return 64 + sum(array.nbytes for array in arrays)
+
+
+def pick(values: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+    """``values`` at a row selection: a view of a slice, else one take."""
+    return values[rows] if isinstance(rows, slice) else values.take(rows)
+
+
+def _ranges(begin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(b, b + n)`` for every pair, concatenated, without a loop."""
+    values = np.repeat(begin - (np.cumsum(lengths) - lengths), lengths)
+    values += np.arange(values.size)
+    return values
 
 
 def _classify(
-    root: _Node, row_positions: Callable[[str, int], np.ndarray]
-) -> list[ChunkDecision]:
-    """Decide every chunk of the store: the vector pass, then row masks."""
+    root: _Node | None,
+    row_starts: np.ndarray,
+    positions_of: Callable[[str, slice | np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Verdicts and the PARTIAL rows' CSR: the vector pass, then one row pass.
+
+    The undecided chunks' rows are one selection (a slice when the
+    chunks are adjacent). Every such chunk has rows (an empty chunk has
+    no value that may be true), so the segmented count over them never
+    meets an empty segment.
+    """
+    offsets = np.zeros(row_starts.size, dtype=np.intp)
+    if root is None:  # no WHERE: every chunk is FULL
+        return np.full(offsets.size - 1, FULL, np.int8), np.empty(0, np.intp), offsets
     outcomes = root.outcomes()
-    all_true = outcomes.all_true.tolist()
-    decisions = [_SKIP] * len(all_true)
-    for chunk_index in np.flatnonzero(outcomes.may_true).tolist():
-        if all_true[chunk_index]:
-            decisions[chunk_index] = _FULL
-            continue
-        row_mask, __ = root.row_vectors(chunk_index, row_positions)
-        if not row_mask.any():
-            continue
-        if row_mask.all():
-            decisions[chunk_index] = _FULL
-        else:
-            row_mask.setflags(write=False)
-            decisions[chunk_index] = ChunkDecision(ChunkStatus.PARTIAL, row_mask)
-    return decisions
+    verdicts = np.where(outcomes.all_true, FULL, PARTIAL).astype(np.int8)
+    verdicts[~outcomes.may_true] = SKIP
+    undecided = np.flatnonzero(verdicts == PARTIAL)
+    if not undecided.size:
+        return verdicts, np.empty(0, np.intp), offsets
+    begin = row_starts[undecided]
+    counts = row_starts[undecided + 1] - begin
+    if undecided[-1] - undecided[0] + 1 == undecided.size:
+        rows: slice | np.ndarray = slice(int(begin[0]), int(begin[0] + counts.sum()))
+    else:
+        rows = _ranges(begin, counts)
+    row_mask, __ = root.row_vectors(rows, positions_of)
+    kept = np.add.reduceat(row_mask, np.cumsum(counts) - counts, dtype=np.intp)
+    verdicts[undecided[kept == 0]] = SKIP
+    verdicts[undecided[kept == counts]] = FULL
+    partial = (kept > 0) & (kept < counts)
+    row_mask &= np.repeat(partial, counts)
+    offsets[1:][undecided] = np.where(partial, kept, 0)
+    np.cumsum(offsets, out=offsets)
+    if isinstance(rows, slice):
+        return verdicts, np.flatnonzero(row_mask) + rows.start, offsets
+    return verdicts, rows[row_mask], offsets
 
 
 # -- leaf mask construction ---------------------------------------------------
@@ -402,22 +476,25 @@ def _compile_tree(
 
 def compile_restriction(
     where: Expr | None,
+    row_starts: np.ndarray,
     ensure_field: Callable[[Expr], str],
     dictionary_of: Callable[[str], Dictionary],
     chunk_dict_index_of: Callable[[str], ChunkDictIndex],
-    row_positions: Callable[[str, int], np.ndarray],
+    positions_of: Callable[[str, slice | np.ndarray], np.ndarray],
 ) -> Restriction:
     """Compile a WHERE expression and classify the whole store with it.
 
+    ``row_starts`` says where each chunk's rows begin, plus the end.
     ``ensure_field`` materializes an arbitrary scalar expression as a
     (virtual) field and returns its name — the hook into the
     datastore's virtual-field machinery. ``chunk_dict_index_of`` returns
-    a field's (memoised) chunk-dictionary index, ``row_positions`` the
-    CSR positions of one chunk's rows of a field (an index into that
-    index's ``gids``, see ``FieldStore.row_positions``).
+    a field's (memoised) chunk-dictionary index, ``positions_of`` a
+    field's CSR positions at a row selection (a slice or whole-store row
+    indices; an index into that index's ``gids``, see
+    ``FieldStore.row_positions``).
     """
     if where is None:
-        return Restriction(None)
+        return Restriction(*_classify(None, row_starts, positions_of), row_starts)
     fields: set[str] = set()
 
     def ensure(expr: Expr) -> str:
@@ -426,4 +503,6 @@ def compile_restriction(
         return name
 
     root = _compile_tree(where, ensure, dictionary_of, chunk_dict_index_of)
-    return Restriction(_classify(root, row_positions), tuple(sorted(fields)))
+    return Restriction(
+        *_classify(root, row_starts, positions_of), row_starts, tuple(sorted(fields))
+    )

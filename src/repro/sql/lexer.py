@@ -75,22 +75,23 @@ def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; always ends with an END token."""
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__  # Token(...) runs a Python-level __new__ per token
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
         value = match[kind]
         start = match.start(kind)
         if kind == "symbol":
-            append(Token(_SYMBOL, value, start))
+            append(new(Token, (_SYMBOL, value, start)))
         elif kind == "word" or (kind == "name" and value[0].isalpha()):
             upper = value.upper()
             if upper in KEYWORDS:
-                append(Token(_KEYWORD, upper, start))
+                append(new(Token, (_KEYWORD, upper, start)))
             else:
-                append(Token(_IDENT, value, start))
+                append(new(Token, (_IDENT, value, start)))
         elif kind == "string":
             if match["closed"] is None:
                 raise SqlSyntaxError("unterminated string literal", start)
-            append(Token(_STRING, value[1:-1].replace("''", "'"), match.end()))
+            append(new(Token, (_STRING, value[1:-1].replace("''", "'"), match.end())))
         elif kind in ("float", "int"):
             end = match.end()
             if text[end : end + 1].isdigit():
@@ -99,9 +100,9 @@ def tokenize(text: str) -> list[Token]:
                 number = float(value) if kind == "float" else int(value)
             except ValueError:
                 raise SqlSyntaxError(f"malformed number {value!r}", start) from None
-            append(Token(_NUMBER_KIND, number, end))
+            append(new(Token, (_NUMBER_KIND, number, end)))
         elif kind == "end":
-            append(Token(_END, None, start))
+            append(new(Token, (_END, None, start)))
             break  # the end matches again, after trailing white space
         else:
             _reject(text, start)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import glob
 import os
 
+import numpy as np
 import pytest
 
-from repro.core.datastore import DataStore, DataStoreOptions
+from repro.core.datastore import DataStore, DataStoreOptions, Run
 from repro.core.table import Table
 from repro.storage.arena import SEGMENT_PREFIX, live_segment_names
 from repro.workload.generator import LogsConfig, generate_query_logs
@@ -93,6 +94,17 @@ def make_store(table: Table, **overrides) -> DataStore:
         **overrides,
     )
     return DataStore.from_table(table, options)
+
+
+def run_of(store: DataStore, chunks, masks) -> Run:
+    """A kernel run over ``chunks``, each keeping its mask's rows (None:
+    every row), with no partial bound for the chunk cache."""
+    starts = store.row_starts
+    rows = [
+        np.arange(starts[c], starts[c + 1])[slice(None) if m is None else m]
+        for c, m in zip(chunks, masks)
+    ]
+    return Run(tuple(chunks), np.concatenate(rows), (False,) * len(chunks))
 
 
 @pytest.fixture(scope="session")

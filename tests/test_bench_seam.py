@@ -15,12 +15,14 @@ from __future__ import annotations
 import ast
 import sys
 import threading
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import datastore as datastore_module
+from repro.core.result import ScanStats
 from repro.monitoring import counters
 from repro.sql.parser import parse_query
 from repro.workload.queries import QUERY_1
@@ -37,6 +39,7 @@ _PROJECTION = (
     "SELECT table_name, latency FROM data WHERE latency > 500 "
     "ORDER BY latency DESC LIMIT 5"
 )
+_TIMERS = [f.name for f in fields(ScanStats) if f.name.endswith("_seconds")]
 _COMMON_SPANS = {
     "sql.parse",
     "plan.resolve",
@@ -70,21 +73,26 @@ def tracer():
 )
 def test_every_layer_patch_sees_the_query(log_table, tracer, query, spans):
     store = make_store(log_table)
-    result = store.execute(query)
+    store.execute(query)
     calls = {name: span.calls for name, span in tracer.aggregate().items()}
     assert {name: calls.get(name, 0) for name in spans} == dict.fromkeys(spans, 1)
     assert ("plan.group" in calls) == ("plan.group" in spans)
-    # No candidate pruning: the restriction decides every chunk once.
-    decide = tracer.tallies["restriction.decide"]
-    assert decide.calls == store.n_chunks == result.stats.chunks_total
-    assert decide.outcomes["SKIP"] == result.stats.chunks_skipped
+    # The query path reads the restriction's arrays, never a chunk's view.
+    assert tracer.tallies["restriction.decide"].calls == 0
 
 
 def test_candidate_pruned_chunks_are_never_decided(log_table, tracer):
-    store = make_store(log_table)
-    candidates = range(0, store.n_chunks, 3)
-    store.execute(QUERY_1, candidate_chunks=candidates)
-    assert tracer.tallies["restriction.decide"].calls == len(candidates)
+    """Repeated, negative and past-the-end candidates are ignored, never
+    wrapped: ``-1`` does not name the last chunk."""
+    store = make_store(log_table, cache_chunk_results=False)
+    n = store.n_chunks
+    kept = tuple(range(0, n - 1, 3))
+    messy = store.execute(QUERY_1, candidate_chunks=[*kept, *kept, -1, -n, n, n + 7])
+    pruned = store.execute(QUERY_1, candidate_chunks=kept)
+    assert messy.content_equal(pruned) and messy.stats.active_chunks == kept
+    work = [replace(r.stats, **dict.fromkeys(_TIMERS, 0.0)) for r in (messy, pruned)]
+    assert work[0] == work[1]
+    assert tracer.tallies["restriction.decide"].calls == 0
 
 
 def test_patches_are_removed_again(tracer):
@@ -114,6 +122,7 @@ def test_the_query_path_has_not_forked_again():
     assert _call_sites(tree, "compile_restriction") == ["_run_pipeline"]
     assert _call_sites(tree, "map_supervised") == ["_run_pipeline"]
     assert _call_sites(tree, "make_executor") == ["_build_runtime"]
+    assert _call_sites(tree, "decide") == []  # the query path reads arrays
 
 
 # -- the work gate: classification is O(leaves) numpy passes, not O(chunks) ----
@@ -134,8 +143,8 @@ def _restricted_queries(store) -> list[str]:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts every leaf's vector pass, every row mask a leaf contributes
-    to and every chunk-dictionary index built."""
+    """Records every leaf's vector pass, every row-vector gather a leaf
+    makes and every chunk-dictionary index built."""
     from repro.core.restriction import _Leaf
     from repro.storage.chunk import ChunkDictIndex
 
@@ -147,9 +156,9 @@ def passes(monkeypatch):
         seen.leaves.append(leaf)
         return leaf_outcomes(leaf)
 
-    def counted_row_vectors(leaf, chunk_index, element_arrays):
-        seen.row_vectors.append((leaf, chunk_index))
-        return leaf_row_vectors(leaf, chunk_index, element_arrays)
+    def counted_row_vectors(leaf, rows, positions_of):
+        seen.row_vectors.append(leaf)
+        return leaf_row_vectors(leaf, rows, positions_of)
 
     def counted_index(chunk_dicts):
         seen.indexes.append(ChunkDictIndex(chunk_dicts))
@@ -164,17 +173,15 @@ def passes(monkeypatch):
 def test_one_vector_pass_per_leaf_one_index_per_field(log_table, tracer, passes):
     store = make_store(log_table)
     queries = _restricted_queries(store)
-    decide = tracer.tallies["restriction.decide"]
     store.execute(queries[0])
-    assert decide.calls == store.n_chunks  # still the per-chunk door …
-    assert len(passes.leaves) == 3  # … behind one pass per WHERE leaf
-    candidates = range(1, store.n_chunks, 2)
-    store.execute(queries[1], candidate_chunks=candidates)
-    assert decide.calls == store.n_chunks + len(candidates)
+    assert len(passes.leaves) == 3  # one pass per WHERE leaf
+    store.execute(queries[1], candidate_chunks=range(1, store.n_chunks, 2))
     for query in queries[2:]:
         store.execute(query)
-    assert decide.calls == 9 * store.n_chunks + len(candidates)
     assert len(passes.leaves) == len({id(leaf) for leaf in passes.leaves}) == 30
+    # A leaf gathers the rows of every undecided chunk at once, or nothing.
+    assert len({*map(id, passes.row_vectors)}) == len(passes.row_vectors) <= 30
+    assert tracer.tallies["restriction.decide"].calls == 0
     restricted = [store.field(n) for n in ("country", "latency", "table_name")]
     assert sorted(map(id, passes.indexes)) == sorted(
         id(field._chunk_dict_index) for field in restricted
@@ -244,12 +251,9 @@ def _click(store) -> list[str]:
 
 
 def _undecided_chunks(store, query: str) -> list[int]:
-    """The chunks the vector pass leaves to a row mask (per-chunk oracle)."""
+    """The chunks the vector pass leaves to the rows (per-chunk oracle)."""
     root = _tree(store, parse_query(query).where)
-    summaries = [
-        restriction_oracle.summary(root, store, chunk_index)
-        for chunk_index in range(store.n_chunks)
-    ]
+    summaries = (restriction_oracle.summary(root, store, i) for i in range(store.n_chunks))
     return [i for i, s in enumerate(summaries) if s.may_true and not s.all_true]
 
 
@@ -260,21 +264,16 @@ def test_a_click_classifies_its_where_once(log_table, tracer, passes):
         store.execute(query)
     assert tracer.aggregate()["restriction.compile"].calls == 1
     assert len(passes.leaves) == 3
-    undecided = _undecided_chunks(store, click[0])
-    assert len(undecided) > 1
-    assert sorted((id(leaf), i) for leaf, i in passes.row_vectors) == sorted(
-        (id(leaf), i) for leaf in passes.leaves for i in undecided
-    )
-    # Still the per-chunk door, once per candidate chunk and query.
-    assert tracer.tallies["restriction.decide"].calls == 20 * store.n_chunks
+    assert len(_undecided_chunks(store, click[0])) > 1
+    # One gather per leaf for all of them, not one per undecided chunk.
+    assert passes.row_vectors == passes.leaves
     # A store that remembers nothing runs, every time, what a hit skips.
     forgetful = make_store(log_table, cache_chunk_results=False)
     for query in click:
         forgetful.execute(query)
     assert tracer.aggregate()["restriction.compile"].calls == 1 + 20
-    assert len(passes.leaves) == 3 + 20 * 3
-    assert len(passes.row_vectors) == (1 + 20) * 3 * len(undecided)
-    assert tracer.tallies["restriction.decide"].calls == 2 * 20 * store.n_chunks
+    assert len(passes.leaves) == len(passes.row_vectors) == (1 + 20) * 3
+    assert tracer.tallies["restriction.decide"].calls == 0
 
 
 def test_concurrent_first_touch_of_a_where_leaves_one_classification(log_table):

@@ -15,7 +15,6 @@ from repro.core.datastore import (
     DataStore,
     DataStoreOptions,
     FieldStore,
-    Run,
     _GroupedKernel,
 )
 from repro.core.engine import (
@@ -42,6 +41,7 @@ from repro.storage.elements import (
 )
 
 from tests import engine_oracle
+from tests.conftest import run_of
 
 
 def _chunk(group_ids, mask=None):
@@ -390,11 +390,7 @@ class TestPartialsMatchTheGidSpaceOracle:
             for run_chunks in layout:
                 # Cached chunks are served apart, so a run skips over them.
                 scanned = [c for c in run_chunks if c not in cached] or run_chunks
-                run = Run(
-                    tuple(scanned),
-                    tuple(chunks[c][2] for c in scanned),
-                    (False,) * len(scanned),
-                )
+                run = run_of(store, scanned, [chunks[c][2] for c in scanned])
                 partials = kernel.scan(run)
                 for k, chunk_index in enumerate(scanned):
                     for slot, (aggregator, partial) in enumerate(zip(slots, partials)):

@@ -1,8 +1,9 @@
 """Parser tests for the PowerDrill SQL dialect."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import SqlSyntaxError
+from repro.errors import ReproError, SqlSyntaxError
 from repro.sql.ast_nodes import (
     Aggregate,
     BinaryOp,
@@ -14,8 +15,12 @@ from repro.sql.ast_nodes import (
     UnaryOp,
     referenced_fields,
 )
+from repro.sql.lexer import TokenKind, tokenize
 from repro.sql.parser import parse_query
 from repro.workload.queries import paper_queries
+
+from tests import parser_oracle
+from tests.test_prop_sql import _queries
 
 
 class TestPaperQueries:
@@ -187,3 +192,57 @@ class TestReferencedFields:
             fields |= referenced_fields(item.expr)
         fields |= referenced_fields(query.where)
         assert fields == {"x", "ts", "y"}
+
+
+# -- the direct-read parser against the method-call parser it replaced ---------
+
+
+def _outcome(parse, text: str):
+    """The AST's repr (``1`` and ``1.0`` stay apart), or the error and its
+    position."""
+    try:
+        return repr(parse(text))
+    except ReproError as error:
+        return type(error).__name__, str(error), getattr(error, "position", None)
+
+
+def _token_texts(text: str) -> list[str]:
+    """``text`` as one source string per token (the END token dropped)."""
+    texts = []
+    for kind, value, __ in tokenize(text)[:-1]:
+        if kind is TokenKind.STRING:
+            texts.append("'" + value.replace("'", "''") + "'")
+        else:
+            texts.append(repr(value) if kind is TokenKind.NUMBER else value)
+    return texts
+
+
+#: What an insertion may put between two tokens.
+_INSERTS = [
+    *"SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT AS AND OR NOT IN IS".split(),
+    *"NULL BETWEEN LIKE DISTINCT ASC DESC".split(),
+    *["(", ")", ",", "=", "!=", "<", ">=", "*", "+", "-", "/", ";"],
+    *["7", "2.5", "'s'", "a", "count", "lower", "nosuchfn"],
+]
+
+
+@st.composite
+def _edited_queries(draw) -> str:
+    """A generated query, as is or with one token deleted or inserted."""
+    texts = _token_texts(draw(_queries()).sql())
+    edit = draw(st.sampled_from(["none", "delete", "insert"]))
+    if edit == "delete":
+        del texts[draw(st.integers(0, len(texts) - 1))]
+    elif edit == "insert":
+        texts.insert(draw(st.integers(0, len(texts))), draw(st.sampled_from(_INSERTS)))
+    return " ".join(texts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_queries())
+@example("SELECT a FROM t WHERE NOT a NOT BETWEEN 1 AND 2 OR b NOT LIKE 'x%'")
+@example("SELECT a FROM t WHERE a IS NOT 1")
+@example("SELECT COUNT(DISTINCT a), APPROX_COUNT_DISTINCT(b, 2.5) FROM t")
+@example("SELECT -(a) * -2 FROM t WHERE a IN (-1, NULL, 'x') LIMIT 1.0")
+def test_queries_parse_or_fail_as_the_method_call_parser_did(text):
+    assert _outcome(parse_query, text) == _outcome(parser_oracle.parse_query, text)

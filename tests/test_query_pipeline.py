@@ -34,7 +34,7 @@ from repro.workload.queries import (
     generate_drilldown_session_groups,
 )
 
-from tests.conftest import make_store
+from tests.conftest import make_store, run_of
 from tests.test_process_supervision import _chaos, _process_store
 
 #: The nine query classes of the benchmark's ``full_scan`` workload.
@@ -298,7 +298,7 @@ def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatc
     alone, so the cached weights have not moved."""
     import numpy as np
 
-    from repro.core.datastore import FieldStore, Run, _GroupedKernel, _partials_weight
+    from repro.core.datastore import FieldStore, _GroupedKernel, _partials_weight
     from repro.core.plan import resolve_group_aliases
 
     store = make_store(log_table)
@@ -322,11 +322,11 @@ def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatc
         return positions(field)
 
     monkeypatch.setattr(FieldStore, "row_positions", counted_positions)
-    partials = kernel.scan(Run(chunks, tuple(masks), (False,) * len(chunks)))
+    partials = kernel.scan(run_of(store, chunks, masks))
     assert sorted(reads) == ["country", "latency"]
     assert partials[2] is partials[0] and partials[1] is not partials[0]
     for k, chunk_index in enumerate(chunks):
-        alone = kernel.scan(Run((chunk_index,), (masks[chunk_index],), (False,)))
+        alone = kernel.scan(run_of(store, (chunk_index,), (masks[chunk_index],)))
         ours = kernel.chunk_partials(partials, k)
         theirs = kernel.chunk_partials(alone, 0)
         assert ours[2] is ours[0]
@@ -391,6 +391,34 @@ def test_zero_row_store_with_a_where():
     for result in (grouped, projected):
         assert result.table.n_rows == 0 and result.complete
         assert _work_row(result.stats) == (*[0] * 4, 1, 1, *[0] * 5, (), ("v", "w"), 32)
+
+
+def test_a_click_probes_the_chunk_cache_as_the_parent_did(log_table):
+    """Hits and misses are published once per query, by count: a click's
+    totals, cold then warm, are the parent's per-chunk increments."""
+    store = make_store(log_table)
+    countries = [v for v in store.field("country").dictionary.values() if v]
+    tables = [v for v in store.field("table_name").dictionary.values() if v]
+    where = (
+        f"country IN ('{countries[0]}', '{countries[2]}') "
+        f"OR table_name IN ('{tables[1]}') OR latency > 9000"
+    )
+    click = [
+        f"SELECT {group}, {metric} AS m FROM data WHERE {where} GROUP BY {group}"
+        for group in ("country", "table_name", "user_name")
+        for metric in ("COUNT(*)", "COUNT(latency)", "COUNT(DISTINCT user_name)")
+        + tuple(f"{name}(latency)" for name in ("SUM", "AVG", "MIN", "MAX"))
+    ][:20]
+    names = ("datastore.chunk_cache.hits", "datastore.chunk_cache.misses")
+    totals = []
+    for __ in range(2):
+        before = [counters.get(name) for name in names]
+        for query in click:  # the classify phase is still charged
+            assert store.execute(query).stats.restriction_seconds > 0
+        totals.append(tuple(counters.get(n) - b for n, b in zip(names, before)))
+    assert totals == [(0, 40), (40, 0)]
+    stats = store.chunk_cache_stats()  # the WHERE entry's probes as well
+    assert (stats.hits, stats.misses) == (79, 41)
 
 
 def test_warm_chunk_cache_is_counted_the_same_by_both_doors(log_table):

@@ -1,13 +1,18 @@
 """Restriction analysis tests: skipping soundness and Kleene masks."""
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.datastore import DataStore, DataStoreOptions, FieldStore
 from repro.core.restriction import (
+    FULL,
+    PARTIAL,
+    SKIP,
     ChunkStatus,
     _compile_tree,
     compile_restriction,
+    pick,
 )
 from repro.core.table import Table
 from repro.sql.ast_nodes import BinaryOp, FieldRef, InList, Literal, UnaryOp
@@ -39,12 +44,11 @@ def _compile(store, where_sql: str):
 
 def _hooks(store):
     return (
+        store.row_starts,
         store.ensure_field,
         lambda name: store.field(name).dictionary,
         lambda name: store.field(name).chunk_dict_index(),
-        lambda name, index: store.field(name).row_positions()[
-            store.row_starts[index] : store.row_starts[index + 1]
-        ],
+        lambda name, rows: pick(store.field(name).row_positions(), rows),
     )
 
 
@@ -54,7 +58,7 @@ def _compile_expr(store, where):
 
 def _tree(store, where):
     """The predicate tree ``compile_restriction`` classifies the store with."""
-    return _compile_tree(where, *_hooks(store)[:3])
+    return _compile_tree(where, *_hooks(store)[1:4])
 
 
 def _root(store, where_sql: str):
@@ -95,9 +99,11 @@ class TestDecisions:
     def test_unrestricted_is_full(self):
         store = _store(["a"] * 10)
         restriction = compile_restriction(
-            None, store.ensure_field, None, None, None
+            None, store.row_starts, store.ensure_field, None, None, None
         )
-        assert restriction.unrestricted
+        assert restriction.verdicts.tolist() == [FULL] * store.n_chunks
+        assert restriction.active.tolist() == list(range(store.n_chunks))
+        assert restriction.select(restriction.active) == slice(0, store.n_rows)
         assert restriction.decide(0).status is ChunkStatus.FULL
 
     def test_in_skips_nonmatching_chunks(self):
@@ -256,6 +262,65 @@ _PREDICATES = st.recursive(
 _LAYOUTS = [(("v",), 1), (("v",), 3), (("v", "w"), 2), (("w",), 5), (None, 1000)]
 
 
+_VERDICTS = {ChunkStatus.SKIP: SKIP, ChunkStatus.FULL: FULL, ChunkStatus.PARTIAL: PARTIAL}
+
+
+def _assert_classified_as_the_oracle(store, where) -> None:
+    """Verdict array, active chunks, PARTIAL rows' CSR, the per-chunk view
+    and the rows of any run equal what the per-chunk algebra decides."""
+    restriction = _compile_expr(store, where)
+    root = _tree(store, where)
+    verdicts, kept, starts = [], [], store.row_starts
+    for chunk_index in range(store.n_chunks):
+        status, row_mask = restriction_oracle.decide(root, store, chunk_index)
+        decision = restriction.decide(chunk_index)
+        assert decision.status is status
+        assert (decision.row_mask is None) == (row_mask is None)
+        if row_mask is not None:
+            assert decision.row_mask.tolist() == row_mask.tolist()
+        verdicts.append(_VERDICTS[status])
+        rows = np.arange(starts[chunk_index], starts[chunk_index + 1])
+        kept.append(rows if row_mask is None else rows[row_mask])
+    assert restriction.verdicts.tolist() == verdicts
+    active = [i for i, verdict in enumerate(verdicts) if verdict != SKIP]
+    assert restriction.active.tolist() == active
+    partial = [kept[i] if v == PARTIAL else kept[i][:0] for i, v in enumerate(verdicts)]
+    assert restriction.offsets.tolist() == [0, *np.cumsum([r.size for r in partial])]
+    assert restriction.rows.tolist() == [row for rows in partial for row in rows]
+    # The chunk-cache weight covers the verdicts and the CSR.
+    held = (restriction.verdicts, restriction.rows, restriction.offsets)
+    assert restriction.size_bytes() >= sum(array.nbytes for array in held)
+    for run in ([active] if active else []) + [[i] for i in active] + [active[1::2]]:
+        if run:
+            selected = restriction.select(run)
+            if isinstance(selected, slice):
+                selected = np.arange(selected.start, selected.stop)
+            assert selected.tolist() == [row for i in run for row in kept[i]]
+
+
+#: One chunk of each ``w``, each holding ``v`` = 'a' and 'b': the summaries
+#: leave every chunk undecided, and the rows decide them three ways.
+_MIXED_CHUNKS = [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)]
+_MIXED_VERDICTS = {"v = 'a'": PARTIAL, "v = 'a' OR v = 'b'": FULL, "v IN ('a') AND v IN ('b')": SKIP}
+
+
+def _two_field_store(rows, layout, reorder=False):
+    partition_fields, max_chunk_rows = layout
+    return DataStore.from_table(
+        Table.from_columns({"v": [v for v, __ in rows], "w": [w for __, w in rows]}),
+        DataStoreOptions(
+            partition_fields=partition_fields,
+            max_chunk_rows=max_chunk_rows,
+            reorder_rows=reorder and partition_fields is not None,
+        ),
+    )
+
+
+def _on_mixed_chunks(where_sql: str):
+    where = parse_query(f"SELECT v FROM data WHERE {where_sql}").where
+    return example(rows=_MIXED_CHUNKS, layout=(("w",), 2), reorder=False, where=where)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(
@@ -269,33 +334,31 @@ _LAYOUTS = [(("v",), 1), (("v",), 3), (("v", "w"), 2), (("w",), 5), (None, 1000)
     reorder=st.booleans(),
     where=_PREDICATES,
 )
+@_on_mixed_chunks("v = 'a'")
+@_on_mixed_chunks("v = 'a' OR v = 'b'")
+@_on_mixed_chunks("v IN ('a') AND v IN ('b')")
 def test_vector_pass_equals_the_per_chunk_algebra(rows, layout, reorder, where):
     # An all-NULL column gets a numeric dictionary, which (rightly)
     # refuses to order-compare against the string literals drawn for v.
     assume(any(v is not None for v, __ in rows))
-    partition_fields, max_chunk_rows = layout
-    store = DataStore.from_table(
-        Table.from_columns({"v": [v for v, __ in rows], "w": [w for __, w in rows]}),
-        DataStoreOptions(
-            partition_fields=partition_fields,
-            max_chunk_rows=max_chunk_rows,
-            reorder_rows=reorder and partition_fields is not None,
-        ),
-    )
-    restriction = _compile_expr(store, where)
+    store = _two_field_store(rows, layout, reorder)
     root = _tree(store, where)
     outcomes = root.outcomes()
     assert all(vector.shape == (store.n_chunks,) for vector in outcomes)
     for chunk_index in range(store.n_chunks):
         expected = restriction_oracle.summary(root, store, chunk_index)
         assert tuple(bool(v[chunk_index]) for v in outcomes) == expected
-        status, row_mask = restriction_oracle.decide(root, store, chunk_index)
-        decision = restriction.decide(chunk_index)
-        assert decision.status is status
-        if row_mask is None:
-            assert decision.row_mask is None
-        else:
-            assert decision.row_mask.tolist() == row_mask.tolist()
+    _assert_classified_as_the_oracle(store, where)
+
+
+def test_rows_decide_what_the_summaries_leave_open():
+    store = _two_field_store(_MIXED_CHUNKS, (("w",), 2))
+    for where, verdict in _MIXED_VERDICTS.items():
+        root = _root(store, where)
+        for chunk_index in range(store.n_chunks):
+            summary = restriction_oracle.summary(root, store, chunk_index)
+            assert summary.may_true and not summary.all_true
+        assert _compile(store, where).verdicts.tolist() == [verdict] * store.n_chunks
 
 
 def test_zero_row_chunks_take_the_reduction_identity():
@@ -307,6 +370,9 @@ def test_zero_row_chunks_take_the_reduction_identity():
         expected = restriction_oracle.summary(root, store, 0)
         assert tuple(bool(v[0]) for v in root.outcomes()) == expected
         assert _compile(store, where).decide(0).status is ChunkStatus.SKIP
+        _assert_classified_as_the_oracle(
+            store, parse_query(f"SELECT v FROM data WHERE {where}").where
+        )
 
 
 def test_zero_chunk_store_classifies_without_error():

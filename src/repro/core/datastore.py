@@ -30,7 +30,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -188,13 +188,14 @@ class FieldStore:
         name: str,
         dictionary: Dictionary,
         chunks: list[ColumnChunk],
-        virtual: bool = False,
+        spec: tuple | None = None,
         chunk_dict_index: ChunkDictIndex | None = None,
     ) -> None:
         self.name = name
         self.dictionary = dictionary
         self.chunks = chunks
-        self.virtual = virtual
+        # What the field is (see DataStore.field_spec); ``name`` is a label.
+        self.spec = spec or ("field", name)
         # Advisor verdict for this field's serialized section (None
         # means the legacy uncompressed framing). codec_choice keeps
         # the full CodecChoice record for describe/fsck surfacing.
@@ -223,6 +224,11 @@ class FieldStore:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._reset_memos()
+
+    @property
+    def virtual(self) -> bool:
+        """Derived from other fields, not imported."""
+        return self.spec[0] != "field"
 
     # -- per-chunk row data -------------------------------------------------
     def row_global_ids(self, chunk_index: int) -> np.ndarray:
@@ -441,6 +447,23 @@ class ImportStats:
         )
 
 
+class _ExprText(str):
+    """An expression's rendered SQL, carrying the expression.
+
+    The text is what an ``("expr", ...)`` spec compares and hashes by —
+    never the AST, whose ``Literal(1) == Literal(1.0)``. The expression
+    rides along so a worker that unpickles the spec can build the field.
+    """
+
+    def __new__(cls, expr: Expr) -> "_ExprText":
+        text = super().__new__(cls, expr.sql())
+        text.expr = expr
+        return text
+
+    def __reduce__(self) -> tuple:
+        return _ExprText, (self.expr,)
+
+
 class DataStore:
     """The column-store: holds encoded fields, answers SQL queries."""
 
@@ -470,11 +493,9 @@ class DataStore:
         self.row_starts = np.cumsum([0, *chunk_row_counts], dtype=np.int64)
         self.fields = fields
         self.import_stats = import_stats
-        self._virtual_by_sql: dict[str, str] = {}
-        # Name-independent recipes for re-deriving each virtual field
-        # (virtual names like __v0 depend on materialization order, so
-        # cross-process tasks ship these specs, never the names).
-        self._virtual_specs: dict[str, tuple] = {}
+        # The field catalog, spec -> name (see field_spec); the other way
+        # is FieldStore.spec.
+        self._catalog = {store.spec: name for name, store in fields.items()}
         self._original_fields = [
             name for name, store in fields.items() if not store.virtual
         ]
@@ -491,13 +512,11 @@ class DataStore:
         """
         if only is None:
             self._cache_lock = threading.Lock()
-            # Serializes field materialization (ensure_field /
-            # ensure_composite_field mutate the field namespace).
-            # Reentrant because composite materialization resolves
-            # member specs while holding it. Concurrent queries from
-            # the serving layer hit this on their ensure() path;
-            # steady-state lookups only touch already-materialized
-            # names, so contention is first-query-only.
+            # Serializes field materialization (``_ensure`` adds a field
+            # and its catalog entry). Reentrant because a composite
+            # ensures its member specs while holding it. A spec already
+            # in the catalog takes no lock, so contention is
+            # first-query-only.
             self._field_lock = threading.RLock()
             # Shared-memory/mmap arena backing (see
             # repro.storage.arena): set lazily when a process strategy
@@ -697,13 +716,6 @@ class DataStore:
         """Lifetime hit/miss/eviction counters of the chunk cache."""
         return self._chunk_cache.stats
 
-    def _invalidate_chunk_cache(self) -> None:
-        """Drop all cached chunk partials (store contents changed)."""
-        with self._cache_lock:
-            if len(self._chunk_cache):
-                counters.increment("datastore.chunk_cache.invalidations")
-                self._chunk_cache.clear()
-
     def _admit(self, entries: list[tuple[Any, Any, float]]) -> None:
         """Put ``(key, value, weight)`` entries into the chunk cache."""
         if not entries:
@@ -803,63 +815,16 @@ class DataStore:
                 f"{sorted(self._original_fields)}"
             ) from None
 
-    # -- virtual fields (Section 5 "Complex Expressions") -------------------------
+    # -- the field catalog (Section 5 "Complex Expressions") ----------------------
     def ensure_field(self, expr: Expr) -> str:
-        """Return a field name computing ``expr``, materializing if new.
+        """The name of the field computing ``expr``, materializing it if new.
 
-        Thread-safe: materialization mutates the field namespace, so
-        the whole check-then-materialize sequence runs under
-        ``_field_lock`` — concurrent queries for the same new virtual
-        field materialize it exactly once.
+        A bare field reference names an original column: the labels of
+        materialized fields (``__v0``, ...) are not SQL.
         """
         if isinstance(expr, FieldRef):
-            self.field(expr.name)
-            return expr.name
-        with self._field_lock:
-            key = expr.sql()
-            existing = self._virtual_by_sql.get(key)
-            if existing is not None:
-                return existing
-            for node in walk(expr):
-                if isinstance(node, (Aggregate, Star)):
-                    raise UnsupportedQueryError(
-                        f"cannot materialize aggregate expression {key}"
-                    )
-            refs = sorted(referenced_fields(expr))
-            position = {ref: j for j, ref in enumerate(refs)}
-
-            def build(rows: Iterator[tuple]) -> tuple[np.ndarray, Dictionary]:
-                values = [
-                    _coerce(evaluate(expr, lambda ref, row=row: row[position[ref]]))
-                    for row in rows
-                ]
-                codes, ordered = factorize_list(values)
-                return codes, _dictionary_from_ordered(
-                    ordered, self.options.optimized_dicts
-                )
-
-            return self._materialize(key, ("expr", expr), refs, build)
-
-    def field_spec(self, name: str) -> tuple:
-        """A name-independent recipe for re-deriving field ``name``.
-
-        Virtual names (``__v0``, ...) depend on materialization order,
-        so they cannot cross a process boundary; specs can — original
-        fields travel by name, virtuals by their defining expression
-        (or composite member recipes). Materialization is deterministic
-        (distinct tuples are numbered in sorted order, ``factorize``
-        sorts), so replaying a spec in a worker yields a bit-identical
-        field and global-id space.
-        """
-        field = self.field(name)
-        if not field.virtual:
-            return ("field", name)
-        try:
-            return self._virtual_specs[name]
-        except KeyError:
-            raise ExecutionError(
-                f"virtual field {name!r} has no recorded spec"
-            ) from None
+            return self._ensure(("field", expr.name))
+        return self._ensure(("expr", _ExprText(expr)))
 
     def ensure_composite_field(self, member_names: list[str]) -> str:
         """Combine several fields into one tuple-valued virtual field.
@@ -868,67 +833,109 @@ class DataStore:
         expression which is materialized in the datastore as an
         additional 'virtual' column."
         """
-        key = "__tuple(" + ", ".join(member_names) + ")"
-        with self._field_lock:
-            existing = self._virtual_by_sql.get(key)
-            if existing is not None:
-                return existing
-            spec = ("composite", tuple(map(self.field_spec, member_names)))
+        return self._ensure(
+            ("composite", tuple(self.field(name).spec for name in member_names))
+        )
 
-            def build(rows: Iterator[tuple]) -> tuple[np.ndarray, Dictionary]:
-                values = list(rows)  # in global-id order, which is value order
-                return np.arange(len(values)), SortedTupleDictionary(values)
+    def field_spec(self, name: str) -> tuple:
+        """What field ``name`` is, whatever it is called.
 
-            return self._materialize(key, spec, member_names, build)
-
-    def _materialize(
-        self,
-        key: str,
-        spec: tuple,
-        refs: list[str],
-        build: Callable[[Iterator[tuple]], tuple[np.ndarray, Dictionary]],
-    ) -> str:
-        """Build a virtual field the way the import builds a column.
-
-        The rows of the fields ``refs`` hold few distinct tuples of
-        global-ids. ``build`` maps the tuples' values to a global-id per
-        tuple and the dictionary, so an expression runs once per
-        distinct input, never per row; the rows' global-ids then go
-        through :func:`encode_column_chunks`.
+        ``("field", column)`` for an original column, ``("expr", sql)``
+        for a materialized expression (its rendered text), ``("composite",
+        member specs)`` for a multi-field GROUP BY. A name depends on the
+        order fields were materialized in; a spec does not, so it keys the
+        catalog and the chunk cache and is what a task carries across a
+        process boundary. Materialization is deterministic (distinct
+        tuples are numbered in sorted order, ``factorize`` sorts), so
+        ensuring a spec in a worker yields a bit-identical field and
+        global-id space.
         """
+        return self.field(name).spec
+
+    def _ensure(self, spec: tuple) -> str:
+        """The name of the field ``spec`` describes, materializing it if new.
+
+        The one path that looks a field up or adds one. A catalog hit
+        takes no lock: an entry is published by one assignment, after its
+        field. A miss materializes under ``_field_lock``, so concurrent
+        first touches build a field once. Adding a field invalidates
+        nothing: every key that could name it is a spec.
+        """
+        name = self._catalog.get(spec)
+        if name is not None:
+            return name
+        if spec[0] == "field":
+            raise BindError(
+                f"unknown field {spec[1]!r}; store has "
+                f"{sorted(self._original_fields)}"
+            )
+        with self._field_lock:
+            name = self._catalog.get(spec)
+            if name is None:
+                dictionary, chunks = self._materialize(spec)
+                # The first free __vN: an original column may carry such a name.
+                name = next(
+                    f"__v{n}" for n in itertools.count() if f"__v{n}" not in self.fields
+                )
+                self.fields[name] = FieldStore(name, dictionary, chunks, spec)
+                self._catalog[spec] = name
+            return name
+
+    def _materialize(self, spec: tuple) -> tuple[Dictionary, list[ColumnChunk]]:
+        """Build a derived field the way the import builds a column.
+
+        The rows of the fields ``spec`` reads hold few distinct tuples of
+        global-ids. Each tuple gets its value once — the expression
+        evaluated on it, or for a composite the tuple itself — and the
+        values are ranked into the dictionary; the rows' global-ids then
+        go through :func:`encode_column_chunks`.
+        """
+        kind, definition = spec
+        if kind == "composite":
+            refs = [self._ensure(member) for member in definition]
+        else:
+            expr = definition.expr
+            for node in walk(expr):
+                if isinstance(node, (Aggregate, Star)):
+                    raise UnsupportedQueryError(
+                        f"cannot materialize aggregate expression {definition}"
+                    )
+            refs = [
+                self._ensure(("field", ref)) for ref in sorted(referenced_fields(expr))
+            ]
         sources = [self.field(ref) for ref in refs]
         numbers, __, tuples = distinct_tuples(
             [np.concatenate([c.row_global_ids() for c in s.chunks]) for s in sources],
             self.n_rows,
         )
-        # Values from throwaway lists, let go of as ``build`` consumes the
-        # rows (a value_array() memo would pin them for the store's life).
+        # Values from throwaway lists, let go of as the rows are consumed
+        # (a value_array() memo would pin them for the store's life).
         rows = zip(
             *[
                 list(map(source.dictionary.values().__getitem__, gids.tolist()))
                 for source, gids in zip(sources, tuples)
             ]
         )
-        gid_of_tuple, dictionary = build(rows if sources else iter([()]))
+        if kind == "composite":
+            values = list(rows)  # in global-id order, which is value order
+            gid_of_tuple = np.arange(len(values))
+            dictionary = SortedTupleDictionary(values)
+        else:
+            position = {ref: j for j, ref in enumerate(refs)}
+            gid_of_tuple, ordered = factorize_list(
+                [
+                    _coerce(evaluate(expr, lambda ref, row=row: row[position[ref]]))
+                    for row in (rows if sources else [()])
+                ]
+            )
+            dictionary = _dictionary_from_ordered(ordered, self.options.optimized_dicts)
         chunks = encode_column_chunks(
             gid_of_tuple[numbers],
             self.chunk_row_counts,
             len(dictionary),
             optimized=self.options.optimized_columns,
         )
-        # The first free __vN: an original column may carry such a name.
-        name = next(
-            f"__v{n}" for n in itertools.count() if f"__v{n}" not in self.fields
-        )
-        self.fields[name] = FieldStore(name, dictionary, chunks, virtual=True)
-        self._virtual_by_sql[key] = name
-        self._virtual_specs[name] = spec
-        # Materializing a field mutates the store's field namespace;
-        # cached partials are keyed on field names, so drop them rather
-        # than trust name-uniqueness forever (cheap: first query of a
-        # new shape only).
-        self._invalidate_chunk_cache()
-        return name
+        return dictionary, chunks
 
     # -- size accounting -----------------------------------------------------------
     def memory_usage(self, field_names: list[str]) -> dict[str, int]:
@@ -1067,6 +1074,8 @@ class DataStore:
             _GroupedKernel if is_aggregation_query(parsed) else _ProjectionKernel
         )
         kernel = kernel_class(self, parsed, ensure)
+        # A multi-field GROUP BY reads a composite no expression names.
+        accessed.update(field.name for field in kernel.fields if field is not None)
         use_cache = (
             self.options.cache_chunk_results and kernel.signature is not None
         )
@@ -1202,25 +1211,6 @@ class DataStore:
         ]
 
 
-def _resolve_field_spec(store: DataStore, spec: tuple) -> str:
-    """Resolve a :meth:`DataStore.field_spec` recipe to a field name.
-
-    Runs inside executor workers against the arena-attached store,
-    which holds only original fields: virtual specs re-materialize on
-    first resolution and memo-hit afterwards (``_virtual_by_sql``), so
-    one worker materializes each virtual field once, not once per task.
-    """
-    kind = spec[0]
-    if kind == "field":
-        return spec[1]
-    if kind == "expr":
-        return store.ensure_field(spec[1])
-    if kind == "composite":
-        members = [_resolve_field_spec(store, member) for member in spec[1]]
-        return store.ensure_composite_field(members)
-    raise ExecutionError(f"unknown field spec kind {kind!r}")
-
-
 class Run(NamedTuple):
     """One kernel call: ascending chunk indices to scan, the rows it keeps
     (see :meth:`Restriction.select`) and whether each chunk's partial may
@@ -1251,9 +1241,9 @@ class _RunKernel:
     Thread/serial strategies just call it; process strategies pickle
     it (nested functions cannot cross a process boundary), and the
     pickle swaps the live :class:`FieldStore` references in ``fields``
-    for name-independent field *specs* while the store itself reduces
-    to its arena handle. On unpickle — inside a worker — the specs
-    re-resolve against that worker's attached store. Everything else
+    for their specs (:meth:`DataStore.field_spec`) while the store
+    itself reduces to its arena handle. On unpickle — inside a worker —
+    each spec is ensured on that worker's attached store. Everything else
     (aggregators, output names) travels by value: it is sized by the
     caller's dictionaries, and deterministic virtual-field
     materialization guarantees the worker's global-id space matches.
@@ -1290,17 +1280,14 @@ class _RunKernel:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["fields"] = [
-            self.store.field_spec(field.name) if field is not None else None
-            for field in self.fields
+            field.spec if field is not None else None for field in self.fields
         ]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.fields = [
-            self.store.field(_resolve_field_spec(self.store, spec))
-            if spec is not None
-            else None
+            self.store.field(self.store._ensure(spec)) if spec is not None else None
             for spec in state["fields"]
         ]
 
@@ -1312,20 +1299,16 @@ class _GroupedKernel(_RunKernel):
     argument (None where there is no GROUP BY, and for ``COUNT(*)``).
     A run's partials are ``[presence, *one per aggregate]`` run
     partials; a FULL chunk's slice of them is cacheable under
-    ``signature``.
+    ``signature``: the group field's spec and the aggregates' text.
     """
 
     def __init__(self, store: DataStore, parsed: Query, ensure) -> None:
         self.plan = plan_group_query(parsed)
         group_names = [ensure(expr) for expr in self.plan.group_exprs]
         if len(group_names) > 1:
-            group_field_name = store.ensure_composite_field(group_names)
-            ensure(FieldRef(group_field_name))
-        elif group_names:
-            group_field_name = group_names[0]
+            group_field = store.field(store.ensure_composite_field(group_names))
         else:
-            group_field_name = None
-        group_field = store.field(group_field_name) if group_field_name else None
+            group_field = store.field(group_names[0]) if group_names else None
         n_groups = len(group_field.dictionary) if group_field else 1
         self.presence = PresenceAggregator(n_groups)
         self.aggregators = []
@@ -1337,7 +1320,7 @@ class _GroupedKernel(_RunKernel):
             fields.append(arg_field)
             self.aggregators.append(build_aggregator(agg, n_groups, arg_field))
         self.signature = (
-            group_field_name,
+            group_field.spec if group_field else None,
             tuple(agg.sql() for agg in self.plan.aggregates),
         )
         super().__init__(store, fields)

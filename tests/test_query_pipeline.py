@@ -214,6 +214,7 @@ def test_a_clicks_queries_share_one_classification(log_table, seed, thresholds, 
         if (generated := parse_query(click_query).where) is not None:
             conjuncts.append(generated.sql())
         where = " AND ".join(conjuncts)
+        new_where = _where_key(_CLICK_SHAPES[0].format(where=where)) not in store.chunk_cache
         reused_before = counters.get("datastore.restriction.reused")
         for shape, door in zip(_CLICK_SHAPES, doors):
             query = shape.format(where=where)
@@ -225,11 +226,11 @@ def test_a_clicks_queries_share_one_classification(log_table, seed, thresholds, 
             else:
                 result = _through_partials(store, query)
             _assert_same_answer_and_footprint(result, reference, query)
-        # The first query classified (unless the click before left the
-        # same WHERE behind), the others found its entry. The first
-        # click's last one then drops it, materialising date(timestamp).
+        # The first query classified (unless a click before left the same
+        # WHERE behind), the others found its entry — the first click's
+        # last one too, though it materialises date(timestamp).
         reused = counters.get("datastore.restriction.reused") - reused_before
-        assert reused >= len(_CLICK_SHAPES) - 1
+        assert reused == len(_CLICK_SHAPES) - new_where
         assert len(reference_store.chunk_cache) == 0
         footprint = reference.stats.active_chunks
 
@@ -257,7 +258,7 @@ def test_int_and_float_literals_classify_apart(log_table):
     assert all(_where_key(query) in store.chunk_cache for query in queries)
 
 
-def test_materialising_a_field_mid_click_drops_the_classification(log_table):
+def test_materialising_a_field_mid_click_keeps_the_classification(log_table):
     store = make_store(log_table)
     reference_store = make_store(log_table, cache_chunk_results=False)
     first, second, third = (
@@ -265,17 +266,29 @@ def test_materialising_a_field_mid_click_drops_the_classification(log_table):
         for shape in _CLICK_SHAPES[:3]
     )
     store.execute(first)
-    assert _where_key(first) in store.chunk_cache
+    cached = len(store.chunk_cache)
     store.ensure_field(parse_query("SELECT date(timestamp) FROM data").select[0].expr)
-    assert len(store.chunk_cache) == 0
+    assert len(store.chunk_cache) == cached
+    references = [reference_store.execute(query) for query in (second, third)]
+    compiled_before = counters.get("datastore.restriction.compiled")
     reused_before = counters.get("datastore.restriction.reused")
-    for query in (second, third):
-        _assert_same_answer_and_footprint(
-            store.execute(query), reference_store.execute(query), query
-        )
-    # The second query classified again; the third found what it left.
-    assert counters.get("datastore.restriction.reused") == reused_before + 1
-    assert _where_key(third) in store.chunk_cache
+    results = [store.execute(query) for query in (second, third)]
+    # Both found the entry the first query left.
+    assert counters.get("datastore.restriction.reused") == reused_before + 2
+    assert counters.get("datastore.restriction.compiled") == compiled_before
+    for query, result, reference in zip((second, third), results, references):
+        _assert_same_answer_and_footprint(result, reference, query)
+
+
+def test_a_click_that_materialises_a_field_classifies_once(log_table):
+    """Twenty queries on a fresh store, the fifth the first to need
+    date(timestamp): one compile, nineteen reuses."""
+    store = make_store(log_table)
+    before = [counters.get(f"datastore.restriction.{n}") for n in ("compiled", "reused")]
+    for shape in _CLICK_SHAPES * 4:
+        store.execute(shape.format(where="latency > 500"))
+    after = [counters.get(f"datastore.restriction.{n}") for n in ("compiled", "reused")]
+    assert [b - a for a, b in zip(before, after)] == [1, 19]
 
 
 def test_a_cache_too_small_for_the_classification_still_answers(log_table):
@@ -570,9 +583,11 @@ PARENT_DRILLDOWN_WORK: dict[int, list[tuple]] = {
         (4000, 3591, 0, 409, 57, 52, 0, 5, 1227, 0, 0, (1, 8, 41, 52, 56), ("country", "latency", "table_name"), 51874),
         (4000, 3591, 0, 409, 57, 52, 0, 5, 1636, 0, 0, (1, 8, 41, 52, 56), ("country", "latency", "table_name", "user_name"), 66395),
         (4000, 3591, 0, 409, 57, 52, 0, 5, 1227, 0, 0, (1, 8, 41, 52, 56), ("country", "latency", "table_name"), 51874),
-        (4000, 0, 0, 4000, 57, 0, 0, 57, 4000, 0, 0, _ALL_CHUNKS, ("user_name",), 14521),
-        (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("country", "latency"), 22565),
-        (4000, 0, 0, 4000, 57, 0, 0, 57, 8000, 0, 0, _ALL_CHUNKS, ("latency", "user_name"), 36167),
+        # The replayed first click is served from the chunk cache:
+        # materialising __v0 in the second click dropped none of its entries.
+        (4000, 0, 4000, 0, 57, 0, 57, 0, 0, 0, 0, _ALL_CHUNKS, ("user_name",), 14521),
+        (4000, 0, 4000, 0, 57, 0, 57, 0, 0, 0, 0, _ALL_CHUNKS, ("country", "latency"), 22565),
+        (4000, 0, 4000, 0, 57, 0, 57, 0, 0, 0, 0, _ALL_CHUNKS, ("latency", "user_name"), 36167),
     ],
     37: [
         (4000, 3702, 0, 298, 57, 53, 0, 4, 894, 0, 0, (3, 4, 29, 34), ("__v0", "country", "latency"), 32405),

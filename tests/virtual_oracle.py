@@ -6,9 +6,11 @@ carries the four materialisers ``DataStore`` once had — a constant, a
 scalar ``evaluate`` per dictionary value of one field, a per-row loop
 over a tuple-keyed dict for several fields, and ``np.unique(axis=0)``
 plus a ``Dictionary.value`` per global-id for a composite — each with its
-own per-chunk ``ColumnChunk.from_global_ids`` loop. The only edit is
+own per-chunk ``ColumnChunk.from_global_ids`` loop. The edits are
 ``factorize_values``, a one-line alias of ``factorize_list``, spelled
-as what it called.
+as what it called, and the glue: ``DataStore._ensure`` looks specs up
+in the catalog and names and adds the field, so ``_materialize`` only
+dispatches and ``_register_virtual`` hands back what was built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from repro.core.datastore import (
     DataStore,
-    FieldStore,
     _coerce,
     _dictionary_from_ordered,
 )
@@ -29,7 +30,6 @@ from repro.partition.codes import factorize_list
 from repro.sql.ast_nodes import (
     Aggregate,
     Expr,
-    FieldRef,
     Literal,
     Star,
     referenced_fields,
@@ -52,52 +52,37 @@ def reference_store(store: DataStore) -> "ReferenceVirtualStore":
 class ReferenceVirtualStore(DataStore):
     """``DataStore`` with the four materialisers of before."""
 
-    def ensure_field(self, expr: Expr) -> str:
-        if isinstance(expr, FieldRef):
-            self.field(expr.name)
-            return expr.name
-        with self._field_lock:
-            if isinstance(expr, Literal):
-                return self._materialize_constant(expr)
-            key = expr.sql()
-            existing = self._virtual_by_sql.get(key)
-            if existing is not None:
-                return existing
-            for node in walk(expr):
-                if isinstance(node, (Aggregate, Star)):
-                    raise UnsupportedQueryError(
-                        f"cannot materialize aggregate expression {key}"
-                    )
-            refs = sorted(referenced_fields(expr))
-            for ref in refs:
-                self.field(ref)
-            if not refs:
-                return self._materialize_constant(expr)
-            if len(refs) == 1:
-                name = self._materialize_single(expr, refs[0])
-            else:
-                name = self._materialize_multi(expr, refs)
-            self._virtual_by_sql[key] = name
-            self._virtual_specs[name] = ("expr", expr)
-            return name
+    def _materialize(self, spec: tuple) -> tuple[Dictionary, list[ColumnChunk]]:
+        kind, definition = spec
+        if kind == "composite":
+            return self._ensure_composite_locked(
+                [self._ensure(member) for member in definition]
+            )
+        expr = definition.expr
+        if isinstance(expr, Literal):
+            return self._materialize_constant(expr)
+        for node in walk(expr):
+            if isinstance(node, (Aggregate, Star)):
+                raise UnsupportedQueryError(
+                    f"cannot materialize aggregate expression {definition}"
+                )
+        refs = sorted(referenced_fields(expr))
+        for ref in refs:
+            self._ensure(("field", ref))
+        if not refs:
+            return self._materialize_constant(expr)
+        if len(refs) == 1:
+            return self._materialize_single(expr, refs[0])
+        return self._materialize_multi(expr, refs)
 
     def _register_virtual(
         self, dictionary: Dictionary, chunks: list[ColumnChunk]
-    ) -> str:
-        name = f"__v{sum(1 for f in self.fields.values() if f.virtual)}"
-        self.fields[name] = FieldStore(name, dictionary, chunks, virtual=True)
-        # Materializing a field mutates the store's field namespace;
-        # cached partials are keyed on field names, so drop them rather
-        # than trust name-uniqueness forever (cheap: first query of a
-        # new shape only).
-        self._invalidate_chunk_cache()
-        return name
+    ) -> tuple[Dictionary, list[ColumnChunk]]:
+        return dictionary, chunks
 
-    def _materialize_constant(self, expr: Expr) -> str:
-        key = expr.sql()
-        existing = self._virtual_by_sql.get(key)
-        if existing is not None:
-            return existing
+    def _materialize_constant(
+        self, expr: Expr
+    ) -> tuple[Dictionary, list[ColumnChunk]]:
         value = _coerce(evaluate(expr, lambda n: None))
         ordered = [value]
         dictionary = _dictionary_from_ordered(
@@ -110,12 +95,11 @@ class ReferenceVirtualStore(DataStore):
             )
             for count in self.chunk_row_counts
         ]
-        name = self._register_virtual(dictionary, chunks)
-        self._virtual_by_sql[key] = name
-        self._virtual_specs[name] = ("expr", expr)
-        return name
+        return self._register_virtual(dictionary, chunks)
 
-    def _materialize_single(self, expr: Expr, ref: str) -> str:
+    def _materialize_single(
+        self, expr: Expr, ref: str
+    ) -> tuple[Dictionary, list[ColumnChunk]]:
         """Materialize an expression over one field.
 
         Computed once per *distinct value* of the input field — the
@@ -137,7 +121,9 @@ class ReferenceVirtualStore(DataStore):
         ]
         return self._register_virtual(dictionary, chunks)
 
-    def _materialize_multi(self, expr: Expr, refs: list[str]) -> str:
+    def _materialize_multi(
+        self, expr: Expr, refs: list[str]
+    ) -> tuple[Dictionary, list[ColumnChunk]]:
         """Materialize a multi-field expression (cached per gid tuple)."""
         sources = [self.field(ref) for ref in refs]
         value_arrays = [source.value_array() for source in sources]
@@ -177,23 +163,9 @@ class ReferenceVirtualStore(DataStore):
             )
         return self._register_virtual(dictionary, chunks)
 
-    def ensure_composite_field(self, member_names: list[str]) -> str:
-        """Combine several fields into one tuple-valued virtual field.
-
-        Footnote 5: "multiple group-by fields are combined into one
-        expression which is materialized in the datastore as an
-        additional 'virtual' column."
-        """
-        key = "__tuple(" + ", ".join(member_names) + ")"
-        with self._field_lock:
-            return self._ensure_composite_locked(key, member_names)
-
     def _ensure_composite_locked(
-        self, key: str, member_names: list[str]
-    ) -> str:
-        existing = self._virtual_by_sql.get(key)
-        if existing is not None:
-            return existing
+        self, member_names: list[str]
+    ) -> tuple[Dictionary, list[ColumnChunk]]:
         members = [self.field(name) for name in member_names]
         stacked = np.concatenate(
             [
@@ -223,10 +195,4 @@ class ReferenceVirtualStore(DataStore):
                     chunk_codes, optimized=self.options.optimized_columns
                 )
             )
-        name = self._register_virtual(dictionary, chunks)
-        self._virtual_by_sql[key] = name
-        self._virtual_specs[name] = (
-            "composite",
-            tuple(self.field_spec(member) for member in member_names),
-        )
-        return name
+        return self._register_virtual(dictionary, chunks)

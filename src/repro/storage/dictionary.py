@@ -32,6 +32,16 @@ _OFFSET_BYTES = 4
 _BULK_LOOKUP_MIN = 8
 
 
+def _utf8(values: Iterable[str]) -> list[bytes]:
+    """The UTF-8 encoding of each string; a lone surrogate has none."""
+    try:
+        return list(map(str.encode, values))
+    except UnicodeEncodeError as exc:
+        raise DictionaryError(
+            f"dictionary string {exc.object!r} cannot be encoded as UTF-8"
+        ) from None
+
+
 def _bulk_ranks(
     sorted_values: np.ndarray,
     queries: list[Any],
@@ -233,14 +243,13 @@ class SortedStringDictionary(Dictionary):
         return bisect.bisect_left(self._values, value)
 
     def _payload_size(self) -> int:
-        return sum(len(v.encode("utf-8")) for v in self._values) + (
+        return sum(map(len, _utf8(self._values))) + (
             _OFFSET_BYTES * len(self._values)
         )
 
     def to_bytes(self) -> bytes:
         out = bytearray()
-        for value in self._values:
-            raw = value.encode("utf-8")
+        for raw in _utf8(self._values):
             out += len(raw).to_bytes(4, "little")
             out += raw
         return bytes(out)

@@ -28,53 +28,55 @@ Node wire layout (recursive)::
 ``flags``: bit 0 = terminal (a string ends after this node's skip),
 bit 1 = node has a skip sequence. ``mask`` bit ``i`` marks a child edge
 for nibble ``i``.
+
+The build (:func:`_trie_bytes`) never walks the trie node by node: the
+nibble LCPs of adjacent sorted strings determine it, so it is a fixed
+number of array passes over the strings and the nodes (see there).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.compress.varint import decode_varint, encode_varint
+from repro.compress.varint import _scatter_varints, decode_varint, varint_lengths
 from repro.errors import DictionaryError
-from repro.storage.dictionary import _BULK_LOOKUP_MIN, _bulk_ranks, Dictionary
+from repro.storage.dictionary import (
+    _BULK_LOOKUP_MIN,
+    _bulk_ranks,
+    _utf8,
+    Dictionary,
+)
 
 _TERMINAL = 0x01
 _HAS_SKIP = 0x02
 
+#: Bytes of a string pair compared in the first LCP round. A pair whose
+#: window matches throughout is compared again in a window twice as
+#: wide, up to the cap; the cap is also the zero padding of the blob.
+_FIRST_WINDOW = 64
+_MAX_WINDOW = 1024
 
-class _BuildNode:
-    """Transient trie node used only during construction."""
-
-    __slots__ = ("children", "terminal", "count", "skip")
-
-    def __init__(self) -> None:
-        self.children: dict[int, _BuildNode] = {}
-        self.terminal = False
-        self.count = 0
-        self.skip: list[int] = []
+#: Separates the strings in the blob. No UTF-8 sequence holds the byte,
+#: so a string that is a prefix of its neighbour mismatches at its end.
+_SEPARATOR = b"\xff"
 
 
 def _nibbles(value: str) -> list[int]:
-    """The UTF-8 nibble sequence of ``value`` (high nibble first)."""
+    """The UTF-8 nibble sequence of ``value`` (high nibble first).
+
+    ``surrogatepass`` encodes a lone surrogate, which no stored string
+    holds, in code-point order: a probe for it finds nothing and ranks
+    where ``str`` comparison puts it.
+    """
     out: list[int] = []
-    for byte in value.encode("utf-8"):
+    for byte in value.encode("utf-8", "surrogatepass"):
         out.append(byte >> 4)
         out.append(byte & 0x0F)
     return out
-
-
-def _pack_nibbles(nibbles: Sequence[int]) -> bytes:
-    """Pack nibbles two per byte (high first), zero-padding the tail."""
-    out = bytearray()
-    for i in range(0, len(nibbles), 2):
-        high = nibbles[i]
-        low = nibbles[i + 1] if i + 1 < len(nibbles) else 0
-        out.append((high << 4) | low)
-    return bytes(out)
 
 
 def _unpack_nibbles(data: bytes, count: int) -> list[int]:
@@ -85,259 +87,193 @@ def _unpack_nibbles(data: bytes, count: int) -> list[int]:
     return out[:count]
 
 
-def _build(values: Sequence[str]) -> _BuildNode:
-    root = _BuildNode()
-    for value in values:
-        node = root
-        for nibble in _nibbles(value):
-            child = node.children.get(nibble)
-            if child is None:
-                child = _BuildNode()
-                node.children[nibble] = child
-            node = child
-        if node.terminal:
-            raise DictionaryError(f"duplicate dictionary value {value!r}")
-        node.terminal = True
-    _compress(root)
-    _finish(root)
-    return root
+def _pair_lcp(
+    blob: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Nibble LCP of every adjacent pair of strings in ``blob``.
 
-
-def _compress(node: _BuildNode) -> None:
-    """Collapse single-child non-terminal chains into skip sequences."""
-    for nibble, child in list(node.children.items()):
-        # Walk the maximal chain below this edge.
-        skip: list[int] = []
-        current = child
-        while (
-            not current.terminal
-            and len(current.children) == 1
-            and not current.skip
-        ):
-            (next_nibble, next_child), = current.children.items()
-            skip.append(next_nibble)
-            current = next_child
-        if skip:
-            current.skip = skip
-            node.children[nibble] = current
-        _compress(current)
-
-
-def _finish(node: _BuildNode) -> int:
-    count = 1 if node.terminal else 0
-    for child in node.children.values():
-        count += _finish(child)
-    node.count = count
-    return count
-
-
-def reference_trie_bytes(values: Sequence[str]) -> bytes:
-    """Serialize via the original per-string insert builder.
-
-    Kept as the equivalence oracle for the bulk constructor: property
-    tests assert :func:`_bulk_trie_bytes` matches this byte-for-byte.
+    Compares the pairs still undecided a window at a time (one gather of
+    each side, one ``argmax`` of the mismatches), so the work is the
+    bytes the pairs share, not pairs x longest string. The first
+    mismatch also orders the pair: UTF-8 byte order is code-point order,
+    and the input must ascend strictly.
     """
-    out = bytearray()
-    _serialize(_build(values), out)
-    return bytes(out)
+    left, right = starts[:-1], starts[1:]
+    shorter = np.minimum(lengths[:-1], lengths[1:])
+    matched = np.zeros(left.size, dtype=np.int64)
+    pending = np.arange(left.size)
+    width = _FIRST_WINDOW
+    while pending.size:  # one round per window, doubling up to the cap
+        windows = sliding_window_view(blob, width)
+        done = matched[pending]
+        stop = windows[left[pending] + done] != windows[right[pending] + done]
+        first = stop.argmax(axis=1)
+        hit = stop[np.arange(pending.size), first]
+        done += np.where(hit, first, width)
+        matched[pending] = done
+        # Only equal strings match past the shorter one's separator.
+        pending = pending[~hit & (done <= shorter[pending])]
+        width = min(2 * width, _MAX_WINDOW)
+    matched = np.minimum(matched, shorter)  # equal strings fail below
+    inside = matched < shorter
+    a = blob[left + matched]
+    b = blob[right + matched]
+    if not np.where(inside, a < b, lengths[:-1] < lengths[1:]).all():
+        raise DictionaryError("trie dictionary requires strictly sorted input")
+    return 2 * matched + (inside & ((a ^ b) < 0x10))
 
 
-def _nibble_views(
-    values: Sequence[str],
-) -> tuple[list[bytes], list[bytes], list[bytes]]:
-    """Per-string nibble sequences plus both packed phase views.
+def _previous_smaller(lcp: np.ndarray) -> np.ndarray:
+    """For each ``i`` in ``1..n-1``, the largest ``j < i`` with ``lcp[j] < lcp[i]``.
 
-    Returns ``(seqs, even, odd)``: ``seqs[i]`` is string i's nibble
-    sequence one nibble per byte; ``even[i]`` is its UTF-8 encoding
-    (packing the nibbles from any even offset is pure slicing of it);
-    ``odd[i]`` packs the same nibbles shifted by one (so packing from
-    any odd offset is pure slicing too). All three come from single
-    vectorized passes over the concatenated encodings instead of
-    per-character Python loops.
+    ``lcp`` has ``n + 1`` entries, ``-1`` at both ends. A smaller left
+    neighbour is the answer and an equal one shares it; only past a
+    larger one does the search climb, by binary lifting over a sparse
+    table of range minima.
     """
-    encoded = [value.encode("utf-8") for value in values]
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    nibbles = np.empty(blob.size * 2 + 2, dtype=np.uint8)
-    nibbles[0:-2:2] = blob >> 4
-    nibbles[1:-2:2] = blob & 0x0F
-    nibbles[-2:] = 0
-    packed = nibbles[:-2].tobytes()
-    shifted = ((nibbles[1:-1:2] << 4) | nibbles[2::2]).tobytes() + b"\x00"
-    seqs: list[bytes] = []
-    odd: list[bytes] = []
-    pos = 0
-    for item in encoded:
-        size = len(item)
-        seqs.append(packed[2 * pos : 2 * (pos + size)])
-        odd.append(shifted[pos : pos + size + 1])
-        pos += size
-    return seqs, encoded, odd
+    n = lcp.size - 1
+    inner, before = lcp[1:n], lcp[: n - 1]
+    out = np.arange(n - 1)
+    climb = np.flatnonzero(before > inner)
+    minima = [lcp]  # minima[k][x] == min(lcp[x : x + 2**k])
+    while 2 ** len(minima) <= lcp.size:
+        span = 1 << (len(minima) - 1)
+        minima.append(np.minimum(minima[-1][:-span], minima[-1][span:]))
+    want = inner[climb]
+    reach = climb + 1  # invariant: lcp[reach:i] >= lcp[i]
+    for k in range(len(minima) - 1, -1, -1):
+        step = reach - (1 << k)
+        ok = step >= 0
+        ok &= minima[k][np.where(ok, step, 0)] >= want
+        reach = np.where(ok, step, reach)
+    out[climb] = reach - 1
+    head = np.where(before == inner, 0, np.arange(n - 1))
+    return out[np.maximum.accumulate(head)]
 
 
-def _nibble_sequences(values: Sequence[str]) -> list[bytes]:
-    """Nibble sequences (one nibble per byte) for a batch of strings."""
-    return _nibble_views(values)[0]
+def _trie_bytes(values: Sequence[str]) -> bytes:
+    """Serialize the trie of strictly sorted distinct strings.
 
+    A node is an LCP interval: the strings ``[lo, hi)`` sharing ``end``
+    nibbles. With ``lcp[i]`` the nibble LCP of strings ``i - 1`` and
+    ``i`` (``-1`` past both ends), the node holding boundary ``i`` has
+    ``end == lcp[i]`` and ``lo`` / ``hi`` at the nearest smaller
+    ``lcp`` on either side. String ``i`` ends in node ``(i, its
+    nibble count)``: terminal if a boundary has that key, else a leaf.
+    The root is ``(0, 0)``. Keys ``(lo, end)`` in ascending order are
+    the pre-order the layout writes nodes in, and since a node's bytes
+    are its header followed by its children's, the whole buffer is each
+    node's length prefix and header, in that order. So:
 
-#: Above this padded-matrix size the LCP precompute falls back to a
-#: per-pair Python scan (one pathologically long string would otherwise
-#: allocate rows x longest-string bytes).
-_MAX_LCP_MATRIX_BYTES = 1 << 26
-
-
-def _adjacent_lcp(seqs: list[bytes]) -> list[int]:
-    """``lcp[i]`` = nibbles shared by ``seqs[i-1]`` and ``seqs[i]``.
-
-    (``lcp[0]`` is a placeholder 0.) Computed with one vectorized pass
-    over a zero-padded matrix: a sentinel column (16, not a nibble) at
-    each sequence's end makes prefix pairs diverge there, so the first
-    mismatch column is exactly the pair's common prefix length.
+    - one sort of the keys of every boundary and string numbers the
+      nodes in pre-order;
+    - a node's parent is the one before it at the same ``lo``, or else
+      the node of boundary ``lo``, whose ``end`` is ``lcp[lo]``; its
+      ``depth`` (where its skip starts) is one past the parent's ``end``;
+    - a node's subtree is the run of nodes up to the first with
+      ``lo >= hi``, so its size is a difference of a prefix sum of
+      (prefix + header) bytes — found by iterating from one-byte length
+      prefixes until no prefix length changes (a change only moves
+      ancestors, so rounds are bounded by the height; in practice 2-3);
+    - one varint scatter writes every length prefix, skip length and
+      count, and the skips are one byte gather of the strings.
     """
-    n = len(seqs)
-    if n < 2:
-        return [0] * n
-    longest = max(map(len, seqs))
-    if n * (longest + 1) <= _MAX_LCP_MATRIX_BYTES:
-        # One fixed-width 'S' array: numpy packs the rows in a single C
-        # pass; the appended sentinel (16, not a nibble) stops prefix
-        # pairs at the shorter sequence's end, so the first mismatch
-        # column is the exact nibble LCP. ('S' pads with 0x00, a valid
-        # nibble — hence the explicit sentinel.)
-        arr = np.array([s + b"\x10" for s in seqs])
-        width = arr.dtype.itemsize
-        mat = arr.view(np.uint8).reshape(n, width)
-        lcp = np.argmax(mat[:-1] != mat[1:], axis=1)
-        return [0, *lcp.tolist()]
-    out = [0]
-    for prev, cur in zip(seqs, seqs[1:]):
-        bound = min(len(prev), len(cur))
-        k = 0
-        while k < bound and prev[k] == cur[k]:
-            k += 1
-        out.append(k)
-    return out
+    n = len(values)
+    if n == 0:
+        return bytes(4)  # flags 0, empty mask, count 0
+    padded = [*_utf8(values), bytes(_MAX_WINDOW)]
+    blob = np.frombuffer(_SEPARATOR.join(padded), dtype=np.uint8)
+    ends = np.flatnonzero(blob == _SEPARATOR[0])
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
 
+    lcp = np.full(n + 1, -1, dtype=np.int32)
+    lcp[1:n] = _pair_lcp(blob, starts, lengths)
+    boundary_lo = _previous_smaller(lcp)
+    # The nearest smaller to the right is the one to the left, reversed.
+    boundary_hi = n - _previous_smaller(lcp[::-1])[::-1]
 
-def _bulk_trie_bytes(values: Sequence[str]) -> bytes:
-    """Serialize the trie for strictly sorted distinct strings in one pass.
-
-    Works on the sorted nibble sequences directly: for the group of
-    strings sharing a prefix, the path-compressed skip is the longest
-    common extension of the first and last members (sorted order means
-    no intermediate member can diverge earlier), and the node is
-    terminal exactly when the first member ends there. Child runs are
-    looked up, not scanned: position ``i`` starts a new nibble run of
-    the (unique) node whose prefix length equals ``lcp[i]``, so the
-    boundaries of a node spanning ``[lo, hi)`` with prefix ``end`` are
-    the precomputed ``lcp == end`` positions inside ``(lo, hi)``. This
-    produces the same bytes as insert+compress+serialize without
-    building per-nibble node objects or rescanning groups per level.
-    """
-    if not values:
-        return reference_trie_bytes(values)
-    seqs, even_views, odd_views = _nibble_views(values)
-    by_lcp: dict[int, list[int]] = {}
-    for pos, prefix_len in enumerate(_adjacent_lcp(seqs)):
-        if pos:
-            by_lcp.setdefault(prefix_len, []).append(pos)
-
-    def packed_skip(index: int, depth: int, end: int) -> bytes:
-        """``_pack_nibbles(seqs[index][depth:end])`` by pure slicing."""
-        size = end - depth
-        n_bytes = (size + 1) >> 1
-        if depth & 1:
-            start = (depth - 1) >> 1
-            chunk = odd_views[index][start : start + n_bytes]
-        else:
-            start = depth >> 1
-            chunk = even_views[index][start : start + n_bytes]
-        if size & 1:
-            return chunk[:-1] + bytes([chunk[-1] & 0xF0])
-        return chunk
-
-    def emit(lo: int, hi: int, depth: int, is_root: bool) -> bytearray:
-        first = seqs[lo]
-        if is_root:
-            end = depth
-        elif hi - lo == 1:
-            # Single member: the skip runs to the string's end and the
-            # node is a terminal leaf — no probing, no children.
-            end = len(first)
-            if end > depth:
-                skip = end - depth
-                out = bytearray([_TERMINAL | _HAS_SKIP])
-                if skip < 0x80:
-                    out.append(skip)
-                else:
-                    out += encode_varint(skip)
-                out += packed_skip(lo, depth, end)
-            else:
-                out = bytearray([_TERMINAL])
-            out += b"\x00\x00\x01"  # empty child mask, count 1
-            return out
-        else:
-            end = depth
-            limit = len(first)
-            last = seqs[hi - 1]
-            while end < limit and first[end] == last[end]:
-                end += 1
-        terminal = len(first) == end
-        out = bytearray()
-        flags = (_TERMINAL if terminal else 0) | (
-            _HAS_SKIP if end > depth else 0
-        )
-        out.append(flags)
-        if end > depth:
-            skip = end - depth
-            if skip < 0x80:
-                out.append(skip)
-            else:
-                out += encode_varint(skip)
-            out += packed_skip(lo, depth, end)
-        positions = by_lcp.get(end)
-        if positions:
-            a = bisect_right(positions, lo)
-            starts = positions[a : bisect_left(positions, hi, a)]
-        else:
-            starts = []
-        if not terminal:
-            starts = [lo, *starts]
-        mask = 0
-        for start in starts:
-            mask |= 1 << seqs[start][end]
-        out += mask.to_bytes(2, "little")
-        out += encode_varint(hi - lo)
-        for child_lo, child_hi in zip(starts, [*starts[1:], hi]):
-            child_bytes = emit(child_lo, child_hi, end + 1, False)
-            child_size = len(child_bytes)
-            if child_size < 0x80:
-                out.append(child_size)
-            else:
-                out += encode_varint(child_size)
-            out += child_bytes
-        return out
-
-    return bytes(emit(0, len(seqs), 0, True))
-
-
-def _serialize(node: _BuildNode, out: bytearray) -> None:
-    flags = (_TERMINAL if node.terminal else 0) | (
-        _HAS_SKIP if node.skip else 0
+    nibble_lengths = 2 * lengths
+    width = int(nibble_lengths.max()) + 1
+    keys = np.concatenate(
+        ([0], boundary_lo * width + lcp[1:n], np.arange(n) * width + nibble_lengths)
     )
-    out.append(flags)
-    if node.skip:
-        out += encode_varint(len(node.skip))
-        out += _pack_nibbles(node.skip)
-    mask = 0
-    for nibble in node.children:
-        mask |= 1 << nibble
-    out += mask.to_bytes(2, "little")
-    out += encode_varint(node.count)
-    for nibble in sorted(node.children):
-        child_bytes = bytearray()
-        _serialize(node.children[nibble], child_bytes)
-        out += encode_varint(len(child_bytes))
-        out += child_bytes
+    # np.unique, but by a stable sort, which takes the runs the keys
+    # already ascend in (the strings' keys are one) as they are.
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    key_node = np.empty_like(order)
+    key_node[order] = np.cumsum(fresh) - 1
+    # key_node[i] is the node of boundary i (i in 1..n-1); key_node[0] the root.
+    lo, end = np.divmod(ordered[fresh], width)
+    m = lo.size
+    hi = lo + 1
+    hi[key_node[1:n]] = boundary_hi
+    hi[0] = n
+
+    chained = lo[1:] == lo[:-1]
+    parent = np.where(chained, np.arange(m - 1), key_node[lo[1:]])
+    depth = np.zeros(m, dtype=np.int64)
+    depth[1:] = np.where(chained, end[:-1], lcp[lo[1:]]) + 1
+    edge_at = depth[1:] - 1
+    edge_byte = blob[starts[lo[1:]] + (edge_at >> 1)]
+    edge = np.where(edge_at & 1, edge_byte & 0x0F, edge_byte >> 4)
+    mask = np.bincount(
+        parent, weights=np.left_shift(1, edge.astype(np.int64)), minlength=m
+    ).astype(np.int64)
+
+    terminal = end == nibble_lengths[lo]
+    skip = end - depth
+    has_skip = skip > 0
+    count = hi - lo
+    skip_len = np.where(has_skip, varint_lengths(skip), 0)
+    skip_bytes = (skip + 1) >> 1
+    count_len = varint_lengths(count)
+    header = 3 + skip_len + skip_bytes + count_len
+    first_at = np.concatenate(([0], np.cumsum(np.bincount(lo, minlength=n))))
+    subtree_end = first_at[hi]
+    prefix = np.ones(m, dtype=np.int64)
+    prefix[0] = 0  # the root has no length prefix
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    while True:
+        np.cumsum(header + prefix, out=offsets[1:])
+        size = offsets[subtree_end] - offsets[:-1] - prefix
+        fitted = varint_lengths(size)
+        fitted[0] = 0
+        if np.array_equal(fitted, prefix):
+            break
+        prefix = fitted
+
+    out = np.zeros(int(offsets[-1]), dtype=np.uint8)
+    at = offsets[:-1] + prefix
+    out[at] = terminal * _TERMINAL + has_skip * _HAS_SKIP
+    skip_at = at + 1 + skip_len
+    mask_at = skip_at + skip_bytes
+    out[mask_at] = mask & 0xFF
+    out[mask_at + 1] = mask >> 8
+    with_skip = np.flatnonzero(has_skip)
+    _scatter_varints(
+        out,
+        np.concatenate((offsets[1:m], at[with_skip] + 1, mask_at + 2)),
+        np.concatenate((size[1:], skip[with_skip], count)).view(np.uint64),
+        np.concatenate((prefix[1:], skip_len[with_skip], count_len)),
+    )
+    # Skip payloads: nibbles depth..end of string lo, packed from byte
+    # depth // 2 — shifted by a nibble when depth is odd.
+    run_bytes = skip_bytes[with_skip]
+    run_start = np.cumsum(run_bytes) - run_bytes
+    within = np.arange(int(run_bytes.sum())) - np.repeat(run_start, run_bytes)
+    first = depth[with_skip]
+    src = np.repeat(starts[lo[with_skip]] + (first >> 1), run_bytes) + within
+    shifted = np.repeat((first & 1).astype(bool), run_bytes)
+    packed = np.where(shifted, (blob[src] << 4) | (blob[src + 1] >> 4), blob[src])
+    out[np.repeat(skip_at[with_skip], run_bytes) + within] = packed
+    # An odd skip's last byte is half padding.
+    odd = with_skip[(skip[with_skip] & 1).astype(bool)]
+    out[mask_at[odd] - 1] &= 0xF0
+    return out.tobytes()
 
 
 class TrieDictionary(Dictionary):
@@ -368,23 +304,8 @@ class TrieDictionary(Dictionary):
     def from_sorted(
         cls, values: Sequence[str], has_null: bool = False
     ) -> "TrieDictionary":
-        """Build from strictly sorted distinct strings."""
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise DictionaryError("trie dictionary requires strictly sorted input")
-        return cls(_bulk_trie_bytes(values), len(values), has_null=has_null)
-
-    @classmethod
-    def from_values(
-        cls, values: Sequence[Any], has_null: bool | None = None
-    ) -> "TrieDictionary":
-        """Build from arbitrary (unsorted, possibly null) values."""
-        distinct = set(values)
-        null_seen = None in distinct
-        distinct.discard(None)
-        return cls.from_sorted(
-            sorted(distinct),
-            has_null=null_seen if has_null is None else has_null,
-        )
+        """Build from strictly sorted distinct strings (else a DictionaryError)."""
+        return cls(_trie_bytes(values), len(values), has_null=has_null)
 
     # -- node parsing ----------------------------------------------------
     def _node(self, pos: int) -> tuple[bool, list[int], int, int, int]:

@@ -5,7 +5,8 @@ Kept, bodies unchanged, as the byte-identity oracle of
 mirrors the original ``DataStore.from_table`` step for step — scalar
 ``factorize`` per field over the cell lists (run again after the
 reorder, as the old code did), ``Table.take`` of the cells, the
-per-string-insert trie builder, the partitioner that splits row-index
+per-string-insert trie builder (:func:`reference_trie_bytes`), the
+partitioner that splits row-index
 arrays with one ``np.unique`` of the chunk's rows per field per split
 (:func:`reference_partition_table`) and the ``np.unique`` chunk encode
 (:func:`reference_column_chunk`), both as they stood in ``src/`` before
@@ -38,7 +39,107 @@ from repro.storage.dictionary import (
 )
 from repro.storage.elements import encode_elements
 from repro.storage.serde import save_store
-from repro.storage.trie import TrieDictionary, reference_trie_bytes
+from repro.compress.varint import encode_varint
+from repro.errors import DictionaryError
+from repro.storage.trie import _HAS_SKIP, _TERMINAL, TrieDictionary, _nibbles
+
+
+class _BuildNode:
+    """Transient trie node used only during construction."""
+
+    __slots__ = ("children", "terminal", "count", "skip")
+
+    def __init__(self) -> None:
+        self.children: dict[int, _BuildNode] = {}
+        self.terminal = False
+        self.count = 0
+        self.skip: list[int] = []
+
+
+def _pack_nibbles(nibbles: list[int]) -> bytes:
+    """Pack nibbles two per byte (high first), zero-padding the tail."""
+    out = bytearray()
+    for i in range(0, len(nibbles), 2):
+        high = nibbles[i]
+        low = nibbles[i + 1] if i + 1 < len(nibbles) else 0
+        out.append((high << 4) | low)
+    return bytes(out)
+
+
+def _build(values: list[str]) -> _BuildNode:
+    root = _BuildNode()
+    for value in values:
+        node = root
+        for nibble in _nibbles(value):
+            child = node.children.get(nibble)
+            if child is None:
+                child = _BuildNode()
+                node.children[nibble] = child
+            node = child
+        if node.terminal:
+            raise DictionaryError(f"duplicate dictionary value {value!r}")
+        node.terminal = True
+    _compress(root)
+    _finish(root)
+    return root
+
+
+def _compress(node: _BuildNode) -> None:
+    """Collapse single-child non-terminal chains into skip sequences."""
+    for nibble, child in list(node.children.items()):
+        # Walk the maximal chain below this edge.
+        skip: list[int] = []
+        current = child
+        while (
+            not current.terminal
+            and len(current.children) == 1
+            and not current.skip
+        ):
+            (next_nibble, next_child), = current.children.items()
+            skip.append(next_nibble)
+            current = next_child
+        if skip:
+            current.skip = skip
+            node.children[nibble] = current
+        _compress(current)
+
+
+def _finish(node: _BuildNode) -> int:
+    count = 1 if node.terminal else 0
+    for child in node.children.values():
+        count += _finish(child)
+    node.count = count
+    return count
+
+
+def _serialize(node: _BuildNode, out: bytearray) -> None:
+    flags = (_TERMINAL if node.terminal else 0) | (
+        _HAS_SKIP if node.skip else 0
+    )
+    out.append(flags)
+    if node.skip:
+        out += encode_varint(len(node.skip))
+        out += _pack_nibbles(node.skip)
+    mask = 0
+    for nibble in node.children:
+        mask |= 1 << nibble
+    out += mask.to_bytes(2, "little")
+    out += encode_varint(node.count)
+    for nibble in sorted(node.children):
+        child_bytes = bytearray()
+        _serialize(node.children[nibble], child_bytes)
+        out += encode_varint(len(child_bytes))
+        out += child_bytes
+
+
+def reference_trie_bytes(values: list[str]) -> bytes:
+    """The trie of ``values`` by one insert per string, then compress and serialize.
+
+    The equivalence oracle of ``repro.storage.trie._trie_bytes``.
+    """
+    out = bytearray()
+    _serialize(_build(values), out)
+    return bytes(out)
 
 
 def _reference_dictionary(ordered: list[Any], optimized: bool) -> Dictionary:

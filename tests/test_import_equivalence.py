@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.compress.varint import decode_varint
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Column, DataType, Table
-from repro.errors import CompressionError
+from repro.errors import CompressionError, DictionaryError
 from repro.partition import codes as codes_module
 from repro.partition.codes import (
     _factorize_scalar_list,
@@ -31,13 +32,14 @@ from repro.storage import chunk as chunk_module
 from repro.storage.serde import encode_chunk_dict, encode_chunk_dicts
 from repro.storage.dictionary import build_dictionary
 from repro.storage.subdict import SubDictionarySet
-from repro.storage.trie import (
-    _bulk_trie_bytes,
-    reference_trie_bytes,
-)
+from repro.storage.trie import TrieDictionary, _trie_bytes
 from repro.workload.generator import LogsConfig, generate_query_logs
 from repro.analysis.fsck import fsck_store
-from tests.import_oracle import build_reference_store, serialized_store_bytes
+from tests.import_oracle import (
+    build_reference_store,
+    reference_trie_bytes,
+    serialized_store_bytes,
+)
 
 # Alphabet mixes ASCII, a NUL byte, multi-byte UTF-8 and an astral
 # plane character so trie nibble packing sees every phase.
@@ -402,11 +404,69 @@ def test_factorize_matches_scalar(values):
     assert [type(v) for v in ordered] == [type(v) for v in ref_ordered]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_TEXT, max_size=40, unique=True))
+#: Tails long enough for a skip of 128+ nibbles (a two-byte skip varint)
+#: and subtrees of 128+ bytes (a two-byte length prefix).
+_LONG_TEXT = st.text(alphabet="ab\x00é日\U0001f600", max_size=90)
+
+
+@st.composite
+def _trie_corpora(draw):
+    """Sorted distinct strings that reach every field width of the layout.
+
+    A shared head gives the root a single child; ``"\\x00"`` extensions
+    make prefix chains; one example in six adds 200 strings with
+    80-byte tails, a subtree of 16 KiB+ (a three-byte length prefix).
+    """
+    head = draw(st.sampled_from(["", "", "/", "日本" * 20]))
+    tails = draw(st.lists(st.one_of(_TEXT, _LONG_TEXT), max_size=40))
+    values = {head + tail for tail in tails}
+    for tail in draw(st.lists(st.sampled_from(tails), max_size=3)) if tails else ():
+        values.update(head + tail + "\x00" * k for k in (1, 2))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        values.update(f"{head}{i:03d}" + "x" * 80 for i in range(200))
+    return sorted(values)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(_trie_corpora())
 def test_bulk_trie_bytes_match_reference(values):
-    values = sorted(values)
-    assert _bulk_trie_bytes(values) == reference_trie_bytes(values)
+    assert _trie_bytes(values) == reference_trie_bytes(values)
+
+
+def test_generated_table_names_match_reference():
+    table = generate_query_logs(LogsConfig(n_rows=20_000, seed=5))
+    names = [name for name in factorize(table.column("table_name"))[1] if name]
+    trie = _trie_bytes(names)
+    assert trie == reference_trie_bytes(names)
+    # Every name starts with "/": the root's one child is the whole trie,
+    # behind a three-byte length prefix.
+    __, __, mask, __, body = TrieDictionary(trie, len(names))._node(0)
+    assert mask == 1 << 2 and decode_varint(trie, body)[0] >= 1 << 14
+
+
+def test_trie_orders_strings_by_code_point():
+    # UTF-16 code units would order these two the other way round.
+    values = ["\uffff", "\U00010000"]
+    assert _trie_bytes(values) == reference_trie_bytes(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["b", "a"],
+        ["a", "c", "b"],
+        ["a", "a"],
+        ["", ""],
+        ["ab", "a"],  # an extension before its prefix
+        ["x" * 200 + "b", "x" * 200 + "a"],  # decided past the first window
+        ["x" * 200, "x" * 200],
+    ],
+)
+def test_trie_rejects_unsorted_and_duplicate_strings(values):
+    with pytest.raises(DictionaryError):
+        _trie_bytes(values)
 
 
 @settings(max_examples=40, deadline=None)

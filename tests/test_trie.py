@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.datastore import DataStore, DataStoreOptions
+from repro.core.table import Table
 from repro.errors import DictionaryError
-from repro.storage.dictionary import SortedStringDictionary
-from repro.storage.trie import TrieDictionary, _nibbles, _pack_nibbles
+from repro.storage.dictionary import SortedStringDictionary, build_dictionary
+from repro.storage.trie import TrieDictionary, _nibbles
+from tests.import_oracle import _pack_nibbles
 
 
 class TestNibbles:
@@ -59,8 +62,8 @@ class TestTrieDictionary:
             TrieDictionary.from_sorted(["a", "a"])
 
     def test_from_values_sorts_and_dedupes(self):
-        trie = TrieDictionary.from_values(["b", "a", "b", None])
-        assert trie.has_null
+        trie = build_dictionary(["b", "a", "b", None], optimized=True)
+        assert isinstance(trie, TrieDictionary) and trie.has_null
         assert trie.value(1) == "a"
 
     def test_unicode(self):
@@ -139,3 +142,39 @@ class TestTrieDictionary:
         trie = TrieDictionary.from_sorted(ordered)
         expected = bisect.bisect_left(ordered, probe)
         assert trie._rank_lower_bound(probe) == expected
+
+
+class TestLoneSurrogates:
+    """UTF-8 cannot encode a lone surrogate, so no dictionary holds one;
+    a probe for one answers as ``str`` comparison does, on either kind."""
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_import_is_a_dictionary_error(self, optimized):
+        table = Table.from_columns({"s": ["a\ud800", "b"]})
+        with pytest.raises(DictionaryError):
+            DataStore.from_table(table, DataStoreOptions(optimized_dicts=optimized))
+
+    def test_probes_agree_across_dictionary_kinds(self):
+        values = ["", "a", "a\ud7ff", "a\ue000", "b", "\U00010000"] * 3
+        probes = ["a\ud800", "\udfff", "a", "a\ue000"]
+        wheres = [f"s {op} '{p}'" for p in probes for op in ("=", "<", ">=")]
+        wheres += [f"s IN ('{p}')" for p in probes]
+        # Eight values or more take the bulk global_ids path.
+        listed = probes + [f"x{i}" for i in range(8)]
+        wheres.append("s IN (" + ", ".join(f"'{p}'" for p in listed) + ")")
+        expected = [
+            [(sum(test(v, p) for v in values),)]
+            for p in probes
+            for test in (str.__eq__, str.__lt__, str.__ge__)
+        ]
+        expected += [[(values.count(p),)] for p in probes]
+        expected.append([(sum(v in listed for v in values),)])
+        for optimized in (False, True):
+            store = DataStore.from_table(
+                Table.from_columns({"s": values}),
+                DataStoreOptions(optimized_dicts=optimized),
+            )
+            assert [
+                store.execute(f"SELECT COUNT(*) c FROM data WHERE {where}").rows()
+                for where in wheres
+            ] == expected

@@ -30,7 +30,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -346,9 +346,12 @@ def _coerce(value: Any) -> Any:
 
 
 def _dictionary_from_ordered(
-    ordered: list[Any] | np.ndarray, optimized: bool
+    ordered: list[Any] | np.ndarray, optimized: bool, label: str = "a field"
 ) -> Dictionary:
-    """Build a dictionary from sorted-distinct values (None first)."""
+    """Build a dictionary from sorted-distinct values (None first).
+
+    ``label`` names the field in the error for ints beyond int64.
+    """
     if isinstance(ordered, np.ndarray):  # typed, hence without NULL
         return NumericDictionary(ordered, has_null=False, optimized=optimized)
     has_null = bool(ordered) and ordered[0] is None
@@ -360,13 +363,19 @@ def _dictionary_from_ordered(
     # Let numpy's single C pass infer int64 (all ints) vs float64 (any
     # float) instead of scanning isinstance per value; ints beyond
     # int64 come back as an object array and take the explicit-dtype
-    # path, which raises OverflowError exactly as before.
+    # path, which rejects them.
     array = np.asarray(non_null) if non_null else np.empty(0, dtype=np.int64)
     if array.dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
         if non_null and any(isinstance(v, float) for v in non_null):
             array = np.asarray(non_null, dtype=np.float64)
         else:
-            array = np.asarray(non_null, dtype=np.int64)
+            try:
+                array = np.asarray(non_null, dtype=np.int64)
+            except OverflowError:
+                types = sorted({type(v).__name__ for v in non_null})
+                raise ExecutionError(
+                    f"{label} has values of type {', '.join(types)} beyond int64"
+                ) from None
     return NumericDictionary(array, has_null=has_null, optimized=optimized)
 
 
@@ -607,7 +616,7 @@ class DataStore:
             column = table.column(name)
             phase_started = time.perf_counter()
             dictionary = _dictionary_from_ordered(
-                column.distinct, options.optimized_dicts
+                column.distinct, options.optimized_dicts, f"field {name!r}"
             )
             stats.dictionary_seconds += time.perf_counter() - phase_started
             phase_started = time.perf_counter()
@@ -928,7 +937,9 @@ class DataStore:
                     for row in (rows if sources else [()])
                 ]
             )
-            dictionary = _dictionary_from_ordered(ordered, self.options.optimized_dicts)
+            dictionary = _dictionary_from_ordered(
+                ordered, self.options.optimized_dicts, f"field {definition}"
+            )
         chunks = encode_column_chunks(
             gid_of_tuple[numbers],
             self.chunk_row_counts,
@@ -963,29 +974,10 @@ class DataStore:
         )
 
     # -- query execution -------------------------------------------------------------
-    def execute(
-        self,
-        query: Query | str,
-        *,
-        candidate_chunks: "Iterable[int] | None" = None,
-    ) -> QueryResult:
-        """Run a query, returning its result table and scan statistics.
-
-        ``candidate_chunks`` is the serving layer's subsumption hook: a
-        set of chunk indices that provably covers every chunk this
-        query's restriction can touch (e.g. a cached parent query's
-        ``ScanStats.active_chunks`` when this WHERE refines the
-        parent's). Chunks outside the set are counted as skipped
-        without even consulting the restriction — sound only when the
-        caller guarantees they would have been SKIP decisions, in which
-        case the result and its scan statistics are bit-identical to an
-        unpruned execution.
-        """
+    def execute(self, query: Query | str) -> QueryResult:
+        """Run a query, returning its result table and scan statistics."""
         started = time.perf_counter()
-        parsed, stats, kernel = self._run_pipeline(
-            query,
-            None if candidate_chunks is None else frozenset(candidate_chunks),
-        )
+        parsed, stats, kernel = self._run_pipeline(query)
         table = finalize(kernel.rows(parsed), parsed)
         elapsed = time.perf_counter() - started
         # Exact coverage accounting for degraded results: every row the
@@ -1018,16 +1010,15 @@ class DataStore:
         return stats, kernel.shard_partials()
 
     def _run_pipeline(
-        self, query: Query | str, candidates: "frozenset[int] | None" = None
+        self, query: Query | str
     ) -> "tuple[Query, ScanStats, _RunKernel]":
-        """The one query path (Section 2.4); every door runs through it.
+        """The one query path (Section 2.4); both doors run through it.
 
         prepare → classify chunks → supervised fan-out → fold in chunk
         order → stats tail. Returns the resolved query, its scan
         statistics and the folded kernel; the callers differ only in
         what they read off the kernel (finalized rows, or mergeable
-        shard partials). ``candidates`` prunes the chunk loop to a
-        proven-sound footprint (see :meth:`execute`).
+        shard partials).
         """
         # Prepare: parse, bind, find or compile the restriction, pick the
         # kernel.
@@ -1080,13 +1071,11 @@ class DataStore:
             self.options.cache_chunk_results and kernel.signature is not None
         )
 
-        # Classify (merge thread): the restriction's active chunks, pruned
-        # to the candidates, split three ways as arrays: skipped, served
-        # from the cache, to scan. Only FULL chunks are probed.
+        # Classify (merge thread): the restriction's active chunks, split
+        # three ways as arrays: skipped, served from the cache, to scan.
+        # Only FULL chunks are probed.
         phase_started = time.perf_counter()
         active = restriction.active
-        if candidates is not None:  # membership: a stray index never wraps
-            active = active[np.isin(active, tuple(candidates))]
         full = restriction.verdicts[active] == FULL
         rows = self.row_starts[active + 1] - self.row_starts[active]
         hit = np.zeros(active.size, dtype=bool)

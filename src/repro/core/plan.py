@@ -231,9 +231,8 @@ def where_conjuncts(query: Query) -> tuple[str, ...]:
     """The canonical WHERE, split into its sorted top-level conjuncts.
 
     A drill-down refinement's conjunct set is a superset of its
-    parent's — the subset relation over these tuples is what the
-    serving cache's subsumption reuse keys on. Queries without a WHERE
-    return the empty tuple (the unrestricted footprint).
+    parent's (the invariant the workload generator keeps). Queries
+    without a WHERE return the empty tuple.
     """
     canonical = canonical_query(query)
     if canonical.where is None:

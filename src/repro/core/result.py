@@ -56,8 +56,8 @@ class ScanStats:
     rows_unserved: int = 0
     # The chunk indices the compiled restriction could NOT prove away
     # (every FULL/PARTIAL decision, served or not). Any refinement of
-    # this query's WHERE can only touch a subset of these chunks — the
-    # serving layer's subsumption reuse rescans just this footprint.
+    # this query's WHERE can only touch a subset of these chunks, and
+    # restriction analysis alone finds that subset.
     active_chunks: tuple[int, ...] = ()
     fields_accessed: tuple[str, ...] = ()
     memory_bytes: int = 0

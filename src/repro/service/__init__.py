@@ -2,17 +2,13 @@
 
 - :mod:`repro.service.service` -- :class:`QueryService`, the long-lived
   server: admission, dispatch, cache probes, explicit outcomes.
-- :mod:`repro.service.cache` -- the session-aware semantic result cache
-  with drill-down subsumption reuse above the chunk cache.
+- :mod:`repro.service.cache` -- the semantic result cache: exact reuse
+  by canonical plan, above the engine's WHERE and chunk-result caches.
 - :mod:`repro.service.scheduler` -- bounded per-tenant queues and
   smooth weighted round-robin dispatch with in-flight caps.
 """
 
-from repro.service.cache import (
-    FootprintIndex,
-    SemanticResultCache,
-    estimate_result_weight,
-)
+from repro.service.cache import SemanticResultCache, estimate_result_weight
 from repro.service.scheduler import FairScheduler
 from repro.service.service import (
     QueryCompleted,
@@ -27,7 +23,6 @@ from repro.service.service import (
 
 __all__ = [
     "FairScheduler",
-    "FootprintIndex",
     "QueryCompleted",
     "QueryFailed",
     "QueryOutcome",

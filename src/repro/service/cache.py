@@ -1,36 +1,25 @@
-"""The session-aware semantic result cache (serving layer, level 0).
+"""The semantic result cache (serving layer, level 0).
 
 The paper's servers keep *result* caches above the chunk/scan layer:
-most mouse clicks repeat or refine recent queries, so whole answers —
-not just per-chunk partials — are worth remembering. This module
-implements that top level of the cache hierarchy:
+most mouse clicks repeat recent queries, so whole answers — not just
+per-chunk partials — are worth remembering. Entries are keyed on
+canonical plan fingerprints (:func:`repro.core.plan.query_fingerprint`),
+so queries that differ only in conjunct order, IN-list order/duplicates,
+or GROUP BY alias spelling share one entry. Eviction is byte-weighted
+and delegated to the existing :mod:`repro.storage.cache` policies behind
+this class's lock (those policies are deliberately not thread-safe
+themselves).
 
-- **Exact reuse** — entries are keyed on canonical plan fingerprints
-  (:func:`repro.core.plan.query_fingerprint`), so queries that differ
-  only in conjunct order, IN-list order/duplicates, or GROUP BY alias
-  spelling share one entry. Eviction is byte-weighted and delegated to
-  the existing :mod:`repro.storage.cache` policies behind this class's
-  lock (those policies are deliberately not thread-safe themselves).
-- **Drill-down subsumption reuse** — every admitted result also records
-  its restriction *footprint*: the chunks its WHERE could not prove
-  away (``ScanStats.active_chunks``). A later query whose conjunct set
-  is a superset of a recorded one (a UI drill-down refinement) can
-  soundly rescan just that footprint: AND-ing more conjuncts onto a
-  restriction only shrinks the set of non-SKIP chunks, never grows it.
-- **Session awareness** — each session keeps a short lineage of its own
-  recent footprints, checked before the global index, because a
-  refinement almost always narrows *that session's* previous click.
+A refinement of a cached query is a miss here: the engine below already
+remembers its WHERE's classification of every chunk and the partials of
+the chunks it serves, so there is nothing left for this layer to prune.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import Hashable
 
 from repro.core.result import QueryResult
-from repro.errors import ServiceError
 from repro.storage.cache import Cache, make_cache
 
 
@@ -46,187 +35,52 @@ def estimate_result_weight(result: QueryResult) -> float:
     return 512.0 + 64.0 * n_rows * n_cols
 
 
-@dataclass(frozen=True)
-class CachedResult:
-    """One admitted result plus the keys subsumption reuse needs."""
-
-    result: QueryResult
-    conjuncts: frozenset[str]
-    footprint: tuple[int, ...]
-
-
-class FootprintIndex:
-    """A bounded LRU index from conjunct sets to chunk footprints.
-
-    Separate from the byte-weighted result cache on purpose: a
-    footprint is a few dozen ints and stays useful long after its
-    (much heavier) result was evicted — a refinement can still prune
-    its scan even when the parent's rows are gone.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ServiceError("footprint index needs max_entries >= 1")
-        self._max_entries = max_entries
-        self._entries: OrderedDict[frozenset[str], tuple[int, ...]] = (
-            OrderedDict()
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def record(
-        self, conjuncts: frozenset[str], footprint: tuple[int, ...]
-    ) -> None:
-        existing = self._entries.pop(conjuncts, None)
-        if existing is not None and len(existing) < len(footprint):
-            # Keep the tighter footprint (a pruned re-execution can
-            # only have recorded a subset of the original).
-            footprint = existing
-        self._entries[conjuncts] = footprint
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-
-    def lookup(
-        self, conjuncts: frozenset[str]
-    ) -> tuple[int, ...] | None:
-        """The smallest recorded footprint that soundly covers ``conjuncts``.
-
-        A recorded entry covers the probe when its conjunct set is a
-        subset of the probe's — the probe's WHERE is the entry's WHERE
-        AND extra conjuncts, so the probe's active chunks are contained
-        in the entry's footprint.
-        """
-        exact = self._entries.get(conjuncts)
-        if exact is not None:
-            self._entries.move_to_end(conjuncts)
-            return exact
-        best: tuple[int, ...] | None = None
-        for key, footprint in self._entries.items():
-            if key <= conjuncts and (
-                best is None or len(footprint) < len(best)
-            ):
-                best = footprint
-        return best
-
-
 class SemanticResultCache:
-    """Thread-safe exact + subsumption reuse above the chunk cache."""
+    """Thread-safe exact reuse of whole results above the chunk cache."""
 
-    def __init__(
-        self,
-        capacity_bytes: float,
-        policy: str = "lru",
-        footprint_entries: int = 1024,
-        session_lineage: int = 8,
-        max_sessions: int = 1024,
-    ) -> None:
-        if session_lineage < 1:
-            raise ServiceError("session_lineage must be >= 1")
-        if max_sessions < 1:
-            raise ServiceError("max_sessions must be >= 1")
+    def __init__(self, capacity_bytes: float, policy: str = "lru") -> None:
         self._lock = threading.Lock()
         self._results: Cache = make_cache(policy, capacity_bytes)
-        self._footprints = FootprintIndex(footprint_entries)
-        self._session_lineage = session_lineage
-        self._max_sessions = max_sessions
-        self._sessions: OrderedDict[Hashable, deque] = OrderedDict()
         self.hits = 0
-        self.subsumption_probes = 0
         self.misses = 0
 
-    # -- internal helpers (callers hold the lock) ------------------------------
-    def _lineage(self, session: Hashable) -> deque:
-        lineage = self._sessions.pop(session, None)
-        if lineage is None:
-            lineage = deque(maxlen=self._session_lineage)
-        self._sessions[session] = lineage
-        while len(self._sessions) > self._max_sessions:
-            self._sessions.popitem(last=False)
-        return lineage
+    def lookup(self, fingerprint: str) -> tuple[QueryResult | None, None]:
+        """The cached result for a canonical-plan fingerprint, or ``None``.
 
-    def _session_footprint(
-        self, session: Hashable | None, conjuncts: frozenset[str]
-    ) -> tuple[int, ...] | None:
-        if session is None:
-            return None
-        lineage = self._sessions.get(session)
-        if lineage is None:
-            return None
-        best: tuple[int, ...] | None = None
-        for key, footprint in reversed(lineage):
-            if key <= conjuncts and (
-                best is None or len(footprint) < len(best)
-            ):
-                best = footprint
-        return best
-
-    # -- public API -------------------------------------------------------------
-    def lookup(
-        self,
-        fingerprint: str,
-        conjuncts: frozenset[str],
-        session: Hashable | None = None,
-    ) -> tuple[QueryResult | None, tuple[int, ...] | None]:
-        """Probe for an exact hit, else a subsumption footprint.
-
-        Returns ``(result, None)`` on an exact canonical-plan hit and
-        ``(None, footprint)`` when only a covering footprint is known
-        (``footprint`` is ``None`` on a cold miss). Session lineage is
-        consulted before the global footprint index.
+        The second element is always ``None``: it is kept only for
+        ``bench/trace.py``'s ``result_cache.footprint`` tally, which
+        indexes it.
         """
         with self._lock:
-            entry = self._results.get(fingerprint)
-            if entry is not None:
+            result = self._results.get(fingerprint)
+            if result is not None:
                 self.hits += 1
-                return entry.result, None
-            footprint = self._session_footprint(session, conjuncts)
-            if footprint is None:
-                footprint = self._footprints.lookup(conjuncts)
-            if footprint is not None:
-                self.subsumption_probes += 1
             else:
                 self.misses += 1
-            return None, footprint
+            return result, None
 
-    def admit(
-        self,
-        fingerprint: str,
-        conjuncts: frozenset[str],
-        result: QueryResult,
-        session: Hashable | None = None,
-    ) -> None:
-        """Cache a served result and record its footprint.
+    def admit(self, fingerprint: str, result: QueryResult) -> None:
+        """Cache a served result.
 
         Incomplete (degraded) results are never admitted: their rows
-        undercount, and their footprint may be missing unserved chunks.
+        undercount.
         """
         if not result.complete:
             return
-        footprint = tuple(result.stats.active_chunks)
-        entry = CachedResult(result, conjuncts, footprint)
         with self._lock:
             self._results.put(
-                fingerprint, entry, weight=estimate_result_weight(result)
+                fingerprint, result, weight=estimate_result_weight(result)
             )
-            self._footprints.record(conjuncts, footprint)
-            if session is not None:
-                self._lineage(session).append((conjuncts, footprint))
 
     def stats(self) -> dict[str, float]:
         """A consistent snapshot of cache activity and occupancy."""
         with self._lock:
-            probes = self.hits + self.subsumption_probes + self.misses
+            probes = self.hits + self.misses
             return {
                 "hits": float(self.hits),
-                "subsumption_probes": float(self.subsumption_probes),
                 "misses": float(self.misses),
                 "hit_fraction": self.hits / probes if probes else 0.0,
-                "subsumption_fraction": (
-                    self.subsumption_probes / probes if probes else 0.0
-                ),
                 "entries": float(len(self._results)),
                 "used_bytes": float(self._results.used),
                 "evictions": float(self._results.stats.evictions),
-                "footprints": float(len(self._footprints)),
             }

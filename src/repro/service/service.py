@@ -3,25 +3,26 @@
 Turns the one-shot engine into the paper's production shape: many
 concurrent drill-down sessions submitting query streams against one
 shared store, answered through a cache hierarchy (semantic result cache
--> chunk-result cache -> column scans) with admission control and
-per-tenant fairness in front of the shared execution strategy.
+-> the engine's WHERE classifications and chunk-result cache -> column
+scans) with admission control and per-tenant fairness in front of the
+shared execution strategy.
 
 Request lifecycle::
 
     submit(tenant, sql) -> admission (bounded per-tenant queue)
         -> smooth-WRR dispatch (FairScheduler, in-flight caps)
-        -> semantic cache probe (exact hit | subsumption footprint)
-        -> engine execution (pruned to the footprint when subsumed)
+        -> semantic cache probe (exact canonical-plan hit | miss)
+        -> engine execution on a miss
         -> admit result + resolve the caller's QueryTicket
 
 Load shedding is explicit: an over-admitted query resolves to a
 :class:`QueryRejected` outcome, never an exception and never a silent
-drop — the bench layer accounts every submission exactly.
+drop — the bench layer accounts every submission exactly. Every
+dispatched query resolves too: whatever the engine raises becomes a
+:class:`QueryFailed`, and the dispatch thread serves on.
 
-Serving is backend-agnostic: a local :class:`DataStore` (where
-subsumption pruning applies) or a :class:`SimulatedCluster` (exact
-reuse only — merged shard-local chunk indices are not a sound pruning
-footprint, and the cluster is gated to one query at a time).
+Serving is backend-agnostic: a local :class:`DataStore` or a
+:class:`SimulatedCluster` (gated to one query at a time).
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.core.datastore import DataStore
-from repro.core.plan import query_fingerprint, where_conjuncts
+# Unused here: bench/trace.py still patches this module's where_conjuncts.
+from repro.core.plan import query_fingerprint, where_conjuncts  # noqa: F401
 from repro.core.result import QueryResult
 from repro.errors import ReproError, ServiceError
 from repro.monitoring import QueryLogCollector, counters
@@ -53,10 +55,6 @@ class ServiceConfig:
     cache_capacity_bytes: float = 64 * 1024 * 1024
     cache_policy: str = "lru"
     enable_result_cache: bool = True
-    enable_subsumption: bool = True
-    footprint_entries: int = 1024
-    session_lineage: int = 8
-    max_sessions: int = 1024
     dispatch_poll_seconds: float = 0.05
     shutdown_timeout_seconds: float = 10.0
 
@@ -96,7 +94,7 @@ class QueryCompleted(QueryOutcome):
     """The query was served; ``cache_path`` says how."""
 
     result: QueryResult
-    cache_path: str  # "miss" | "hit" | "subsumption"
+    cache_path: str  # "miss" | "hit"
 
 
 @dataclass
@@ -108,7 +106,7 @@ class QueryRejected(QueryOutcome):
 
 @dataclass
 class QueryFailed(QueryOutcome):
-    """The engine raised while serving (bad SQL binding, etc.)."""
+    """Serving raised (bad SQL binding, a bug, ...); ``error`` says what."""
 
     error: str
 
@@ -185,17 +183,7 @@ class QueryService:
             self._cache = SemanticResultCache(
                 capacity_bytes=self.config.cache_capacity_bytes,
                 policy=self.config.cache_policy,
-                footprint_entries=self.config.footprint_entries,
-                session_lineage=self.config.session_lineage,
-                max_sessions=self.config.max_sessions,
             )
-        # Subsumption pruning is only sound against a local DataStore
-        # (cluster stats merge shard-local chunk indices).
-        self._subsumption = (
-            self.config.enable_subsumption
-            and self.config.enable_result_cache
-            and self._is_store
-        )
         # Process pools supervise one wave at a time, and the simulated
         # cluster mutates machine state per query — both get a width-1
         # gate. Thread/serial strategies accept concurrent callers.
@@ -234,7 +222,10 @@ class QueryService:
     def submit(
         self, tenant: str, sql: Query | str, session: Hashable | None = None
     ) -> QueryTicket:
-        """Admit one query; the ticket resolves when it is served or shed."""
+        """Admit one query; the ticket resolves when it is served or shed.
+
+        ``session`` only labels the request and its outcome.
+        """
         if self._closed:
             raise ServiceError("submit() on a closed QueryService")
         query = parse_query(sql) if isinstance(sql, str) else sql
@@ -271,51 +262,41 @@ class QueryService:
             if picked is None:
                 continue
             tenant, request, turns_waited = picked
+            queue_seconds = time.perf_counter() - request.submitted
             try:
-                outcome = self._serve(request, turns_waited)
+                outcome = self._serve(request, queue_seconds, turns_waited)
+            except ReproError as error:
+                outcome = self._failed(
+                    request, queue_seconds, turns_waited, str(error)
+                )
+            except Exception as error:  # reprolint: disable=REP002 -- the serving boundary: every ticket resolves and the dispatch thread lives on
+                outcome = self._failed(
+                    request,
+                    queue_seconds,
+                    turns_waited,
+                    f"{type(error).__name__}: {error}",
+                )
             finally:
                 self._scheduler.complete(tenant)
             # The slot is free before the caller learns the outcome: a
             # closed-loop client's next query is eligible when offered.
             request.ticket._resolve(outcome)
 
-    def _serve(self, request: _Request, turns_waited: int) -> QueryOutcome:
-        started = time.perf_counter()
-        queue_seconds = started - request.submitted
-        fingerprint = query_fingerprint(request.query)
-        conjuncts = frozenset(where_conjuncts(request.query))
-        candidates: tuple[int, ...] | None = None
+    def _serve(
+        self, request: _Request, queue_seconds: float, turns_waited: int
+    ) -> QueryCompleted:
         cache_path = "miss"
-        result: QueryResult | None = None
-        if self._cache is not None:
-            cached, footprint = self._cache.lookup(
-                fingerprint, conjuncts, request.session
-            )
+        if self._cache is None:
+            result = self._execute(request.query)
+        else:
+            fingerprint = query_fingerprint(request.query)
+            cached, __ = self._cache.lookup(fingerprint)
             if cached is not None:
                 cache_path = "hit"
                 result = cached
-            elif footprint is not None and self._subsumption:
-                candidates = footprint
-                cache_path = "subsumption"
-        if result is None:
-            try:
-                result = self._execute(request.query, candidates)
-            except ReproError as error:
-                self._count("failed")
-                counters.increment("service.failed")
-                return QueryFailed(
-                    tenant=request.tenant,
-                    session=request.session,
-                    sql=request.sql,
-                    queue_seconds=queue_seconds,
-                    total_seconds=time.perf_counter() - request.submitted,
-                    turns_waited=turns_waited,
-                    error=str(error),
-                )
-            if self._cache is not None:
-                self._cache.admit(
-                    fingerprint, conjuncts, result, request.session
-                )
+            else:
+                result = self._execute(request.query)
+                self._cache.admit(fingerprint, result)
         counters.increment(f"service.cache.{cache_path}")
         if not result.complete:
             self._count("degraded")
@@ -336,14 +317,29 @@ class QueryService:
             cache_path=cache_path,
         )
 
-    def _execute(
-        self, query: Query, candidates: tuple[int, ...] | None
-    ) -> QueryResult:
+    def _failed(
+        self,
+        request: _Request,
+        queue_seconds: float,
+        turns_waited: int,
+        error: str,
+    ) -> QueryFailed:
+        self._count("failed")
+        counters.increment("service.failed")
+        return QueryFailed(
+            tenant=request.tenant,
+            session=request.session,
+            sql=request.sql,
+            queue_seconds=queue_seconds,
+            total_seconds=time.perf_counter() - request.submitted,
+            turns_waited=turns_waited,
+            error=error,
+        )
+
+    def _execute(self, query: Query) -> QueryResult:
         with self._engine_gate:
             if self._is_store:
-                return self.backend.execute(
-                    query, candidate_chunks=candidates
-                )
+                return self.backend.execute(query)
             result, __ = self.backend.execute(query)
             return result
 

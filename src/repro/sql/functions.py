@@ -17,7 +17,7 @@ import math
 from collections.abc import Callable
 from typing import Any
 
-from repro.errors import BindError
+from repro.errors import BindError, ExecutionError
 
 _EPOCH = _dt.datetime(1970, 1, 1, tzinfo=_dt.timezone.utc)
 
@@ -192,4 +192,8 @@ def apply_scalar(name: str, args: list[Any]) -> Any:
         )
     if any(arg is None for arg in args):
         return None
-    return fn(*args)
+    try:
+        return fn(*args)
+    except (ArithmeticError, TypeError, ValueError) as error:
+        types = ", ".join(type(arg).__name__ for arg in args)
+        raise ExecutionError(f"{name}({types}) failed: {error}") from None

@@ -79,8 +79,8 @@ def generate_drilldown_session_groups(
 
     Returns ``sessions -> clicks -> queries``: each session is a
     sequence of clicks whose WHERE restrictions only ever *gain*
-    conjuncts (the UI's drill-down refinement invariant the serving
-    cache's subsumption reuse relies on); each click is ~20 SQL queries
+    conjuncts (the UI's drill-down refinement invariant, so each click
+    touches a subset of its parent's chunks); each click is ~20 SQL queries
     sharing one WHERE and varying the charted group field / metric.
     Restrictions are conjunctions of IN statements over the correlated
     fields (country, table_name, user_name).

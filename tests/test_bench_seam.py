@@ -15,14 +15,12 @@ from __future__ import annotations
 import ast
 import sys
 import threading
-from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import datastore as datastore_module
-from repro.core.result import ScanStats
 from repro.monitoring import counters
 from repro.sql.parser import parse_query
 from repro.workload.queries import QUERY_1
@@ -39,7 +37,6 @@ _PROJECTION = (
     "SELECT table_name, latency FROM data WHERE latency > 500 "
     "ORDER BY latency DESC LIMIT 5"
 )
-_TIMERS = [f.name for f in fields(ScanStats) if f.name.endswith("_seconds")]
 _COMMON_SPANS = {
     "sql.parse",
     "plan.resolve",
@@ -78,20 +75,6 @@ def test_every_layer_patch_sees_the_query(log_table, tracer, query, spans):
     assert {name: calls.get(name, 0) for name in spans} == dict.fromkeys(spans, 1)
     assert ("plan.group" in calls) == ("plan.group" in spans)
     # The query path reads the restriction's arrays, never a chunk's view.
-    assert tracer.tallies["restriction.decide"].calls == 0
-
-
-def test_candidate_pruned_chunks_are_never_decided(log_table, tracer):
-    """Repeated, negative and past-the-end candidates are ignored, never
-    wrapped: ``-1`` does not name the last chunk."""
-    store = make_store(log_table, cache_chunk_results=False)
-    n = store.n_chunks
-    kept = tuple(range(0, n - 1, 3))
-    messy = store.execute(QUERY_1, candidate_chunks=[*kept, *kept, -1, -n, n, n + 7])
-    pruned = store.execute(QUERY_1, candidate_chunks=kept)
-    assert messy.content_equal(pruned) and messy.stats.active_chunks == kept
-    work = [replace(r.stats, **dict.fromkeys(_TIMERS, 0.0)) for r in (messy, pruned)]
-    assert work[0] == work[1]
     assert tracer.tallies["restriction.decide"].calls == 0
 
 
@@ -175,8 +158,7 @@ def test_one_vector_pass_per_leaf_one_index_per_field(log_table, tracer, passes)
     queries = _restricted_queries(store)
     store.execute(queries[0])
     assert len(passes.leaves) == 3  # one pass per WHERE leaf
-    store.execute(queries[1], candidate_chunks=range(1, store.n_chunks, 2))
-    for query in queries[2:]:
+    for query in queries[1:]:
         store.execute(query)
     assert len(passes.leaves) == len({id(leaf) for leaf in passes.leaves}) == 30
     # A leaf gathers the rows of every undecided chunk at once, or nothing.

@@ -7,10 +7,13 @@ cluster all produce the same result table for the same query (up to
 floating-point summation order).
 """
 
+import re
+
 import pytest
 
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.distributed import ClusterConfig, SimulatedCluster
+from repro.errors import ExecutionError
 from repro.formats import (
     ColumnIoBackend,
     CsvBackend,
@@ -146,3 +149,28 @@ def test_null_heavy_agreement(query, null_log_table, tmp_path):
         ),
     )
     assert_results_equal(store.execute(query).rows(), reference, context=query)
+
+
+#: Queries whose functions or values fail on the data, each with the
+#: start of its typed error: the function (or field) and argument types.
+#: The last fails only in the store, whose numeric dictionaries are
+#: int64; the row backends compute with Python ints.
+FAILING_QUERIES = [
+    ("SELECT date(table_name) AS d, COUNT(*) FROM data GROUP BY d", "date(str)"),
+    ("SELECT date(timestamp * 1e300) AS d FROM data", "date(float)"),
+    ("SELECT abs(table_name) AS a FROM data", "abs(str)"),
+    ("SELECT substr(table_name, country) AS s FROM data", "substr(str, str)"),
+    ("SELECT latency * 99999999999999999999 FROM data", "field (latency"),
+]
+
+
+@pytest.mark.parametrize(
+    "query, message", FAILING_QUERIES, ids=range(len(FAILING_QUERIES))
+)
+def test_failing_functions_raise_execution_error(
+    query, message, backends, store_variants
+):
+    scalar = message != FAILING_QUERIES[-1][1]
+    for executor in [*store_variants, *(backends if scalar else ())]:
+        with pytest.raises(ExecutionError, match=re.escape(message)):
+            executor.execute(query)

@@ -309,11 +309,9 @@ class TestImportStats:
 
 
 class TestCandidateChunkPruning:
-    # The soundness contract the serving layer's subsumption reuse
-    # relies on: executing with candidate_chunks equal to (a superset
-    # of) the query's own active footprint is bit-identical to the
-    # unpruned run — pruned chunks are accounted exactly like directly
-    # SKIPped ones.
+    # AND-ing conjuncts onto a WHERE only shrinks the set of chunks it
+    # cannot skip: restriction analysis alone prunes a drill-down
+    # refinement to (a subset of) its parent's active chunks.
 
     PARENT = (
         "SELECT country, COUNT(*) as c FROM data "
@@ -327,36 +325,31 @@ class TestCandidateChunkPruning:
 
     def test_refinement_pruned_by_parent_footprint(self, log_store):
         parent = log_store.execute(self.PARENT)
-        direct = log_store.execute(self.CHILD)
-        pruned = log_store.execute(
-            self.CHILD,
-            candidate_chunks=parent.stats.active_chunks,
-        )
-        assert pruned.content_equal(direct)
-        assert pruned.rows() == direct.rows()
-        assert pruned.column_names == direct.column_names
-        # Identical row accounting: every chunk outside the footprint
-        # was provably SKIP for the child too.
-        assert pruned.stats.rows_skipped == direct.stats.rows_skipped
-        assert pruned.stats.rows_scanned == direct.stats.rows_scanned
-        assert pruned.stats.active_chunks == direct.stats.active_chunks
+        child = log_store.execute(self.CHILD)
+        assert set(child.stats.active_chunks) < set(parent.stats.active_chunks)
+        assert child.stats.rows_skipped > parent.stats.rows_skipped
+        assert child.table.n_rows == 2
 
     def test_projection_path_pruned(self, log_store):
-        sql = (
+        parent = log_store.execute(self.PARENT)
+        projection = log_store.execute(
             "SELECT country, latency FROM data "
-            "WHERE country IN ('FI', 'US') LIMIT 40;"
+            "WHERE latency > 100 AND country IN ('FI', 'US') LIMIT 40;"
         )
-        direct = log_store.execute(sql)
-        pruned = log_store.execute(
-            sql, candidate_chunks=direct.stats.active_chunks
+        assert set(projection.stats.active_chunks) < set(
+            parent.stats.active_chunks
         )
-        assert pruned.rows() == direct.rows()
-        assert pruned.stats.active_chunks == direct.stats.active_chunks
+        assert projection.table.n_rows == 40
+        assert {row[0] for row in projection.rows()} <= {"FI", "US"}
 
     def test_empty_footprint_serves_empty_result(self, log_store):
-        result = log_store.execute(self.PARENT, candidate_chunks=())
+        result = log_store.execute(
+            self.PARENT.replace("latency > 100", "country IN ('XX')")
+        )
+        assert result.table.n_rows == 0
         assert result.stats.rows_scanned == 0
         assert result.stats.rows_skipped == result.stats.rows_total
+        assert result.stats.chunks_skipped == result.stats.chunks_total
         assert result.stats.active_chunks == ()
 
 

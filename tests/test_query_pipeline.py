@@ -1,11 +1,11 @@
-"""The four doors into the store run one pipeline.
+"""The two doors into the store run one pipeline.
 
-``DataStore.execute``, ``execute(candidate_chunks=…)`` (the service's
-subsumption reuse), ``execute_partials`` (the cluster's shard task) and
-projection queries all go through ``DataStore._run_pipeline``: same
-preparation, same chunk classification, same supervised fan-out, same
-fold. So the doors must agree on the answer *and* on the work they
-report, and a projection query must degrade exactly like a grouped one.
+``DataStore.execute`` and ``execute_partials`` (the cluster's shard
+task), for grouped and projection queries alike, all go through
+``DataStore._run_pipeline``: same preparation, same chunk
+classification, same supervised fan-out, same fold. So the doors must
+agree on the answer *and* on the work they report, and a projection
+query must degrade exactly like a grouped one.
 """
 
 from __future__ import annotations
@@ -95,22 +95,18 @@ def _through_partials(store: DataStore, query: str):
 
 
 def _assert_doors_agree(store: DataStore, query: str, footprint=None) -> None:
-    """``footprint``: a parent's active chunks (default: the query's own)."""
-    # Each door runs on an emptied chunk cache, so all three see the
-    # same cold store (twin stores would triple the build cost).
+    """``footprint``: a parent's active chunks, which must cover the query's."""
+    # Each door runs on an emptied chunk cache, so both see the same
+    # cold store (twin stores would double the build cost).
     store.chunk_cache.clear()
     direct = store.execute(query)
-    if footprint is None:
-        footprint = direct.stats.active_chunks
-    assert set(direct.stats.active_chunks) <= set(footprint)
-    store.chunk_cache.clear()
-    pruned = store.execute(query, candidate_chunks=footprint)
+    if footprint is not None:
+        assert set(direct.stats.active_chunks) <= set(footprint)
     store.chunk_cache.clear()
     partial = _through_partials(store, query)
-    assert direct.content_equal(pruned)
     assert direct.content_equal(partial)
-    assert _work(direct.stats) == _work(pruned.stats) == _work(partial.stats)
-    assert direct.complete and pruned.complete
+    assert _work(direct.stats) == _work(partial.stats)
+    assert direct.complete
 
 
 @pytest.mark.parametrize("name", sorted(FULL_SCAN_SHAPES))
@@ -144,8 +140,8 @@ def test_a_serial_scan_is_one_kernel_call(log_table, name, monkeypatch):
 def test_drilldown_session_agrees_through_every_door(
     log_table, log_store, seed
 ):
-    """Each click refines the previous one: its queries run inside the
-    parent click's footprint exactly as the service's subsumption does."""
+    """Each click refines the previous one: restriction analysis alone
+    keeps its queries inside the parent click's footprint."""
     [session] = generate_drilldown_session_groups(
         log_table,
         DrillDownConfig(
@@ -196,19 +192,20 @@ def _assert_same_answer_and_footprint(result, reference, query) -> None:
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     thresholds=st.lists(st.sampled_from([0, 50, 500, 5000]), min_size=3, max_size=3),
-    doors=st.lists(st.sampled_from(["execute", "pruned", "partials"]), min_size=5, max_size=5),
+    doors=st.lists(st.sampled_from(["execute", "partials"]), min_size=5, max_size=5),
 )
 def test_a_clicks_queries_share_one_classification(log_table, seed, thresholds, doors):
-    """Every query of a click agrees with a store that remembers nothing."""
+    """Every query of a click agrees with a store that remembers nothing,
+    and stays inside the footprint of the click it refines."""
     store = make_store(log_table)
     reference_store = make_store(log_table, cache_chunk_results=False)
     [session] = generate_drilldown_session_groups(
         log_table,
         DrillDownConfig(n_sessions=1, clicks_per_session=3, queries_per_click=1, seed=seed),
     )
-    footprint = None
+    footprint = range(store.n_chunks)
     # Ascending thresholds: each click refines the one before it, so its
-    # footprint is a sound candidate set for the next.
+    # footprint covers the next one's.
     for [click_query], threshold in zip(session, sorted(thresholds)):
         conjuncts = [f"latency > {threshold}"]
         if (generated := parse_query(click_query).where) is not None:
@@ -221,11 +218,10 @@ def test_a_clicks_queries_share_one_classification(log_table, seed, thresholds, 
             reference = reference_store.execute(query)
             if door == "execute":
                 result = store.execute(query)
-            elif door == "pruned":
-                result = store.execute(query, candidate_chunks=footprint)
             else:
                 result = _through_partials(store, query)
             _assert_same_answer_and_footprint(result, reference, query)
+            assert set(result.stats.active_chunks) <= set(footprint), query
         # The first query classified (unless a click before left the same
         # WHERE behind), the others found its entry — the first click's
         # last one too, though it materialises date(timestamp).
@@ -362,8 +358,8 @@ def _work_row(stats: ScanStats) -> tuple:
 
 
 def _drilldown_work(log_table, seed: int) -> list[tuple]:
-    """A fresh store's work over one session: three clicks, each inside
-    the previous click's footprint, then the first click again, warm."""
+    """A fresh store's work over one session: three clicks, each refining
+    the one before, then the first click again, warm."""
     store = make_store(log_table)
     [session] = generate_drilldown_session_groups(
         log_table,
@@ -371,15 +367,11 @@ def _drilldown_work(log_table, seed: int) -> list[tuple]:
             n_sessions=1, clicks_per_session=3, queries_per_click=3, seed=seed
         ),
     )
-    rows: list[tuple] = []
-    footprint = None
-    for click in [*session, session[0]]:
-        if click is session[0]:
-            footprint = None
-        results = [store.execute(q, candidate_chunks=footprint) for q in click]
-        rows.extend(_work_row(result.stats) for result in results)
-        footprint = results[0].stats.active_chunks
-    return rows
+    return [
+        _work_row(store.execute(query).stats)
+        for click in [*session, session[0]]
+        for query in click
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(FULL_SCAN_SHAPES))
@@ -510,25 +502,38 @@ def _killing_one_chunk(**overrides):
         store.executor.close()  # unlinks the shared-memory arena
 
 
+def _chunk_rows(store: DataStore, chunk_index: int, names) -> list[tuple]:
+    """One chunk's rows of the fields ``names``, decoded one by one."""
+    columns = [
+        [field.dictionary.value(int(g)) for g in field.row_global_ids(chunk_index)]
+        for field in map(store.field, names)
+    ]
+    return list(zip(*columns))
+
+
 def test_projection_degrades_with_exact_coverage():
+    from collections import Counter
+
     with _killing_one_chunk() as (store, run):
         expected = store.execute(_PROJECTION)
         target = expected.stats.active_chunks[1]
         result = run(target)
         # The oracle for "everything but the lost chunk's rows, and
-        # nothing else" prunes that chunk away by hand.
-        survivors = store.execute(
-            _PROJECTION,
-            candidate_chunks=set(expected.stats.active_chunks) - {target},
-        )
+        # nothing else": the full answer minus that chunk's matching rows.
+        dropped = [
+            row
+            for row in _chunk_rows(store, target, ("country", "latency"))
+            if row[1] is not None and row[1] > 100
+        ]
     lost = store.chunk_row_counts[target]
     assert not result.complete
     assert result.stats.chunks_unserved == 1
     assert result.stats.rows_unserved == lost
     assert result.row_coverage == (store.n_rows - lost) / store.n_rows
     assert result.stats.chunks_scanned == expected.stats.chunks_scanned - 1
-    assert result.content_equal(survivors)
-    assert result.table.n_rows < expected.table.n_rows
+    assert dropped
+    assert Counter(result.rows()) == Counter(expected.rows()) - Counter(dropped)
+    assert result.table.n_rows == expected.table.n_rows - len(dropped)
 
 
 def test_projection_strict_mode_raises_chunk_unavailable():

@@ -1,16 +1,16 @@
 """Serving-layer tests: semantic cache, fair scheduler, QueryService.
 
-The soundness arguments the serving layer leans on are proved at the
-engine level (``candidate_chunks`` pruning is bit-identical; see
-test_datastore/test_plan); here we test the layer itself: cache reuse
-paths, admission and shedding, smooth-WRR fairness (as a hypothesis
-property), shutdown semantics, and the poisoned-tenant isolation
+Canonical fingerprints are tested in test_plan; here we test the layer
+itself: exact reuse and its misses, admission and shedding, smooth-WRR
+fairness (as a hypothesis property), failures that leave the dispatch
+threads serving, shutdown semantics, and the poisoned-tenant isolation
 guarantee under the supervised process executor.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.plan import query_fingerprint, where_conjuncts
+from repro.core.result import ScanStats
 from repro.distributed import ClusterConfig, SimulatedCluster
 from repro.errors import ServiceError
 from repro.service import (
     FairScheduler,
-    FootprintIndex,
     QueryCompleted,
     QueryFailed,
     QueryRejected,
@@ -33,6 +33,8 @@ from repro.service import (
     live_services,
 )
 from repro.sql.parser import parse_query
+
+from tests.test_cross_backend import FAILING_QUERIES
 
 PARENT_SQL = (
     "SELECT country, COUNT(*) as c FROM data "
@@ -45,88 +47,52 @@ CHILD_SQL = (
 )
 
 
-def _keys(sql: str) -> tuple[str, frozenset]:
-    query = parse_query(sql)
-    return query_fingerprint(query), frozenset(where_conjuncts(query))
+def _fingerprint(sql: str) -> str:
+    return query_fingerprint(parse_query(sql))
+
+
+def _work(stats: ScanStats) -> dict:
+    """Every ScanStats counter of work done (not the timers)."""
+    return {
+        f.name: getattr(stats, f.name)
+        for f in fields(ScanStats)
+        if not f.name.endswith("_seconds")
+    }
 
 
 # -- semantic result cache ------------------------------------------------------
 
 
-class TestFootprintIndex:
-    def test_exact_and_subset_lookup(self):
-        index = FootprintIndex(max_entries=8)
-        index.record(frozenset({"a"}), (0, 1, 2, 3))
-        assert index.lookup(frozenset({"a"})) == (0, 1, 2, 3)
-        # A refinement (superset of conjuncts) is covered by the parent.
-        assert index.lookup(frozenset({"a", "b"})) == (0, 1, 2, 3)
-        # An unrelated conjunct set is not.
-        assert index.lookup(frozenset({"c"})) is None
-
-    def test_smallest_covering_footprint_wins(self):
-        index = FootprintIndex(max_entries=8)
-        index.record(frozenset(), (0, 1, 2, 3, 4))
-        index.record(frozenset({"a"}), (1, 2))
-        assert index.lookup(frozenset({"a", "b"})) == (1, 2)
-
-    def test_re_record_keeps_tighter_footprint(self):
-        # A pruned re-execution reports a subset footprint; recording
-        # the parent again afterwards must not widen it back.
-        index = FootprintIndex(max_entries=8)
-        index.record(frozenset({"a"}), (1, 2))
-        index.record(frozenset({"a"}), (1, 2, 3, 4))
-        assert index.lookup(frozenset({"a"})) == (1, 2)
-
-    def test_bounded(self):
-        index = FootprintIndex(max_entries=3)
-        for i in range(10):
-            index.record(frozenset({f"c{i}"}), (i,))
-        assert len(index) == 3
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ServiceError):
-            FootprintIndex(max_entries=0)
-
-
 class TestSemanticResultCache:
     def test_miss_admit_hit(self, log_store):
         cache = SemanticResultCache(capacity_bytes=1 << 20)
-        fingerprint, conjuncts = _keys(PARENT_SQL)
-        assert cache.lookup(fingerprint, conjuncts) == (None, None)
+        fingerprint = _fingerprint(PARENT_SQL)
+        assert cache.lookup(fingerprint) == (None, None)
         result = log_store.execute(PARENT_SQL)
-        cache.admit(fingerprint, conjuncts, result)
-        cached, footprint = cache.lookup(fingerprint, conjuncts)
+        cache.admit(fingerprint, result)
+        cached, footprint = cache.lookup(fingerprint)
         assert cached is result
         assert footprint is None
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_subsumption_footprint_for_refinement(self, log_store):
+        # A refinement of a cached parent is a plain miss: the engine's
+        # WHERE and chunk caches, not this layer, reuse the parent's work.
         cache = SemanticResultCache(capacity_bytes=1 << 20)
-        parent_fp, parent_conj = _keys(PARENT_SQL)
-        parent = log_store.execute(PARENT_SQL)
-        cache.admit(parent_fp, parent_conj, parent)
-        child_fp, child_conj = _keys(CHILD_SQL)
-        assert parent_conj < child_conj  # a genuine refinement
-        cached, footprint = cache.lookup(child_fp, child_conj)
-        assert cached is None
-        assert footprint == tuple(parent.stats.active_chunks)
-
-    def test_session_lineage_preferred(self, log_store):
-        cache = SemanticResultCache(capacity_bytes=1 << 20)
-        parent_fp, parent_conj = _keys(PARENT_SQL)
-        parent = log_store.execute(PARENT_SQL)
-        cache.admit(parent_fp, parent_conj, parent, session="s1")
-        child_fp, child_conj = _keys(CHILD_SQL)
-        __, via_session = cache.lookup(child_fp, child_conj, session="s1")
-        __, via_global = cache.lookup(child_fp, child_conj, session="other")
-        assert via_session == via_global == tuple(parent.stats.active_chunks)
+        cache.admit(_fingerprint(PARENT_SQL), log_store.execute(PARENT_SQL))
+        parent, child = (
+            set(where_conjuncts(parse_query(sql))) for sql in (PARENT_SQL, CHILD_SQL)
+        )
+        assert parent < child  # a genuine refinement
+        assert cache.lookup(_fingerprint(CHILD_SQL)) == (None, None)
+        assert cache.stats()["misses"] == 1
 
     def test_incomplete_results_never_admitted(self, log_store):
         from dataclasses import replace
 
         cache = SemanticResultCache(capacity_bytes=1 << 20)
-        fingerprint, conjuncts = _keys(PARENT_SQL)
+        fingerprint = _fingerprint(PARENT_SQL)
         result = log_store.execute(PARENT_SQL)
         degraded = replace(
             result,
@@ -135,18 +101,17 @@ class TestSemanticResultCache:
             row_coverage=0.9,
         )
         assert not degraded.complete
-        cache.admit(fingerprint, conjuncts, degraded)
-        assert cache.lookup(fingerprint, conjuncts) == (None, None)
+        cache.admit(fingerprint, degraded)
+        assert cache.lookup(fingerprint) == (None, None)
 
     def test_byte_weighted_eviction(self, log_store):
         result = log_store.execute(PARENT_SQL)
         weight = estimate_result_weight(result)
         cache = SemanticResultCache(capacity_bytes=weight * 2.5)
         for i in range(8):
-            fingerprint, conjuncts = _keys(
-                PARENT_SQL.replace("100", str(100 + i))
+            cache.admit(
+                _fingerprint(PARENT_SQL.replace("100", str(100 + i))), result
             )
-            cache.admit(fingerprint, conjuncts, result)
         stats = cache.stats()
         assert stats["entries"] <= 2
         assert stats["evictions"] > 0
@@ -156,16 +121,17 @@ class TestSemanticResultCache:
         cache = SemanticResultCache(capacity_bytes=1 << 20)
         result = log_store.execute(PARENT_SQL)
         variants = [
-            _keys(PARENT_SQL.replace("100", str(100 + i))) for i in range(4)
+            _fingerprint(PARENT_SQL.replace("100", str(100 + i)))
+            for i in range(4)
         ]
         errors: list[BaseException] = []
 
         def worker(seed: int) -> None:
             try:
                 for step in range(200):
-                    fingerprint, conjuncts = variants[(seed + step) % 4]
-                    cache.lookup(fingerprint, conjuncts, session=seed)
-                    cache.admit(fingerprint, conjuncts, result, session=seed)
+                    fingerprint = variants[(seed + step) % 4]
+                    cache.lookup(fingerprint)
+                    cache.admit(fingerprint, result)
             except BaseException as exc:  # propagated to the assertion
                 errors.append(exc)
 
@@ -178,7 +144,7 @@ class TestSemanticResultCache:
             thread.join(30.0)
         assert not errors
         stats = cache.stats()
-        probes = stats["hits"] + stats["subsumption_probes"] + stats["misses"]
+        probes = stats["hits"] + stats["misses"]
         assert probes == 6 * 200
 
 
@@ -311,24 +277,37 @@ class _BlockingBackend:
         return self.store.execute(query), None
 
 
+class _RaisingBackend:
+    """A cluster-shaped backend with a bug: one query raises RuntimeError."""
+
+    def __init__(self, store: DataStore, poison: str) -> None:
+        self.store = store
+        self.poison = parse_query(poison).sql()
+
+    def execute(self, query):
+        if query.sql() == self.poison:
+            raise RuntimeError("backend bug")
+        return self.store.execute(query), None
+
+
 class TestQueryService:
     def test_cache_paths_and_bit_identity(self, serve_store):
+        serve_store.chunk_cache.clear()
         with QueryService(serve_store, ServiceConfig(workers=2)) as service:
             miss = service.run("acme", PARENT_SQL, session="s1")
             hit = service.run("acme", PARENT_SQL, session="s1")
             refined = service.run("acme", CHILD_SQL, session="s1")
         assert isinstance(miss, QueryCompleted) and miss.cache_path == "miss"
         assert isinstance(hit, QueryCompleted) and hit.cache_path == "hit"
-        assert isinstance(refined, QueryCompleted)
-        assert refined.cache_path == "subsumption"
-        # Served answers are content-identical to direct execution.
-        assert miss.result.content_equal(serve_store.execute(PARENT_SQL))
-        assert refined.result.content_equal(serve_store.execute(CHILD_SQL))
-        # The subsumed rescan really pruned: it visited no chunk
-        # outside the parent's footprint.
-        assert set(refined.result.stats.active_chunks) <= set(
-            miss.result.stats.active_chunks
-        )
+        assert isinstance(refined, QueryCompleted) and refined.cache_path == "miss"
+        assert hit.result is miss.result
+        # Served answers are direct execution's, in content and in every
+        # work counter, from the same chunk-cache state.
+        serve_store.chunk_cache.clear()
+        for served, sql in ((miss, PARENT_SQL), (refined, CHILD_SQL)):
+            direct = serve_store.execute(sql)
+            assert served.result.content_equal(direct)
+            assert _work(served.result.stats) == _work(direct.stats)
 
     def test_admission_sheds_exactly_beyond_depth(self, serve_store):
         backend = _BlockingBackend(serve_store)
@@ -360,10 +339,25 @@ class TestQueryService:
         assert counts["rejected"] == 3
 
     def test_engine_error_becomes_query_failed(self, serve_store):
-        with QueryService(serve_store) as service:
-            outcome = service.run("acme", "SELECT nosuch FROM data")
-        assert isinstance(outcome, QueryFailed)
-        assert "nosuch" in outcome.error
+        failing = [("SELECT nosuch FROM data", "nosuch"), *FAILING_QUERIES]
+        with QueryService(serve_store, ServiceConfig(workers=1)) as service:
+            for sql, message in failing:
+                outcome = service.run("acme", sql, timeout=30.0)
+                assert isinstance(outcome, QueryFailed), sql
+                assert message in outcome.error
+                # The one dispatch thread survived: the next query completes.
+                after = service.run("acme", PARENT_SQL, timeout=30.0)
+                assert isinstance(after, QueryCompleted)
+            assert service.stats()["counts"]["failed"] == len(failing)
+        backend = _RaisingBackend(serve_store, CHILD_SQL)
+        with QueryService(backend, ServiceConfig(workers=1)) as service:
+            for __ in range(2):
+                outcome = service.run("acme", CHILD_SQL, timeout=30.0)
+                assert isinstance(outcome, QueryFailed)
+                assert outcome.error == "RuntimeError: backend bug"
+                after = service.run("acme", PARENT_SQL, timeout=30.0)
+                assert isinstance(after, QueryCompleted)
+            assert all(t.is_alive() for t in service.worker_threads())
 
     def test_close_rejects_backlog_and_stops_threads(self, serve_store):
         backend = _BlockingBackend(serve_store)
@@ -434,8 +428,7 @@ class TestQueryService:
                 miss = service.run("acme", PARENT_SQL)
                 hit = service.run("acme", PARENT_SQL)
             assert miss.cache_path == "miss"
-            # Exact canonical-plan reuse works over the cluster; the
-            # subsumption path (store-only) must never engage.
+            # Exact canonical-plan reuse works over the cluster too.
             assert hit.cache_path == "hit"
             assert miss.result.content_equal(direct)
         finally:

@@ -287,7 +287,7 @@ class TestDrillDownSessions:
 
 
 class TestDrillDownSessionGroups:
-    # The invariants the serving layer's subsumption reuse relies on.
+    # The invariants of a drill-down trace: sessions of refining clicks.
 
     def test_flat_view_is_concatenation(self, log_table):
         from repro.workload.queries import generate_drilldown_session_groups
@@ -303,8 +303,8 @@ class TestDrillDownSessionGroups:
 
     def test_refinement_property(self, log_table):
         # Each click's canonical conjunct set contains its parent's:
-        # exactly the subsumption precondition (child WHERE = parent
-        # AND extra), checked on the parsed plan, not string counts.
+        # child WHERE = parent AND extra, checked on the parsed plan,
+        # not string counts.
         from repro.core.plan import where_conjuncts
         from repro.sql.parser import parse_query
         from repro.workload.queries import generate_drilldown_session_groups

@@ -54,7 +54,13 @@ from repro.core.executor import (
     SupervisionConfig,
     make_executor,
 )
-from repro.core.expr_eval import evaluate
+from repro.core.expr_eval import (
+    Vector,
+    as_list,
+    evaluate,
+    evaluate_array,
+    to_vector,
+)
 from repro.core.plan import is_aggregation_query, plan_group_query, resolve_group_aliases
 from repro.core.restriction import FULL, Restriction, compile_restriction, pick
 from repro.core.result import QueryResult, ScanStats, finalize
@@ -69,7 +75,7 @@ from repro.errors import (
 from repro.partition.codes import distinct_tuples, factorize, factorize_list
 from repro.partition.composite import PartitionSpec, partition_table
 from repro.partition.reorder import order_from_codes, reorder_table
-from repro.sketches.hashing import hash_to_unit
+from repro.sketches.hashing import hash_units
 from repro.sql.ast_nodes import (
     Aggregate,
     Expr,
@@ -274,38 +280,33 @@ class FieldStore:
     def value_array(self) -> np.ndarray:
         """All dictionary values as an object array indexed by gid."""
         if self._value_array is None:
-            values = self.dictionary.values()
-            array = np.empty(len(values), dtype=object)
-            for index, value in enumerate(values):
-                array[index] = value
-            self._value_array = array
+            values, null = _dictionary_vector(self.dictionary)
+            values = values.astype(object)
+            values[null] = None
+            self._value_array = values
         return self._value_array
 
     def numeric_values(self) -> np.ndarray:
         """Dictionary values as float64 (NaN for NULL), for SUM/AVG."""
         if self._numeric_values is None:
-            values = self.dictionary.values()
-            out = np.empty(len(values), dtype=np.float64)
-            for index, value in enumerate(values):
-                if value is None:
-                    out[index] = np.nan
-                elif isinstance(value, (int, float)):
-                    out[index] = float(value)
-                else:
+            values, null = _dictionary_vector(self.dictionary)
+            if values.dtype.kind == "O":
+                found = values[~null]
+                if found.size:
                     raise ExecutionError(
                         f"field {self.name!r} is not numeric "
-                        f"(found {type(value).__name__})"
+                        f"(found {type(found[0]).__name__})"
                     )
-            self._numeric_values = out
+                values = np.zeros(values.size)
+            values = values.astype(np.float64)
+            values[null] = np.nan
+            self._numeric_values = values
         return self._numeric_values
 
     def hash_units(self) -> np.ndarray:
         """Per-gid value hashes in [0, 1), for KMV sketches."""
         if self._hash_units is None:
-            self._hash_units = np.array(
-                [hash_to_unit(v) for v in self.dictionary.values()],
-                dtype=np.float64,
-            )
+            self._hash_units = hash_units(self.dictionary.values())
         return self._hash_units
 
     # -- size accounting --------------------------------------------------------
@@ -334,15 +335,20 @@ class FieldStore:
         return sum(self._sizes())
 
 
-def _coerce(value: Any) -> Any:
-    """Normalize evaluator outputs into storable dictionary values."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+def _dictionary_vector(dictionary: Dictionary) -> Vector:
+    """A dictionary by global-id as an ``evaluate_array`` column.
+
+    Typed (int64 / float64) for a numeric dictionary, whose value array
+    it is without a NULL (read-only, like every ``evaluate_array`` input),
+    object otherwise; NULL is global-id 0 when the dictionary has it.
+    """
+    null = np.zeros(len(dictionary), dtype=bool)
+    null[: int(dictionary.has_null)] = True
+    if not isinstance(dictionary, NumericDictionary):
+        return np.fromiter(dictionary.values(), dtype=object, count=len(null)), null
+    if dictionary.has_null:
+        return np.concatenate([[0], dictionary.raw_values()]), null
+    return dictionary.raw_values(), null
 
 
 def _dictionary_from_ordered(
@@ -895,9 +901,11 @@ class DataStore:
 
         The rows of the fields ``spec`` reads hold few distinct tuples of
         global-ids. Each tuple gets its value once — the expression
-        evaluated on it, or for a composite the tuple itself — and the
-        values are ranked into the dictionary; the rows' global-ids then
-        go through :func:`encode_column_chunks`.
+        evaluated on it by :func:`evaluate_array`, or for a composite the
+        tuple itself — and the values are ranked into the dictionary; the
+        rows' global-ids then go through :func:`encode_column_chunks`.
+        Over one field the tuples are that field's dictionary (the import
+        keeps no value that no row holds), so its global-ids number them.
         """
         kind, definition = spec
         if kind == "composite":
@@ -913,30 +921,30 @@ class DataStore:
                 self._ensure(("field", ref)) for ref in sorted(referenced_fields(expr))
             ]
         sources = [self.field(ref) for ref in refs]
-        numbers, __, tuples = distinct_tuples(
-            [np.concatenate([c.row_global_ids() for c in s.chunks]) for s in sources],
-            self.n_rows,
-        )
-        # Values from throwaway lists, let go of as the rows are consumed
-        # (a value_array() memo would pin them for the store's life).
-        rows = zip(
-            *[
+        row_gids = [
+            np.concatenate([c.row_global_ids() for c in s.chunks]) for s in sources
+        ]
+        if kind == "expr" and len(sources) == 1:
+            numbers, tuples = row_gids[0], [slice(None)]  # all of the dictionary
+        else:
+            numbers, __, tuples = distinct_tuples(row_gids, self.n_rows)
+        if kind == "composite":  # tuples in global-id order, which is value order
+            values = list(zip(*(
                 list(map(source.dictionary.values().__getitem__, gids.tolist()))
                 for source, gids in zip(sources, tuples)
-            ]
-        )
-        if kind == "composite":
-            values = list(rows)  # in global-id order, which is value order
+            )))  # fmt: skip
             gid_of_tuple = np.arange(len(values))
             dictionary = SortedTupleDictionary(values)
         else:
-            position = {ref: j for j, ref in enumerate(refs)}
-            gid_of_tuple, ordered = factorize_list(
-                [
-                    _coerce(evaluate(expr, lambda ref, row=row: row[position[ref]]))
-                    for row in (rows if sources else [()])
-                ]
-            )
+            columns, n = {}, 1  # no field: one tuple, the empty one
+            for ref, source, gids in zip(refs, sources, tuples):
+                values, null = _dictionary_vector(source.dictionary)
+                columns[ref] = values[gids], null[gids]
+                n = len(columns[ref][1])
+            results = as_list(evaluate_array(expr, columns, n))
+            if bool in set(map(type, results)):  # a bool is stored as an int
+                results = [int(v) if type(v) is bool else v for v in results]
+            gid_of_tuple, ordered = factorize_list(results)
             dictionary = _dictionary_from_ordered(
                 ordered, self.options.optimized_dicts, f"field {definition}"
             )
@@ -1543,7 +1551,7 @@ def _topk_positions(parsed, plan, gids, aggregators, columns):
     key_specs += [(expr, False) for __, expr in plan.items]
     key_specs.append((group_key, False))
 
-    decoded: dict[str, list] = {}  # __agg_j -> Python values, on demand
+    decoded: dict[str, Vector] = {}  # __agg_j -> its final values, on demand
 
     def key_column(expr):
         """``expr`` over every group as one sortable array, or None."""
@@ -1560,11 +1568,9 @@ def _topk_positions(parsed, plan, gids, aggregators, columns):
         for name in refs:
             if name not in decoded:
                 j = int(name.removeprefix("__agg_"))
-                decoded[name] = aggregators[j].decode(*columns[j])
-        envs = zip(*(decoded[name] for name in refs)) if refs else [()] * gids.size
-        return _sortable(
-            [evaluate(expr, dict(zip(refs, env)).__getitem__) for env in envs]
-        )
+                # decode: MIN / MAX hold global-ids, not their values.
+                decoded[name] = to_vector(aggregators[j].decode(*columns[j]))
+        return _sortable(evaluate_array(expr, decoded, gids.size))
 
     keys: dict[Expr, np.ndarray] = {}  # a repeated key cannot reorder anything
     for expr, descending in key_specs:
@@ -1583,17 +1589,22 @@ def _topk_positions(parsed, plan, gids, aggregators, columns):
     return np.lexsort(list(keys.values())[::-1])[: parsed.limit]
 
 
-def _sortable(values: list[Any]) -> np.ndarray | None:
+def _sortable(vector: Vector) -> np.ndarray | None:
     """Evaluated key values as one array that sorts like them, or None.
 
     None for whatever an int64 / float64 column cannot order exactly as
     Python does: NULL, NaN, bool, ints beyond the dtype. Strings sort
     through their ranks.
     """
+    column, null = vector
+    if null.any() or column.dtype.kind == "b":
+        return None
+    if column.dtype.kind != "O":
+        return None if np.isnan(column).any() else column
+    values = column.tolist()
     kinds = set(map(type, values))
     if kinds == {str}:
-        ranks = {value: rank for rank, value in enumerate(sorted(set(values)))}
-        return np.array([ranks[value] for value in values], dtype=np.int64)
+        return np.unique(column, return_inverse=True)[1].astype(np.int64)
     if not kinds <= {int, float}:
         return None
     try:

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
+from repro.core.expr_eval import as_list
 from repro.errors import ExecutionError
 from repro.sketches.kmv import KmvSketch
 from repro.sql.ast_nodes import Aggregate, Star
@@ -163,10 +164,7 @@ class ColumnarAggregator:
 
     def decode(self, values: np.ndarray, null: np.ndarray) -> list[Any]:
         """Result columns as final Python values (None where NULL)."""
-        out = values.tolist()
-        for position in np.flatnonzero(null).tolist():
-            out[position] = None
-        return out
+        return as_list((values, null))
 
     def results(self, groups: np.ndarray) -> list[Any]:
         """Final value for each of ``groups`` (ascending gid order)."""

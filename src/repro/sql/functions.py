@@ -62,8 +62,16 @@ def _fn_abs(value: Any) -> Any:
     return abs(value)
 
 
+#: ``round(int, -d)`` builds ``10 ** d``, so an unbounded ``d`` can hang;
+#: past this bound a float rounds to itself or to zero anyway.
+_ROUND_DIGITS = 400
+
+
 def _fn_round(value: Any, digits: Any = 0) -> float:
-    return float(round(value, int(digits)))
+    digits = int(digits)
+    if abs(digits) > _ROUND_DIGITS:
+        raise ExecutionError(f"round() to {digits} digits is out of range")
+    return float(round(value, digits))
 
 
 def _fn_floor(value: Any) -> int:

@@ -397,3 +397,86 @@ class TestFieldStoreMemos:
                 assert field.size_bytes() == (
                     field.dictionary.size_bytes() + chunk_dicts + elements
                 )
+
+
+class TestDictionaryArrays:
+    """value_array / numeric_values / hash_units are array passes over the
+    dictionary, equal to the per-value loops they replaced."""
+
+    _COLUMNS = {
+        "ints": [3, -7, 3, 2**40, 0],
+        "floats": [2.5, -0.5, 1e300, 2.0, -0.0],
+        "null_ints": [None, 5, 1, None, -2],
+        "null_floats": [0.25, None, 7.0, 0.25, None],
+        "nulls": [None] * 5,
+        "strs": ["b", "", "日本", "a", "b"],
+        "null_strs": ["x", None, "y", "x", None],
+    }
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        table = Table.from_columns(self._COLUMNS)
+        return DataStore.from_table(table, DataStoreOptions())
+
+    @staticmethod
+    def _loop_value_array(values: list) -> np.ndarray:
+        array = np.empty(len(values), dtype=object)
+        for index, value in enumerate(values):
+            array[index] = value
+        return array
+
+    @staticmethod
+    def _loop_numeric_values(values: list) -> np.ndarray:
+        out = np.empty(len(values), dtype=np.float64)
+        for index, value in enumerate(values):
+            if value is None:
+                out[index] = np.nan
+            elif isinstance(value, (int, float)):
+                out[index] = float(value)
+            else:
+                raise ExecutionError(f"found {type(value).__name__}")
+        return out
+
+    @pytest.mark.parametrize("name", list(_COLUMNS))
+    def test_value_array_equals_the_loop(self, store, name):
+        values = store.field(name).dictionary.values()
+        array = FieldStore(name, store.field(name).dictionary, []).value_array()
+        expected = self._loop_value_array(values)
+        assert array.dtype == expected.dtype == object
+        assert [(type(v), v) for v in array] == [(type(v), v) for v in expected]
+
+    @pytest.mark.parametrize("name", [n for n in _COLUMNS if "strs" not in n])
+    def test_numeric_values_equal_the_loop(self, store, name):
+        field = FieldStore(name, store.field(name).dictionary, [])
+        expected = self._loop_numeric_values(field.dictionary.values())
+        numeric = field.numeric_values()
+        assert numeric.dtype == expected.dtype == np.float64
+        assert numeric.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["strs", "null_strs"])
+    def test_a_non_numeric_field_still_raises(self, store, name):
+        message = rf"field '{name}' is not numeric \(found str\)"
+        with pytest.raises(ExecutionError, match=message):
+            FieldStore(name, store.field(name).dictionary, []).numeric_values()
+
+    @pytest.mark.parametrize("name", list(_COLUMNS))
+    def test_hash_units_are_bit_identical_to_hash_to_unit(self, store, name):
+        from repro.sketches.hashing import hash_to_unit
+
+        field = FieldStore(name, store.field(name).dictionary, [])
+        expected = np.array([hash_to_unit(v) for v in field.dictionary.values()])
+        assert field.hash_units().dtype == np.float64
+        assert field.hash_units().tobytes() == expected.tobytes()
+
+    def test_hash_units_of_many_values_are_bit_identical(self):
+        from repro.sketches.hashing import hash_to_unit, hash_units
+
+        rng = np.random.default_rng(5)
+        for values in (
+            [f"v{k}" for k in range(20_000)],
+            rng.integers(-(2**62), 2**62, 20_000).tolist(),
+            [None, *rng.normal(0, 1e6, 20_000).round(2).tolist(), 3.0],
+            [(1, "a"), None, 2, "2", 2.0, True],  # not one type: the general rule
+        ):
+            expected = np.array([hash_to_unit(v) for v in values])
+            assert hash_units(values).tobytes() == expected.tobytes()

@@ -265,3 +265,25 @@ class TestFieldIdentity:
         assert sorted(results) == list(range(6))
         assert all(names == results[0] for names in results.values())
         assert sum(field.virtual for field in store.fields.values()) == len(_DERIVED)
+
+
+class TestFirstTouchWork:
+    """Materialising is dictionary work: the scalar functions run per
+    distinct value, and the datetime ones not at all (an exact count, not
+    a timing)."""
+
+    def test_scalar_calls_per_distinct_value_not_per_row(self, log_table, monkeypatch):
+        from repro.core import expr_eval
+
+        calls = []
+        apply_scalar = expr_eval.apply_scalar
+        monkeypatch.setattr(
+            expr_eval,
+            "apply_scalar",
+            lambda name, args: calls.append(name) or apply_scalar(name, args),
+        )
+        store = make_store(log_table)
+        store.ensure_field(_expr("date(timestamp)"))
+        assert calls == []
+        store.ensure_field(_expr("upper(country)"))
+        assert len(calls) == len(store.field("country").dictionary) < store.n_rows

@@ -8,7 +8,8 @@ over a tuple-keyed dict for several fields, and ``np.unique(axis=0)``
 plus a ``Dictionary.value`` per global-id for a composite — each with its
 own per-chunk ``ColumnChunk.from_global_ids`` loop. The edits are
 ``factorize_values``, a one-line alias of ``factorize_list``, spelled
-as what it called, and the glue: ``DataStore._ensure`` looks specs up
+as what it called, ``_coerce`` (the datastore's bool -> int, which it no
+longer calls per value), moved here unchanged, and the glue: ``DataStore._ensure`` looks specs up
 in the catalog and names and adds the field, so ``_materialize`` only
 dispatches and ``_register_virtual`` hands back what was built.
 """
@@ -19,11 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.datastore import (
-    DataStore,
-    _coerce,
-    _dictionary_from_ordered,
-)
+from repro.core.datastore import DataStore, _dictionary_from_ordered
 from repro.core.expr_eval import evaluate
 from repro.errors import UnsupportedQueryError
 from repro.partition.codes import factorize_list
@@ -37,6 +34,17 @@ from repro.sql.ast_nodes import (
 )
 from repro.storage.chunk import ColumnChunk
 from repro.storage.dictionary import Dictionary, SortedTupleDictionary
+
+
+def _coerce(value: Any) -> Any:
+    """Normalize evaluator outputs into storable dictionary values."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
 
 
 def reference_store(store: DataStore) -> "ReferenceVirtualStore":

@@ -44,6 +44,8 @@ from repro.compress.registry import get_codec
 from repro.core.engine import (
     PresenceAggregator,
     RunGroups,
+    _ExtremeAggregator,
+    _PairAggregator,
     aggregator_states,
     as_run_partial,
     build_aggregator,
@@ -1325,45 +1327,53 @@ class _GroupedKernel(_RunKernel):
     def _groups(self, run: Run, select: Callable) -> RunGroups:
         """The run's rows in the group field's CSR frame.
 
-        No GROUP BY is one group, global-id 0: a one-entry CSR segment
-        per chunk, every row on its chunk's entry.
+        When every chunk-dictionary from the run's first chunk to its last
+        is one entry (no GROUP BY: global-id 0 everywhere), each chunk has
+        one group and the run reads no rows: a chunk's span position is its
+        slot and ``kept`` counts its rows (a zero-row chunk has no entry).
         """
         chunks = np.array(run.chunks)
+        first, last = run.chunks[0], run.chunks[-1]
         group = self.fields[0]
         if group is None:
-            edges = self.store.row_starts[[*run.chunks, run.chunks[-1] + 1]]
-            if not isinstance(run.rows, slice):
-                edges = run.rows.searchsorted(edges)
-            kept = np.diff(edges)
-            starts = chunks - chunks[0]
-            return RunGroups(
-                np.repeat(starts, kept),
-                np.zeros(int(starts[-1]) + 1, dtype=np.uint32),
-                starts,
-            )
-        index = group.chunk_dict_index()
-        offsets = np.array(index.offsets)
-        base, end = offsets[chunks[0]], offsets[chunks[-1] + 1]
-        return RunGroups(
-            np.subtract(select(group.row_positions()), base, dtype=np.intp),
-            index.gids[base:end],
-            offsets[chunks] - base,
-        )
+            gids = np.zeros(last - first + 1, dtype=np.uint32)
+        else:
+            index = group.chunk_dict_index()
+            offsets = np.array(index.offsets[first : last + 2])
+            gids = index.gids[offsets[0] : offsets[-1]]
+            if (np.diff(offsets) != 1).any():
+                base = offsets[0]
+                return RunGroups(
+                    np.subtract(select(group.row_positions()), base, dtype=np.intp),
+                    gids,
+                    offsets[chunks - first] - base,
+                )
+        edges = self.store.row_starts[[*run.chunks, last + 1]]
+        if not isinstance(run.rows, slice):
+            edges = run.rows.searchsorted(edges)
+        return RunGroups(None, gids, chunks - first, np.diff(edges))
 
     def scan(self, run: Run) -> list:
         select = self._selector(run)
         groups = self._groups(run, select)
         presence = self.presence.run_partial(groups, None)
         partials = [presence]
+        # Every row of one-group chunks: distinct pairs are chunk-dictionaries.
+        chunks = np.array(run.chunks)
+        sizes = np.diff(self.store.row_starts)[chunks]
+        whole = groups.kept is not None and np.array_equal(groups.kept, sizes)
         gathered: dict[str, np.ndarray] = {}  # one gather per argument field
         for aggregator, field in zip(self.aggregators, self.fields[1:]):
             # COUNT(*) has no argument: its partial is the presence one.
             if field is None:
                 partials.append(presence)
-                continue
-            if field.name not in gathered:
-                gathered[field.name] = self._gids(field, select)
-            partials.append(aggregator.run_partial(groups, gathered[field.name]))
+            elif whole and isinstance(aggregator, _PairAggregator):
+                entries = field.chunk_dict_index().chunk_dicts(chunks)
+                partials.append(aggregator.dictionary_partial(groups, *entries))
+            else:
+                if field.name not in gathered:
+                    gathered[field.name] = self._gids(field, select)
+                partials.append(aggregator.run_partial(groups, gathered[field.name]))
         return partials
 
     def chunk_partials(self, partials: list, k: int) -> list:
@@ -1568,8 +1578,9 @@ def _topk_positions(parsed, plan, gids, aggregators, columns):
         for name in refs:
             if name not in decoded:
                 j = int(name.removeprefix("__agg_"))
-                # decode: MIN / MAX hold global-ids, not their values.
-                decoded[name] = to_vector(aggregators[j].decode(*columns[j]))
+                decoded[name] = columns[j]
+                if isinstance(aggregators[j], _ExtremeAggregator):  # best gids
+                    decoded[name] = to_vector(aggregators[j].decode(*columns[j]))
         return _sortable(evaluate_array(expr, decoded, gids.size))
 
     keys: dict[Expr, np.ndarray] = {}  # a repeated key cannot reorder anything

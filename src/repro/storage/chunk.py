@@ -193,6 +193,15 @@ class ChunkDictIndex:
         self._starts = bounds[nonempty]
         self._nonempty = None if nonempty.size == sizes.size else nonempty
 
+    def chunk_dicts(self, chunks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bounds, gids): ``chunks``' chunk-dictionaries, concatenated."""
+        offsets = np.asarray(self.offsets)
+        begin = offsets[chunks]
+        sizes = offsets[chunks + 1] - begin
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        positions = np.repeat(begin - bounds[:-1], sizes) + np.arange(bounds[-1])
+        return bounds, self.gids[positions]
+
     def reduce(self, ufunc: np.ufunc, flat: np.ndarray) -> np.ndarray:
         """``ufunc``-reduce ``flat`` (one entry per gid) within each chunk."""
         if self._nonempty is None:

@@ -39,6 +39,7 @@ from repro.storage.elements import (
     ConstantElements,
     PackedElements,
 )
+from repro.workload.generator import LogsConfig, generate_query_logs
 
 from tests import engine_oracle
 from tests.conftest import run_of
@@ -256,7 +257,7 @@ def _stores(draw):
     """Chunks of (group gids, arg gids, mask), the flags, and run cuts."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     arg_has_null = draw(st.booleans())
-    group_kind = draw(st.sampled_from(["field", "same", "none"]))
+    group_kind = draw(st.sampled_from(["field", "same", "none", "constant"]))
 
     def gids(n_rows, with_null):
         # 1 / 2 / a few / >256 distinct values: constant, bitset, one-
@@ -276,6 +277,8 @@ def _stores(draw):
             group_ids = arg_ids
         elif group_kind == "none":  # no GROUP BY: one group
             group_ids = np.zeros(n_rows, dtype=np.int64)
+        elif group_kind == "constant":  # one group per chunk, shared, maybe gid 0
+            group_ids = np.full(n_rows, draw(st.sampled_from([0, 1, 4999])))
         else:
             group_ids = gids(n_rows, with_null=draw(st.booleans()))
         mask_kind = draw(st.sampled_from(["full", "random", "none_pass"]))
@@ -316,7 +319,7 @@ def _store(chunks, arg_has_null, optimized):
 
 
 def _kernel(store, group_kind):
-    group_by = {"field": " GROUP BY g", "same": " GROUP BY a", "none": ""}[group_kind]
+    group_by = {"same": " GROUP BY a", "none": ""}.get(group_kind, " GROUP BY g")
     sql = f"SELECT {', '.join(_AGGREGATES)} FROM data{group_by}"
     return _GroupedKernel(store, resolve_group_aliases(parse_query(sql)), store.ensure_field)
 
@@ -422,19 +425,29 @@ class TestPartialsMatchTheGidSpaceOracle:
         assert encoding(400, optimized=False) == (PackedElements, 4)
 
     def test_kernels_leave_read_only_columns_alone(self):
-        """Row positions are read-only views: no kernel writes its inputs."""
+        """Row positions are read-only views: no kernel writes its inputs,
+        for a run of rows and for a one-group-per-chunk run alike."""
         groups, __ = _chunk(np.arange(300) % 7)
+        constant = RunGroups(
+            None,
+            np.array([2, 5, 2], dtype=np.uint32),
+            np.arange(3),
+            np.array([100, 0, 200]),
+        )
         arg = (np.arange(300) % 7).astype(np.uint32)
-        for array in (*groups, arg):
-            array.setflags(write=False)
+        for array in (*groups, *constant, arg):
+            if array is not None:
+                array.setflags(write=False)
         dictionary = build_dictionary(list(range(7)))
-        for aggregator in (
-            PresenceAggregator(7),
-            SumAggregator(7, np.arange(7.0), True),
-            MinAggregator(7, dictionary, True),
-            CountDistinctAggregator(7, dictionary, True),
-        ):
-            aggregator.apply(aggregator.run_partial(groups, arg)[1:])
+        for run in (groups, constant):
+            for aggregator in (
+                PresenceAggregator(7),
+                SumAggregator(7, np.arange(7.0), True),
+                MinAggregator(7, dictionary, True),
+                CountDistinctAggregator(7, dictionary, True),
+                ApproxCountDistinctAggregator(7, np.linspace(0, 1, 7), True, 8),
+            ):
+                aggregator.apply(aggregator.run_partial(run, arg)[1:])
 
     def test_wide_chunks_build_no_pair_matrix(self):
         """2 k groups x 2 k arguments is 4 M cells; the kernels stay O(rows)."""
@@ -455,3 +468,76 @@ class TestPartialsMatchTheGidSpaceOracle:
         finally:
             tracemalloc.stop()
         assert peak < 2000 * 2000  # bytes; a one-byte-per-cell matrix is 4 MB
+
+    def test_wide_pair_keys_take_64_bits(self):
+        """2**20 span positions beside 13-bit argument gids: 33-bit keys."""
+        groups = RunGroups(
+            np.array([2**20 - 1, 3, 3], dtype=np.intp),
+            np.arange(2**20, dtype=np.uint32),
+            np.zeros(1, dtype=np.intp),
+        )
+        arg = np.array([8191, 2, 2], dtype=np.uint32)
+        wide = [(3 << 32) | 2, ((2**20 - 1) << 32) | 8191]
+        dictionary = build_dictionary(list(range(8192)))
+        exact = CountDistinctAggregator(2**20, dictionary, False)
+        approx = ApproxCountDistinctAggregator(2**20, np.linspace(0, 1, 8192), False, 8)
+        for aggregator in (exact, approx):
+            __, pairs = aggregator.run_partial(groups, arg)
+            assert pairs.tolist() == wide
+            aggregator.apply((pairs,))
+            assert aggregator.results(np.array([3, 2**20 - 1])) == [1, 1]
+        group_ids, value_ids = exact.pairs()
+        assert (group_ids.tolist(), value_ids.tolist()) == ([3, 2**20 - 1], [2, 8191])
+
+
+# -- one group per chunk: Query 1 reads chunk-dictionaries, not rows -----------
+
+
+@pytest.fixture(scope="module")
+def logs_100k():
+    return generate_query_logs(LogsConfig(n_rows=100_000, seed=5))
+
+
+def _partitioned_like_the_benchmark(table):
+    """``country`` leads the partition: one value in every chunk."""
+    store = DataStore.from_table(
+        table,
+        DataStoreOptions(
+            partition_fields=("country", "table_name"),
+            max_chunk_rows=table.n_rows // 100,
+            reorder_rows=True,
+            cache_chunk_results=False,
+        ),
+    )
+    assert (np.diff(store.field("country").chunk_dict_index().offsets) == 1).all()
+    return store
+
+
+class TestOneGroupPerChunk:
+    def test_query_1_costs_o_chunks(self, logs_100k):
+        import tracemalloc
+
+        store = _partitioned_like_the_benchmark(logs_100k)
+        tracemalloc.start()
+        try:
+            result = store.execute(
+                "SELECT country, COUNT(*) FROM data GROUP BY country"
+            )
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(row[1] for row in result.rows()) == 100_000
+        assert store.field("country")._row_positions is None
+        assert peak < 100_000  # bytes; the row positions alone are 400 KB
+
+    @pytest.mark.parametrize(
+        "aggregate",
+        ["APPROX_COUNT_DISTINCT(table_name, 1024)", "COUNT(DISTINCT table_name)"],
+    )
+    def test_distinct_counts_read_the_argument_chunk_dictionaries(
+        self, logs_100k, aggregate
+    ):
+        store = _partitioned_like_the_benchmark(logs_100k)
+        store.execute(f"SELECT country, {aggregate} FROM data GROUP BY country")
+        assert store.field("table_name")._row_positions is None
+        assert store.field("country")._row_positions is None

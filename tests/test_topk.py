@@ -298,3 +298,34 @@ class TestShortcutEqualsGeneralPath:
         with _Spy() as spy:
             _check(store, table, sql)
         assert spy.verdicts == [True]
+
+    @pytest.mark.parametrize(
+        "order_by",
+        [
+            "neg",  # an int expression over SUM's float column
+            "doubled DESC",
+            "shout DESC",  # a string expression over MIN: decoded, then ranked
+            "size",  # an int expression over MIN
+        ],
+    )
+    def test_expression_keys_over_sum_and_min(self, order_by):
+        store, __ = _store(
+            {
+                "g": list("aabbccddee"),
+                "y": [1.5, 0.5, -2.0, 1.5, 0.5, 0.5, 1.5, 1.5, -2.0, 3.0],
+                "name": ["kiwi", "lime", "plum", "fig", "banana"] * 2,
+            }
+        )
+        parsed = parse_query(
+            "SELECT g, SUM(y) * -1 AS neg, SUM(y) + SUM(y) AS doubled, "
+            "upper(MIN(name)) AS shout, length(MIN(name)) AS size FROM data "
+            f"GROUP BY g ORDER BY {order_by} LIMIT 3"
+        )
+        with _Spy() as spy:
+            fast = store.execute(parsed).rows()
+        with _Spy(force_general=True):
+            general = store.execute(parsed).rows()
+        assert spy.verdicts == [True]
+        assert [tuple(map(repr, row)) for row in fast] == [
+            tuple(map(repr, row)) for row in general
+        ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.helpers import emit_report
-from repro.testing import values_equal
+from tests.sanitizer import values_equal
 
 _EXACT = (
     "SELECT country, COUNT(DISTINCT table_name) as cd FROM data "

@@ -24,7 +24,7 @@ from benchmarks.helpers import (
 )
 from repro.core.datastore import DataStoreOptions
 from repro.distributed import ClusterConfig, SimulatedCluster
-from repro.testing import assert_results_equal
+from tests.sanitizer import assert_results_equal
 
 _QUERY = (
     "SELECT country, COUNT(*) as c, SUM(latency) as s FROM data "

@@ -1,4 +1,4 @@
-"""Correctness tooling: the ``reprolint`` static analyzer and ``fsck``.
+"""Store checking: ``fsck`` and the findings model it reports in.
 
 The storage layer only works because a web of structural invariants
 holds everywhere — per-chunk dictionaries are sorted subsets of the
@@ -7,35 +7,26 @@ partition code ranges are consistent with chunk contents, and codecs
 round-trip bytes exactly. This package makes those invariants explicit
 and checkable:
 
-- :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` — an
-  AST-based static analyzer (``reprolint``) enforcing repo conventions
-  (error hierarchy, codec resolution through the registry, no private
-  mutation across modules, annotations on public storage APIs, ...).
 - :mod:`repro.analysis.fsck` — a runtime structural-integrity checker
   that walks a :class:`~repro.core.datastore.DataStore` (or a ``.pds``
   file) and verifies the invariant catalog, returning a typed findings
   report instead of raising on the first error.
-- :mod:`repro.analysis.catalog` — the machine-readable invariant and
-  rule catalog backing the docs and ``--list-rules`` output.
+- :mod:`repro.analysis.catalog` — the machine-readable invariant
+  catalog backing the docs and ``--list-checks`` output.
+- :mod:`repro.analysis.findings` — the findings model, shared with the
+  repo's static analyzer (``tools/reprolint/``).
 
-Both tools share the findings model of :mod:`repro.analysis.findings`
-and surface through ``repro lint`` / ``repro fsck`` (see
-:mod:`repro.analysis.cli`), exiting non-zero on findings so they can
-gate CI.
+``repro fsck`` (see :mod:`repro.analysis.cli`) surfaces the checker and
+exits non-zero on findings so it can gate CI.
 """
 
 from repro.analysis.findings import Finding, FindingsReport, Severity
 from repro.analysis.fsck import fsck_file, fsck_store
-from repro.analysis.lint import LintRule, all_rules, get_rule, run_lint
 
 __all__ = [
     "Finding",
     "FindingsReport",
-    "LintRule",
     "Severity",
-    "all_rules",
     "fsck_file",
     "fsck_store",
-    "get_rule",
-    "run_lint",
 ]

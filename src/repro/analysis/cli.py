@@ -1,41 +1,20 @@
-"""CLI surface for the analysis tooling: ``repro lint`` / ``repro fsck``.
+"""CLI surface of ``repro fsck``.
 
-Both commands print a findings report (text or JSON) and exit non-zero
-when findings are present, so they can gate CI directly. ``repro-lint``
-is also installed as a standalone console script.
+The command prints a findings report (text or JSON) and exits non-zero
+when findings are present, so it can gate CI directly.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import sys
 
-from repro.analysis.catalog import (
-    FSCK_CATALOG,
-    LINT_CATALOG,
-    render_catalog,
-)
-from repro.analysis.findings import FindingsReport, Severity
+from repro.analysis.catalog import FSCK_CATALOG, render_catalog
+from repro.analysis.findings import FindingsReport
 from repro.analysis.fsck import fsck_file
-from repro.analysis.lint import run_lint
 from repro.errors import ReproError
 
 
-def _parse_severity_overrides(pairs: list[str]) -> dict[str, Severity]:
-    overrides: dict[str, Severity] = {}
-    for pair in pairs:
-        code, __, level = pair.partition("=")
-        if not level:
-            raise ReproError(
-                f"bad --severity {pair!r}; expected CODE=LEVEL "
-                "(e.g. REP005=warning)"
-            )
-        overrides[code.strip()] = Severity.parse(level)
-    return overrides
-
-
-def _emit(report: FindingsReport, fmt: str) -> int:
+def emit_report(report: FindingsReport, fmt: str) -> int:
     if fmt == "json":
         print(report.to_json())
     else:
@@ -43,27 +22,11 @@ def _emit(report: FindingsReport, fmt: str) -> int:
     return 1 if report.findings else 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        print(render_catalog(LINT_CATALOG))
-        return 0
-    fmt = "json" if getattr(args, "json", False) else args.format
-    report = run_lint(
-        args.paths,
-        select=args.select or None,
-        severity_overrides=_parse_severity_overrides(args.severity),
-    )
-    return _emit(report, fmt)
-
-
 def _print_codec_choices(path: str) -> None:
-    """Best-effort advisor-choice listing for the text fsck report."""
+    """Advisor-choice listing for the text fsck report of a readable store."""
     from repro.storage.serde import load_store
 
-    try:
-        store = load_store(path)
-    except ReproError:
-        return  # the findings report already covers unreadable stores
+    store = load_store(path)
     lines = []
     for name, field in sorted(store.fields.items()):
         if field.virtual or field.codec is None:
@@ -88,45 +51,11 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     if args.store is None:
         raise ReproError("fsck needs a store file (or --list-checks)")
     report = fsck_file(args.store, check_serde=not args.no_serde)
-    status = _emit(report, args.format)
-    if args.format == "text":
+    status = emit_report(report, args.format)
+    unreadable = any(finding.code == "FSCK010" for finding in report.findings)
+    if args.format == "text" and not unreadable:
         _print_codec_choices(args.store)
     return status
-
-
-def configure_lint_parser(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="shorthand for --format json (machine-readable findings "
-        "with stable fingerprints for CI diffing)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        metavar="CODE",
-        help="run only the given rule (repeatable)",
-    )
-    parser.add_argument(
-        "--severity",
-        action="append",
-        default=[],
-        metavar="CODE=LEVEL",
-        help="override a rule's severity, e.g. REP005=warning (repeatable)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog"
-    )
-    parser.set_defaults(func=cmd_lint)
 
 
 def configure_fsck_parser(parser: argparse.ArgumentParser) -> None:
@@ -145,27 +74,3 @@ def configure_fsck_parser(parser: argparse.ArgumentParser) -> None:
         "--list-checks", action="store_true", help="print the check catalog"
     )
     parser.set_defaults(func=cmd_fsck)
-
-
-def lint_main(argv: list[str] | None = None) -> int:
-    """Entry point for the ``repro-lint`` console script."""
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="reprolint — the repo-specific static analyzer",
-    )
-    configure_lint_parser(parser)
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # Pager/head closed the pipe early; exit quietly (see
-        # repro.cli.main for the dup2 rationale).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(lint_main())

@@ -10,7 +10,6 @@ Usage (also via ``python -m repro``):
     python -m repro repl store.pds
     python -m repro info store.pds
     python -m repro demo --rows 50000
-    python -m repro lint src/repro
     python -m repro fsck store.pds
 
 ``import`` accepts ``.csv``, ``.rio`` (record-io) and ``.cio``
@@ -365,12 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_flags(p_demo)
     p_demo.set_defaults(func=cmd_demo)
 
-    from repro.analysis.cli import configure_fsck_parser, configure_lint_parser
-
-    p_lint = sub.add_parser(
-        "lint", help="run the reprolint static analyzer over source paths"
-    )
-    configure_lint_parser(p_lint)
+    from repro.analysis.cli import configure_fsck_parser
 
     p_fsck = sub.add_parser(
         "fsck", help="verify the structural invariants of a store file"
@@ -393,6 +387,11 @@ def main(argv: list[str] | None = None) -> int:
         # quietly instead of tracebacking (dup /dev/null over stdout so
         # interpreter shutdown doesn't re-raise on flush).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as error:
+        # A path that cannot be opened (missing, a directory, no
+        # permission); checked after BrokenPipeError, its subclass.
+        print(f"error: {error}", file=sys.stderr)
         return 1
 
 

@@ -1,9 +1,8 @@
 """Codec registry: look up compressors and cascade pipelines by name.
 
-The hybrid storage layers (:mod:`repro.storage.layers`), the column-io
-backend and the PDS2 serializer reference codecs by name so that the
-codec choice is a configuration knob, mirroring Section 5's "Other
-Compression Algorithms" evaluation.
+The column-io backend and the PDS2 serializer reference codecs by name
+so that the codec choice is a configuration knob, mirroring Section 5's
+"Other Compression Algorithms" evaluation.
 
 Two kinds of entries share one namespace:
 

@@ -180,8 +180,8 @@ class FieldStore:
     """
 
     #: Lazily derived state: reset on construction / unpickle, dropped
-    #: from pickles and deep copies, ignored by the sanitizer
-    #: (``repro.testing.LAZY_MEMO_ATTRS``), never part of size_bytes().
+    #: from pickles and deep copies, ignored by the test sanitizer
+    #: (``tests/sanitizer.py``), never part of size_bytes().
     _MEMO_ATTRS = (
         "_value_array",
         "_numeric_values",
@@ -1248,7 +1248,7 @@ class _RunKernel:
     materialization guarantees the worker's global-id space matches.
 
     ``scan`` only reads store state (the ``run_partial`` contract,
-    observed by :class:`repro.testing.SanitizingExecutor`); all
+    observed by the test suite's ``SanitizingExecutor``); all
     mutation happens at unpickle time, before any run is scanned, or
     in ``fold``, after the fan-out.
     """

@@ -8,7 +8,7 @@ benches and deployments can print a "Section 6" report of their own.
 
 The module also hosts the process-wide :data:`counters` registry —
 named monotonically increasing counters that subsystems (the
-``repro.analysis`` lint/fsck tooling, caches, the distributed fault
+``repro.analysis`` fsck tooling, caches, the distributed fault
 layer's ``distributed.faults.*`` retry/failover/timeout/quarantine/
 degradation counters, ...) bump as they work, so operational tooling
 has one place to read activity from.

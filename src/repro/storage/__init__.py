@@ -1,7 +1,7 @@
 """Storage data-structures of the PowerDrill column-store.
 
-This package implements Section 2.3's basic layout and all of the
-Section 3/5 optimizations:
+This package implements Section 2.3's basic layout and the Section 3/5
+optimizations the store uses:
 
 - :mod:`repro.storage.dictionary` -- global dictionaries (sorted-array
   strings, packed numerics) with rank/value lookups.
@@ -15,8 +15,6 @@ Section 3/5 optimizations:
 - :mod:`repro.storage.subdict` -- sub-dictionaries (hot values + chunk
   groups) so only relevant dictionary parts need to be resident.
 - :mod:`repro.storage.cache` -- LRU, 2Q and ARC eviction policies.
-- :mod:`repro.storage.layers` -- the two-layer (uncompressed / Zippy-
-  compressed) in-memory hybrid store.
 """
 
 from repro.storage.bitset import BitSet
@@ -36,7 +34,6 @@ from repro.storage.elements import (
     PackedElements,
     encode_elements,
 )
-from repro.storage.layers import HybridLayerStore
 from repro.storage.subdict import SubDictionarySet
 from repro.storage.trie import TrieDictionary
 
@@ -50,7 +47,6 @@ __all__ = [
     "ConstantElements",
     "Dictionary",
     "Elements",
-    "HybridLayerStore",
     "LruCache",
     "NumericDictionary",
     "PackedElements",

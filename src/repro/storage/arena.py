@@ -38,8 +38,8 @@ Three backings share the format:
 
 Read-only contract: every array handed out by an attach is a
 ``np.frombuffer`` view with ``writeable`` cleared, so an in-place
-write is a runtime ``ValueError`` at the offending line;
-:class:`repro.testing.SanitizingExecutor` additionally fingerprints the
+write is a runtime ``ValueError`` at the offending line; the test
+suite's sanitizer (``tests/sanitizer.py``) additionally hashes the
 arena bytes around every fan-out, so a cross-process write fails tests
 by attribute path.
 
@@ -55,7 +55,6 @@ it adopted eagerly.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import itertools
 import json
 import mmap
@@ -526,16 +525,6 @@ class ChunkArena:
     def buffer(self) -> memoryview:
         """The raw arena bytes (writable only on the build path)."""
         return self._backing.buffer
-
-    def fingerprint(self) -> str:
-        """SHA-1 over the arena bytes — the sanitizer's mutation probe."""
-        return hashlib.sha1(bytes(self.buffer[: self.size])).hexdigest()
-
-    def fingerprint_key(self) -> tuple[str, str, str]:
-        """(kind, name, content hash) — stable identity for fingerprints."""
-        if self._released or getattr(self._backing, "closed", False):
-            return (self.kind, self.name, "<released>")
-        return (self.kind, self.name, self.fingerprint())
 
     # -- attach-side reconstruction ---------------------------------------
     def _view(self, dtype: Any, offset: int, count: int) -> np.ndarray:

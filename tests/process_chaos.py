@@ -1,10 +1,11 @@
 """Deterministic *real* fault injection for the process executor.
 
-PR 3's ``FaultPlan`` injects software-simulated faults into the
-simulated cluster; this module is its local, **genuinely destructive**
-counterpart. A seeded :class:`ChaosPlan` decides which chunk tasks
-draw which worker fault, and :class:`ChaosTask` fires them from inside
-the pool worker that picked the task up:
+``repro.distributed.faults.FaultPlan`` injects software-simulated
+faults into the simulated cluster; this module is its local,
+**genuinely destructive** counterpart. A seeded :class:`ChaosPlan`
+decides which chunk tasks draw which worker fault, and
+:class:`ChaosTask` fires them from inside the pool worker that picked
+the task up:
 
 - ``kill``  — ``os.kill(os.getpid(), SIGKILL)``: the hard death the
   OOM killer delivers; the pool breaks mid-batch.
@@ -21,11 +22,8 @@ computes normally, so a recovered run is bit-identical to a fault-free
 one. *Persistent* faults skip the sentinel and fire on every attempt,
 driving the retry budget to exhaustion (the degraded-coverage path).
 
-Two deliberate reprolint notes: the hang fault calls ``time.sleep``
-with a REP008 suppression (the injected hang must really block — that
-is the fault), and tasks run only under a multi-worker process
-executor — under inline execution the fault would hit the caller's own
-process.
+Tasks run only under a multi-worker process executor: under inline
+execution the fault would hit the caller's own process.
 """
 
 from __future__ import annotations
@@ -117,8 +115,8 @@ class ChaosPlan:
         Each key independently draws at most one fault (the rates are
         cumulative-disjoint, so they must sum to <= 1); each *faulted*
         key then independently draws persistence. Same seed and keys ⇒
-        same plan, on every platform — the chaos analogue of PR 3's
-        ``FaultPlan`` determinism contract.
+        same plan, on every platform — the chaos analogue of the
+        simulated cluster's ``FaultPlan`` determinism contract.
         """
         for name, rate in (
             ("kill_rate", kill_rate),
@@ -172,7 +170,7 @@ def _inject(kind: str, hang_seconds: float) -> None:
     elif kind == "hang":
         # The injected fault must genuinely block the worker — that is
         # the scenario under test, not a retry delay.
-        time.sleep(hang_seconds)  # reprolint: disable=REP008 -- injected hang fault must really block the worker
+        time.sleep(hang_seconds)
 
 
 class ChaosTask:

@@ -31,6 +31,7 @@ from typing import Any
 
 from repro.core.datastore import FieldStore
 from repro.core.executor import ExecutionStrategy
+from repro.storage.arena import ChunkArena
 
 _DEFAULT_REL_TOL = 1e-9
 _DEFAULT_ABS_TOL = 1e-12
@@ -93,15 +94,13 @@ def assert_results_equal(
 ) -> None:
     """Assert row-list equality with a helpful diff on failure."""
     if len(rows_a) != len(rows_b):
-        # Test helpers must raise AssertionError so pytest renders the
-        # failure as an assertion, not a library error.
-        raise AssertionError(  # reprolint: disable=REP001 -- test assertion
+        raise AssertionError(
             f"{context}: {len(rows_a)} rows vs {len(rows_b)} rows\n"
             f"  a: {list(rows_a)[:5]}\n  b: {list(rows_b)[:5]}"
         )
     for index, (a, b) in enumerate(zip(rows_a, rows_b)):
         if not rows_equal(a, b, rel_tol=rel_tol, abs_tol=abs_tol):
-            raise AssertionError(  # reprolint: disable=REP001 -- test assertion
+            raise AssertionError(
                 f"{context}: rows differ at index {index}:\n"
                 f"  a: {a}\n  b: {b}"
             )
@@ -236,11 +235,11 @@ def state_fingerprint(
     on_path = _on_path | {id(obj)}
     nxt = _depth + 1
     type_name = type(obj).__name__
-    if type_name == "ChunkArena" and hasattr(obj, "fingerprint_key"):
+    if isinstance(obj, ChunkArena):
         # The arena's backing handles (SharedMemory, mmap) are runtime
         # machinery; its mapped *bytes* are what workers must never
         # write. Hash the contents instead of walking the wrapper.
-        return ("arena", obj.fingerprint_key())
+        return ("arena", _arena_key(obj))
     if type_name == "ndarray":  # numpy, without importing it here
         if obj.dtype == object:
             return (
@@ -298,6 +297,14 @@ def state_fingerprint(
         ]
         return ("object", type_name, tuple(entries))
     return ("repr", type_name, repr(obj))
+
+
+def _arena_key(arena: ChunkArena) -> tuple[str, str, str]:
+    """(kind, name, SHA-1 of the mapped bytes) of a live arena."""
+    if arena._released or getattr(arena._backing, "closed", False):
+        return (arena.kind, arena.name, "<released>")
+    digest = hashlib.sha1(bytes(arena.buffer[: arena.size])).hexdigest()
+    return (arena.kind, arena.name, digest)
 
 
 def _skipped_attrs(obj_type: type) -> frozenset[str]:
@@ -430,9 +437,7 @@ class SanitizingExecutor(ExecutionStrategy):
         self.checked_captures += len(captured)
         if mutated:
             fn_label = getattr(fn, "__name__", type(fn).__name__)
-            # Test infrastructure raises AssertionError so pytest
-            # renders the failure as an assertion, not a library error.
-            raise CapturedStateMutation(  # reprolint: disable=REP001 -- test assertion
+            raise CapturedStateMutation(
                 f"captured state mutated during {label}({fn_label}): "
                 + ", ".join(sorted(set(mutated)))
             )

@@ -1,4 +1,4 @@
-"""CLI tests: import / query / info / demo paths and the runtime flags."""
+"""CLI tests: import / query / info / demo / fsck paths and the runtime flags."""
 
 import argparse
 
@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.formats import write_csv
 from repro.storage.serde import load_store
+from tools.reprolint.cli import main as lint_main
 
 
 @pytest.fixture()
@@ -169,7 +170,7 @@ def registered_subcommands() -> set[str]:
 class TestSubcommandSet:
     def test_exactly_the_system_subcommands(self):
         assert registered_subcommands() == {
-            "import", "query", "repl", "info", "describe", "demo", "lint", "fsck",
+            "import", "query", "repl", "info", "describe", "demo", "fsck",
         }
 
     @pytest.mark.parametrize("retired", ["bench", "chaos", "serve"])
@@ -180,13 +181,42 @@ class TestSubcommandSet:
         assert "invalid choice" in capsys.readouterr().err
 
 
+class TestUnreadablePath:
+    """A path the CLI cannot open is an ``error:`` line, not a traceback."""
+
+    @pytest.fixture(params=["missing", "directory"])
+    def bad_path(self, request, tmp_path):
+        return str(tmp_path / "missing.pds") if request.param == "missing" else str(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["query", "SELECT COUNT(*) FROM data"], ["info"]],
+        ids=["query", "info"],
+    )
+    def test_store_commands_report_an_error(self, argv, bad_path, capsys):
+        assert main([argv[0], bad_path, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert bad_path in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_fsck_reports_one_unreadable_finding(self, bad_path, capsys):
+        assert main(["fsck", bad_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("FSCK010") == 1
+        assert "advisor codec choices" not in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestLintJson:
+    """reprolint's JSON output, through its ``python -m tools.reprolint`` entry."""
+
     def test_lint_json_smoke(self, tmp_path, capsys):
         import json
 
         bad = tmp_path / "mod.py"
         bad.write_text('def f():\n    raise ValueError("x")\n')
-        code = main(["lint", str(bad), "--json", "--select", "REP001"])
+        code = lint_main([str(bad), "--json", "--select", "REP001"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["tool"] == "reprolint"
@@ -202,10 +232,10 @@ class TestLintJson:
 
         bad = tmp_path / "mod.py"
         bad.write_text('def f():\n    raise ValueError("x")\n')
-        main(["lint", str(bad), "--json", "--select", "REP001"])
+        lint_main([str(bad), "--json", "--select", "REP001"])
         first = json.loads(capsys.readouterr().out)["findings"][0]
         bad.write_text('# moved\n\ndef f():\n    raise ValueError("x")\n')
-        main(["lint", str(bad), "--json", "--select", "REP001"])
+        lint_main([str(bad), "--json", "--select", "REP001"])
         second = json.loads(capsys.readouterr().out)["findings"][0]
         assert first["fingerprint"] == second["fingerprint"]
         assert first["where"] != second["where"]
@@ -213,7 +243,7 @@ class TestLintJson:
     def test_lint_clean_path_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "mod.py"
         good.write_text("def f() -> int:\n    return 1\n")
-        assert main(["lint", str(good), "--json"]) == 0
+        assert lint_main([str(good), "--json"]) == 0
         import json
 
         payload = json.loads(capsys.readouterr().out)

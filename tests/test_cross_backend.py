@@ -22,7 +22,7 @@ from repro.formats import (
     write_csv,
     write_recordio,
 )
-from repro.testing import assert_results_equal
+from tests.sanitizer import assert_results_equal
 
 QUERIES = [
     # The paper's three experimental queries:

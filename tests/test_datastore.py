@@ -382,7 +382,7 @@ class TestFieldStoreMemos:
         assert clone.execute(self._WARMING_QUERY).content_equal(expected)
 
     def test_sanitizer_ignores_exactly_the_memos(self):
-        from repro.testing import LAZY_MEMO_ATTRS
+        from tests.sanitizer import LAZY_MEMO_ATTRS
 
         assert LAZY_MEMO_ATTRS["FieldStore"] == frozenset(FieldStore._MEMO_ATTRS)
 

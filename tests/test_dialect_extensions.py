@@ -6,7 +6,7 @@ from repro.core.expr_eval import evaluate
 from repro.errors import SqlSyntaxError
 from repro.sql.ast_nodes import BinaryOp, FuncCall, UnaryOp
 from repro.sql.parser import parse_query
-from repro.testing import assert_results_equal
+from tests.sanitizer import assert_results_equal
 
 
 def _where(clause: str):

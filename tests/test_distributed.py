@@ -16,8 +16,8 @@ from repro.distributed import (
 from repro.errors import DistributedError, UnsupportedQueryError
 from repro.formats.rowexec import execute_on_rows
 from repro.sql.parser import parse_query
-from repro.testing import SanitizingExecutor, assert_results_equal
 from tests.conftest import make_store
+from tests.sanitizer import SanitizingExecutor, assert_results_equal
 
 
 _OPTIONS = DataStoreOptions(

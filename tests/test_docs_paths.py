@@ -20,10 +20,10 @@ from tests.test_cli import registered_subcommands
 
 ROOT = Path(__file__).parent.parent
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
-CODE_DIRS = ("src", "tests", "bench", "benchmarks", "examples")
+CODE_DIRS = ("src", "tests", "bench", "benchmarks", "examples", "tools")
 
 _PATH = re.compile(
-    r"(?<![\w/.-])((?:benchmarks|tests|examples|src/repro|repro)/[\w*./-]+)"
+    r"(?<![\w/.-])((?:benchmarks|tests|examples|tools|src/repro|repro)/[\w*./-]+)"
 )
 _BENCH_SCRIPT = re.compile(r"`(bench_\w+\.py)")
 _SUBCOMMAND = re.compile(r"(?:`|python -m )repro ([a-z]+)")

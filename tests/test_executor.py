@@ -32,9 +32,9 @@ from repro.core.executor import (
 )
 from repro.errors import ExecutionError
 from repro.sql.parser import parse_query
-from repro.testing import CapturedStateMutation, SanitizingExecutor
 from repro.workload.generator import LogsConfig, generate_query_logs
 
+from tests.sanitizer import CapturedStateMutation, SanitizingExecutor
 from tests.test_query_pipeline import FULL_SCAN_SHAPES
 
 _TABLE = generate_query_logs(

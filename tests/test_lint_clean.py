@@ -10,7 +10,7 @@ fail the gate too (REP016 runs on full passes).
 
 import os
 
-from repro.analysis import all_rules, run_lint
+from tools.reprolint import all_rules, run_lint
 
 _SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
@@ -36,17 +36,7 @@ def test_gate_includes_bounded_wait_rule():
 
 
 def test_cli_gate_exit_code():
-    # The same gate through the CLI surface `repro lint` (exit 0 = clean).
-    from repro.analysis.cli import cmd_lint
+    # The same gate through `python -m tools.reprolint` (exit 0 = clean).
+    from tools.reprolint.cli import main
 
-    import argparse
-
-    namespace = argparse.Namespace(
-        paths=[_SRC],
-        format="text",
-        json=False,
-        select=None,
-        severity=[],
-        list_rules=False,
-    )
-    assert cmd_lint(namespace) == 0
+    assert main([_SRC]) == 0

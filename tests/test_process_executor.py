@@ -9,7 +9,7 @@ arena, so three things must hold on any machine:
   without NULLs) — hypothesis-driven like the PR 2 thread suite;
 - **Lifecycle**: every shared-memory segment the executor caused to
   exist is unlinked by ``close()``, including after a worker raises;
-- **Sanitation**: :class:`~repro.testing.SanitizingExecutor` wraps the
+- **Sanitation**: :class:`~tests.sanitizer.SanitizingExecutor` wraps the
   process strategy transparently and detects a worker writing even a
   single arena byte.
 """
@@ -26,9 +26,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.executor import ProcessExecutor, make_executor
 from repro.storage.arena import SEGMENT_PREFIX, live_segment_names
-from repro.testing import CapturedStateMutation, SanitizingExecutor
 from repro.workload.generator import LogsConfig, generate_query_logs
 
+from tests.sanitizer import CapturedStateMutation, SanitizingExecutor
 from tests.test_query_pipeline import FULL_SCAN_SHAPES
 
 _TABLE = generate_query_logs(

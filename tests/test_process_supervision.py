@@ -2,7 +2,7 @@
 
 PR 2's process suite proves bit-identity on healthy pools; this suite
 kills the pool for real. A seeded
-:class:`~repro.testing.process_chaos.ChaosPlan` SIGKILLs workers,
+:class:`~tests.process_chaos.ChaosPlan` SIGKILLs workers,
 ``os._exit``s them and hangs them mid-scan, and the contracts under
 test are the PR 8 acceptance criteria:
 
@@ -48,8 +48,8 @@ from repro.storage.arena import (
     manifest_dir,
     sweep_orphaned_segments,
 )
-from repro.testing.process_chaos import ChaosExecutor, ChaosPlan
 from repro.workload.generator import LogsConfig, generate_query_logs
+from tests.process_chaos import ChaosExecutor, ChaosPlan
 
 _TABLE = generate_query_logs(
     LogsConfig(n_rows=800, n_days=10, n_teams=5, seed=31)

@@ -13,8 +13,8 @@ from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Table
 from repro.formats.rowexec import execute_on_rows
 from repro.sql.parser import parse_query
-from repro.testing import assert_results_equal
 from repro.workload.generator import LogsConfig, generate_query_logs
+from tests.sanitizer import assert_results_equal
 
 _TABLE = generate_query_logs(
     LogsConfig(n_rows=800, n_days=12, n_teams=5, seed=31, null_latency_fraction=0.05)

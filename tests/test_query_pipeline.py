@@ -25,7 +25,6 @@ from repro.distributed.tree import finalize_partials
 from repro.errors import ChunkUnavailableError
 from repro.monitoring import counters
 from repro.sql.parser import parse_query
-from repro.testing.process_chaos import ChaosPlan
 from repro.workload.queries import (
     QUERY_1,
     QUERY_2,
@@ -35,6 +34,7 @@ from repro.workload.queries import (
 )
 
 from tests.conftest import make_store, run_of
+from tests.process_chaos import ChaosPlan
 from tests.test_process_supervision import _chaos, _process_store
 
 #: The nine query classes of the benchmark's ``full_scan`` workload.

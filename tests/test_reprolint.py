@@ -6,8 +6,9 @@ import textwrap
 
 import pytest
 
-from repro.analysis import Severity, all_rules, get_rule, run_lint
+from repro.analysis.findings import Severity
 from repro.errors import AnalysisError
+from tools.reprolint import all_rules, get_rule, run_lint
 
 
 def lint_snippet(tmp_path, source, rel_path="mod.py", select=None, **kwargs):
@@ -1211,7 +1212,7 @@ class TestHardcodedCodecName:
 
 class TestCatalogConsistency:
     def test_every_rule_has_a_catalog_entry(self):
-        from repro.analysis.catalog import LINT_CATALOG
+        from tools.reprolint.catalog import LINT_CATALOG
 
         catalog_codes = {entry.code for entry in LINT_CATALOG}
         for rule in all_rules():
@@ -1230,7 +1231,7 @@ class TestCatalogConsistency:
             )
 
     def test_rules_docstring_mentions_current_range(self):
-        import repro.analysis.rules as rules_module
+        import tools.reprolint.rules as rules_module
 
         last = max(rule.code for rule in all_rules())
         assert last in rules_module.__doc__
@@ -1238,12 +1239,12 @@ class TestCatalogConsistency:
     def test_retired_codes_are_unknown_not_reused(self, tmp_path, capsys):
         # Retired with their rules; never renumbered, so a code in an
         # old suppression or CI log cannot alias a newer rule.
-        from repro.cli import main
+        from tools.reprolint.cli import main
 
         registered = [rule.code for rule in all_rules()]
         assert len(registered) == 13
         for code in ("REP011", "REP012", "REP013", "REP014", "REP015", "REP019"):
-            assert main(["lint", "--select", code, str(tmp_path)]) == 1
+            assert main(["--select", code, str(tmp_path)]) == 1
             error = capsys.readouterr().err
             assert f"unknown rule {code!r}" in error
             assert error.count("REP0") == 1 + len(registered)

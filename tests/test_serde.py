@@ -17,9 +17,9 @@ from repro.storage.serde import (
     options_to_dict,
     save_store,
 )
-from repro.testing import assert_results_equal
 from repro.workload.queries import paper_queries
 from tests.conftest import make_store
+from tests.sanitizer import assert_results_equal
 
 
 def _joined_store_blob(store: DataStore) -> bytes:

@@ -17,7 +17,7 @@ from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Table
 from repro.formats.rowexec import execute_on_rows
 from repro.sql.parser import parse_query
-from repro.testing import assert_results_equal
+from tests.sanitizer import assert_results_equal
 
 
 def _store(data: dict) -> tuple[DataStore, Table]:

@@ -193,7 +193,7 @@ def get_rule(code: str) -> type[LintRule]:
 def _ensure_rules_loaded() -> None:
     # The built-in rules self-register on import; keep the import here
     # so ``lint`` stays importable from ``rules`` without a cycle.
-    import repro.analysis.rules  # noqa: F401  (registration side effect)
+    import tools.reprolint.rules  # noqa: F401  (registration side effect)
 
 
 # -- discovery & parsing ----------------------------------------------------

@@ -38,7 +38,7 @@ invariants enforceable:
 - REP016 — suppression hygiene: a ``# reprolint: disable=...`` comment
   that silences nothing is itself flagged (full runs only), so dead
   opt-outs cannot accumulate. The detection lives in the engine
-  (:func:`repro.analysis.lint.run_lint`), which alone knows which
+  (:func:`tools.reprolint.lint.run_lint`), which alone knows which
   suppressions matched.
 
 - REP017 — bounded waits on the execution hot path: inside
@@ -69,7 +69,7 @@ from collections.abc import Iterable, Iterator
 
 import repro.errors as _errors
 from repro.analysis.findings import Severity
-from repro.analysis.lint import (
+from tools.reprolint.lint import (
     LintRule,
     ModuleInfo,
     RawFinding,
@@ -794,7 +794,7 @@ class PerByteCodecLoopRule(LintRule):
 class UnusedSuppressionRule(LintRule):
     """REP016: suppression comments must still suppress something.
 
-    The detection itself lives in :func:`repro.analysis.lint.run_lint`
+    The detection itself lives in :func:`tools.reprolint.lint.run_lint`
     — only the engine knows which suppressions matched a finding across
     *all* rules, so this class is the registration/catalog anchor and
     carries the severity. It only fires on full runs (no ``--select``):
@@ -884,8 +884,8 @@ class HardcodedCodecNameRule(LintRule):
     keyword, an assignment to a ``codec``-named binding, or a
     comparison against one. Two kinds of *declared defaults* are
     sanctioned and exempt: function parameter defaults (the documented
-    static fallback of ``write_columnio``/``HybridLayerStore``) and
-    module-level ALL_CAPS constants (a bench's pinned baseline).
+    static fallback of ``write_columnio``) and module-level ALL_CAPS
+    constants (a bench's pinned baseline).
     ``compress/registry.py`` and ``compress/advisor.py`` — the two
     modules whose job *is* naming codecs — are exempt wholesale.
     """

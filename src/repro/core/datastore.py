@@ -74,7 +74,12 @@ from repro.errors import (
     PartitionError,
     UnsupportedQueryError,
 )
-from repro.partition.codes import distinct_tuples, factorize, factorize_list
+from repro.partition.codes import (
+    depends_on_row_order,
+    distinct_tuples,
+    factorize,
+    factorize_list,
+)
 from repro.partition.composite import PartitionSpec, partition_table
 from repro.partition.reorder import order_from_codes, reorder_table
 from repro.sketches.hashing import hash_units
@@ -353,6 +358,13 @@ def _dictionary_vector(dictionary: Dictionary) -> Vector:
     return dictionary.raw_values(), null
 
 
+def _coded(column: Column) -> Column:
+    """``column`` as :func:`factorize` codes it."""
+    return Column.from_codes(
+        column.name, *factorize(column), column.dtype, validate=False
+    )
+
+
 def _dictionary_from_ordered(
     ordered: list[Any] | np.ndarray, optimized: bool, label: str = "a field"
 ) -> Dictionary:
@@ -568,8 +580,10 @@ class DataStore:
         from there on the pipeline sees codes alone: the lexicographic
         reorder permutes code arrays (codes are permutation-invariant
         ranks), the composite partitioner and the per-chunk encode read
-        them. Per-phase wall-clock lands in the attached
-        :class:`ImportStats`.
+        them. The one exception is a column whose dictionary keeps the
+        first seen of cells that compare equal yet differ (``2`` and
+        ``2.0``): the reorder factorizes it again, in its new row order.
+        Per-phase wall-clock lands in the attached :class:`ImportStats`.
         """
         options = options or DataStoreOptions()
         stats = ImportStats(rows=table.n_rows, columns=len(table.field_names))
@@ -583,15 +597,10 @@ class DataStore:
                 raise PartitionError(f"{label} field {name!r} not in table")
 
         phase_started = time.perf_counter()
-        columns = []
-        for name in table.field_names:
-            column = table.column(name)
-            columns.append(
-                Column.from_codes(
-                    name, *factorize(column), column.dtype, validate=False
-                )
-            )
-        table = Table(columns)
+        source = table
+        table = Table(
+            [_coded(source.column(name)) for name in source.field_names]
+        )
         stats.factorize_seconds += time.perf_counter() - phase_started
 
         phase_started = time.perf_counter()
@@ -600,6 +609,14 @@ class DataStore:
                 [table.column(name).codes for name in partition_fields]
             )
             table = reorder_table(table, order)
+            table = Table(
+                [
+                    _coded(source.column(name).take(order))
+                    if depends_on_row_order(source.column(name))
+                    else table.column(name)
+                    for name in table.field_names
+                ]
+            )
         stats.reorder_seconds += time.perf_counter() - phase_started
 
         phase_started = time.perf_counter()

@@ -130,6 +130,36 @@ def factorize(column: Column) -> tuple[np.ndarray, list[Any] | np.ndarray]:
     return remap[codes.astype(np.intp, copy=False)], distinct
 
 
+def depends_on_row_order(column: Column) -> bool:
+    """Whether :func:`factorize` of ``column`` can change with its row order.
+
+    Of cells that compare equal yet differ — ``2`` and ``2.0``, ``1``
+    and ``True``, ``0.0`` and ``-0.0`` — the dictionary keeps the first
+    seen, so permuting the rows can change it; so can NaN (``sorted``
+    does not order it) and the float64-image dedup, which merges more
+    values the earlier a float is seen. A list-backed column of one
+    plain type is safe; a dictionary-coded one holds each value once,
+    so only the float64-image dedup can merge two of them.
+    """
+    if column.codes is not None:
+        return isinstance(
+            column.distinct, list
+        ) and _mixes_floats_with_inexact_ints(column.distinct)
+    values = column.values
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if len(kinds) != 1:
+        return bool(kinds)
+    (kind,) = kinds
+    if kind is float:
+        floats = np.array(values, dtype=np.float64)  # NULL reads as NaN
+        return bool(
+            np.isnan(floats).sum() > values.count(None)
+            or np.signbit(floats[floats == 0.0]).any()
+        )
+    return kind not in (str, int, bool)
+
+
 def factorize_scalar(column: Column) -> tuple[np.ndarray, list[Any]]:
     """Reference scalar implementation (pre-vectorization behaviour)."""
     return _factorize_scalar_list(column.values)

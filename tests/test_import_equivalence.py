@@ -11,6 +11,7 @@ empty, single-value and non-ASCII columns, mixed int/float, NUL bytes
 inside strings.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -188,6 +189,33 @@ def test_partition_edge_cases_match_reference(
     )
     store = _assert_bytes_match_reference(table, options, scatter, dense)
     assert sum(store.chunk_row_counts) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "values, first",
+    [
+        ([0, 0.0], 0.0),
+        ([2, None, 2.0], 2.0),
+        ([0.0, -0.0], -0.0),
+        # In row order the ints stay apart; once the float leads, the
+        # float64-image dedup merges all three into one value.
+        ([2**61, 2**61 + 1, float(2**61)], float(2**61)),
+    ],
+)
+def test_reorder_keeps_the_cell_first_seen_in_the_new_order(values, first):
+    """Of cells that compare equal yet differ, the first after the reorder wins."""
+    table = Table(
+        [
+            Column("k", ["z"] * (len(values) - 1) + ["a"], DataType.STRING),
+            Column("v", values, DataType.FLOAT),
+        ]
+    )
+    options = DataStoreOptions(partition_fields=("k",), reorder_rows=True)
+    store = _assert_bytes_match_reference(table, options)
+    kept = store.field("v").dictionary.values()
+    assert [value for value in kept if value is not None] == [first]
+    assert type(kept[-1]) is type(first)
+    assert math.copysign(1.0, kept[-1]) == math.copysign(1.0, first)
 
 
 def _coded_tight(table: Table) -> Table:

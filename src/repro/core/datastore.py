@@ -764,6 +764,38 @@ class DataStore:
         if evicted:
             counters.increment("datastore.chunk_cache.evictions", evicted)
 
+    def _cached(
+        self, key: tuple, build: Callable[[], Any], weigh: Callable[[Any], float]
+    ) -> Any:
+        """The chunk cache's entry at ``key``; on a miss, ``build()``'s
+        value, admitted at ``weigh(value)`` bytes. A ``build`` that
+        raises admits nothing."""
+        with self._cache_lock:
+            value = self._chunk_cache.get(key)
+        if value is None:
+            value = build()
+            self._admit([(key, value, weigh(value))])
+        return value
+
+    def _cached_leaf(self, text: str, build: Callable[[], Any]) -> Any:
+        """A WHERE conjunct's compiled leaf, kept by its rendered text."""
+        return self._cached(("leaf", text), build, lambda leaf: leaf.size_bytes())
+
+    def _prepare(self, query: Query | str) -> tuple[Query, str | None]:
+        """Parse and bind: the query, GROUP BY aliases resolved, and its
+        WHERE's rendered text when the chunk cache keys entries on it."""
+        if isinstance(query, str):
+            counters.increment("datastore.sql.parsed")
+            query = parse_query(query)
+        if query.table != self.options.table_name:
+            raise ExecutionError(
+                f"query targets table {query.table!r}, store holds "
+                f"{self.options.table_name!r}"
+            )
+        parsed = resolve_group_aliases(query)
+        keyed = self.options.cache_chunk_results and parsed.where is not None
+        return parsed, parsed.where.sql() if keyed else None
+
     def __deepcopy__(self, memo: dict) -> "DataStore":
         """Deep-copy the encoded data; the clone gets fresh runtime state.
 
@@ -1048,14 +1080,19 @@ class DataStore:
         shard partials).
         """
         # Prepare: parse, bind, find or compile the restriction, pick the
-        # kernel.
-        parsed = parse_query(query) if isinstance(query, str) else query
-        if parsed.table != self.options.table_name:
-            raise ExecutionError(
-                f"query targets table {parsed.table!r}, store holds "
-                f"{self.options.table_name!r}"
+        # kernel. One WHERE per click: with the chunk cache on, a query
+        # text, a WHERE's classification of the whole store and each of
+        # its conjuncts' compiled leaves are entries of the chunk cache,
+        # beside the partials they select, keyed on rendered text (which
+        # keeps apart literals the AST equates, as 1 and True).
+        if self.options.cache_chunk_results and isinstance(query, str):
+            parsed, where_text = self._cached(
+                ("sql", query),
+                lambda: self._prepare(query),
+                lambda __: _text_weight(query),
             )
-        parsed = resolve_group_aliases(parsed)
+        else:
+            parsed, where_text = self._prepare(query)
         accessed: set[str] = set()
 
         def ensure(expr: Expr) -> str:
@@ -1064,13 +1101,9 @@ class DataStore:
             return name
 
         stats = ScanStats(rows_total=self.n_rows, chunks_total=self.n_chunks)
-        # One WHERE per click: the classification of the whole store is
-        # keyed on the WHERE's rendered text (which keeps 1 and 1.0
-        # apart, as the dictionary probes do) and lives in the chunk
-        # cache beside the partials it selects.
         where_key = restriction = None
-        if self.options.cache_chunk_results and parsed.where is not None:
-            where_key = ("where", parsed.where.sql())
+        if where_text is not None:
+            where_key = ("where", where_text)
             with self._cache_lock:
                 restriction = self._chunk_cache.get(where_key)
         if restriction is None:
@@ -1081,6 +1114,7 @@ class DataStore:
                 lambda name: self.field(name).dictionary,
                 lambda name: self.field(name).chunk_dict_index(),
                 lambda name, rows: pick(self.field(name).row_positions(), rows),
+                None if where_key is None else self._cached_leaf,
             )
             counters.increment("datastore.restriction.compiled")
             if where_key is not None:
@@ -1509,6 +1543,13 @@ class _ProjectionKernel(_RunKernel):
 
     def shard_partials(self) -> list[dict[str, Any]]:
         return self._rows
+
+
+def _text_weight(text: str) -> int:
+    """A query text's prepared entry's chunk-cache weight, an estimate:
+    at least what its key, parsed query and WHERE text hold (5 to 30
+    bytes a character) and at most three times it, as the tests check."""
+    return 1024 + 12 * len(text)
 
 
 def _charge(stats: ScanStats, timer: str, started: float) -> None:

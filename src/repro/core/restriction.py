@@ -51,6 +51,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.errors import UnsupportedQueryError
+from repro.monitoring import counters
 from repro.sql.ast_nodes import (
     BinaryOp,
     Expr,
@@ -104,7 +105,9 @@ class _Outcomes(NamedTuple):
 
 
 class _Node:
-    """A compiled predicate node."""
+    """A compiled predicate node; ``fields`` are its leaves' fields."""
+
+    fields: frozenset[str]
 
     def outcomes(self) -> _Outcomes:
         """The summary vectors over every chunk of the store."""
@@ -116,7 +119,8 @@ class _Node:
 
 
 class _Leaf(_Node):
-    """A predicate over one field, precomputed as global (t, n) masks."""
+    """A predicate over one field, precomputed as global (t, n) masks and
+    their outcomes, all frozen: one leaf serves every WHERE (and thread)."""
 
     def __init__(
         self,
@@ -126,30 +130,39 @@ class _Leaf(_Node):
         index: ChunkDictIndex,
     ) -> None:
         self.field = field
+        self.fields = frozenset((field,))
         self._t = t_mask
         self._n = n_mask
-        self._index = index
         # One gather for the whole store: (t, n) of every chunk-dictionary
         # entry of every chunk, packed as bit 0 / bit 1 of one byte.
         self._entries = (t_mask.view(np.uint8) | n_mask.view(np.uint8) << 1).take(
             index.gids
         )
-
-    @staticmethod
-    def _unpack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (entries & 1).view(bool), (entries >> 1).view(bool)
-
-    def outcomes(self) -> _Outcomes:
-        index = self._index
         t, n = self._unpack(self._entries)
         false = ~(t | n)
-        return _Outcomes(
+        self._outcomes = _Outcomes(
             may_true=index.reduce(np.logical_or, t),
             may_false=index.reduce(np.logical_or, false),
             may_null=index.reduce(np.logical_or, n),
             all_true=index.reduce(np.logical_and, t),
             all_false=index.reduce(np.logical_and, false),
         )
+        for array in self._arrays():
+            array.setflags(write=False)
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self._t, self._n, self._entries, *self._outcomes)
+
+    def size_bytes(self) -> int:
+        """Resident bytes, its chunk-cache weight: every array it holds."""
+        return 64 + sum(array.nbytes for array in self._arrays())
+
+    @staticmethod
+    def _unpack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (entries & 1).view(bool), (entries >> 1).view(bool)
+
+    def outcomes(self) -> _Outcomes:
+        return self._outcomes
 
     def row_vectors(self, rows, positions_of):
         # A row's CSR position is its chunk-dictionary entry: one take.
@@ -160,6 +173,7 @@ class _Binary(_Node):
     def __init__(self, left: _Node, right: _Node) -> None:
         self.left = left
         self.right = right
+        self.fields = left.fields | right.fields
 
 
 class _And(_Binary):
@@ -204,6 +218,7 @@ class _Or(_Binary):
 class _Not(_Node):
     def __init__(self, operand: _Node) -> None:
         self.operand = operand
+        self.fields = operand.fields
 
     def outcomes(self) -> _Outcomes:
         s = self.operand.outcomes()
@@ -440,13 +455,20 @@ def _compile_tree(
     ensure_field: Callable[[Expr], str],
     dictionary_of: Callable[[str], Dictionary],
     chunk_dict_index_of: Callable[[str], ChunkDictIndex],
+    leaf_cache: Callable[[str, Callable[[], _Leaf]], _Leaf] | None = None,
 ) -> _Node:
     """Normalize a WHERE expression into a tree of leaf predicates."""
 
-    def leaf(operand: Expr, masks_of: Callable[..., Any], *args: Any) -> _Leaf:
-        field = ensure_field(operand)
-        t_mask, n_mask = masks_of(dictionary_of(field), *args)
-        return _Leaf(field, t_mask, n_mask, chunk_dict_index_of(field))
+    def leaf(expr: Expr, operand: Expr, masks_of: Callable, *args: Any) -> _Leaf:
+        def build() -> _Leaf:
+            field = ensure_field(operand)
+            t_mask, n_mask = masks_of(dictionary_of(field), *args)
+            counters.increment("datastore.restriction.leaves_compiled")
+            return _Leaf(field, t_mask, n_mask, chunk_dict_index_of(field))
+
+        # Keyed by rendered text, not the AST: Literal(1) == Literal(True)
+        # and they hash alike, but _lookup_gid finds no True.
+        return build() if leaf_cache is None else leaf_cache(expr.sql(), build)
 
     def compile_node(expr: Expr) -> _Node:
         if isinstance(expr, BinaryOp) and expr.op == "AND":
@@ -456,20 +478,20 @@ def _compile_tree(
         if isinstance(expr, UnaryOp) and expr.op == "NOT":
             return _Not(compile_node(expr.operand))
         if isinstance(expr, InList):
-            return leaf(expr.operand, _leaf_masks_in, expr.values, expr.negated)
+            return leaf(expr, expr.operand, _leaf_masks_in, expr.values, expr.negated)
         if isinstance(expr, BinaryOp) and expr.op in _CMP_OPS:
             left_lit = isinstance(expr.left, Literal)
             right_lit = isinstance(expr.right, Literal)
             if right_lit and not left_lit:
-                return leaf(expr.left, _leaf_masks_cmp, expr.op, expr.right.value)
+                return leaf(expr, expr.left, _leaf_masks_cmp, expr.op, expr.right.value)
             if left_lit and not right_lit:
                 return leaf(
-                    expr.right, _leaf_masks_cmp, _FLIP[expr.op], expr.left.value
+                    expr, expr.right, _leaf_masks_cmp, _FLIP[expr.op], expr.left.value
                 )
         # Anything else used as a condition (constant=constant or
         # field-vs-field comparison, bare function call, bare field,
         # arithmetic): materialize the whole predicate and test truthiness.
-        return leaf(expr, _leaf_masks_truthy)
+        return leaf(expr, expr, _leaf_masks_truthy)
 
     return compile_node(where)
 
@@ -481,6 +503,7 @@ def compile_restriction(
     dictionary_of: Callable[[str], Dictionary],
     chunk_dict_index_of: Callable[[str], ChunkDictIndex],
     positions_of: Callable[[str, slice | np.ndarray], np.ndarray],
+    leaf_cache: Callable[[str, Callable[[], _Leaf]], _Leaf] | None = None,
 ) -> Restriction:
     """Compile a WHERE expression and classify the whole store with it.
 
@@ -491,18 +514,17 @@ def compile_restriction(
     a field's (memoised) chunk-dictionary index, ``positions_of`` a
     field's CSR positions at a row selection (a slice or whole-store row
     indices; an index into that index's ``gids``, see
-    ``FieldStore.row_positions``).
+    ``FieldStore.row_positions``). ``leaf_cache(text, build)``, when
+    given, keeps compiled leaves by their conjunct's rendered SQL; as a
+    kept leaf calls no hook, ``fields`` come from the compiled leaves.
     """
     if where is None:
         return Restriction(*_classify(None, row_starts, positions_of), row_starts)
-    fields: set[str] = set()
-
-    def ensure(expr: Expr) -> str:
-        name = ensure_field(expr)
-        fields.add(name)
-        return name
-
-    root = _compile_tree(where, ensure, dictionary_of, chunk_dict_index_of)
+    root = _compile_tree(
+        where, ensure_field, dictionary_of, chunk_dict_index_of, leaf_cache
+    )
     return Restriction(
-        *_classify(root, row_starts, positions_of), row_starts, tuple(sorted(fields))
+        *_classify(root, row_starts, positions_of),
+        row_starts,
+        tuple(sorted(root.fields)),
     )

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import datastore as datastore_module
 from repro.monitoring import counters
+from repro.sql.ast_nodes import BinaryOp
 from repro.sql.parser import parse_query
 from repro.workload.queries import QUERY_1
 
@@ -357,3 +358,53 @@ def test_full_scan_shapes_sort_nothing_and_decode_only_survivors(
         assert sum(decoded.values()) == others, query.name
     assert calls.unique == 0
     assert calls.row_gids == 0
+
+
+# -- the work gate of a drill-down replay: parses and leaf compiles -----------
+
+
+def test_a_cold_replay_parses_each_text_and_compiles_each_conjunct_once():
+    """The benchmark's drill-down clicks at quick size (2 sessions x 4
+    clicks x 20 queries), replayed twice on a cold cache: each replay
+    parses its 92 distinct texts, not its 160 queries, and compiles its
+    8 distinct conjuncts, one per click, not the 20 its 8 WHEREs hold
+    (each click repeats the conjuncts of the one before)."""
+    from bench.workloads import Drilldown, draw_table, store_options, structure_pool
+    from repro.core.datastore import DataStore
+    from repro.workload.queries import (
+        DrillDownConfig,
+        generate_drilldown_session_groups,
+    )
+
+    rows = Drilldown.quick_rows
+    pool = structure_pool(rows)
+    store = DataStore.from_table(draw_table(pool, rows, 7331), store_options(rows))
+    sessions = generate_drilldown_session_groups(
+        pool,
+        DrillDownConfig(
+            n_sessions=Drilldown.quick_sessions,
+            clicks_per_session=Drilldown.clicks_per_session,
+            queries_per_click=20,
+        ),
+    )
+    texts = [query for session in sessions for click in session for query in click]
+    wheres = [parse_query(text).where for text in texts]
+    conjuncts = {leaf.sql() for where in wheres for leaf in _conjuncts(where)}
+    assert (len(texts), len(set(texts)), len(conjuncts)) == (160, 92, 8)
+    names = [
+        "datastore.sql.parsed",
+        "datastore.restriction.leaves_compiled",
+        "datastore.restriction.compiled",
+    ]
+    for __ in range(2):
+        store.configure_runtime(cache_policy="lru")  # a replay starts cold
+        before = [counters.get(name) for name in names]
+        for text in texts:
+            store.execute(text)
+        assert [counters.get(n) - b for n, b in zip(names, before)] == [92, 8, 8]
+
+
+def _conjuncts(where) -> list:
+    if isinstance(where, BinaryOp) and where.op == "AND":
+        return _conjuncts(where.left) + _conjuncts(where.right)
+    return [where]

@@ -16,15 +16,17 @@ import threading
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.datastore import DataStore
 from repro.core.result import QueryResult, ScanStats, finalize
 from repro.core.table import Table
 from repro.distributed.tree import finalize_partials
-from repro.errors import ChunkUnavailableError
+from repro.errors import ChunkUnavailableError, ExecutionError, SqlSyntaxError
 from repro.monitoring import counters
+from repro.sql.ast_nodes import BinaryOp, Query
 from repro.sql.parser import parse_query
+from repro.storage.cache import policy_names
 from repro.workload.queries import (
     QUERY_1,
     QUERY_2,
@@ -83,10 +85,10 @@ def _work(stats) -> dict:
     return {name: getattr(stats, name) for name in WORK_COUNTERS}
 
 
-def _through_partials(store: DataStore, query: str):
+def _through_partials(store: DataStore, query: str | Query):
     """What a one-shard cluster answers: shard partials, root finalize."""
-    parsed = parse_query(query)
-    stats, partials = store.execute_partials(parsed)
+    parsed = parse_query(query) if isinstance(query, str) else query
+    stats, partials = store.execute_partials(query)
     if isinstance(partials, list):  # projection: already output rows
         table = finalize(partials, parsed)
     else:
@@ -103,7 +105,7 @@ def _assert_doors_agree(store: DataStore, query: str, footprint=None) -> None:
     if footprint is not None:
         assert set(direct.stats.active_chunks) <= set(footprint)
     store.chunk_cache.clear()
-    partial = _through_partials(store, query)
+    partial = _through_partials(store, parse_query(query))
     assert direct.content_equal(partial)
     assert _work(direct.stats) == _work(partial.stats)
     assert direct.complete
@@ -219,7 +221,7 @@ def test_a_clicks_queries_share_one_classification(log_table, seed, thresholds, 
             if door == "execute":
                 result = store.execute(query)
             else:
-                result = _through_partials(store, query)
+                result = _through_partials(store, parse_query(query))
             _assert_same_answer_and_footprint(result, reference, query)
             assert set(result.stats.active_chunks) <= set(footprint), query
         # The first query classified (unless a click before left the same
@@ -290,6 +292,8 @@ def test_a_click_that_materialises_a_field_classifies_once(log_table):
 def test_a_cache_too_small_for_the_classification_still_answers(log_table):
     store = make_store(log_table, cache_capacity_bytes=256)
     reference_store = make_store(log_table, cache_chunk_results=False)
+    names = ("datastore.sql.parsed", "datastore.restriction.leaves_compiled")
+    before = [counters.get(name) for name in names]
     for shape in _CLICK_SHAPES[:4] * 2:
         query = shape.format(where="latency > 500 AND table_name IN ('no_such_table')")
         other = shape.format(where="latency > 50")
@@ -298,6 +302,11 @@ def test_a_cache_too_small_for_the_classification_still_answers(log_table):
                 store.execute(sql), reference_store.execute(sql), sql
             )
     assert store.chunk_cache_stats().evictions > 0
+    # Every entry outweighs the cache, so each put evicts the one before:
+    # each of the 16 executions parses its text and compiles its 2 or 1
+    # leaves again (8 x 3), as often as the reference store does.
+    after = [counters.get(name) for name in names]
+    assert [a - b for a, b in zip(after, before)] == [2 * 16, 2 * 24]
 
 
 def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatch):
@@ -343,6 +352,143 @@ def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatc
         for shared, own in zip(ours, theirs):
             assert [a.tobytes() for a in shared] == [a.tobytes() for a in own]
             assert [a.dtype for a in shared] == [a.dtype for a in own]
+
+
+# -- … and the chunk cache keeps texts and conjuncts, never their answers ------
+
+
+def _conjunct(sql: str):
+    return parse_query(f"SELECT latency FROM data WHERE {sql}").where
+
+
+_ONE = _conjunct("(latency / latency) IN (1)")
+#: Conjunct twins: equal, and equally hashed, as ASTs; apart as rendered
+#: text. The last pair has no SQL text (a Query door only): every row
+#: has 1.0 and no dictionary probe finds True, so its answers differ too.
+_TWINS = (
+    (_conjunct("latency IN (7)"), _conjunct("latency IN (7.0)")),
+    (_conjunct("latency IN (0.0)"), _conjunct("latency IN (-0.0)")),
+    (_ONE, dataclasses.replace(_ONE, values=(True,))),
+)
+
+
+def _served_work(stats: ScanStats) -> dict:
+    """Every work counter, what the chunk cache served counted as
+    scanned: a store that caches nothing scans those chunks."""
+    work = _work(stats)
+    for unit in ("rows", "chunks"):
+        work[f"{unit}_scanned"] += work.pop(f"{unit}_cached")
+    work["cells_scanned"] += stats.rows_cached * max(len(stats.fields_accessed), 1)
+    return work
+
+
+_DOORS = ("text", "query", "partials")
+
+
+def _answer(store: DataStore, query: Query, door: str) -> QueryResult:
+    """``execute(text)``, ``execute(Query)`` or ``execute_partials(text)``
+    and a root finalize; no SQL text spells True, so it goes as a Query."""
+    text = query.sql()
+    sent = query if door == "query" or "(True)" in text else text
+    return _through_partials(store, sent) if door == "partials" else store.execute(sent)
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    twins=st.sampled_from(_TWINS),
+    capacity=st.sampled_from([8192, 64 * 1024 * 1024]),
+    policies=st.lists(st.sampled_from([None, *policy_names()]), min_size=3, max_size=3),
+    doors=st.lists(st.sampled_from(_DOORS), min_size=6, max_size=6),
+)
+@example(seed=1, twins=_TWINS[2], capacity=8192, policies=[None] * 3, doors=_DOORS * 2)
+def test_a_cached_store_does_an_uncached_stores_work(
+    log_table, seed, twins, capacity, policies, doors
+):
+    """Drill-down sessions whose clicks add a twin conjunct each (the
+    first, then both) and repeat every text: the store that keeps texts,
+    conjuncts and WHEREs in its chunk cache answers and counts like one
+    that keeps nothing, evicting mid-click or swapping its cache between
+    clicks."""
+    first, second = twins
+    assert first == second and hash(first) == hash(second)
+    assert first.sql() != second.sql()
+    store = make_store(log_table, cache_capacity_bytes=capacity)
+    reference_store = make_store(log_table, cache_chunk_results=False)
+    [session] = generate_drilldown_session_groups(
+        log_table,
+        DrillDownConfig(
+            n_sessions=1, clicks_per_session=3, queries_per_click=3, seed=seed
+        ),
+    )
+    extras = (first, BinaryOp("AND", first, second), BinaryOp("AND", first, second))
+    for click, extra, policy in zip(session, extras, policies):
+        if policy is not None:
+            store.configure_runtime(cache_policy=policy)
+        for text, door in zip(click * 2, doors):
+            parsed = parse_query(text)
+            where = extra
+            if parsed.where is not None:
+                where = BinaryOp("AND", parsed.where, extra)
+            query = dataclasses.replace(parsed, where=where)
+            result = _answer(store, query, door)
+            reference = reference_store.execute(query)
+            assert result.content_equal(reference), query
+            assert _served_work(result.stats) == _served_work(reference.stats), query
+            assert reference.stats.rows_cached == 0
+    assert len(reference_store.chunk_cache) == 0
+
+
+def test_a_failure_is_never_cached(log_table):
+    """A text that does not parse or targets another table raises the
+    same typed error every time, parsed every time, and leaves no entry."""
+    store = make_store(log_table)
+    failures = [
+        ("SELECT country FROM data WHERE", SqlSyntaxError),
+        ("SELECT country FROM elsewhere WHERE latency > 5", ExecutionError),
+    ]
+    for text, error in failures * 2:
+        parsed_before = counters.get("datastore.sql.parsed")
+        with pytest.raises(error):
+            store.execute(text)
+        with pytest.raises(error):
+            store.execute_partials(text)
+        assert counters.get("datastore.sql.parsed") == parsed_before + 2
+    assert len(store.chunk_cache) == 0
+
+
+def test_a_prepared_entry_weighs_more_than_it_holds(log_table):
+    """The stated estimate: between the deep size of what a text's entry
+    holds (the key's text, parsed query, WHERE text) and three times it,
+    on the drill-down texts, the click shapes and the full-scan classes."""
+    from repro.core.datastore import _text_weight
+
+    def deep_size(value, seen) -> int:
+        if id(value) in seen or value is None or isinstance(value, bool):
+            return 0
+        seen.add(id(value))
+        size = sys.getsizeof(value)
+        if dataclasses.is_dataclass(value):
+            fields = dataclasses.fields(value)
+            return size + sum(deep_size(getattr(value, f.name), seen) for f in fields)
+        if isinstance(value, tuple):
+            return size + sum(deep_size(item, seen) for item in value)
+        return size
+
+    store = make_store(log_table)
+    sessions = generate_drilldown_session_groups(
+        log_table,
+        DrillDownConfig(n_sessions=4, clicks_per_session=4, queries_per_click=5),
+    )
+    texts = {q for session in sessions for click in session for q in click}
+    texts.update(shape.format(where="latency > 500") for shape in _CLICK_SHAPES)
+    for text in texts | set(FULL_SCAN_SHAPES.values()):
+        held = deep_size((("sql", text), store._prepare(text)), set())
+        assert held <= _text_weight(text) <= 3 * held, text
 
 
 # -- … and on the work the parent commit did -----------------------------------
@@ -422,8 +568,13 @@ def test_a_click_probes_the_chunk_cache_as_the_parent_did(log_table):
             assert store.execute(query).stats.restriction_seconds > 0
         totals.append(tuple(counters.get(n) - b for n, b in zip(names, before)))
     assert totals == [(0, 40), (40, 0)]
-    stats = store.chunk_cache_stats()  # the WHERE entry's probes as well
-    assert (stats.hits, stats.misses) == (79, 41)
+    # The other entries' probes as well. The parent's (79, 41) was the
+    # partials' 40 misses then 40 hits, plus the WHERE entry's 1 miss and
+    # 19 + 20 hits. Each of the 20 distinct texts now misses its prepared
+    # entry cold and hits it warm (+20, +20), and the one compile probes
+    # the WHERE's 3 leaves, missing each (+0, +3): (99, 64).
+    stats = store.chunk_cache_stats()
+    assert (stats.hits, stats.misses) == (99, 64)
 
 
 def test_warm_chunk_cache_is_counted_the_same_by_both_doors(log_table):

@@ -384,3 +384,38 @@ def test_zero_chunk_store_classifies_without_error():
     outcomes = _root(empty, "v = 'a' AND NOT v IN ('b')").outcomes()
     assert all(vector.shape == (0,) for vector in outcomes)
     assert empty.execute("SELECT v FROM data WHERE v = 'a'").table.n_rows == 0
+
+
+def test_a_leaf_is_frozen_and_weighs_every_array_it_holds():
+    """Shared from the chunk cache across threads, a leaf computes all
+    it holds up front and never writes it again."""
+    store = _store(["a", "b", None, "c"] * 6, list(range(24)), max_chunk_rows=5)
+    leaf = _root(store, "v IN ('a', 'c')")
+    arrays = (leaf._t, leaf._n, leaf._entries, *leaf.outcomes())
+    assert leaf.outcomes() is leaf.outcomes()
+    assert not any(array.flags.writeable for array in arrays)
+    assert leaf.size_bytes() == 64 + sum(array.nbytes for array in arrays)
+
+
+def test_kept_leaves_name_their_fields_without_the_ensure_hook():
+    """A leaf served by ``leaf_cache`` calls no hook, so the restriction's
+    fields come from the compiled leaves, not from ``ensure_field``."""
+    store = _store(["a", "b", None, "c"] * 6, list(range(24)), max_chunk_rows=5)
+    where = parse_query("SELECT v FROM data WHERE v IN ('a') AND NOT w > 6").where
+    kept = {}
+
+    def leaf_cache(text, build):
+        if text not in kept:
+            kept[text] = build()
+        return kept[text]
+
+    def refuse(expr):
+        raise AssertionError(f"{expr.sql()} was compiled again")
+
+    first = compile_restriction(where, *_hooks(store), leaf_cache)
+    row_starts, __, *hooks = _hooks(store)
+    again = compile_restriction(where, row_starts, refuse, *hooks, leaf_cache)
+    assert sorted(kept) == ["(v IN ('a'))", "(w > 6)"]
+    assert again.fields == first.fields == ("v", "w")
+    assert again.verdicts.tolist() == first.verdicts.tolist()
+    assert again.rows.tolist() == first.rows.tolist()

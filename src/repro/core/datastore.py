@@ -65,7 +65,7 @@ from repro.core.expr_eval import (
 )
 from repro.core.plan import is_aggregation_query, plan_group_query, resolve_group_aliases
 from repro.core.restriction import FULL, Restriction, compile_restriction, pick
-from repro.core.result import QueryResult, ScanStats, finalize
+from repro.core.result import QueryResult, ScanStats, finalize, resolve_output_expr
 from repro.core.table import Column, Table
 from repro.errors import (
     BindError,
@@ -1424,7 +1424,10 @@ class _GroupedKernel(_RunKernel):
             else:
                 if field.name not in gathered:
                     gathered[field.name] = self._gids(field, select)
-                partials.append(aggregator.run_partial(groups, gathered[field.name]))
+                run_partial = aggregator.run_partial
+                if isinstance(aggregator, _PairAggregator) and not any(run.cacheable):
+                    run_partial = aggregator.run_pairs  # no slice to keep: one sort
+                partials.append(run_partial(groups, gathered[field.name]))
         return partials
 
     def chunk_partials(self, partials: list, k: int) -> list:
@@ -1457,7 +1460,9 @@ class _GroupedKernel(_RunKernel):
         columns = [agg.result_columns(gids) for agg in self.aggregators]
         # Late materialization: values are decoded (and group values
         # looked up) for the ORDER BY ... LIMIT survivors only.
-        positions = _topk_positions(parsed, plan, gids, self.aggregators, columns)
+        positions = None
+        if len(plan.group_exprs) == 1:
+            positions = self._topk(parsed, gids, columns)
         if positions is not None:
             gids = gids[positions]
             columns = [(values[positions], null[positions]) for values, null in columns]
@@ -1483,6 +1488,54 @@ class _GroupedKernel(_RunKernel):
             }
             rows.append(row)
         return rows
+
+    def _topk(self, parsed: Query, gids: np.ndarray, columns: list) -> np.ndarray | None:
+        """:func:`_topk_positions` over the present groups: keys from the
+        aggregators' result ``columns`` and the group *global-ids*."""
+        plan, aggregators = self.plan, self.aggregators
+        group_key = FieldRef("__group_0")
+
+        def keys():
+            """(expr, descending): explicit keys, then the implicit tie-break."""
+            out_expr = dict(plan.items)
+            select_sql_to_expr = {
+                item.expr.sql(): expr
+                for item, (__, expr) in zip(parsed.select, plan.items)
+            }
+            for item in parsed.order_by:
+                rendered = item.expr.sql()
+                if rendered in select_sql_to_expr:
+                    yield select_sql_to_expr[rendered], item.descending
+                elif isinstance(item.expr, FieldRef):
+                    yield out_expr.get(item.expr.name), item.descending
+                else:
+                    yield None, item.descending
+            yield from ((expr, False) for __, expr in plan.items)
+            yield group_key, False
+
+        decoded: dict[str, Vector] = {}  # __agg_j -> its final values, on demand
+
+        def key_column(expr):
+            """``expr`` over every group as one sortable array, or None."""
+            if expr == group_key:
+                return gids
+            if isinstance(expr, FieldRef):  # __agg_j: the aggregate's own array
+                values, null = columns[int(expr.name.removeprefix("__agg_"))]
+                if null.any() or (values.dtype.kind == "f" and np.isnan(values).any()):
+                    return None  # NULL / NaN ordering: take the general path
+                return values
+            refs = [node.name for node in walk(expr) if isinstance(node, FieldRef)]
+            if any(name.startswith("__group") for name in refs):
+                return None  # needs group values
+            for name in refs:
+                if name not in decoded:
+                    j = int(name.removeprefix("__agg_"))
+                    decoded[name] = columns[j]
+                    if isinstance(aggregators[j], _ExtremeAggregator):  # best gids
+                        decoded[name] = to_vector(aggregators[j].decode(*columns[j]))
+            return _sortable(evaluate_array(expr, decoded, gids.size))
+
+        return _topk_positions(parsed, gids.size, keys(), key_column, group_key)
 
     def shard_partials(self) -> dict[tuple, tuple[tuple, list]]:
         """NULL-safe group key -> (group values, mergeable AggStates)."""
@@ -1511,38 +1564,67 @@ class _GroupedKernel(_RunKernel):
 class _ProjectionKernel(_RunKernel):
     """Plain SELECT (no aggregates): ``fields`` = one per output column.
 
-    A run's partial is its output columns, each materialized once for
-    the whole run (vectorized gid -> value gather); the fold zips the
-    columns into row dicts — no per-cell array indexing.
+    A run's partial is the global-id of every row it keeps, one gather
+    per column and no decode; the fold concatenates them in chunk order.
+    Global-ids are ranks, so ORDER BY ... LIMIT k picks its k rows on
+    them, and only the rows ``rows`` returns are decoded.
     """
 
     scan_timer = fold_timer = "projection_seconds"
 
     def __init__(self, store: DataStore, parsed: Query, ensure) -> None:
         self.names = [item.output_name() for item in parsed.select]
-        self._rows: list[dict[str, Any]] = []
-        super().__init__(
-            store, [store.field(ensure(item.expr)) for item in parsed.select]
-        )
+        fields = [store.field(ensure(item.expr)) for item in parsed.select]
+        self.columns = [np.zeros(0, dtype=np.uint32) for __ in fields]
+        super().__init__(store, fields)
 
-    def scan(self, run: Run) -> list[list]:
+    def scan(self, run: Run) -> list[np.ndarray]:
         select = self._selector(run)
-        return [
-            field.value_array()[self._gids(field, select)].tolist()
-            for field in self.fields
-        ]
+        return [self._gids(field, select) for field in self.fields]
 
-    def fold(self, ready: list[tuple[tuple[int, ...], list[list]]]) -> None:
-        for __, column_values in sorted(ready, key=lambda item: item[0][0]):
-            self._rows.extend(
-                dict(zip(self.names, values)) for values in zip(*column_values)
-            )
+    def fold(self, ready: list[tuple[tuple[int, ...], list[np.ndarray]]]) -> None:
+        runs = [columns for __, columns in sorted(ready, key=lambda item: item[0][0])]
+        self.columns = [np.concatenate(pieces) for pieces in zip(self.columns, *runs)]
 
     def rows(self, parsed: Query) -> list[dict[str, Any]]:
-        return self._rows
+        """One output dict per kept row, or per top-k survivor."""
+        names = self.names
+        keys = itertools.chain(  # lazy: resolved only if the shortcut applies
+            (
+                (resolve_output_expr(item.expr, parsed.select), item.descending)
+                for item in parsed.order_by
+            ),
+            ((FieldRef(name), False) for name in names),
+        )
+
+        def key_column(key: Expr) -> np.ndarray | None:
+            """An output column's gids; None for any other key, or NaN."""
+            if not isinstance(key, FieldRef) or names.count(key.name) != 1:
+                return None  # not one output column (finalize rejects twins)
+            position = names.index(key.name)
+            dictionary = self.fields[position].dictionary
+            if isinstance(dictionary, NumericDictionary) and np.isnan(
+                dictionary.raw_values()
+            ).any():
+                return None
+            return self.columns[position].astype(np.int64)
+
+        columns = self.columns
+        positions = _topk_positions(parsed, columns[0].size, keys, key_column)
+        if positions is not None:
+            columns = [gids[positions] for gids in columns]
+        return self._decode(columns)
 
     def shard_partials(self) -> list[dict[str, Any]]:
-        return self._rows
+        return self._decode(self.columns)
+
+    def _decode(self, columns: list[np.ndarray]) -> list[dict[str, Any]]:
+        """Rows of the given gid columns: one gid -> value gather a column."""
+        values = [
+            field.value_array()[gids].tolist()
+            for field, gids in zip(self.fields, columns)
+        ]
+        return [dict(zip(self.names, row)) for row in zip(*values)]
 
 
 def _text_weight(text: str) -> int:
@@ -1571,91 +1653,41 @@ def _partials_weight(partials: Any) -> float:
     return 64.0
 
 
-def _topk_positions(parsed, plan, gids, aggregators, columns):
-    """The paper's top-k shortcut: pick LIMIT groups before value lookup.
+def _topk_positions(parsed, n, keys, key_column, unique=None):
+    """The paper's top-k shortcut: pick LIMIT rows before value lookup.
 
     "After identifying the top 10 chunk-ids for table_name integers (by
     sorting all chunk-ids by their counts after the inner loop), the
     original table name string values need to be looked up in the
-    dictionary" — i.e. dictionary lookups happen only for the groups
-    that survive ORDER BY ... LIMIT k.
+    dictionary" — i.e. only the groups or rows that survive ORDER BY ...
+    LIMIT k are decoded.
 
-    Applicable when the final ordering is computable from the
-    aggregators' result ``columns`` and group *global-ids* alone
-    (global-ids are ranks, so ordering by gid equals ordering by group
-    value). Returns the selected positions into ``gids`` or None to
-    take the general path. The key columns replicate the deterministic
-    order of :func:`repro.core.result.finalize` exactly: explicit ORDER
-    BY keys first, then the implicit tie-break (output columns
-    ascending), with the unique gid last — so the selected set and
-    order match the general path, which re-sorts the survivors
-    identically.
+    ``keys`` pairs each key with its descending flag, lazily: the ORDER BY
+    keys (None where unresolved), then the implicit tie-break of
+    :func:`repro.core.result.finalize`. ``key_column(key)`` is the key
+    over all ``n`` rows as one array that orders as its values do
+    (global-ids are ranks), or None; keys after ``unique``, which no two
+    rows share, never decide. Returns the survivors' positions in the
+    order the general path (which re-sorts them identically) gives, or
+    None to take that path.
     """
-    if parsed.limit is None or parsed.having is not None:
+    if parsed.limit is None or parsed.having is not None or parsed.limit >= n:
         return None
-    if len(plan.group_exprs) != 1 or parsed.limit >= gids.size:
-        return None
-
-    out_expr = {name: expr for name, expr in plan.items}
-    select_sql_to_expr = {
-        item.expr.sql(): expr
-        for item, (__, expr) in zip(parsed.select, plan.items)
-    }
-
-    def resolve_order_expr(expr):
-        rendered = expr.sql()
-        if rendered in select_sql_to_expr:
-            return select_sql_to_expr[rendered]
-        if isinstance(expr, FieldRef) and expr.name in out_expr:
-            return out_expr[expr.name]
-        return None
-
-    # (expr, descending): explicit keys, then the implicit tie-break.
-    group_key = FieldRef("__group_0")
-    key_specs = [
-        (resolve_order_expr(item.expr), item.descending)
-        for item in parsed.order_by
-    ]
-    key_specs += [(expr, False) for __, expr in plan.items]
-    key_specs.append((group_key, False))
-
-    decoded: dict[str, Vector] = {}  # __agg_j -> its final values, on demand
-
-    def key_column(expr):
-        """``expr`` over every group as one sortable array, or None."""
-        if expr == group_key:
-            return gids
-        if isinstance(expr, FieldRef):  # __agg_j: the aggregate's own array
-            values, null = columns[int(expr.name.removeprefix("__agg_"))]
-            if null.any() or (values.dtype.kind == "f" and np.isnan(values).any()):
-                return None  # NULL / NaN ordering: take the general path
-            return values
-        refs = [node.name for node in walk(expr) if isinstance(node, FieldRef)]
-        if any(name.startswith("__group") for name in refs):
-            return None  # needs group values
-        for name in refs:
-            if name not in decoded:
-                j = int(name.removeprefix("__agg_"))
-                decoded[name] = columns[j]
-                if isinstance(aggregators[j], _ExtremeAggregator):  # best gids
-                    decoded[name] = to_vector(aggregators[j].decode(*columns[j]))
-        return _sortable(evaluate_array(expr, decoded, gids.size))
-
-    keys: dict[Expr, np.ndarray] = {}  # a repeated key cannot reorder anything
-    for expr, descending in key_specs:
-        if expr is None:
+    columns: dict[Any, np.ndarray] = {}  # a repeated key cannot reorder anything
+    for key, descending in keys:
+        if key is None:
             return None
-        if expr in keys:
+        if key in columns:
             continue
-        column = key_column(expr)
+        column = key_column(key)
         if column is None:
             return None
         if descending:  # ~x = -x - 1 reverses ints and cannot overflow
             column = ~column if column.dtype.kind == "i" else -column
-        keys[expr] = column
-        if expr == group_key:
-            break  # unique: later keys never get to decide
-    return np.lexsort(list(keys.values())[::-1])[: parsed.limit]
+        columns[key] = column
+        if key == unique:
+            break
+    return np.lexsort(list(columns.values())[::-1])[: parsed.limit]
 
 
 def _sortable(vector: Vector) -> np.ndarray | None:

@@ -21,10 +21,12 @@ order and chunk ``k`` of the run owns ``columns[bounds[k]:bounds[k+1]]``.
 A chunk's slice is the self-contained partial the chunk-result cache of
 Section 6 stores: a fully-active chunk's partial does not depend on the
 WHERE clause, so later queries that fully cover the chunk reuse it
-without rescanning. Folding is plain integer-indexed accumulation keyed
-by the group field's global-ids — no hash tables in the hot path, which
-is exactly the advantage the paper measures in its Query 1/3
-experiments.
+without rescanning. A run none of whose chunks enters the cache gets
+COUNT DISTINCT's pairs deduplicated across the whole run instead
+(:class:`RunPairs`), which has no per-chunk slices. Folding is plain
+integer-indexed accumulation keyed by the group field's global-ids — no
+hash tables in the hot path, which is exactly the advantage the paper
+measures in its Query 1/3 experiments.
 """
 
 from __future__ import annotations
@@ -79,11 +81,12 @@ class RunGroups(NamedTuple):
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """Sort ``keys`` in place and drop the repeats (adjacent difference)."""
+    """Sort ``keys`` in place and drop the repeats (adjacent difference;
+    ``np.compress`` is 4x faster than a boolean index on numpy 2.4)."""
     keys.sort()
     keep = np.ones(keys.size, dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
+    return np.compress(keep, keys)
 
 
 def _pair_keys(high: np.ndarray, n: int, low: np.ndarray, bits: int) -> np.ndarray:
@@ -94,6 +97,12 @@ def _pair_keys(high: np.ndarray, n: int, low: np.ndarray, bits: int) -> np.ndarr
     keys <<= bits
     keys |= low.astype(keys.dtype, copy=False)
     return keys
+
+
+class RunPairs(tuple):
+    """A run's distinct pairs ``(bounds, pairs)``, sorted and deduplicated
+    across all of its chunks: the first chunk owns every pair, so the
+    partial has no per-chunk slices and never enters the chunk cache."""
 
 
 def as_run_partial(chunk_partial: Any) -> tuple:
@@ -171,6 +180,7 @@ class ColumnarAggregator:
 
     def chunk_slice(self, partial: tuple, k: int) -> Any:
         """Chunk ``k`` of a run partial, copied, as the cache holds it."""
+        assert not isinstance(partial, RunPairs), "run-level pairs have no chunk slices"
         bounds, *columns = partial
         start, stop = bounds[k], bounds[k + 1]
         if start == stop:
@@ -347,7 +357,9 @@ class _PairAggregator(ColumnarAggregator):
 
     One key per row, ``span position << arg_bits | argument gid``, sorts
     as (chunk, group gid, argument gid); no n_group x n_arg matrix is
-    built. Partials hold ``group gid << 32 | argument gid`` (int64).
+    built. A run that keeps no chunk's slice keys rows by group gid
+    instead (:meth:`run_pairs`): one sort dedups across its chunks.
+    Partials hold ``group gid << 32 | argument gid`` (int64).
     """
 
     empty_dtypes = (np.int64,)
@@ -364,6 +376,17 @@ class _PairAggregator(ColumnarAggregator):
         )
         bounds, gids = groups.entries(keys >> self.arg_bits)
         return bounds, (gids << 32) | self._low(keys)
+
+    def run_pairs(self, groups: RunGroups, arg: np.ndarray) -> RunPairs:
+        """:meth:`run_partial` of a run that keeps no chunk's slice: one sort
+        of ``group gid << b | argument gid`` over all of its rows."""
+        groups, arg = self._valid(groups, arg)
+        group = groups.gids[groups.positions()]
+        keys = _sorted_distinct(_pair_keys(group, self.n_groups, arg, self.arg_bits))
+        bounds = np.full(groups.starts.size + 1, keys.size)
+        bounds[0] = 0
+        high = (keys >> self.arg_bits).astype(np.int64)
+        return RunPairs((bounds, (high << 32) | self._low(keys)))
 
     def dictionary_partial(
         self, groups: RunGroups, bounds: np.ndarray, arg: np.ndarray
@@ -401,7 +424,10 @@ class CountDistinctAggregator(_PairAggregator):
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every distinct (group gid, value gid) folded so far, in order."""
-        keys = _sorted_distinct(self._fold_keys(np.concatenate(self._pair_chunks)))
+        pairs = np.concatenate(self._pair_chunks)
+        if not (pairs[1:] <= pairs[:-1]).any():  # sorted, distinct: one run's
+            return pairs >> 32, pairs & 0xFFFFFFFF
+        keys = _sorted_distinct(self._fold_keys(pairs))
         return (keys >> self.arg_bits).astype(np.int64), self._low(keys)
 
     def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -431,7 +457,9 @@ class ApproxCountDistinctAggregator(_PairAggregator):
         pairs = columns[0]
         if not pairs.size:
             return
-        keys = np.sort(self._fold_keys(pairs))
+        keys = self._fold_keys(pairs)
+        if (keys[1:] < keys[:-1]).any():  # sorted already when one run's
+            keys.sort()
         groups = keys >> self.arg_bits
         value_ids = self._low(keys)
         boundaries = np.ones(groups.size, dtype=bool)

@@ -96,15 +96,17 @@ def make_store(table: Table, **overrides) -> DataStore:
     return DataStore.from_table(table, options)
 
 
-def run_of(store: DataStore, chunks, masks) -> Run:
+def run_of(store: DataStore, chunks, masks, cacheable=None) -> Run:
     """A kernel run over ``chunks``, each keeping its mask's rows (None:
-    every row), with no partial bound for the chunk cache."""
+    every row); ``cacheable`` flags the chunks whose partial is bound for
+    the chunk cache (None: no chunk's)."""
     starts = store.row_starts
     rows = [
         np.arange(starts[c], starts[c + 1])[slice(None) if m is None else m]
         for c, m in zip(chunks, masks)
     ]
-    return Run(tuple(chunks), np.concatenate(rows), (False,) * len(chunks))
+    flags = (False,) * len(chunks) if cacheable is None else tuple(cacheable)
+    return Run(tuple(chunks), np.concatenate(rows), flags)
 
 
 @pytest.fixture(scope="session")

@@ -314,15 +314,31 @@ def test_full_scan_shapes_sort_nothing_and_decode_only_survivors(
 ):
     import numpy as np
 
-    from bench.workloads import CLASSES
-    from repro.core.datastore import FieldStore
+    from bench.workloads import CLASSES, FullScan, draw_table, store_options, structure_pool
+    from repro.core import engine
+    from repro.core.datastore import DataStore, FieldStore
     from repro.storage.dictionary import Dictionary
 
     store = make_store(log_table, cache_chunk_results=False)
     # The warm-up pass materialises date(timestamp) and fills the memos.
     expected = {query.name: store.execute(query.sql) for query in CLASSES}
-    calls = SimpleNamespace(unique=0, row_gids=0, decoded={})
+    calls = SimpleNamespace(unique=0, row_gids=0, decoded={}, sorts=0, cells=0)
     unique, row_global_ids, value = np.unique, FieldStore.row_global_ids, Dictionary.value
+    sorted_distinct, value_array = engine._sorted_distinct, FieldStore.value_array
+
+    class CountedValues:
+        """A value array that counts the cells a gather decodes."""
+
+        def __init__(self, values):
+            self.values = values
+
+        def __getitem__(self, gids):
+            calls.cells += np.size(gids)
+            return self.values[gids]
+
+    def counted_sorted_distinct(keys):
+        calls.sorts += 1
+        return sorted_distinct(keys)
 
     def counted_unique(*args, **kwargs):
         calls.unique += 1
@@ -339,10 +355,17 @@ def test_full_scan_shapes_sort_nothing_and_decode_only_survivors(
     monkeypatch.setattr(np, "unique", counted_unique)
     monkeypatch.setattr(FieldStore, "row_global_ids", counted_row_gids)
     monkeypatch.setattr(Dictionary, "value", counted_value)
+    monkeypatch.setattr(engine, "_sorted_distinct", counted_sorted_distinct)
+    monkeypatch.setattr(
+        FieldStore, "value_array", lambda field: CountedValues(value_array(field))
+    )
+    sorts, cells = {}, {}
     for query in CLASSES:
         calls.decoded.clear()
+        calls.sorts = calls.cells = 0
         result = store.execute(query.sql)
         assert result.content_equal(expected[query.name]), query.name
+        sorts[query.name], cells[query.name] = calls.sorts, calls.cells
         if not query.grouped:
             continue
         parsed = datastore_module.resolve_group_aliases(
@@ -358,6 +381,26 @@ def test_full_scan_shapes_sort_nothing_and_decode_only_survivors(
         assert sum(decoded.values()) == others, query.name
     assert calls.unique == 0
     assert calls.row_gids == 0
+    # One run, no chunk kept: COUNT DISTINCT sorts its pairs once, in the
+    # scan, and the fold finds them in order (the parent sorted twice).
+    # Here ``approx`` groups by a field that is not one per chunk, so its
+    # run sorts too; its KMV fold then sorts nothing either.
+    assert {name: n for name, n in sorts.items() if n} == {
+        "distinct": 1, "user_avg": 1, "approx": 1
+    }
+    # The projection decodes its LIMIT survivors' cells, not every row's:
+    # all 11 rows here, 20 of the 36 that match on the benchmark's table.
+    (project,) = [query for query in CLASSES if not query.grouped]
+    assert cells == {name: 0 for name in cells} | {project.name: 11 * 3}
+    rows = FullScan.quick_rows
+    store = DataStore.from_table(
+        draw_table(structure_pool(rows), rows, 7),
+        store_options(rows, cache_chunk_results=False),
+    )
+    assert len(store.execute(project.sql.split(" ORDER BY")[0]).rows()) == 36
+    calls.cells = 0
+    assert len(store.execute(project.sql).rows()) == project.limit
+    assert calls.cells == project.limit * 3
 
 
 # -- the work gate of a drill-down replay: parses and leaf compiles -----------

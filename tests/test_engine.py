@@ -26,6 +26,7 @@ from repro.core.engine import (
     MinAggregator,
     PresenceAggregator,
     RunGroups,
+    RunPairs,
     SumAggregator,
     aggregator_states,
     as_run_partial,
@@ -290,7 +291,8 @@ def _stores(draw):
         chunks.append((group_ids, arg_ids, mask))
     cuts = draw(st.sets(st.integers(1, max(len(chunks) - 1, 1))))
     cached = draw(st.sets(st.integers(0, len(chunks) - 1)))
-    return chunks, arg_has_null, group_kind, draw(st.booleans()), cuts, cached
+    kept = draw(st.sets(st.integers(0, len(chunks) - 1)))
+    return chunks, arg_has_null, group_kind, draw(st.booleans()), cuts, cached, kept
 
 
 def _store(chunks, arg_has_null, optimized):
@@ -367,11 +369,14 @@ class TestPartialsMatchTheGidSpaceOracle:
     @settings(max_examples=150, deadline=None)
     @given(_stores())
     def test_every_aggregator(self, drawn):
-        """Each chunk's slice of a run partial is the oracle's partial, byte
-        for byte, for runs of one chunk, of every chunk and cut at random
-        points; folded with cached chunks interleaved, the accumulators
-        are the bits a chunk-by-chunk fold of the oracle gives."""
-        chunks, arg_has_null, group_kind, optimized, cuts, cached = drawn
+        """For runs of one chunk, of every chunk and cut at random points:
+        in a run that keeps a chunk for the cache, each chunk's slice of a
+        run partial is the oracle's partial, byte for byte; a run that
+        keeps none has its COUNT DISTINCT pairs run-level, without chunk
+        slices. Folded with per-chunk pieces, run-level pieces and cached
+        chunks interleaved, the accumulators are the bits a chunk-by-chunk
+        fold of the oracle gives."""
+        chunks, arg_has_null, group_kind, optimized, cuts, cached, kept = drawn
         store = _store(chunks, arg_has_null, optimized)
         numeric = store.field("a").numeric_values()
         expected = [_oracle_partials(c, arg_has_null, numeric) for c in chunks]
@@ -393,10 +398,16 @@ class TestPartialsMatchTheGidSpaceOracle:
             for run_chunks in layout:
                 # Cached chunks are served apart, so a run skips over them.
                 scanned = [c for c in run_chunks if c not in cached] or run_chunks
-                run = run_of(store, scanned, [chunks[c][2] for c in scanned])
+                flags = [c in kept for c in scanned]
+                run = run_of(store, scanned, [chunks[c][2] for c in scanned], flags)
                 partials = kernel.scan(run)
                 for k, chunk_index in enumerate(scanned):
                     for slot, (aggregator, partial) in enumerate(zip(slots, partials)):
+                        if isinstance(partial, RunPairs):
+                            assert not any(flags), label
+                            with pytest.raises(AssertionError):
+                                aggregator.chunk_slice(partial, k)
+                            continue
                         _assert_same_partial(
                             aggregator.chunk_slice(partial, k),
                             expected[chunk_index][slot],
@@ -410,6 +421,29 @@ class TestPartialsMatchTheGidSpaceOracle:
             ]
             kernel.fold(ready[::-1])  # arrival order does not matter
             assert _folded(kernel) == _folded(reference), label
+
+    def test_a_run_keeping_no_chunk_holds_its_pairs_once(self):
+        """Two chunks with the same pairs: a run that keeps either chunk for
+        the cache has them in both slices; one that keeps neither has them
+        once, sorted, in its first chunk's, and no slice to give."""
+        ids = np.array([3, 1, 3, 2, 1, 3])
+        chunks = [(ids, ids[::-1].copy(), None)] * 2
+        store = _store(chunks, False, True)
+        for kept in ((True, False), (False, False)):
+            kernel = _kernel(store, "field")
+            partials = kernel.scan(run_of(store, [0, 1], [None, None], kept))
+            for aggregator, partial in zip(kernel.aggregators[-2:], partials[-2:]):
+                bounds, pairs = partial
+                assert isinstance(partial, RunPairs) is not any(kept)
+                if any(kept):
+                    assert bounds.tolist() == [0, 4, 8]
+                    assert pairs[:4].tolist() == pairs[4:].tolist()
+                    continue
+                assert bounds.tolist() == [0, 4, 4]
+                distinct = ((1, 1), (2, 3), (3, 2), (3, 3))
+                assert pairs.tolist() == [(g << 32) | a for g, a in distinct]
+                with pytest.raises(AssertionError):
+                    aggregator.chunk_slice(partial, 0)
 
     def test_the_random_chunks_cover_every_elements_encoding(self):
         def encoding(distinct, optimized=True):

@@ -1,10 +1,13 @@
 """Top-k fast-path tests: it must be invisible except for speed.
 
 The shortcut selects the LIMIT k groups from aggregate values and
-group global-ids *before* looking up group values in the dictionary.
-These tests pin the trickiest equivalences: ties, descending string
-keys (not invertible -> fallback), NULL aggregate values (fallback),
-HAVING (fallback), and composite groups (fallback).
+group global-ids *before* looking up group values in the dictionary,
+and a projection's LIMIT k rows from its columns' global-ids before
+decoding any. These tests pin the trickiest equivalences: ties,
+descending string keys (not invertible -> fallback), NULL aggregate
+values (fallback), HAVING (fallback), composite groups (fallback), and
+for projections NULLs, 0 / 0.0 / -0.0, NaN (fallback) and shard
+partials, which keep every row.
 """
 
 from unittest import mock
@@ -15,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import datastore as datastore_module
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Table
+from repro.distributed import ClusterConfig, SimulatedCluster
+from repro.errors import UnsupportedQueryError
 from repro.formats.rowexec import execute_on_rows
 from repro.sql.parser import parse_query
 from tests.sanitizer import assert_results_equal
@@ -329,3 +334,111 @@ class TestShortcutEqualsGeneralPath:
         assert [tuple(map(repr, row)) for row in fast] == [
             tuple(map(repr, row)) for row in general
         ]
+
+
+# -- projections: ORDER BY ... LIMIT on global-ids, then k rows decoded ---------
+
+
+def _reprs(rows):
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def _projection_store(rows, **options):
+    table = Table.from_columns(dict(zip(("g", "x", "y", "name"), map(list, zip(*rows)))))
+    store = DataStore.from_table(
+        table, DataStoreOptions(partition_fields=("g",), max_chunk_rows=4, **options)
+    )
+    return store, table
+
+
+#: Ints with NULL, floats mixing 0 / 0.0 / -0.0, strings DESC, several
+#: keys, and none (LIMIT alone orders by the implicit tie-break).
+_PROJECTION_ORDERS = [
+    "", "x", "x DESC", "name DESC", "f, name DESC", "x DESC, f", "name, x DESC, f",
+    "g DESC, x",
+]
+# Few distinct values, so rows tie at the LIMIT cut.
+_projection_rows = st.lists(
+    st.tuples(
+        st.sampled_from("abc"),
+        st.sampled_from([None, -1, 0, 1, 2]),
+        st.sampled_from([None, 0, 0.0, -0.0, 0.5, -1.5]),
+        st.sampled_from([None, "", "kiwi", "lime", "plum"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestProjectionShortcut:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _projection_rows,
+        st.sampled_from(_PROJECTION_ORDERS),
+        st.sampled_from([None, 0, 1, 3, 7, 100]),
+        st.sampled_from(["", " WHERE x > 0", " WHERE name IS NULL OR y < 0"]),
+        st.booleans(),
+    )
+    def test_equals_the_rows_and_the_decode_everything_path(
+        self, rows, order_by, limit, where, threads
+    ):
+        """Over PARTIAL chunks too, and on two threads."""
+        options = {"executor": "thread", "workers": 2} if threads else {}
+        store, table = _projection_store(rows, **options)
+        sql = f"SELECT g, x, y AS f, name FROM data{where}"
+        matching = len(store.execute(sql).rows())
+        if order_by:
+            sql += f" ORDER BY {order_by}"
+        if limit is not None:
+            sql += f" LIMIT {limit}"
+        parsed = parse_query(sql)
+        with _Spy() as spy:
+            fast = store.execute(parsed).rows()
+        with _Spy(force_general=True):
+            general = store.execute(parsed).rows()
+        assert _reprs(fast) == _reprs(general), sql
+        expected = execute_on_rows(parsed, table.schema, table.iter_rows())
+        assert_results_equal(fast, list(expected.iter_rows()), context=sql)
+        assert spy.verdicts == [limit is not None and limit < matching], sql
+
+    def test_duplicate_output_names_still_raise(self):
+        store, __ = _projection_store([("a", 1, 0.5, "kiwi")] * 5)
+        for force_general in (False, True):
+            with _Spy(force_general=force_general), pytest.raises(
+                UnsupportedQueryError, match="duplicate output column names"
+            ):
+                store.execute("SELECT x, name AS x FROM data ORDER BY x LIMIT 2")
+
+    def test_a_nan_key_falls_back(self):
+        nan = float("nan")
+        store, __ = _projection_store(
+            [("a", 3, nan, "kiwi"), ("b", 1, None, "lime"), ("a", 2, nan, "plum")]
+        )
+        parsed = parse_query("SELECT y, x FROM data ORDER BY y DESC, x LIMIT 2")
+        with _Spy() as spy:
+            fast = store.execute(parsed).rows()
+        with _Spy(force_general=True):
+            general = store.execute(parsed).rows()
+        assert spy.verdicts == [False]
+        assert _reprs(fast) == _reprs(general) == [("nan", "2"), ("nan", "3")]
+
+    def test_shard_partials_keep_every_row(self):
+        """LIMIT is applied above the shards: each hands up all its rows."""
+        rows = [(g, x, 0.5, "kiwi") for g in "abc" for x in range(6)]
+        store, table = _projection_store(rows)
+        sql = "SELECT g, x FROM data WHERE x > 1 ORDER BY x DESC, g LIMIT 3"
+        __, shard_rows = store.execute_partials(sql)
+        assert sorted((row["g"], row["x"]) for row in shard_rows) == sorted(
+            (g, x) for g in "abc" for x in range(2, 6)
+        )
+        cluster = SimulatedCluster.build(
+            table,
+            n_shards=3,
+            store_options=DataStoreOptions(partition_fields=("g",), max_chunk_rows=4),
+            config=ClusterConfig(n_machines=4, seed=3),
+        )
+        try:
+            result, __ = cluster.execute(sql)
+        finally:
+            cluster.close()
+        assert result.rows() == [("a", 5), ("b", 5), ("c", 5)]

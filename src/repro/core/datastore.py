@@ -783,17 +783,32 @@ class DataStore:
 
     def _prepare(self, query: Query | str) -> tuple[Query, str | None]:
         """Parse and bind: the query, GROUP BY aliases resolved, and its
-        WHERE's rendered text when the chunk cache keys entries on it."""
+        WHERE's rendered text when the chunk cache keys entries on it. A
+        text's clauses are ``("clause", piece)`` entries then, admitted
+        once the whole text has parsed and bound."""
+        keyed, built = self.options.cache_chunk_results, []
+
+        def clause(piece: str, build: Callable[[], Any]) -> Any:
+            key = ("clause", piece)
+            with self._cache_lock:
+                value = self._chunk_cache.get(key)
+            if value is None:
+                counters.increment("datastore.sql.clauses_parsed")
+                value = build()
+                built.append((key, value, _clause_weight(piece)))
+            return value
+
         if isinstance(query, str):
             counters.increment("datastore.sql.parsed")
-            query = parse_query(query)
+            query = parse_query(query, clause if keyed else None)
         if query.table != self.options.table_name:
             raise ExecutionError(
                 f"query targets table {query.table!r}, store holds "
                 f"{self.options.table_name!r}"
             )
         parsed = resolve_group_aliases(query)
-        keyed = self.options.cache_chunk_results and parsed.where is not None
+        self._admit(built)
+        keyed = keyed and parsed.where is not None
         return parsed, parsed.where.sql() if keyed else None
 
     def __deepcopy__(self, memo: dict) -> "DataStore":
@@ -1632,6 +1647,13 @@ def _text_weight(text: str) -> int:
     at least what its key, parsed query and WHERE text hold (5 to 30
     bytes a character) and at most three times it, as the tests check."""
     return 1024 + 12 * len(text)
+
+
+def _clause_weight(piece: str) -> int:
+    """A clause entry's chunk-cache weight, an estimate bounded as above:
+    its AST holds about 128 bytes a word (counted by spaces), its key
+    and literals about 4 bytes a character."""
+    return 512 + 4 * len(piece) + 128 * piece.count(" ")
 
 
 def _charge(stats: ScanStats, timer: str, started: float) -> None:

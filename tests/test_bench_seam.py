@@ -411,7 +411,8 @@ def test_a_cold_replay_parses_each_text_and_compiles_each_conjunct_once():
     clicks x 20 queries), replayed twice on a cold cache: each replay
     parses its 92 distinct texts, not its 160 queries, and compiles its
     8 distinct conjuncts, one per click, not the 20 its 8 WHEREs hold
-    (each click repeats the conjuncts of the one before)."""
+    (each click repeats the conjuncts of the one before). The 92 text
+    parses parse 31 clause pieces: 20 heads, 8 WHEREs and 3 tails."""
     from bench.workloads import Drilldown, draw_table, store_options, structure_pool
     from repro.core.datastore import DataStore
     from repro.workload.queries import (
@@ -436,6 +437,7 @@ def test_a_cold_replay_parses_each_text_and_compiles_each_conjunct_once():
     assert (len(texts), len(set(texts)), len(conjuncts)) == (160, 92, 8)
     names = [
         "datastore.sql.parsed",
+        "datastore.sql.clauses_parsed",
         "datastore.restriction.leaves_compiled",
         "datastore.restriction.compiled",
     ]
@@ -444,7 +446,7 @@ def test_a_cold_replay_parses_each_text_and_compiles_each_conjunct_once():
         before = [counters.get(name) for name in names]
         for text in texts:
             store.execute(text)
-        assert [counters.get(n) - b for n, b in zip(names, before)] == [92, 8, 8]
+        assert [counters.get(n) - b for n, b in zip(names, before)] == [92, 31, 8, 8]
 
 
 def _conjuncts(where) -> list:

@@ -1,5 +1,7 @@
 """Parser tests for the PowerDrill SQL dialect."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -238,11 +240,59 @@ def _edited_queries(draw) -> str:
     return " ".join(texts)
 
 
+def _memo(memo: dict):
+    """A get-or-build over clause pieces that keeps what it built."""
+
+    def clauses(piece, build):
+        if piece not in memo:
+            memo[piece] = build()
+        return memo[piece]
+
+    return clauses
+
+
+def _siblings(text: str) -> list[str]:
+    """Texts that share clause pieces with ``text``: it cut short before
+    each word a clause may start with, and it without each such clause."""
+    words = re.finditer(r"(?i)\b(where|group|having|order|limit)\b", text)
+    cuts = [word.start() for word in words]
+    bounds = [*cuts, len(text)]
+    return [text[:cut] for cut in cuts] + [
+        text[:cut] + text[end:] for cut, end in zip(cuts, bounds[1:])
+    ]
+
+
 @settings(max_examples=400, deadline=None)
 @given(_edited_queries())
 @example("SELECT a FROM t WHERE NOT a NOT BETWEEN 1 AND 2 OR b NOT LIKE 'x%'")
 @example("SELECT a FROM t WHERE a IS NOT 1")
 @example("SELECT COUNT(DISTINCT a), APPROX_COUNT_DISTINCT(b, 2.5) FROM t")
 @example("SELECT -(a) * -2 FROM t WHERE a IN (-1, NULL, 'x') LIMIT 1.0")
+# Parsed by clause: U+0130 folds to I in the cutting regex but not in
+# str.upper(), so the lexer reads an identifier; U+0131 folds in both.
+@example("SELECT a FROM data lİmİt 5")
+@example("SELECT a FROM data WHERE b = 1 lımıt 5")
+@example("SELECT a FROM t WHERE a = 'x WHERE y'' ORDER BY z' LIMIT 1")
+@example("SELECT a FROM t WHERE a = 'it''s' GROUP BY a HAVING 'LIMIT' = a")
+@example("SELECT a FROM t WHERE a = 'open LIMIT 5")
+@example("SELECT a FROM t WHERE b > 12WHERE a = 1")
+@example("SELECT a FROM t WHERE b > 12GROUP BY a")
+@example("SELECT a FROM t WHERE b > 1e5GROUP BY a LIMIT 2")
+@example("SELECT a FROM t WHERE a = 1 WHERE b = 2")
+@example("SELECT a FROM t LIMIT 1 WHERE a = 1")
+@example("SELECT a FROM t ORDER BY a GROUP BY a")
+@example("SELECT a FROM t; WHERE a = 1")
+@example("SELECT a FROM t WHERE a = 1;ORDER BY a")
+@example("SELECT a FROM t wHeRe a = 1 GrOuP bY a hAvInG a > 1 oRdEr By a LiMiT 2;")
+@example("WHERE a = 1")
 def test_queries_parse_or_fail_as_the_method_call_parser_did(text):
-    assert _outcome(parse_query, text) == _outcome(parser_oracle.parse_query, text)
+    """Whole, and by clause through a memo of pieces, cold and warmed by
+    the text's siblings (a failing sibling keeps the pieces it built
+    before it failed)."""
+    expected = _outcome(parser_oracle.parse_query, text)
+    assert _outcome(parse_query, text) == expected
+    assert _outcome(lambda t: parse_query(t, _memo({})), text) == expected
+    warm: dict = {}
+    for sibling in _siblings(text):
+        _outcome(lambda t: parse_query(t, _memo(warm)), sibling)
+    assert _outcome(lambda t: parse_query(t, _memo(warm)), text) == expected

@@ -462,10 +462,11 @@ def test_a_failure_is_never_cached(log_table):
 
 
 def test_a_prepared_entry_weighs_more_than_it_holds(log_table):
-    """The stated estimate: between the deep size of what a text's entry
+    """The stated estimates: between the deep size of what a text's entry
     holds (the key's text, parsed query, WHERE text) and three times it,
-    on the drill-down texts, the click shapes and the full-scan classes."""
-    from repro.core.datastore import _text_weight
+    on the drill-down texts, the click shapes and the full-scan classes;
+    and so for each clause entry those texts parse."""
+    from repro.core.datastore import _clause_weight, _text_weight
 
     def deep_size(value, seen) -> int:
         if id(value) in seen or value is None or isinstance(value, bool):
@@ -486,9 +487,15 @@ def test_a_prepared_entry_weighs_more_than_it_holds(log_table):
     )
     texts = {q for session in sessions for click in session for q in click}
     texts.update(shape.format(where="latency > 500") for shape in _CLICK_SHAPES)
+    pieces: dict = {}
     for text in texts | set(FULL_SCAN_SHAPES.values()):
         held = deep_size((("sql", text), store._prepare(text)), set())
         assert held <= _text_weight(text) <= 3 * held, text
+        parse_query(text, lambda piece, build: pieces.setdefault(piece, build()))
+    assert len(pieces) > len(FULL_SCAN_SHAPES)
+    for piece, value in pieces.items():
+        held = deep_size((("clause", piece), value), set())
+        assert held <= _clause_weight(piece) <= 3 * held, piece
 
 
 # -- … and on the work the parent commit did -----------------------------------
@@ -572,9 +579,12 @@ def test_a_click_probes_the_chunk_cache_as_the_parent_did(log_table):
     # partials' 40 misses then 40 hits, plus the WHERE entry's 1 miss and
     # 19 + 20 hits. Each of the 20 distinct texts now misses its prepared
     # entry cold and hits it warm (+20, +20), and the one compile probes
-    # the WHERE's 3 leaves, missing each (+0, +3): (99, 64).
+    # the WHERE's 3 leaves, missing each (+0, +3): (99, 64). Each cold
+    # text miss now probes its 3 clause pieces (20 x 3): the 20 heads, the
+    # one WHERE and the 3 GROUP BYs miss once, the other 36 probes hit
+    # (+36, +24): (135, 88).
     stats = store.chunk_cache_stats()
-    assert (stats.hits, stats.misses) == (99, 64)
+    assert (stats.hits, stats.misses) == (135, 88)
 
 
 def test_warm_chunk_cache_is_counted_the_same_by_both_doors(log_table):

@@ -140,7 +140,7 @@ def _scatter_varints(
             longer = lengths > k
             starts, values, lengths = starts[longer], values[longer], lengths[longer]
         septets = ((values >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
-        septets[lengths > k + 1] |= np.uint8(0x80)
+        septets |= (lengths > k + 1).view(np.uint8) << 7
         out[starts + k] = septets
 
 

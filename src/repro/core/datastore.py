@@ -1149,9 +1149,14 @@ class DataStore:
 
         # Classify (merge thread): the restriction's active chunks, split
         # three ways as arrays: skipped, served from the cache, to scan.
-        # Only FULL chunks are probed.
+        # Only FULL chunks are probed. With none active the plan alone
+        # fixes the answer: no probe, fan-out or fold.
         phase_started = time.perf_counter()
         active = restriction.active
+        if not active.size:
+            stats.chunks_skipped, stats.rows_skipped = self.n_chunks, self.n_rows
+            _charge(stats, "restriction_seconds", phase_started)
+            return parsed, self._account(stats, accessed), kernel
         full = restriction.verdicts[active] == FULL
         rows = self.row_starts[active + 1] - self.row_starts[active]
         hit = np.zeros(active.size, dtype=bool)
@@ -1248,13 +1253,16 @@ class DataStore:
         self._admit(admitted)
         kernel.fold(ready)
         _charge(stats, kernel.fold_timer, phase_started)
+        return parsed, self._account(stats, accessed), kernel
 
+    def _account(self, stats: ScanStats, accessed: set[str]) -> ScanStats:
+        """The stats tail: what the query read, in fields, cells and bytes."""
         stats.fields_accessed = tuple(sorted(accessed))
         stats.cells_scanned = stats.rows_scanned * max(len(accessed), 1)
         stats.memory_bytes = sum(
             self.field(name).size_bytes() for name in accessed
         )
-        return parsed, stats, kernel
+        return stats
 
     def _runs(
         self, restriction: Restriction, chunks: np.ndarray, cacheable: np.ndarray
@@ -1472,6 +1480,8 @@ class _GroupedKernel(_RunKernel):
         """One output dict per present group, or per top-k survivor."""
         plan, group_field = self.plan, self.fields[0]
         gids = np.flatnonzero(self._present())
+        if not gids.size:
+            return []
         columns = [agg.result_columns(gids) for agg in self.aggregators]
         # Late materialization: values are decoded (and group values
         # looked up) for the ORDER BY ... LIMIT survivors only.

@@ -248,6 +248,10 @@ def apply_order_limit(
     rows: list[dict[str, Any]], query: Query
 ) -> list[dict[str, Any]]:
     """Apply ORDER BY (plus the implicit tie-break) and LIMIT."""
+    if not rows:  # nothing to sort, but a key that does not resolve raises
+        for item in query.order_by:
+            resolve_output_expr(item.expr, query.select)
+        return []
     ordered = list(rows)
     # Implicit tie-break first: all output columns ascending, NULL
     # first. Later (explicit) sorts are stable, so this decides ties.

@@ -403,6 +403,44 @@ def test_full_scan_shapes_sort_nothing_and_decode_only_survivors(
     assert calls.cells == project.limit * 3
 
 
+# -- the work gate of a query that keeps no chunk: the plan is the answer -----
+
+
+def test_a_query_that_keeps_no_chunk_scans_fans_out_and_folds_nothing(
+    log_table, monkeypatch
+):
+    calls = dict.fromkeys(("scan", "map_supervised", "fold", "finalize"), 0)
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    store = make_store(log_table)
+    for kernel in (datastore_module._GroupedKernel, datastore_module._ProjectionKernel):
+        monkeypatch.setattr(kernel, "scan", counted("scan", kernel.scan))
+        monkeypatch.setattr(kernel, "fold", counted("fold", kernel.fold))
+    executor = type(store.executor)
+    monkeypatch.setattr(
+        executor, "map_supervised", counted("map_supervised", executor.map_supervised)
+    )
+    monkeypatch.setattr(
+        datastore_module, "finalize", counted("finalize", datastore_module.finalize)
+    )
+    for where, work in (("country = 'nowhere'", [0, 0, 0, 1]), ("latency > 0", [1, 1, 1, 1])):
+        for query in (
+            f"SELECT country, COUNT(*) AS c FROM data WHERE {where} GROUP BY country",
+            f"SELECT COUNT(*) AS c, MAX(latency) AS m FROM data WHERE {where}",
+            f"SELECT table_name, latency FROM data WHERE {where} ORDER BY latency LIMIT 3",
+        ):
+            calls.update(dict.fromkeys(calls, 0))
+            result = store.execute(query)
+            assert (result.stats.active_chunks == ()) == (work[0] == 0), query
+            assert list(calls.values()) == work, query
+
+
 # -- the work gate of a drill-down replay: parses and leaf compiles -----------
 
 
@@ -412,7 +450,8 @@ def test_a_cold_replay_parses_each_text_and_compiles_each_conjunct_once():
     parses its 92 distinct texts, not its 160 queries, and compiles its
     8 distinct conjuncts, one per click, not the 20 its 8 WHEREs hold
     (each click repeats the conjuncts of the one before). The 92 text
-    parses parse 31 clause pieces: 20 heads, 8 WHEREs and 3 tails."""
+    parses parse 31 clause pieces: 20 heads, 8 WHEREs and 3 tails. The
+    WHEREs of 100 of the 160 queries keep no chunk."""
     from bench.workloads import Drilldown, draw_table, store_options, structure_pool
     from repro.core.datastore import DataStore
     from repro.workload.queries import (
@@ -444,9 +483,9 @@ def test_a_cold_replay_parses_each_text_and_compiles_each_conjunct_once():
     for __ in range(2):
         store.configure_runtime(cache_policy="lru")  # a replay starts cold
         before = [counters.get(name) for name in names]
-        for text in texts:
-            store.execute(text)
+        no_chunk = sum(not store.execute(text).stats.active_chunks for text in texts)
         assert [counters.get(n) - b for n, b in zip(names, before)] == [92, 31, 8, 8]
+        assert no_chunk == 100  # the queries the plan alone answers
 
 
 def _conjuncts(where) -> list:

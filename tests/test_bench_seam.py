@@ -429,11 +429,16 @@ def test_a_query_that_keeps_no_chunk_scans_fans_out_and_folds_nothing(
     monkeypatch.setattr(
         datastore_module, "finalize", counted("finalize", datastore_module.finalize)
     )
-    for where, work in (("country = 'nowhere'", [0, 0, 0, 1]), ("latency > 0", [1, 1, 1, 1])):
+    # No chunk kept: no scan, fan-out or fold. Chunks kept: one of each.
+    for where, work in (
+        ("country = 'nowhere'", [0, 0, 0, 1]),
+        ("latency > 0", [1, 1, 1, 1]),
+    ):
         for query in (
             f"SELECT country, COUNT(*) AS c FROM data WHERE {where} GROUP BY country",
             f"SELECT COUNT(*) AS c, MAX(latency) AS m FROM data WHERE {where}",
-            f"SELECT table_name, latency FROM data WHERE {where} ORDER BY latency LIMIT 3",
+            f"SELECT table_name, latency FROM data WHERE {where} "
+            "ORDER BY latency LIMIT 3",
         ):
             calls.update(dict.fromkeys(calls, 0))
             result = store.execute(query)

@@ -63,7 +63,10 @@ _CASES = [
 
 #: Errors a query raises whether or not a chunk is active.
 _ERRORS = [
-    ("SELECT s, x, COUNT(*) AS n FROM data WHERE {w} GROUP BY s", UnsupportedQueryError),
+    (
+        "SELECT s, x, COUNT(*) AS n FROM data WHERE {w} GROUP BY s",
+        UnsupportedQueryError,
+    ),
     ("SELECT SUM(s) AS t FROM data WHERE {w}", ExecutionError),
     (
         "SELECT s, COUNT(*) AS n FROM data WHERE {w} GROUP BY s HAVING SUM(x) > 1",
@@ -155,7 +158,11 @@ def test_no_chunk_queries_raise_what_scanning_ones_do(doors, case):
 
 _SHAPES = _CASES + [
     ("SELECT s, y FROM data WHERE {w}", None),
-    ("SELECT s, AVG(x) AS a, COUNT(*) AS n FROM data WHERE {w} GROUP BY s HAVING n > 1", None),
+    (
+        "SELECT s, AVG(x) AS a, COUNT(*) AS n FROM data WHERE {w} GROUP BY s "
+        "HAVING n > 1",
+        None,
+    ),
 ]
 
 
@@ -181,9 +188,10 @@ def _tables(draw) -> Table:
 )
 def test_no_chunk_queries_skip_everything(table, max_chunk_rows, threshold, shape):
     options = DataStoreOptions(partition_fields=("s",), max_chunk_rows=max_chunk_rows)
+    uncached_options = dataclasses.replace(options, cache_chunk_results=False)
     stores = [
         DataStore.from_table(table, options),
-        DataStore.from_table(table, dataclasses.replace(options, cache_chunk_results=False)),
+        DataStore.from_table(table, uncached_options),
     ]
     where = f"x > {threshold} AND s IN ('a', 'b')"
     sql, translated = shape

@@ -133,11 +133,11 @@ def _scatter_varints(
     One 1-d scatter per byte position over the values that reach it
     (most varints are short, so the later passes are small): byte ``k``
     is septet ``k`` plus a continuation bit everywhere but the final
-    byte.
+    byte. Passes index by position, as :func:`gather_varints` does.
     """
     for k in range(int(lengths.max())):  # reprolint: disable=REP010 -- <= 10 bulk passes
         if k:
-            longer = lengths > k
+            longer = np.flatnonzero(lengths > k)
             starts, values, lengths = starts[longer], values[longer], lengths[longer]
         septets = ((values >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
         septets |= (lengths > k + 1).view(np.uint8) << 7

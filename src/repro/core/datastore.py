@@ -781,12 +781,13 @@ class DataStore:
         """A WHERE conjunct's compiled leaf, kept by its rendered text."""
         return self._cached(("leaf", text), build, lambda leaf: leaf.size_bytes())
 
-    def _prepare(self, query: Query | str) -> tuple[Query, str | None]:
+    def _prepare(self, query: Query | str) -> tuple[Query, str | None, tuple | None]:
         """Parse and bind: the query, GROUP BY aliases resolved, and its
-        WHERE's rendered text when the chunk cache keys entries on it. A
-        text's clauses are ``("clause", piece)`` entries then, admitted
-        once the whole text has parsed and bound."""
-        keyed, built = self.options.cache_chunk_results, []
+        WHERE's rendered text and a text's shape (its clause pieces but the
+        WHERE) when the chunk cache keys entries on them. A text's clauses
+        are ``("clause", piece)`` entries then, admitted once the whole
+        text has parsed and bound."""
+        keyed, built, pieces, shape = self.options.cache_chunk_results, [], [], None
 
         def clause(piece: str, build: Callable[[], Any]) -> Any:
             key = ("clause", piece)
@@ -796,11 +797,14 @@ class DataStore:
                 counters.increment("datastore.sql.clauses_parsed")
                 value = build()
                 built.append((key, value, _clause_weight(piece)))
+            pieces.append(piece)
             return value
 
         if isinstance(query, str):
             counters.increment("datastore.sql.parsed")
-            query = parse_query(query, clause if keyed else None)
+            text, query = query, parse_query(query, clause if keyed else None)
+            if "".join(pieces) == text:  # parsed piece by piece, none failed
+                shape = tuple(p for p in pieces if p[:5].upper() != "WHERE")
         if query.table != self.options.table_name:
             raise ExecutionError(
                 f"query targets table {query.table!r}, store holds "
@@ -809,7 +813,7 @@ class DataStore:
         parsed = resolve_group_aliases(query)
         self._admit(built)
         keyed = keyed and parsed.where is not None
-        return parsed, parsed.where.sql() if keyed else None
+        return parsed, parsed.where.sql() if keyed else None, shape
 
     def __deepcopy__(self, memo: dict) -> "DataStore":
         """Deep-copy the encoded data; the clone gets fresh runtime state.
@@ -1051,8 +1055,8 @@ class DataStore:
     def execute(self, query: Query | str) -> QueryResult:
         """Run a query, returning its result table and scan statistics."""
         started = time.perf_counter()
-        parsed, stats, kernel = self._run_pipeline(query)
-        table = finalize(kernel.rows(parsed), parsed)
+        parsed, stats, kernel = self._run_pipeline(query, plans=True)
+        table = kernel.answer(parsed)
         elapsed = time.perf_counter() - started
         # Exact coverage accounting for degraded results: every row the
         # supervisor lost is counted, nothing else is estimated.
@@ -1084,15 +1088,17 @@ class DataStore:
         return stats, kernel.shard_partials()
 
     def _run_pipeline(
-        self, query: Query | str
-    ) -> "tuple[Query, ScanStats, _RunKernel]":
+        self, query: Query | str, plans: bool = False
+    ) -> "tuple[Query, ScanStats, _RunKernel | _Plan]":
         """The one query path (Section 2.4); both doors run through it.
 
         prepare → classify chunks → supervised fan-out → fold in chunk
         order → stats tail. Returns the resolved query, its scan
         statistics and the folded kernel; the callers differ only in
-        what they read off the kernel (finalized rows, or mergeable
-        shard partials).
+        what they read off the kernel (its answer, or mergeable shard
+        partials). With ``plans``, a text whose WHERE keeps no chunk
+        returns its shape's :class:`_Plan` instead, and builds no kernel
+        once the chunk cache holds it.
         """
         # Prepare: parse, bind, find or compile the restriction, pick the
         # kernel. One WHERE per click: with the chunk cache on, a query
@@ -1101,20 +1107,13 @@ class DataStore:
         # beside the partials they select, keyed on rendered text (which
         # keeps apart literals the AST equates, as 1 and True).
         if self.options.cache_chunk_results and isinstance(query, str):
-            parsed, where_text = self._cached(
+            parsed, where_text, shape = self._cached(
                 ("sql", query),
                 lambda: self._prepare(query),
                 lambda __: _text_weight(query),
             )
         else:
-            parsed, where_text = self._prepare(query)
-        accessed: set[str] = set()
-
-        def ensure(expr: Expr) -> str:
-            name = self.ensure_field(expr)
-            accessed.add(name)
-            return name
-
+            parsed, where_text, shape = self._prepare(query)
         stats = ScanStats(rows_total=self.n_rows, chunks_total=self.n_chunks)
         where_key = restriction = None
         if where_text is not None:
@@ -1136,27 +1135,31 @@ class DataStore:
                 self._admit([(where_key, restriction, restriction.size_bytes())])
         else:
             counters.increment("datastore.restriction.reused")
-        accessed.update(restriction.fields)
-        kernel_class = (
-            _GroupedKernel if is_aggregation_query(parsed) else _ProjectionKernel
-        )
-        kernel = kernel_class(self, parsed, ensure)
-        # A multi-field GROUP BY reads a composite no expression names.
-        accessed.update(field.name for field in kernel.fields if field is not None)
-        use_cache = (
-            self.options.cache_chunk_results and kernel.signature is not None
-        )
+        accessed = set(restriction.fields)
+        active = restriction.active
+        if plans and shape is not None and not active.size:
+            phase_started = time.perf_counter()
+            kernel = self._cached(
+                ("plan", shape),
+                lambda: self._plan(parsed),
+                lambda plan: _plan_weight(shape, plan),
+            )
+            accessed.update(kernel.fields)
+        else:
+            kernel = self._kernel(parsed, accessed)
+            phase_started = time.perf_counter()
 
         # Classify (merge thread): the restriction's active chunks, split
         # three ways as arrays: skipped, served from the cache, to scan.
         # Only FULL chunks are probed. With none active the plan alone
         # fixes the answer: no probe, fan-out or fold.
-        phase_started = time.perf_counter()
-        active = restriction.active
         if not active.size:
             stats.chunks_skipped, stats.rows_skipped = self.n_chunks, self.n_rows
             _charge(stats, "restriction_seconds", phase_started)
             return parsed, self._account(stats, accessed), kernel
+        use_cache = (
+            self.options.cache_chunk_results and kernel.signature is not None
+        )
         full = restriction.verdicts[active] == FULL
         rows = self.row_starts[active + 1] - self.row_starts[active]
         hit = np.zeros(active.size, dtype=bool)
@@ -1255,6 +1258,31 @@ class DataStore:
         _charge(stats, kernel.fold_timer, phase_started)
         return parsed, self._account(stats, accessed), kernel
 
+    def _kernel(self, parsed: Query, read: set[str]) -> "_RunKernel":
+        """The query's kernel; ``read`` gains the fields it reads."""
+
+        def ensure(expr: Expr) -> str:
+            name = self.ensure_field(expr)
+            read.add(name)
+            return name
+
+        kernel_class = (
+            _GroupedKernel if is_aggregation_query(parsed) else _ProjectionKernel
+        )
+        kernel = kernel_class(self, parsed, ensure)
+        # A multi-field GROUP BY reads a composite no expression names.
+        read.update(field.name for field in kernel.fields if field is not None)
+        return kernel
+
+    def _plan(self, parsed: Query) -> "_Plan":
+        """What a ``("plan", shape)`` entry holds: the query's kernel, never
+        folded, read out as the answer of a WHERE that keeps no chunk."""
+        read: set[str] = set()
+        kernel = self._kernel(parsed, read)
+        plan = _Plan(tuple(sorted(read)), kernel.answer(parsed))
+        counters.increment("datastore.plan.built")
+        return plan
+
     def _account(self, stats: ScanStats, accessed: set[str]) -> ScanStats:
         """The stats tail: what the query read, in fields, cells and bytes."""
         stats.fields_accessed = tuple(sorted(accessed))
@@ -1339,6 +1367,12 @@ class _RunKernel:
 
     def __call__(self, run: Run) -> Any:
         return self.scan(run)
+
+    def answer(self, parsed: Query) -> Table:
+        """The folded state read out and finalized: HAVING, ORDER BY and
+        LIMIT, all three skipped for top-k survivors already in order."""
+        rows, ordered = self.rows(parsed)
+        return finalize(rows, parsed, ordered)
 
     @staticmethod
     def _selector(run: Run) -> Callable[[np.ndarray], np.ndarray]:
@@ -1476,12 +1510,12 @@ class _GroupedKernel(_RunKernel):
             return np.array([True])
         return self.presence.counts > 0
 
-    def rows(self, parsed: Query) -> list[dict[str, Any]]:
-        """One output dict per present group, or per top-k survivor."""
+    def rows(self, parsed: Query) -> tuple[list[dict[str, Any]], bool]:
+        """One output dict per present group, or per top-k survivor (True)."""
         plan, group_field = self.plan, self.fields[0]
         gids = np.flatnonzero(self._present())
         if not gids.size:
-            return []
+            return [], False
         columns = [agg.result_columns(gids) for agg in self.aggregators]
         # Late materialization: values are decoded (and group values
         # looked up) for the ORDER BY ... LIMIT survivors only.
@@ -1512,7 +1546,7 @@ class _GroupedKernel(_RunKernel):
                 for name, expr in plan.items
             }
             rows.append(row)
-        return rows
+        return rows, positions is not None
 
     def _topk(self, parsed: Query, gids: np.ndarray, columns: list) -> np.ndarray | None:
         """:func:`_topk_positions` over the present groups: keys from the
@@ -1611,8 +1645,8 @@ class _ProjectionKernel(_RunKernel):
         runs = [columns for __, columns in sorted(ready, key=lambda item: item[0][0])]
         self.columns = [np.concatenate(pieces) for pieces in zip(self.columns, *runs)]
 
-    def rows(self, parsed: Query) -> list[dict[str, Any]]:
-        """One output dict per kept row, or per top-k survivor."""
+    def rows(self, parsed: Query) -> tuple[list[dict[str, Any]], bool]:
+        """One output dict per kept row, or per top-k survivor (True)."""
         names = self.names
         keys = itertools.chain(  # lazy: resolved only if the shortcut applies
             (
@@ -1638,7 +1672,7 @@ class _ProjectionKernel(_RunKernel):
         positions = _topk_positions(parsed, columns[0].size, keys, key_column)
         if positions is not None:
             columns = [gids[positions] for gids in columns]
-        return self._decode(columns)
+        return self._decode(columns), positions is not None
 
     def shard_partials(self) -> list[dict[str, Any]]:
         return self._decode(self.columns)
@@ -1652,11 +1686,23 @@ class _ProjectionKernel(_RunKernel):
         return [dict(zip(self.names, row)) for row in zip(*values)]
 
 
+class _Plan(NamedTuple):
+    """A ``("plan", shape)`` entry: the answer of a query whose WHERE keeps
+    no chunk, which its shape alone fixes, and the fields its kernel reads.
+    A :class:`Table` has no mutators, so every such answer shares it."""
+
+    fields: tuple[str, ...]
+    table: Table
+
+    def answer(self, parsed: Query) -> Table:
+        return self.table
+
+
 def _text_weight(text: str) -> int:
     """A query text's prepared entry's chunk-cache weight, an estimate:
-    at least what its key, parsed query and WHERE text hold (5 to 30
-    bytes a character) and at most three times it, as the tests check."""
-    return 1024 + 12 * len(text)
+    at least what its key, parsed query, WHERE text and shape hold (5 to
+    30 bytes a character) and at most three times it, as the tests check."""
+    return 1536 + 13 * len(text)
 
 
 def _clause_weight(piece: str) -> int:
@@ -1664,6 +1710,13 @@ def _clause_weight(piece: str) -> int:
     its AST holds about 128 bytes a word (counted by spaces), its key
     and literals about 4 bytes a character."""
     return 512 + 4 * len(piece) + 128 * piece.count(" ")
+
+
+def _plan_weight(shape: tuple[str, ...], plan: _Plan) -> int:
+    """A plan entry's chunk-cache weight, an estimate bounded as above:
+    its key about 4 bytes a character, each result column (name, cells,
+    table slot, a field name) about 256 bytes."""
+    return 1536 + 4 * sum(map(len, shape)) + 256 * plan.table.n_columns
 
 
 def _charge(stats: ScanStats, timer: str, started: float) -> None:
@@ -1700,8 +1753,8 @@ def _topk_positions(parsed, n, keys, key_column, unique=None):
     over all ``n`` rows as one array that orders as its values do
     (global-ids are ranks), or None; keys after ``unique``, which no two
     rows share, never decide. Returns the survivors' positions in the
-    order the general path (which re-sorts them identically) gives, or
-    None to take that path.
+    order the general path gives, which ``finalize`` then keeps, or None
+    to take that path.
     """
     if parsed.limit is None or parsed.having is not None or parsed.limit >= n:
         return None

@@ -282,8 +282,10 @@ def build_result_table(
     return Table.from_columns(data)
 
 
-def finalize(rows: list[dict[str, Any]], query: Query) -> Table:
-    """HAVING -> ORDER BY -> LIMIT -> Table, the shared tail of every backend."""
-    rows = apply_having(rows, query)
-    rows = apply_order_limit(rows, query)
+def finalize(rows: list[dict[str, Any]], query: Query, ordered: bool = False) -> Table:
+    """HAVING -> ORDER BY -> LIMIT -> Table, the shared tail of every backend;
+    ``ordered`` rows are a HAVING-less query's LIMIT survivors, in order."""
+    if not ordered:
+        rows = apply_having(rows, query)
+        rows = apply_order_limit(rows, query)
     return build_result_table(rows, query)

@@ -410,6 +410,7 @@ def test_a_query_that_keeps_no_chunk_scans_fans_out_and_folds_nothing(
     log_table, monkeypatch
 ):
     calls = dict.fromkeys(("scan", "map_supervised", "fold", "finalize"), 0)
+    kernels = []
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -418,10 +419,18 @@ def test_a_query_that_keeps_no_chunk_scans_fans_out_and_folds_nothing(
 
         return wrapper
 
+    def constructed(init):
+        def wrapper(kernel, *args):
+            kernels.append(kernel)
+            init(kernel, *args)
+
+        return wrapper
+
     store = make_store(log_table)
     for kernel in (datastore_module._GroupedKernel, datastore_module._ProjectionKernel):
         monkeypatch.setattr(kernel, "scan", counted("scan", kernel.scan))
         monkeypatch.setattr(kernel, "fold", counted("fold", kernel.fold))
+        monkeypatch.setattr(kernel, "__init__", constructed(kernel.__init__))
     executor = type(store.executor)
     monkeypatch.setattr(
         executor, "map_supervised", counted("map_supervised", executor.map_supervised)
@@ -429,10 +438,14 @@ def test_a_query_that_keeps_no_chunk_scans_fans_out_and_folds_nothing(
     monkeypatch.setattr(
         datastore_module, "finalize", counted("finalize", datastore_module.finalize)
     )
-    # No chunk kept: no scan, fan-out or fold. Chunks kept: one of each.
-    for where, work in (
-        ("country = 'nowhere'", [0, 0, 0, 1]),
-        ("latency > 0", [1, 1, 1, 1]),
+    # No chunk kept: no scan, fan-out or fold, and a shape's first such
+    # query builds the kernel its ("plan", shape) entry keeps the answer
+    # of; a second WHERE of that shape builds none and finalizes nothing.
+    # Chunks kept: one of each.
+    for where, work, built in (
+        ("country = 'nowhere'", [0, 0, 0, 1], 1),
+        ("country = 'elsewhere'", [0, 0, 0, 0], 0),
+        ("latency > 0", [1, 1, 1, 1], 1),
     ):
         for query in (
             f"SELECT country, COUNT(*) AS c FROM data WHERE {where} GROUP BY country",
@@ -441,9 +454,11 @@ def test_a_query_that_keeps_no_chunk_scans_fans_out_and_folds_nothing(
             "ORDER BY latency LIMIT 3",
         ):
             calls.update(dict.fromkeys(calls, 0))
+            kernels.clear()
             result = store.execute(query)
             assert (result.stats.active_chunks == ()) == (work[0] == 0), query
             assert list(calls.values()) == work, query
+            assert len(kernels) == built, query
 
 
 # -- the work gate of a drill-down replay: parses and leaf compiles -----------
@@ -456,7 +471,9 @@ def test_a_cold_replay_parses_each_text_and_compiles_each_conjunct_once():
     8 distinct conjuncts, one per click, not the 20 its 8 WHEREs hold
     (each click repeats the conjuncts of the one before). The 92 text
     parses parse 31 clause pieces: 20 heads, 8 WHEREs and 3 tails. The
-    WHEREs of 100 of the 160 queries keep no chunk."""
+    WHEREs of 100 of the 160 queries keep no chunk; they hold the 20
+    charts (a text but its WHERE), so 20 of them build a plan and the
+    other 80 read one."""
     from bench.workloads import Drilldown, draw_table, store_options, structure_pool
     from repro.core.datastore import DataStore
     from repro.workload.queries import (
@@ -484,12 +501,14 @@ def test_a_cold_replay_parses_each_text_and_compiles_each_conjunct_once():
         "datastore.sql.clauses_parsed",
         "datastore.restriction.leaves_compiled",
         "datastore.restriction.compiled",
+        "datastore.plan.built",
     ]
     for __ in range(2):
         store.configure_runtime(cache_policy="lru")  # a replay starts cold
         before = [counters.get(name) for name in names]
         no_chunk = sum(not store.execute(text).stats.active_chunks for text in texts)
-        assert [counters.get(n) - b for n, b in zip(names, before)] == [92, 31, 8, 8]
+        work = [counters.get(n) - b for n, b in zip(names, before)]
+        assert work == [92, 31, 8, 8, 20]
         assert no_chunk == 100  # the queries the plan alone answers
 
 

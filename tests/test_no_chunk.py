@@ -7,25 +7,32 @@ door a query has (the store with its chunk cache on and off, the
 simulated cluster's shard partials and the query service) and compared
 with sqlite's over the same rows, an oracle this package did not write.
 The errors such a query raises are the ones it raises when it scans.
+With the chunk cache on, a text's answer is then its shape's
+``("plan", shape)`` entry once one query of that shape has built it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import enum
 import re
 import sqlite3
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.datastore import DataStore, DataStoreOptions
+from repro.core.datastore import DataStore, DataStoreOptions, _plan_weight
 from repro.core.table import Table
 from repro.distributed.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import ExecutionError, UnsupportedQueryError
+from repro.monitoring import counters
 from repro.service import QueryCompleted, QueryFailed, QueryService, ServiceConfig
+from repro.sql.parser import parse_query
 
 from tests.sanitizer import assert_results_equal
+from tests.test_query_pipeline import _work
 
 _N = 60
 _TABLE = Table.from_columns({
@@ -212,3 +219,133 @@ def test_no_chunk_queries_skip_everything(table, max_chunk_rows, threshold, shap
     assert cached.rows() == uncached.rows()
     expected, __ = _sqlite(table, (translated or sql).format(w=where))
     assert_results_equal(cached.rows(), expected)
+
+
+# -- the ("plan", shape) entry: what a shape's first no-chunk query built ------
+
+#: Shapes a plan keeps the answer of, an expression GROUP BY and a
+#: multi-field one (its composite is a field only the kernel names) too.
+_PLANNED = [sql for sql, __ in _SHAPES] + [
+    "SELECT upper(s) AS u, COUNT(*) AS n FROM data WHERE {w} GROUP BY u",
+    "SELECT s, x, MIN(y) AS m FROM data WHERE {w} GROUP BY s, x ORDER BY m LIMIT 2",
+]
+
+
+def _plans_built() -> int:
+    return counters.get("datastore.plan.built")
+
+
+def _shape(store: DataStore, text: str) -> tuple:
+    shape = store._prepare(text)[2]
+    assert shape is not None, text
+    return shape
+
+
+@pytest.mark.parametrize("sql", _PLANNED, ids=range(len(_PLANNED)))
+def test_a_plan_entry_answers_as_a_store_that_keeps_nothing(sql):
+    cached, uncached = _store(_TABLE, True), _store(_TABLE, False)
+    built = _plans_built()
+    for where in _WHERES:  # x, then s, then both restricted: new fields each
+        hit, expected = (store.execute(sql.format(w=where)) for store in (cached, uncached))
+        assert _plans_built() == built + 1, where  # the first WHERE built it
+        assert hit.column_names == expected.column_names
+        assert hit.table.schema == expected.table.schema
+        assert hit.rows() == expected.rows()
+        assert _work(hit.stats) == _work(expected.stats)
+        assert hit.stats.restriction_seconds > 0
+    assert ("plan", _shape(cached, sql.format(w=_WHERES[0]))) in cached.chunk_cache
+
+
+def test_doors_but_a_text_on_the_query_path_build_no_plan(doors):
+    """A parsed query, shard partials and a store keeping nothing answer
+    as before; none builds or reads a plan."""
+    cached = _store(_TABLE, True)
+    text = _PLANNED[0].format(w=_WHERES[0])
+    built = _plans_built()
+    expected = _store(_TABLE, False).execute(text)
+    for door in ("cache off", "cluster", "service"):
+        assert doors[door](text).rows() == expected.rows(), door
+    assert cached.execute(parse_query(text)).rows() == expected.rows()
+    stats, groups = cached.execute_partials(text)
+    assert _work(stats) == _work(expected.stats) and len(groups) == 1
+    assert _plans_built() == built
+    assert ("plan", _shape(cached, text)) not in cached.chunk_cache
+
+
+@pytest.mark.parametrize("case", _ERRORS, ids=range(len(_ERRORS)))
+def test_a_failing_shape_admits_no_plan(case):
+    sql, error = case
+    store, built, messages = _store(_TABLE, True), _plans_built(), set()
+    for where in _WHERES[:2] * 2:
+        with pytest.raises(error) as raised:
+            store.execute(sql.format(w=where))
+        messages.add(str(raised.value))
+        assert ("plan", _shape(store, sql.format(w=where))) not in store.chunk_cache
+    assert len(messages) == 1
+    assert _plans_built() == built
+
+
+def test_a_plan_goes_with_its_cache():
+    """Evicted from a one-entry cache, or dropped with a new cache, a plan
+    is built again; swapping the executor keeps it."""
+    tiny = DataStore.from_table(
+        _TABLE, dataclasses.replace(_OPTIONS, cache_capacity_bytes=1)
+    )
+    uncached = _store(_TABLE, False)
+    texts = [sql.format(w=where) for sql in _PLANNED[:4] for where in _WHERES[:2]]
+    built = _plans_built()
+    for text in texts:
+        assert tiny.execute(text).rows() == uncached.execute(text).rows(), text
+    # The text, WHERE and clause entries each query admits evict the plan.
+    assert _plans_built() == built + len(texts)
+    store, text = _store(_TABLE, True), texts[0]
+    for configure, rebuilt in (
+        (lambda: None, 0),
+        (lambda: store.configure_runtime(executor="serial"), 0),
+        (lambda: store.configure_runtime(cache_policy="lru"), 1),
+        (lambda: store.configure_runtime(cache_capacity_bytes=1 << 20), 1),
+    ):
+        store.execute(text)
+        built = _plans_built()
+        configure()
+        assert store.execute(text).rows() == uncached.execute(text).rows()
+        assert _plans_built() == built + rebuilt
+
+
+def _deep_size(value, seen: set) -> int:
+    """Bytes ``value`` holds: itself and, once each, what it refers to."""
+    if id(value) in seen or value is None or isinstance(value, (bool, enum.Enum)):
+        return 0
+    seen.add(id(value))
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (tuple, list)):
+        items = value
+    else:
+        slots = getattr(type(value), "__slots__", ())
+        items = [getattr(value, slot) for slot in slots if hasattr(value, slot)]
+        items.append(getattr(value, "__dict__", None))
+    return sys.getsizeof(value) + sum(_deep_size(item, seen) for item in items)
+
+
+def test_a_plan_entry_weighs_more_than_it_holds(log_table):
+    """The stated estimate: between the deep size of what a plan entry
+    holds (its key's shape, the field names, the answer's Table) and three
+    times it, on the shapes above and on the click shapes."""
+    from tests.conftest import make_store
+    from tests.test_query_pipeline import _CLICK_SHAPES
+
+    stores_and_texts = [
+        (_store(_TABLE, True), [sql.format(w="x > 1000") for sql in _PLANNED]),
+        (
+            make_store(log_table),
+            [sql.format(where="country = 'nowhere'") for sql in _CLICK_SHAPES],
+        ),
+    ]
+    for store, texts in stores_and_texts:
+        for text in texts:
+            assert not store.execute(text).stats.active_chunks, text
+            shape = _shape(store, text)
+            plan = store.chunk_cache.get(("plan", shape))
+            held = _deep_size((("plan", shape), plan), set())
+            assert held <= _plan_weight(shape, plan) <= 3 * held, text

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import datastore as datastore_module
+from repro.core import datastore as datastore_module, result as result_module
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Table
 from repro.distributed import ClusterConfig, SimulatedCluster
@@ -244,6 +244,18 @@ _rows = st.lists(
 )
 
 
+#: Ties (twin aggregates), DESC keys and duplicate output names, which the
+#: shortcut and the general path must reject alike.
+_TWIN_SHAPES = [
+    ("g, COUNT(*) AS c, COUNT(x) AS n", ["c DESC", "n DESC, c", "c, n DESC"]),
+    ("g, COUNT(*) AS c, COUNT(*) AS d", ["c DESC", "d", "c DESC, d DESC"]),
+    ("g, SUM(y) AS s, MAX(y) AS m", ["s DESC, m DESC", "m, g DESC"]),
+    ("g, MAX(y) AS m, MIN(y) AS m", ["m DESC"]),
+    ("g AS c, COUNT(*) AS c", ["c DESC", "c"]),
+    ("g, g, SUM(y) AS s", ["s DESC", "s"]),
+]
+
+
 class TestShortcutEqualsGeneralPath:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -334,6 +346,39 @@ class TestShortcutEqualsGeneralPath:
         assert [tuple(map(repr, row)) for row in fast] == [
             tuple(map(repr, row)) for row in general
         ]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _rows,
+        st.sampled_from(_TWIN_SHAPES).flatmap(
+            lambda shape: st.tuples(st.just(shape[0]), st.sampled_from(shape[1]))
+        ),
+        st.sampled_from([1, 2, 3, 50]),
+    )
+    def test_survivors_are_not_sorted_again(self, rows, shape, limit):
+        """Top-k survivors reach the Table in the order the kernel picked
+        them, which is the general path's; both reject twin names alike."""
+        store, __ = _store(dict(zip(("g", "x", "y", "name"), zip(*rows))))
+        select, order_by = shape
+        sql = f"SELECT {select} FROM data GROUP BY g ORDER BY {order_by} LIMIT {limit}"
+        outcomes, sorts, apply_order_limit = [], [], result_module.apply_order_limit
+
+        def counted(rows, query):
+            sorts.append(len(rows))
+            return apply_order_limit(rows, query)
+
+        with mock.patch.object(result_module, "apply_order_limit", counted):
+            for force_general in (False, True):
+                with _Spy(force_general=force_general) as spy:
+                    try:
+                        outcomes.append(_reprs(store.execute(sql).rows()))
+                    except UnsupportedQueryError as error:
+                        outcomes.append(str(error))
+                # The shortcut's survivors skip the sorts; the general path sorts.
+                assert len(sorts) == (not spy.verdicts[0] or force_general), sql
+                sorts.clear()
+        assert outcomes[0] == outcomes[1], sql
 
 
 # -- projections: ORDER BY ... LIMIT on global-ids, then k rows decoded ---------

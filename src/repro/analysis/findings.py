@@ -3,7 +3,7 @@
 Both tools report *findings* — typed, coded observations — instead of
 raising on the first problem, so one run surfaces everything wrong and
 callers (CLI, CI gates, tests) decide how to react. A finding carries a
-stable code (``REP001``/``FSCK004``), a severity, a human message and a
+stable code (``REP017``/``FSCK004``), a severity, a human message and a
 location string (``path.py:12:3`` for lint, ``field 'country' chunk 7``
 for fsck).
 """
@@ -14,8 +14,6 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-
-from repro.errors import AnalysisError
 
 
 def finding_fingerprint(
@@ -39,16 +37,6 @@ class Severity(enum.IntEnum):
     INFO = 10
     WARNING = 20
     ERROR = 30
-
-    @classmethod
-    def parse(cls, name: str) -> "Severity":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            raise AnalysisError(
-                f"unknown severity {name!r}; expected one of "
-                f"{', '.join(s.name.lower() for s in cls)}"
-            ) from None
 
     def __str__(self) -> str:
         return self.name.lower()

@@ -37,7 +37,7 @@ def mark_chain(jumps: np.ndarray, start: int, size: int) -> np.ndarray:
     marked_ext = np.zeros(size + 1, dtype=bool)
     marked_ext[start] = True
     steps = 1
-    while steps <= size:  # reprolint: disable=REP010 -- O(log n) doubling rounds, not per byte
+    while steps <= size:  # O(log n) doubling rounds, not per byte
         marked_ext[ext[np.flatnonzero(marked_ext)]] = True
         ext = ext[ext]
         steps <<= 1

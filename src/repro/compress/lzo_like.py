@@ -119,7 +119,7 @@ def lzo_compress(data: bytes) -> bytes:
             del chain[0]
 
     # Lazy greedy parse: advances by whole matches; per-index access
-    # goes through key_at/insert, so no REP010 suppression is needed.
+    # goes through key_at/insert.
     while pos <= limit:
         chain = table.get(key_at(pos), ())
         length, offset = _best_match(data, pos, list(chain), n)
@@ -157,7 +157,7 @@ def lzo_decompress(data: bytes) -> bytes:
     expected, pos = decode_varint(data, 0)
     out = bytearray()
     n = len(data)
-    while pos < n:  # reprolint: disable=REP010 -- per-tag dispatch; all byte copies are slices
+    while pos < n:  # per-tag dispatch; all byte copies are slices
         tag = data[pos]
         pos += 1
         kind = tag & 0b11

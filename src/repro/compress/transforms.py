@@ -21,9 +21,9 @@ and the registry can treat a cascade like an atomic codec:
   ranks``. Canonicalizes few-symbol payloads into the dense low range
   before an RLE or word-pack stage.
 
-All kernels are numpy bulk passes (REP010: no per-byte Python walks in
-``repro/compress/*``). Malformed frames raise
-:class:`~repro.errors.CompressionError`, like every other codec.
+All kernels are numpy bulk passes (no per-byte Python walks).
+Malformed frames raise :class:`~repro.errors.CompressionError`, like
+every other codec.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def decode_varint(data: bytes | memoryview, pos: int = 0) -> tuple[int, int]:
     result = 0
     shift = 0
     start = pos
-    while True:  # reprolint: disable=REP010 -- single-value header decode, <= 10 iterations
+    while True:  # single-value header decode, <= 10 iterations
         if pos >= len(data):
             raise CompressionError(f"truncated varint at offset {start}")
         byte = data[pos]
@@ -135,7 +135,7 @@ def _scatter_varints(
     is septet ``k`` plus a continuation bit everywhere but the final
     byte. Passes index by position, as :func:`gather_varints` does.
     """
-    for k in range(int(lengths.max())):  # reprolint: disable=REP010 -- <= 10 bulk passes
+    for k in range(int(lengths.max())):  # <= 10 bulk passes
         if k:
             longer = np.flatnonzero(lengths > k)
             starts, values, lengths = starts[longer], values[longer], lengths[longer]

@@ -142,7 +142,7 @@ def zippy_compress(data: bytes) -> bytes:
     pos = 0
     literal_start = 0
     skip = 32  # Snappy heuristic: 1 extra skip per 32 misses.
-    while pos <= limit:  # reprolint: disable=REP010 -- greedy parse advances by whole matches
+    while pos <= limit:  # greedy parse advances by whole matches
         key = key_list[pos]
         candidate = table.get(key)
         table[key] = pos
@@ -190,7 +190,7 @@ def zippy_decompress(data: bytes) -> bytes:
     expected, pos = decode_varint(data, 0)
     out = bytearray()
     n = len(data)
-    while pos < n:  # reprolint: disable=REP010 -- per-tag dispatch; all byte copies are slices
+    while pos < n:  # per-tag dispatch; all byte copies are slices
         tag = data[pos]
         pos += 1
         kind = tag & 0b11

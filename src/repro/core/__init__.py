@@ -31,6 +31,6 @@ def __getattr__(name: str) -> object:
         return getattr(datastore, name)
     # The module __getattr__ protocol requires AttributeError for unknown
     # names; anything else breaks hasattr() on the package.
-    raise AttributeError(  # reprolint: disable=REP001 -- __getattr__ protocol
+    raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}"
     )

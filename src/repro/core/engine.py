@@ -137,8 +137,9 @@ def in_chunk_order(pieces: list[tuple[tuple[int, ...], tuple]]) -> tuple:
 class ColumnarAggregator:
     """Base: run partial computation + global accumulation.
 
-    Threading contract (enforced by lint rule REP007, relied on by the
-    parallel executor in :mod:`repro.core.executor`):
+    Threading contract (checked at run time by the sanitizing executor
+    of the test suite, relied on by the parallel executor in
+    :mod:`repro.core.executor`):
 
     - :meth:`run_partial` is **pure with respect to the aggregator**:
       it may read ``self`` (dictionaries, per-gid value tables, flags)

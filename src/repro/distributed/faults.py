@@ -21,8 +21,8 @@ runs every sub-query through:
   quarantines that replica for the rest of the sub-query.
 - **bounded retry with exponential backoff**: when a whole wave fails,
   the dispatcher waits :func:`backoff_delay` (simulated — never a real
-  ``time.sleep``; reprolint REP008 bans those) and retries against the
-  surviving, non-quarantined replicas, up to ``max_retries`` waves.
+  ``time.sleep``) and retries against the surviving, non-quarantined
+  replicas, up to ``max_retries`` waves.
   The local process supervisor reuses the same schedule through
   :func:`real_backoff_sleep`, the one place a genuine sleep is
   sanctioned, because its faults are real OS events.
@@ -171,9 +171,9 @@ def backoff_delay(
 ) -> float:
     """Simulated exponential-backoff delay before retry ``retry_index``.
 
-    This is the **sanctioned backoff helper** (reprolint REP008): the
-    delay is added to the simulated clock, never slept for real. Retry
-    0 waits ``base_seconds``, each further retry ``multiplier``× more.
+    This is the **sanctioned backoff helper**: the delay is added to
+    the simulated clock, never slept for real. Retry 0 waits
+    ``base_seconds``, each further retry ``multiplier``× more.
     """
     if retry_index < 0:
         raise DistributedError(
@@ -192,9 +192,8 @@ def real_backoff_sleep(
     cannot: the faults it recovers from are genuine OS events — a
     SIGKILLed worker, a wedged pool — and the respawned pool needs real
     wall-clock headroom before the next dispatch wave.  This is the one
-    sanctioned real sleep in the tree, which is why it lives in this
-    REP008-exempt module; call it instead of ``time.sleep`` anywhere a
-    supervisor must wait out a retry.
+    sanctioned real sleep in the tree; call it instead of ``time.sleep``
+    anywhere a supervisor must wait out a retry.
     """
     delay = backoff_delay(retry_index, base_seconds, multiplier)
     if delay > 0:

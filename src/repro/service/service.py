@@ -117,6 +117,7 @@ class _Request:
     session: Hashable | None
     sql: str
     query: Query
+    text: str | None  # the submitted text; None for a parsed Query
     ticket: "QueryTicket"
     submitted: float
 
@@ -236,6 +237,7 @@ class QueryService:
             session=session,
             sql=rendered,
             query=query,
+            text=sql if isinstance(sql, str) else None,
             ticket=ticket,
             submitted=time.perf_counter(),
         )
@@ -269,7 +271,9 @@ class QueryService:
                 outcome = self._failed(
                     request, queue_seconds, turns_waited, str(error)
                 )
-            except Exception as error:  # reprolint: disable=REP002 -- the serving boundary: every ticket resolves and the dispatch thread lives on
+            except Exception as error:
+                # The serving boundary: every ticket resolves and the
+                # dispatch thread lives on, whatever serving raised.
                 outcome = self._failed(
                     request,
                     queue_seconds,
@@ -287,7 +291,7 @@ class QueryService:
     ) -> QueryCompleted:
         cache_path = "miss"
         if self._cache is None:
-            result = self._execute(request.query)
+            result = self._execute(request)
         else:
             fingerprint = query_fingerprint(request.query)
             cached, __ = self._cache.lookup(fingerprint)
@@ -295,7 +299,7 @@ class QueryService:
                 cache_path = "hit"
                 result = cached
             else:
-                result = self._execute(request.query)
+                result = self._execute(request)
                 self._cache.admit(fingerprint, result)
         counters.increment(f"service.cache.{cache_path}")
         if not result.complete:
@@ -336,11 +340,13 @@ class QueryService:
             error=error,
         )
 
-    def _execute(self, query: Query) -> QueryResult:
+    def _execute(self, request: _Request) -> QueryResult:
         with self._engine_gate:
             if self._is_store:
-                return self.backend.execute(query)
-            result, __ = self.backend.execute(query)
+                # A text reaches the store as text: its text-keyed chunk
+                # cache entries (parse, plan) serve it.
+                return self.backend.execute(request.text or request.query)
+            result, __ = self.backend.execute(request.query)
             return result
 
     # -- accounting ---------------------------------------------------------------

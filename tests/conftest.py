@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import glob
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +97,27 @@ def make_store(table: Table, **overrides) -> DataStore:
         **overrides,
     )
     return DataStore.from_table(table, options)
+
+
+def deep_size(value, seen: set | None = None) -> int:
+    """Bytes ``value`` holds: itself and, once each, what it refers to
+    (items, dataclass fields, slots, ``__dict__``). ``None``, bools and
+    enum members are shared singletons and count nothing."""
+    seen = set() if seen is None else seen
+    if id(value) in seen or value is None or isinstance(value, (bool, enum.Enum)):
+        return 0
+    seen.add(id(value))
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (tuple, list)):
+        items = value
+    elif dataclasses.is_dataclass(value):
+        items = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    else:
+        slots = getattr(type(value), "__slots__", ())
+        items = [getattr(value, slot) for slot in slots if hasattr(value, slot)]
+        items.append(getattr(value, "__dict__", None))
+    return sys.getsizeof(value) + sum(deep_size(item, seen) for item in items)
 
 
 def run_of(store: DataStore, chunks, masks, cacheable=None) -> Run:

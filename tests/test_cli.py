@@ -215,13 +215,13 @@ class TestLintJson:
         import json
 
         bad = tmp_path / "mod.py"
-        bad.write_text('def f():\n    raise ValueError("x")\n')
-        code = lint_main([str(bad), "--json", "--select", "REP001"])
+        bad.write_text('def f():\n    return get_codec("zippy")\n')
+        code = lint_main([str(bad), "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["tool"] == "reprolint"
         finding = payload["findings"][0]
-        assert finding["code"] == "REP001"
+        assert finding["code"] == "REP018"
         assert finding["symbol"] == "f"
         assert len(finding["fingerprint"]) == 12
 
@@ -231,11 +231,11 @@ class TestLintJson:
         import json
 
         bad = tmp_path / "mod.py"
-        bad.write_text('def f():\n    raise ValueError("x")\n')
-        lint_main([str(bad), "--json", "--select", "REP001"])
+        bad.write_text('def f():\n    return get_codec("zippy")\n')
+        lint_main([str(bad), "--format", "json"])
         first = json.loads(capsys.readouterr().out)["findings"][0]
-        bad.write_text('# moved\n\ndef f():\n    raise ValueError("x")\n')
-        lint_main([str(bad), "--json", "--select", "REP001"])
+        bad.write_text('# moved\n\ndef f():\n    return get_codec("zippy")\n')
+        lint_main([str(bad), "--format", "json"])
         second = json.loads(capsys.readouterr().out)["findings"][0]
         assert first["fingerprint"] == second["fingerprint"]
         assert first["where"] != second["where"]
@@ -243,7 +243,7 @@ class TestLintJson:
     def test_lint_clean_path_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "mod.py"
         good.write_text("def f() -> int:\n    return 1\n")
-        assert lint_main([str(good), "--json"]) == 0
+        assert lint_main([str(good), "--format", "json"]) == 0
         import json
 
         payload = json.loads(capsys.readouterr().out)

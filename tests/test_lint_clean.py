@@ -1,11 +1,9 @@
 """The zero-findings CI gate: reprolint over ``src/repro`` must be clean.
 
-This is a tier-1 test. Any new finding — a foreign exception type, a
-broad except, a direct codec import, a cross-module private mutation,
-a missing annotation in storage/core/formats, a stray print() — fails
-the suite until it is fixed or explicitly suppressed with a
-``# reprolint: disable=REP00x -- reason`` comment. Stale suppressions
-fail the gate too (REP016 runs on full passes).
+This is a tier-1 test. Any new finding — an unbounded wait in
+core/executor.py (REP017), a codec name inlined where a codec is
+selected (REP018) — fails the suite until it is fixed or explicitly
+suppressed with a ``# reprolint: disable=REP0xx -- reason`` comment.
 """
 
 import os

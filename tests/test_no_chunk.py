@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import enum
 import re
 import sqlite3
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -31,6 +29,7 @@ from repro.monitoring import counters
 from repro.service import QueryCompleted, QueryFailed, QueryService, ServiceConfig
 from repro.sql.parser import parse_query
 
+from tests.conftest import deep_size, make_store
 from tests.sanitizer import assert_results_equal
 from tests.test_query_pipeline import _work
 
@@ -257,19 +256,46 @@ def test_a_plan_entry_answers_as_a_store_that_keeps_nothing(sql):
 
 
 def test_doors_but_a_text_on_the_query_path_build_no_plan(doors):
-    """A parsed query, shard partials and a store keeping nothing answer
-    as before; none builds or reads a plan."""
+    """A parsed query, shard partials, the cluster and a store keeping
+    nothing answer as before; none builds or reads a plan."""
     cached = _store(_TABLE, True)
     text = _PLANNED[0].format(w=_WHERES[0])
     built = _plans_built()
     expected = _store(_TABLE, False).execute(text)
-    for door in ("cache off", "cluster", "service"):
+    for door in ("cache off", "cluster"):
         assert doors[door](text).rows() == expected.rows(), door
     assert cached.execute(parse_query(text)).rows() == expected.rows()
     stats, groups = cached.execute_partials(text)
     assert _work(stats) == _work(expected.stats) and len(groups) == 1
     assert _plans_built() == built
     assert ("plan", _shape(cached, text)) not in cached.chunk_cache
+
+
+def test_a_served_text_reads_its_shapes_plan():
+    """Through the service, result cache off, a text reaches the store as
+    text: a shape's first no-chunk text builds its plan, later WHEREs
+    build none and answer as ``execute`` does. A parsed ``Query`` builds
+    none."""
+    store, uncached = _store(_TABLE, True), _store(_TABLE, False)
+    config = ServiceConfig(workers=1, enable_result_cache=False)
+    with QueryService(store, config) as service:
+        for sql in _PLANNED[:3]:
+            built = _plans_built()
+            for where in _WHERES:
+                text = sql.format(w=where)
+                outcome = service.run("t", text)
+                assert isinstance(outcome, QueryCompleted), text
+                expected = uncached.execute(text)
+                assert outcome.result.column_names == expected.column_names
+                assert outcome.result.rows() == expected.rows(), text
+                assert _work(outcome.result.stats) == _work(expected.stats)
+                assert _plans_built() == built + 1, text
+        text = _PLANNED[3].format(w=_WHERES[0])
+        built = _plans_built()
+        outcome = service.run("t", parse_query(text))
+        assert outcome.result.rows() == uncached.execute(text).rows()
+        assert _plans_built() == built
+        assert ("plan", _shape(store, text)) not in store.chunk_cache
 
 
 @pytest.mark.parametrize("case", _ERRORS, ids=range(len(_ERRORS)))
@@ -312,27 +338,10 @@ def test_a_plan_goes_with_its_cache():
         assert _plans_built() == built + rebuilt
 
 
-def _deep_size(value, seen: set) -> int:
-    """Bytes ``value`` holds: itself and, once each, what it refers to."""
-    if id(value) in seen or value is None or isinstance(value, (bool, enum.Enum)):
-        return 0
-    seen.add(id(value))
-    if isinstance(value, dict):
-        items = [*value.keys(), *value.values()]
-    elif isinstance(value, (tuple, list)):
-        items = value
-    else:
-        slots = getattr(type(value), "__slots__", ())
-        items = [getattr(value, slot) for slot in slots if hasattr(value, slot)]
-        items.append(getattr(value, "__dict__", None))
-    return sys.getsizeof(value) + sum(_deep_size(item, seen) for item in items)
-
-
 def test_a_plan_entry_weighs_more_than_it_holds(log_table):
     """The stated estimate: between the deep size of what a plan entry
     holds (its key's shape, the field names, the answer's Table) and three
     times it, on the shapes above and on the click shapes."""
-    from tests.conftest import make_store
     from tests.test_query_pipeline import _CLICK_SHAPES
 
     stores_and_texts = [
@@ -347,5 +356,5 @@ def test_a_plan_entry_weighs_more_than_it_holds(log_table):
             assert not store.execute(text).stats.active_chunks, text
             shape = _shape(store, text)
             plan = store.chunk_cache.get(("plan", shape))
-            held = _deep_size((("plan", shape), plan), set())
+            held = deep_size((("plan", shape), plan))
             assert held <= _plan_weight(shape, plan) <= 3 * held, text

@@ -35,7 +35,7 @@ from repro.workload.queries import (
     generate_drilldown_session_groups,
 )
 
-from tests.conftest import make_store, run_of
+from tests.conftest import deep_size, make_store, run_of
 from tests.process_chaos import ChaosPlan
 from tests.test_process_supervision import _chaos, _process_store
 
@@ -468,18 +468,6 @@ def test_a_prepared_entry_weighs_more_than_it_holds(log_table):
     and so for each clause entry those texts parse."""
     from repro.core.datastore import _clause_weight, _text_weight
 
-    def deep_size(value, seen) -> int:
-        if id(value) in seen or value is None or isinstance(value, bool):
-            return 0
-        seen.add(id(value))
-        size = sys.getsizeof(value)
-        if dataclasses.is_dataclass(value):
-            fields = dataclasses.fields(value)
-            return size + sum(deep_size(getattr(value, f.name), seen) for f in fields)
-        if isinstance(value, tuple):
-            return size + sum(deep_size(item, seen) for item in value)
-        return size
-
     store = make_store(log_table)
     sessions = generate_drilldown_session_groups(
         log_table,
@@ -489,12 +477,12 @@ def test_a_prepared_entry_weighs_more_than_it_holds(log_table):
     texts.update(shape.format(where="latency > 500") for shape in _CLICK_SHAPES)
     pieces: dict = {}
     for text in texts | set(FULL_SCAN_SHAPES.values()):
-        held = deep_size((("sql", text), store._prepare(text)), set())
+        held = deep_size((("sql", text), store._prepare(text)))
         assert held <= _text_weight(text) <= 3 * held, text
         parse_query(text, lambda piece, build: pieces.setdefault(piece, build()))
     assert len(pieces) > len(FULL_SCAN_SHAPES)
     for piece, value in pieces.items():
-        held = deep_size((("clause", piece), value), set())
+        held = deep_size((("clause", piece), value))
         assert held <= _clause_weight(piece) <= 3 * held, piece
 
 

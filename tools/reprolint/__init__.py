@@ -1,8 +1,8 @@
 """reprolint: the repo's AST-based static analyzer for ``src/repro``.
 
-It enforces repo conventions the storage layer's invariants rest on
-(error hierarchy, codec resolution through the registry, no private
-mutation across modules, annotations on public storage APIs, ...).
+It enforces the repo conventions no test run exercises: bounded waits
+in the process supervisor (REP017) and codec choice left to the
+encoding advisor (REP018).
 :mod:`tools.reprolint.lint` is the engine, :mod:`tools.reprolint.rules`
 the rules, :mod:`tools.reprolint.catalog` their catalog. Findings share
 the model of :mod:`repro.analysis.findings` with ``repro fsck``.

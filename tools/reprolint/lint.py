@@ -3,20 +3,18 @@
 Rules are small classes registered with :func:`lint_rule`; each one
 inspects a parsed module (:class:`ModuleInfo`) and yields raw findings.
 The engine handles everything rule-independent: discovering ``.py``
-files, parsing, inline suppressions, severity overrides and assembling
-the :class:`~repro.analysis.findings.FindingsReport`.
+files, parsing, inline suppressions and assembling the
+:class:`~repro.analysis.findings.FindingsReport`.
 
 Suppressions are source comments::
 
-    raise AttributeError(...)  # reprolint: disable=REP001 -- why it is ok
-    # reprolint: disable-file=REP005 -- whole-module opt-out
+    future.result()  # reprolint: disable=REP017 -- why it is ok
+    # reprolint: disable-file=REP018 -- whole-module opt-out
 
 A line-level ``disable`` silences the listed codes on that line only; a
 ``disable-file`` silences them for the whole module. The ``-- reason``
 trailer is encouraged (and what code review should look for) but not
-enforced by the engine. Suppressions that no longer silence anything
-are themselves flagged (REP016) on full runs, so dead opt-outs cannot
-accumulate.
+enforced by the engine.
 
 Comments are found with :mod:`tokenize`, not a per-line regex, so a
 suppression *example inside a string or docstring* (like the ones
@@ -46,38 +44,14 @@ _SUPPRESS_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class SuppressionComment:
-    """One parsed ``# reprolint: disable[...]`` comment."""
-
-    line: int
-    kind: str  # 'line' | 'file'
-    codes: frozenset[str]
-    has_reason: bool
-
-
 @dataclass
 class ModuleInfo:
     """One parsed source module handed to every applicable rule."""
 
-    path: str
     rel_path: str
-    source: str
     tree: ast.Module
     line_suppressions: dict[int, set[str]] = field(default_factory=dict)
     file_suppressions: set[str] = field(default_factory=set)
-    suppression_comments: list[SuppressionComment] = field(
-        default_factory=list
-    )
-
-    @property
-    def in_package_root(self) -> bool:
-        return "/" not in self.rel_path
-
-    def top_dir(self) -> str:
-        """First path segment below the lint root ('' for root files)."""
-        return self.rel_path.split("/", 1)[0] if "/" in self.rel_path else ""
-
     _symbol_spans: list[tuple[int, int, str]] | None = None
 
     def qualified_symbol(self, line: int) -> str:
@@ -117,7 +91,7 @@ class ModuleInfo:
 
 @dataclass(frozen=True)
 class RawFinding:
-    """A rule observation before suppression/severity resolution."""
+    """A rule observation before suppressions are applied."""
 
     line: int
     col: int
@@ -129,18 +103,17 @@ class LintRule:
 
     Subclasses set ``code``, ``name``, ``description`` and
     ``default_severity``, and implement :meth:`check`. Path scoping is
-    declarative: ``only_dirs`` restricts a rule to top-level package
-    directories, ``only_files`` to specific package-relative paths
-    (matched by full relative path, or by basename so linting a single
-    file directly still applies the rule), and ``exempt_files`` lists
-    package-relative paths the rule never applies to.
+    declarative: ``only_files`` restricts a rule to specific
+    package-relative paths (matched by full relative path, or by
+    basename so linting a single file directly still applies the rule),
+    and ``exempt_files`` lists package-relative paths the rule never
+    applies to.
     """
 
     code: str = ""
     name: str = ""
     description: str = ""
     default_severity: Severity = Severity.ERROR
-    only_dirs: tuple[str, ...] | None = None
     only_files: tuple[str, ...] | None = None
     exempt_files: tuple[str, ...] = ()
 
@@ -153,8 +126,6 @@ class LintRule:
                 module.rel_path in self.only_files
                 or module.rel_path in basenames
             )
-        if self.only_dirs is not None:
-            return module.top_dir() in self.only_dirs
         return True
 
     def check(self, module: ModuleInfo) -> Iterable[RawFinding]:
@@ -218,9 +189,7 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[tuple[str, str]]:
                 yield full, os.path.relpath(full, root).replace(os.sep, "/")
 
 
-def _parse_suppressions(
-    source: str,
-) -> tuple[dict[int, set[str]], set[str], list[SuppressionComment]]:
+def _parse_suppressions(source: str) -> tuple[dict[int, set[str]], set[str]]:
     """Extract suppression comments via :mod:`tokenize`.
 
     Only real COMMENT tokens count — a suppression spelled inside a
@@ -228,7 +197,6 @@ def _parse_suppressions(
     """
     per_line: dict[int, set[str]] = {}
     per_file: set[str] = set()
-    comments: list[SuppressionComment] = []
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for token in tokens:
@@ -240,27 +208,13 @@ def _parse_suppressions(
             codes = {
                 c.strip() for c in match.group(2).split(",") if c.strip()
             }
-            if not codes:
-                continue
-            lineno = token.start[0]
-            has_reason = "--" in token.string
             if match.group(1) == "disable-file":
                 per_file |= codes
-                comments.append(
-                    SuppressionComment(
-                        lineno, "file", frozenset(codes), has_reason
-                    )
-                )
             else:
-                per_line.setdefault(lineno, set()).update(codes)
-                comments.append(
-                    SuppressionComment(
-                        lineno, "line", frozenset(codes), has_reason
-                    )
-                )
+                per_line.setdefault(token.start[0], set()).update(codes)
     except tokenize.TokenError:  # pragma: no cover — ast.parse ran first
         pass
-    return per_line, per_file, comments
+    return per_line, per_file
 
 
 def load_module(path: str, rel_path: str) -> ModuleInfo:
@@ -271,10 +225,7 @@ def load_module(path: str, rel_path: str) -> ModuleInfo:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
         raise AnalysisError(f"cannot parse {path}: {error}") from error
-    per_line, per_file, comments = _parse_suppressions(source)
-    return ModuleInfo(
-        path, rel_path, source, tree, per_line, per_file, comments
-    )
+    return ModuleInfo(rel_path, tree, *_parse_suppressions(source))
 
 
 # -- the run ----------------------------------------------------------------
@@ -292,31 +243,15 @@ class _Pending:
     col: int
 
 
-def run_lint(
-    paths: Iterable[str] | str,
-    select: Iterable[str] | None = None,
-    severity_overrides: dict[str, Severity] | None = None,
-) -> FindingsReport:
+def run_lint(paths: Iterable[str] | str) -> FindingsReport:
     """Lint every ``.py`` file under ``paths`` with the registered rules.
 
-    ``select`` restricts the run to the given rule codes;
-    ``severity_overrides`` maps rule codes to severities replacing each
-    rule's default. Suppressed findings are counted but not reported.
-
-    Rules run file by file, each on one parsed module. On full runs (no
-    ``select``), suppression comments that silenced nothing are reported
-    as REP016 — a selective run leaves most rules un-run, so unused-ness
-    cannot be judged there.
+    Rules run file by file, each on one parsed module. Suppressed
+    findings are counted but not reported.
     """
     if isinstance(paths, str):
         paths = [paths]
-    overrides = severity_overrides or {}
-    for code in overrides:
-        get_rule(code)  # validate early
-    if select is not None:
-        rules = [get_rule(code)() for code in select]
-    else:
-        rules = [cls() for cls in all_rules()]
+    rules = [cls() for cls in all_rules()]
 
     report = FindingsReport(tool="reprolint")
     modules: dict[str, ModuleInfo] = {}
@@ -325,64 +260,30 @@ def run_lint(
         report.items_checked += 1
         counters.increment("analysis.lint.files_scanned")
 
-    # (rel_path, line-or-None-for-file-level, code) of suppressions
-    # that actually silenced a finding this run.
-    used_suppressions: set[tuple[str, int | None, str]] = set()
     pending: list[_Pending] = []
-
-    def record(rule: LintRule, module: ModuleInfo, raw: RawFinding) -> None:
-        if rule.code in module.line_suppressions.get(raw.line, set()):
-            used_suppressions.add((module.rel_path, raw.line, rule.code))
-            report.suppressed += 1
-            counters.increment("analysis.lint.suppressed")
-            return
-        if rule.code in module.file_suppressions:
-            used_suppressions.add((module.rel_path, None, rule.code))
-            report.suppressed += 1
-            counters.increment("analysis.lint.suppressed")
-            return
-        pending.append(
-            _Pending(
-                rule.code,
-                overrides.get(rule.code, rule.default_severity),
-                raw.message,
-                module.rel_path,
-                raw.line,
-                raw.col,
-            )
-        )
-        counters.increment("analysis.lint.findings")
-
     for module in modules.values():
         for rule in rules:
             if not rule.applies_to(module):
                 continue
             for raw in rule.check(module):
-                record(rule, module, raw)
-
-    if select is None:
-        hygiene = get_rule("REP016")()
-        for module in modules.values():
-            for comment in module.suppression_comments:
-                line_key = comment.line if comment.kind == "line" else None
-                for code in sorted(comment.codes):
-                    if (module.rel_path, line_key, code) in used_suppressions:
-                        continue
-                    scope = (
-                        "file-level suppression"
-                        if comment.kind == "file"
-                        else "suppression"
+                if (
+                    rule.code in module.line_suppressions.get(raw.line, ())
+                    or rule.code in module.file_suppressions
+                ):
+                    report.suppressed += 1
+                    counters.increment("analysis.lint.suppressed")
+                    continue
+                pending.append(
+                    _Pending(
+                        rule.code,
+                        rule.default_severity,
+                        raw.message,
+                        module.rel_path,
+                        raw.line,
+                        raw.col,
                     )
-                    record(
-                        hygiene,
-                        module,
-                        RawFinding(
-                            comment.line,
-                            0,
-                            f"{scope} for {code} matches no finding; "
-                            "delete the stale comment",
-                        ),
-                    )
+                )
+                counters.increment("analysis.lint.findings")
 
     # Resolve symbols and occurrence-stable fingerprints in source
     # order so fingerprints do not depend on rule execution order.

@@ -30,6 +30,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -63,7 +64,8 @@ from repro.core.expr_eval import (
     evaluate_array,
     to_vector,
 )
-from repro.core.plan import is_aggregation_query, plan_group_query, resolve_group_aliases
+from repro.core.plan import is_aggregation_query, plan_group_query, query_fingerprint
+from repro.core.plan import resolve_group_aliases
 from repro.core.restriction import FULL, Restriction, compile_restriction, pick
 from repro.core.result import QueryResult, ScanStats, finalize, resolve_output_expr
 from repro.core.table import Column, Table
@@ -94,7 +96,7 @@ from repro.sql.ast_nodes import (
 )
 from repro.monitoring import counters
 from repro.sql.parser import parse_query
-from repro.storage.cache import Cache, CacheStats, make_cache
+from repro.storage.cache import Cache, CacheStats, LruCache, make_cache
 from repro.storage.chunk import ChunkDictIndex, ColumnChunk, encode_column_chunks
 from repro.storage.dictionary import (
     Dictionary,
@@ -493,6 +495,25 @@ class _ExprText(str):
         return _ExprText, (self.expr,)
 
 
+#: The memo's bound: a ``drilldown`` cold replay's 396 texts, 55 pieces, 20 plans fit.
+_MEMO_ENTRIES = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """:meth:`DataStore.prepare`'s query, GROUP BY aliases resolved; its WHERE
+    rendered if the chunk cache keys on it; a text's shape (its clause pieces
+    but the WHERE) if parsed by piece; the service's fingerprint, lazily."""
+
+    query: Query
+    where_text: str | None = None
+    shape: tuple[str, ...] | None = None
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return query_fingerprint(self.query)
+
+
 class DataStore:
     """The column-store: holds encoded fields, answers SQL queries."""
 
@@ -501,6 +522,7 @@ class DataStore:
     _RUNTIME_ATTRS = (
         "executor",
         "_chunk_cache",
+        "_memo",
         "_cache_lock",
         "_field_lock",
         "_arena",
@@ -567,6 +589,7 @@ class DataStore:
             self._chunk_cache: Cache = make_cache(
                 self.options.cache_policy, self.options.cache_capacity_bytes
             )
+            self._memo = LruCache(_MEMO_ENTRIES)  # see prepare and _plan
 
     # -- construction ------------------------------------------------------------
     @classmethod
@@ -707,9 +730,9 @@ class DataStore:
         chunk loop fans out and how big the result cache may grow are
         per-process choices — the CLI applies its ``--workers`` /
         ``--cache-policy`` flags here after :func:`load_store`.
-        Replacing the cache drops all resident entries; changing only
-        the executor keeps them (the cache key does not depend on how
-        partials are computed).
+        Replacing the cache drops all resident entries and empties the
+        prepare memo; changing only the executor keeps both (no key
+        depends on how partials are computed).
         """
         executor_updates: dict[str, Any] = {}
         if executor is not None:
@@ -764,45 +787,50 @@ class DataStore:
         if evicted:
             counters.increment("datastore.chunk_cache.evictions", evicted)
 
-    def _cached(
-        self, key: tuple, build: Callable[[], Any], weigh: Callable[[Any], float]
-    ) -> Any:
-        """The chunk cache's entry at ``key``; on a miss, ``build()``'s
-        value, admitted at ``weigh(value)`` bytes. A ``build`` that
-        raises admits nothing."""
-        with self._cache_lock:
-            value = self._chunk_cache.get(key)
-        if value is None:
-            value = build()
-            self._admit([(key, value, weigh(value))])
-        return value
-
     def _cached_leaf(self, text: str, build: Callable[[], Any]) -> Any:
         """A WHERE conjunct's compiled leaf, kept by its rendered text."""
-        return self._cached(("leaf", text), build, lambda leaf: leaf.size_bytes())
+        key = ("leaf", text)
+        with self._cache_lock:
+            leaf = self._chunk_cache.get(key)
+        if leaf is None:
+            leaf = build()
+            self._admit([(key, leaf, leaf.size_bytes())])
+        return leaf
 
-    def _prepare(self, query: Query | str) -> tuple[Query, str | None, tuple | None]:
-        """Parse and bind: the query, GROUP BY aliases resolved, and its
-        WHERE's rendered text and a text's shape (its clause pieces but the
-        WHERE) when the chunk cache keys entries on them. A text's clauses
-        are ``("clause", piece)`` entries then, admitted once the whole
-        text has parsed and bound."""
-        keyed, built, pieces, shape = self.options.cache_chunk_results, [], [], None
+    def _recall(self, key: tuple) -> Any:
+        with self._cache_lock:
+            return self._memo.get(key)
+
+    def _remember(self, entries: list[tuple[tuple, Any]]) -> None:
+        with self._cache_lock:
+            for key, value in entries:
+                self._memo.put(key, value)
+
+    def prepare(self, query: Prepared | Query | str) -> Prepared:
+        """Parse and bind, once per text; a :class:`Prepared` comes back as
+        it is. With the chunk cache on, a text's Prepared and clause pieces
+        are memo entries, admitted once it has parsed and bound."""
+        if isinstance(query, Prepared):
+            return query
+        keyed = self.options.cache_chunk_results
+        text = query if isinstance(query, str) else None
+        if keyed and text is not None and (hit := self._recall(("sql", text))):
+            return hit
+        built, pieces, shape = [], [], None
 
         def clause(piece: str, build: Callable[[], Any]) -> Any:
             key = ("clause", piece)
-            with self._cache_lock:
-                value = self._chunk_cache.get(key)
+            value = self._recall(key)
             if value is None:
                 counters.increment("datastore.sql.clauses_parsed")
                 value = build()
-                built.append((key, value, _clause_weight(piece)))
+                built.append((key, value))
             pieces.append(piece)
             return value
 
-        if isinstance(query, str):
+        if text is not None:
             counters.increment("datastore.sql.parsed")
-            text, query = query, parse_query(query, clause if keyed else None)
+            query = parse_query(text, clause if keyed else None)
             if "".join(pieces) == text:  # parsed piece by piece, none failed
                 shape = tuple(p for p in pieces if p[:5].upper() != "WHERE")
         if query.table != self.options.table_name:
@@ -811,9 +839,11 @@ class DataStore:
                 f"{self.options.table_name!r}"
             )
         parsed = resolve_group_aliases(query)
-        self._admit(built)
-        keyed = keyed and parsed.where is not None
-        return parsed, parsed.where.sql() if keyed else None, shape
+        where = parsed.where if keyed else None
+        prepared = Prepared(parsed, None if where is None else where.sql(), shape)
+        if keyed and text is not None:
+            self._remember([*built, (("sql", text), prepared)])
+        return prepared
 
     def __deepcopy__(self, memo: dict) -> "DataStore":
         """Deep-copy the encoded data; the clone gets fresh runtime state.
@@ -1052,7 +1082,7 @@ class DataStore:
         )
 
     # -- query execution -------------------------------------------------------------
-    def execute(self, query: Query | str) -> QueryResult:
+    def execute(self, query: Prepared | Query | str) -> QueryResult:
         """Run a query, returning its result table and scan statistics."""
         started = time.perf_counter()
         parsed, stats, kernel = self._run_pipeline(query, plans=True)
@@ -1074,7 +1104,7 @@ class DataStore:
             row_coverage=coverage,
         )
 
-    def execute_partials(self, query: Query | str) -> tuple[ScanStats, Any]:
+    def execute_partials(self, query: Prepared | Query | str) -> tuple[ScanStats, Any]:
         """Execute the shard-local part of a distributed query.
 
         Returns ``(stats, groups)`` where ``groups`` maps a NULL-safe
@@ -1088,7 +1118,7 @@ class DataStore:
         return stats, kernel.shard_partials()
 
     def _run_pipeline(
-        self, query: Query | str, plans: bool = False
+        self, query: Prepared | Query | str, plans: bool = False
     ) -> "tuple[Query, ScanStats, _RunKernel | _Plan]":
         """The one query path (Section 2.4); both doors run through it.
 
@@ -1098,26 +1128,18 @@ class DataStore:
         what they read off the kernel (its answer, or mergeable shard
         partials). With ``plans``, a text whose WHERE keeps no chunk
         returns its shape's :class:`_Plan` instead, and builds no kernel
-        once the chunk cache holds it.
+        once the memo holds it.
         """
-        # Prepare: parse, bind, find or compile the restriction, pick the
-        # kernel. One WHERE per click: with the chunk cache on, a query
-        # text, a WHERE's classification of the whole store and each of
-        # its conjuncts' compiled leaves are entries of the chunk cache,
-        # beside the partials they select, keyed on rendered text (which
-        # keeps apart literals the AST equates, as 1 and True).
-        if self.options.cache_chunk_results and isinstance(query, str):
-            parsed, where_text, shape = self._cached(
-                ("sql", query),
-                lambda: self._prepare(query),
-                lambda __: _text_weight(query),
-            )
-        else:
-            parsed, where_text, shape = self._prepare(query)
+        # Prepare, find or compile the restriction, pick the kernel. One
+        # WHERE per click: with the chunk cache on, a WHERE's classification
+        # and its conjuncts' compiled leaves are entries of it, beside the
+        # partials they select, keyed on rendered text (1 and True differ).
+        prepared = self.prepare(query)
+        parsed = prepared.query
         stats = ScanStats(rows_total=self.n_rows, chunks_total=self.n_chunks)
         where_key = restriction = None
-        if where_text is not None:
-            where_key = ("where", where_text)
+        if prepared.where_text is not None:
+            where_key = ("where", prepared.where_text)
             with self._cache_lock:
                 restriction = self._chunk_cache.get(where_key)
         if restriction is None:
@@ -1137,13 +1159,10 @@ class DataStore:
             counters.increment("datastore.restriction.reused")
         accessed = set(restriction.fields)
         active = restriction.active
-        if plans and shape is not None and not active.size:
+        if plans and prepared.shape is not None and not active.size:
             phase_started = time.perf_counter()
-            kernel = self._cached(
-                ("plan", shape),
-                lambda: self._plan(parsed),
-                lambda plan: _plan_weight(shape, plan),
-            )
+            shape = prepared.shape
+            kernel = self._recall(("plan", shape)) or self._plan(parsed, shape)
             accessed.update(kernel.fields)
         else:
             kernel = self._kernel(parsed, accessed)
@@ -1274,13 +1293,14 @@ class DataStore:
         read.update(field.name for field in kernel.fields if field is not None)
         return kernel
 
-    def _plan(self, parsed: Query) -> "_Plan":
-        """What a ``("plan", shape)`` entry holds: the query's kernel, never
-        folded, read out as the answer of a WHERE that keeps no chunk."""
+    def _plan(self, parsed: Query, shape: tuple[str, ...]) -> "_Plan":
+        """The shape's ``("plan", shape)`` memo entry, built: the kernel,
+        never folded, read out as the answer of a WHERE that keeps no chunk."""
         read: set[str] = set()
         kernel = self._kernel(parsed, read)
         plan = _Plan(tuple(sorted(read)), kernel.answer(parsed))
         counters.increment("datastore.plan.built")
+        self._remember([(("plan", shape), plan)])
         return plan
 
     def _account(self, stats: ScanStats, accessed: set[str]) -> ScanStats:
@@ -1687,36 +1707,15 @@ class _ProjectionKernel(_RunKernel):
 
 
 class _Plan(NamedTuple):
-    """A ``("plan", shape)`` entry: the answer of a query whose WHERE keeps
-    no chunk, which its shape alone fixes, and the fields its kernel reads.
-    A :class:`Table` has no mutators, so every such answer shares it."""
+    """A ``("plan", shape)`` memo entry: the answer of a query whose WHERE
+    keeps no chunk, which its shape alone fixes, and the fields its kernel
+    reads. A :class:`Table` has no mutators, so every such answer shares it."""
 
     fields: tuple[str, ...]
     table: Table
 
     def answer(self, parsed: Query) -> Table:
         return self.table
-
-
-def _text_weight(text: str) -> int:
-    """A query text's prepared entry's chunk-cache weight, an estimate:
-    at least what its key, parsed query, WHERE text and shape hold (5 to
-    30 bytes a character) and at most three times it, as the tests check."""
-    return 1536 + 13 * len(text)
-
-
-def _clause_weight(piece: str) -> int:
-    """A clause entry's chunk-cache weight, an estimate bounded as above:
-    its AST holds about 128 bytes a word (counted by spaces), its key
-    and literals about 4 bytes a character."""
-    return 512 + 4 * len(piece) + 128 * piece.count(" ")
-
-
-def _plan_weight(shape: tuple[str, ...], plan: _Plan) -> int:
-    """A plan entry's chunk-cache weight, an estimate bounded as above:
-    its key about 4 bytes a character, each result column (name, cells,
-    table slot, a field name) about 256 bytes."""
-    return 1536 + 4 * sum(map(len, shape)) + 256 * plan.table.n_columns
 
 
 def _charge(stats: ScanStats, timer: str, started: float) -> None:

@@ -9,7 +9,8 @@ shared execution strategy.
 
 Request lifecycle::
 
-    submit(tenant, sql) -> admission (bounded per-tenant queue)
+    submit(tenant, sql) -> the store's prepare (parse + bind; may raise)
+        -> admission (bounded per-tenant queue)
         -> smooth-WRR dispatch (FairScheduler, in-flight caps)
         -> semantic cache probe (exact canonical-plan hit | miss)
         -> engine execution on a miss
@@ -32,8 +33,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from repro.core.datastore import DataStore
-# Unused here: bench/trace.py still patches this module's where_conjuncts.
+from repro.core.datastore import DataStore, Prepared
+# Unused here: bench/trace.py still patches both in this module.
 from repro.core.plan import query_fingerprint, where_conjuncts  # noqa: F401
 from repro.core.result import QueryResult
 from repro.errors import ReproError, ServiceError
@@ -116,8 +117,7 @@ class _Request:
     tenant: str
     session: Hashable | None
     sql: str
-    query: Query
-    text: str | None  # the submitted text; None for a parsed Query
+    prepared: Prepared
     ticket: "QueryTicket"
     submitted: float
 
@@ -229,15 +229,16 @@ class QueryService:
         """
         if self._closed:
             raise ServiceError("submit() on a closed QueryService")
-        query = parse_query(sql) if isinstance(sql, str) else sql
-        rendered = sql if isinstance(sql, str) else sql.sql()
+        if self._is_store:
+            prepared = self.backend.prepare(sql)
+        else:
+            prepared = Prepared(parse_query(sql) if isinstance(sql, str) else sql)
         ticket = QueryTicket()
         request = _Request(
             tenant=tenant,
             session=session,
-            sql=rendered,
-            query=query,
-            text=sql if isinstance(sql, str) else None,
+            sql=sql if isinstance(sql, str) else sql.sql(),
+            prepared=prepared,
             ticket=ticket,
             submitted=time.perf_counter(),
         )
@@ -293,7 +294,7 @@ class QueryService:
         if self._cache is None:
             result = self._execute(request)
         else:
-            fingerprint = query_fingerprint(request.query)
+            fingerprint = request.prepared.fingerprint
             cached, __ = self._cache.lookup(fingerprint)
             if cached is not None:
                 cache_path = "hit"
@@ -343,10 +344,8 @@ class QueryService:
     def _execute(self, request: _Request) -> QueryResult:
         with self._engine_gate:
             if self._is_store:
-                # A text reaches the store as text: its text-keyed chunk
-                # cache entries (parse, plan) serve it.
-                return self.backend.execute(request.text or request.query)
-            result, __ = self.backend.execute(request.query)
+                return self.backend.execute(request.prepared)
+            result, __ = self.backend.execute(request.prepared.query)
             return result
 
     # -- accounting ---------------------------------------------------------------

@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import glob
 import os
-import sys
 
 import numpy as np
 import pytest
 
 from repro.core.datastore import DataStore, DataStoreOptions, Run
 from repro.core.table import Table
-from repro.storage.arena import SEGMENT_PREFIX, live_segment_names
+from repro.storage.arena import SEGMENT_PREFIX, _pid_alive, live_segment_names
 from repro.workload.generator import LogsConfig, generate_query_logs
 
 SMALL_ROWS = 4_000
@@ -25,6 +22,16 @@ def _shm_segments() -> set[str]:
     return {os.path.basename(path) for path in glob.glob(pattern)}
 
 
+def _ours_or_orphaned(name: str) -> bool:
+    """Whether the pid ``arena._segment_name`` puts after the prefix is
+    this process or no live one's: a concurrent run's segments are its
+    own to account for."""
+    creator = name[len(SEGMENT_PREFIX) :].split("_")[0]
+    if not creator.isdigit():
+        return True  # not a name this package makes: count it
+    return int(creator) == os.getpid() or not _pid_alive(int(creator))
+
+
 @pytest.fixture(scope="session", autouse=True)
 def no_leaked_arena_segments():
     """Session gate: the suite must not leak shared-memory segments.
@@ -34,13 +41,15 @@ def no_leaked_arena_segments():
     release theirs at atexit, after this fixture) nor gone by teardown
     was leaked by an executor — the exact failure mode the PR 8
     supervision layer exists to prevent, even across SIGKILLed workers.
+    A segment another live process created is not this run's.
     """
     if not os.path.isdir("/dev/shm"):
         yield  # non-Linux: no observable segment directory to audit
         return
     baseline = _shm_segments()
     yield
-    leaked = (_shm_segments() - baseline) - set(live_segment_names())
+    new = {name for name in _shm_segments() - baseline if _ours_or_orphaned(name)}
+    leaked = new - set(live_segment_names())
     assert not leaked, (
         f"test run leaked shared-memory segments: {sorted(leaked)}"
     )
@@ -97,27 +106,6 @@ def make_store(table: Table, **overrides) -> DataStore:
         **overrides,
     )
     return DataStore.from_table(table, options)
-
-
-def deep_size(value, seen: set | None = None) -> int:
-    """Bytes ``value`` holds: itself and, once each, what it refers to
-    (items, dataclass fields, slots, ``__dict__``). ``None``, bools and
-    enum members are shared singletons and count nothing."""
-    seen = set() if seen is None else seen
-    if id(value) in seen or value is None or isinstance(value, (bool, enum.Enum)):
-        return 0
-    seen.add(id(value))
-    if isinstance(value, dict):
-        items = [*value.keys(), *value.values()]
-    elif isinstance(value, (tuple, list)):
-        items = value
-    elif dataclasses.is_dataclass(value):
-        items = [getattr(value, f.name) for f in dataclasses.fields(value)]
-    else:
-        slots = getattr(type(value), "__slots__", ())
-        items = [getattr(value, slot) for slot in slots if hasattr(value, slot)]
-        items.append(getattr(value, "__dict__", None))
-    return sys.getsizeof(value) + sum(deep_size(item, seen) for item in items)
 
 
 def run_of(store: DataStore, chunks, masks, cacheable=None) -> Run:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import os
+import subprocess
 import weakref
 
 import pytest
@@ -29,7 +30,7 @@ from repro.storage.arena import (
     save_arena,
     verify_arena,
 )
-from tests.conftest import make_store
+from tests.conftest import _ours_or_orphaned, make_store
 
 _QUERIES = (
     "SELECT country, COUNT(*) AS c FROM data GROUP BY country "
@@ -181,6 +182,18 @@ class TestArenaLifecycle:
         store = make_store(log_table)
         with ChunkArena.build(store, kind="shm") as arena:
             assert arena.name.startswith(SEGMENT_PREFIX)
+
+    def test_the_leak_gate_counts_only_our_or_orphaned_segments(self, log_table):
+        """The session gate reads the creator pid off a segment's name: this
+        process's or a dead one's segment counts, a live stranger's not."""
+        store = make_store(log_table)
+        with ChunkArena.build(store, kind="shm") as arena:
+            assert _ours_or_orphaned(arena.name)
+        exited = subprocess.Popen(["true"])
+        exited.wait()
+        for pid, counted in ((exited.pid, True), (os.getppid(), False)):
+            assert _ours_or_orphaned(f"{SEGMENT_PREFIX}{pid}_0_0a1b2c3d") == counted
+        assert _ours_or_orphaned(f"{SEGMENT_PREFIX}stranger")
 
 
 class TestFsckArenaInvariant:

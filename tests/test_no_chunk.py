@@ -7,8 +7,8 @@ door a query has (the store with its chunk cache on and off, the
 simulated cluster's shard partials and the query service) and compared
 with sqlite's over the same rows, an oracle this package did not write.
 The errors such a query raises are the ones it raises when it scans.
-With the chunk cache on, a text's answer is then its shape's
-``("plan", shape)`` entry once one query of that shape has built it.
+With the chunk cache on, a text's answer is then its shape's memo entry,
+``("plan", shape)``, once one query of that shape has built it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sqlite3
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.datastore import DataStore, DataStoreOptions, _plan_weight
+from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Table
 from repro.distributed.cluster import ClusterConfig, SimulatedCluster
 from repro.errors import ExecutionError, UnsupportedQueryError
@@ -29,7 +29,6 @@ from repro.monitoring import counters
 from repro.service import QueryCompleted, QueryFailed, QueryService, ServiceConfig
 from repro.sql.parser import parse_query
 
-from tests.conftest import deep_size, make_store
 from tests.sanitizer import assert_results_equal
 from tests.test_query_pipeline import _work
 
@@ -220,7 +219,7 @@ def test_no_chunk_queries_skip_everything(table, max_chunk_rows, threshold, shap
     assert_results_equal(cached.rows(), expected)
 
 
-# -- the ("plan", shape) entry: what a shape's first no-chunk query built ------
+# -- the memo's ("plan", shape) entry: what a shape's first no-chunk query built
 
 #: Shapes a plan keeps the answer of, an expression GROUP BY and a
 #: multi-field one (its composite is a field only the kernel names) too.
@@ -235,7 +234,7 @@ def _plans_built() -> int:
 
 
 def _shape(store: DataStore, text: str) -> tuple:
-    shape = store._prepare(text)[2]
+    shape = store.prepare(text).shape
     assert shape is not None, text
     return shape
 
@@ -252,7 +251,7 @@ def test_a_plan_entry_answers_as_a_store_that_keeps_nothing(sql):
         assert hit.rows() == expected.rows()
         assert _work(hit.stats) == _work(expected.stats)
         assert hit.stats.restriction_seconds > 0
-    assert ("plan", _shape(cached, sql.format(w=_WHERES[0]))) in cached.chunk_cache
+    assert ("plan", _shape(cached, sql.format(w=_WHERES[0]))) in cached._memo
 
 
 def test_doors_but_a_text_on_the_query_path_build_no_plan(doors):
@@ -268,14 +267,14 @@ def test_doors_but_a_text_on_the_query_path_build_no_plan(doors):
     stats, groups = cached.execute_partials(text)
     assert _work(stats) == _work(expected.stats) and len(groups) == 1
     assert _plans_built() == built
-    assert ("plan", _shape(cached, text)) not in cached.chunk_cache
+    assert ("plan", _shape(cached, text)) not in cached._memo
 
 
 def test_a_served_text_reads_its_shapes_plan():
     """Through the service, result cache off, a text reaches the store as
-    text: a shape's first no-chunk text builds its plan, later WHEREs
-    build none and answer as ``execute`` does. A parsed ``Query`` builds
-    none."""
+    the store prepared it, shape and all: a shape's first no-chunk text
+    builds its plan, later WHEREs build none and answer as ``execute``
+    does. A parsed ``Query`` builds none."""
     store, uncached = _store(_TABLE, True), _store(_TABLE, False)
     config = ServiceConfig(workers=1, enable_result_cache=False)
     with QueryService(store, config) as service:
@@ -295,7 +294,7 @@ def test_a_served_text_reads_its_shapes_plan():
         outcome = service.run("t", parse_query(text))
         assert outcome.result.rows() == uncached.execute(text).rows()
         assert _plans_built() == built
-        assert ("plan", _shape(store, text)) not in store.chunk_cache
+        assert ("plan", _shape(store, text)) not in store._memo
 
 
 @pytest.mark.parametrize("case", _ERRORS, ids=range(len(_ERRORS)))
@@ -306,14 +305,15 @@ def test_a_failing_shape_admits_no_plan(case):
         with pytest.raises(error) as raised:
             store.execute(sql.format(w=where))
         messages.add(str(raised.value))
-        assert ("plan", _shape(store, sql.format(w=where))) not in store.chunk_cache
+        assert ("plan", _shape(store, sql.format(w=where))) not in store._memo
     assert len(messages) == 1
     assert _plans_built() == built
 
 
 def test_a_plan_goes_with_its_cache():
-    """Evicted from a one-entry cache, or dropped with a new cache, a plan
-    is built again; swapping the executor keeps it."""
+    """A plan is a memo entry: a chunk cache that keeps nothing leaves it
+    be; dropped with a new cache, it is built again; swapping the executor
+    keeps it."""
     tiny = DataStore.from_table(
         _TABLE, dataclasses.replace(_OPTIONS, cache_capacity_bytes=1)
     )
@@ -322,8 +322,7 @@ def test_a_plan_goes_with_its_cache():
     built = _plans_built()
     for text in texts:
         assert tiny.execute(text).rows() == uncached.execute(text).rows(), text
-    # The text, WHERE and clause entries each query admits evict the plan.
-    assert _plans_built() == built + len(texts)
+    assert _plans_built() == built + len(texts) // 2  # one per shape
     store, text = _store(_TABLE, True), texts[0]
     for configure, rebuilt in (
         (lambda: None, 0),
@@ -336,25 +335,3 @@ def test_a_plan_goes_with_its_cache():
         configure()
         assert store.execute(text).rows() == uncached.execute(text).rows()
         assert _plans_built() == built + rebuilt
-
-
-def test_a_plan_entry_weighs_more_than_it_holds(log_table):
-    """The stated estimate: between the deep size of what a plan entry
-    holds (its key's shape, the field names, the answer's Table) and three
-    times it, on the shapes above and on the click shapes."""
-    from tests.test_query_pipeline import _CLICK_SHAPES
-
-    stores_and_texts = [
-        (_store(_TABLE, True), [sql.format(w="x > 1000") for sql in _PLANNED]),
-        (
-            make_store(log_table),
-            [sql.format(where="country = 'nowhere'") for sql in _CLICK_SHAPES],
-        ),
-    ]
-    for store, texts in stores_and_texts:
-        for text in texts:
-            assert not store.execute(text).stats.active_chunks, text
-            shape = _shape(store, text)
-            plan = store.chunk_cache.get(("plan", shape))
-            held = deep_size((("plan", shape), plan))
-            assert held <= _plan_weight(shape, plan) <= 3 * held, text

@@ -10,7 +10,9 @@ query must degrade exactly like a grouped one.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import sys
 import threading
 from contextlib import contextmanager
@@ -35,7 +37,7 @@ from repro.workload.queries import (
     generate_drilldown_session_groups,
 )
 
-from tests.conftest import deep_size, make_store, run_of
+from tests.conftest import make_store, run_of
 from tests.process_chaos import ChaosPlan
 from tests.test_process_supervision import _chaos, _process_store
 
@@ -302,11 +304,13 @@ def test_a_cache_too_small_for_the_classification_still_answers(log_table):
                 store.execute(sql), reference_store.execute(sql), sql
             )
     assert store.chunk_cache_stats().evictions > 0
-    # Every entry outweighs the cache, so each put evicts the one before:
-    # each of the 16 executions parses its text and compiles its 2 or 1
-    # leaves again (8 x 3), as often as the reference store does.
+    # Every chunk-cache entry outweighs the cache, so each put evicts the
+    # one before: each of the 16 executions compiles its 2 or 1 leaves
+    # again (8 x 3), as often as the reference store does. The memo, which
+    # the chunk cache's size does not touch, parses the 8 texts once each;
+    # the reference store parses all 16.
     after = [counters.get(name) for name in names]
-    assert [a - b for a, b in zip(after, before)] == [2 * 16, 2 * 24]
+    assert [a - b for a, b in zip(after, before)] == [8 + 16, 2 * 24]
 
 
 def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatch):
@@ -461,29 +465,56 @@ def test_a_failure_is_never_cached(log_table):
     assert len(store.chunk_cache) == 0
 
 
-def test_a_prepared_entry_weighs_more_than_it_holds(log_table):
-    """The stated estimates: between the deep size of what a text's entry
-    holds (the key's text, parsed query, WHERE text) and three times it,
-    on the drill-down texts, the click shapes and the full-scan classes;
-    and so for each clause entry those texts parse."""
-    from repro.core.datastore import _clause_weight, _text_weight
+def test_the_memo_keeps_what_texts_make_by_count(log_table):
+    """The prepare memo: bounded by entries, least recently used first
+    out; emptied by a new cache, an unpickle and a deep copy; idle in a
+    store that keeps nothing; never fed by a text that fails; and a
+    Prepared handed back in answers and counts as its text."""
+    from repro.core import datastore as datastore_module
+
+    def parsed(run) -> int:
+        before = counters.get("datastore.sql.parsed")
+        run()
+        return counters.get("datastore.sql.parsed") - before
 
     store = make_store(log_table)
-    sessions = generate_drilldown_session_groups(
-        log_table,
-        DrillDownConfig(n_sessions=4, clicks_per_session=4, queries_per_click=5),
-    )
-    texts = {q for session in sessions for click in session for q in click}
-    texts.update(shape.format(where="latency > 500") for shape in _CLICK_SHAPES)
-    pieces: dict = {}
-    for text in texts | set(FULL_SCAN_SHAPES.values()):
-        held = deep_size((("sql", text), store._prepare(text)))
-        assert held <= _text_weight(text) <= 3 * held, text
-        parse_query(text, lambda piece, build: pieces.setdefault(piece, build()))
-    assert len(pieces) > len(FULL_SCAN_SHAPES)
-    for piece, value in pieces.items():
-        held = deep_size((("clause", piece), value))
-        assert held <= _clause_weight(piece) <= 3 * held, piece
+    bound = datastore_module._MEMO_ENTRIES
+    texts = [f"SELECT country FROM data LIMIT {n}" for n in range(bound)]
+    for text in texts:  # one head piece, then a LIMIT piece and the text each
+        store.prepare(text)
+    assert len(store._memo) == bound
+    assert ("clause", "SELECT country FROM data ") in store._memo
+    assert parsed(lambda: store.prepare(texts[-1])) == 0
+    assert parsed(lambda: store.prepare(texts[0])) == 1  # evicted, parsed again
+    store.configure_runtime(cache_policy="lru")
+    assert len(store._memo) == 0
+    store.prepare(texts[0])
+    for clone in (pickle.loads(pickle.dumps(store)), copy.deepcopy(store)):
+        assert len(clone._memo) == 0 and len(store._memo) == 3
+
+    forgetful = make_store(log_table, cache_chunk_results=False)
+    assert parsed(lambda: [forgetful.execute(texts[1]) for __ in range(3)]) == 3
+    assert len(forgetful._memo) == 0
+
+    store.configure_runtime(cache_policy="lru")
+    for text, error in (
+        ("SELECT country FROM data WHERE", SqlSyntaxError),
+        ("SELECT country FROM elsewhere WHERE latency > 5", ExecutionError),
+    ):
+        with pytest.raises(error):
+            store.prepare(text)
+    assert len(store._memo) == 0
+
+    twin = make_store(log_table)
+    click = [shape.format(where="latency > 500") for shape in _CLICK_SHAPES]
+    for text in [*click, "SELECT COUNT(*) AS c FROM data WHERE latency < 0"]:
+        prepared = twin.prepare(text)
+        assert twin.prepare(prepared) is prepared
+        ours, theirs = store.execute(text), twin.execute(prepared)
+        assert ours.content_equal(theirs), text
+        assert _work(ours.stats) == _work(theirs.stats), text
+        ours, theirs = store.execute_partials(text), twin.execute_partials(prepared)
+        assert _work(ours[0]) == _work(theirs[0]), text
 
 
 # -- … and on the work the parent commit did -----------------------------------
@@ -563,16 +594,12 @@ def test_a_click_probes_the_chunk_cache_as_the_parent_did(log_table):
             assert store.execute(query).stats.restriction_seconds > 0
         totals.append(tuple(counters.get(n) - b for n, b in zip(names, before)))
     assert totals == [(0, 40), (40, 0)]
-    # The other entries' probes as well. The parent's (79, 41) was the
-    # partials' 40 misses then 40 hits, plus the WHERE entry's 1 miss and
-    # 19 + 20 hits. Each of the 20 distinct texts now misses its prepared
-    # entry cold and hits it warm (+20, +20), and the one compile probes
-    # the WHERE's 3 leaves, missing each (+0, +3): (99, 64). Each cold
-    # text miss now probes its 3 clause pieces (20 x 3): the 20 heads, the
-    # one WHERE and the 3 GROUP BYs miss once, the other 36 probes hit
-    # (+36, +24): (135, 88).
+    # Every probe of the chunk cache: the partials' 40 misses cold and 40
+    # hits warm, the WHERE entry's 1 miss and 19 + 20 hits, and the one
+    # compile's 3 leaf misses. Texts, clause pieces and plans are memo
+    # entries; the chunk cache keeps only data-sized ones.
     stats = store.chunk_cache_stats()
-    assert (stats.hits, stats.misses) == (135, 88)
+    assert (stats.hits, stats.misses) == (79, 44)
 
 
 def test_warm_chunk_cache_is_counted_the_same_by_both_doors(log_table):

@@ -20,7 +20,8 @@ from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.plan import query_fingerprint, where_conjuncts
 from repro.core.result import ScanStats
 from repro.distributed import ClusterConfig, SimulatedCluster
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SqlSyntaxError
+from repro.monitoring import counters
 from repro.service import (
     FairScheduler,
     QueryCompleted,
@@ -34,6 +35,7 @@ from repro.service import (
 )
 from repro.sql.parser import parse_query
 
+from tests.conftest import make_store
 from tests.test_cross_backend import FAILING_QUERIES
 
 PARENT_SQL = (
@@ -308,6 +310,42 @@ class TestQueryService:
             direct = serve_store.execute(sql)
             assert served.result.content_equal(direct)
             assert _work(served.result.stats) == _work(direct.stats)
+
+    def test_a_served_text_is_prepared_once_by_its_store(
+        self, log_table, monkeypatch
+    ):
+        """Ten submissions of one text: the store parses it once, the
+        service never, the fingerprint is hashed once and nine answers
+        are result-cache hits. A malformed text still raises at submit."""
+        from repro.core import datastore as datastore_module
+        from repro.service import service as service_module
+
+        calls = {"parse": 0, "fingerprint": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            service_module, "parse_query", counted("parse", parse_query)
+        )
+        monkeypatch.setattr(
+            datastore_module,
+            "query_fingerprint",
+            counted("fingerprint", datastore_module.query_fingerprint),
+        )
+        store = make_store(log_table)
+        parsed_before = counters.get("datastore.sql.parsed")
+        with QueryService(store, ServiceConfig(workers=1)) as service:
+            paths = [service.run("acme", PARENT_SQL).cache_path for __ in range(10)]
+            assert counters.get("datastore.sql.parsed") == parsed_before + 1
+            with pytest.raises(SqlSyntaxError):
+                service.submit("acme", "SELECT country FROM data WHERE")
+        assert calls == {"parse": 0, "fingerprint": 1}
+        assert paths == ["miss"] + ["hit"] * 9
 
     def test_admission_sheds_exactly_beyond_depth(self, serve_store):
         backend = _BlockingBackend(serve_store)

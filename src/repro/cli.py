@@ -146,9 +146,8 @@ def _apply_runtime_flags(store: DataStore, args: argparse.Namespace) -> None:
         overrides["executor"] = args.executor
     if getattr(args, "workers", None) is not None:
         if "executor" not in overrides:
-            # --workers alone keeps the historical behaviour: >1 means
-            # the thread strategy, 1 means serial.
-            overrides["executor"] = "serial" if args.workers <= 1 else "parallel"
+            # --workers alone: >1 means the thread strategy, 1 serial.
+            overrides["executor"] = "serial" if args.workers <= 1 else "thread"
         overrides["workers"] = max(1, args.workers)
     if getattr(args, "max_workers", None) is not None:
         overrides["max_workers"] = args.max_workers
@@ -169,7 +168,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         choices=executor_names(),
         default=None,
         help=(
-            "chunk-scan strategy: serial, thread/parallel (thread pool), "
+            "chunk-scan strategy: serial, thread (thread pool), "
             "or process (shared-memory arena + process pool)"
         ),
     )

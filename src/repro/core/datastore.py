@@ -52,11 +52,7 @@ from repro.core.engine import (
     build_aggregator,
     in_chunk_order,
 )
-from repro.core.executor import (
-    ExecutionStrategy,
-    SupervisionConfig,
-    make_executor,
-)
+from repro.core.executor import ExecutionStrategy, make_executor
 from repro.core.expr_eval import (
     Vector,
     as_list,
@@ -125,22 +121,16 @@ class DataStoreOptions:
     optimized_columns: bool = True
     optimized_dicts: bool = True
     cache_chunk_results: bool = True
-    # Runtime knobs (not part of the on-disk encoding): how the chunk
-    # loop fans out and how the per-chunk result cache is bounded.
+    # Runtime knobs: how the chunk loop fans out and how the per-chunk
+    # result cache is bounded. Store files do not record them (see
+    # repro.storage.serde.options_to_dict), so a loaded store starts
+    # with these defaults and the caller's configure_runtime.
     executor: str = "serial"
     workers: int | None = None
     # Cap on the auto-detected worker count (None = use every core).
     max_workers: int | None = None
     cache_policy: str = "lru"
     cache_capacity_bytes: float = 64 * 1024 * 1024
-    # Process-supervision knobs (see core.executor.SupervisionConfig):
-    # per-task deadline, retry budget, real backoff schedule, and the
-    # cooperative-wait granularity for the process strategy.
-    task_deadline_seconds: float = 30.0
-    task_max_retries: int = 2
-    task_backoff_base_seconds: float = 0.05
-    task_backoff_multiplier: float = 2.0
-    watchdog_interval_seconds: float = 0.1
     # Graceful degradation (the paper's partial-result contract): when
     # True, chunks lost to worker death after the retry budget shrink
     # row_coverage instead of failing the query; strict mode raises
@@ -154,10 +144,8 @@ class DataStoreOptions:
     advisor_mode: str = "stats"
 
     def __post_init__(self) -> None:
-        # Build the supervision and advisor views eagerly: each
-        # validates its own knobs, so bad values fail at option
-        # construction.
-        self.supervision()
+        # Build the advisor view eagerly: it validates its own knobs,
+        # so bad values fail at option construction.
         if self.codec is not None and self.codec != "auto":
             get_codec(self.codec)  # unknown names raise CompressionError
         self.advisor_config()
@@ -165,16 +153,6 @@ class DataStoreOptions:
     def advisor_config(self) -> AdvisorConfig:
         """The advisor-facing view of the encoding knobs."""
         return AdvisorConfig(mode=self.advisor_mode)
-
-    def supervision(self) -> SupervisionConfig:
-        """The executor-facing view of the supervision knobs."""
-        return SupervisionConfig(
-            task_deadline_seconds=self.task_deadline_seconds,
-            max_retries=self.task_max_retries,
-            backoff_base_seconds=self.task_backoff_base_seconds,
-            backoff_multiplier=self.task_backoff_multiplier,
-            watchdog_interval_seconds=self.watchdog_interval_seconds,
-        )
 
 
 class FieldStore:
@@ -580,7 +558,6 @@ class DataStore:
                 self.options.executor,
                 self.options.workers,
                 self.options.max_workers,
-                self.options.supervision(),
             )
         if only in (None, "cache"):
             # Bounded, byte-weighted per-chunk result cache (Section
@@ -728,8 +705,10 @@ class DataStore:
 
         The encoding options are baked in at import time, but how the
         chunk loop fans out and how big the result cache may grow are
-        per-process choices — the CLI applies its ``--workers`` /
-        ``--cache-policy`` flags here after :func:`load_store`.
+        per-process choices: a store file does not record them, so
+        :func:`load_store` and :func:`load_arena_store` return a store
+        with the default runtime (serial, LRU, 64 MiB), and the CLI
+        applies its ``--workers`` / ``--cache-policy`` flags here.
         Replacing the cache drops all resident entries and empties the
         prepare memo; changing only the executor keeps both (no key
         depends on how partials are computed).
@@ -1247,8 +1226,8 @@ class DataStore:
             lost_rows = sum(self.chunk_row_counts[chunk] for chunk in lost)
             if not self.options.degrade:
                 raise ChunkUnavailableError(
-                    f"{len(lost)} chunk(s) unserved after "
-                    f"{self.options.task_max_retries} retry wave(s); "
+                    f"{len(lost)} chunk(s) unserved after the "
+                    "executor's retry budget; "
                     "re-run with degrade=True to accept an incomplete "
                     f"result missing {lost_rows} of {self.n_rows} rows"
                 )

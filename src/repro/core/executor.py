@@ -8,10 +8,10 @@ and folds the partials on the caller's thread. The fan-out part is
 pluggable:
 
 - :class:`SerialExecutor` evaluates tasks inline, one after another.
-- :class:`ParallelExecutor` (alias ``thread``) fans tasks out over a
-  persistent ``concurrent.futures.ThreadPoolExecutor``. The per-chunk
-  kernels are numpy reductions that release the GIL, so threads yield
-  real parallelism on multi-core machines without any pickling.
+- :class:`ThreadExecutor` fans tasks out over a persistent
+  ``concurrent.futures.ThreadPoolExecutor``. The per-chunk kernels are
+  numpy reductions that release the GIL, so threads yield real
+  parallelism on multi-core machines without any pickling.
 - :class:`ProcessExecutor` fans tasks out over a persistent
   ``ProcessPoolExecutor`` and escapes the GIL entirely. It advertises
   ``wants_picklable_tasks``: the engine responds by materializing the
@@ -90,8 +90,6 @@ class SupervisionConfig:
     watchdog_interval_seconds: float = 0.1
 
     def __post_init__(self) -> None:
-        # The one validator of these knobs: DataStoreOptions
-        # validates by building this view of its own.
         if not 0 < self.task_deadline_seconds <= 3600:
             raise ExecutionError(
                 "task_deadline_seconds must be in (0, 3600], got "
@@ -263,7 +261,7 @@ class SerialExecutor(ExecutionStrategy):
         return [fn(item) for item in items]
 
 
-class ParallelExecutor(ExecutionStrategy):
+class ThreadExecutor(ExecutionStrategy):
     """Thread-pool fan-out with deterministic result order.
 
     The pool is created lazily on first use and persists across
@@ -273,14 +271,14 @@ class ParallelExecutor(ExecutionStrategy):
     matter which worker finishes first.
     """
 
-    name = "parallel"
+    name = "thread"
 
     def __init__(
         self, workers: int | None = None, max_workers: int | None = None
     ) -> None:
         if workers is not None and workers < 1:
             raise ExecutionError(
-                f"parallel executor needs >= 1 worker, got {workers}"
+                f"thread executor needs >= 1 worker, got {workers}"
             )
         self.workers = (
             workers if workers is not None else default_worker_count(max_workers)
@@ -311,8 +309,8 @@ class ParallelExecutor(ExecutionStrategy):
             return [fn(item) for item in tasks]
         pool = self._ensure_pool()
         futures = [pool.submit(fn, item) for item in tasks]
-        counters.increment("executor.parallel.batches")
-        counters.increment("executor.parallel.tasks", len(futures))
+        counters.increment("executor.thread.batches")
+        counters.increment("executor.thread.tasks", len(futures))
         # Submission order, not completion order: the determinism
         # guarantee the merge step relies on. Threads cannot be
         # reclaimed by a deadline (no kill), so a bounded wait here
@@ -345,7 +343,7 @@ class ParallelExecutor(ExecutionStrategy):
         self._pool_init_lock = threading.Lock()
 
     def describe(self) -> str:
-        return f"parallel({self.workers})"
+        return f"thread({self.workers})"
 
 
 def _pool_context() -> Any:
@@ -815,10 +813,7 @@ class ProcessExecutor(ExecutionStrategy):
 
 _STRATEGIES: dict[str, type[ExecutionStrategy]] = {
     SerialExecutor.name: SerialExecutor,
-    ParallelExecutor.name: ParallelExecutor,
-    # "thread" names what the strategy actually is; "parallel" predates
-    # the process strategy and stays for compatibility.
-    "thread": ParallelExecutor,
+    ThreadExecutor.name: ThreadExecutor,
     ProcessExecutor.name: ProcessExecutor,
 }
 
@@ -829,19 +824,17 @@ def executor_names() -> list[str]:
 
 
 def make_executor(
-    name: str,
-    workers: int | None = None,
-    max_workers: int | None = None,
-    supervision: SupervisionConfig | None = None,
+    name: str, workers: int | None = None, max_workers: int | None = None
 ) -> ExecutionStrategy:
     """Build an execution strategy by name.
 
-    Names: ``serial``, ``parallel``/``thread`` (thread pool),
-    ``process``. ``workers`` pins an exact count; ``max_workers`` caps
-    the auto-detected default instead. ``supervision`` configures the
-    process strategy's fault handling. Knobs that do not apply to a
+    Names: ``serial``, ``thread`` (thread pool), ``process``.
+    ``workers`` pins an exact count; ``max_workers`` caps the
+    auto-detected default instead. Knobs that do not apply to a
     strategy are accepted and ignored, so callers can thread one set
-    of knobs through unconditionally.
+    of knobs through unconditionally. The process strategy supervises
+    with the default :class:`SupervisionConfig`; a caller that needs
+    other limits builds :class:`ProcessExecutor` itself.
     """
     try:
         cls = _STRATEGIES[name]
@@ -849,8 +842,6 @@ def make_executor(
         raise ExecutionError(
             f"unknown executor {name!r}; choose from {executor_names()}"
         ) from None
-    if cls is ProcessExecutor:
-        return cls(workers, max_workers, supervision)
-    if cls is ParallelExecutor:
-        return cls(workers, max_workers)
-    return cls()
+    if cls is SerialExecutor:
+        return cls()
+    return cls(workers, max_workers)

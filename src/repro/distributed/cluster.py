@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.datastore import DataStoreOptions
-from repro.core.executor import make_executor
 from repro.core.result import QueryResult, ScanStats
 from repro.core.table import Table
 from repro.distributed.faults import (
@@ -77,10 +76,6 @@ class MachineConfig:
     base_overhead_seconds: float = 0.005
 
 
-#: Strategies the shard fan-out accepts: in-process only.
-_SHARD_EXECUTORS = ("serial", "parallel", "thread")
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Cluster topology and variability knobs."""
@@ -93,15 +88,6 @@ class ClusterConfig:
     load_sigma: float = 0.35
     straggler_probability: float = 0.05
     straggler_slowdown: float = 12.0
-    # How shard sub-queries evaluate in *this* process: 'parallel' (or
-    # 'thread') fans execute_partials out over worker threads (one task
-    # per shard, the real concurrency behind the simulated machines),
-    # 'serial' runs them inline. Results are identical either way — the
-    # cost model's RNG draws happen on the merge thread in shard order
-    # regardless. The machines are simulated, so there is no process
-    # strategy here.
-    executor: str = "serial"
-    workers: int | None = None
     # Fault model (None = the inert plan: nothing ever fails) and the
     # degradation policy when a shard loses every replica: serve an
     # incomplete result (True) or raise ShardUnavailableError (False).
@@ -114,15 +100,6 @@ class ClusterConfig:
         if not 1 <= self.replication <= self.n_machines:
             raise DistributedError(
                 "replication must be between 1 and n_machines"
-            )
-        if self.executor not in _SHARD_EXECUTORS:
-            raise DistributedError(
-                f"unknown executor {self.executor!r}; choose from "
-                f"{list(_SHARD_EXECUTORS)}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise DistributedError(
-                f"workers must be >= 1 when given, got {self.workers}"
             )
         if self.fanout < 2:
             raise DistributedError(
@@ -210,7 +187,6 @@ class SimulatedCluster:
     ) -> None:
         self.shards = shards
         self.config = config
-        self._executor = make_executor(config.executor, config.workers)
         self._fault_plan = FaultPlan(
             config.faults if config.faults is not None else NO_FAULTS,
             config.n_machines,
@@ -248,10 +224,6 @@ class SimulatedCluster:
             for index, piece in enumerate(pieces)
         ]
         return cls(shards, config)
-
-    def close(self) -> None:
-        """Release the in-process executor's worker threads."""
-        self._executor.close()
 
     # -- cost model ------------------------------------------------------------
     def _load_multiplier(self) -> float:
@@ -321,17 +293,11 @@ class SimulatedCluster:
             ]
         else:
             reachable = self.shards
-        # Shard partials are independent (each shard owns its store);
-        # fan them out over the executor. The deterministic cost model
-        # and every fault draw stay on the merge thread, consuming
-        # results in shard order, so simulated timings, fault events
-        # and counters are identical under any executor.
-        partials = self._executor.map_ordered(
-            lambda shard: shard.store.execute_partials(parsed), reachable
-        )
+        # The machines are simulated, so each shard's partial is
+        # computed here, in shard order; the cost model prices it.
         shard_results = {
-            shard.shard_id: result
-            for shard, result in zip(reachable, partials)
+            shard.shard_id: shard.store.execute_partials(parsed)
+            for shard in reachable
         }
         unavailable: list[int] = []
         covered_rows = 0

@@ -35,8 +35,7 @@ Determinism contract: all randomness derives from
 machine, attempt)`` (attempt faults) or ``(seed, machine)`` (crash
 schedules), so the same ``(query, fault seed)`` pair reproduces the
 identical fault schedule, events, counters and simulated latency on
-every run — serial and parallel executors alike, because every draw
-happens on the merge thread in shard order.
+every run, because every draw happens in shard order.
 """
 
 from __future__ import annotations
@@ -365,9 +364,9 @@ def dispatch_sub_query(
     disk_bytes)`` one machine's attempt costs (the caller's cost model);
     it is called once per attempted machine per wave, in placement
     order, on the calling thread — which is what keeps the simulation
-    deterministic under any executor. The callback must be *pure*: it
-    reports costs through its return value, never by mutating captured
-    state — the dispatcher accumulates the bytes of every attempt into
+    deterministic. The callback must be *pure*: it reports costs
+    through its return value, never by mutating captured state — the
+    dispatcher accumulates the bytes of every attempt into
     ``DispatchOutcome.disk_bytes`` for the caller to fold into its
     metrics.
 

@@ -6,9 +6,8 @@ per-chunk partials — are worth remembering. Entries are keyed on
 canonical plan fingerprints (:func:`repro.core.plan.query_fingerprint`),
 so queries that differ only in conjunct order, IN-list order/duplicates,
 or GROUP BY alias spelling share one entry. Eviction is byte-weighted
-and delegated to the existing :mod:`repro.storage.cache` policies behind
-this class's lock (those policies are deliberately not thread-safe
-themselves).
+LRU (:class:`repro.storage.cache.LruCache`) behind this class's lock
+(the cache is deliberately not thread-safe itself).
 
 A refinement of a cached query is a miss here: the engine below already
 remembers its WHERE's classification of every chunk and the partials of
@@ -20,7 +19,7 @@ from __future__ import annotations
 import threading
 
 from repro.core.result import QueryResult
-from repro.storage.cache import Cache, make_cache
+from repro.storage.cache import LruCache
 
 
 def estimate_result_weight(result: QueryResult) -> float:
@@ -38,9 +37,9 @@ def estimate_result_weight(result: QueryResult) -> float:
 class SemanticResultCache:
     """Thread-safe exact reuse of whole results above the chunk cache."""
 
-    def __init__(self, capacity_bytes: float, policy: str = "lru") -> None:
+    def __init__(self, capacity_bytes: float) -> None:
         self._lock = threading.Lock()
-        self._results: Cache = make_cache(policy, capacity_bytes)
+        self._results = LruCache(capacity_bytes)
         self.hits = 0
         self.misses = 0
 

@@ -57,17 +57,13 @@ class FairScheduler:
         self,
         queue_depth: int = 32,
         max_inflight_per_tenant: int = 2,
-        default_weight: int = 1,
     ) -> None:
         if queue_depth < 1:
             raise ServiceError("queue_depth must be >= 1")
         if max_inflight_per_tenant < 1:
             raise ServiceError("max_inflight_per_tenant must be >= 1")
-        if default_weight < 1:
-            raise ServiceError("default_weight must be >= 1")
         self._queue_depth = queue_depth
         self._max_inflight = max_inflight_per_tenant
-        self._default_weight = default_weight
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._tenants: dict[str, _TenantState] = {}
@@ -78,9 +74,8 @@ class FairScheduler:
     def _state(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            state = _TenantState(
-                tenant, self._default_weight, self._queue_depth
-            )
+            # Weight 1 until set_weight says otherwise.
+            state = _TenantState(tenant, 1, self._queue_depth)
             self._tenants[tenant] = state
         return state
 

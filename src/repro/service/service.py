@@ -45,19 +45,24 @@ from repro.sql.ast_nodes import Query
 from repro.sql.parser import parse_query
 
 
+#: Byte budget of the semantic result cache.
+_RESULT_CACHE_BYTES = 64 * 1024 * 1024
+#: How long an idle dispatch thread waits for work before it looks at
+#: the stop flag again.
+_DISPATCH_POLL_SECONDS = 0.05
+#: ``close()``'s bound on joining the dispatch threads, unless the
+#: caller passes its own.
+_SHUTDOWN_TIMEOUT_SECONDS = 10.0
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs for one :class:`QueryService` instance."""
 
-    workers: int = 2
+    workers: int = 1
     queue_depth: int = 32
     max_inflight_per_tenant: int = 2
-    default_weight: int = 1
-    cache_capacity_bytes: float = 64 * 1024 * 1024
-    cache_policy: str = "lru"
     enable_result_cache: bool = True
-    dispatch_poll_seconds: float = 0.05
-    shutdown_timeout_seconds: float = 10.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -66,14 +71,6 @@ class ServiceConfig:
             raise ServiceError("queue_depth must be >= 1")
         if self.max_inflight_per_tenant < 1:
             raise ServiceError("max_inflight_per_tenant must be >= 1")
-        if self.default_weight < 1:
-            raise ServiceError("default_weight must be >= 1")
-        if self.cache_capacity_bytes <= 0:
-            raise ServiceError("cache_capacity_bytes must be positive")
-        if self.dispatch_poll_seconds <= 0:
-            raise ServiceError("dispatch_poll_seconds must be positive")
-        if self.shutdown_timeout_seconds <= 0:
-            raise ServiceError("shutdown_timeout_seconds must be positive")
 
 
 @dataclass
@@ -175,16 +172,12 @@ class QueryService:
         self._scheduler = FairScheduler(
             queue_depth=self.config.queue_depth,
             max_inflight_per_tenant=self.config.max_inflight_per_tenant,
-            default_weight=self.config.default_weight,
         )
         for tenant, weight in sorted((weights or {}).items()):
             self._scheduler.set_weight(tenant, weight)
         self._cache: SemanticResultCache | None = None
         if self.config.enable_result_cache:
-            self._cache = SemanticResultCache(
-                capacity_bytes=self.config.cache_capacity_bytes,
-                policy=self.config.cache_policy,
-            )
+            self._cache = SemanticResultCache(_RESULT_CACHE_BYTES)
         # Process pools supervise one wave at a time, and the simulated
         # cluster mutates machine state per query — both get a width-1
         # gate. Thread/serial strategies accept concurrent callers.
@@ -261,7 +254,7 @@ class QueryService:
     # -- dispatch -----------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
-            picked = self._scheduler.take(self.config.dispatch_poll_seconds)
+            picked = self._scheduler.take(_DISPATCH_POLL_SECONDS)
             if picked is None:
                 continue
             tenant, request, turns_waited = picked
@@ -399,7 +392,7 @@ class QueryService:
         self._stop.set()
         self._scheduler.close()
         deadline = time.perf_counter() + (
-            self.config.shutdown_timeout_seconds if timeout is None else timeout
+            _SHUTDOWN_TIMEOUT_SECONDS if timeout is None else timeout
         )
         for thread in self._threads:
             remaining = deadline - time.perf_counter()

@@ -62,7 +62,7 @@ import os
 import struct
 import tempfile
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
 
@@ -572,14 +572,13 @@ class ChunkArena:
     def attached_store(self) -> DataStore:
         """A fresh :class:`DataStore` whose arrays view this arena.
 
-        The returned store always starts with the *serial* runtime
-        regardless of the options recorded at build time: attached
-        stores live inside executor workers (a nested process pool
-        would fork the fleet) or behind :func:`load_arena_store`, whose
-        callers pick their own runtime via ``configure_runtime``.
+        The header records no runtime, so the returned store starts
+        with the default one (serial): attached stores live inside
+        executor workers (a nested process pool would fork the fleet)
+        or behind :func:`load_arena_store`, whose callers pick their
+        own runtime via ``configure_runtime``.
         """
         options = options_from_dict(self._header["options"])
-        options = replace(options, executor="serial", workers=None)
         fields: dict[str, FieldStore] = {}
         for field_meta in self._header["fields"]:
             name = field_meta["name"]

@@ -290,11 +290,13 @@ def verify_crc32_tag(tag: bytes, body: bytes) -> bool:
 
 
 def options_to_dict(options: DataStoreOptions) -> dict:
-    """``DataStoreOptions`` as the JSON header mapping all formats share.
+    """The encoding options, as the JSON header mapping all formats share.
 
     Public because the chunk arena (:mod:`repro.storage.arena`) embeds
     the same options block in its own header; one codec keeps the two
-    formats from drifting.
+    formats from drifting. The runtime knobs (executor, workers,
+    max_workers, cache policy and capacity) are the loading process's
+    choice, not the file's, so they are not written.
     """
     return {
         "table_name": options.table_name,
@@ -304,16 +306,6 @@ def options_to_dict(options: DataStoreOptions) -> dict:
         "optimized_columns": options.optimized_columns,
         "optimized_dicts": options.optimized_dicts,
         "cache_chunk_results": options.cache_chunk_results,
-        "executor": options.executor,
-        "workers": options.workers,
-        "max_workers": options.max_workers,
-        "cache_policy": options.cache_policy,
-        "cache_capacity_bytes": options.cache_capacity_bytes,
-        "task_deadline_seconds": options.task_deadline_seconds,
-        "task_max_retries": options.task_max_retries,
-        "task_backoff_base_seconds": options.task_backoff_base_seconds,
-        "task_backoff_multiplier": options.task_backoff_multiplier,
-        "watchdog_interval_seconds": options.watchdog_interval_seconds,
         "degrade": options.degrade,
         "codec": options.codec,
         "advisor_mode": options.advisor_mode,
@@ -321,7 +313,11 @@ def options_to_dict(options: DataStoreOptions) -> dict:
 
 
 def options_from_dict(raw_options: dict) -> DataStoreOptions:
-    """Inverse of :func:`options_to_dict`, tolerant of older headers."""
+    """Inverse of :func:`options_to_dict`, tolerant of older headers.
+
+    Keys an older writer recorded that are no longer options of the
+    file (the runtime and supervision knobs) are ignored.
+    """
     partition = raw_options["partition_fields"]
     return DataStoreOptions(
         table_name=raw_options["table_name"],
@@ -331,25 +327,6 @@ def options_from_dict(raw_options: dict) -> DataStoreOptions:
         optimized_columns=raw_options["optimized_columns"],
         optimized_dicts=raw_options["optimized_dicts"],
         cache_chunk_results=raw_options["cache_chunk_results"],
-        # Runtime knobs: absent in files written before they existed.
-        executor=raw_options.get("executor", "serial"),
-        workers=raw_options.get("workers"),
-        max_workers=raw_options.get("max_workers"),
-        cache_policy=raw_options.get("cache_policy", "lru"),
-        cache_capacity_bytes=raw_options.get(
-            "cache_capacity_bytes", 64 * 1024 * 1024
-        ),
-        task_deadline_seconds=raw_options.get("task_deadline_seconds", 30.0),
-        task_max_retries=raw_options.get("task_max_retries", 2),
-        task_backoff_base_seconds=raw_options.get(
-            "task_backoff_base_seconds", 0.05
-        ),
-        task_backoff_multiplier=raw_options.get(
-            "task_backoff_multiplier", 2.0
-        ),
-        watchdog_interval_seconds=raw_options.get(
-            "watchdog_interval_seconds", 0.1
-        ),
         degrade=raw_options.get("degrade", True),
         # Advisor knobs: absent in files written before PR 9.
         codec=raw_options.get("codec"),

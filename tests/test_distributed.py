@@ -178,55 +178,16 @@ class TestSimulatedCluster:
                 distributed.rows(), single.execute(query).rows(), context=query
             )
 
-    def test_parallel_executor_identical_to_serial(self, log_table):
-        """Fanning shard sub-queries over threads changes nothing
-        observable: results, ScanStats counters and even the simulated
-        cost-model metrics match the serial cluster exactly (the RNG
-        draws stay on the merge thread in shard order)."""
-        serial = SimulatedCluster.build(
-            log_table,
-            n_shards=6,
-            store_options=_OPTIONS,
-            config=ClusterConfig(n_machines=8, seed=4),
-        )
-        parallel = SimulatedCluster.build(
-            log_table,
-            n_shards=6,
-            store_options=_OPTIONS,
-            config=ClusterConfig(
-                n_machines=8, seed=4, executor="parallel", workers=4
-            ),
-        )
-        for query in (
-            "SELECT country, COUNT(*) as c FROM data GROUP BY country ORDER BY c DESC LIMIT 10",
-            "SELECT COUNT(*) FROM data WHERE latency > 100",
-            "SELECT table_name, SUM(latency) as s FROM data GROUP BY table_name ORDER BY s DESC LIMIT 8",
-        ):
-            serial_result, serial_metrics = serial.execute(query)
-            parallel_result, parallel_metrics = parallel.execute(query)
-            assert serial_result.rows() == parallel_result.rows(), query
-            assert (
-                serial_metrics.latency_seconds
-                == parallel_metrics.latency_seconds
-            ), query
-            assert (
-                serial_metrics.bytes_loaded_from_disk
-                == parallel_metrics.bytes_loaded_from_disk
-            ), query
-
     def test_sanitizer_clean_over_cluster(self, log_table):
-        """Both fan-out seams run under the shared-state sanitizer:
-        the cluster's shard dispatch and every shard store's chunk
-        scans. A sub-query that mutated its captures would raise here."""
+        """Every shard store's chunk scans run under the shared-state
+        sanitizer. A sub-query that mutated its captures would raise
+        here."""
         cluster = SimulatedCluster.build(
             log_table,
             n_shards=5,
             store_options=_OPTIONS,
-            config=ClusterConfig(
-                n_machines=6, seed=9, executor="parallel", workers=4
-            ),
+            config=ClusterConfig(n_machines=6, seed=9),
         )
-        cluster._executor = SanitizingExecutor(cluster._executor)
         for shard in cluster.shards:
             shard.store.executor = SanitizingExecutor(shard.store.executor)
         single = make_store(log_table)
@@ -238,7 +199,6 @@ class TestSimulatedCluster:
             assert_results_equal(
                 distributed.rows(), single.execute(query).rows(), context=query
             )
-        assert cluster._executor.checked_submissions >= 2
         assert all(
             shard.store.executor.checked_submissions >= 2
             for shard in cluster.shards
@@ -328,18 +288,6 @@ class TestSimulatedCluster:
 
 
 class TestClusterConfigValidation:
-    def test_unknown_executor(self):
-        with pytest.raises(DistributedError):
-            ClusterConfig(executor="gpu")
-        # The machines are simulated in this process; a process pool is
-        # not a strategy the shard fan-out offers.
-        with pytest.raises(DistributedError):
-            ClusterConfig(executor="process")
-
-    def test_workers_below_one(self):
-        with pytest.raises(DistributedError):
-            ClusterConfig(executor="parallel", workers=0)
-
     def test_fanout_below_two(self):
         with pytest.raises(DistributedError):
             ClusterConfig(fanout=1)
@@ -360,8 +308,6 @@ class TestClusterConfigValidation:
 
     def test_valid_knobs_accepted(self):
         config = ClusterConfig(
-            executor="parallel",
-            workers=2,
             fanout=4,
             load_sigma=0.0,
             straggler_probability=1.0,

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.executor import (
-    ParallelExecutor,
+    ThreadExecutor,
     ProcessExecutor,
     SerialExecutor,
     default_worker_count,
@@ -55,7 +55,7 @@ def _build(**overrides) -> DataStore:
 # Both stores see the exact same query sequence, so their cache states
 # must evolve identically; only the executor differs.
 _SERIAL = _build()
-_PARALLEL = _build(executor="parallel", workers=4)
+_PARALLEL = _build(executor="thread", workers=4)
 
 _QUERIES = st.sampled_from(
     [
@@ -98,7 +98,7 @@ class TestParallelMatchesSerial:
         workers=st.integers(min_value=2, max_value=6),
     )
     def test_rows_and_counters_identical(self, queries, workers):
-        _PARALLEL.configure_runtime(executor="parallel", workers=workers)
+        _PARALLEL.configure_runtime(executor="thread", workers=workers)
         for sql in queries:
             serial = _SERIAL.execute(sql)
             parallel = _PARALLEL.execute(sql)
@@ -108,9 +108,9 @@ class TestParallelMatchesSerial:
             ), sql
 
     def test_parallel_store_actually_fans_out(self):
-        store = _build(executor="parallel", workers=4)
-        assert isinstance(store.executor, ParallelExecutor)
-        assert "parallel" in store.executor.describe()
+        store = _build(executor="thread", workers=4)
+        assert isinstance(store.executor, ThreadExecutor)
+        assert store.executor.describe() == "thread(4)"
 
     def test_projection_queries_match(self):
         sql = (
@@ -122,10 +122,9 @@ class TestParallelMatchesSerial:
 
 class TestExecutorPrimitives:
     def test_registry(self):
-        assert executor_names() == ["parallel", "process", "serial", "thread"]
+        assert executor_names() == ["process", "serial", "thread"]
         assert isinstance(make_executor("serial", None), SerialExecutor)
-        assert isinstance(make_executor("parallel", 2), ParallelExecutor)
-        assert isinstance(make_executor("thread", 2), ParallelExecutor)
+        assert isinstance(make_executor("thread", 2), ThreadExecutor)
         assert isinstance(make_executor("process", 2), ProcessExecutor)
         assert default_worker_count() >= 1
 
@@ -136,7 +135,7 @@ class TestExecutorPrimitives:
             default_worker_count(max_workers=0)
 
     def test_make_executor_honours_max_workers(self):
-        executor = make_executor("parallel", None, 1)
+        executor = make_executor("thread", None, 1)
         try:
             assert executor.workers == 1
         finally:
@@ -148,10 +147,10 @@ class TestExecutorPrimitives:
 
     def test_invalid_worker_count_raises(self):
         with pytest.raises(ExecutionError):
-            make_executor("parallel", 0)
+            make_executor("thread", 0)
 
     def test_map_ordered_preserves_submission_order(self):
-        executor = make_executor("parallel", 4)
+        executor = make_executor("thread", 4)
         try:
             # Make later items finish first: ordering must come from
             # submission order, not completion order.
@@ -166,7 +165,7 @@ class TestExecutorPrimitives:
             executor.close()
 
     def test_map_ordered_runs_concurrently(self):
-        executor = make_executor("parallel", 4)
+        executor = make_executor("thread", 4)
         barrier = threading.Barrier(4, timeout=5.0)
         try:
             # All four tasks must be in flight at once to pass the
@@ -182,7 +181,7 @@ class TestExecutorPrimitives:
         assert executor.map_ordered(lambda x: x + 1, [3, 1, 2]) == [4, 2, 3]
 
     def test_worker_exceptions_propagate(self):
-        executor = make_executor("parallel", 2)
+        executor = make_executor("thread", 2)
         try:
             with pytest.raises(ZeroDivisionError):
                 executor.map_ordered(lambda x: 1 // x, [1, 0, 1])
@@ -197,7 +196,7 @@ class TestSanitizingExecutor:
     classes of the ``full_scan`` workload."""
 
     def test_store_scans_pass_sanitizer(self):
-        store = _build(executor="parallel", workers=4)
+        store = _build(executor="thread", workers=4)
         store.executor = SanitizingExecutor(store.executor)
         for name, sql in FULL_SCAN_SHAPES.items():
             assert store.execute(sql).rows() == _SERIAL.execute(sql).rows(), name
@@ -208,7 +207,7 @@ class TestSanitizingExecutor:
         store.executor.close()
 
     def test_catches_closure_mutation(self):
-        executor = SanitizingExecutor(make_executor("parallel", 4))
+        executor = SanitizingExecutor(make_executor("thread", 4))
         seen: list[int] = []
 
         def bad(item: int) -> int:
@@ -235,7 +234,7 @@ class TestSanitizingExecutor:
             executor.map_ordered(Accumulator().add, [1, 2, 3])
 
     def test_pure_closures_pass(self):
-        executor = SanitizingExecutor(make_executor("parallel", 2))
+        executor = SanitizingExecutor(make_executor("thread", 2))
         offsets = {"a": 10}
 
         def pure(item: int) -> int:
@@ -326,8 +325,8 @@ class TestBoundedChunkCache:
     def test_configure_runtime_swaps_executor(self):
         store = _build()
         assert isinstance(store.executor, SerialExecutor)
-        store.configure_runtime(executor="parallel", workers=3)
-        assert isinstance(store.executor, ParallelExecutor)
+        store.configure_runtime(executor="thread", workers=3)
+        assert isinstance(store.executor, ThreadExecutor)
         sql = "SELECT country, COUNT(*) AS c FROM data GROUP BY country"
         assert store.execute(sql).rows() == _SERIAL.execute(sql).rows()
 

@@ -6,7 +6,7 @@ bit-identical to the fault-free cluster; a degraded query reports a
 ``row_coverage`` that equals the surviving-row fraction *exactly*. And
 the whole fault schedule — events, counters, simulated latency — is a
 pure function of ``(query sequence, fault seed)``, identical across
-runs and across serial/parallel executors.
+runs.
 """
 
 import pytest
@@ -315,21 +315,6 @@ class TestClusterUnderFaults:
                 )
             runs.append(trace)
         assert runs[0] == runs[1]
-
-    def test_serial_and_parallel_identical_under_faults(self):
-        faults = FaultConfig(
-            seed=6, crash_rate=0.25, timeout_rate=0.05,
-            slow_rate=0.1, corruption_rate=0.05,
-        )
-        serial = _cluster(faults=faults)
-        parallel = _cluster(faults=faults, executor="parallel", workers=4)
-        for __ in range(8):
-            s_result, s_metrics = serial.execute(_QUERY)
-            p_result, p_metrics = parallel.execute(_QUERY)
-            assert s_result.sorted_rows() == p_result.sorted_rows()
-            assert s_metrics.latency_seconds == p_metrics.latency_seconds
-            assert s_metrics.fault_events == p_metrics.fault_events
-            assert s_metrics.row_coverage == p_metrics.row_coverage
 
     def test_fault_events_attributed(self):
         faults = FaultConfig(seed=8, crash_rate=0.5)

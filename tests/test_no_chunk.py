@@ -131,7 +131,6 @@ def doors():
             "cluster": lambda sql: cluster.execute(sql)[0],
             "service": served,
         }
-    cluster.close()
 
 
 @pytest.mark.parametrize("where", _WHERES)

@@ -28,6 +28,7 @@ import time
 import uuid
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from dataclasses import replace
 from multiprocessing import resource_tracker, shared_memory
 
 import pytest
@@ -70,16 +71,18 @@ def _options(**overrides) -> DataStoreOptions:
     )
 
 
-def _process_store(**overrides) -> DataStore:
-    knobs = {
-        "executor": "process",
-        "workers": 2,
-        "task_deadline_seconds": 5.0,
-        "task_max_retries": 2,
-        "task_backoff_base_seconds": 0.01,
-        **overrides,
-    }
-    return DataStore.from_table(_TABLE, _options(**knobs))
+_SUPERVISION = SupervisionConfig(
+    task_deadline_seconds=5.0, max_retries=2, backoff_base_seconds=0.01
+)
+
+
+def _process_store(
+    supervision: SupervisionConfig = _SUPERVISION, **overrides
+) -> DataStore:
+    """A store over ``_TABLE`` scanning through two supervised workers."""
+    store = DataStore.from_table(_TABLE, _options(**overrides))
+    store.executor = ProcessExecutor(workers=2, supervision=supervision)
+    return store
 
 
 _SERIAL = DataStore.from_table(_TABLE, _options())
@@ -128,30 +131,6 @@ class TestSupervisionKnobValidation:
         config = SupervisionConfig()
         assert config.task_deadline_seconds > 0
 
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {"task_deadline_seconds": -1.0},
-            {"task_max_retries": 99},
-            {"task_backoff_multiplier": 0.0},
-            {"watchdog_interval_seconds": 0.0},
-        ],
-    )
-    def test_datastore_options_bounds(self, knobs):
-        with pytest.raises(ExecutionError):
-            DataStoreOptions(**knobs)
-
-    def test_options_supervision_round_trip(self):
-        options = _options(
-            task_deadline_seconds=2.5,
-            task_max_retries=4,
-            watchdog_interval_seconds=0.25,
-        )
-        config = options.supervision()
-        assert config.task_deadline_seconds == 2.5
-        assert config.max_retries == 4
-        assert config.watchdog_interval_seconds == 0.25
-
 
 class TestSupervisedRecovery:
     def test_sigkill_mid_scan_recovers_bit_identically(self):
@@ -167,8 +146,11 @@ class TestSupervisedRecovery:
 
     def test_hang_mid_scan_times_out_and_recovers(self):
         store = _process_store(
-            task_deadline_seconds=0.6,
-            watchdog_interval_seconds=0.05,
+            replace(
+                _SUPERVISION,
+                task_deadline_seconds=0.6,
+                watchdog_interval_seconds=0.05,
+            )
         )
         plan = ChaosPlan(faults=((3, "hang"),), hang_seconds=30.0)
         before = set(live_segment_names())
@@ -308,7 +290,9 @@ class TestGracefulDegradation:
         }
 
     def test_strict_mode_raises_chunk_unavailable(self):
-        store = _process_store(degrade=False, task_max_retries=0)
+        store = _process_store(
+            replace(_SUPERVISION, max_retries=0), degrade=False
+        )
         target = 3
         plan = ChaosPlan(faults=((target, "kill"),), persistent=(target,))
         before = set(live_segment_names())

@@ -39,7 +39,7 @@ from repro.workload.queries import (
 
 from tests.conftest import make_store, run_of
 from tests.process_chaos import ChaosPlan
-from tests.test_process_supervision import _chaos, _process_store
+from tests.test_process_supervision import _SUPERVISION, _chaos, _process_store
 
 #: The nine query classes of the benchmark's ``full_scan`` workload.
 FULL_SCAN_SHAPES = {
@@ -665,7 +665,8 @@ def test_concurrent_queries_publish_their_own_evictions(log_table):
 def _killing_one_chunk(**overrides):
     """A process store plus a run-it function whose executor SIGKILLs
     the worker on every attempt at one active chunk of the query."""
-    store = _process_store(task_max_retries=0, **overrides)
+    supervision = dataclasses.replace(_SUPERVISION, max_retries=0)
+    store = _process_store(supervision, **overrides)
 
     def run(target: int):
         plan = ChaosPlan(faults=((target, "kill"),), persistent=(target,))

@@ -1,13 +1,18 @@
 """Store persistence tests: save/load round trips."""
 
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
 from repro.core.datastore import DataStore, DataStoreOptions
+from repro.core.executor import SerialExecutor
 from repro.errors import StorageError
 from repro.compress.registry import compress
-from repro.compress.varint import encode_varint
+from repro.compress.varint import decode_varint, encode_varint
+from repro.storage.arena import load_arena_store, save_arena
+from repro.storage.cache import LruCache
 from repro.storage.serde import (
     crc32_tag,
     dictionary_meta,
@@ -17,6 +22,7 @@ from repro.storage.serde import (
     options_to_dict,
     save_store,
 )
+from repro.workload.generator import LogsConfig, generate_query_logs
 from repro.workload.queries import paper_queries
 from tests.conftest import make_store
 from tests.sanitizer import assert_results_equal
@@ -186,3 +192,95 @@ class TestSaveLoad:
         pds = save_store(store, str(tmp_path / "s.pds"))
         csv = write_csv(log_table, str(tmp_path / "s.csv"))
         assert pds < csv
+
+
+#: The options block a store file carries: what the data is, never how
+#: the saving process ran. A runtime key that enters the file edits this
+#: list, and CHANGES.md gives the reason.
+_PERSISTED_OPTIONS = [
+    "advisor_mode",
+    "cache_chunk_results",
+    "codec",
+    "degrade",
+    "max_chunk_rows",
+    "optimized_columns",
+    "optimized_dicts",
+    "partition_fields",
+    "reorder_rows",
+    "table_name",
+]
+
+#: Files written before the runtime left the options block, whose
+#: headers carry all 20 option keys: ``LogsConfig(n_rows=300, seed=43)``
+#: partitioned by country into 100-row chunks, saved with
+#: ``executor="parallel", workers=3, cache_policy="arc",
+#: cache_capacity_bytes=256, task_max_retries=0``.
+_DATA = Path(__file__).parent / "data"
+_OLD_PDS2 = _DATA / "runtime_header.pds"
+_OLD_ARENA = _DATA / "runtime_header.arena"
+
+
+def _header_options(path: Path) -> dict:
+    """The options block of a PDS2 or arena file, read from its bytes."""
+    data = path.read_bytes()
+    if data[:4] == b"PDS2":
+        length, start = decode_varint(data, 8)
+    else:
+        __, length, __ = struct.unpack_from("<4sIQ", data)
+        start = struct.calcsize("<4sIQ")
+    return json.loads(data[start : start + length])["options"]
+
+
+def _assert_default_runtime(store: DataStore) -> None:
+    assert isinstance(store.executor, SerialExecutor)
+    assert isinstance(store.chunk_cache, LruCache)
+    assert store.chunk_cache.capacity == 64 * 1024 * 1024
+
+
+class TestRuntimeIsNotPersisted:
+    def test_options_block_keys_are_pinned(self):
+        assert sorted(options_to_dict(DataStoreOptions())) == _PERSISTED_OPTIONS
+
+    @pytest.mark.parametrize(
+        "save, load",
+        [(save_store, load_store), (save_arena, load_arena_store)],
+        ids=["pds2", "arena"],
+    )
+    def test_reopened_store_starts_with_the_default_runtime(
+        self, log_table, tmp_path, save, load
+    ):
+        store = make_store(
+            log_table,
+            executor="thread",
+            workers=3,
+            cache_policy="arc",
+            cache_capacity_bytes=256,
+        )
+        path = str(tmp_path / "store")
+        save(store, path)
+        sql = paper_queries()[0]
+        expected = store.execute(sql).rows()
+        store.executor.close()
+        loaded = load(path)
+        _assert_default_runtime(loaded)
+        assert loaded.execute(sql).rows() == expected
+
+    def test_files_with_runtime_keys_still_load_and_agree(self):
+        table = generate_query_logs(LogsConfig(n_rows=300, seed=43))
+        fresh = DataStore.from_table(
+            table,
+            DataStoreOptions(partition_fields=("country",), max_chunk_rows=100),
+        )
+        pds2, arena = load_store(str(_OLD_PDS2)), load_arena_store(str(_OLD_ARENA))
+        for path, loaded in ((_OLD_PDS2, pds2), (_OLD_ARENA, arena)):
+            header = _header_options(path)
+            assert len(header) == 20
+            assert header["executor"] == "parallel"
+            assert header["task_max_retries"] == 0
+            _assert_default_runtime(loaded)
+            assert loaded.options == fresh.options
+        for sql in paper_queries():
+            expected = fresh.execute(sql).rows()
+            assert pds2.execute(sql).rows() == expected, sql
+            assert arena.execute(sql).rows() == expected, sql
+        arena.arena.release()

@@ -441,10 +441,6 @@ class TestQueryService:
             dict(workers=0),
             dict(queue_depth=0),
             dict(max_inflight_per_tenant=0),
-            dict(default_weight=0),
-            dict(cache_capacity_bytes=0),
-            dict(dispatch_poll_seconds=0),
-            dict(shutdown_timeout_seconds=0),
         ):
             with pytest.raises(ServiceError):
                 ServiceConfig(**bad)
@@ -460,17 +456,14 @@ class TestQueryService:
             ),
             config=ClusterConfig(n_machines=4, seed=11),
         )
-        try:
-            direct, __ = cluster.execute(PARENT_SQL)
-            with QueryService(cluster, ServiceConfig(workers=2)) as service:
-                miss = service.run("acme", PARENT_SQL)
-                hit = service.run("acme", PARENT_SQL)
-            assert miss.cache_path == "miss"
-            # Exact canonical-plan reuse works over the cluster too.
-            assert hit.cache_path == "hit"
-            assert miss.result.content_equal(direct)
-        finally:
-            cluster.close()
+        direct, __ = cluster.execute(PARENT_SQL)
+        with QueryService(cluster, ServiceConfig(workers=2)) as service:
+            miss = service.run("acme", PARENT_SQL)
+            hit = service.run("acme", PARENT_SQL)
+        assert miss.cache_path == "miss"
+        # Exact canonical-plan reuse works over the cluster too.
+        assert hit.cache_path == "hit"
+        assert miss.result.content_equal(direct)
 
 
 class TestPoisonedTenantFairness:

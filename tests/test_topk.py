@@ -482,8 +482,5 @@ class TestProjectionShortcut:
             store_options=DataStoreOptions(partition_fields=("g",), max_chunk_rows=4),
             config=ClusterConfig(n_machines=4, seed=3),
         )
-        try:
-            result, __ = cluster.execute(sql)
-        finally:
-            cluster.close()
+        result, __ = cluster.execute(sql)
         assert result.rows() == [("a", 5), ("b", 5), ("c", 5)]

@@ -130,11 +130,13 @@ class TestGenerator:
         assert digest.hexdigest() == sha256
 
     def test_store_bytes_of_a_seed_are_pinned(self):
-        """Taken at a9792b9, before the write path counted instead of
-        sorting: an import change that moves one byte of the stream fails
-        here, without the oracle of ``test_import_equivalence``."""
+        """An import change that moves one byte of the stream fails here,
+        without the oracle of ``test_import_equivalence``. Taken when the
+        options block lost its runtime keys: that block, the CRC and the
+        header length are all that differ from the stream pinned at
+        a9792b9, before the write path counted instead of sorting."""
         assert _store_stream_sha256() == (
-            "bfa6149ccbe723f3a54a3ee31274b67aefaffa712079f779027535fce38c0d3b"
+            "90805436c980405e3df7e73abd72c8636ccefa533bf59ee6a96354f1cef5fafa"
         )
 
     def test_bytes_and_answers_do_not_depend_on_the_hash_seed(self):

@@ -121,10 +121,10 @@ class DataStoreOptions:
     optimized_columns: bool = True
     optimized_dicts: bool = True
     cache_chunk_results: bool = True
-    # Runtime knobs: how the chunk loop fans out and how the per-chunk
-    # result cache is bounded. Store files do not record them (see
-    # repro.storage.serde.options_to_dict), so a loaded store starts
-    # with these defaults and the caller's configure_runtime.
+    # Runtime knobs, down to ``degrade``: the chunk loop's fan-out, the
+    # result cache's bound, whether a lost chunk fails the query. Store
+    # files do not record them (see repro.storage.serde.options_to_dict),
+    # so a loaded store starts with these defaults and configure_runtime.
     executor: str = "serial"
     workers: int | None = None
     # Cap on the auto-detected worker count (None = use every core).
@@ -1463,6 +1463,7 @@ class _GroupedKernel(_RunKernel):
     def scan(self, run: Run) -> list:
         select = self._selector(run)
         groups = self._groups(run, select)
+        groups = groups._replace(tally=groups.counts())  # one row tally per run
         presence = self.presence.run_partial(groups, None)
         partials = [presence]
         # Every row of one-group chunks: distinct pairs are chunk-dictionaries.
@@ -1750,7 +1751,12 @@ def _topk_positions(parsed, n, keys, key_column, unique=None):
         columns[key] = column
         if key == unique:
             break
-    return np.lexsort(list(columns.values())[::-1])[: parsed.limit]
+    if not parsed.limit:
+        return np.zeros(0, dtype=np.intp)
+    ordered = list(columns.values())[::-1]  # np.lexsort's last key leads
+    cut = np.partition(ordered[-1], parsed.limit - 1)[parsed.limit - 1]
+    rows = np.flatnonzero(ordered[-1] <= cut)  # all that may survive, in order
+    return rows[np.lexsort([column[rows] for column in ordered])[: parsed.limit]]
 
 
 def _sortable(vector: Vector) -> np.ndarray | None:

@@ -54,13 +54,15 @@ class RunGroups(NamedTuple):
     run's *span*. ``starts``: where each of the run's chunks begins in
     that span, ascending. ``kept``: set when every chunk of the span has
     one group, the rows each of the run's chunks keeps; its rows are then
-    ``starts`` repeated ``kept`` times, and ``rows`` is None.
+    ``starts`` repeated ``kept`` times, and ``rows`` is None. ``tally``:
+    :meth:`counts`, once computed, for every aggregate that keeps all rows.
     """
 
     rows: np.ndarray | None
     gids: np.ndarray
     starts: np.ndarray
     kept: np.ndarray | None = None
+    tally: np.ndarray | None = None
 
     def positions(self) -> np.ndarray:
         """``rows``, expanded for a one-group-per-chunk run."""
@@ -68,6 +70,8 @@ class RunGroups(NamedTuple):
 
     def counts(self) -> np.ndarray:
         """The rows at each span position (int64)."""
+        if self.tally is not None:
+            return self.tally
         if self.kept is None:
             return np.bincount(self.rows, minlength=self.gids.size)
         counts = np.zeros(self.gids.size, dtype=np.int64)
@@ -89,11 +93,15 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return np.compress(keep, keys)
 
 
+def _pair_dtype(n: int, bits: int) -> type:
+    """uint32 when ``n`` high values fit beside ``bits`` low ones (a 200 k
+    uint32 sort is 2.4x faster than int64), else uint64."""
+    return np.uint32 if max(n - 1, 0).bit_length() + bits <= 32 else np.uint64
+
+
 def _pair_keys(high: np.ndarray, n: int, low: np.ndarray, bits: int) -> np.ndarray:
-    """``high << bits | low``: uint32 when ``n`` high values fit beside ``bits``
-    (a 200 k uint32 sort is 2.4x faster than int64), else uint64."""
-    fits = max(n - 1, 0).bit_length() + bits <= 32
-    keys = high.astype(np.uint32 if fits else np.uint64)
+    """``high << bits | low``, in ``_pair_dtype(n, bits)``."""
+    keys = high.astype(_pair_dtype(n, bits))
     keys <<= bits
     keys |= low.astype(keys.dtype, copy=False)
     return keys
@@ -356,38 +364,35 @@ class MaxAggregator(_ExtremeAggregator):
 class _PairAggregator(ColumnarAggregator):
     """COUNT DISTINCT, exact or sketched: a run's distinct pairs.
 
-    One key per row, ``span position << arg_bits | argument gid``, sorts
-    as (chunk, group gid, argument gid); no n_group x n_arg matrix is
-    built. A run that keeps no chunk's slice keys rows by group gid
-    instead (:meth:`run_pairs`): one sort dedups across its chunks.
-    Partials hold ``group gid << 32 | argument gid`` (int64).
+    A pair is ``group gid << arg_bits | argument gid`` in the narrowest
+    dtype that holds every group (``empty_dtypes``), from scan to fold. A
+    run sorts ``span position << arg_bits | argument gid``, which sorts as
+    (chunk, group gid, argument gid), unless it keeps no chunk's slice
+    (:meth:`run_pairs`); no n_group x n_arg matrix is built.
     """
-
-    empty_dtypes = (np.int64,)
 
     def __init__(self, n_groups: int, n_args: int, arg_has_null: bool) -> None:
         super().__init__(n_groups, arg_has_null)
         self.arg_bits = max(n_args - 1, 0).bit_length()
+        self.empty_dtypes = (_pair_dtype(n_groups, self.arg_bits),)
 
     def run_partial(self, groups: RunGroups, arg: np.ndarray | None) -> tuple:
-        """Per chunk, sorted distinct ``group gid << 32 | argument gid``."""
+        """Per chunk, its sorted distinct pairs."""
         groups, arg = self._valid(groups, arg)
         keys = _sorted_distinct(
             _pair_keys(groups.positions(), groups.gids.size, arg, self.arg_bits)
         )
         bounds, gids = groups.entries(keys >> self.arg_bits)
-        return bounds, (gids << 32) | self._low(keys)
+        return bounds, self._pairs(gids, self.values(keys))
 
     def run_pairs(self, groups: RunGroups, arg: np.ndarray) -> RunPairs:
         """:meth:`run_partial` of a run that keeps no chunk's slice: one sort
-        of ``group gid << b | argument gid`` over all of its rows."""
+        of the pairs of all of its rows."""
         groups, arg = self._valid(groups, arg)
-        group = groups.gids[groups.positions()]
-        keys = _sorted_distinct(_pair_keys(group, self.n_groups, arg, self.arg_bits))
+        keys = _sorted_distinct(self._pairs(groups.gids[groups.positions()], arg))
         bounds = np.full(groups.starts.size + 1, keys.size)
         bounds[0] = 0
-        high = (keys >> self.arg_bits).astype(np.int64)
-        return RunPairs((bounds, (high << 32) | self._low(keys)))
+        return RunPairs((bounds, keys))
 
     def dictionary_partial(
         self, groups: RunGroups, bounds: np.ndarray, arg: np.ndarray
@@ -398,16 +403,16 @@ class _PairAggregator(ColumnarAggregator):
         if self.arg_has_null:
             keep = arg != 0
             arg, bounds = arg[keep], np.concatenate(([0], np.cumsum(keep)))[bounds]
-        group = np.repeat(groups.gids[groups.starts].astype(np.int64), np.diff(bounds))
-        return bounds, (group << 32) | arg
+        group = np.repeat(groups.gids[groups.starts], np.diff(bounds))
+        return bounds, self._pairs(group, arg)
 
-    def _fold_keys(self, pairs: np.ndarray) -> np.ndarray:
-        """Partial ``group gid << 32 | argument gid`` pairs as narrow keys."""
-        return _pair_keys(pairs >> 32, self.n_groups, pairs & 0xFFFFFFFF, self.arg_bits)
+    def _pairs(self, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+        """Group gids ``high`` beside argument gids ``low``, as pairs."""
+        return _pair_keys(high, self.n_groups, low, self.arg_bits)
 
-    def _low(self, keys: np.ndarray) -> np.ndarray:
-        """The argument gids of ``_pair_keys``, as int64."""
-        return (keys & ((1 << self.arg_bits) - 1)).astype(np.int64)
+    def values(self, keys: np.ndarray) -> np.ndarray:
+        """The argument gids of pairs (or of a run's sort keys)."""
+        return keys & ((1 << self.arg_bits) - 1)
 
 
 class CountDistinctAggregator(_PairAggregator):
@@ -418,21 +423,24 @@ class CountDistinctAggregator(_PairAggregator):
     ) -> None:
         super().__init__(n_groups, len(dictionary), arg_has_null)
         self.dictionary = dictionary
-        self._pair_chunks: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._pair_chunks = [np.zeros(0, *self.empty_dtypes)]
 
     def apply(self, columns: tuple) -> None:
         self._pair_chunks.append(columns[0])
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every distinct (group gid, value gid) folded so far, in order."""
+    def pairs(self) -> np.ndarray:
+        """Every distinct pair folded so far, ascending."""
         pairs = np.concatenate(self._pair_chunks)
-        if not (pairs[1:] <= pairs[:-1]).any():  # sorted, distinct: one run's
-            return pairs >> 32, pairs & 0xFFFFFFFF
-        keys = _sorted_distinct(self._fold_keys(pairs))
-        return (keys >> self.arg_bits).astype(np.int64), self._low(keys)
+        if (pairs[1:] <= pairs[:-1]).any():  # not one chunk's, nor in order
+            pairs = _sorted_distinct(pairs)
+        return pairs
 
     def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts = np.bincount(self.pairs()[0], minlength=self.n_groups)
+        # Ascending: a group counts its run (4x a bincount of sorted keys).
+        high = self.pairs() >> self.arg_bits
+        ends = np.flatnonzero(np.append(high[1:] != high[:-1], high.size > 0))
+        counts = np.zeros(self.n_groups, dtype=np.int64)
+        counts[high[ends]] = np.diff(ends, prepend=-1)
         return _never_null(counts[groups])
 
 
@@ -455,14 +463,13 @@ class ApproxCountDistinctAggregator(_PairAggregator):
         self._sketches: dict[int, KmvSketch] = {}
 
     def apply(self, columns: tuple) -> None:
-        pairs = columns[0]
-        if not pairs.size:
+        keys = columns[0]
+        if not keys.size:
             return
-        keys = self._fold_keys(pairs)
         if (keys[1:] < keys[:-1]).any():  # sorted already when one run's
-            keys.sort()
+            keys = np.sort(keys)
         groups = keys >> self.arg_bits
-        value_ids = self._low(keys)
+        value_ids = self.values(keys)
         boundaries = np.ones(groups.size, dtype=bool)
         boundaries[1:] = groups[1:] != groups[:-1]
         starts = np.flatnonzero(boundaries)
@@ -585,7 +592,8 @@ def _count_distinct_states(
 
     per_group: dict[int, set] = {}
     dictionary = aggregator.dictionary
-    groups, value_ids = aggregator.pairs()
+    pairs = aggregator.pairs()
+    groups, value_ids = pairs >> aggregator.arg_bits, aggregator.values(pairs)
     for group, value_id in zip(groups.tolist(), value_ids.tolist()):
         per_group.setdefault(group, set()).add(dictionary.value(value_id))
     out = []

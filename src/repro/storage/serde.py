@@ -294,9 +294,11 @@ def options_to_dict(options: DataStoreOptions) -> dict:
 
     Public because the chunk arena (:mod:`repro.storage.arena`) embeds
     the same options block in its own header; one codec keeps the two
-    formats from drifting. The runtime knobs (executor, workers,
-    max_workers, cache policy and capacity) are the loading process's
-    choice, not the file's, so they are not written.
+    formats from drifting. The runtime knobs (executor, workers, cache
+    policy and capacity, degrade) are the loading process's choice, not
+    the file's, so they are not written. ``cache_chunk_results`` is:
+    nothing turns the chunk cache off after a load, so a store saved
+    uncached (``parallel_scan``'s) reopens uncached.
     """
     return {
         "table_name": options.table_name,
@@ -306,7 +308,6 @@ def options_to_dict(options: DataStoreOptions) -> dict:
         "optimized_columns": options.optimized_columns,
         "optimized_dicts": options.optimized_dicts,
         "cache_chunk_results": options.cache_chunk_results,
-        "degrade": options.degrade,
         "codec": options.codec,
         "advisor_mode": options.advisor_mode,
     }
@@ -327,7 +328,6 @@ def options_from_dict(raw_options: dict) -> DataStoreOptions:
         optimized_columns=raw_options["optimized_columns"],
         optimized_dicts=raw_options["optimized_dicts"],
         cache_chunk_results=raw_options["cache_chunk_results"],
-        degrade=raw_options.get("degrade", True),
         # Advisor knobs: absent in files written before PR 9.
         codec=raw_options.get("codec"),
         advisor_mode=raw_options.get("advisor_mode", "stats"),

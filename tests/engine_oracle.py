@@ -1,11 +1,12 @@
 """The gid-space per-chunk kernels the engine had before it moved onto chunk-ids.
 
-Kept, bodies unchanged, as the oracle of ``tests/test_engine.py``:
-every kernel takes the per-row int64 *global-ids* of the group and
-argument fields and sorts them (``np.unique`` / ``np.lexsort``) once per
-aggregate per chunk. The chunk-id kernels of :mod:`repro.core.engine` must return the
-same partials array for array, dtypes included. Imports nothing from
-the engine.
+Kept as the oracle of ``tests/test_engine.py``, bodies unchanged but
+for COUNT DISTINCT's pair encoding: every kernel takes the per-row int64
+*global-ids* of the group and argument fields and sorts them
+(``np.unique`` / ``np.lexsort``) once per aggregate per chunk. The
+chunk-id kernels of :mod:`repro.core.engine` must return the same
+partials array for array, dtypes included. Imports nothing from the
+engine.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ def extreme(group_ids, mask, arg_ids, arg_has_null, is_min):
     return sorted_groups[edge], sorted_values[edge]
 
 
-def distinct_pairs(group_ids, mask, arg_ids, arg_has_null):
+def distinct_pairs(group_ids, mask, arg_ids, arg_has_null, n_groups, n_args):
+    """Sorted distinct ``group gid << b | argument gid``, ``b`` the bit length
+    of the largest argument gid; uint32 when the largest group gid fits
+    beside it, else uint64."""
+    bits = (n_args - 1).bit_length()
+    dtype = np.uint32 if (n_groups - 1).bit_length() + bits <= 32 else np.uint64
     valid = _valid(mask, arg_ids, arg_has_null)
-    pairs = (group_ids[valid].astype(np.int64, copy=False) << 32) | arg_ids[
-        valid
-    ].astype(np.int64, copy=False)
+    pairs = (group_ids[valid].astype(dtype) << bits) | arg_ids[valid].astype(dtype)
     return np.unique(pairs)

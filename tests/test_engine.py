@@ -1,9 +1,12 @@
 """Columnar aggregator unit tests (the vectorized engine pieces)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import engine
 from repro.core.aggregation import (
     AvgState,
     CountDistinctState,
@@ -32,6 +35,9 @@ from repro.core.engine import (
     as_run_partial,
 )
 from repro.core.plan import resolve_group_aliases
+from repro.distributed import ClusterConfig, SimulatedCluster
+from repro.distributed.shard import shard_table
+from repro.formats.rowexec import execute_on_rows
 from repro.sql.parser import parse_query
 from repro.storage.chunk import ColumnChunk
 from repro.storage.dictionary import NumericDictionary, build_dictionary
@@ -43,7 +49,8 @@ from repro.storage.elements import (
 from repro.workload.generator import LogsConfig, generate_query_logs
 
 from tests import engine_oracle
-from tests.conftest import run_of
+from tests.conftest import make_store, run_of
+from tests.sanitizer import assert_results_equal
 
 
 def _chunk(group_ids, mask=None):
@@ -240,6 +247,9 @@ class TestStateExport:
 # -- differential: run partials == the gid-space oracle, chunk by chunk ---------
 
 _N_GIDS = 5000  # global dictionary size the random chunks draw from
+#: A group dictionary this wide needs 20 bits beside the argument's 13:
+#: COUNT DISTINCT's pairs take uint64.
+_WIDE_GIDS = 2**19 + 1
 
 _AGGREGATES = (
     "COUNT(*)",
@@ -295,8 +305,9 @@ def _stores(draw):
     return chunks, arg_has_null, group_kind, draw(st.booleans()), cuts, cached, kept
 
 
-def _store(chunks, arg_has_null, optimized):
-    """Fields ``g`` (group) and ``a`` (argument) over the given chunks."""
+def _store(chunks, arg_has_null, optimized, n_group_gids=_N_GIDS):
+    """Fields ``g`` (group, ``n_group_gids`` values) and ``a`` (argument)
+    over the given chunks."""
     values = np.sort(np.random.default_rng(7).normal(size=_N_GIDS - arg_has_null))
 
     def field(name, dictionary, column):
@@ -310,7 +321,9 @@ def _store(chunks, arg_has_null, optimized):
         )
 
     fields = {
-        "g": field("g", NumericDictionary(np.arange(_N_GIDS)), [c[0] for c in chunks]),
+        "g": field(
+            "g", NumericDictionary(np.arange(n_group_gids)), [c[0] for c in chunks]
+        ),
         "a": field(
             "a", NumericDictionary(values, has_null=arg_has_null), [c[1] for c in chunks]
         ),
@@ -326,11 +339,13 @@ def _kernel(store, group_kind):
     return _GroupedKernel(store, resolve_group_aliases(parse_query(sql)), store.ensure_field)
 
 
-def _oracle_partials(chunk, arg_has_null, numeric):
+def _oracle_partials(chunk, arg_has_null, numeric, n_groups):
     """The per-chunk partials of every kernel slot, by the gid-space oracle."""
     group_ids, arg_ids, mask = chunk
     presence = engine_oracle.presence(group_ids, mask)
-    pairs = engine_oracle.distinct_pairs(group_ids, mask, arg_ids, arg_has_null)
+    pairs = engine_oracle.distinct_pairs(
+        group_ids, mask, arg_ids, arg_has_null, n_groups, numeric.size
+    )
     total = engine_oracle.total(group_ids, mask, arg_ids, arg_has_null, numeric)
     return [
         presence,
@@ -365,62 +380,86 @@ def _folded(kernel):
     ]
 
 
+def _check_every_aggregator(
+    chunks, arg_has_null, group_kind, optimized, cuts, cached, kept, n_gids=_N_GIDS
+):
+    """For runs of one chunk, of every chunk and cut at random points:
+    in a run that keeps a chunk for the cache, each chunk's slice of a
+    run partial is the oracle's partial, byte for byte; a run that
+    keeps none has its COUNT DISTINCT pairs run-level, without chunk
+    slices. Folded with per-chunk pieces, run-level pieces and cached
+    chunks interleaved, the accumulators are the bits a chunk-by-chunk
+    fold of the oracle gives."""
+    store = _store(chunks, arg_has_null, optimized, n_gids)
+    numeric = store.field("a").numeric_values()
+    n_groups = {"same": numeric.size, "none": 1}.get(group_kind, n_gids)
+    expected = [_oracle_partials(c, arg_has_null, numeric, n_groups) for c in chunks]
+    reference = _kernel(store, group_kind)
+    for chunk_index in range(len(chunks)):
+        reference.fold(
+            [((chunk_index,), [as_run_partial(p) for p in expected[chunk_index]])]
+        )
+    bounds = [0, *sorted(cuts), len(chunks)]
+    layouts = {
+        "single": [[c] for c in range(len(chunks))],
+        "whole": [list(range(len(chunks)))],
+        "cut": [list(range(a, b)) for a, b in zip(bounds, bounds[1:]) if a < b],
+    }
+    for label, layout in layouts.items():
+        kernel = _kernel(store, group_kind)
+        slots = [kernel.presence, *kernel.aggregators]
+        ready = []
+        for run_chunks in layout:
+            # Cached chunks are served apart, so a run skips over them.
+            scanned = [c for c in run_chunks if c not in cached] or run_chunks
+            flags = [c in kept for c in scanned]
+            run = run_of(store, scanned, [chunks[c][2] for c in scanned], flags)
+            partials = kernel.scan(run)
+            for k, chunk_index in enumerate(scanned):
+                for slot, (aggregator, partial) in enumerate(zip(slots, partials)):
+                    if isinstance(partial, RunPairs):
+                        assert not any(flags), label
+                        with pytest.raises(AssertionError):
+                            aggregator.chunk_slice(partial, k)
+                        continue
+                    _assert_same_partial(
+                        aggregator.chunk_slice(partial, k),
+                        expected[chunk_index][slot],
+                        (label, chunk_index, slot),
+                    )
+            ready.append((run.chunks, partials))
+        served = {c for run_chunks, __ in ready for c in run_chunks}
+        ready += [
+            ((c,), [as_run_partial(p) for p in expected[c]])
+            for c in sorted(cached - served)
+        ]
+        kernel.fold(ready[::-1])  # arrival order does not matter
+        assert _folded(kernel) == _folded(reference), label
+
+
 class TestPartialsMatchTheGidSpaceOracle:
     @settings(max_examples=150, deadline=None)
     @given(_stores())
     def test_every_aggregator(self, drawn):
-        """For runs of one chunk, of every chunk and cut at random points:
-        in a run that keeps a chunk for the cache, each chunk's slice of a
-        run partial is the oracle's partial, byte for byte; a run that
-        keeps none has its COUNT DISTINCT pairs run-level, without chunk
-        slices. Folded with per-chunk pieces, run-level pieces and cached
-        chunks interleaved, the accumulators are the bits a chunk-by-chunk
-        fold of the oracle gives."""
-        chunks, arg_has_null, group_kind, optimized, cuts, cached, kept = drawn
-        store = _store(chunks, arg_has_null, optimized)
-        numeric = store.field("a").numeric_values()
-        expected = [_oracle_partials(c, arg_has_null, numeric) for c in chunks]
-        reference = _kernel(store, group_kind)
-        for chunk_index in range(len(chunks)):
-            reference.fold(
-                [((chunk_index,), [as_run_partial(p) for p in expected[chunk_index]])]
+        """Random stores, all of whose pairs fit in uint32."""
+        _check_every_aggregator(*drawn)
+
+    def test_wide_pairs_take_uint64(self):
+        """20 group bits beside 13 argument bits: the same checks, over
+        uint64 pairs (the random stores' fit in uint32)."""
+        rng = np.random.default_rng(11)
+        chunks = []
+        for n_rows in (300, 0, 700, 7, 300):
+            group_ids = rng.choice([0, 3, 4999, _WIDE_GIDS - 1], size=n_rows)
+            arg_ids = rng.integers(0, _N_GIDS, size=n_rows)
+            chunks.append((group_ids, arg_ids, rng.random(n_rows) < 0.5))
+        chunks[2] = chunks[2][:2] + (None,)
+        kernel = _kernel(_store(chunks, True, True, _WIDE_GIDS), "field")
+        assert kernel.aggregators[-1].empty_dtypes == (np.uint64,)
+        for kept in ({0, 2}, set()):
+            _check_every_aggregator(
+                chunks, True, "field", True, {2, 3}, {1, 4}, kept, _WIDE_GIDS
             )
-        bounds = [0, *sorted(cuts), len(chunks)]
-        layouts = {
-            "single": [[c] for c in range(len(chunks))],
-            "whole": [list(range(len(chunks)))],
-            "cut": [list(range(a, b)) for a, b in zip(bounds, bounds[1:]) if a < b],
-        }
-        for label, layout in layouts.items():
-            kernel = _kernel(store, group_kind)
-            slots = [kernel.presence, *kernel.aggregators]
-            ready = []
-            for run_chunks in layout:
-                # Cached chunks are served apart, so a run skips over them.
-                scanned = [c for c in run_chunks if c not in cached] or run_chunks
-                flags = [c in kept for c in scanned]
-                run = run_of(store, scanned, [chunks[c][2] for c in scanned], flags)
-                partials = kernel.scan(run)
-                for k, chunk_index in enumerate(scanned):
-                    for slot, (aggregator, partial) in enumerate(zip(slots, partials)):
-                        if isinstance(partial, RunPairs):
-                            assert not any(flags), label
-                            with pytest.raises(AssertionError):
-                                aggregator.chunk_slice(partial, k)
-                            continue
-                        _assert_same_partial(
-                            aggregator.chunk_slice(partial, k),
-                            expected[chunk_index][slot],
-                            (label, chunk_index, slot),
-                        )
-                ready.append((run.chunks, partials))
-            served = {c for run_chunks, __ in ready for c in run_chunks}
-            ready += [
-                ((c,), [as_run_partial(p) for p in expected[c]])
-                for c in sorted(cached - served)
-            ]
-            kernel.fold(ready[::-1])  # arrival order does not matter
-            assert _folded(kernel) == _folded(reference), label
 
     def test_a_run_keeping_no_chunk_holds_its_pairs_once(self):
         """Two chunks with the same pairs: a run that keeps either chunk for
@@ -440,8 +479,9 @@ class TestPartialsMatchTheGidSpaceOracle:
                     assert pairs[:4].tolist() == pairs[4:].tolist()
                     continue
                 assert bounds.tolist() == [0, 4, 4]
-                distinct = ((1, 1), (2, 3), (3, 2), (3, 3))
-                assert pairs.tolist() == [(g << 32) | a for g, a in distinct]
+                distinct = ((1, 1), (2, 3), (3, 2), (3, 3))  # 13-bit arguments
+                assert pairs.dtype == np.uint32
+                assert pairs.tolist() == [(g << 13) | a for g, a in distinct]
                 with pytest.raises(AssertionError):
                     aggregator.chunk_slice(partial, 0)
 
@@ -511,17 +551,103 @@ class TestPartialsMatchTheGidSpaceOracle:
             np.zeros(1, dtype=np.intp),
         )
         arg = np.array([8191, 2, 2], dtype=np.uint32)
-        wide = [(3 << 32) | 2, ((2**20 - 1) << 32) | 8191]
+        wide = [(3 << 13) | 2, ((2**20 - 1) << 13) | 8191]
         dictionary = build_dictionary(list(range(8192)))
         exact = CountDistinctAggregator(2**20, dictionary, False)
         approx = ApproxCountDistinctAggregator(2**20, np.linspace(0, 1, 8192), False, 8)
         for aggregator in (exact, approx):
             __, pairs = aggregator.run_partial(groups, arg)
-            assert pairs.tolist() == wide
+            assert pairs.dtype == np.uint64 and pairs.tolist() == wide
             aggregator.apply((pairs,))
             assert aggregator.results(np.array([3, 2**20 - 1])) == [1, 1]
-        group_ids, value_ids = exact.pairs()
-        assert (group_ids.tolist(), value_ids.tolist()) == ([3, 2**20 - 1], [2, 8191])
+        assert exact.pairs().tolist() == wide
+
+
+# -- COUNT DISTINCT folds: one RunPairs, two runs, cache hits mixed in -----------
+
+#: Exact COUNT DISTINCT over a NULL-bearing argument and over a string,
+#: grouped by a field that is not one per chunk, so runs sort rows.
+_DISTINCT_SQL = (
+    "SELECT table_name, COUNT(DISTINCT latency) AS d, "
+    "COUNT(DISTINCT user_name) AS u FROM data GROUP BY table_name"
+)
+
+
+class TestCountDistinctFolds:
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """The pair sorts of a query."""
+        seen = SimpleNamespace(sorts=0)
+        sorted_distinct = engine._sorted_distinct
+
+        def counted_sorted_distinct(keys):
+            seen.sorts += 1
+            return sorted_distinct(keys)
+
+        monkeypatch.setattr(engine, "_sorted_distinct", counted_sorted_distinct)
+        return seen
+
+    @staticmethod
+    def _check(store, table, sql=_DISTINCT_SQL):
+        parsed = parse_query(sql)
+        expected = execute_on_rows(parsed, table.schema, table.iter_rows())
+        result = store.execute(parsed)
+        assert_results_equal(result.rows(), list(expected.iter_rows()), context=sql)
+        return result.stats
+
+    def test_one_run_folds_its_run_pairs_without_a_sort(self, null_log_table, folds):
+        store = make_store(null_log_table, cache_chunk_results=False)
+        self._check(store, null_log_table)
+        assert folds.sorts == 2  # one per aggregate, in the scan
+
+    def test_two_runs_on_threads_sort_once_more(self, null_log_table, folds):
+        store = make_store(
+            null_log_table, cache_chunk_results=False, executor="thread", workers=2
+        )
+        try:
+            self._check(store, null_log_table)
+        finally:
+            store.executor.close()
+        assert folds.sorts == 2 * 2 + 2  # each run's, then each fold's
+
+    def test_cache_hits_mixed_with_scanned_runs(self, null_log_table):
+        store = make_store(null_log_table)
+        self._check(store, null_log_table)  # every chunk FULL: all admitted
+        country = null_log_table.row(0)[3]
+        mixed = _DISTINCT_SQL.replace(
+            " GROUP BY", f" WHERE country = '{country}' OR latency > 300 GROUP BY"
+        )
+        stats = self._check(store, null_log_table, mixed)
+        assert stats.chunks_cached and stats.chunks_scanned
+
+    def test_cluster_shards_hand_up_their_distinct_values(self, null_log_table):
+        options = DataStoreOptions(
+            partition_fields=("country", "table_name"),
+            max_chunk_rows=200,
+            cache_chunk_results=False,
+        )
+        config = ClusterConfig(n_machines=4, seed=3)
+        cluster = SimulatedCluster.build(null_log_table, 4, options, config)
+        pieces = shard_table(null_log_table, 4, seed=config.seed)
+        names = null_log_table.field_names
+        for shard, piece in zip(cluster.shards, pieces):
+            expected: dict = {}
+            for row in piece.iter_rows():
+                row = dict(zip(names, row))
+                group = expected.setdefault(row["table_name"], (set(), set()))
+                latencies, users = group
+                latencies.update({row["latency"]} - {None})
+                users.add(row["user_name"])
+            __, groups = shard.store.execute_partials(_DISTINCT_SQL)
+            assert {
+                values[0]: tuple(state.values for state in states)
+                for values, states in groups.values()
+            } == expected
+        result, __ = cluster.execute(_DISTINCT_SQL)
+        parsed = parse_query(_DISTINCT_SQL)
+        table = null_log_table
+        expected = execute_on_rows(parsed, table.schema, table.iter_rows())
+        assert_results_equal(result.rows(), list(expected.iter_rows()))
 
 
 # -- one group per chunk: Query 1 reads chunk-dictionaries, not rows -----------

@@ -314,10 +314,12 @@ def test_a_cache_too_small_for_the_classification_still_answers(log_table):
 
 
 def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatch):
-    """One run reads each field's row positions once, COUNT(*) is the
-    presence partial (the same arrays, not a second bincount), and each
-    chunk's slice of a slot is what the slot computes for that chunk
-    alone, so the cached weights have not moved."""
+    """One run reads each field's row positions once and tallies its rows
+    once: COUNT(*) is the presence partial (the same arrays), and COUNT(x)
+    and SUM over a NULL-free argument read the presence tally (one
+    bincount without weights, not three). Each chunk's slice of a slot is
+    what the slot computes for that chunk alone, and the cached weights are
+    pinned: COUNT DISTINCT's slices hold uint32 pairs, not int64."""
     import numpy as np
 
     from repro.core.datastore import FieldStore, _GroupedKernel, _partials_weight
@@ -326,8 +328,8 @@ def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatc
     store = make_store(log_table)
     parsed = resolve_group_aliases(
         parse_query(
-            "SELECT country, COUNT(latency) AS n, COUNT(*) AS c, SUM(latency) AS s "
-            "FROM data GROUP BY country"
+            "SELECT country, COUNT(latency) AS n, COUNT(*) AS c, SUM(latency) AS s, "
+            "COUNT(DISTINCT user_name) AS u FROM data GROUP BY country"
         )
     )
     kernel = _GroupedKernel(store, parsed, store.ensure_field)
@@ -338,24 +340,36 @@ def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatc
     ]
     chunks = tuple(range(store.n_chunks))
     positions, reads = FieldStore.row_positions, []
+    bincount, tallies = np.bincount, []
 
     def counted_positions(field):
         reads.append(field.name)
         return positions(field)
 
+    def counted_bincount(x, weights=None, minlength=0):
+        tallies.append(weights is None)
+        return bincount(x, weights=weights, minlength=minlength)
+
     monkeypatch.setattr(FieldStore, "row_positions", counted_positions)
-    partials = kernel.scan(run_of(store, chunks, masks))
-    assert sorted(reads) == ["country", "latency"]
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    partials = kernel.scan(run_of(store, chunks, masks, [True] * len(chunks)))
+    monkeypatch.setattr(np, "bincount", bincount)
+    assert sorted(reads) == ["country", "latency", "user_name"]
+    assert tallies == [True, False]  # the tally, then SUM's weighted one
     assert partials[2] is partials[0] and partials[1] is not partials[0]
+    weights = []
     for k, chunk_index in enumerate(chunks):
-        alone = kernel.scan(run_of(store, (chunk_index,), (masks[chunk_index],)))
+        mask = masks[chunk_index]
+        alone = kernel.scan(run_of(store, (chunk_index,), (mask,), (True,)))
         ours = kernel.chunk_partials(partials, k)
         theirs = kernel.chunk_partials(alone, 0)
         assert ours[2] is ours[0]
         assert _partials_weight(ours) == _partials_weight(theirs)
+        weights.append((_partials_weight(ours), _partials_weight(ours[-1])))
         for shared, own in zip(ours, theirs):
             assert [a.tobytes() for a in shared] == [a.tobytes() for a in own]
             assert [a.dtype for a in shared] == [a.dtype for a in own]
+    assert [sum(column) for column in zip(*weights)] == [64752.0, 9432.0]
 
 
 # -- … and the chunk cache keeps texts and conjuncts, never their answers ------

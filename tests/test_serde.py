@@ -194,14 +194,14 @@ class TestSaveLoad:
         assert pds < csv
 
 
-#: The options block a store file carries: what the data is, never how
-#: the saving process ran. A runtime key that enters the file edits this
-#: list, and CHANGES.md gives the reason.
+#: The options block a store file carries: what the data is and whether
+#: chunk results are cached (nothing sets that after a load), never how
+#: the saving process ran. A runtime key that enters or leaves the file
+#: edits this list, and CHANGES.md gives the reason.
 _PERSISTED_OPTIONS = [
     "advisor_mode",
     "cache_chunk_results",
     "codec",
-    "degrade",
     "max_chunk_rows",
     "optimized_columns",
     "optimized_dicts",
@@ -232,6 +232,7 @@ def _header_options(path: Path) -> dict:
 
 
 def _assert_default_runtime(store: DataStore) -> None:
+    assert store.options.degrade
     assert isinstance(store.executor, SerialExecutor)
     assert isinstance(store.chunk_cache, LruCache)
     assert store.chunk_cache.capacity == 64 * 1024 * 1024
@@ -255,6 +256,8 @@ class TestRuntimeIsNotPersisted:
             workers=3,
             cache_policy="arc",
             cache_capacity_bytes=256,
+            cache_chunk_results=False,
+            degrade=False,
         )
         path = str(tmp_path / "store")
         save(store, path)
@@ -263,6 +266,7 @@ class TestRuntimeIsNotPersisted:
         store.executor.close()
         loaded = load(path)
         _assert_default_runtime(loaded)
+        assert not loaded.options.cache_chunk_results  # the file's, kept
         assert loaded.execute(sql).rows() == expected
 
     def test_files_with_runtime_keys_still_load_and_agree(self):

@@ -7,11 +7,14 @@ decoding any. These tests pin the trickiest equivalences: ties,
 descending string keys (not invertible -> fallback), NULL aggregate
 values (fallback), HAVING (fallback), composite groups (fallback), and
 for projections NULLs, 0 / 0.0 / -0.0, NaN (fallback) and shard
-partials, which keep every row.
+partials, which keep every row. The shortcut selects the candidates
+before it sorts; hundreds of groups or rows, with LIMIT 0 to 10, check
+that selection against the general path's sort of every row.
 """
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -484,3 +487,78 @@ class TestProjectionShortcut:
         )
         result, __ = cluster.execute(sql)
         assert result.rows() == [("a", 5), ("b", 5), ("c", 5)]
+
+
+# -- many more groups or rows than LIMIT: the selection keeps every tie ---------
+
+
+@st.composite
+def _many_groups(draw):
+    """Hundreds of groups of a few rows, no NULL: every count may tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_groups = draw(st.sampled_from([100, 300]))
+    if draw(st.booleans()):  # two rows a group: every count ties at the cut
+        groups = np.repeat(np.arange(n_groups), 2)
+    else:
+        groups = rng.integers(0, n_groups, size=3 * n_groups)
+    return {
+        "g": [f"g{group:03d}" for group in groups.tolist()],
+        "x": rng.integers(-1, 3, size=groups.size).tolist(),
+        "y": rng.choice([-2.0, 0.5, 1.5], size=groups.size).tolist(),
+    }
+
+
+#: DESC int keys (``~x``), DESC float keys (``-x``) and ascending ones.
+_MANY_SHAPES = [
+    ("g, COUNT(*) AS c", "c DESC"),
+    ("g, SUM(y) AS s, COUNT(*) AS c", "s DESC"),
+    ("g, AVG(y) AS a", "a DESC, g"),
+    ("g, COUNT(*) AS c, MIN(x) AS lo", "c, lo DESC"),
+]
+
+
+class TestSelectionBeforeTheSort:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _many_groups(), st.sampled_from(_MANY_SHAPES), st.sampled_from([0, 1, 3, 10])
+    )
+    def test_hundreds_of_groups(self, data, shape, limit):
+        store, table = _store(data)
+        select, order_by = shape
+        sql = f"SELECT {select} FROM data GROUP BY g ORDER BY {order_by} LIMIT {limit}"
+        parsed = parse_query(sql)
+        with _Spy() as spy:
+            fast = store.execute(parsed).rows()
+        with _Spy(force_general=True):
+            general = store.execute(parsed).rows()
+        assert _reprs(fast) == _reprs(general), sql
+        expected = execute_on_rows(parsed, table.schema, table.iter_rows())
+        assert_results_equal(fast, list(expected.iter_rows()), context=sql)
+        assert spy.verdicts == [True], sql
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["x", "x DESC", "f DESC", "x, f DESC", "name DESC, x"]),
+        st.sampled_from([0, 1, 3, 10]),
+    )
+    def test_a_projection_whose_keys_repeat(self, seed, order_by, limit):
+        rng = np.random.default_rng(seed)
+        n = 400
+        rows = zip(
+            rng.choice(list("abc"), size=n).tolist(),
+            rng.integers(-1, 3, size=n).tolist(),
+            rng.choice([0.0, -0.0, 0.5, -1.5], size=n).tolist(),
+            rng.choice(["kiwi", "lime", "plum"], size=n).tolist(),
+        )
+        store, table = _projection_store(list(rows))
+        sql = f"SELECT g, x, y AS f, name FROM data ORDER BY {order_by} LIMIT {limit}"
+        parsed = parse_query(sql)
+        with _Spy() as spy:
+            fast = store.execute(parsed).rows()
+        with _Spy(force_general=True):
+            general = store.execute(parsed).rows()
+        assert _reprs(fast) == _reprs(general), sql
+        expected = execute_on_rows(parsed, table.schema, table.iter_rows())
+        assert_results_equal(fast, list(expected.iter_rows()), context=sql)
+        assert spy.verdicts == [True], sql

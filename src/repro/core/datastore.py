@@ -169,7 +169,7 @@ class FieldStore:
     #: (``tests/sanitizer.py``), never part of size_bytes().
     _MEMO_ATTRS = (
         "_value_array",
-        "_numeric_values",
+        "_entry_values",
         "_hash_units",
         "_chunk_dict_index",
         "_row_positions",
@@ -201,7 +201,7 @@ class FieldStore:
 
     def _reset_memos(self) -> None:
         self._value_array: np.ndarray | None = None
-        self._numeric_values: np.ndarray | None = None
+        self._entry_values: np.ndarray | None = None
         self._hash_units: np.ndarray | None = None
         self._chunk_dict_index: ChunkDictIndex | None = None
         self._row_positions: np.ndarray | None = None
@@ -274,21 +274,25 @@ class FieldStore:
         return self._value_array
 
     def numeric_values(self) -> np.ndarray:
-        """Dictionary values as float64 (NaN for NULL), for SUM/AVG."""
-        if self._numeric_values is None:
-            values, null = _dictionary_vector(self.dictionary)
-            if values.dtype.kind == "O":
-                found = values[~null]
-                if found.size:
-                    raise ExecutionError(
-                        f"field {self.name!r} is not numeric "
-                        f"(found {type(found[0]).__name__})"
-                    )
-                values = np.zeros(values.size)
-            values = values.astype(np.float64)
-            values[null] = np.nan
-            self._numeric_values = values
-        return self._numeric_values
+        """Dictionary values as float64 (NaN for NULL), by global-id (not kept)."""
+        values, null = _dictionary_vector(self.dictionary)
+        if values.dtype.kind == "O":
+            found = values[~null]
+            if found.size:
+                raise ExecutionError(
+                    f"field {self.name!r} is not numeric "
+                    f"(found {type(found[0]).__name__})"
+                )
+            values = np.zeros(values.size)
+        values = values.astype(np.float64)
+        values[null] = np.nan
+        return values
+
+    def entry_values(self) -> np.ndarray:
+        """:meth:`numeric_values` of every CSR entry (cached), SUM/AVG's weights."""
+        if self._entry_values is None:
+            self._entry_values = self.numeric_values().take(self.chunk_dict_index().gids)
+        return self._entry_values
 
     def hash_units(self) -> np.ndarray:
         """Per-gid value hashes in [0, 1), for KMV sketches."""
@@ -479,8 +483,8 @@ _MEMO_ENTRIES = 1024
 
 @dataclass(frozen=True, eq=False)
 class Prepared:
-    """:meth:`DataStore.prepare`'s query, GROUP BY aliases resolved; its WHERE
-    rendered if the chunk cache keys on it; a text's shape (its clause pieces
+    """:meth:`DataStore.prepare`'s query, GROUP BY aliases resolved; with the
+    chunk cache on, its WHERE rendered and a text's shape (its clause pieces
     but the WHERE) if parsed by piece; the service's fingerprint, lazily."""
 
     query: Query
@@ -710,8 +714,9 @@ class DataStore:
         with the default runtime (serial, LRU, 64 MiB), and the CLI
         applies its ``--workers`` / ``--cache-policy`` flags here.
         Replacing the cache drops all resident entries and empties the
-        prepare memo; changing only the executor keeps both (no key
-        depends on how partials are computed).
+        prepare memo (texts and clause pieces, and plans if the store
+        caches chunk results); changing only the executor keeps both (no
+        key depends on how partials are computed).
         """
         executor_updates: dict[str, Any] = {}
         if executor is not None:
@@ -787,13 +792,13 @@ class DataStore:
 
     def prepare(self, query: Prepared | Query | str) -> Prepared:
         """Parse and bind, once per text; a :class:`Prepared` comes back as
-        it is. With the chunk cache on, a text's Prepared and clause pieces
-        are memo entries, admitted once it has parsed and bound."""
+        it is. A text's Prepared and clause pieces are memo entries,
+        admitted once it has parsed and bound, chunk cache on or off."""
         if isinstance(query, Prepared):
             return query
         keyed = self.options.cache_chunk_results
         text = query if isinstance(query, str) else None
-        if keyed and text is not None and (hit := self._recall(("sql", text))):
+        if text is not None and (hit := self._recall(("sql", text))):
             return hit
         built, pieces, shape = [], [], None
 
@@ -809,8 +814,8 @@ class DataStore:
 
         if text is not None:
             counters.increment("datastore.sql.parsed")
-            query = parse_query(text, clause if keyed else None)
-            if "".join(pieces) == text:  # parsed piece by piece, none failed
+            query = parse_query(text, clause)
+            if keyed and "".join(pieces) == text:  # by piece, none failed
                 shape = tuple(p for p in pieces if p[:5].upper() != "WHERE")
         if query.table != self.options.table_name:
             raise ExecutionError(
@@ -820,7 +825,7 @@ class DataStore:
         parsed = resolve_group_aliases(query)
         where = parsed.where if keyed else None
         prepared = Prepared(parsed, None if where is None else where.sql(), shape)
-        if keyed and text is not None:
+        if text is not None:
             self._remember([*built, (("sql", text), prepared)])
         return prepared
 
@@ -1343,9 +1348,9 @@ class _RunKernel:
     pickle swaps the live :class:`FieldStore` references in ``fields``
     for their specs (:meth:`DataStore.field_spec`) while the store
     itself reduces to its arena handle. On unpickle — inside a worker —
-    each spec is ensured on that worker's attached store. Everything else
-    (aggregators, output names) travels by value: it is sized by the
-    caller's dictionaries, and deterministic virtual-field
+    each spec is ensured on that worker's attached store, and a grouped
+    kernel builds its aggregators from them. Everything else (the plan,
+    output names) travels by value: deterministic virtual-field
     materialization guarantees the worker's global-id space matches.
 
     ``scan`` only reads store state (the ``run_partial`` contract,
@@ -1377,11 +1382,6 @@ class _RunKernel:
     def _selector(run: Run) -> Callable[[np.ndarray], np.ndarray]:
         """Picks the run's rows out of a per-row array (see :func:`pick`)."""
         return lambda values: pick(values, run.rows)
-
-    @staticmethod
-    def _gids(field: FieldStore, select: Callable) -> np.ndarray:
-        """The global-id of every row ``select`` keeps: one gather."""
-        return field.chunk_dict_index().gids.take(select(field.row_positions()))
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -1415,21 +1415,33 @@ class _GroupedKernel(_RunKernel):
             group_field = store.field(store.ensure_composite_field(group_names))
         else:
             group_field = store.field(group_names[0]) if group_names else None
-        n_groups = len(group_field.dictionary) if group_field else 1
-        self.presence = PresenceAggregator(n_groups)
-        self.aggregators = []
-        fields = [group_field]
-        for agg in self.plan.aggregates:
-            arg_field = (
-                None if isinstance(agg.arg, Star) else store.field(ensure(agg.arg))
-            )
-            fields.append(arg_field)
-            self.aggregators.append(build_aggregator(agg, n_groups, arg_field))
+        fields = [group_field] + [
+            None if isinstance(agg.arg, Star) else store.field(ensure(agg.arg))
+            for agg in self.plan.aggregates
+        ]
         self.signature = (
             group_field.spec if group_field else None,
             tuple(agg.sql() for agg in self.plan.aggregates),
         )
         super().__init__(store, fields)
+        self._aggregate()
+
+    def _aggregate(self) -> None:
+        """Fresh aggregators over ``fields``: no per-entry table is pickled."""
+        n_groups = len(self.fields[0].dictionary) if self.fields[0] else 1
+        self.presence = PresenceAggregator(n_groups)
+        self.aggregators = [
+            build_aggregator(agg, n_groups, field)
+            for agg, field in zip(self.plan.aggregates, self.fields[1:])
+        ]
+
+    def __getstate__(self) -> dict:
+        # Pickled to fan out, before any fold: a worker builds its own aggregators.
+        return {**super().__getstate__(), "presence": None, "aggregators": None}
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self._aggregate()
 
     def _groups(self, run: Run, select: Callable) -> RunGroups:
         """The run's rows in the group field's CSR frame.
@@ -1470,7 +1482,7 @@ class _GroupedKernel(_RunKernel):
         chunks = np.array(run.chunks)
         sizes = np.diff(self.store.row_starts)[chunks]
         whole = groups.kept is not None and np.array_equal(groups.kept, sizes)
-        gathered: dict[str, np.ndarray] = {}  # one gather per argument field
+        positions: dict[str, np.ndarray] = {}  # one read of a field's rows
         for aggregator, field in zip(self.aggregators, self.fields[1:]):
             # COUNT(*) has no argument: its partial is the presence one.
             if field is None:
@@ -1479,12 +1491,12 @@ class _GroupedKernel(_RunKernel):
                 entries = field.chunk_dict_index().chunk_dicts(chunks)
                 partials.append(aggregator.dictionary_partial(groups, *entries))
             else:
-                if field.name not in gathered:
-                    gathered[field.name] = self._gids(field, select)
+                if field.name not in positions:
+                    positions[field.name] = select(field.row_positions())
                 run_partial = aggregator.run_partial
                 if isinstance(aggregator, _PairAggregator) and not any(run.cacheable):
                     run_partial = aggregator.run_pairs  # no slice to keep: one sort
-                partials.append(run_partial(groups, gathered[field.name]))
+                partials.append(run_partial(groups, positions[field.name]))
         return partials
 
     def chunk_partials(self, partials: list, k: int) -> list:
@@ -1639,7 +1651,10 @@ class _ProjectionKernel(_RunKernel):
 
     def scan(self, run: Run) -> list[np.ndarray]:
         select = self._selector(run)
-        return [self._gids(field, select) for field in self.fields]
+        return [
+            field.chunk_dict_index().gids.take(select(field.row_positions()))
+            for field in self.fields
+        ]
 
     def fold(self, ready: list[tuple[tuple[int, ...], list[np.ndarray]]]) -> None:
         runs = [columns for __, columns in sorted(ready, key=lambda item: item[0][0])]

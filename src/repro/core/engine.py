@@ -14,6 +14,8 @@ position, the paper's per-chunk counts arrays lie side by side, so one
 ``np.bincount`` over a run's rows computes every chunk's counts at
 once, in a scratch array the size of the run's own CSR span. The
 column then supplies the global-ids of the entries that were hit.
+An argument stays in its CSR frame too: SUM / AVG weigh each row from a
+per-entry table, MIN / MAX translate only their winners to global-ids.
 
 Each aggregator turns a run into a *run partial*: ``(bounds, *columns)``,
 where ``columns`` concatenate the run's per-chunk partials in chunk
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.core.expr_eval import as_list
 from repro.errors import ExecutionError
+from repro.partition.codes import sorted_distinct as _sorted_distinct
 from repro.sketches.kmv import KmvSketch
 from repro.sql.ast_nodes import Aggregate, Star
 from repro.storage.dictionary import Dictionary
@@ -82,15 +85,6 @@ class RunGroups(NamedTuple):
         """(per-chunk bounds, int64 gids) of ascending span ``positions``."""
         bounds = np.append(np.searchsorted(positions, self.starts), positions.size)
         return bounds, self.gids[positions].astype(np.int64)
-
-
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """Sort ``keys`` in place and drop the repeats (adjacent difference;
-    ``np.compress`` is 4x faster than a boolean index on numpy 2.4)."""
-    keys.sort()
-    keep = np.ones(keys.size, dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return np.compress(keep, keys)
 
 
 def _pair_dtype(n: int, bits: int) -> type:
@@ -170,6 +164,10 @@ class ColumnarAggregator:
     #: always held for a chunk where the aggregate saw no row).
     empty_dtypes: tuple[type, ...] = (np.int64, np.float64)
 
+    #: The argument field's CSR column (entry -> global-id) if ``arg`` holds
+    #: CSR positions (:func:`build_aggregator`), None if it holds global-ids.
+    entries: np.ndarray | None = None
+
     def __init__(self, n_groups: int, arg_has_null: bool = False) -> None:
         self.n_groups = n_groups
         self.arg_has_null = arg_has_null  # global-id 0 of the argument is NULL
@@ -177,9 +175,9 @@ class ColumnarAggregator:
     def run_partial(self, groups: RunGroups, arg: np.ndarray | None) -> tuple:
         """This aggregate over one run: ``(bounds, *columns)``.
 
-        ``arg`` holds the argument field's global-id of every row the
-        run keeps (None for COUNT(*)). Must not mutate ``self`` — see
-        the class docstring.
+        ``arg`` holds, for every row the run keeps, the argument's index
+        into ``entries`` (or its global-id; None for COUNT(*)). Must not
+        mutate ``self`` — see the class docstring.
         """
         raise NotImplementedError
 
@@ -217,17 +215,21 @@ class ColumnarAggregator:
     def _valid(
         self, groups: RunGroups, arg: np.ndarray | None
     ) -> tuple[RunGroups, np.ndarray | None]:
-        """(groups, argument gids) of the rows this aggregate reads.
+        """(groups, argument) of the rows this aggregate reads.
 
         NULL is global-id 0, and only when the dictionary ``has_null``;
         rows with a NULL argument are dropped.
         """
         if self.arg_has_null:
-            valid = arg != 0
+            valid = self._gids(arg) != 0
             if not valid.all():
                 rows = groups.positions()[valid]
                 return RunGroups(rows, groups.gids, groups.starts), arg[valid]
         return groups, arg
+
+    def _gids(self, arg: np.ndarray) -> np.ndarray:
+        """The argument's global-ids: one gather through ``entries``."""
+        return arg if self.entries is None else self.entries.take(arg)
 
 
 def _never_null(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +269,7 @@ class SumAggregator(ColumnarAggregator):
         self, n_groups: int, numeric_values: np.ndarray, arg_has_null: bool
     ) -> None:
         super().__init__(n_groups, arg_has_null)
-        self.numeric_values = numeric_values  # per-gid float64
+        self.numeric_values = numeric_values  # float64, indexed as ``arg`` is
         self.totals = np.zeros(n_groups, dtype=np.float64)
         self.counts = np.zeros(n_groups, dtype=np.int64)
 
@@ -309,6 +311,8 @@ class _ExtremeAggregator(ColumnarAggregator):
     Global-ids are ranks, so the minimum value in a group is the value
     of its minimum global-id — MIN/MAX work on any dictionary type
     (strings included) without touching the values until the very end.
+    Within a chunk CSR positions rank as global-ids do (a chunk-dictionary
+    ascends), so a run reduces positions and translates only the winners.
     """
 
     _is_min = True
@@ -334,7 +338,7 @@ class _ExtremeAggregator(ColumnarAggregator):
             first = (np.cumsum(groups.kept) - groups.kept)[some]
             best[groups.starts[some]] = self._ufunc.reduceat(arg, first)
         seen = np.flatnonzero(best != self.sentinel)
-        return (*groups.entries(seen), best[seen])
+        return (*groups.entries(seen), self._gids(best[seen]).astype(np.int64))
 
     def apply(self, columns: tuple) -> None:
         gids, values = columns
@@ -380,7 +384,9 @@ class _PairAggregator(ColumnarAggregator):
         """Per chunk, its sorted distinct pairs."""
         groups, arg = self._valid(groups, arg)
         keys = _sorted_distinct(
-            _pair_keys(groups.positions(), groups.gids.size, arg, self.arg_bits)
+            _pair_keys(
+                groups.positions(), groups.gids.size, self._gids(arg), self.arg_bits
+            )
         )
         bounds, gids = groups.entries(keys >> self.arg_bits)
         return bounds, self._pairs(gids, self.values(keys))
@@ -389,7 +395,9 @@ class _PairAggregator(ColumnarAggregator):
         """:meth:`run_partial` of a run that keeps no chunk's slice: one sort
         of the pairs of all of its rows."""
         groups, arg = self._valid(groups, arg)
-        keys = _sorted_distinct(self._pairs(groups.gids[groups.positions()], arg))
+        keys = _sorted_distinct(
+            self._pairs(groups.gids[groups.positions()], self._gids(arg))
+        )
         bounds = np.full(groups.starts.size + 1, keys.size)
         bounds[0] = 0
         return RunPairs((bounds, keys))
@@ -494,41 +502,31 @@ def build_aggregator(
     n_groups: int,
     arg_field: "FieldStore | None",
 ) -> ColumnarAggregator:
-    """Instantiate the right aggregator for one aggregate expression."""
-    if agg.name == "COUNT":
-        if agg.distinct:
-            if arg_field is None:
-                raise ExecutionError("COUNT DISTINCT requires a field argument")
-            if agg.approximate:
-                return ApproxCountDistinctAggregator(
-                    n_groups,
-                    arg_field.hash_units(),
-                    arg_field.dictionary.has_null,
-                    agg.m,
-                )
-            return CountDistinctAggregator(
-                n_groups, arg_field.dictionary, arg_field.dictionary.has_null
-            )
-        if isinstance(agg.arg, Star):
+    """Instantiate the right aggregator for one aggregate expression, in
+    its argument's CSR frame: a run hands it its rows' CSR positions."""
+    if arg_field is None:  # the argument is *
+        if agg.name == "COUNT" and not agg.distinct:
             return PresenceAggregator(n_groups)
-        return CountValueAggregator(n_groups, arg_field.dictionary.has_null)
-    if agg.name == "SUM":
-        return SumAggregator(
-            n_groups, arg_field.numeric_values(), arg_field.dictionary.has_null
+        raise ExecutionError(f"{agg.sql()} requires a field argument")
+    has_null = arg_field.dictionary.has_null
+    if agg.name == "COUNT" and agg.approximate:
+        aggregator = ApproxCountDistinctAggregator(
+            n_groups, arg_field.hash_units(), has_null, agg.m
         )
-    if agg.name == "AVG":
-        return AvgAggregator(
-            n_groups, arg_field.numeric_values(), arg_field.dictionary.has_null
-        )
-    if agg.name == "MIN":
-        return MinAggregator(
-            n_groups, arg_field.dictionary, arg_field.dictionary.has_null
-        )
-    if agg.name == "MAX":
-        return MaxAggregator(
-            n_groups, arg_field.dictionary, arg_field.dictionary.has_null
-        )
-    raise ExecutionError(f"unsupported aggregate {agg.name!r}")
+    elif agg.name == "COUNT" and agg.distinct:
+        aggregator = CountDistinctAggregator(n_groups, arg_field.dictionary, has_null)
+    elif agg.name == "COUNT":
+        aggregator = CountValueAggregator(n_groups, has_null)
+    elif agg.name in ("SUM", "AVG"):
+        kind = SumAggregator if agg.name == "SUM" else AvgAggregator
+        aggregator = kind(n_groups, arg_field.entry_values(), has_null)
+    elif agg.name in ("MIN", "MAX"):
+        kind = MinAggregator if agg.name == "MIN" else MaxAggregator
+        aggregator = kind(n_groups, arg_field.dictionary, has_null)
+    else:
+        raise ExecutionError(f"unsupported aggregate {agg.name!r}")
+    aggregator.entries = arg_field.chunk_dict_index().gids
+    return aggregator
 
 
 # -- mergeable state export (for the Section 4 computation tree) ------------

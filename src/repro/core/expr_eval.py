@@ -31,6 +31,7 @@ from typing import Any, NoReturn
 import numpy as np
 
 from repro.errors import ExecutionError, UnsupportedQueryError
+from repro.partition.codes import sorted_distinct
 from repro.sql.ast_nodes import (
     Aggregate,
     BinaryOp,
@@ -340,7 +341,7 @@ def _datetime_part(name: str, values: np.ndarray, null: np.ndarray) -> Vector:
         if name == "month":
             return months.astype(np.int64) % 12 + 1, null
         return (days - months).astype(np.int64) + 1, null
-    distinct = np.unique(days)
+    distinct = sorted_distinct(days.copy())
     text = np.datetime_as_string(distinct.astype("datetime64[D]")).astype(object)
     for position in np.flatnonzero(distinct < _YEAR_1000).tolist():
         # numpy pads a year to four digits; strftime's %Y may not.

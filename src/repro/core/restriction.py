@@ -117,6 +117,10 @@ class _Node:
         """Exact (t, n) Kleene vectors of a whole-store row selection."""
         raise NotImplementedError
 
+    def row_truth(self, rows, positions_of) -> np.ndarray:
+        """The ``t`` of :meth:`row_vectors` alone: all the root needs."""
+        return self.row_vectors(rows, positions_of)[0]
+
 
 class _Leaf(_Node):
     """A predicate over one field, precomputed as global (t, n) masks and
@@ -167,6 +171,9 @@ class _Leaf(_Node):
     def row_vectors(self, rows, positions_of):
         # A row's CSR position is its chunk-dictionary entry: one take.
         return self._unpack(self._entries.take(positions_of(self.field, rows)))
+
+    def row_truth(self, rows, positions_of):
+        return (self._entries.take(positions_of(self.field, rows)) & 1).view(bool)
 
 
 class _Binary(_Node):
@@ -328,10 +335,12 @@ def _classify(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Verdicts and the PARTIAL rows' CSR: the vector pass, then one row pass.
 
-    The undecided chunks' rows are one selection (a slice when the
-    chunks are adjacent). Every such chunk has rows (an empty chunk has
-    no value that may be true), so the segmented count over them never
-    meets an empty segment.
+    The row pass reads the undecided chunks' first-to-last span, a slice,
+    its decided chunks masked off; or their rows alone, as row indices,
+    if they hold under half of it (200k bench store, ``latency``: indices
+    cost 0.28 ms at 29 % of a span's rows, 0.59 at 51 %, 1.25 at 96 %; the
+    span 0.43-0.61 ms). An undecided chunk has rows (an empty one has no
+    value that may be true), so its segment is never empty.
     """
     offsets = np.zeros(row_starts.size, dtype=np.intp)
     if root is None:  # no WHERE: every chunk is FULL
@@ -342,19 +351,20 @@ def _classify(
     undecided = np.flatnonzero(verdicts == PARTIAL)
     if not undecided.size:
         return verdicts, np.empty(0, np.intp), offsets
-    begin = row_starts[undecided]
-    counts = row_starts[undecided + 1] - begin
-    if undecided[-1] - undecided[0] + 1 == undecided.size:
-        rows: slice | np.ndarray = slice(int(begin[0]), int(begin[0] + counts.sum()))
-    else:
-        rows = _ranges(begin, counts)
-    row_mask, __ = root.row_vectors(rows, positions_of)
+    first, last = undecided[0], undecided[-1] + 1
+    chunks, counts = np.arange(first, last), np.diff(row_starts[first : last + 1])
+    rows: slice | np.ndarray = slice(int(row_starts[first]), int(row_starts[last]))
+    if 2 * counts[undecided - first].sum() < counts.sum():
+        chunks, counts = undecided, counts[undecided - first]
+        rows = _ranges(row_starts[chunks], counts)
+    row_mask = root.row_truth(rows, positions_of)
     kept = np.add.reduceat(row_mask, np.cumsum(counts) - counts, dtype=np.intp)
-    verdicts[undecided[kept == 0]] = SKIP
-    verdicts[undecided[kept == counts]] = FULL
-    partial = (kept > 0) & (kept < counts)
+    ours = verdicts[chunks] == PARTIAL  # a span's decided chunks are not
+    verdicts[chunks[ours & (kept == 0)]] = SKIP
+    verdicts[chunks[ours & (kept == counts)]] = FULL
+    partial = ours & (kept > 0) & (kept < counts)
     row_mask &= np.repeat(partial, counts)
-    offsets[1:][undecided] = np.where(partial, kept, 0)
+    offsets[1:][chunks] = np.where(partial, kept, 0)
     np.cumsum(offsets, out=offsets)
     if isinstance(rows, slice):
         return verdicts, np.flatnonzero(row_mask) + rows.start, offsets

@@ -18,11 +18,12 @@ Every encoding exposes ``as_array()`` (dense uint32 chunk-ids, decoded
 on every call), ``size_bytes()`` (the analytic payload size the memory
 experiments report) and ``to_bytes()`` (the serialized payload the
 compression experiments feed to the codecs). Nothing keeps the dense
-form: the query kernels read a field's rows through
-``FieldStore.row_positions()``, which decodes each chunk once, and
-single-row ``[row]`` access reads the encoding itself. A four-byte
-packed chunk's ``as_array()`` is its payload, so callers must treat the
-returned array as read-only.
+form: the query kernels and WHERE row passes read a field's rows as
+CSR positions, ``FieldStore.row_positions()``, which decodes each chunk
+once; an aggregate's argument never leaves that frame for its gids but
+to pair them (COUNT DISTINCT) or name a MIN / MAX winner. Single-row
+``[row]`` access reads the encoding itself. A four-byte packed chunk's
+``as_array()`` is its payload, so callers must treat it as read-only.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import DictionaryError
+from repro.partition.codes import sorted_distinct
 from repro.storage.bloom import BloomFilter
 from repro.storage.dictionary import Dictionary
 
@@ -91,7 +92,7 @@ class SubDictionarySet:
                     f"chunk {index} references global-id {int(gids.max())} "
                     f">= dictionary size {n_values}"
                 )
-            distinct_per_chunk.append(np.unique(np.asarray(gids, dtype=np.int64)))
+            distinct_per_chunk.append(sorted_distinct(np.array(gids, dtype=np.int64)))
         # Frequency = number of chunks a value occurs in: one bincount
         # over the concatenated per-chunk distinct ids.
         if distinct_per_chunk:
@@ -134,7 +135,7 @@ class SubDictionarySet:
             stop = min(start + group_size, len(chunk_global_ids))
             member = distinct_per_chunk[start:stop]
             merged = (
-                np.unique(np.concatenate(member))
+                sorted_distinct(np.concatenate(member))
                 if member
                 else np.empty(0, dtype=np.int64)
             )

@@ -307,10 +307,10 @@ def test_a_cache_too_small_for_the_classification_still_answers(log_table):
     # Every chunk-cache entry outweighs the cache, so each put evicts the
     # one before: each of the 16 executions compiles its 2 or 1 leaves
     # again (8 x 3), as often as the reference store does. The memo, which
-    # the chunk cache's size does not touch, parses the 8 texts once each;
-    # the reference store parses all 16.
+    # the chunk cache's size does not touch, parses the 8 texts once each,
+    # in the reference store too, which caches no chunk result.
     after = [counters.get(name) for name in names]
-    assert [a - b for a, b in zip(after, before)] == [8 + 16, 2 * 24]
+    assert [a - b for a, b in zip(after, before)] == [8 + 8, 2 * 24]
 
 
 def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatch):
@@ -370,6 +370,49 @@ def test_a_scan_gathers_its_rows_once_and_counts_them_once(log_table, monkeypatc
             assert [a.tobytes() for a in shared] == [a.tobytes() for a in own]
             assert [a.dtype for a in shared] == [a.dtype for a in own]
     assert [sum(column) for column in zip(*weights)] == [64752.0, 9432.0]
+
+
+def test_a_warm_uncached_pass_parses_nothing_and_gathers_no_argument_gid(log_table):
+    """A store that caches no chunk result, its nine ``full_scan`` classes
+    and a text whose WHERE keeps no chunk, warm: no text parses again, the
+    memo holds texts and clause pieces, no plan, and SUM / AVG / MIN / MAX
+    read ``latency`` at its rows' CSR positions. What goes through its
+    CSR column is MIN's and MAX's 59 winners (one per chunk and country)
+    and the 11 rows ``project`` keeps; at the parent, every scanned row
+    of q2, multi_agg, filter and user_avg too."""
+    import numpy as np
+
+    store = make_store(log_table, cache_chunk_results=False)
+    nothing = FULL_SCAN_SHAPES["multi_agg"].replace(" GROUP BY", " WHERE latency < 0 GROUP BY")
+    texts = {**FULL_SCAN_SHAPES, "nothing": nothing}
+    for text in texts.values():
+        store.execute(text)
+    sizes: list[int] = []
+
+    class Gathers(np.ndarray):
+        """A CSR column that records how many entries each gather reads."""
+
+        def take(self, indices, *args, **kwargs):
+            sizes.append(np.size(indices))
+            return np.asarray(self).take(indices, *args, **kwargs)
+
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+                sizes.append(key.size)
+            return np.asarray(self)[key]
+
+    index = store.field("latency").chunk_dict_index()
+    index.gids = index.gids.view(Gathers)
+    parsed, gathered = counters.get("datastore.sql.parsed"), {}
+    for name, text in texts.items():
+        store.execute(text)
+        gathered[name], sizes[:] = list(sizes), []
+    assert counters.get("datastore.sql.parsed") == parsed
+    assert {key[0] for key in store._memo._entries} == {"sql", "clause"}
+    assert {name: s for name, s in gathered.items() if s} == {
+        "multi_agg": [59, 59],
+        "project": [11],
+    }
 
 
 # -- … and the chunk cache keeps texts and conjuncts, never their answers ------
@@ -481,9 +524,9 @@ def test_a_failure_is_never_cached(log_table):
 
 def test_the_memo_keeps_what_texts_make_by_count(log_table):
     """The prepare memo: bounded by entries, least recently used first
-    out; emptied by a new cache, an unpickle and a deep copy; idle in a
-    store that keeps nothing; never fed by a text that fails; and a
-    Prepared handed back in answers and counts as its text."""
+    out; emptied by a new cache, an unpickle and a deep copy; as busy in
+    a store that caches no chunk result; never fed by a text that fails;
+    and a Prepared handed back in answers and counts as its text."""
     from repro.core import datastore as datastore_module
 
     def parsed(run) -> int:
@@ -507,8 +550,8 @@ def test_the_memo_keeps_what_texts_make_by_count(log_table):
         assert len(clone._memo) == 0 and len(store._memo) == 3
 
     forgetful = make_store(log_table, cache_chunk_results=False)
-    assert parsed(lambda: [forgetful.execute(texts[1]) for __ in range(3)]) == 3
-    assert len(forgetful._memo) == 0
+    assert parsed(lambda: [forgetful.execute(texts[1]) for __ in range(3)]) == 1
+    assert len(forgetful._memo) == 3
 
     store.configure_runtime(cache_policy="lru")
     for text, error in (

@@ -9,12 +9,13 @@ sub-queries. Demonstrates:
 - the Figure 5 effect: latency grows with bytes loaded from disk, and
   most queries run entirely from memory once the working set is warm.
 
-Run:  python examples/distributed_cluster.py
+Run:  python examples/distributed_cluster.py [n_rows]
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from repro import (
     ClusterConfig,
@@ -30,7 +31,8 @@ from repro import (
 
 
 def main() -> None:
-    table = generate_query_logs(LogsConfig(n_rows=60_000))
+    n_rows = int(sys.argv[1]) if len(sys.argv) > 1 else 60_000
+    table = generate_query_logs(LogsConfig(n_rows=n_rows))
     options = DataStoreOptions(
         partition_fields=("country", "table_name"),
         max_chunk_rows=600,

@@ -4,14 +4,12 @@ These accumulators define the semantics of COUNT/SUM/MIN/MAX/AVG/
 COUNT DISTINCT/APPROX_COUNT_DISTINCT. The row-store baseline backends
 drive them one row at a time; the column-store's vectorized per-chunk
 path (:mod:`repro.core.engine`) must produce identical results, which
-the cross-backend tests verify. All states are mergeable, which is also
-what makes the distributed execution tree's multi-level aggregation
-(Section 4) possible.
+the cross-backend tests verify. The distributed execution tree
+(Section 4) merges with the column-store's own aggregators, not these.
 """
 
 from __future__ import annotations
 
-import copy as _copy
 from typing import Any
 
 from repro.errors import ExecutionError, UnsupportedQueryError
@@ -25,20 +23,8 @@ class AggState:
     def add(self, value: Any) -> None:
         raise NotImplementedError
 
-    def merge(self, other: "AggState") -> None:
-        raise NotImplementedError
-
     def result(self) -> Any:
         raise NotImplementedError
-
-    def copy(self) -> "AggState":
-        """A detached clone safe to merge into.
-
-        Every built-in state overrides this with a cheap field copy
-        (the distributed tree clones states on every first-seen group);
-        deepcopy is only the fallback for exotic subclasses.
-        """
-        return _copy.deepcopy(self)
 
 
 class CountStarState(AggState):
@@ -52,16 +38,8 @@ class CountStarState(AggState):
     def add(self, value: Any) -> None:
         self.count += 1
 
-    def merge(self, other: "CountStarState") -> None:
-        self.count += other.count
-
     def result(self) -> int:
         return self.count
-
-    def copy(self) -> "CountStarState":
-        out = CountStarState()
-        out.count = self.count
-        return out
 
 
 class CountValueState(AggState):
@@ -76,16 +54,8 @@ class CountValueState(AggState):
         if value is not None:
             self.count += 1
 
-    def merge(self, other: "CountValueState") -> None:
-        self.count += other.count
-
     def result(self) -> int:
         return self.count
-
-    def copy(self) -> "CountValueState":
-        out = CountValueState()
-        out.count = self.count
-        return out
 
 
 class SumState(AggState):
@@ -105,18 +75,8 @@ class SumState(AggState):
         self.total += value
         self.seen = True
 
-    def merge(self, other: "SumState") -> None:
-        self.total += other.total
-        self.seen = self.seen or other.seen
-
     def result(self) -> float | None:
         return self.total if self.seen else None
-
-    def copy(self) -> "SumState":
-        out = SumState()
-        out.total = self.total
-        out.seen = self.seen
-        return out
 
 
 class MinState(AggState):
@@ -133,17 +93,8 @@ class MinState(AggState):
         if self.best is None or value < self.best:
             self.best = value
 
-    def merge(self, other: "MinState") -> None:
-        if other.best is not None:
-            self.add(other.best)
-
     def result(self) -> Any:
         return self.best
-
-    def copy(self) -> "MinState":
-        out = MinState()
-        out.best = self.best
-        return out
 
 
 class MaxState(AggState):
@@ -160,17 +111,8 @@ class MaxState(AggState):
         if self.best is None or value > self.best:
             self.best = value
 
-    def merge(self, other: "MaxState") -> None:
-        if other.best is not None:
-            self.add(other.best)
-
     def result(self) -> Any:
         return self.best
-
-    def copy(self) -> "MaxState":
-        out = MaxState()
-        out.best = self.best
-        return out
 
 
 class AvgState(AggState):
@@ -191,27 +133,12 @@ class AvgState(AggState):
         self.total += value
         self.count += 1
 
-    def merge(self, other: "AvgState") -> None:
-        self.total += other.total
-        self.count += other.count
-
     def result(self) -> float | None:
         return self.total / self.count if self.count else None
 
-    def copy(self) -> "AvgState":
-        out = AvgState()
-        out.total = self.total
-        out.count = self.count
-        return out
-
 
 class CountDistinctState(AggState):
-    """Exact COUNT(DISTINCT x) via a value set.
-
-    The paper notes this cannot be computed by multi-level associative
-    aggregation of counts — but the *sets* (like the KMV sketches) merge
-    fine, which is how the distributed tree handles it.
-    """
+    """Exact COUNT(DISTINCT x) via a value set."""
 
     __slots__ = ("values",)
 
@@ -222,16 +149,8 @@ class CountDistinctState(AggState):
         if value is not None:
             self.values.add(value)
 
-    def merge(self, other: "CountDistinctState") -> None:
-        self.values |= other.values
-
     def result(self) -> int:
         return len(self.values)
-
-    def copy(self) -> "CountDistinctState":
-        out = CountDistinctState()
-        out.values = set(self.values)
-        return out
 
 
 class ApproxCountDistinctState(AggState):
@@ -246,16 +165,8 @@ class ApproxCountDistinctState(AggState):
         if value is not None:
             self.sketch.add(value)
 
-    def merge(self, other: "ApproxCountDistinctState") -> None:
-        self.sketch.merge(other.sketch)
-
     def result(self) -> int:
         return self.sketch.estimate()
-
-    def copy(self) -> "ApproxCountDistinctState":
-        out = ApproxCountDistinctState(self.sketch.m)
-        out.sketch = self.sketch.copy()
-        return out
 
 
 def make_state(agg: Aggregate) -> AggState:

@@ -43,11 +43,12 @@ from repro.compress.advisor import (
 )
 from repro.compress.registry import get_codec
 from repro.core.engine import (
+    ColumnarAggregator,
+    CountDistinctAggregator,
     PresenceAggregator,
     RunGroups,
     _ExtremeAggregator,
     _PairAggregator,
-    aggregator_states,
     as_run_partial,
     build_aggregator,
     in_chunk_order,
@@ -60,7 +61,8 @@ from repro.core.expr_eval import (
     evaluate_array,
     to_vector,
 )
-from repro.core.plan import is_aggregation_query, plan_group_query, query_fingerprint
+from repro.core.plan import GroupPlan, is_aggregation_query, plan_group_query
+from repro.core.plan import query_fingerprint
 from repro.core.plan import resolve_group_aliases
 from repro.core.restriction import FULL, Restriction, compile_restriction, pick
 from repro.core.result import QueryResult, ScanStats, finalize, resolve_output_expr
@@ -1091,15 +1093,14 @@ class DataStore:
     def execute_partials(self, query: Prepared | Query | str) -> tuple[ScanStats, Any]:
         """Execute the shard-local part of a distributed query.
 
-        Returns ``(stats, groups)`` where ``groups`` maps a NULL-safe
-        group key to ``(group_values, [AggState, ...])``. The states
-        are mergeable across shards (Section 4's multi-level
-        aggregation); the computation tree merges them level by level
-        and the root finalizes. Plain projection queries return
-        ``(stats, rows)`` with ``rows`` a list of output dicts instead.
+        Returns ``(stats, partial)``: a grouped query's
+        :class:`TreePartial`, which the computation tree folds level by
+        level with the store's own aggregators (Section 4) and its root
+        reads out as :meth:`execute` does; a plain projection's output
+        rows, all of them, as dicts.
         """
         __, stats, kernel = self._run_pipeline(query)
-        return stats, kernel.shard_partials()
+        return stats, kernel.partial()
 
     def _run_pipeline(
         self, query: Prepared | Query | str, plans: bool = False
@@ -1316,6 +1317,24 @@ class DataStore:
         ]
 
 
+class TreePartial(NamedTuple):
+    """A grouped query's folded state in value space: what a shard, or a
+    level of the computation tree (Section 4), hands up.
+
+    ``values``: the present groups' values, ascending (None without a
+    GROUP BY: one group). ``states``: per aggregator, group presence
+    first, its :meth:`~repro.core.engine.ColumnarAggregator.state`
+    columns, the first indexing ``values``. ``args``: for MIN / MAX and
+    COUNT DISTINCT, the sorted distinct argument values that the last
+    column codes, else None (a sketch ships its hashes as they are).
+    """
+
+    plan: GroupPlan
+    values: np.ndarray | None
+    states: list[tuple]
+    args: list[np.ndarray | None]
+
+
 class Run(NamedTuple):
     """One kernel call: ascending chunk indices to scan, the rows it keeps
     (see :meth:`Restriction.select`) and whether each chunk's partial may
@@ -1340,7 +1359,7 @@ class _RunKernel:
     feeds the partials of every served run (and of every cache hit, as
     a one-chunk run) to :meth:`fold` on the merge thread, which folds
     them in ascending chunk order. :meth:`rows` and
-    :meth:`shard_partials` then read the folded state out for
+    :meth:`partial` then read the folded state out for
     ``execute`` and ``execute_partials``.
 
     Thread/serial strategies just call it; process strategies pickle
@@ -1425,6 +1444,18 @@ class _GroupedKernel(_RunKernel):
         )
         super().__init__(store, fields)
         self._aggregate()
+
+    @classmethod
+    def folded(
+        cls, plan: GroupPlan, fields: list, aggregators: list[ColumnarAggregator]
+    ) -> "_GroupedKernel":
+        """A kernel that scans nothing: a computation-tree level's
+        ``aggregators`` (group presence first), its children's partials
+        folded in, over ``fields`` that hold only dictionaries."""
+        kernel = cls.__new__(cls)
+        _RunKernel.__init__(kernel, None, fields)
+        kernel.plan, (kernel.presence, *kernel.aggregators) = plan, aggregators
+        return kernel
 
     def _aggregate(self) -> None:
         """Fresh aggregators over ``fields``: no per-entry table is pickled."""
@@ -1608,28 +1639,24 @@ class _GroupedKernel(_RunKernel):
 
         return _topk_positions(parsed, gids.size, keys(), key_column, group_key)
 
-    def shard_partials(self) -> dict[tuple, tuple[tuple, list]]:
-        """NULL-safe group key -> (group values, mergeable AggStates)."""
-        group_field, present = self.fields[0], self._present()
-        state_lists = [
-            aggregator_states(aggregator, present)
-            for aggregator in self.aggregators
-        ]
-        groups: dict[tuple, tuple[tuple, list]] = {}
-        for position, gid in enumerate(np.flatnonzero(present)):
-            if group_field is None:
-                values: tuple = ()
-            else:
-                value = group_field.dictionary.value(int(gid))
-                values = value if len(self.plan.group_exprs) > 1 else (value,)
-            key = tuple((v is not None, v) for v in values)
-            groups[key] = (
-                values,
-                [states[position] for states in state_lists],
-            )
-        if group_field is None and not groups:
-            groups[()] = ((), [])
-        return groups
+    def partial(self) -> TreePartial:
+        """The folded state as a :class:`TreePartial`: the group values by one
+        take, argument global-ids coded over their distinct values."""
+        present = np.flatnonzero(self._present())
+        states, args = [], []
+        for aggregator, field in zip(
+            [self.presence, *self.aggregators], [None, *self.fields[1:]]
+        ):
+            *columns, keys = aggregator.state(present)
+            arg = None
+            if isinstance(aggregator, (_ExtremeAggregator, CountDistinctAggregator)):
+                arg, keys = np.unique(keys, return_inverse=True)
+                arg = field.value_array()[arg]
+            states.append((*columns, keys))
+            args.append(arg)
+        group = self.fields[0]
+        values = None if group is None else group.value_array()[present]
+        return TreePartial(self.plan, values, states, args)
 
 
 class _ProjectionKernel(_RunKernel):
@@ -1689,7 +1716,7 @@ class _ProjectionKernel(_RunKernel):
             columns = [gids[positions] for gids in columns]
         return self._decode(columns), positions is not None
 
-    def shard_partials(self) -> list[dict[str, Any]]:
+    def partial(self) -> list[dict[str, Any]]:
         return self._decode(self.columns)
 
     def _decode(self, columns: list[np.ndarray]) -> list[dict[str, Any]]:

@@ -212,6 +212,13 @@ class ColumnarAggregator:
         """Final value for each of ``groups`` (ascending gid order)."""
         return self.decode(*self.result_columns(groups))
 
+    def state(self, present: np.ndarray) -> tuple:
+        """The folded state over the ascending gids ``present``, as columns
+        the first of which indexes ``present``: counts; totals and counts;
+        MIN / MAX winners and COUNT DISTINCT pairs, each ending with the
+        argument's global-ids; a sketch's retained hashes."""
+        raise NotImplementedError
+
     def _valid(
         self, groups: RunGroups, arg: np.ndarray | None
     ) -> tuple[RunGroups, np.ndarray | None]:
@@ -255,6 +262,9 @@ class PresenceAggregator(ColumnarAggregator):
     def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _never_null(self.counts[groups])
 
+    def state(self, present: np.ndarray) -> tuple:
+        return np.arange(present.size), self.counts[present]
+
 
 class CountValueAggregator(PresenceAggregator):
     """COUNT(x): non-NULL rows per group."""
@@ -295,6 +305,9 @@ class SumAggregator(ColumnarAggregator):
 
     def result_columns(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.totals[groups], self.counts[groups] == 0
+
+    def state(self, present: np.ndarray) -> tuple:
+        return np.arange(present.size), self.totals[present], self.counts[present]
 
 
 class AvgAggregator(SumAggregator):
@@ -348,6 +361,11 @@ class _ExtremeAggregator(ColumnarAggregator):
         """The best *global-ids*: ranks, so they order as the values do."""
         best = self.best[groups]
         return best, best == self.sentinel
+
+    def state(self, present: np.ndarray) -> tuple:
+        best = self.best[present]
+        won = np.flatnonzero(best != self.sentinel)
+        return won, best[won]
 
     def decode(self, values: np.ndarray, null: np.ndarray) -> list[Any]:
         return [
@@ -451,6 +469,10 @@ class CountDistinctAggregator(_PairAggregator):
         counts[high[ends]] = np.diff(ends, prepend=-1)
         return _never_null(counts[groups])
 
+    def state(self, present: np.ndarray) -> tuple:
+        pairs = self.pairs()
+        return np.searchsorted(present, pairs >> self.arg_bits), self.values(pairs)
+
 
 class ApproxCountDistinctAggregator(_PairAggregator):
     """KMV-sketched COUNT DISTINCT (Section 5).
@@ -496,6 +518,12 @@ class ApproxCountDistinctAggregator(_PairAggregator):
             estimates[gid] = sketch.estimate()
         return _never_null(estimates[groups])
 
+    def state(self, present: np.ndarray) -> tuple:
+        gids = sorted(self._sketches)
+        hashes = [self._sketches[gid].hashes for gid in gids]
+        index = np.repeat(np.searchsorted(present, gids), [h.size for h in hashes])
+        return index, np.concatenate([np.zeros(0), *hashes])
+
 
 def build_aggregator(
     agg: Aggregate,
@@ -527,108 +555,3 @@ def build_aggregator(
         raise ExecutionError(f"unsupported aggregate {agg.name!r}")
     aggregator.entries = arg_field.chunk_dict_index().gids
     return aggregator
-
-
-# -- mergeable state export (for the Section 4 computation tree) ------------
-#
-# Each aggregator can convert its per-group accumulators into the
-# row-level AggStates of repro.core.aggregation. States are mergeable
-# across shards (whose dictionaries differ), so the distributed
-# execution tree aggregates on every level — and exact COUNT DISTINCT /
-# KMV sketches travel as sets/sketches, the paper's Section 5 answer to
-# "we cannot support count distinct by [associative rewrites]".
-
-
-def _count_states(aggregator: PresenceAggregator, present: np.ndarray):
-    from repro.core.aggregation import CountStarState, CountValueState
-
-    of_values = isinstance(aggregator, CountValueAggregator)
-    out = []
-    for count in aggregator.counts[present].tolist():
-        state = CountValueState() if of_values else CountStarState()
-        state.count = count
-        out.append(state)
-    return out
-
-
-def _sum_states(aggregator: SumAggregator, present: np.ndarray):
-    from repro.core.aggregation import AvgState, SumState
-
-    out = []
-    is_avg = isinstance(aggregator, AvgAggregator)
-    for total, count in zip(
-        aggregator.totals[present], aggregator.counts[present]
-    ):
-        if is_avg:
-            state = AvgState()
-            state.total = float(total)
-            state.count = int(count)
-        else:
-            state = SumState()
-            state.total = float(total)
-            state.seen = bool(count)
-        out.append(state)
-    return out
-
-
-def _extreme_states(aggregator: _ExtremeAggregator, present: np.ndarray):
-    from repro.core.aggregation import MaxState, MinState
-
-    out = []
-    for best in aggregator.best[present]:
-        state = MinState() if aggregator._is_min else MaxState()
-        if best != aggregator.sentinel:
-            state.best = aggregator.dictionary.value(int(best))
-        out.append(state)
-    return out
-
-
-def _count_distinct_states(
-    aggregator: CountDistinctAggregator, present: np.ndarray
-):
-    from repro.core.aggregation import CountDistinctState
-
-    per_group: dict[int, set] = {}
-    dictionary = aggregator.dictionary
-    pairs = aggregator.pairs()
-    groups, value_ids = pairs >> aggregator.arg_bits, aggregator.values(pairs)
-    for group, value_id in zip(groups.tolist(), value_ids.tolist()):
-        per_group.setdefault(group, set()).add(dictionary.value(value_id))
-    out = []
-    for gid in np.flatnonzero(present):
-        state = CountDistinctState()
-        state.values = per_group.get(int(gid), set())
-        out.append(state)
-    return out
-
-
-def _approx_states(
-    aggregator: ApproxCountDistinctAggregator, present: np.ndarray
-):
-    from repro.core.aggregation import ApproxCountDistinctState
-
-    out = []
-    for gid in np.flatnonzero(present):
-        state = ApproxCountDistinctState(aggregator.m)
-        sketch = aggregator._sketches.get(int(gid))
-        if sketch is not None:
-            state.sketch.merge(sketch)
-        out.append(state)
-    return out
-
-
-def aggregator_states(
-    aggregator: ColumnarAggregator, present: np.ndarray
-) -> list[Any]:
-    """Per-present-group mergeable AggStates for any aggregator."""
-    if isinstance(aggregator, PresenceAggregator):  # covers CountValueAggregator
-        return _count_states(aggregator, present)
-    if isinstance(aggregator, SumAggregator):  # covers AvgAggregator
-        return _sum_states(aggregator, present)
-    if isinstance(aggregator, _ExtremeAggregator):
-        return _extreme_states(aggregator, present)
-    if isinstance(aggregator, CountDistinctAggregator):
-        return _count_distinct_states(aggregator, present)
-    if isinstance(aggregator, ApproxCountDistinctAggregator):
-        return _approx_states(aggregator, present)
-    raise ExecutionError(f"no state export for {type(aggregator).__name__}")

@@ -4,8 +4,8 @@
   ("start by sharding the data quasi randomly across the machines"),
   each shard partitioned into chunks independently.
 - :mod:`repro.distributed.tree` -- the computation tree: the group-by
-  rewrite (leaf/merge query decomposition) and multi-level merging of
-  mergeable partial states.
+  rewrite (leaf/merge query decomposition) and the level-by-level fold
+  of columnar shard partials with the store's own aggregators.
 - :mod:`repro.distributed.cluster` -- a deterministic simulation of the
   production cluster: machines with fluctuating load, an in-memory /
   on-disk residency model, primary+replica sub-queries, and the
@@ -31,11 +31,7 @@ from repro.distributed.faults import (
     dispatch_sub_query,
 )
 from repro.distributed.shard import Shard, shard_table
-from repro.distributed.tree import (
-    ComputationTree,
-    decompose_query,
-    merge_group_partials,
-)
+from repro.distributed.tree import ComputationTree, decompose_query
 
 __all__ = [
     "ClusterConfig",
@@ -50,6 +46,5 @@ __all__ = [
     "backoff_delay",
     "decompose_query",
     "dispatch_sub_query",
-    "merge_group_partials",
     "shard_table",
 ]

@@ -28,7 +28,8 @@ Model, mirroring the paper:
   (the paper assumes ">= 100 MB/second") and kept under LRU.
 - machine load fluctuates (log-normal), with occasional stragglers that
   replication hides; scan time is proportional to rows scanned.
-- partials are merged up a fan-in computation tree; the root finalizes.
+- columnar partials are folded up a fan-in computation tree; the root
+  reads the fold out as one store does.
 
 The per-query :class:`QueryMetrics` expose latency, cumulative bytes
 loaded from disk (Figure 5's x-axis) and the skipped/cached/scanned
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.datastore import DataStoreOptions
+from repro.core.datastore import DataStoreOptions, Prepared
 from repro.core.result import QueryResult, ScanStats
 from repro.core.table import Table
 from repro.distributed.faults import (
@@ -53,16 +54,11 @@ from repro.distributed.faults import (
     dispatch_sub_query,
 )
 from repro.distributed.shard import Shard, shard_table
-from repro.distributed.tree import (
-    ComputationTree,
-    finalize_partials,
-    merge_group_partials,
-)
+from repro.distributed.tree import ComputationTree
 from repro.core.result import finalize as finalize_rows
 from repro.errors import DistributedError, ShardUnavailableError
 from repro.monitoring import counters
 from repro.sql.ast_nodes import Query
-from repro.sql.parser import parse_query
 
 
 @dataclass(frozen=True)
@@ -257,7 +253,14 @@ class SimulatedCluster:
         return seconds, disk_bytes
 
     # -- execution ---------------------------------------------------------------
-    def execute(self, query: Query | str) -> tuple[QueryResult, QueryMetrics]:
+    def prepare(self, query: Prepared | Query | str) -> Prepared:
+        """Parse and bind once, through the first shard's store: every
+        shard store has the same options and table name."""
+        return self.shards[0].store.prepare(query)
+
+    def execute(
+        self, query: Prepared | Query | str
+    ) -> tuple[QueryResult, QueryMetrics]:
         """Run a query across all shards; returns result + sim metrics.
 
         Every sub-query runs through the fault-handling engine
@@ -269,15 +272,15 @@ class SimulatedCluster:
         fraction (or, with ``degrade=False``, the query raises
         :class:`~repro.errors.ShardUnavailableError`).
         """
-        parsed = parse_query(query) if isinstance(query, str) else query
+        prepared = self.prepare(query)
+        parsed = prepared.query
         query_index = self._query_count
         self._query_count += 1
         plan = self._fault_plan
         metrics = QueryMetrics()
         merged_stats = ScanStats()
 
-        leaf_partials = []
-        leaf_rows: list | None = None
+        leaf_partials, leaf_rows = [], []
         slowest_sub_query = 0.0
         # Shards with no live replica cannot answer; skip computing
         # their partials entirely (nobody is up to compute them).
@@ -296,7 +299,7 @@ class SimulatedCluster:
         # The machines are simulated, so each shard's partial is
         # computed here, in shard order; the cost model prices it.
         shard_results = {
-            shard.shard_id: shard.store.execute_partials(parsed)
+            shard.shard_id: shard.store.execute_partials(prepared)
             for shard in reachable
         }
         unavailable: list[int] = []
@@ -338,7 +341,7 @@ class SimulatedCluster:
             covered_rows += shard.n_rows
             merged_stats = merged_stats.merge(stats)
             if isinstance(partial, list):
-                leaf_rows = (leaf_rows or []) + partial
+                leaf_rows.extend(partial)
             else:
                 leaf_partials.append(partial)
 
@@ -357,22 +360,22 @@ class SimulatedCluster:
                 f"{metrics.row_coverage:.1%} of rows"
             )
 
-        if leaf_rows is not None or (not leaf_partials and unavailable):
+        if not leaf_partials:
             # Projection queries — and the fully-degraded case where no
             # shard produced a partial at all — merge plain output rows.
-            table = finalize_rows(leaf_rows or [], parsed)
+            table = finalize_rows(leaf_rows, parsed)
             merge_seconds = 0.0
             metrics.merge_operations = len(self.shards)
         else:
             tree = ComputationTree(len(self.shards), fanout=self.config.fanout)
-            merged, operations = tree.merge_levels(leaf_partials)
+            root, operations = tree.merge_levels(leaf_partials)
             metrics.merge_operations = operations
-            n_groups = max(len(merged), 1)
+            n_groups = max(root.presence.counts.size, 1)
             merge_seconds = tree.depth * (
                 self.config.machine.base_overhead_seconds
                 + n_groups / self.config.machine.merge_rate_groups_per_second
             )
-            table = finalize_partials(parsed, merged)
+            table = root.answer(parsed)
 
         metrics.latency_seconds = slowest_sub_query + merge_seconds
         metrics.stats = merged_stats

@@ -9,7 +9,7 @@ shared execution strategy.
 
 Request lifecycle::
 
-    submit(tenant, sql) -> the store's prepare (parse + bind; may raise)
+    submit(tenant, sql) -> the backend's prepare (parse + bind; may raise)
         -> admission (bounded per-tenant queue)
         -> smooth-WRR dispatch (FairScheduler, in-flight caps)
         -> semantic cache probe (exact canonical-plan hit | miss)
@@ -42,7 +42,8 @@ from repro.monitoring import QueryLogCollector, counters
 from repro.service.cache import SemanticResultCache
 from repro.service.scheduler import FairScheduler
 from repro.sql.ast_nodes import Query
-from repro.sql.parser import parse_query
+# Unused here: bench/trace.py still patches it in this module.
+from repro.sql.parser import parse_query  # noqa: F401
 
 
 #: Byte budget of the semantic result cache.
@@ -222,10 +223,7 @@ class QueryService:
         """
         if self._closed:
             raise ServiceError("submit() on a closed QueryService")
-        if self._is_store:
-            prepared = self.backend.prepare(sql)
-        else:
-            prepared = Prepared(parse_query(sql) if isinstance(sql, str) else sql)
+        prepared = self.backend.prepare(sql)
         ticket = QueryTicket()
         request = _Request(
             tenant=tenant,
@@ -338,7 +336,7 @@ class QueryService:
         with self._engine_gate:
             if self._is_store:
                 return self.backend.execute(request.prepared)
-            result, __ = self.backend.execute(request.prepared.query)
+            result, __ = self.backend.execute(request.prepared)
             return result
 
     # -- accounting ---------------------------------------------------------------

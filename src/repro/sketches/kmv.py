@@ -7,9 +7,10 @@ is typically in the order of a couple of thousand. The largest of these
 m hashes, say v, can be used to approximate the count distinct results
 by m/v, assuming that the hash values are normalized to be in [0, 1]."
 
-The sketch here follows that description exactly (estimator ``m / v``),
-keeps the m smallest *distinct* hashes, and supports merging — needed
-both for per-chunk accumulation and for the distributed execution tree.
+The sketch here follows that description exactly (estimator ``m / v``)
+and keeps the m smallest *distinct* hashes. Folding another sketch's
+:attr:`KmvSketch.hashes` in is the union of the two, which is how the
+distributed execution tree merges sketches.
 
 The paper notes it profits "from a very useful property of both the
 global- as well as the chunk-dictionaries: the underlying values are
@@ -41,11 +42,16 @@ class KmvSketch:
             raise ExecutionError(f"KMV sketch size must be >= 1, got {m}")
         self.m = m
         # Sorted ascending, distinct, at most m long; replaced by every
-        # fold and never written in place, so copies may share it.
+        # fold and never written in place, so readers may keep it.
         self._hashes = np.empty(0, dtype=np.float64)
 
     def __len__(self) -> int:
         return int(self._hashes.size)
+
+    @property
+    def hashes(self) -> np.ndarray:
+        """The retained hashes, ascending (read-only by contract)."""
+        return self._hashes
 
     @property
     def threshold(self) -> float:
@@ -74,20 +80,6 @@ class KmvSketch:
         keep = np.ones(merged.size, dtype=bool)
         keep[1:] = merged[1:] != merged[:-1]
         self._hashes = merged[np.flatnonzero(keep)[: self.m]]
-
-    def copy(self) -> "KmvSketch":
-        """A detached clone (cheap: the hash array is shared, see above)."""
-        out = KmvSketch(self.m)
-        out._hashes = self._hashes
-        return out
-
-    def merge(self, other: "KmvSketch") -> None:
-        """Union another sketch into this one (sizes must match)."""
-        if other.m != self.m:
-            raise ExecutionError(
-                f"cannot merge KMV sketches of sizes {self.m} and {other.m}"
-            )
-        self.add_hash_array(other._hashes)
 
     def estimate(self) -> int:
         """Estimated number of distinct values added."""

@@ -31,13 +31,6 @@ class TestCountStates:
             state.add(value)
         assert state.result() == 2
 
-    def test_merge(self):
-        a, b = CountStarState(), CountStarState()
-        a.add(1)
-        b.add(1)
-        b.add(1)
-        a.merge(b)
-        assert a.result() == 3
 
 
 class TestSumAvg:
@@ -66,13 +59,6 @@ class TestSumAvg:
     def test_avg_empty_is_null(self):
         assert AvgState().result() is None
 
-    def test_avg_merge(self):
-        a, b = AvgState(), AvgState()
-        a.add(2)
-        b.add(4)
-        b.add(6)
-        a.merge(b)
-        assert a.result() == 4.0
 
 
 class TestMinMax:
@@ -96,12 +82,6 @@ class TestMinMax:
         assert MinState().result() is None
         assert MaxState().result() is None
 
-    def test_merge(self):
-        a, b = MinState(), MinState()
-        a.add(5)
-        b.add(2)
-        a.merge(b)
-        assert a.result() == 2
 
 
 class TestDistinct:
@@ -111,14 +91,6 @@ class TestDistinct:
             state.add(value)
         assert state.result() == 3
 
-    def test_exact_merge_unions(self):
-        a, b = CountDistinctState(), CountDistinctState()
-        a.add(1)
-        a.add(2)
-        b.add(2)
-        b.add(3)
-        a.merge(b)
-        assert a.result() == 3
 
     def test_approx_small_is_exact(self):
         state = ApproxCountDistinctState(m=64)
@@ -127,13 +99,6 @@ class TestDistinct:
             state.add(i)
         assert state.result() == 40
 
-    def test_approx_merge(self):
-        a = ApproxCountDistinctState(m=512)
-        b = ApproxCountDistinctState(m=512)
-        for i in range(2000):
-            (a if i % 2 else b).add(i)
-        a.merge(b)
-        assert abs(a.result() - 2000) / 2000 < 0.2
 
 
 class TestMakeState:

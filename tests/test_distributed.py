@@ -1,8 +1,11 @@
 """Distributed execution tests — sharding, tree, cluster simulation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.aggregation import AggState
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.distributed import (
     ClusterConfig,
@@ -10,12 +13,15 @@ from repro.distributed import (
     MachineConfig,
     SimulatedCluster,
     decompose_query,
-    merge_group_partials,
     shard_table,
 )
+from repro.distributed.tree import fold_level
 from repro.errors import DistributedError, UnsupportedQueryError
 from repro.formats.rowexec import execute_on_rows
+from repro.monitoring import counters
+from repro.service import QueryService, ServiceConfig
 from repro.sql.parser import parse_query
+from repro.storage.dictionary import Dictionary
 from tests.conftest import make_store
 from tests.sanitizer import SanitizingExecutor, assert_results_equal
 
@@ -125,46 +131,145 @@ class TestComputationTree:
         with pytest.raises(DistributedError):
             ComputationTree(4, fanout=1)
 
-    def test_merge_is_associative_across_levels(self, log_table):
-        """Merging with different fanouts yields identical results."""
-        query = (
-            "SELECT country, COUNT(*) as c, COUNT(DISTINCT table_name) as cd "
-            "FROM data GROUP BY country ORDER BY c DESC LIMIT 10"
-        )
-        shards = shard_table(log_table, 6, seed=7)
-        stores = [DataStore.from_table(s, _OPTIONS) for s in shards]
-        partials = [store.execute_partials(query)[1] for store in stores]
-        from repro.distributed.tree import finalize_partials
+    #: Every aggregate kind, a NULL group value, a two-field GROUP BY and
+    #: none; {t} is a threshold one shard keeps no row above.
+    _TREE_QUERIES = (
+        "SELECT country, COUNT(*) AS n, COUNT(latency) AS nl, SUM(latency) AS s, "
+        "AVG(latency) AS a, MIN(table_name) AS lo, MAX(table_name) AS hi, "
+        "MIN(latency) AS ml, MAX(latency) AS xl, COUNT(DISTINCT user_name) AS u, "
+        "APPROX_COUNT_DISTINCT(user_name, 16) AS au FROM data "
+        "WHERE latency > {t} GROUP BY country",
+        "SELECT latency, COUNT(*) AS n, COUNT(DISTINCT country) AS c FROM data "
+        "GROUP BY latency ORDER BY n DESC, latency LIMIT 7",
+        "SELECT country, latency, COUNT(*) AS n, MAX(user_name) AS m FROM data "
+        "WHERE latency > {t} OR latency < 30 GROUP BY country, latency",
+        "SELECT COUNT(*) AS n, SUM(latency) AS s, MIN(user_name) AS m, "
+        "APPROX_COUNT_DISTINCT(table_name) AS t FROM data WHERE latency > {t}",
+    )
 
-        results = []
-        for fanout in (2, 3, 8):
-            merged, __ = ComputationTree(6, fanout=fanout).merge_levels(
-                [dict(p) for p in partials]
-            )
-            results.append(
-                list(finalize_partials(parse_query(query), merged).iter_rows())
-            )
-        assert results[0] == results[1] == results[2]
+    def test_merge_is_associative_across_levels(self, null_log_table):
+        """Folding with fanouts 2, 3 and 8 answers as one store, repr-exact."""
+        shards = shard_table(null_log_table, 6, seed=7)
+        stores = [DataStore.from_table(s, _OPTIONS) for s in shards]
+        # The lowest of the shards' top latencies: that shard keeps no row.
+        threshold = min(
+            max(v for v in s.column("latency").values if v is not None)
+            for s in shards
+        )
+        single = DataStore.from_table(null_log_table, _OPTIONS)
+        for query in self._TREE_QUERIES:
+            query = query.format(t=threshold)
+            parsed = single.prepare(query).query
+            partials = [store.execute_partials(query)[1] for store in stores]
+            expected = repr(single.execute(query).rows())
+            for fanout in (2, 3, 8):
+                root, __ = ComputationTree(6, fanout=fanout).merge_levels(partials)
+                rows = list(root.answer(parsed).iter_rows())
+                assert repr(rows) == expected, (fanout, query)
+        first = self._TREE_QUERIES[0].format(t=threshold)
+        assert min(len(store.execute(first).rows()) for store in stores) == 0
 
     def test_merge_does_not_mutate_inputs(self, log_table):
-        query = "SELECT country, COUNT(*) as c FROM data GROUP BY country"
+        query = (
+            "SELECT country, COUNT(*) AS c, SUM(latency) AS s, MAX(user_name) AS m, "
+            "COUNT(DISTINCT user_name) AS u, APPROX_COUNT_DISTINCT(table_name) AS a "
+            "FROM data GROUP BY country"
+        )
         store = make_store(log_table)
         __, partial = store.execute_partials(query)
-        key = next(iter(partial))
-        before = partial[key][1][0].count
-        merge_group_partials([partial, partial])
-        assert partial[key][1][0].count == before
+        before = pickle.dumps(partial)
+        fold_level([partial, partial]).partial()
+        assert pickle.dumps(partial) == before
+
+
+def _cluster(log_table) -> SimulatedCluster:
+    """The ``cluster`` fixture's cluster, freshly built."""
+    return SimulatedCluster.build(
+        log_table,
+        n_shards=6,
+        store_options=_OPTIONS,
+        config=ClusterConfig(n_machines=8, seed=4),
+    )
 
 
 class TestSimulatedCluster:
     @pytest.fixture(scope="class")
     def cluster(self, log_table):
-        return SimulatedCluster.build(
-            log_table,
-            n_shards=6,
-            store_options=_OPTIONS,
-            config=ClusterConfig(n_machines=8, seed=4),
+        return _cluster(log_table)
+
+    def test_cost_model_is_pinned(self, log_table):
+        """merge_operations, sub_queries, replica_wins, disk bytes and the
+        latency, query after query on a fresh fixture cluster: the values
+        the per-group AggState merge gave. The merge-time model reads the
+        root's group count."""
+        cluster = _cluster(log_table)
+        queries = (
+            "SELECT country, COUNT(*) as c FROM data GROUP BY country "
+            "ORDER BY c DESC LIMIT 10",
+            "SELECT table_name, COUNT(*) AS c, COUNT(DISTINCT user_name) AS u "
+            "FROM data GROUP BY table_name ORDER BY c DESC LIMIT 10",
+            "SELECT COUNT(*) AS n, AVG(latency) AS a FROM data WHERE latency > 100",
+            "SELECT country, latency FROM data WHERE latency > 400 "
+            "ORDER BY latency DESC LIMIT 5",
         )
+        pinned = [
+            (6, 6, 1, 8428, 0.009010195126755445),
+            (6, 6, 5, 149418, 0.01243319773245246),
+            (6, 6, 3, 48748, 0.010020283047518001),
+            (6, 6, 4, 0, 0.0038176580522945405),
+            (6, 6, 4, 0, 0.01099175449658273),
+        ]
+        for query, expected in zip([*queries, queries[0]], pinned):
+            __, m = cluster.execute(query)
+            assert (
+                m.merge_operations, m.sub_queries, m.replica_wins,
+                m.bytes_loaded_from_disk, m.latency_seconds,
+            ) == expected, query  # fmt: skip
+
+    def test_a_warm_tree_builds_no_aggstate_and_decodes_survivors(
+        self, log_table, monkeypatch
+    ):
+        """A warm 4-shard top-10 GROUP BY: no AggState is built, and the
+        only dictionary lookups are the ten survivors' group values."""
+        cluster = SimulatedCluster.build(
+            log_table, 4, _OPTIONS, ClusterConfig(n_machines=4, seed=1)
+        )
+        query = (
+            "SELECT table_name, COUNT(*) AS c FROM data GROUP BY table_name "
+            "ORDER BY c DESC LIMIT 10"
+        )
+        expected = make_store(log_table).execute(query).rows()
+        assert cluster.execute(query)[0].rows() == expected  # warm
+        built, looked_up = [], []
+        for kind in AggState.__subclasses__():
+            init = kind.__init__
+            monkeypatch.setattr(
+                kind, "__init__",
+                lambda self, *a, init=init: built.append(self) or init(self, *a),
+            )  # fmt: skip
+        value = Dictionary.value
+        monkeypatch.setattr(
+            Dictionary, "value",
+            lambda self, gid: looked_up.append(gid) or value(self, gid),
+        )  # fmt: skip
+        result, __ = cluster.execute(query)
+        assert result.rows() == expected
+        assert built == [] and len(looked_up) == 10
+        assert len(set(log_table.column("table_name").values)) > 100
+
+    def test_served_texts_parse_once(self, log_table):
+        """Ten served submissions of one text parse it once, through the
+        first shard's prepare memo."""
+        cluster = _cluster(log_table)
+        text = "SELECT country, COUNT(*) AS c FROM data GROUP BY country"
+        parsed = counters.get("datastore.sql.parsed")
+        config = ServiceConfig(workers=1, enable_result_cache=False)
+        with QueryService(cluster, config) as service:
+            tickets = [service.submit("t", text) for __ in range(10)]
+            outcomes = [ticket.outcome(60.0) for ticket in tickets]
+        assert counters.get("datastore.sql.parsed") == parsed + 1
+        expected = make_store(log_table).execute(text).rows()
+        assert all(outcome.result.rows() == expected for outcome in outcomes)
 
     def test_results_match_single_node(self, cluster, log_table):
         single = make_store(log_table)

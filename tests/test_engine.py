@@ -7,13 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import engine
-from repro.core.aggregation import (
-    AvgState,
-    CountDistinctState,
-    CountStarState,
-    MinState,
-    SumState,
-)
 from repro.core.datastore import (
     DataStore,
     DataStoreOptions,
@@ -31,7 +24,6 @@ from repro.core.engine import (
     RunGroups,
     RunPairs,
     SumAggregator,
-    aggregator_states,
     as_run_partial,
 )
 from repro.core.plan import resolve_group_aliases
@@ -187,61 +179,88 @@ class TestApprox:
 
 
 class TestStateExport:
-    """aggregator_states must mirror .results() through AggStates."""
+    """An aggregator's :meth:`state` applies to a fresh aggregator of its
+    kind as its chunk partials did: the same results, shard after shard."""
+
+    @staticmethod
+    def _refold(shards, fresh, present):
+        """Apply each shard's state over ``present``, in shard order."""
+        for shard in shards:
+            columns = shard.state(present)
+            if isinstance(fresh, CountDistinctAggregator):
+                columns = (fresh._pairs(*columns),)
+            fresh.apply(columns)
+        return fresh.results(np.arange(present.size))
 
     def test_presence_export(self):
-        agg = PresenceAggregator(2)
-        _apply(agg, _chunk([0, 1, 1]))
-        states = aggregator_states(agg, np.array([True, True]))
-        assert [type(s) for s in states] == [CountStarState, CountStarState]
-        assert [s.result() for s in states] == [1, 2]
+        agg = PresenceAggregator(3)
+        _apply(agg, _chunk([0, 2, 2]))
+        index, counts = agg.state(np.array([0, 2]))
+        assert (index.tolist(), counts.tolist()) == ([0, 1], [1, 2])
+        fresh = PresenceAggregator(2)
+        assert self._refold([agg, agg], fresh, np.array([0, 2])) == [2, 4]
 
     def test_sum_export(self):
         values = np.array([1.0, 2.0])
-        agg = SumAggregator(1, values, arg_has_null=False)
-        _apply(agg, _chunk([0, 0]), arg_ids=[0, 1])
-        (state,) = aggregator_states(agg, np.array([True]))
-        assert isinstance(state, SumState)
-        assert state.result() == 3.0
+        agg = SumAggregator(2, values, arg_has_null=False)
+        _apply(agg, _chunk([1, 1]), arg_ids=[0, 1])
+        index, totals, counts = agg.state(np.array([1]))
+        assert (index.tolist(), totals.tolist(), counts.tolist()) == ([0], [3.0], [2])
+        fresh = SumAggregator(1, None, arg_has_null=False)
+        assert self._refold([agg], fresh, np.array([1])) == [3.0]
 
     def test_avg_export(self):
         values = np.array([2.0, 6.0])
-        agg = AvgAggregator(1, values, arg_has_null=False)
-        _apply(agg, _chunk([0, 0]), arg_ids=[0, 1])
-        (state,) = aggregator_states(agg, np.array([True]))
-        assert isinstance(state, AvgState)
-        assert state.result() == 4.0
+        shard_a = AvgAggregator(1, values, arg_has_null=False)
+        shard_b = AvgAggregator(1, values, arg_has_null=False)
+        _apply(shard_a, _chunk([0]), arg_ids=[0])
+        _apply(shard_b, _chunk([0, 0]), arg_ids=[1, 1])
+        fresh = AvgAggregator(1, None, arg_has_null=False)
+        assert self._refold([shard_a, shard_b], fresh, np.array([0])) == [14 / 3]
 
     def test_min_export(self):
-        dictionary = build_dictionary(["p", "q"])
-        agg = MinAggregator(1, dictionary, arg_has_null=False)
-        _apply(agg, _chunk([0]), arg_ids=[1])
-        (state,) = aggregator_states(agg, np.array([True]))
-        assert isinstance(state, MinState)
-        assert state.result() == "q"
+        """A group without a winner ships none; the winner is a global-id."""
+        dictionary = build_dictionary([None, "p", "q"])
+        shards = [MinAggregator(2, dictionary, arg_has_null=True) for __ in "ab"]
+        _apply(shards[0], _chunk([0, 1]), arg_ids=[0, 2])
+        _apply(shards[1], _chunk([0, 1]), arg_ids=[0, 1])
+        index, winners = shards[0].state(np.array([0, 1]))
+        assert (index.tolist(), winners.tolist()) == ([1], [2])
+        fresh = MinAggregator(2, dictionary, arg_has_null=False)
+        assert self._refold(shards, fresh, np.array([0, 1])) == [None, "p"]
 
     def test_distinct_export_carries_values(self):
-        dictionary = build_dictionary(["a", "b"])
-        agg = CountDistinctAggregator(1, dictionary, arg_has_null=False)
-        _apply(agg, _chunk([0, 0]), arg_ids=[0, 1])
-        (state,) = aggregator_states(agg, np.array([True]))
-        assert isinstance(state, CountDistinctState)
-        assert state.values == {"a", "b"}
+        dictionary = build_dictionary(["a", "b", "c"])
+        shard_a = CountDistinctAggregator(2, dictionary, arg_has_null=False)
+        shard_b = CountDistinctAggregator(2, dictionary, arg_has_null=False)
+        _apply(shard_a, _chunk([0, 0, 1]), arg_ids=[0, 1, 1])
+        _apply(shard_b, _chunk([0, 1]), arg_ids=[1, 2])
+        index, values = shard_a.state(np.array([0, 1]))
+        assert list(zip(index.tolist(), values.tolist())) == [(0, 0), (0, 1), (1, 1)]
+        fresh = CountDistinctAggregator(2, dictionary, arg_has_null=False)
+        assert self._refold([shard_a, shard_b], fresh, np.array([0, 1])) == [2, 2]
+
+    def test_approx_export(self):
+        """A sketch ships its retained hashes, indexed by its group."""
+        hashes = np.array([0.1, 0.2, 0.3, 0.4])
+        agg = ApproxCountDistinctAggregator(3, hashes, False, m=2)
+        _apply(agg, _chunk([2, 2, 2, 0]), arg_ids=[3, 1, 2, 0])
+        index, retained = agg.state(np.array([0, 2]))
+        assert (index.tolist(), retained.tolist()) == ([0, 1, 1], [0.1, 0.2, 0.3])
 
     def test_exported_states_merge(self):
-        """Merging two shards' exported states == one combined shard."""
-        values = np.array([1.0, 10.0])
+        """Folding two shards' states == one combined shard, to the bit."""
+        values = np.array([0.1, 0.2, 0.3])
         shard_a = SumAggregator(1, values, arg_has_null=False)
         shard_b = SumAggregator(1, values, arg_has_null=False)
         combined = SumAggregator(1, values, arg_has_null=False)
         _apply(shard_a, _chunk([0]), arg_ids=[0])
-        _apply(shard_b, _chunk([0]), arg_ids=[1])
-        _apply(combined, _chunk([0, 0]), arg_ids=[0, 1])
-        (a,) = aggregator_states(shard_a, np.array([True]))
-        (b,) = aggregator_states(shard_b, np.array([True]))
-        a.merge(b)
-        (expected,) = aggregator_states(combined, np.array([True]))
-        assert a.result() == expected.result()
+        _apply(shard_b, _chunk([0, 0]), arg_ids=[1, 2])
+        combined.apply(shard_a.run_partial(*_chunk([0])[:1], np.array([0]))[1:])
+        combined.apply(shard_b.run_partial(*_chunk([0, 0])[:1], np.array([1, 2]))[1:])
+        fresh = SumAggregator(1, None, arg_has_null=False)
+        folded = self._refold([shard_a, shard_b], fresh, np.array([0]))
+        assert folded == combined.results(np.array([0])) == [0.1 + (0.2 + 0.3)]
 
 
 # -- differential: run partials == the gid-space oracle, chunk by chunk ---------
@@ -638,11 +657,15 @@ class TestCountDistinctFolds:
                 latencies, users = group
                 latencies.update({row["latency"]} - {None})
                 users.add(row["user_name"])
-            __, groups = shard.store.execute_partials(_DISTINCT_SQL)
-            assert {
-                values[0]: tuple(state.values for state in states)
-                for values, states in groups.values()
-            } == expected
+            __, partial = shard.store.execute_partials(_DISTINCT_SQL)
+            sets = []
+            for slot in (1, 2):  # the pairs: group index, argument value code
+                index, codes = partial.states[slot]
+                values = [set() for __ in partial.values]
+                for group, value in zip(index, partial.args[slot][codes]):
+                    values[group].add(value)
+                sets.append(values)
+            assert dict(zip(partial.values, zip(*sets))) == expected
         result, __ = cluster.execute(_DISTINCT_SQL)
         parsed = parse_query(_DISTINCT_SQL)
         table = null_log_table

@@ -263,8 +263,11 @@ def test_doors_but_a_text_on_the_query_path_build_no_plan(doors):
     for door in ("cache off", "cluster"):
         assert doors[door](text).rows() == expected.rows(), door
     assert cached.execute(parse_query(text)).rows() == expected.rows()
-    stats, groups = cached.execute_partials(text)
-    assert _work(stats) == _work(expected.stats) and len(groups) == 1
+    stats, partial = cached.execute_partials(text)
+    assert _work(stats) == _work(expected.stats)
+    # No GROUP BY: one group, its presence state one zero count.
+    assert partial.values is None
+    assert [column.tolist() for column in partial.states[0]] == [[0], [0]]
     assert _plans_built() == built
     assert ("plan", _shape(cached, text)) not in cached._memo
 

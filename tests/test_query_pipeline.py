@@ -23,7 +23,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.core.datastore import DataStore
 from repro.core.result import QueryResult, ScanStats, finalize
 from repro.core.table import Table
-from repro.distributed.tree import finalize_partials
+from repro.core.plan import resolve_group_aliases
+from repro.distributed.tree import ComputationTree
 from repro.errors import ChunkUnavailableError, ExecutionError, SqlSyntaxError
 from repro.monitoring import counters
 from repro.sql.ast_nodes import BinaryOp, Query
@@ -88,13 +89,15 @@ def _work(stats) -> dict:
 
 
 def _through_partials(store: DataStore, query: str | Query):
-    """What a one-shard cluster answers: shard partials, root finalize."""
+    """What a one-shard cluster answers: the shard's partial, read out by
+    the computation tree's root."""
     parsed = parse_query(query) if isinstance(query, str) else query
-    stats, partials = store.execute_partials(query)
-    if isinstance(partials, list):  # projection: already output rows
-        table = finalize(partials, parsed)
+    parsed = resolve_group_aliases(parsed)
+    stats, partial = store.execute_partials(query)
+    if isinstance(partial, list):  # projection: already output rows
+        table = finalize(partial, parsed)
     else:
-        table = finalize_partials(parsed, partials)
+        table = ComputationTree(1).merge_levels([partial])[0].answer(parsed)
     return QueryResult(table=table, stats=stats, elapsed_seconds=0.0)
 
 

@@ -269,14 +269,15 @@ class _BlockingBackend:
 
     def __init__(self, store: DataStore) -> None:
         self.store = store
+        self.prepare = store.prepare
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def execute(self, query):
+    def execute(self, prepared):
         self.started.set()
         if not self.release.wait(30.0):
             raise ServiceError("blocking backend was never released")
-        return self.store.execute(query), None
+        return self.store.execute(prepared), None
 
 
 class _RaisingBackend:
@@ -284,12 +285,13 @@ class _RaisingBackend:
 
     def __init__(self, store: DataStore, poison: str) -> None:
         self.store = store
+        self.prepare = store.prepare
         self.poison = parse_query(poison).sql()
 
-    def execute(self, query):
-        if query.sql() == self.poison:
+    def execute(self, prepared):
+        if prepared.query.sql() == self.poison:
             raise RuntimeError("backend bug")
-        return self.store.execute(query), None
+        return self.store.execute(prepared), None
 
 
 class TestQueryService:

@@ -55,10 +55,11 @@ with tempfile.TemporaryDirectory() as tmp:
 [clicks] = generate_drilldown_session_groups(
     table, DrillDownConfig(n_sessions=1, clicks_per_session=2, seed=5)
 )
-for sql in [*json.load(sys.stdin), *clicks[0], *clicks[1]]:
+shapes = json.load(sys.stdin)
+for sql in [*shapes, *clicks[0], *clicks[1]]:
     digest.update(repr(store.execute(sql).rows()).encode())
 cluster = SimulatedCluster.build(table, 4, options, ClusterConfig(seed=1))
-for sql in paper_queries():
+for sql in [*paper_queries(), *shapes]:
     result, _metrics = cluster.execute(sql)
     digest.update(repr(result.rows()).encode())
 print(digest.hexdigest())
@@ -142,8 +143,9 @@ class TestGenerator:
 
     def test_bytes_and_answers_do_not_depend_on_the_hash_seed(self):
         """Store file, arena file, the nine full-scan shapes, two
-        drill-down clicks and Queries 1-3 over a 4-shard cluster: a set
-        iterated on an encode or merge path would change the digest."""
+        drill-down clicks, and Queries 1-3 and the nine shapes (COUNT
+        DISTINCT among them) over a 4-shard cluster: a set iterated on an
+        encode or merge path would change the digest."""
         first, second = _digest_under_hash_seed(1), _digest_under_hash_seed(2)
         assert len(first) == 64
         assert first == second

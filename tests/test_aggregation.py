@@ -13,9 +13,32 @@ from repro.core.aggregation import (
     SumState,
     make_state,
 )
+from repro.core.datastore import DataStore
+from repro.core.table import Table
+from repro.distributed import ComputationTree
 from repro.errors import ExecutionError, UnsupportedQueryError
 from repro.sql.ast_nodes import Aggregate, FieldRef, Star
 from repro.sql.parser import parse_query
+
+
+def _merged(aggregate, state, *shards):
+    """Merge one aggregate's shard partials as the distributed tree does
+    (the store's own aggregators fold them) and check the answer against
+    ``state`` fed every shard's values in one pass."""
+    query = parse_query(f"SELECT {aggregate} AS r FROM data")
+    partials = [
+        DataStore.from_table(Table.from_columns({"v": values})).execute_partials(
+            query
+        )[1]
+        for values in shards
+    ]
+    root, __ = ComputationTree(len(shards)).merge_levels(partials)
+    (answer,) = root.answer(query).column("r").values
+    for values in shards:
+        for value in values:
+            state.add(value)
+    assert answer == state.result()
+    return answer
 
 
 class TestCountStates:
@@ -31,6 +54,8 @@ class TestCountStates:
             state.add(value)
         assert state.result() == 2
 
+    def test_merge(self):
+        assert _merged("COUNT(*)", CountStarState(), [1], [1, 1]) == 3
 
 
 class TestSumAvg:
@@ -59,6 +84,8 @@ class TestSumAvg:
     def test_avg_empty_is_null(self):
         assert AvgState().result() is None
 
+    def test_avg_merge(self):
+        assert _merged("AVG(v)", AvgState(), [2], [4, 6]) == 4.0
 
 
 class TestMinMax:
@@ -82,6 +109,8 @@ class TestMinMax:
         assert MinState().result() is None
         assert MaxState().result() is None
 
+    def test_merge(self):
+        assert _merged("MIN(v)", MinState(), [5], [2]) == 2
 
 
 class TestDistinct:
@@ -91,6 +120,8 @@ class TestDistinct:
             state.add(value)
         assert state.result() == 3
 
+    def test_exact_merge_unions(self):
+        assert _merged("COUNT(DISTINCT v)", CountDistinctState(), [1, 2], [2, 3]) == 3
 
     def test_approx_small_is_exact(self):
         state = ApproxCountDistinctState(m=64)
@@ -98,6 +129,12 @@ class TestDistinct:
             state.add(i)
             state.add(i)
         assert state.result() == 40
+
+    def test_approx_merge(self):
+        odd, even = ([i for i in range(2000) if i % 2 == r] for r in (1, 0))
+        state = ApproxCountDistinctState(m=512)
+        merged = _merged("APPROX_COUNT_DISTINCT(v, 512)", state, odd, even)
+        assert abs(merged - 2000) / 2000 < 0.2
 
 
 

@@ -118,10 +118,6 @@ FSCK_CATALOG: tuple[CatalogEntry, ...] = (
 )
 
 
-def fsck_codes() -> set[str]:
-    return {entry.code for entry in FSCK_CATALOG}
-
-
 def render_catalog(entries: tuple[CatalogEntry, ...]) -> str:
     """Human-readable catalog listing for the CLI."""
     lines = []

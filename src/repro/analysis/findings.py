@@ -107,15 +107,8 @@ class FindingsReport:
         """Whether the run is clean (no findings at any severity)."""
         return not self.findings
 
-    @property
-    def has_errors(self) -> bool:
-        return any(f.severity >= Severity.ERROR for f in self.findings)
-
     def codes(self) -> set[str]:
         return {f.code for f in self.findings}
-
-    def by_code(self, code: str) -> list[Finding]:
-        return [f for f in self.findings if f.code == code]
 
     def counts_by_severity(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -26,41 +26,33 @@ from repro.compress.huffman import huffman_compress, huffman_decompress
 from repro.compress.lzo_like import lzo_compress, lzo_decompress
 from repro.compress.registry import (
     CompressionStats,
-    all_compression_stats,
     available_codecs,
     compress,
     compression_stats,
     decompress,
     get_codec,
-    reset_compression_stats,
 )
 from repro.compress.rle import (
     bit_rle_counter_count,
     rle_decode_bytes,
-    rle_decode_ints,
     rle_encode_bytes,
-    rle_encode_ints,
 )
 from repro.compress.zippy import zippy_compress, zippy_decompress
 
 __all__ = [
     "CompressionStats",
-    "all_compression_stats",
     "available_codecs",
     "bit_rle_counter_count",
     "compress",
     "compression_stats",
     "decompress",
     "get_codec",
-    "reset_compression_stats",
     "huffman_compress",
     "huffman_decompress",
     "lzo_compress",
     "lzo_decompress",
     "rle_decode_bytes",
-    "rle_decode_ints",
     "rle_encode_bytes",
-    "rle_encode_ints",
     "zippy_compress",
     "zippy_decompress",
 ]

@@ -305,16 +305,3 @@ def compression_stats(name: str) -> CompressionStats:
     """The live :class:`CompressionStats` for the named codec."""
     get_codec(name)  # raise the usual error for unknown names
     return _STATS[name]
-
-
-def all_compression_stats() -> dict[str, CompressionStats]:
-    """Name -> live stats for every registered codec, sorted by name."""
-    return {name: _STATS[name] for name in available_codecs()}
-
-
-def reset_compression_stats() -> None:
-    """Zero every codec's stats (the monitoring counters are unaffected;
-    reset those via :func:`repro.monitoring.counters.reset`)."""
-    for name, stats in _STATS.items():
-        # Update in place: Codec.stats references stay live.
-        stats.__dict__.update(CompressionStats(name=name).__dict__)

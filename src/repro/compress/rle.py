@@ -1,12 +1,11 @@
 """Run-length encodings, including the simplified bit-RLE of Figure 3.
 
-Three related encoders live here:
+Two related encoders live here:
 
 - byte-level RLE (``rle_encode_bytes``/``rle_decode_bytes``) with an
-  escape-free (count, value) pair stream, used as a registered codec;
-- integer-sequence RLE (``rle_encode_ints``/``rle_decode_ints``)
-  producing explicit (run, value) pairs, used by the reordering
-  experiments on element arrays (Figure 2);
+  escape-free (count, value) pair stream, used as a registered codec —
+  on a column of byte-sized values its body is Section 3's (run, value)
+  pairs;
 - the *simplified* bit-column RLE of Figure 3, which stores only
   counters (one per bit flip); ``bit_rle_counter_count`` computes its
   size, which equals 1 + number of bit flips in the column.
@@ -23,7 +22,7 @@ pointer-doubling rounds and expands runs with one ``np.repeat``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -116,55 +115,6 @@ def rle_decode_bytes(data: bytes) -> bytes:
     if total != expected:
         raise CompressionError(f"decoded {total} bytes, expected {expected}")
     return np.repeat(values, runs.astype(np.int64)).tobytes()
-
-
-def rle_encode_ints(values: Sequence[int] | Iterable[int]) -> list[tuple[int, int]]:
-    """Encode an integer sequence as (run, value) pairs.
-
-    Example: ``[0, 0, 0, 1, 1, 1] -> [(3, 0), (3, 1)]`` — exactly the
-    encoding the paper uses to motivate row reordering (Section 3).
-    """
-    items = list(values)
-    if not items:
-        return []
-    try:
-        arr = np.asarray(items, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        return _rle_encode_ints_scalar(items)
-    edges = np.flatnonzero(arr[1:] != arr[:-1])
-    starts = np.empty(edges.size + 1, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = edges + 1
-    runs = np.diff(starts, append=arr.size)
-    return list(zip(runs.tolist(), arr[starts].tolist()))
-
-
-def _rle_encode_ints_scalar(items: list[int]) -> list[tuple[int, int]]:
-    """Fallback for values outside int64 (arbitrary Python ints)."""
-    pairs: list[tuple[int, int]] = []
-    run = 0
-    current: int | None = None
-    for value in items:
-        if current is not None and value == current:
-            run += 1
-        else:
-            if current is not None:
-                pairs.append((run, current))
-            current = value
-            run = 1
-    if current is not None:
-        pairs.append((run, current))
-    return pairs
-
-
-def rle_decode_ints(pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Expand (run, value) pairs back into the full sequence."""
-    out: list[int] = []
-    for run, value in pairs:
-        if run < 0:
-            raise CompressionError(f"negative run length {run}")
-        out.extend([value] * run)
-    return out
 
 
 def bit_rle_counter_count(bits: Sequence[int]) -> int:

@@ -189,7 +189,10 @@ class FieldStore:
         self.name = name
         self.dictionary = dictionary
         self.chunks = chunks
-        # What the field is (see DataStore.field_spec); ``name`` is a label.
+        # What the field is, whatever it is called: ``("field", column)``,
+        # ``("expr", sql)`` or ``("composite", member specs)``. ``name`` is
+        # a label picked in materialization order; the spec keys the
+        # catalog and the chunk cache and crosses process boundaries.
         self.spec = spec or ("field", name)
         # Advisor verdict for this field's serialized section (None
         # means the legacy uncompressed framing). codec_choice keeps
@@ -528,8 +531,7 @@ class DataStore:
         self.row_starts = np.cumsum([0, *chunk_row_counts], dtype=np.int64)
         self.fields = fields
         self.import_stats = import_stats
-        # The field catalog, spec -> name (see field_spec); the other way
-        # is FieldStore.spec.
+        # The field catalog, spec -> name; the other way is FieldStore.spec.
         self._catalog = {store.spec: name for name, store in fields.items()}
         self._original_fields = [
             name for name, store in fields.items() if not store.virtual
@@ -750,11 +752,6 @@ class DataStore:
             with self._cache_lock:
                 self._build_runtime(only="cache")
 
-    @property
-    def chunk_cache(self) -> Cache:
-        """The bounded per-chunk result cache (read for stats/size)."""
-        return self._chunk_cache
-
     def chunk_cache_stats(self) -> CacheStats:
         """Lifetime hit/miss/eviction counters of the chunk cache."""
         return self._chunk_cache.stats
@@ -938,21 +935,6 @@ class DataStore:
             ("composite", tuple(self.field(name).spec for name in member_names))
         )
 
-    def field_spec(self, name: str) -> tuple:
-        """What field ``name`` is, whatever it is called.
-
-        ``("field", column)`` for an original column, ``("expr", sql)``
-        for a materialized expression (its rendered text), ``("composite",
-        member specs)`` for a multi-field GROUP BY. A name depends on the
-        order fields were materialized in; a spec does not, so it keys the
-        catalog and the chunk cache and is what a task carries across a
-        process boundary. Materialization is deterministic (distinct
-        tuples are numbered in sorted order, ``factorize`` sorts), so
-        ensuring a spec in a worker yields a bit-identical field and
-        global-id space.
-        """
-        return self.field(name).spec
-
     def _ensure(self, spec: tuple) -> str:
         """The name of the field ``spec`` describes, materializing it if new.
 
@@ -1043,24 +1025,6 @@ class DataStore:
         return dictionary, chunks
 
     # -- size accounting -----------------------------------------------------------
-    def memory_usage(self, field_names: list[str]) -> dict[str, int]:
-        """Encoded-bytes breakdown over ``field_names`` (the paper's MB)."""
-        dictionaries = 0
-        chunk_dicts = 0
-        elements = 0
-        for name in field_names:
-            store = self.field(name)
-            dictionaries += store.dictionary_size_bytes()
-            chunk_dicts += store.chunk_dicts_size_bytes()
-            elements += store.elements_size_bytes()
-        return {
-            "dictionaries": dictionaries,
-            "chunk_dicts": chunk_dicts,
-            "elements": elements,
-            "elements_and_chunk_dicts": chunk_dicts + elements,
-            "total": dictionaries + chunk_dicts + elements,
-        }
-
     def total_size_bytes(self) -> int:
         """Encoded footprint of all original (non-virtual) fields."""
         return sum(
@@ -1365,7 +1329,7 @@ class _RunKernel:
     Thread/serial strategies just call it; process strategies pickle
     it (nested functions cannot cross a process boundary), and the
     pickle swaps the live :class:`FieldStore` references in ``fields``
-    for their specs (:meth:`DataStore.field_spec`) while the store
+    for their specs (:attr:`FieldStore.spec`) while the store
     itself reduces to its arena handle. On unpickle — inside a worker —
     each spec is ensured on that worker's attached store, and a grouped
     kernel builds its aggregators from them. Everything else (the plan,

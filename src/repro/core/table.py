@@ -315,26 +315,6 @@ class Table:
             columns.append(Column(name, values, dtype=dtype))
         return cls(columns)
 
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[Sequence[Any]], schema: Schema
-    ) -> "Table":
-        """Build from row tuples matching ``schema`` order."""
-        names = schema.field_names
-        buffers: list[list[Any]] = [[] for __ in names]
-        for row in rows:
-            if len(row) != len(names):
-                raise TableError(
-                    f"row width {len(row)} != schema width {len(names)}"
-                )
-            for buffer, value in zip(buffers, row):
-                buffer.append(value)
-        columns = [
-            Column(name, buffer, dtype=schema.dtype(name))
-            for name, buffer in zip(names, buffers)
-        ]
-        return cls(columns)
-
     # -- shape -----------------------------------------------------------
     @property
     def n_rows(self) -> int:
@@ -351,11 +331,6 @@ class Table:
     @property
     def schema(self) -> Schema:
         return Schema([(name, self._columns[name].dtype) for name in self._order])
-
-    @property
-    def n_cells(self) -> int:
-        """Total number of cells (rows x columns) — the paper's unit."""
-        return self._n_rows * len(self._order)
 
     # -- access ------------------------------------------------------------
     def column(self, name: str) -> Column:
@@ -383,18 +358,6 @@ class Table:
     def take(self, indices: np.ndarray | Sequence[int]) -> "Table":
         """A new table with rows selected/reordered by ``indices``."""
         return Table([self._columns[name].take(indices) for name in self._order])
-
-    def with_column(self, column: Column) -> "Table":
-        """A new table with ``column`` appended (must match row count)."""
-        if column.name in self._columns:
-            raise TableError(f"column {column.name!r} already exists")
-        return Table(
-            [self._columns[name] for name in self._order] + [column]
-        )
-
-    def select_columns(self, names: Sequence[str]) -> "Table":
-        """A new table with just ``names``, in the given order."""
-        return Table([self.column(name) for name in names])
 
     def sorted_rows(self) -> list[tuple]:
         """All rows sorted — canonical form for result comparison."""

@@ -3,9 +3,9 @@
 - :mod:`repro.distributed.shard` -- quasi-random sharding of a table
   ("start by sharding the data quasi randomly across the machines"),
   each shard partitioned into chunks independently.
-- :mod:`repro.distributed.tree` -- the computation tree: the group-by
-  rewrite (leaf/merge query decomposition) and the level-by-level fold
-  of columnar shard partials with the store's own aggregators.
+- :mod:`repro.distributed.tree` -- the computation tree: the
+  level-by-level fold of columnar shard partials with the store's own
+  aggregators (Section 4's group-by rewrite).
 - :mod:`repro.distributed.cluster` -- a deterministic simulation of the
   production cluster: machines with fluctuating load, an in-memory /
   on-disk residency model, primary+replica sub-queries, and the
@@ -31,7 +31,7 @@ from repro.distributed.faults import (
     dispatch_sub_query,
 )
 from repro.distributed.shard import Shard, shard_table
-from repro.distributed.tree import ComputationTree, decompose_query
+from repro.distributed.tree import ComputationTree
 
 __all__ = [
     "ClusterConfig",
@@ -44,7 +44,6 @@ __all__ = [
     "Shard",
     "SimulatedCluster",
     "backoff_delay",
-    "decompose_query",
     "dispatch_sub_query",
     "shard_table",
 ]

@@ -140,11 +140,6 @@ class QueryMetrics:
     unavailable_shards: tuple[int, ...] = ()
     fault_events: list[FaultEvent] = field(default_factory=list)
 
-    @property
-    def served_from_memory(self) -> bool:
-        """True when no server had to touch disk (the >70% case)."""
-        return self.bytes_loaded_from_disk == 0
-
 
 class _MachineMemory:
     """LRU residency of (shard, field) column data on one machine."""
@@ -416,7 +411,3 @@ class SimulatedCluster:
 
     def total_rows(self) -> int:
         return sum(shard.n_rows for shard in self.shards)
-
-    def placement_of(self, shard_id: int) -> list[int]:
-        """Machines holding (primary first) a shard."""
-        return list(self._placement[shard_id])

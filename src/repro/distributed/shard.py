@@ -51,7 +51,3 @@ class Shard:
     @property
     def n_rows(self) -> int:
         return self.store.n_rows
-
-    def field_bytes(self, field_names: tuple[str, ...]) -> int:
-        """Encoded bytes of the given fields on this shard."""
-        return sum(self.store.field(name).size_bytes() for name in field_names)

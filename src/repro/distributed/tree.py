@@ -1,30 +1,22 @@
 """The computation tree — Section 4's multi-level group-by execution.
 
-Two complementary pieces live here:
-
-1. :func:`decompose_query` — the *SQL-level* rewrite the paper shows:
-
-   ``SELECT a, SUM(x) FROM (S1 UNION ALL S2) GROUP BY a`` becomes inner
-   selects per shard and an outer merge select. COUNT(*) merges as
-   SUM of partial counts, AVG as SUM/SUM, MIN/MAX as themselves.
-   Exact COUNT DISTINCT is *not* decomposable this way — the function
-   raises, mirroring "We cannot support count distinct by that.
-   Therefore, we use an approximative technique".
-
-2. :class:`ComputationTree` / :func:`fold_level` — the *engine-level*
-   execution used by the cluster simulation: shards hand up columnar
-   partials in value space
-   (:meth:`repro.core.datastore.DataStore.execute_partials`), and each
-   level folds its children's into fresh store aggregators ("the leaf
-   level machines execute the inner select in parallel and send the
-   result to the root"). The level unions its children's group and
-   argument values into one dictionary, so merged ids are ranks, and
-   remaps each child with one array lookup. An interior level hands its
-   fold up as a shard does; the root reads it out as one store does,
-   HAVING / ORDER BY / LIMIT included ("the servers at the leaf level
-   execute 'where' clauses and the root executes any 'having'
-   statements"). Exact COUNT DISTINCT folds its (group, value) pairs,
-   APPROX_COUNT_DISTINCT its sketches' retained hashes.
+The paper rewrites ``SELECT a, SUM(x) FROM (S1 UNION ALL S2) GROUP BY
+a`` into an inner select per shard and an outer merge select. Here the
+rewrite is a fold of aggregator states, not of SQL rows: shards hand up
+columnar partials in value space
+(:meth:`repro.core.datastore.DataStore.execute_partials`), and each
+level of :class:`ComputationTree` folds its children's into fresh store
+aggregators with :func:`fold_level` ("the leaf level machines execute
+the inner select in parallel and send the result to the root"), so
+COUNT adds partial counts and AVG ships a sum and a count. The level
+unions its children's group and argument values into one dictionary,
+so merged ids are ranks, and remaps each child with one array lookup.
+An interior level hands its fold up as a shard does; the root reads it
+out as one store does, HAVING / ORDER BY / LIMIT included ("the servers
+at the leaf level execute 'where' clauses and the root executes any
+'having' statements"). Exact COUNT DISTINCT folds its (group, value)
+pairs — which the paper's SQL rewrite cannot, hence its "approximative
+technique" — and APPROX_COUNT_DISTINCT its sketches' retained hashes.
 """
 
 from __future__ import annotations
@@ -50,98 +42,11 @@ from repro.core.engine import (
     SumAggregator,
     _PairAggregator,
 )
-from repro.core.plan import plan_group_query, resolve_group_aliases
-from repro.errors import DistributedError, UnsupportedQueryError
+from repro.errors import DistributedError
 from repro.partition.codes import factorize_list
-from repro.sql.ast_nodes import Aggregate, BinaryOp, FieldRef, Query, SelectItem
+from repro.sql.ast_nodes import Aggregate
 from repro.storage.dictionary import SortedTupleDictionary, _null_safe_key
 
-
-# -- SQL-level decomposition ---------------------------------------------------
-
-
-def decompose_query(query: Query) -> tuple[Query, Query]:
-    """Rewrite a grouped query into (leaf_query, merge_query).
-
-    The leaf query runs on each shard; the merge query runs over the
-    UNION ALL of leaf results (its FROM table is named ``partials``).
-    Raises :class:`UnsupportedQueryError` for aggregates that are not
-    associative-decomposable (exact COUNT DISTINCT).
-    """
-    query = resolve_group_aliases(query)
-    plan = plan_group_query(query)
-    for agg in plan.aggregates:
-        if agg.distinct and not agg.approximate:
-            raise UnsupportedQueryError(
-                "COUNT DISTINCT cannot be computed by multi-level "
-                "associative aggregation; use APPROX_COUNT_DISTINCT"
-            )
-        if agg.approximate:
-            raise UnsupportedQueryError(
-                "APPROX_COUNT_DISTINCT merges sketches, not SQL rows; "
-                "use the engine-level ComputationTree"
-            )
-
-    leaf_items: list[SelectItem] = []
-    merge_inner: dict[str, Aggregate] = {}
-    for index, expr in enumerate(plan.group_exprs):
-        leaf_items.append(SelectItem(expr, f"g{index}"))
-    for index, agg in enumerate(plan.aggregates):
-        name = f"a{index}"
-        if agg.name == "COUNT":
-            leaf_items.append(SelectItem(agg, name))
-            merge_inner[name] = Aggregate("SUM", FieldRef(name))
-        elif agg.name in ("SUM", "MIN", "MAX"):
-            leaf_items.append(SelectItem(agg, name))
-            merge_inner[name] = Aggregate(agg.name, FieldRef(name))
-        elif agg.name == "AVG":
-            # AVG(x) = SUM(x) / SUM(1): ship sum and count separately.
-            leaf_items.append(
-                SelectItem(Aggregate("SUM", agg.arg), f"{name}_sum")
-            )
-            leaf_items.append(
-                SelectItem(Aggregate("COUNT", agg.arg), f"{name}_count")
-            )
-            merge_inner[name] = None  # marker: handled below
-        else:
-            raise UnsupportedQueryError(f"cannot decompose {agg.sql()}")
-
-    leaf_query = Query(
-        select=tuple(leaf_items),
-        table=query.table,
-        where=query.where,
-        group_by=plan.group_exprs,
-    )
-
-    merge_items: list[SelectItem] = []
-    for index in range(len(plan.group_exprs)):
-        merge_items.append(SelectItem(FieldRef(f"g{index}"), f"g{index}"))
-    for index, agg in enumerate(plan.aggregates):
-        name = f"a{index}"
-        if agg.name == "AVG":
-            merge_items.append(
-                SelectItem(
-                    BinaryOp(
-                        "/",
-                        Aggregate("SUM", FieldRef(f"{name}_sum")),
-                        Aggregate("SUM", FieldRef(f"{name}_count")),
-                    ),
-                    name,
-                )
-            )
-        else:
-            merge_items.append(SelectItem(merge_inner[name], name))
-    merge_query = Query(
-        select=tuple(merge_items),
-        table="partials",
-        group_by=tuple(
-            FieldRef(f"g{index}") for index in range(len(plan.group_exprs))
-        ),
-    )
-    return leaf_query, merge_query
-
-
-# -- engine-level merging ----------------------------------------------------------
 
 
 def _union(arrays: list[np.ndarray]) -> tuple[FieldStore, list[np.ndarray]]:

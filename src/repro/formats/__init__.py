@@ -16,8 +16,8 @@ identical results to the column-store.
 
 from repro.formats.backend import Backend
 from repro.formats.columnio import ColumnIoBackend, read_columnio, write_columnio
-from repro.formats.csv_backend import CsvBackend, read_csv, write_csv
-from repro.formats.recordio import RecordIoBackend, read_recordio, write_recordio
+from repro.formats.csv_backend import CsvBackend, write_csv
+from repro.formats.recordio import RecordIoBackend, write_recordio
 
 __all__ = [
     "Backend",
@@ -25,8 +25,6 @@ __all__ = [
     "CsvBackend",
     "RecordIoBackend",
     "read_columnio",
-    "read_csv",
-    "read_recordio",
     "write_columnio",
     "write_csv",
     "write_recordio",

@@ -32,17 +32,13 @@ INT and FLOAT block bodies are encoded and decoded with the bulk
 varint/zigzag kernels of :mod:`repro.compress.varint` (PR 5) — one
 vectorized pass per block instead of one ``decode_zigzag`` call per
 cell; STRING blocks keep the scalar walk because each value's length
-prefix feeds the next read position. Codec activity is visible via
-:meth:`ColumnIoBackend.codec_stats`, which reports *this backend's*
-decode traffic (per-instance stats, not the process-wide registry
-counters — two open files never alias each other's numbers).
+prefix feeds the next read position.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from collections.abc import Iterator
 
 import numpy as np
@@ -53,7 +49,7 @@ from repro.compress.advisor import (
     profile_values,
     sample_window,
 )
-from repro.compress.registry import CompressionStats, get_codec
+from repro.compress.registry import get_codec
 from repro.compress.varint import (
     decode_varint,
     decode_zigzag_stream,
@@ -240,10 +236,6 @@ class ColumnIoBackend(Backend):
             name: get_codec(meta["codec"])
             for name, meta in self._columns.items()
         }
-        # Per-instance decode accounting: two open backends must never
-        # alias each other's numbers, so the registry's process-wide
-        # stats are not exposed here (satellite fix, PR 9).
-        self._local_stats: dict[str, CompressionStats] = {}
 
     @property
     def schema(self) -> Schema:
@@ -263,20 +255,11 @@ class ColumnIoBackend(Backend):
             raise TableError(f"no column {name!r} in {self._path}") from None
         dtype = DataType(meta["dtype"])
         codec = self._codecs[name]
-        local = self._local_stats.setdefault(
-            codec.name, CompressionStats(name=codec.name)
-        )
         values: list = []
         with open(self._path, "rb") as handle:
             for block in meta["blocks"]:
                 handle.seek(self._data_start + block["offset"])
-                compressed = handle.read(block["size"])
-                started = time.perf_counter()
-                raw = codec.decompress(compressed)
-                local.decode_seconds += time.perf_counter() - started
-                local.decode_calls += 1
-                local.decode_bytes_in += len(compressed)
-                local.decode_bytes_out += len(raw)
+                raw = codec.decompress(handle.read(block["size"]))
                 values.extend(_decode_block(raw, dtype))
         return values
 
@@ -290,19 +273,6 @@ class ColumnIoBackend(Backend):
             return self._columns[name]["codec"]
         except KeyError:
             raise TableError(f"no column {name!r} in {self._path}") from None
-
-    def column_codec_choice(self, name: str) -> dict | None:
-        """The advisor's recorded choice for ``name`` (None if absent)."""
-        return self._columns.get(name, {}).get("codec_choice")
-
-    def codec_stats(self) -> dict[str, CompressionStats]:
-        """Codec name -> decode stats for *this backend's* reads only.
-
-        Per-instance accounting: the process-wide registry stats keep
-        aggregating across files, but these numbers cover exactly the
-        blocks this backend decompressed.
-        """
-        return dict(self._local_stats)
 
     def _referenced_columns(self, query: Query | None) -> list[str]:
         if query is None:

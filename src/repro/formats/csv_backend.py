@@ -52,12 +52,6 @@ def _decode_value(raw: str, dtype: DataType):
     return float(raw)
 
 
-def read_csv(path: str, schema: Schema) -> Table:
-    """Load a CSV file written by :func:`write_csv` into a Table."""
-    backend = CsvBackend(path, schema)
-    return Table.from_rows(backend.scan_rows(None), schema)
-
-
 class CsvBackend(Backend):
     """Full-scan SQL over a CSV file."""
 

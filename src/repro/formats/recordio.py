@@ -41,25 +41,6 @@ _WIRE_FIXED64 = 1
 _WIRE_BYTES = 2
 
 
-def _encode_record(row: tuple, dtypes: list[DataType]) -> bytes:
-    body = bytearray()
-    for field_number, (value, dtype) in enumerate(zip(row, dtypes), start=1):
-        if value is None:
-            continue
-        if dtype is DataType.STRING:
-            raw = value.encode("utf-8")
-            body += encode_varint((field_number << 3) | _WIRE_BYTES)
-            body += encode_varint(len(raw))
-            body += raw
-        elif dtype is DataType.INT:
-            body += encode_varint((field_number << 3) | _WIRE_VARINT)
-            body += encode_zigzag(int(value))
-        else:
-            body += encode_varint((field_number << 3) | _WIRE_FIXED64)
-            body += struct.pack("<d", float(value))
-    return bytes(encode_varint(len(body))) + bytes(body)
-
-
 def _column_pieces(values: list, dtype: DataType, field_number: int) -> list[bytes]:
     """Per-row encoded (tag + payload) pieces for one column.
 
@@ -121,10 +102,9 @@ def _column_pieces(values: list, dtype: DataType, field_number: int) -> list[byt
 def write_recordio(table: Table, path: str) -> int:
     """Write ``table`` to ``path``; returns the file size in bytes.
 
-    Rows are byte-identical to encoding each with
-    :func:`_encode_record`, but the numeric payloads of every column
-    are produced in one bulk-kernel pass (see :func:`_column_pieces`),
-    as are the record length prefixes.
+    The numeric payloads of every column are produced in one
+    bulk-kernel pass (see :func:`_column_pieces`), as are the record
+    length prefixes.
     """
     columns = [
         _column_pieces(
@@ -151,12 +131,6 @@ def write_recordio(table: Table, path: str) -> int:
             )
         )
     return os.path.getsize(path)
-
-
-def read_recordio(path: str, schema: Schema) -> Table:
-    """Load a record-io file written by :func:`write_recordio`."""
-    backend = RecordIoBackend(path, schema)
-    return Table.from_rows(backend.scan_rows(None), schema)
 
 
 class RecordIoBackend(Backend):

@@ -60,10 +60,6 @@ class CounterRegistry:
         with self._lock:
             return dict(sorted(self._counts.items()))
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-
 
 #: The process-wide counter registry.
 counters = CounterRegistry()

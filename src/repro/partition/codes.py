@@ -13,12 +13,16 @@ to the fastest kernel per column type: ``np.unique`` over typed numpy
 arrays for int and float columns (NULLs handled by masking), and the
 hashed set+dict path for strings — numpy's fixed-width 'U'/'S' sorts
 scale with the *longest* string in the column and measure 3-20x slower
-than hashing on realistic data. Anything the typed paths cannot
-reproduce bit-for-bit (bools, exotic types, NaN, negative zero,
-integers beyond the float64-exact range) falls back to
-:func:`factorize_scalar` — the original implementation, kept
-behaviour-frozen as the equivalence oracle. Equivalence between the
-paths is enforced by property tests, not assumed.
+than hashing on realistic data.
+
+A float NaN is NULL: the numeric path, the only one a NaN reaches,
+codes it as NULL (as sqlite stores a bound NaN), so no dictionary holds
+one and no WHERE has to rank it. Anything the typed paths cannot
+reproduce bit-for-bit (bools, exotic types, negative zero,
+integers beyond the float64-exact range) falls back to the original
+hashed implementation, which ``tests/import_oracle.py`` keeps as the
+equivalence oracle. Equivalence between the paths is enforced by
+property tests, not assumed.
 
 One deliberate exception to exact Python semantics: a column mixing
 floats with integers beyond the float64-exact range is deduplicated by
@@ -145,11 +149,11 @@ def depends_on_row_order(column: Column) -> bool:
 
     Of cells that compare equal yet differ — ``2`` and ``2.0``, ``1``
     and ``True``, ``0.0`` and ``-0.0`` — the dictionary keeps the first
-    seen, so permuting the rows can change it; so can NaN (``sorted``
-    does not order it) and the float64-image dedup, which merges more
-    values the earlier a float is seen. A list-backed column of one
-    plain type is safe; a dictionary-coded one holds each value once,
-    so only the float64-image dedup can merge two of them.
+    seen, so permuting the rows can change it; so can the float64-image
+    dedup, which merges more values the earlier a float is seen. A
+    list-backed column of one plain type is safe (NaN cells are NULL); a
+    dictionary-coded one holds each value once, so only the float64-image
+    dedup can merge two of them.
     """
     if column.codes is not None:
         return isinstance(
@@ -163,16 +167,8 @@ def depends_on_row_order(column: Column) -> bool:
     (kind,) = kinds
     if kind is float:
         floats = np.array(values, dtype=np.float64)  # NULL reads as NaN
-        return bool(
-            np.isnan(floats).sum() > values.count(None)
-            or np.signbit(floats[floats == 0.0]).any()
-        )
+        return bool(np.signbit(floats[floats == 0.0]).any())
     return kind not in (str, int, bool)
-
-
-def factorize_scalar(column: Column) -> tuple[np.ndarray, list[Any]]:
-    """Reference scalar implementation (pre-vectorization behaviour)."""
-    return _factorize_scalar_list(column.values)
 
 
 def factorize_list(values: Sequence[Any]) -> tuple[np.ndarray, list[Any]]:
@@ -260,10 +256,10 @@ def _factorize_numeric(
     non_null[:] = non_null_list
     try:
         as_float = non_null.astype(np.float64)
-    except OverflowError:
-        return None
+    except OverflowError:  # an int beyond float64: the exact path
+        return _factorize_scalar_list(_nan_as_null(values))
     if np.isnan(as_float).any():
-        return None
+        return factorize_list(_nan_as_null(values))
     if np.signbit(as_float[as_float == 0.0]).any():
         return None
     float_mask = np.fromiter(
@@ -288,6 +284,11 @@ def _factorize_numeric(
     return _assemble_codes(n, null_mask, inverse, ordered)
 
 
+def _nan_as_null(values: Sequence[Any]) -> list[Any]:
+    """``values`` with each float NaN made NULL."""
+    return [None if value != value else value for value in values]
+
+
 def _factorize_quotient_by_float64(
     values: Sequence[Any],
 ) -> tuple[np.ndarray, list[Any]] | None:
@@ -302,8 +303,7 @@ def _factorize_quotient_by_float64(
     must be decided in the space the dictionary stores. The first
     occurrence in the column supplies the representative (mirroring
     how ``set`` keeps the first of ``2`` vs ``2.0``). Returns None for
-    inputs with NaN or non-float-representable ints, which keep the
-    exact semantics.
+    ints beyond the float64 range, which keep the exact semantics.
     """
     rep: dict[float, Any] = {}
     has_null = False
@@ -313,8 +313,6 @@ def _factorize_quotient_by_float64(
                 has_null = True
                 continue
             image = float(v)
-            if image != image:  # NaN: exact path handles it
-                return None
             if image not in rep:
                 rep[image] = v
     except OverflowError:  # int beyond float64 range

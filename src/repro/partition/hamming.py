@@ -21,13 +21,6 @@ from repro.compress.rle import bit_rle_counter_count
 from repro.errors import PartitionError
 
 
-def hamming_distance(row_a: np.ndarray, row_b: np.ndarray) -> int:
-    """Number of differing bits between two 0/1 vectors."""
-    if row_a.shape != row_b.shape:
-        raise PartitionError("Hamming distance requires equal-length rows")
-    return int(np.abs(row_a.astype(np.int8) - row_b.astype(np.int8)).sum())
-
-
 def hamming_path_length(matrix: np.ndarray, order: np.ndarray | None = None) -> int:
     """Sum of Hamming distances between consecutive rows along ``order``."""
     if matrix.ndim != 2:

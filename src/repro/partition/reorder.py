@@ -5,7 +5,7 @@ the element arrays dramatically. The paper:
 
 - uses "a very easy to implement heuristic which in practice gives good
   results: we sort lexicographically by the field order chosen for the
-  partitioning" (:func:`lexicographic_order`);
+  partitioning" (:func:`order_from_codes`, over the fields' codes);
 - recapitulates Johnson et al.'s framing of optimal reordering as a
   travelling-salesperson problem in Hamming space and their nearest-
   neighbour heuristics (:func:`nearest_neighbor_order`), which we
@@ -20,22 +20,6 @@ import numpy as np
 
 from repro.core.table import Table
 from repro.errors import PartitionError
-from repro.partition.codes import factorize
-
-
-def lexicographic_order(table: Table, fields: Sequence[str]) -> np.ndarray:
-    """Permutation sorting rows lexicographically by ``fields``.
-
-    The sort is stable, so rows tied on all fields keep their original
-    relative order (keeping results reproducible).
-    """
-    if not fields:
-        raise PartitionError("lexicographic reorder needs at least one field")
-    for name in fields:
-        if name not in table:
-            raise PartitionError(f"reorder field {name!r} not in table")
-    code_arrays = [factorize(table.column(name))[0] for name in fields]
-    return order_from_codes(code_arrays)
 
 
 def order_from_codes(code_arrays: Sequence[np.ndarray]) -> np.ndarray:

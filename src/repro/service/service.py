@@ -377,10 +377,6 @@ class QueryService:
         return snapshot
 
     # -- shutdown -----------------------------------------------------------------
-    def worker_threads(self) -> tuple[threading.Thread, ...]:
-        """The dispatch threads (leak assertions in the test suite)."""
-        return tuple(self._threads)
-
     def close(self, timeout: float | None = None) -> None:
         """Stop serving: reject the backlog, join every worker (bounded)."""
         with self._close_lock:

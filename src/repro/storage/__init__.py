@@ -25,7 +25,6 @@ from repro.storage.dictionary import (
     Dictionary,
     NumericDictionary,
     SortedStringDictionary,
-    build_dictionary,
 )
 from repro.storage.elements import (
     BitsetElements,
@@ -54,6 +53,5 @@ __all__ = [
     "SubDictionarySet",
     "TrieDictionary",
     "TwoQCache",
-    "build_dictionary",
     "encode_elements",
 ]

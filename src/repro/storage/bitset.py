@@ -7,7 +7,7 @@ ceil(n/8) bytes") and by the Bloom filters of Section 5.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -27,16 +27,6 @@ class BitSet:
             raise StorageError(f"bitset size must be >= 0, got {size}")
         self._size = size
         self._buf = bytearray((size + 7) // 8)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitSet":
-        """Build from an iterable of 0/1 values."""
-        values = list(bits)
-        bitset = cls(len(values))
-        for index, bit in enumerate(values):
-            if bit:
-                bitset.set(index)
-        return bitset
 
     @classmethod
     def from_numpy(cls, bits: np.ndarray) -> "BitSet":

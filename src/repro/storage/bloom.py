@@ -86,9 +86,3 @@ class BloomFilter:
     def size_bytes(self) -> int:
         """Payload size of the bit array."""
         return self._bits.size_bytes()
-
-    def estimated_fpp(self) -> float:
-        """Expected false-positive rate at the current fill level."""
-        n_bits = len(self._bits)
-        fill = 1.0 - math.exp(-self._n_hashes * self._n_items / n_bits)
-        return fill**self._n_hashes

@@ -334,11 +334,6 @@ class ArcCache(Cache):
     def used(self) -> float:
         return self._t1_used + self._t2_used
 
-    @property
-    def recency_target(self) -> float:
-        """Current adaptive target size for the recency side (T1)."""
-        return self._p
-
 
 _POLICIES = {cls.name: cls for cls in (LruCache, TwoQCache, ArcCache)}
 

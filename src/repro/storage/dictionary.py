@@ -12,13 +12,15 @@ Implementations:
 - :class:`NumericDictionary` -- sorted numeric values; in *optimized*
   mode integer payloads are offset+bit-packed to the minimal byte width.
 - :class:`repro.storage.trie.TrieDictionary` -- the Section 3 nibble
-  trie (built via :func:`build_dictionary` with ``optimized=True``).
+  trie (the import builds it for strings with ``optimized_dicts``).
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from collections.abc import Iterable, Sequence
+from itertools import islice, repeat
 from typing import Any
 
 import numpy as np
@@ -197,12 +199,11 @@ class SortedStringDictionary(Dictionary):
         super().__init__(has_null)
         self._values = list(values)
         self._sorted_cache: np.ndarray | None = None
-        if any(not isinstance(v, str) for v in self._values):
+        # Each check is one pass in C: ``map`` calls the builtin per value
+        # without a Python frame.
+        if not all(map(isinstance, self._values, repeat(str))):
             raise DictionaryError("string dictionary requires str values")
-        if any(
-            self._values[i] >= self._values[i + 1]
-            for i in range(len(self._values) - 1)
-        ):
+        if not all(map(operator.lt, self._values, islice(self._values, 1, None))):
             raise DictionaryError("dictionary values must be strictly sorted")
 
     @property
@@ -395,14 +396,6 @@ class NumericDictionary(Dictionary):
             ).tobytes()
         return np.ascontiguousarray(self._values).tobytes()
 
-    def min_value(self) -> Any:
-        """Smallest non-null value (None for an empty dictionary)."""
-        return self._value_at(0) if self._values.size else None
-
-    def max_value(self) -> Any:
-        """Largest non-null value (None for an empty dictionary)."""
-        return self._value_at(self._values.size - 1) if self._values.size else None
-
 
 def _null_safe_key(value: Any):
     """Sort key placing None first, usable inside tuples too."""
@@ -490,42 +483,3 @@ class SortedTupleDictionary(Dictionary):
             out += len(raw).to_bytes(4, "little")
             out += raw
         return bytes(out)
-
-
-def _sorted_distinct(values: Iterable[Any]) -> tuple[list[Any], bool]:
-    """Distinct non-null values in sorted order, plus a null flag."""
-    distinct = set(values)
-    has_null = None in distinct
-    distinct.discard(None)
-    if not distinct:
-        return [], has_null
-    kinds = {type(v) for v in distinct}
-    if kinds <= {int, float} or kinds <= {bool}:
-        return sorted(distinct), has_null
-    if kinds == {str}:
-        return sorted(distinct), has_null
-    raise DictionaryError(
-        f"column mixes incompatible types: {sorted(k.__name__ for k in kinds)}"
-    )
-
-
-def build_dictionary(values: Iterable[Any], optimized: bool = False) -> Dictionary:
-    """Build the right dictionary for a column of raw values.
-
-    ``optimized=False`` yields the "canonical" encodings of Section 2.3
-    (sorted string array / plain 8-byte numerics). ``optimized=True``
-    yields the Section 3 *OptDicts* encodings: the nibble trie for
-    strings and offset-packed numerics.
-    """
-    distinct, has_null = _sorted_distinct(values)
-    if distinct and isinstance(distinct[0], str):
-        if optimized:
-            from repro.storage.trie import TrieDictionary
-
-            return TrieDictionary.from_sorted(distinct, has_null=has_null)
-        return SortedStringDictionary(distinct, has_null=has_null)
-    if distinct and any(isinstance(v, float) for v in distinct):
-        array = np.asarray(distinct, dtype=np.float64)
-    else:
-        array = np.asarray(distinct, dtype=np.int64)
-    return NumericDictionary(array, has_null=has_null, optimized=optimized)

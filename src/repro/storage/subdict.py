@@ -222,11 +222,3 @@ class SubDictionarySet:
             if gid is not None:
                 return gid
         return None
-
-    def lookup_value(self, global_id: int) -> object:
-        """Value for ``global_id`` (loads the covering sub-dictionary)."""
-        for sub in [self._hot, *self._groups]:
-            if global_id in sub.entries:
-                self._load(sub)
-                return sub.entries[global_id]
-        raise DictionaryError(f"global-id {global_id} not in any sub-dictionary")

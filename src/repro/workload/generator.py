@@ -208,8 +208,3 @@ def _coded_column(
         distinct,
         DataType.INT if label is None else DataType.STRING,
     )
-
-
-def default_partition_fields() -> tuple[str, ...]:
-    """The paper's experimental field order: country, table_name."""
-    return ("country", "table_name")

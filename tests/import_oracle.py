@@ -3,8 +3,9 @@
 Kept, bodies unchanged, as the byte-identity oracle of
 ``tests/test_import_equivalence.py``: :func:`build_reference_store`
 mirrors the original ``DataStore.from_table`` step for step — scalar
-``factorize`` per field over the cell lists (run again after the
-reorder, as the old code did), ``Table.take`` of the cells, the
+``factorize`` per field over the cell lists (:func:`factorize_scalar`,
+run again after the reorder, as the old code did), ``Table.take`` of
+the cells, the
 per-string-insert trie builder (:func:`reference_trie_bytes`), the
 partitioner that splits row-index
 arrays with one ``np.unique`` of the chunk's rows per field per split
@@ -12,7 +13,9 @@ arrays with one ``np.unique`` of the chunk's rows per field per split
 (:func:`reference_column_chunk`), both as they stood in ``src/`` before
 the write path counted instead of sorting. ``DataStore.from_table``
 must serialise to exactly the same PDS2 stream, whichever form its
-columns come in.
+columns come in. :func:`build_dictionary` builds a column's dictionary
+straight from its raw values, as the import once did; the dictionary
+tests build theirs with it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import heapq
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -28,7 +32,7 @@ import numpy as np
 from repro.core.datastore import DataStore, DataStoreOptions, FieldStore
 from repro.core.table import Table
 from repro.errors import PartitionError
-from repro.partition.codes import factorize_scalar
+from repro.partition.codes import _factorize_scalar_list
 from repro.partition.composite import PartitionSpec
 from repro.storage.chunk import ColumnChunk
 from repro.storage.dictionary import (
@@ -42,6 +46,48 @@ from repro.storage.serde import save_store
 from repro.compress.varint import encode_varint
 from repro.errors import DictionaryError
 from repro.storage.trie import _HAS_SKIP, _TERMINAL, TrieDictionary, _nibbles
+
+
+def factorize_scalar(column) -> tuple[np.ndarray, list[Any]]:
+    """The column factorize as it was before it was vectorised."""
+    return _factorize_scalar_list(column.values)
+
+
+def _sorted_distinct(values: Iterable[Any]) -> tuple[list[Any], bool]:
+    """Distinct non-null values in sorted order, plus a null flag."""
+    distinct = set(values)
+    has_null = None in distinct
+    distinct.discard(None)
+    if not distinct:
+        return [], has_null
+    kinds = {type(v) for v in distinct}
+    if kinds <= {int, float} or kinds <= {bool}:
+        return sorted(distinct), has_null
+    if kinds == {str}:
+        return sorted(distinct), has_null
+    raise DictionaryError(
+        f"column mixes incompatible types: {sorted(k.__name__ for k in kinds)}"
+    )
+
+
+def build_dictionary(values: Iterable[Any], optimized: bool = False) -> Dictionary:
+    """Build the right dictionary for a column of raw values.
+
+    ``optimized=False`` yields the "canonical" encodings of Section 2.3
+    (sorted string array / plain 8-byte numerics). ``optimized=True``
+    yields the Section 3 *OptDicts* encodings: the nibble trie for
+    strings and offset-packed numerics.
+    """
+    distinct, has_null = _sorted_distinct(values)
+    if distinct and isinstance(distinct[0], str):
+        if optimized:
+            return TrieDictionary.from_sorted(distinct, has_null=has_null)
+        return SortedStringDictionary(distinct, has_null=has_null)
+    if distinct and any(isinstance(v, float) for v in distinct):
+        array = np.asarray(distinct, dtype=np.float64)
+    else:
+        array = np.asarray(distinct, dtype=np.int64)
+    return NumericDictionary(array, has_null=has_null, optimized=optimized)
 
 
 class _BuildNode:

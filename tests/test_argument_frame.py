@@ -3,8 +3,9 @@
 A run hands each aggregate its rows' CSR positions in the argument
 field's chunk-dictionary index: SUM / AVG weigh them from a per-entry
 table, MIN / MAX reduce them and translate only the winners. Random
-tables (NULL and NaN arguments, ``0`` / ``0.0`` / ``-0.0``, one-row and
-zero-row chunks, one-entry chunk-dictionaries) go through every door —
+tables (NULL and NaN arguments, a NaN cell being NULL; ``0`` / ``0.0``
+/ ``-0.0``; one-row and zero-row chunks; one-entry chunk-dictionaries)
+go through every door —
 chunk cache on (twice, so hits fold too), off, two threads, shard
 partials — and every chunk's partial must be the bits the gid-space
 oracle (``tests/engine_oracle.py``) computes for it, and every answer
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bench.oracle import QueryClass, SqliteOracle
 from repro.core.datastore import DataStore, DataStoreOptions, FieldStore, _GroupedKernel
@@ -46,14 +47,14 @@ _WHERES = {
     ),
     "latency > 1": lambda row: row["latency"] is not None and row["latency"] > 1,
 }
-_LATENCIES = (None, 0, 0.0, -0.0, 1, 2, -3, 2.5, -0.5, 7)
+_LATENCIES = (None, math.nan, 0, 0.0, -0.0, 1, 2, -3, 2.5, -0.5, 7)
 
 
 @st.composite
 def _tables(draw):
     """Five columns as the benchmark's oracle takes them, ``latency``
-    constant in some countries, plus where zero-row chunks go. NaN comes
-    only with NULL: a numeric dictionary holds no NaN beside a number."""
+    constant in some countries, plus where zero-row chunks go. A NaN
+    cell is NULL, to the store as to sqlite."""
     values = draw(st.sampled_from([_LATENCIES, (None, math.nan)]))
     columns = {name: [] for name in ("timestamp", "table_name", "latency", "country", "user_name")}
     for country in ("x", "y", "z")[: draw(st.integers(1, 3))]:
@@ -169,13 +170,8 @@ def test_every_door_folds_the_oracles_partials_and_answers_as_sqlite(
     table, max_rows, empty = drawn
     folds.clear()  # the fixture spans every example
     query = _query(group, where)
-    oracle = None
-    nan = any(isinstance(v, float) and math.isnan(v) for v in table.column("latency").values)
-    # The store's WHERE ranks NaN above every number (``NaN > 1`` holds).
-    assume(not (nan and where == "latency > 1"))
-    if not nan:  # sqlite stores NaN as NULL: a NaN table has the partials' check alone
-        path = tmp_path_factory.getbasetemp() / f"frame-{next(_db_names)}.sqlite"
-        oracle = SqliteOracle(table, str(path))
+    path = tmp_path_factory.getbasetemp() / f"frame-{next(_db_names)}.sqlite"
+    oracle = SqliteOracle(table, str(path))
     stores = {
         "cached": _store(table, max_rows, empty),
         "uncached": _store(table, max_rows, empty, cache_chunk_results=False),
@@ -188,8 +184,7 @@ def test_every_door_folds_the_oracles_partials_and_answers_as_sqlite(
         answers["cached, warm"] = stores["cached"].execute(query.sql).rows()
         answers["partials"] = _through_partials(stores["uncached"], query.sql).rows()
         for door, rows in answers.items():
-            if oracle is not None:
-                assert oracle.problem(query, rows) is None, (door, oracle.problem(query, rows))
+            assert oracle.problem(query, rows) is None, (door, oracle.problem(query, rows))
             assert repr(rows) == repr(answers["uncached"]), door
         store = stores["uncached"]  # every store holds the same chunks
         expected = {}
@@ -207,5 +202,4 @@ def test_every_door_folds_the_oracles_partials_and_answers_as_sqlite(
                     )
     finally:
         stores["threads"].executor.close()
-        if oracle is not None:
-            oracle.close()
+        oracle.close()

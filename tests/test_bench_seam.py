@@ -267,7 +267,7 @@ def test_concurrent_first_touch_of_a_where_leaves_one_classification(log_table):
     for query in click:  # fill the partials' cache under another WHERE
         store.execute(query.replace("latency > 300", "latency > 200"))
     key = ("where", parse_query(click[0]).where.sql())
-    assert key not in store.chunk_cache
+    assert key not in store._chunk_cache
     results: dict[int, list] = {}
     barrier = threading.Barrier(4)
 
@@ -295,7 +295,7 @@ def test_concurrent_first_touch_of_a_where_leaves_one_classification(log_table):
             assert result.stats.fields_accessed == expected[query].stats.fields_accessed
     # Racing threads may each have classified; the last put is what
     # stayed, and every later query of the click reads that one.
-    published = store.chunk_cache.get(key)
+    published = store._chunk_cache.get(key)
     assert published is not None
     reused_before = counters.get("datastore.restriction.reused")
     compiled_before = counters.get("datastore.restriction.compiled")
@@ -303,7 +303,7 @@ def test_concurrent_first_touch_of_a_where_leaves_one_classification(log_table):
         assert store.execute(query).content_equal(expected[query])
     assert counters.get("datastore.restriction.reused") == reused_before + 20
     assert counters.get("datastore.restriction.compiled") == compiled_before
-    assert store.chunk_cache.get(key) is published
+    assert store._chunk_cache.get(key) is published
 
 
 # -- the work gate of the §2.4 loop: counts on the nine full_scan shapes -------

@@ -33,13 +33,6 @@ class TestBloomFilter:
         assert "three" in bloom
         assert None in bloom
 
-    def test_estimated_fpp_grows_with_fill(self):
-        bloom = BloomFilter.for_capacity(100, fpp=0.01)
-        early = bloom.estimated_fpp()
-        for i in range(100):
-            bloom.add(i)
-        assert bloom.estimated_fpp() > early
-
     def test_size_scales_with_capacity(self):
         small = BloomFilter.for_capacity(100)
         large = BloomFilter.for_capacity(10_000)

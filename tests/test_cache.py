@@ -105,10 +105,10 @@ class TestArc:
         cache = ArcCache(4)
         for i in range(8):
             cache.put(f"k{i}", i)
-        before = cache.recency_target
+        before = cache._p
         # Re-inserting an evicted key is a B1 ghost hit -> p grows.
         cache.put("k0", 0)
-        assert cache.recency_target >= before
+        assert cache._p >= before
 
     def test_capacity_respected(self):
         cache = ArcCache(6)

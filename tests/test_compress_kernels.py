@@ -16,17 +16,13 @@ Plus the per-codec :class:`~repro.compress.CompressionStats` published
 by the registry wrappers.
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress import (
-    CompressionStats,
-    all_compression_stats,
-    compression_stats,
-    get_codec,
-    reset_compression_stats,
-)
+from repro.compress import CompressionStats, compression_stats, get_codec
 from repro.compress.varint import (
     decode_varint_stream,
     decode_zigzag_stream,
@@ -138,19 +134,27 @@ class TestCorruptionResilience:
             decode_zigzag_stream(truncated, len(values), 0)
 
 
+def _since(before: CompressionStats) -> CompressionStats:
+    """What ``before``'s codec did since that copy of its stats was taken."""
+    now = compression_stats(before.name)
+    return CompressionStats(
+        before.name,
+        **{
+            f.name: getattr(now, f.name) - getattr(before, f.name)
+            for f in fields(CompressionStats)
+            if f.name != "name"
+        },
+    )
+
+
 class TestCompressionStats:
-    def setup_method(self):
-        reset_compression_stats()
-
-    def teardown_method(self):
-        reset_compression_stats()
-
     def test_encode_decode_accounted(self):
+        before = replace(compression_stats("rle"))
         codec = get_codec("rle")
         raw = b"\x05" * 1000
         blob = codec.compress(raw)
         assert codec.decompress(blob) == raw
-        stats = compression_stats("rle")
+        stats = _since(before)
         assert stats.encode_calls == 1
         assert stats.encode_bytes_in == 1000
         assert stats.encode_bytes_out == len(blob)
@@ -161,48 +165,44 @@ class TestCompressionStats:
     def test_codec_object_shares_live_stats(self):
         codec = get_codec("zippy")
         assert codec.stats is compression_stats("zippy")
+        before = replace(codec.stats)
         codec.compress(b"abc" * 50)
-        assert codec.stats.encode_calls == 1
-        reset_compression_stats()
-        # Reset must not sever the Codec.stats reference.
-        assert codec.stats is compression_stats("zippy")
-        assert codec.stats.encode_calls == 0
+        assert _since(before).encode_calls == 1
 
     def test_decode_error_counted(self):
-        counters.reset()
+        before = replace(compression_stats("zippy"))
+        errors = counters.get("compress.zippy.decode_errors")
         codec = get_codec("zippy")
         with pytest.raises(CompressionError):
             codec.decompress(bytes([4, 0b01, 0xFF]))
-        stats = compression_stats("zippy")
+        stats = _since(before)
         assert stats.decode_errors == 1
         assert stats.decode_calls == 0  # failed calls are not successes
-        assert counters.get("compress.zippy.decode_errors") == 1
+        assert counters.get("compress.zippy.decode_errors") == errors + 1
 
     def test_counters_mirror(self):
-        counters.reset()
+        names = ("encode_calls", "encode_bytes_in", "decode_calls", "decode_bytes_out")
+        before = [counters.get(f"compress.huffman.{name}") for name in names]
         codec = get_codec("huffman")
         blob = codec.compress(b"skewed " * 100)
         codec.decompress(blob)
-        snapshot = counters.snapshot()
-        assert snapshot["compress.huffman.encode_calls"] == 1
-        assert snapshot["compress.huffman.encode_bytes_in"] == 700
-        assert snapshot["compress.huffman.decode_calls"] == 1
-        assert snapshot["compress.huffman.decode_bytes_out"] == 700
+        after = [counters.get(f"compress.huffman.{name}") for name in names]
+        assert [a - b for a, b in zip(after, before)] == [1, 700, 1, 700]
 
     def test_all_compression_stats_covers_registry(self):
-        stats = all_compression_stats()
         for name in ("none", "zippy", "lzo", "huffman", "rle"):
-            assert isinstance(stats[name], CompressionStats)
-            assert stats[name].name == name
+            assert isinstance(compression_stats(name), CompressionStats)
+            assert compression_stats(name).name == name
 
     def test_unknown_codec_raises(self):
         with pytest.raises(CompressionError):
             compression_stats("gzip")
 
     def test_as_dict_round_trips_derived_rates(self):
+        before = replace(compression_stats("rle"))
         codec = get_codec("rle")
         codec.compress(b"\x01" * 500)
-        payload = compression_stats("rle").as_dict()
+        payload = _since(before).as_dict()
         assert payload["name"] == "rle"
         assert payload["compression_ratio"] > 1.0
         assert payload["encode_mb_per_s"] >= 0.0

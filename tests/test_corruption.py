@@ -133,7 +133,7 @@ def _one_field_file(tmp_path, chunk_dicts, element_rows=None, tail=True):
 
     from repro.compress.varint import encode_varint
     from repro.storage import serde
-    from repro.storage.dictionary import build_dictionary
+    from tests.import_oracle import build_dictionary
     from repro.storage.elements import ConstantElements
 
     dictionary = build_dictionary(list(range(10)), optimized=False)

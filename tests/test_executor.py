@@ -263,7 +263,7 @@ class TestBoundedChunkCache:
         store = _build(cache_capacity_bytes=capacity)
         for sql in self._pressure_queries():
             store.execute(sql)
-            assert store.chunk_cache.used <= capacity
+            assert store._chunk_cache.used <= capacity
         stats = store.chunk_cache_stats()
         assert stats.evictions > 0
 
@@ -290,17 +290,17 @@ class TestBoundedChunkCache:
         before = store.execute(sql).stats.rows_cached
         after = store.execute(sql).stats.rows_cached
         assert before == 0 and after > 0
-        assert store.chunk_cache.used <= 20 * 1024.0
+        assert store._chunk_cache.used <= 20 * 1024.0
 
     def test_materialization_keeps_cached_partials(self):
         sql = "SELECT country, COUNT(*) AS c FROM data GROUP BY country"
         store = _build()
         store.execute(sql)
-        cached = len(store.chunk_cache)
+        cached = len(store._chunk_cache)
         assert cached > 0
         expr = parse_query("SELECT date(timestamp) FROM data").select[0].expr
         store.ensure_field(expr)
-        assert len(store.chunk_cache) == cached
+        assert len(store._chunk_cache) == cached
         # Cache keys are specs, not names: the next identical query hits.
         again = store.execute(sql)
         assert again.stats.rows_cached == store.n_rows
@@ -311,15 +311,15 @@ class TestBoundedChunkCache:
         sql = "SELECT country, COUNT(*) AS c FROM data GROUP BY country"
         store.execute(sql)
         store.execute(sql)
-        assert len(store.chunk_cache) == 0
+        assert len(store._chunk_cache) == 0
         assert store.chunk_cache_stats().hits == 0
 
     def test_configure_runtime_rebuilds_cache(self):
         store = _build()
         store.execute("SELECT country, COUNT(*) AS c FROM data GROUP BY country")
-        assert len(store.chunk_cache) > 0
+        assert len(store._chunk_cache) > 0
         store.configure_runtime(cache_policy="arc")
-        assert len(store.chunk_cache) == 0
+        assert len(store._chunk_cache) == 0
         assert store.options.cache_policy == "arc"
 
     def test_configure_runtime_swaps_executor(self):

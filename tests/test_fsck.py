@@ -131,7 +131,7 @@ class TestCorruptionDetection:
         )
         report = fsck_store(store, check_serde=False)
         assert "FSCK006" in report.codes()
-        [finding] = report.by_code("FSCK006")[:1]
+        [finding] = [f for f in report if f.code == "FSCK006"][:1]
         assert "stale" in finding.message
 
     def test_row_count_mismatch(self, store):
@@ -184,7 +184,7 @@ class TestCorruptionDetection:
     def test_distinct_codes_per_corruption_class(self):
         # The acceptance bar: >= 5 corruption classes, each with its own
         # stable code (documented in repro.analysis.catalog).
-        from repro.analysis.catalog import fsck_codes
+        from repro.analysis.catalog import FSCK_CATALOG
 
         exercised = {
             "FSCK001",  # unsorted global dictionary
@@ -197,7 +197,7 @@ class TestCorruptionDetection:
             "FSCK010",  # unparseable store file
         }
         assert len(exercised) >= 5
-        assert exercised <= set(fsck_codes())
+        assert exercised <= {entry.code for entry in FSCK_CATALOG}
 
 
 class TestFindingsNeverRaise:

@@ -101,15 +101,6 @@ class TestCounterRegistryThreadSafety:
         assert registry.get("hammered") == n_threads * n_increments
         assert registry.snapshot()["hammered"] == n_threads * n_increments
 
-    def test_reset_clears(self):
-        from repro.monitoring import CounterRegistry
-
-        registry = CounterRegistry()
-        registry.increment("x", 3)
-        registry.reset()
-        assert registry.get("x") == 0
-        assert registry.snapshot() == {}
-
 
 class TestReservoirAndWindow:
     def test_reservoir_is_bounded(self, log_store):

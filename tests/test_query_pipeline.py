@@ -105,11 +105,11 @@ def _assert_doors_agree(store: DataStore, query: str, footprint=None) -> None:
     """``footprint``: a parent's active chunks, which must cover the query's."""
     # Each door runs on an emptied chunk cache, so both see the same
     # cold store (twin stores would double the build cost).
-    store.chunk_cache.clear()
+    store._chunk_cache.clear()
     direct = store.execute(query)
     if footprint is not None:
         assert set(direct.stats.active_chunks) <= set(footprint)
-    store.chunk_cache.clear()
+    store._chunk_cache.clear()
     partial = _through_partials(store, parse_query(query))
     assert direct.content_equal(partial)
     assert _work(direct.stats) == _work(partial.stats)
@@ -218,7 +218,7 @@ def test_a_clicks_queries_share_one_classification(log_table, seed, thresholds, 
         if (generated := parse_query(click_query).where) is not None:
             conjuncts.append(generated.sql())
         where = " AND ".join(conjuncts)
-        new_where = _where_key(_CLICK_SHAPES[0].format(where=where)) not in store.chunk_cache
+        new_where = _where_key(_CLICK_SHAPES[0].format(where=where)) not in store._chunk_cache
         reused_before = counters.get("datastore.restriction.reused")
         for shape, door in zip(_CLICK_SHAPES, doors):
             query = shape.format(where=where)
@@ -234,7 +234,7 @@ def test_a_clicks_queries_share_one_classification(log_table, seed, thresholds, 
         # last one too, though it materialises date(timestamp).
         reused = counters.get("datastore.restriction.reused") - reused_before
         assert reused == len(_CLICK_SHAPES) - new_where
-        assert len(reference_store.chunk_cache) == 0
+        assert len(reference_store._chunk_cache) == 0
         footprint = reference.stats.active_chunks
 
 
@@ -258,7 +258,7 @@ def test_int_and_float_literals_classify_apart(log_table):
             store.execute(query), reference_store.execute(query), query
         )
     assert _where_key(queries[0]) != _where_key(queries[1])
-    assert all(_where_key(query) in store.chunk_cache for query in queries)
+    assert all(_where_key(query) in store._chunk_cache for query in queries)
 
 
 def test_materialising_a_field_mid_click_keeps_the_classification(log_table):
@@ -269,9 +269,9 @@ def test_materialising_a_field_mid_click_keeps_the_classification(log_table):
         for shape in _CLICK_SHAPES[:3]
     )
     store.execute(first)
-    cached = len(store.chunk_cache)
+    cached = len(store._chunk_cache)
     store.ensure_field(parse_query("SELECT date(timestamp) FROM data").select[0].expr)
-    assert len(store.chunk_cache) == cached
+    assert len(store._chunk_cache) == cached
     references = [reference_store.execute(query) for query in (second, third)]
     compiled_before = counters.get("datastore.restriction.compiled")
     reused_before = counters.get("datastore.restriction.reused")
@@ -504,7 +504,7 @@ def test_a_cached_store_does_an_uncached_stores_work(
             assert result.content_equal(reference), query
             assert _served_work(result.stats) == _served_work(reference.stats), query
             assert reference.stats.rows_cached == 0
-    assert len(reference_store.chunk_cache) == 0
+    assert len(reference_store._chunk_cache) == 0
 
 
 def test_a_failure_is_never_cached(log_table):
@@ -522,7 +522,7 @@ def test_a_failure_is_never_cached(log_table):
         with pytest.raises(error):
             store.execute_partials(text)
         assert counters.get("datastore.sql.parsed") == parsed_before + 2
-    assert len(store.chunk_cache) == 0
+    assert len(store._chunk_cache) == 0
 
 
 def test_the_memo_keeps_what_texts_make_by_count(log_table):

@@ -234,8 +234,8 @@ def _header_options(path: Path) -> dict:
 def _assert_default_runtime(store: DataStore) -> None:
     assert store.options.degrade
     assert isinstance(store.executor, SerialExecutor)
-    assert isinstance(store.chunk_cache, LruCache)
-    assert store.chunk_cache.capacity == 64 * 1024 * 1024
+    assert isinstance(store._chunk_cache, LruCache)
+    assert store._chunk_cache.capacity == 64 * 1024 * 1024
 
 
 class TestRuntimeIsNotPersisted:

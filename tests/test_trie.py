@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.datastore import DataStore, DataStoreOptions
 from repro.core.table import Table
 from repro.errors import DictionaryError
-from repro.storage.dictionary import SortedStringDictionary, build_dictionary
+from repro.storage.dictionary import SortedStringDictionary
 from repro.storage.trie import TrieDictionary, _nibbles
-from tests.import_oracle import _pack_nibbles
+from tests.import_oracle import _pack_nibbles, build_dictionary
 
 
 class TestNibbles:

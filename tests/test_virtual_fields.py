@@ -227,14 +227,14 @@ class TestFieldIdentity:
             for store, order in zip(stores, orders)
         ]
         for members in derived:
-            specs = [store.field_spec(n[members]) for store, n in zip(stores, names)]
+            specs = [store.field(n[members]).spec for store, n in zip(stores, names)]
             assert specs[0] == specs[1]
         for __ in range(2):  # cold, then from the chunk cache
             for members in derived:
                 for query in _queries(members):
                     first, second = (store.execute(query) for store in stores)
                     assert first.rows() == second.rows(), query
-        keys = [set(store.chunk_cache._entries) for store in stores]
+        keys = [set(store._chunk_cache._entries) for store in stores]
         assert keys[0] == keys[1]
         atoms = [atom for key in keys[0] for atom in _atoms(key)]
         assert not [a for a in atoms if isinstance(a, str) and re.search(r"__v\d", a)]
